@@ -1,11 +1,11 @@
 //! Adaptive degradation controller, simulator path.
 //!
-//! Runs a *probe* segment of the configured run, distills [`CtrlSignals`]
-//! from the probe's phase breakdowns (virtual time, so the whole decision
-//! is exactly deterministic), asks the shared [`DegradePolicy`] for a
-//! verdict, stamps a `ctrl.switch` marker, and runs the *remainder* with
-//! the degraded configuration and the probe's trained parameters adopted
-//! as the starting weights.
+//! The loop — probe, signals, verdict, `ctrl.switch` marker, remainder
+//! with the probe's trained parameters adopted as the starting weights —
+//! is [`CtrlPlan::drive`], shared with the threaded and process paths.
+//! Here the signals come from the probe's phase breakdowns and the marker
+//! is stamped at the probe's own end time: all virtual time, so the whole
+//! decision (and the trace) is bit-reproducible run over run.
 //!
 //! Degradations applied here:
 //! - `SwitchToSsp` — BSP only: the remainder runs `Algo::Ssp` at the
@@ -18,33 +18,27 @@
 //! carried state is the model, exactly as a stop-and-restart with adopted
 //! weights would behave.
 
+use std::convert::Infallible;
+
 use dtrain_compress::DgcConfig;
-use dtrain_faults::{markers, straggle_ratio, CtrlAction, CtrlPlan, CtrlSignals};
-use dtrain_obs::{ObsSink, Phase, Track};
+use dtrain_faults::{straggle_ratio, Adaptive, CtrlAction, CtrlPlan, CtrlSignals, SegmentReport};
+use dtrain_obs::{ObsSink, Phase};
 
 use crate::config::{Algo, RunConfig, StopCondition};
 use crate::runner::{run_observed, RunOutput};
 
 /// Outcome of an adaptive simulated run.
-#[derive(Clone, Debug)]
-pub struct AdaptiveRunOutput {
-    /// Probe first, remainder second (single entry when the controller is
-    /// disabled or the probe covers the whole run).
-    pub segments: Vec<RunOutput>,
-    /// Signals read at the segment boundary.
-    pub signals: CtrlSignals,
-    /// The policy's verdict at the boundary.
-    pub action: CtrlAction,
-}
+pub type AdaptiveRunOutput = Adaptive<RunOutput>;
 
-impl AdaptiveRunOutput {
-    pub fn final_accuracy(&self) -> Option<f32> {
-        self.segments.last().and_then(|s| s.final_accuracy)
+impl SegmentReport for RunOutput {
+    type Accuracy = Option<f32>;
+    fn final_accuracy(&self) -> Option<f32> {
+        self.final_accuracy
     }
 }
 
 /// Distill controller signals from a finished simulated segment.
-pub(crate) fn sim_signals(out: &RunOutput) -> CtrlSignals {
+fn sim_signals(out: &RunOutput) -> CtrlSignals {
     let compute: Vec<f64> = out
         .per_worker_breakdown
         .iter()
@@ -65,57 +59,32 @@ pub(crate) fn sim_signals(out: &RunOutput) -> CtrlSignals {
 /// degradation controller. Requires an epoch stop condition; the probe
 /// takes `ctrl.probe_epochs` of it.
 pub fn run_adaptive(cfg: &RunConfig, ctrl: &CtrlPlan, sink: &ObsSink) -> AdaptiveRunOutput {
-    let epochs = match cfg.stop {
-        StopCondition::Epochs(e) => e,
-        StopCondition::Iterations(_) => {
-            panic!("run_adaptive requires StopCondition::Epochs")
-        }
+    let StopCondition::Epochs(epochs) = cfg.stop else {
+        panic!("run_adaptive requires StopCondition::Epochs")
     };
-    if !ctrl.enabled || ctrl.probe_epochs >= epochs {
-        let out = run_observed(cfg, sink);
-        return AdaptiveRunOutput {
-            segments: vec![out],
-            signals: CtrlSignals::default(),
-            action: CtrlAction::Stay,
-        };
-    }
-
-    let mut probe_cfg = cfg.clone();
-    probe_cfg.stop = StopCondition::Epochs(ctrl.probe_epochs);
-    let probe = run_observed(&probe_cfg, sink);
-
-    let signals = sim_signals(&probe);
-    let action = ctrl.policy.decide(&signals);
-    // Virtual timestamp: the probe's own end time, so the marker (and the
-    // whole trace) is bit-reproducible run over run.
-    markers::ctrl_switch(
-        &sink.track(Track::Runtime(0)),
-        probe.end_time.0,
-        action.code(),
-    );
-
-    let mut rest_cfg = cfg.clone();
-    rest_cfg.stop = StopCondition::Epochs(epochs - ctrl.probe_epochs);
-    match action {
-        CtrlAction::SwitchToSsp { staleness } => {
-            if matches!(cfg.algo, Algo::Bsp) {
-                rest_cfg.algo = Algo::Ssp { staleness };
+    let run_segment = |epochs, action, adopted: Option<&RunOutput>| {
+        let mut seg = cfg.clone();
+        seg.stop = StopCondition::Epochs(epochs);
+        match action {
+            CtrlAction::SwitchToSsp { staleness } if matches!(cfg.algo, Algo::Bsp) => {
+                seg.algo = Algo::Ssp { staleness };
             }
-        }
-        CtrlAction::EnableDgc => {
-            if cfg.algo.communicates_gradients() && rest_cfg.opts.dgc.is_none() {
-                rest_cfg.opts.dgc = Some(DgcConfig::default());
+            CtrlAction::EnableDgc
+                if cfg.algo.communicates_gradients() && seg.opts.dgc.is_none() =>
+            {
+                seg.opts.dgc = Some(DgcConfig::default());
             }
+            _ => {}
         }
-        CtrlAction::Stay => {}
-    }
-    if let (Some(real), Some(params)) = (rest_cfg.real.as_mut(), probe.final_params.clone()) {
-        real.initial_params = Some(params);
-    }
-    let rest = run_observed(&rest_cfg, sink);
-    AdaptiveRunOutput {
-        segments: vec![probe, rest],
-        signals,
-        action,
+        let params = adopted.and_then(|probe| probe.final_params.clone());
+        if let (Some(real), Some(params)) = (seg.real.as_mut(), params) {
+            real.initial_params = Some(params);
+        }
+        Ok::<_, Infallible>(run_observed(&seg, sink))
+    };
+    let end_time = |probe: &RunOutput| probe.end_time.0;
+    match ctrl.drive(epochs, sink, run_segment, sim_signals, end_time) {
+        Ok(out) => out,
+        Err(never) => match never {},
     }
 }

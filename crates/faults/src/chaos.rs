@@ -15,6 +15,7 @@
 //! should degrade gracefully (BSP→SSP, DGC on) instead of grinding.
 
 use dtrain_desim::SimTime;
+use dtrain_obs::{ObsSink, Track};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -351,9 +352,11 @@ impl Default for DegradePolicy {
 /// Controller attachment for a run: segment the run into a probe window
 /// and a remainder, read [`CtrlSignals`] at the boundary, and apply the
 /// [`DegradePolicy`]'s verdict to the remainder (parameters adopted across
-/// the switch). Each execution path has its own driver
-/// (`run_adaptive` / `train_adaptive` / `train_proc_adaptive`); the plan
-/// and the policy table are shared so the three paths trip identically.
+/// the switch). The plan, the policy table and the driver loop
+/// ([`CtrlPlan::drive`]) are shared so the three paths trip identically;
+/// `run_adaptive` / `train_adaptive` / `train_proc_adaptive` each supply
+/// only how to run one segment, where its signals come from and what
+/// clock stamps the switch.
 #[derive(Clone, Copy, Debug)]
 pub struct CtrlPlan {
     pub enabled: bool,
@@ -369,6 +372,101 @@ impl Default for CtrlPlan {
             probe_epochs: 1,
             policy: DegradePolicy::default(),
         }
+    }
+}
+
+/// Outcome of an adaptive run: every executed segment plus the
+/// controller's boundary reading and verdict.
+#[derive(Clone, Debug)]
+pub struct Adaptive<R> {
+    /// Probe segment first, remainder second (single entry when the
+    /// controller is disabled or the probe covers the whole run).
+    pub segments: Vec<R>,
+    /// Signals read at the segment boundary.
+    pub signals: CtrlSignals,
+    /// The policy's verdict at the boundary.
+    pub action: CtrlAction,
+}
+
+/// A per-path segment report that carries an evaluated accuracy (`f32` on
+/// the real paths, `Option<f32>` in the simulator, where cost-only runs
+/// have none).
+pub trait SegmentReport {
+    type Accuracy: Default;
+    fn final_accuracy(&self) -> Self::Accuracy;
+}
+
+impl<R: SegmentReport> Adaptive<R> {
+    /// Accuracy of the last executed segment.
+    pub fn final_accuracy(&self) -> R::Accuracy {
+        self.segments
+            .last()
+            .map(R::final_accuracy)
+            .unwrap_or_default()
+    }
+}
+
+impl CtrlPlan {
+    /// The controller loop, once for all three paths: run a *probe* of
+    /// `probe_epochs`, distill its `signals`, ask the policy, stamp a
+    /// `ctrl.switch` marker at `switch_ts(&probe)` on the runtime track,
+    /// and run the *remainder* under the verdict with the probe handed
+    /// back as the state to adopt. `run_segment(epochs, action, adopted)`
+    /// executes one segment; the probe runs as `(probe_epochs, Stay,
+    /// None)`. With the controller disabled, or a probe that would cover
+    /// the whole run, there is one plain segment and no marker.
+    pub fn drive<R, E>(
+        &self,
+        epochs: u64,
+        sink: &ObsSink,
+        mut run_segment: impl FnMut(u64, CtrlAction, Option<&R>) -> Result<R, E>,
+        signals: impl FnOnce(&R) -> CtrlSignals,
+        switch_ts: impl FnOnce(&R) -> u64,
+    ) -> Result<Adaptive<R>, E> {
+        if !self.enabled || self.probe_epochs >= epochs {
+            return Ok(Adaptive {
+                segments: vec![run_segment(epochs, CtrlAction::Stay, None)?],
+                signals: CtrlSignals::default(),
+                action: CtrlAction::Stay,
+            });
+        }
+        let probe = run_segment(self.probe_epochs, CtrlAction::Stay, None)?;
+        let signals = signals(&probe);
+        let action = self.policy.decide(&signals);
+        crate::markers::ctrl_switch(
+            &sink.track(Track::Runtime(0)),
+            switch_ts(&probe),
+            action.code(),
+        );
+        let rest = run_segment(epochs - self.probe_epochs, action, Some(&probe))?;
+        Ok(Adaptive {
+            segments: vec![probe, rest],
+            signals,
+            action,
+        })
+    }
+}
+
+/// Controller signals from wall-clock facts (the two real paths): the
+/// straggle ratio of the per-worker busy seconds; whatever the mean worker
+/// is not busy with over `wall_secs` is coordination (barrier waits,
+/// server round-trips, exchange stalls, reconnect backoff); transport
+/// `retries` per executed iteration.
+pub fn busy_signals(busy_secs: &[f64], wall_secs: f64, retries: u64, iters: u64) -> CtrlSignals {
+    let mean_busy = busy_secs.iter().sum::<f64>() / busy_secs.len().max(1) as f64;
+    CtrlSignals {
+        straggle_ratio: straggle_ratio(busy_secs),
+        comm_fraction: if wall_secs > 0.0 {
+            (1.0 - mean_busy / wall_secs).clamp(0.0, 1.0)
+        } else {
+            0.0
+        },
+        staleness: 0.0,
+        retry_rate: if iters > 0 {
+            retries as f64 / iters as f64
+        } else {
+            0.0
+        },
     }
 }
 

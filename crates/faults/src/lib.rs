@@ -9,8 +9,9 @@ mod membership;
 mod schedule;
 
 pub use chaos::{
-    bursty_trace, jitter_trace, merge, straggle_ratio, wan_squeeze_trace, ChaosAction, ChaosSpec,
-    ChaosTraceCfg, CtrlAction, CtrlPlan, CtrlSignals, DegradePolicy,
+    bursty_trace, busy_signals, jitter_trace, merge, straggle_ratio, wan_squeeze_trace, Adaptive,
+    ChaosAction, ChaosSpec, ChaosTraceCfg, CtrlAction, CtrlPlan, CtrlSignals, DegradePolicy,
+    SegmentReport,
 };
 pub use checkpoint::{CheckpointStore, WorkerCheckpoint, MAX_VERSIONS};
 pub use membership::{is_connected, ElasticConfig, GangView, MemberState, MembershipView};

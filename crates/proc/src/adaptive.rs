@@ -1,12 +1,11 @@
 //! Adaptive degradation controller, process path.
 //!
-//! Same segmented shape as the threaded and simulator drivers: run a
-//! *probe* of `ctrl.probe_epochs`, distill [`CtrlSignals`] from the
-//! probe's report, ask the shared [`DegradePolicy`] for a verdict, stamp
-//! a `ctrl.switch` marker, and run the *remainder* as a second process
-//! cohort that adopts the probe's evaluated model through
-//! [`ProcConfig::initial_params`] (workers pick it up via the `HelloAck`
-//! snapshot they already apply — nothing new crosses the argv boundary).
+//! The loop is [`CtrlPlan::drive`](dtrain_faults::CtrlPlan::drive), shared
+//! with the simulator and the threaded path. A segment here is one
+//! process cohort; the remainder adopts the probe's evaluated model
+//! through [`ProcConfig::initial_params`] (workers pick it up via the
+//! `HelloAck` snapshot they already apply — nothing new crosses the argv
+//! boundary).
 //!
 //! Signals on this path:
 //! - `straggle_ratio` — per-rank `busy_ms` shipped home in `RunComplete`
@@ -16,63 +15,24 @@
 //! - `comm_fraction` — the share of wall time the mean rank spent *not*
 //!   busy: exchange waits, server round-trips, reconnect backoff.
 //!
-//! `SwitchToSsp` applies when the probe ran BSP; `EnableDgc` is recorded
-//! in the marker and report but does not change the proc wire format
-//! (the simulator is where DGC alters traffic).
+//! Actions map to strategies by `dtrain_runtime::Strategy::degraded`, as
+//! on the threaded path.
 
 use std::time::{Duration, Instant};
 
-use dtrain_faults::{markers, straggle_ratio, CtrlAction, CtrlPlan, CtrlSignals};
-use dtrain_obs::{ObsSink, Track};
-use dtrain_runtime::Strategy;
+use dtrain_faults::{busy_signals, Adaptive, CtrlPlan, SegmentReport};
+use dtrain_obs::ObsSink;
 
 use crate::config::ProcConfig;
 use crate::coordinator::{train_proc_observed, ProcError, ProcReport};
 
 /// Outcome of an adaptive process-path run.
-#[derive(Clone, Debug)]
-pub struct AdaptiveProcReport {
-    /// Probe first, remainder second (single entry when the controller is
-    /// disabled or the probe covers the whole run).
-    pub segments: Vec<ProcReport>,
-    /// Signals read at the segment boundary.
-    pub signals: CtrlSignals,
-    /// The policy's verdict at the boundary.
-    pub action: CtrlAction,
-}
+pub type AdaptiveProcReport = Adaptive<ProcReport>;
 
-impl AdaptiveProcReport {
-    pub fn final_accuracy(&self) -> f32 {
-        self.segments.last().map_or(0.0, |s| s.final_accuracy)
-    }
-}
-
-/// Distill controller signals from a finished proc segment.
-pub(crate) fn proc_signals(report: &ProcReport) -> CtrlSignals {
-    let busy: Vec<f64> = report
-        .per_worker
-        .iter()
-        .map(|s| s.busy_ms as f64 / 1000.0)
-        .collect();
-    let wall = report.wall_time.as_secs_f64();
-    let mean_busy = if busy.is_empty() {
-        0.0
-    } else {
-        busy.iter().sum::<f64>() / busy.len() as f64
-    };
-    CtrlSignals {
-        straggle_ratio: straggle_ratio(&busy),
-        comm_fraction: if wall > 0.0 {
-            (1.0 - mean_busy / wall).clamp(0.0, 1.0)
-        } else {
-            0.0
-        },
-        staleness: 0.0,
-        retry_rate: if report.total_iterations > 0 {
-            report.retries as f64 / report.total_iterations as f64
-        } else {
-            0.0
-        },
+impl SegmentReport for ProcReport {
+    type Accuracy = f32;
+    fn final_accuracy(&self) -> f32 {
+        self.final_accuracy
     }
 }
 
@@ -84,40 +44,29 @@ pub fn train_proc_adaptive(
     timeout: Duration,
     sink: &ObsSink,
 ) -> Result<AdaptiveProcReport, ProcError> {
-    if !ctrl.enabled || ctrl.probe_epochs >= cfg.plan.epochs {
-        let report = train_proc_observed(cfg, timeout, sink)?;
-        return Ok(AdaptiveProcReport {
-            segments: vec![report],
-            signals: CtrlSignals::default(),
-            action: CtrlAction::Stay,
-        });
-    }
     let wall = Instant::now();
-    let epochs = cfg.plan.epochs;
-    let strategy = cfg.plan.strategy;
-
-    let mut probe_cfg = cfg.clone();
-    probe_cfg.plan.epochs = ctrl.probe_epochs;
-    let probe = train_proc_observed(probe_cfg, timeout, sink)?;
-
-    let signals = proc_signals(&probe);
-    let action = ctrl.policy.decide(&signals);
-    markers::ctrl_switch(
-        &sink.track(Track::Runtime(0)),
-        wall.elapsed().as_nanos() as u64,
-        action.code(),
-    );
-
-    let mut rest_cfg = cfg;
-    rest_cfg.plan.epochs = epochs - ctrl.probe_epochs;
-    if let (Strategy::Bsp, CtrlAction::SwitchToSsp { staleness }) = (strategy, action) {
-        rest_cfg.plan.strategy = Strategy::Ssp { staleness };
-    }
-    rest_cfg.initial_params = Some(probe.final_params.clone());
-    let rest = train_proc_observed(rest_cfg, timeout, sink)?;
-    Ok(AdaptiveProcReport {
-        segments: vec![probe, rest],
-        signals,
-        action,
-    })
+    let run_segment = |epochs, action, adopted: Option<&ProcReport>| {
+        let mut seg = cfg.clone();
+        seg.plan.epochs = epochs;
+        seg.plan.strategy = cfg.plan.strategy.degraded(action);
+        if let Some(probe) = adopted {
+            seg.initial_params = Some(probe.final_params.clone());
+        }
+        train_proc_observed(seg, timeout, sink)
+    };
+    let signals = |probe: &ProcReport| {
+        let busy: Vec<f64> = probe
+            .per_worker
+            .iter()
+            .map(|s| s.busy_ms as f64 / 1000.0)
+            .collect();
+        busy_signals(
+            &busy,
+            probe.wall_time.as_secs_f64(),
+            probe.retries,
+            probe.total_iterations,
+        )
+    };
+    let switch_ts = |_: &ProcReport| wall.elapsed().as_nanos() as u64;
+    ctrl.drive(cfg.plan.epochs, sink, run_segment, signals, switch_ts)
 }

@@ -1,6 +1,14 @@
 //! The coordinator: spawns worker processes, owns the authoritative
-//! membership/parameter-server/barrier state, and services each worker's
-//! RPCs from a per-connection handler thread.
+//! membership table, and services each worker's RPCs from a per-connection
+//! handler thread.
+//!
+//! The exchange logic itself — parameter server, BSP rounds, mailboxes,
+//! exchange tokens, eviction effects — is [`dtrain_runtime::Hub`], the same
+//! code the threaded backend calls directly; `Coord::dispatch` is a
+//! frame ↔ hub-call table. What lives here is what only this path has:
+//! sockets and sessions, child processes and the reaper, the membership
+//! table fed by real deaths, checkpoints shipped over the wire, the test
+//! pause gate, obs tracks and counters.
 //!
 //! ## Topology and threading
 //!
@@ -24,20 +32,19 @@
 //! heartbeat interval — no reconnect grace for a corpse), and a
 //! disconnect whose reconnect window expires without a resume. A recorded
 //! death evicts the rank from the dynamic membership table at the round
-//! its last heartbeat announced, parks its SSP clock at `u64::MAX`,
-//! resolves its in-flight exchanges as gone, and frees its data shard
-//! (marked as a shard failover on the runtime obs track). Synchronous
-//! rounds the victim had a seat in force-close partially at the barrier
-//! deadline; later rounds size their cohort from the updated table. A
-//! scheduled [`RejoinSpec`] makes the coordinator spawn a replacement
-//! process for the same rank, which re-enters at the pinned round through
-//! the PR 4 adoption path.
+//! its last heartbeat announced, tells the hub (`Hub::evict`: SSP clock
+//! parked, exchanges waiting on it gone, a dead active's `Done`
+//! synthesized), and frees its data shard (marked as a shard failover on
+//! the runtime obs track). Synchronous rounds the victim had a seat in
+//! force-close partially at the barrier deadline; later rounds size their
+//! cohort from the updated table. A scheduled [`RejoinSpec`] makes the
+//! coordinator spawn a replacement process for the same rank, which
+//! re-enters at the pinned round through the PR 4 adoption path.
 //!
 //! Membership queries are answered by a [`MembershipView`] rebuilt from
 //! the observed evict/rejoin events — the same round-indexed view the
 //! simulator and threaded paths consult, here fed by real process deaths.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{BufReader, BufWriter};
 use std::net::{TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
@@ -50,7 +57,7 @@ use dtrain_faults::{markers, CheckpointStore, MembershipView};
 use dtrain_models::mlp_classifier;
 use dtrain_nn::{ParamSet, SgdMomentum};
 use dtrain_obs::{names, ObsSink, Track, TrackHandle};
-use dtrain_runtime::{reduce_partials, ElasticBarrier, PsState};
+use dtrain_runtime::hub::{final_cohort, Hub, PeerItem, Reply, Seat};
 use parking_lot::{Condvar, Mutex};
 
 use crate::codec::{write_frame, CodecError};
@@ -124,28 +131,6 @@ pub struct ProcReport {
     pub final_params: ParamSet,
 }
 
-/// One queued AD-PSGD mailbox item.
-enum QItem {
-    Exchange { token: u64, params: ParamSet },
-    Done,
-}
-
-/// State of one relayed AD-PSGD exchange, keyed by token.
-enum Pending {
-    Waiting,
-    Ready(ParamSet),
-    Gone,
-}
-
-#[derive(Default)]
-struct Mailbox {
-    gossip: VecDeque<(f32, ParamSet)>,
-    exchange: VecDeque<QItem>,
-    /// Hierarchical-collective relay: `(sender_rank, payload)` for the
-    /// intra-machine reduce/broadcast legs.
-    coll: VecDeque<(u32, ParamSet)>,
-}
-
 /// The dynamic membership table: evict/rejoin events observed from real
 /// process deaths, plus per-rank progress facts.
 struct Members {
@@ -199,21 +184,11 @@ struct SessionSlot {
 /// threads, the reaper, and the [`ProcRun`] handle all see it.
 struct Coord {
     cfg: ProcConfig,
-    ps: Arc<PsState>,
-    bsp_slots: Mutex<BTreeMap<u64, BTreeMap<usize, ParamSet>>>,
-    /// Hierarchical rounds: per-leader `(partial_sum, ranks_covered)`
-    /// deposits, keyed round -> leader rank.
-    #[allow(clippy::type_complexity)]
-    bsp_partials: Mutex<BTreeMap<u64, BTreeMap<usize, (ParamSet, usize)>>>,
-    bsp_enter: ElasticBarrier,
-    bsp_leave: ElasticBarrier,
+    /// The server side of every exchange (PS, BSP rounds, mailboxes,
+    /// tokens): `dispatch` is a frame ↔ hub-call table.
+    hub: Hub,
     members: Mutex<Members>,
     member_cv: Condvar,
-    mail: Mutex<Vec<Mailbox>>,
-    mail_cv: Condvar,
-    pending: Mutex<HashMap<u64, Pending>>,
-    pending_cv: Condvar,
-    next_token: AtomicU64,
     store: CheckpointStore,
     pause: Mutex<PauseState>,
     pause_cv: Condvar,
@@ -308,8 +283,6 @@ impl Coord {
             (at, spawn)
         };
         self.evictions.fetch_add(1, Ordering::Relaxed);
-        // Park the dead clock so SSP survivors' staleness gate excludes it.
-        self.ps.bump_clock(w, u64::MAX);
         markers::crash(&self.obs_rt, self.ns(), w);
         markers::evict(&self.obs_rt, self.ns(), w);
         // The victim's data shard leaves the cohort with it — survivors
@@ -317,38 +290,14 @@ impl Coord {
         // silently vanish from the metrics: the report counts the victim's
         // partial progress separately).
         markers::shard_failover(&self.obs_rt, self.ns(), w);
-        // Resolve exchanges queued *at* the victim: the requesters get
-        // "gone" instead of blocking forever.
-        {
-            let mut mail = self.mail.lock();
-            let dropped: Vec<QItem> = mail[w].exchange.drain(..).collect();
-            // Collective items queued at the victim will never be consumed.
-            mail[w].coll.clear();
-            drop(mail);
-            let mut pend = self.pending.lock();
-            for item in dropped {
-                if let QItem::Exchange { token, .. } = item {
-                    pend.insert(token, Pending::Gone);
-                }
-            }
-        }
-        // A dead active can no longer announce completion: synthesize its
-        // Done so passives don't drain forever.
-        if w.is_multiple_of(2) {
-            let mut mail = self.mail.lock();
-            for (v, mb) in mail.iter_mut().enumerate() {
-                if v % 2 == 1 {
-                    mb.exchange.push_back(QItem::Done);
-                }
-            }
-        }
+        // Park its SSP clock, resolve exchanges waiting on it to "gone",
+        // synthesize a dead active's Done.
+        self.hub.evict(w);
         // The eviction consumed the disconnect window (if one was open).
         {
             let mut sess = self.sessions.lock();
             sess[w].disconnected_at = None;
         }
-        self.pending_cv.notify_all();
-        self.mail_cv.notify_all();
         self.member_cv.notify_all();
         self.session_cv.notify_all();
         if spawn_rejoin.is_some() {
@@ -358,10 +307,12 @@ impl Coord {
         }
     }
 
-    /// Service one request from rank `w`. `Ok(None)` means the connection
-    /// is done (clean completion).
-    fn dispatch(&self, w: usize, msg: Msg) -> Result<Option<Msg>, CodecError> {
-        let reply = match msg {
+    /// Service one request from rank `w`: decode the frame's intent into
+    /// the matching hub call (or membership / checkpoint / outcome
+    /// bookkeeping) and encode the answer. Blocking requests park here.
+    fn dispatch(&self, w: usize, msg: Msg) -> Result<Msg, CodecError> {
+        let hub = &self.hub;
+        Ok(match msg {
             Msg::Heartbeat { round } => {
                 {
                     let mut m = self.members.lock();
@@ -392,102 +343,92 @@ impl Coord {
                 live: self.live_at(round).into_iter().map(|v| v as u32).collect(),
             },
             Msg::Snapshot => Msg::Params {
-                params: self.ps.snapshot(),
+                params: hub.ps().snapshot(),
             },
             Msg::AspPushPull { grad, lr } => Msg::Params {
-                params: self.ps.push_and_pull(&grad, lr),
+                params: hub.ps().push_and_pull(&grad, lr),
             },
             Msg::SspPush { grad, lr } => {
-                let mut g = self.ps.global.lock();
-                let (params, opt) = &mut *g;
-                opt.step(params, &grad, lr);
+                hub.ps().push(&grad, lr);
                 Msg::Ok
             }
             Msg::EasgdExchange { params, alpha } => Msg::Params {
-                params: self.ps.elastic_exchange(&params, alpha),
+                params: hub.ps().elastic_exchange(&params, alpha),
             },
             Msg::BumpClock { clock } => {
-                self.ps.bump_clock(w, clock);
+                hub.ps().bump_clock(w, clock);
                 Msg::Ok
             }
             Msg::WaitMinClock { needed } => Msg::MinClock {
-                min: self.ps.wait_for_min_clock(needed),
+                min: hub.ps().wait_for_min_clock(needed),
             },
-            Msg::BspExchange { round, lr, grad } => self.bsp_exchange(w, round, lr, grad),
-            Msg::CollSend { target, params } => {
-                let target = target as usize;
-                if target < self.cfg.plan.workers {
-                    self.mail.lock()[target].coll.push_back((w as u32, params));
-                    self.mail_cv.notify_all();
-                }
-                Msg::Ok
-            }
-            Msg::CollRecv => self.coll_recv(w),
+            Msg::BspExchange { round, lr, grad } => self.bsp_round(w, round, None, (grad, 1), lr),
             Msg::BspPartial {
                 round,
                 lr,
                 weight,
                 leaders,
                 partial,
-            } => self.bsp_partial(w, round, lr, weight as usize, leaders as usize, partial),
+            } => self.bsp_round(
+                w,
+                round,
+                Some(leaders as usize),
+                (partial, weight as usize),
+                lr,
+            ),
+            Msg::CollSend { target, params } => {
+                hub.coll_send(w, target as usize, params);
+                Msg::Ok
+            }
+            // Bounded by the transfer deadline so a leader gathering from a
+            // worker that died mid-round degrades instead of parking forever.
+            Msg::CollRecv => match hub.coll_recv(w, Some(self.cfg.transfer_deadline)) {
+                Some((sender, params)) => Msg::CollItem {
+                    sender: sender as u32,
+                    params,
+                },
+                None => Msg::Gone,
+            },
             Msg::GossipSend {
                 target,
                 alpha,
                 params,
             } => {
-                let target = target as usize;
-                if target < self.cfg.plan.workers {
-                    self.mail.lock()[target].gossip.push_back((alpha, params));
-                }
+                hub.gossip_send(target as usize, params, alpha);
                 Msg::Ok
             }
             Msg::GossipDrain => Msg::GossipItems {
-                items: self.mail.lock()[w].gossip.drain(..).collect(),
+                items: hub
+                    .gossip_drain(w)
+                    .into_iter()
+                    .map(|(params, alpha)| (alpha, params))
+                    .collect(),
             },
             Msg::ExchangeRequest { target, params } => {
-                let target = target as usize;
-                let token = self.next_token.fetch_add(1, Ordering::Relaxed);
-                let target_dead =
-                    target >= self.cfg.plan.workers || self.members.lock().dead(target);
-                if target_dead {
-                    self.pending.lock().insert(token, Pending::Gone);
-                } else {
-                    self.pending.lock().insert(token, Pending::Waiting);
-                    self.mail.lock()[target]
-                        .exchange
-                        .push_back(QItem::Exchange { token, params });
-                    self.mail_cv.notify_all();
-                }
-                // The token rides back in the ack so the same connection's
-                // later ExchangeAwait can claim it.
-                Msg::MinClock { min: token }
+                // The token parks in the session (so it survives a
+                // reconnect) until this rank's ExchangeAwait claims it.
+                let token = hub.exchange_request(w, target as usize, params);
+                self.sessions.lock()[w].s.cur_token = Some(token);
+                Msg::Ok
             }
             Msg::ExchangeAwait => {
-                // The worker encodes the awaited token as a WaitMinClock
-                // would be ambiguous; ProcBackend tracks its own single
-                // outstanding token, so Await carries no payload and we
-                // resolve the newest token registered by this rank.
-                unreachable!("ExchangeAwait is handled in the connection loop")
-            }
-            Msg::ExchangePoll { block } => self.exchange_poll(w, block),
-            Msg::ExchangeRespond { token, params } => {
-                let mut pend = self.pending.lock();
-                if let Some(p @ Pending::Waiting) = pend.get_mut(&token) {
-                    *p = Pending::Ready(params);
+                let token = self.sessions.lock()[w].s.cur_token.take();
+                match token.map(|t| hub.exchange_await(t, None)) {
+                    Some(Reply::Ready(params)) => Msg::Params { params },
+                    _ => Msg::Gone,
                 }
-                drop(pend);
-                self.pending_cv.notify_all();
+            }
+            Msg::ExchangePoll { block } => match hub.exchange_next(w, block) {
+                Some(PeerItem::Exchange { token, params }) => Msg::ExchangeItem { token, params },
+                Some(PeerItem::Done) => Msg::PeerDone,
+                None => Msg::Gone,
+            },
+            Msg::ExchangeRespond { token, params } => {
+                hub.exchange_respond(token, params);
                 Msg::Ok
             }
             Msg::AnnounceDone => {
-                let mut mail = self.mail.lock();
-                for (v, mb) in mail.iter_mut().enumerate() {
-                    if v % 2 == 1 && v != w {
-                        mb.exchange.push_back(QItem::Done);
-                    }
-                }
-                drop(mail);
-                self.mail_cv.notify_all();
+                hub.announce_done(w);
                 Msg::Ok
             }
             Msg::CkptSave { iteration, params } => {
@@ -524,20 +465,9 @@ impl Coord {
                     });
                 }
                 // Anything still queued at this rank will never be served.
-                {
-                    let mut mail = self.mail.lock();
-                    let dropped: Vec<QItem> = mail[w].exchange.drain(..).collect();
-                    drop(mail);
-                    let mut pend = self.pending.lock();
-                    for item in dropped {
-                        if let QItem::Exchange { token, .. } = item {
-                            pend.insert(token, Pending::Gone);
-                        }
-                    }
-                    self.pending_cv.notify_all();
-                }
+                hub.retire(w);
                 self.member_cv.notify_all();
-                return Ok(Some(Msg::Ok)); // connection loop ends after this
+                Msg::Ok // the connection loop ends after this
             }
             other => {
                 return Err(CodecError::Malformed(match other {
@@ -545,174 +475,37 @@ impl Coord {
                     _ => "unexpected message type from worker",
                 }))
             }
-        };
-        Ok(Some(reply))
+        })
     }
 
-    fn bsp_exchange(&self, w: usize, round: u64, lr: f32, grad: ParamSet) -> Msg {
-        self.bsp_slots
-            .lock()
-            .entry(round)
-            .or_default()
-            .insert(w, grad);
-        let (expected, deadline) = {
-            let m = self.members.lock();
-            let view = m.view(self.cfg.plan.workers);
-            let expected = view.live_at(round).len().max(1);
-            // A rejoiner waiting at its re-entry round arrives arbitrarily
-            // early; it must not force-close the round it waits to join.
-            let deadline = if view.rejoin_round(w) == Some(round) {
-                None
-            } else {
-                Some(self.cfg.barrier_deadline)
-            };
-            (expected, deadline)
-        };
-        let mut leader = false;
-        let mut arrived_n = 0usize;
-        if let Some(arrived) = self.bsp_enter.wait(round, expected, deadline) {
-            leader = true;
-            arrived_n = arrived;
-            let deposited = self.bsp_slots.lock().remove(&round).unwrap_or_default();
-            let grads: Vec<&ParamSet> = deposited.values().collect();
-            if !grads.is_empty() {
-                let mean = ParamSet::mean_of(&grads);
-                self.ps.apply_round(&mean, lr);
-            }
-            if arrived < expected {
-                self.partial_rounds.fetch_add(1, Ordering::Relaxed);
-                markers::partial_barrier(&self.obs_rt, self.ns(), arrived);
-            }
-        }
-        self.bsp_leave.wait(round, expected, deadline);
-        Msg::BspResult {
-            leader,
-            arrived: arrived_n as u32,
-            expected: expected as u32,
-            params: self.ps.snapshot(),
-        }
-    }
-
-    /// Hierarchical leaders' barrier: like [`Self::bsp_exchange`] but the
-    /// cohort is the leader set and the closer runs the shared
-    /// rank-ascending partial reduction, so the float tree is identical to
-    /// the threaded path's.
-    fn bsp_partial(
+    /// One BSP barrier seat (flat, or hierarchical over `leaders`): the
+    /// cohort comes from the membership table as real deaths have shaped
+    /// it; the round itself is the hub's.
+    fn bsp_round(
         &self,
         w: usize,
         round: u64,
+        leaders: Option<usize>,
+        deposit: (ParamSet, usize),
         lr: f32,
-        weight: usize,
-        leaders: usize,
-        partial: ParamSet,
     ) -> Msg {
-        self.bsp_partials
-            .lock()
-            .entry(round)
-            .or_default()
-            .insert(w, (partial, weight));
-        let deadline = {
-            let m = self.members.lock();
-            let view = m.view(self.cfg.plan.workers);
-            if view.rejoin_round(w) == Some(round) {
-                None
-            } else {
-                Some(self.cfg.barrier_deadline)
-            }
+        let view = self.members.lock().view(self.cfg.plan.workers);
+        let seat = Seat {
+            rank: w,
+            round,
+            view: Some(&view),
+            leaders,
         };
-        let expected = leaders.max(1);
-        let mut leader = false;
-        let mut arrived_n = 0usize;
-        if let Some(arrived) = self.bsp_enter.wait(round, expected, deadline) {
-            leader = true;
-            arrived_n = arrived;
-            let deposited = self.bsp_partials.lock().remove(&round).unwrap_or_default();
-            if !deposited.is_empty() {
-                // BTreeMap iteration is ascending by leader rank — the
-                // order `reduce_partials` requires.
-                let mean = reduce_partials(deposited.into_iter().collect());
-                self.ps.apply_round(&mean, lr);
-            }
-            if arrived < expected {
-                self.partial_rounds.fetch_add(1, Ordering::Relaxed);
-                markers::partial_barrier(&self.obs_rt, self.ns(), arrived);
-            }
+        let out = self.hub.bsp_round(seat, deposit, lr, |_| {}, |_| {});
+        if let Some(arrived) = out.arrived.filter(|&n| n < out.expected) {
+            self.partial_rounds.fetch_add(1, Ordering::Relaxed);
+            markers::partial_barrier(&self.obs_rt, self.ns(), arrived);
         }
-        self.bsp_leave.wait(round, expected, deadline);
         Msg::BspResult {
-            leader,
-            arrived: arrived_n as u32,
-            expected: expected as u32,
-            params: self.ps.snapshot(),
-        }
-    }
-
-    /// Blocking pop of rank `w`'s collective mailbox. Bounded by the
-    /// transfer deadline so a leader gathering from a worker that died
-    /// mid-round eventually degrades instead of parking forever.
-    fn coll_recv(&self, w: usize) -> Msg {
-        let start = Instant::now();
-        loop {
-            {
-                let mut mail = self.mail.lock();
-                if let Some((sender, params)) = mail[w].coll.pop_front() {
-                    return Msg::CollItem { sender, params };
-                }
-                self.mail_cv.wait_for(&mut mail, Duration::from_millis(50));
-            }
-            if self.stop.load(Ordering::Relaxed) || start.elapsed() > self.cfg.transfer_deadline {
-                return Msg::Gone;
-            }
-        }
-    }
-
-    fn exchange_poll(&self, w: usize, block: bool) -> Msg {
-        loop {
-            {
-                let mut mail = self.mail.lock();
-                if let Some(item) = mail[w].exchange.pop_front() {
-                    return match item {
-                        QItem::Exchange { token, params } => Msg::ExchangeItem { token, params },
-                        QItem::Done => Msg::PeerDone,
-                    };
-                }
-                if !block {
-                    return Msg::Gone;
-                }
-                // Bounded wait so stop/death conditions are re-checked even
-                // if a notify races past.
-                self.mail_cv.wait_for(&mut mail, Duration::from_millis(50));
-            }
-            if self.stop.load(Ordering::Relaxed) {
-                return Msg::Gone;
-            }
-        }
-    }
-
-    /// Resolve rank `w`'s outstanding exchange `token` (blocks).
-    fn exchange_await(&self, token: u64) -> Msg {
-        let mut pend = self.pending.lock();
-        loop {
-            match pend.get(&token) {
-                Some(Pending::Ready(_)) => {
-                    if let Some(Pending::Ready(p)) = pend.remove(&token) {
-                        return Msg::Params { params: p };
-                    }
-                    return Msg::Gone;
-                }
-                Some(Pending::Gone) | None => {
-                    pend.remove(&token);
-                    return Msg::Gone;
-                }
-                Some(Pending::Waiting) => {
-                    self.pending_cv
-                        .wait_for(&mut pend, Duration::from_millis(50));
-                    if self.stop.load(Ordering::Relaxed) {
-                        pend.remove(&token);
-                        return Msg::Gone;
-                    }
-                }
-            }
+            leader: out.arrived.is_some(),
+            arrived: out.arrived.unwrap_or(0) as u32,
+            expected: out.expected as u32,
+            params: out.params,
         }
     }
 }
@@ -754,7 +547,7 @@ fn handshake_hello(coord: &Arc<Coord>, w: usize, seq: u32, stream: TcpStream) {
     };
     let ack = Msg::HelloAck {
         start_round,
-        params: coord.ps.snapshot(),
+        params: coord.hub.ps().snapshot(),
     };
     let mut writer = BufWriter::new(match stream.try_clone() {
         Ok(s) => s,
@@ -890,73 +683,32 @@ fn serve_connection(coord: &Arc<Coord>, w: usize, stream: TcpStream, generation:
             // its reply is coming): nothing to do for this copy.
             Inbound::Duplicate(None) | Inbound::Stale => continue,
         }
-        let (reply, finished) = match msg {
-            Msg::ExchangeAwait => {
-                let tok = coord.sessions.lock()[w].s.cur_token.take();
-                let r = match tok {
-                    Some(tok) => coord.exchange_await(tok),
-                    None => Msg::Gone,
-                };
-                (Some(r), false)
-            }
-            Msg::ExchangeRequest { .. } => {
-                let r = match coord.dispatch(w, msg) {
-                    Ok(r) => r,
-                    Err(_) => {
-                        coord.record_death(w);
-                        return;
-                    }
-                };
-                // The dispatch smuggles the token back as MinClock{min};
-                // park it in the session (so it survives a reconnect) and
-                // ack the worker with Ok.
-                if let Some(Msg::MinClock { min }) = r {
-                    coord.sessions.lock()[w].s.cur_token = Some(min);
-                }
-                (Some(Msg::Ok), false)
-            }
-            Msg::RunComplete { .. } => {
-                let r = match coord.dispatch(w, msg) {
-                    Ok(r) => r,
-                    Err(_) => {
-                        coord.record_death(w);
-                        return;
-                    }
-                };
-                (r, true)
-            }
-            other => match coord.dispatch(w, other) {
-                Ok(r) => (r, false),
-                Err(_) => {
-                    coord.record_death(w);
-                    return;
-                }
-            },
+        let finished = matches!(msg, Msg::RunComplete { .. });
+        let Ok(reply) = coord.dispatch(w, msg) else {
+            coord.record_death(w);
+            return;
         };
-        if let Some(reply) = reply {
-            let (rty, rpayload) = reply.encode();
-            // Cache BEFORE writing: if the write (or the frame in flight)
-            // is lost, the resumed connection replays from this cache. If
-            // a resume superseded this socket while dispatch was parked,
-            // the cache is the handoff — the new connection's
-            // AwaitInFlight wait picks it up; this stale handler must not
-            // touch the wire again.
-            let stale = {
-                let mut sess = coord.sessions.lock();
-                let slot = &mut sess[w];
-                if slot.s.last_seq == seq {
-                    slot.s.cache_reply(rty, rpayload.clone());
-                }
-                slot.s.generation != generation
-            };
-            coord.session_cv.notify_all();
-            if stale {
-                return;
+        let (rty, rpayload) = reply.encode();
+        // Cache BEFORE writing: if the write (or the frame in flight) is
+        // lost, the resumed connection replays from this cache. If a
+        // resume superseded this socket while dispatch was parked, the
+        // cache is the handoff — the new connection's AwaitInFlight wait
+        // picks it up; this stale handler must not touch the wire again.
+        let stale = {
+            let mut sess = coord.sessions.lock();
+            let slot = &mut sess[w];
+            if slot.s.last_seq == seq {
+                slot.s.cache_reply(rty, rpayload.clone());
             }
-            if write_frame(&mut writer, rty, seq, &rpayload).is_err() {
-                coord.note_disconnect(w, generation);
-                return;
-            }
+            slot.s.generation != generation
+        };
+        coord.session_cv.notify_all();
+        if stale {
+            return;
+        }
+        if write_frame(&mut writer, rty, seq, &rpayload).is_err() {
+            coord.note_disconnect(w, generation);
+            return;
         }
         if finished {
             return;
@@ -1002,19 +754,10 @@ impl ProcRun {
         if let Some(p) = &cfg.initial_params {
             init_net.set_params(p);
         }
-        let ps = PsState::new(
-            init_net.get_params(),
-            cfg.plan.momentum,
-            cfg.plan.weight_decay,
-            workers,
-        );
+        let hub = Hub::new(init_net.get_params(), &cfg.plan, Some(cfg.barrier_deadline));
         let cfg_str = encode_worker_cfg(&cfg);
         let coord = Arc::new(Coord {
-            ps,
-            bsp_slots: Mutex::new(BTreeMap::new()),
-            bsp_partials: Mutex::new(BTreeMap::new()),
-            bsp_enter: ElasticBarrier::new(),
-            bsp_leave: ElasticBarrier::new(),
+            hub,
             members: Mutex::new(Members {
                 evicts: Vec::new(),
                 rejoins: Vec::new(),
@@ -1024,11 +767,6 @@ impl ProcRun {
                 outcomes: (0..workers).map(|_| None).collect(),
             }),
             member_cv: Condvar::new(),
-            mail: Mutex::new((0..workers).map(|_| Mailbox::default()).collect()),
-            mail_cv: Condvar::new(),
-            pending: Mutex::new(HashMap::new()),
-            pending_cv: Condvar::new(),
-            next_token: AtomicU64::new(1),
             store: CheckpointStore::new(cfg.checkpoint_interval),
             pause: Mutex::new(PauseState {
                 armed: cfg.pause_at,
@@ -1254,25 +992,14 @@ impl ProcRun {
         let cfg = &coord.cfg;
         let m = coord.members.lock();
 
-        let shard_len = cfg.task.train_size / cfg.plan.workers;
-        let last_round = (cfg.plan.epochs * (shard_len / cfg.plan.batch) as u64).saturating_sub(1);
-        let live = m.view(cfg.plan.workers).live_at(last_round);
-        let finals: Vec<&ParamSet> = m
+        let replicas: Vec<(usize, &ParamSet)> = m
             .outcomes
             .iter()
             .enumerate()
-            .filter(|(w, o)| o.is_some() && live.contains(w))
-            .map(|(_, o)| &o.as_ref().unwrap().params)
+            .filter_map(|(w, o)| o.as_ref().map(|out| (w, &out.params)))
             .collect();
-        let finals = if finals.is_empty() {
-            m.outcomes
-                .iter()
-                .filter_map(|o| o.as_ref().map(|out| &out.params))
-                .collect()
-        } else {
-            finals
-        };
-        let mean = ParamSet::mean_of(&finals);
+        let view = m.view(cfg.plan.workers);
+        let (mean, _drift) = final_cohort(&replicas, Some(&view), &cfg.plan, cfg.task.train_size);
         let mut eval_net = mlp_classifier(
             cfg.task.input_dim,
             &cfg.hidden,
@@ -1329,8 +1056,7 @@ impl ProcRun {
             p.released = true;
             self.coord.pause_cv.notify_all();
         }
-        self.coord.mail_cv.notify_all();
-        self.coord.pending_cv.notify_all();
+        self.coord.hub.shutdown();
         // Kill (idempotent for already-exited children) and reap.
         let mut children = std::mem::take(&mut *self.coord.children.lock());
         for (_, child) in children.iter_mut() {

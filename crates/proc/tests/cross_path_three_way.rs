@@ -15,6 +15,7 @@ use std::time::Duration;
 use dtrain_core::prelude::*;
 use dtrain_data::{teacher_task, TeacherTaskConfig};
 use dtrain_models::mlp_classifier;
+use dtrain_nn::ParamSet;
 use dtrain_proc::{train_proc_observed, ProcConfig};
 use dtrain_runtime::{train_threaded_observed, RunPlan, Strategy, ThreadedConfig};
 
@@ -234,4 +235,80 @@ fn threaded_and_proc_agree_bitwise_under_hier_collectives() {
         accs.push(thr.final_accuracy.to_bits());
     }
     assert_eq!(accs[0], accs[1], "hier and pipelined share the same math");
+}
+
+/// The server-side families beyond BSP: with a single worker there is one
+/// pusher, so ASP, SSP and EASGD are deterministic on both real paths —
+/// and since the threaded adapter and the coordinator's dispatch table
+/// drive the same hub operations, the final parameters must match
+/// bit-for-bit.
+#[test]
+fn threaded_and_proc_agree_bitwise_on_single_worker_server_strategies() {
+    let task = tiny_task();
+    let (workers, batch, epochs) = (1usize, 16usize, 2u64);
+    let (train, test) = teacher_task(&task);
+    let train = Arc::new(train);
+
+    for strategy in [
+        Strategy::Asp,
+        Strategy::Ssp { staleness: 3 },
+        Strategy::Easgd {
+            tau: 2,
+            alpha: 0.25,
+        },
+    ] {
+        let thr = train_threaded_observed(
+            || mlp_classifier(task.input_dim, &[64, 32], task.num_classes, MODEL_SEED),
+            &train,
+            &test,
+            &ThreadedConfig {
+                workers,
+                epochs,
+                batch,
+                strategy,
+                seed: 5,
+                ..Default::default()
+            },
+            &ObsSink::disabled(),
+        );
+        let proc = train_proc_observed(
+            ProcConfig {
+                plan: RunPlan {
+                    workers,
+                    epochs,
+                    batch,
+                    strategy,
+                    seed: 5,
+                    ..Default::default()
+                },
+                task: task.clone(),
+                model_seed: MODEL_SEED,
+                worker_exe: Some(PathBuf::from(env!("CARGO_BIN_EXE_dtrain-proc-worker"))),
+                ..Default::default()
+            },
+            Duration::from_secs(120),
+            &ObsSink::disabled(),
+        )
+        .expect("process-path run");
+
+        let name = strategy.name();
+        assert_eq!(thr.total_iterations, proc.total_iterations, "{name}");
+        let bits = |p: &ParamSet| -> Vec<u32> {
+            p.0.iter()
+                .flat_map(|t| t.data().iter().map(|x| x.to_bits()))
+                .collect()
+        };
+        assert_eq!(
+            bits(&thr.final_params),
+            bits(&proc.final_params),
+            "{name}: threaded and proc final parameters differ"
+        );
+        assert_eq!(
+            thr.final_loss.to_bits(),
+            proc.final_loss.to_bits(),
+            "{name}: threaded loss {} vs proc loss {}",
+            thr.final_loss,
+            proc.final_loss
+        );
+    }
 }

@@ -1,77 +1,39 @@
 //! Adaptive degradation controller, threaded path.
 //!
-//! The run is split into a *probe* segment and a *remainder*. At the
-//! boundary the controller distills [`CtrlSignals`] from the probe's
-//! per-worker busy times, asks the shared [`DegradePolicy`] for a verdict,
-//! stamps a `ctrl.switch` marker with the action code, and runs the
-//! remainder under the (possibly degraded) strategy with the probe's
-//! aggregate parameters adopted as the starting state.
+//! The loop itself — probe, signals, verdict, `ctrl.switch` marker,
+//! remainder with the probe's model adopted — is
+//! [`CtrlPlan::drive`](dtrain_faults::CtrlPlan::drive), shared with the
+//! simulator and the process path. This module supplies the threaded
+//! segment, its signal source (per-worker busy times against wall time)
+//! and its clock (wall nanoseconds since the adaptive run began).
 //!
-//! What each action means here:
-//! - `SwitchToSsp` applies only when the probe ran BSP — the barrier is
-//!   what a straggler poisons; asynchronous strategies already decouple.
-//! - `EnableDgc` is recorded in the marker but cannot change this path's
-//!   wire behaviour (shared memory moves no bytes); the sim path is where
-//!   DGC alters the run.
+//! What each action means on the real paths is
+//! [`Strategy::degraded`](crate::Strategy::degraded): `SwitchToSsp`
+//! applies only to a BSP probe; `EnableDgc` is recorded in the marker but
+//! shared memory moves no bytes — the sim path is where DGC alters the run.
 //!
 //! Each segment restarts its LR schedule over its own epoch span — the
 //! controller trades schedule continuity for strategy agility, exactly as
 //! a restarted-with-adopted-weights run would.
 
+use std::convert::Infallible;
 use std::sync::Arc;
 use std::time::Instant;
 
 use dtrain_data::Dataset;
-use dtrain_faults::{markers, straggle_ratio, CtrlAction, CtrlPlan, CtrlSignals};
+use dtrain_faults::{busy_signals, Adaptive, CtrlPlan, SegmentReport};
 use dtrain_nn::Network;
-use dtrain_obs::{ObsSink, Track};
+use dtrain_obs::ObsSink;
 
 use crate::engine::{train_threaded_observed, ThreadedConfig, ThreadedReport};
-use crate::strategy::Strategy;
 
-/// Outcome of an adaptive threaded run: every executed segment plus the
-/// controller's boundary reading and verdict.
-#[derive(Clone, Debug)]
-pub struct AdaptiveThreadedReport {
-    /// Probe segment first, remainder second (single entry when the
-    /// controller is disabled or the probe covers the whole run).
-    pub segments: Vec<ThreadedReport>,
-    /// Signals read at the segment boundary.
-    pub signals: CtrlSignals,
-    /// The policy's verdict at the boundary.
-    pub action: CtrlAction,
-}
+/// Outcome of an adaptive threaded run.
+pub type AdaptiveThreadedReport = Adaptive<ThreadedReport>;
 
-impl AdaptiveThreadedReport {
-    pub fn final_accuracy(&self) -> f32 {
-        self.segments.last().map_or(0.0, |s| s.final_accuracy)
-    }
-}
-
-/// Distill controller signals from a finished threaded segment.
-pub(crate) fn threaded_signals(report: &ThreadedReport) -> CtrlSignals {
-    let busy: Vec<f64> = report
-        .per_worker_busy
-        .iter()
-        .map(|d| d.as_secs_f64())
-        .collect();
-    let wall = report.wall_time.as_secs_f64();
-    let mean_busy = if busy.is_empty() {
-        0.0
-    } else {
-        busy.iter().sum::<f64>() / busy.len() as f64
-    };
-    CtrlSignals {
-        straggle_ratio: straggle_ratio(&busy),
-        // Whatever a worker is not busy with is coordination: barrier
-        // waits, server round-trips, exchange stalls.
-        comm_fraction: if wall > 0.0 {
-            (1.0 - mean_busy / wall).clamp(0.0, 1.0)
-        } else {
-            0.0
-        },
-        staleness: 0.0,
-        retry_rate: 0.0,
+impl SegmentReport for ThreadedReport {
+    type Accuracy = f32;
+    fn final_accuracy(&self) -> f32 {
+        self.final_accuracy
     }
 }
 
@@ -87,47 +49,31 @@ pub fn train_adaptive<F>(
 where
     F: Fn() -> Network + Send + Sync,
 {
-    if !ctrl.enabled || ctrl.probe_epochs >= cfg.epochs {
-        let report = train_threaded_observed(&factory, train, test, cfg, sink);
-        return AdaptiveThreadedReport {
-            segments: vec![report],
-            signals: CtrlSignals::default(),
-            action: CtrlAction::Stay,
-        };
-    }
     let wall = Instant::now();
-    let mut probe_cfg = cfg.clone();
-    probe_cfg.epochs = ctrl.probe_epochs;
-    let probe = train_threaded_observed(&factory, train, test, &probe_cfg, sink);
-
-    let signals = threaded_signals(&probe);
-    let action = ctrl.policy.decide(&signals);
-    markers::ctrl_switch(
-        &sink.track(Track::Runtime(0)),
-        wall.elapsed().as_nanos() as u64,
-        action.code(),
-    );
-
-    let mut rest_cfg = cfg.clone();
-    rest_cfg.epochs = cfg.epochs - ctrl.probe_epochs;
-    if let (Strategy::Bsp, CtrlAction::SwitchToSsp { staleness }) = (cfg.strategy, action) {
-        rest_cfg.strategy = Strategy::Ssp { staleness };
-    }
-    let adopted = probe.final_params.clone();
-    let rest = train_threaded_observed(
-        move || {
+    let run_segment = |epochs, action, adopted: Option<&ThreadedReport>| {
+        let mut seg = cfg.clone();
+        seg.epochs = epochs;
+        seg.strategy = cfg.strategy.degraded(action);
+        let build = || {
             let mut net = factory();
-            net.set_params(&adopted);
+            if let Some(probe) = adopted {
+                net.set_params(&probe.final_params);
+            }
             net
-        },
-        train,
-        test,
-        &rest_cfg,
-        sink,
-    );
-    AdaptiveThreadedReport {
-        segments: vec![probe, rest],
-        signals,
-        action,
+        };
+        Ok::<_, Infallible>(train_threaded_observed(build, train, test, &seg, sink))
+    };
+    let signals = |probe: &ThreadedReport| {
+        let busy: Vec<f64> = probe
+            .per_worker_busy
+            .iter()
+            .map(|d| d.as_secs_f64())
+            .collect();
+        busy_signals(&busy, probe.wall_time.as_secs_f64(), 0, 0)
+    };
+    let switch_ts = |_: &ThreadedReport| wall.elapsed().as_nanos() as u64;
+    match ctrl.drive(cfg.epochs, sink, run_segment, signals, switch_ts) {
+        Ok(report) => report,
+        Err(never) => match never {},
     }
 }

@@ -2,20 +2,19 @@
 //! ways to run them.
 //!
 //! [`crate::worker_body`] contains the seven aggregation algorithms written
-//! once against this trait. What varies between execution paths is *how*
-//! state moves, not *what* moves:
+//! once against this trait, and [`crate::Hub`] contains what those workers
+//! exchange *with*, also written once. What varies between the two real
+//! paths is only how a worker reaches the hub:
 //!
-//! | path | backend | transport |
+//! | path | backend | reaches the hub by |
 //! |---|---|---|
-//! | threads | `ThreadedBackend` (in this crate) | shared memory + channels |
-//! | processes | `ProcBackend` (`dtrain-proc`) | length-delimited frames over TCP |
-//! | simulator | `dtrain-algos` | modeled network, conformance via golden traces |
+//! | threads | `ThreadedBackend` (in this crate) | a direct call |
+//! | processes | `ProcBackend` (`dtrain-proc`) | a frame over TCP, decoded by the coordinator into the same call |
+//! | simulator | `dtrain-algos` | — (own bodies; conformance via golden traces) |
 //!
 //! The simulator keeps its own deterministic implementations (it must charge
-//! modeled time, not real time), and the PR 3 golden-trace suite plus the
-//! cross-path metric pins are what hold all three paths to the same logical
-//! behavior: identical payload bytes and iteration counts for a synchronous
-//! algorithm on the same model and schedule.
+//! modeled time, not real time); the golden-trace suite plus the cross-path
+//! pins hold it to the same logical behavior as the real paths.
 //!
 //! Method families:
 //!
@@ -92,9 +91,11 @@ pub struct BspOutcome {
 /// Opaque return address for one AD-PSGD exchange request: the passive side
 /// hands it back with the midpoint.
 pub enum ReplyToken {
-    /// Shared-memory path: a channel straight back to the requester.
+    /// A channel straight back to the requester. No backend in this
+    /// workspace constructs it any more (both real paths hand out the
+    /// hub's `Remote` tokens); kept for out-of-tree `ExecBackend`s.
     Local(Sender<ParamSet>),
-    /// Process path: a coordinator-assigned request id.
+    /// A token issued by [`crate::Hub::exchange_request`].
     Remote(u64),
 }
 

@@ -6,17 +6,17 @@
 //! nondeterministic (true races decide interleavings), so tests assert
 //! learning outcomes rather than exact values.
 //!
-//! The algorithm bodies themselves live in [`crate::worker_body`], written
-//! once against the [`ExecBackend`] trait; this module provides
-//! [`ThreadedBackend`] — the shared-memory implementation — plus the
-//! thread supervisor (fault injection, watchdog, final aggregation).
+//! The algorithm bodies live in [`crate::worker_body`], written once
+//! against the [`ExecBackend`] trait, and what they exchange with lives in
+//! [`crate::Hub`]; this module provides [`ThreadedBackend`] — the adapter
+//! that calls the hub directly — plus the thread supervisor (fault
+//! injection, watchdog, final evaluation).
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam_channel::{unbounded, Receiver};
 use dtrain_cluster::CollectiveSchedule;
 use dtrain_data::Dataset;
 use dtrain_faults::{markers, CheckpointStore, MembershipView, RuntimeFaultSchedule};
@@ -25,8 +25,8 @@ use dtrain_obs::{ObsSink, Track, TrackHandle};
 use parking_lot::Mutex;
 
 use crate::backend::{BspOutcome, ExecBackend, PeerRequest, ReplyToken, RunPlan};
-use crate::strategy::{ExchangeMsg, GossipMsg, PeerCtrl, PeerNet, PsState, Strategy};
-use crate::sync::ElasticBarrier;
+use crate::hub::{final_cohort, Hub, PeerItem, Reply, Seat};
+use crate::strategy::{PsState, Strategy};
 use crate::worker::worker_body;
 
 /// Checkpoint-store owner key for the shared parameter server (workers use
@@ -337,41 +337,64 @@ fn watchdog(fr: &FaultRuntime) {
     }
 }
 
-/// Shared state for BSP's barrier rounds.
-struct BspRound {
-    slots: Mutex<Vec<Option<ParamSet>>>,
-    /// Hierarchical rounds: per-leader `(partial_sum, ranks_covered)`
-    /// deposits, indexed by leader rank.
-    partials: Mutex<Vec<Option<(ParamSet, usize)>>>,
-    enter: ElasticBarrier,
-    leave: ElasticBarrier,
-}
-
-/// The shared-memory [`ExecBackend`]: one instance per worker thread,
-/// coordinating through a `Mutex`-guarded parameter server, crossbeam
-/// mailboxes, and the elastic barrier — exactly the PR 4 semantics.
-struct ThreadedBackend {
+/// The shared-memory [`ExecBackend`]: one instance per worker thread, a
+/// thin adapter that calls the run's [`Hub`] directly. What stays here is
+/// what only this path has: the pre-computed membership view, the fault
+/// hooks (PS outages, crash schedule, straggler stretch, checkpoints) and
+/// the bounded-retry wait on an AD-PSGD reply.
+struct ThreadedBackend<'a> {
     w: usize,
     workers: usize,
-    ps: Arc<PsState>,
-    peers: Arc<PeerNet>,
-    bsp: Arc<BspRound>,
-    faults: Option<Arc<FaultRuntime>>,
-    elastic: Option<Arc<MembershipView>>,
+    hub: &'a Hub,
+    faults: Option<&'a FaultRuntime>,
+    elastic: Option<&'a MembershipView>,
     obs: TrackHandle,
     wall: Instant,
     slowdown: f64,
     crash_iters: VecDeque<u64>,
-    pending_reply: Option<Receiver<ParamSet>>,
+    /// Token of the outstanding AD-PSGD exchange request.
+    pending_reply: Option<u64>,
 }
 
-impl ThreadedBackend {
+impl ThreadedBackend<'_> {
     fn ns(&self) -> u64 {
         self.wall.elapsed().as_nanos() as u64
     }
+
+    /// One barrier round through the hub; the PS fault hooks ride along
+    /// and run on whichever worker closes the round.
+    fn round(
+        &mut self,
+        round: u64,
+        leaders: Option<usize>,
+        deposit: (ParamSet, usize),
+        lr: f32,
+    ) -> BspOutcome {
+        let fr = self.faults;
+        self.hub.bsp_round(
+            Seat {
+                rank: self.w,
+                round,
+                view: self.elastic,
+                leaders,
+            },
+            deposit,
+            lr,
+            |ps| {
+                if let Some(fr) = fr {
+                    fr.ps_gate(ps)
+                }
+            },
+            |ps| {
+                if let Some(fr) = fr {
+                    fr.ps_applied(ps)
+                }
+            },
+        )
+    }
 }
 
-impl ExecBackend for ThreadedBackend {
+impl ExecBackend for ThreadedBackend<'_> {
     fn rank(&self) -> usize {
         self.w
     }
@@ -381,130 +404,88 @@ impl ExecBackend for ThreadedBackend {
     }
 
     fn death_round(&mut self, w: usize) -> Option<u64> {
-        self.elastic.as_ref().and_then(|v| v.death_round(w))
+        self.elastic.and_then(|v| v.death_round(w))
     }
 
     fn rejoin_round(&mut self, w: usize) -> Option<u64> {
-        self.elastic.as_ref().and_then(|v| v.rejoin_round(w))
+        self.elastic.and_then(|v| v.rejoin_round(w))
     }
 
     fn is_live(&mut self, w: usize, round: u64) -> bool {
-        self.elastic.as_ref().is_none_or(|v| v.is_live(w, round))
+        self.elastic.is_none_or(|v| v.is_live(w, round))
     }
 
     fn live_at(&mut self, round: u64) -> Vec<usize> {
-        match self.elastic.as_ref() {
+        match self.elastic {
             Some(v) => v.live_at(round),
             None => (0..self.workers).collect(),
         }
     }
 
     fn note_eviction(&mut self) {
-        if let Some(fr) = self.faults.as_ref() {
+        if let Some(fr) = self.faults {
             fr.evictions.fetch_add(1, Ordering::Relaxed);
         }
     }
 
     fn note_rejoin(&mut self) {
-        if let Some(fr) = self.faults.as_ref() {
+        if let Some(fr) = self.faults {
             fr.rejoins.fetch_add(1, Ordering::Relaxed);
         }
     }
 
     fn park_clock(&mut self) {
-        self.ps.bump_clock(self.w, u64::MAX);
+        self.hub.ps().bump_clock(self.w, u64::MAX);
     }
 
     fn ps_snapshot(&mut self) -> ParamSet {
-        self.ps.snapshot()
+        self.hub.ps().snapshot()
     }
 
     fn ps_push_pull(&mut self, grad: &ParamSet, lr: f32) -> ParamSet {
-        self.ps.push_and_pull(grad, lr)
+        self.hub.ps().push_and_pull(grad, lr)
     }
 
     fn ps_push(&mut self, grad: &ParamSet, lr: f32) {
-        let mut g = self.ps.global.lock();
-        let (params, opt_ps) = &mut *g;
-        opt_ps.step(params, grad, lr);
+        self.hub.ps().push(grad, lr);
     }
 
     fn ps_elastic_exchange(&mut self, params: &ParamSet, alpha: f32) -> ParamSet {
-        self.ps.elastic_exchange(params, alpha)
+        self.hub.ps().elastic_exchange(params, alpha)
     }
 
     fn bump_clock(&mut self, clock: u64) {
-        self.ps.bump_clock(self.w, clock);
+        self.hub.ps().bump_clock(self.w, clock);
     }
 
     fn wait_min_clock(&mut self, needed: u64) -> u64 {
-        self.ps.wait_for_min_clock(needed)
+        self.hub.ps().wait_for_min_clock(needed)
     }
 
     fn ps_gate(&mut self) {
-        if let Some(fr) = self.faults.as_ref() {
-            fr.ps_gate(&self.ps);
+        if let Some(fr) = self.faults {
+            fr.ps_gate(self.hub.ps());
         }
     }
 
     fn ps_applied(&mut self) {
-        if let Some(fr) = self.faults.as_ref() {
-            fr.ps_applied(&self.ps);
+        if let Some(fr) = self.faults {
+            fr.ps_applied(self.hub.ps());
         }
     }
 
     fn bsp_exchange(&mut self, round: u64, grad: ParamSet, lr: f32) -> BspOutcome {
-        self.bsp.slots.lock()[self.w] = Some(grad);
-        // This round's cohort: the live members under the view (everyone,
-        // classically). A rejoiner waits without a deadline — it arrives
-        // early and must not force-close the round it is waiting to
-        // re-enter.
-        let (expected, deadline) = match self.elastic.as_ref() {
-            Some(view) => (
-                view.live_at(round).len(),
-                if view.rejoin_round(self.w) == Some(round) {
-                    None
-                } else {
-                    self.faults.as_ref().map(|fr| fr.cfg.barrier_deadline)
-                },
-            ),
-            None => (self.workers, None),
-        };
-        let mut closed_with = None;
-        if let Some(arrived) = self.bsp.enter.wait(round, expected, deadline) {
-            closed_with = Some(arrived);
-            self.ps_gate();
-            let mut slots = self.bsp.slots.lock();
-            let grads: Vec<&ParamSet> = if self.elastic.is_some() {
-                slots.iter().filter_map(|s| s.as_ref()).collect()
-            } else {
-                slots
-                    .iter()
-                    .map(|s| s.as_ref().expect("all deposited"))
-                    .collect()
-            };
-            let mean = ParamSet::mean_of(&grads);
-            self.ps.apply_round(&mean, lr);
-            slots.iter_mut().for_each(|s| *s = None);
-            drop(slots);
-            self.ps_applied();
-        }
-        self.bsp.leave.wait(round, expected, deadline);
-        BspOutcome {
-            params: self.ps.snapshot(),
-            arrived: closed_with,
-            expected,
-        }
+        self.round(round, None, (grad, 1), lr)
     }
 
     fn coll_send(&mut self, target: usize, params: ParamSet) {
-        let _ = self.peers.coll_tx[target].send((self.w, params));
+        self.hub.coll_send(self.w, target, params);
     }
 
     fn coll_recv(&mut self) -> Option<(usize, ParamSet)> {
         // Threaded membership is a pre-computed view shared by every rank,
-        // so the expected senders always exist; a None only means teardown.
-        self.peers.coll_rx[self.w].lock().recv().ok()
+        // so the expected senders always exist: no deadline.
+        self.hub.coll_recv(self.w, None)
     }
 
     fn bsp_exchange_partial(
@@ -515,129 +496,72 @@ impl ExecBackend for ThreadedBackend {
         lr: f32,
         leaders: usize,
     ) -> BspOutcome {
-        self.bsp.partials.lock()[self.w] = Some((partial, weight));
-        // Same deadline policy as the flat barrier, but the cohort is the
-        // leader set (one seat per live machine group).
-        let deadline = match self.elastic.as_ref() {
-            Some(view) if view.rejoin_round(self.w) != Some(round) => {
-                self.faults.as_ref().map(|fr| fr.cfg.barrier_deadline)
-            }
-            _ => None,
-        };
-        let mut closed_with = None;
-        if let Some(arrived) = self.bsp.enter.wait(round, leaders, deadline) {
-            closed_with = Some(arrived);
-            self.ps_gate();
-            let mut slots = self.bsp.partials.lock();
-            let parts: Vec<(usize, (ParamSet, usize))> = slots
-                .iter_mut()
-                .enumerate()
-                .filter_map(|(rank, s)| s.take().map(|p| (rank, p)))
-                .collect();
-            let mean = crate::collective::reduce_partials(parts);
-            self.ps.apply_round(&mean, lr);
-            drop(slots);
-            self.ps_applied();
-        }
-        self.bsp.leave.wait(round, leaders, deadline);
-        BspOutcome {
-            params: self.ps.snapshot(),
-            arrived: closed_with,
-            expected: leaders,
-        }
+        self.round(round, Some(leaders), (partial, weight), lr)
     }
 
     fn gossip_send(&mut self, target: usize, params: ParamSet, alpha: f32) {
-        let _ = self.peers.gossip_tx[target].send(GossipMsg { params, alpha });
+        self.hub.gossip_send(target, params, alpha);
     }
 
     fn gossip_drain(&mut self) -> Vec<(ParamSet, f32)> {
-        let mut out = Vec::new();
-        while let Ok(msg) = self.peers.gossip_rx[self.w].lock().try_recv() {
-            out.push((msg.params, msg.alpha));
-        }
-        out
+        self.hub.gossip_drain(self.w)
     }
 
     fn exchange_request(&mut self, target: usize, params: ParamSet) {
-        let (reply_tx, reply_rx) = unbounded();
-        let _ = self.peers.exchange_tx[target].send(PeerCtrl::Exchange(ExchangeMsg {
-            params,
-            reply: reply_tx,
-        }));
-        self.pending_reply = Some(reply_rx);
+        self.pending_reply = Some(self.hub.exchange_request(self.w, target, params));
     }
 
     fn exchange_await(&mut self) -> Option<ParamSet> {
-        let reply_rx = self.pending_reply.take()?;
-        // Transport deadline: bounded retry waits, then the exchange is
-        // abandoned (elastic only).
-        let deadline = self
-            .faults
-            .as_ref()
-            .filter(|fr| fr.cfg.elastic.is_some())
-            .map(|fr| (fr.cfg.transfer_deadline, fr.cfg.max_transfer_retries));
-        match deadline {
-            Some((dl, retries)) => {
-                let mut got = None;
-                for attempt in 1..=retries.max(1) {
-                    match reply_rx.recv_timeout(dl) {
-                        Ok(m) => {
-                            got = Some(m);
-                            break;
-                        }
-                        Err(crossbeam_channel::RecvTimeoutError::Timeout) => {
-                            markers::retry(&self.obs, self.ns(), attempt);
-                        }
-                        Err(crossbeam_channel::RecvTimeoutError::Disconnected) => break,
-                    }
-                }
-                got
-            }
-            None => Some(
-                reply_rx
-                    .recv()
-                    .expect("AD-PSGD passive peer died before replying"),
+        let token = self.pending_reply.take()?;
+        // Transport deadline (elastic only): bounded retry waits, then the
+        // exchange is abandoned.
+        let (deadline, retries) = match self.faults.filter(|fr| fr.cfg.elastic.is_some()) {
+            Some(fr) => (
+                Some(fr.cfg.transfer_deadline),
+                fr.cfg.max_transfer_retries.max(1),
             ),
+            None => (None, 1),
+        };
+        for attempt in 1..=retries {
+            match self.hub.exchange_await(token, deadline) {
+                Reply::Ready(midpoint) => return Some(midpoint),
+                Reply::Gone => return None,
+                Reply::TimedOut => markers::retry(&self.obs, self.ns(), attempt),
+            }
         }
+        self.hub.exchange_abandon(token);
+        None
     }
 
     fn exchange_next(&mut self, block: bool) -> Option<PeerRequest> {
-        let ctrl = if block {
-            self.peers.exchange_rx[self.w].lock().recv().ok()?
-        } else {
-            self.peers.exchange_rx[self.w].lock().try_recv().ok()?
-        };
-        Some(match ctrl {
-            PeerCtrl::Exchange(msg) => PeerRequest::Exchange {
-                params: msg.params,
-                token: ReplyToken::Local(msg.reply),
+        Some(match self.hub.exchange_next(self.w, block)? {
+            PeerItem::Exchange { token, params } => PeerRequest::Exchange {
+                params,
+                token: ReplyToken::Remote(token),
             },
-            PeerCtrl::Done => PeerRequest::Done,
+            PeerItem::Done => PeerRequest::Done,
         })
     }
 
     fn exchange_reply(&mut self, token: ReplyToken, midpoint: ParamSet) {
-        if let ReplyToken::Local(tx) = token {
-            let _ = tx.send(midpoint);
+        if let ReplyToken::Remote(token) = token {
+            self.hub.exchange_respond(token, midpoint);
         }
     }
 
     fn announce_done(&mut self) {
-        for v in (0..self.workers).filter(|v| v % 2 == 1) {
-            let _ = self.peers.exchange_tx[v].send(PeerCtrl::Done);
-        }
+        self.hub.announce_done(self.w);
     }
 
     fn startup(&mut self, params: &ParamSet, opt: &SgdMomentum) {
-        if let Some(fr) = self.faults.as_ref() {
+        if let Some(fr) = self.faults {
             fr.store.save(self.w, 0, params, opt);
             fr.beat(self.w);
         }
     }
 
     fn poll_crash(&mut self, local_iter: u64) -> Option<Option<(ParamSet, SgdMomentum, u64)>> {
-        let fr = self.faults.as_ref()?;
+        let fr = self.faults?;
         if self.elastic.is_some() {
             return None;
         }
@@ -655,8 +579,7 @@ impl ExecBackend for ThreadedBackend {
     }
 
     fn checkpoint_restore(&mut self) -> Option<(ParamSet, SgdMomentum, u64)> {
-        let fr = self.faults.as_ref()?;
-        let cp = fr.store.restore(self.w)?;
+        let cp = self.faults?.store.restore(self.w)?;
         Some((cp.params, cp.opt, cp.iteration))
     }
 
@@ -667,7 +590,7 @@ impl ExecBackend for ThreadedBackend {
         elapsed: Duration,
         state: &mut dyn FnMut() -> (ParamSet, SgdMomentum),
     ) {
-        if let Some(fr) = self.faults.as_ref() {
+        if let Some(fr) = self.faults {
             // Persistent straggler: stretch this iteration by the slowdown
             // factor (sleep the extra fraction of what it actually took).
             if self.slowdown > 1.0 {
@@ -684,7 +607,7 @@ impl ExecBackend for ThreadedBackend {
     }
 
     fn finish(&mut self) {
-        if let Some(fr) = self.faults.as_ref() {
+        if let Some(fr) = self.faults {
             fr.finish(self.w);
         }
     }
@@ -732,66 +655,45 @@ where
         cfg.batch
     );
 
-    let ps = PsState::new(
+    let plan = cfg.plan();
+    let elastic = cfg.faults.as_ref().and_then(|fc| fc.elastic.as_deref());
+    let hub = Hub::new(
         factory().get_params(),
-        cfg.momentum,
-        cfg.weight_decay,
-        cfg.workers,
+        &plan,
+        cfg.faults.as_ref().map(|fc| fc.barrier_deadline),
     );
-    let peers = PeerNet::new(cfg.workers);
-    let bsp = Arc::new(BspRound {
-        slots: Mutex::new(vec![None; cfg.workers]),
-        partials: Mutex::new(vec![None; cfg.workers]),
-        enter: ElasticBarrier::new(),
-        leave: ElasticBarrier::new(),
-    });
     let clock = Instant::now();
-    let faults: Option<Arc<FaultRuntime>> = cfg.faults.clone().map(|fc| {
-        Arc::new(FaultRuntime::new(
-            fc,
-            cfg.workers,
-            sink.track(Track::Runtime(0)),
-            clock,
-        ))
-    });
-    if let Some(fr) = faults.as_ref() {
+    let faults: Option<FaultRuntime> = cfg
+        .faults
+        .clone()
+        .map(|fc| FaultRuntime::new(fc, cfg.workers, sink.track(Track::Runtime(0)), clock));
+    let faults = faults.as_ref();
+    if let Some(fr) = faults {
         // Baseline PS checkpoint so an outage before the first cadence tick
         // still has a state to roll back to.
-        let g = ps.global.lock();
+        let g = hub.ps().global.lock();
         fr.store.save(PS_OWNER, 0, &g.0, &g.1);
     }
 
     let started = Instant::now();
-    let plan = cfg.plan();
     let finals: Vec<(ParamSet, Duration)> = std::thread::scope(|scope| {
-        if let Some(fr) = faults.as_ref() {
-            let fr = Arc::clone(fr);
-            scope.spawn(move || watchdog(&fr));
+        if let Some(fr) = faults {
+            scope.spawn(move || watchdog(fr));
         }
         let mut handles = Vec::with_capacity(cfg.workers);
         for w in 0..cfg.workers {
-            let ps = Arc::clone(&ps);
-            let peers = Arc::clone(&peers);
-            let bsp = Arc::clone(&bsp);
-            let factory = &factory;
+            let (hub, plan, factory) = (&hub, &plan, &factory);
             let train = Arc::clone(train);
-            let plan = plan.clone();
-            let faults = faults.clone();
             let obs = sink.track(Track::Worker(w as u16));
             let backend_obs = sink.track(Track::Worker(w as u16));
             handles.push(scope.spawn(move || {
                 let mut backend = ThreadedBackend {
                     w,
                     workers: plan.workers,
-                    ps,
-                    peers,
-                    bsp,
-                    elastic: faults.as_ref().and_then(|fr| fr.cfg.elastic.clone()),
-                    slowdown: faults
-                        .as_ref()
-                        .map_or(1.0, |fr| fr.cfg.schedule.straggler_slowdown(w)),
+                    hub,
+                    elastic,
+                    slowdown: faults.map_or(1.0, |fr| fr.cfg.schedule.straggler_slowdown(w)),
                     crash_iters: faults
-                        .as_ref()
                         .map(|fr| {
                             let mut c = fr.cfg.schedule.crash_iterations_for(w);
                             c.sort_unstable();
@@ -803,7 +705,7 @@ where
                     wall: clock,
                     pending_reply: None,
                 };
-                let out = worker_body(&mut backend, factory(), &train, &plan, &obs, clock);
+                let out = worker_body(&mut backend, factory(), &train, plan, &obs, clock);
                 (out.params, out.busy)
             }));
         }
@@ -814,45 +716,25 @@ where
     });
     let wall_time = started.elapsed();
     let per_worker_busy: Vec<Duration> = finals.iter().map(|(_, b)| *b).collect();
-    let finals: Vec<ParamSet> = finals.into_iter().map(|(p, _)| p).collect();
 
-    // Aggregate model: replica mean (equals any replica for BSP). Under
-    // elastic membership only the final cohort's replicas count — an
-    // evicted worker's stale replica is not part of the trained model.
-    let refs: Vec<&ParamSet> = match faults.as_ref().and_then(|fr| fr.cfg.elastic.as_ref()) {
-        Some(view) => {
-            let last_round = (cfg.epochs * (shard_len / cfg.batch) as u64).saturating_sub(1);
-            let live = view.live_at(last_round);
-            let cohort: Vec<&ParamSet> = finals
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| live.contains(i))
-                .map(|(_, p)| p)
-                .collect();
-            if cohort.is_empty() {
-                finals.iter().collect()
-            } else {
-                cohort
-            }
-        }
-        None => finals.iter().collect(),
-    };
-    let mean = ParamSet::mean_of(&refs);
-    let drift = refs
+    // Aggregate model: replica mean over the final cohort (equals any
+    // replica for BSP).
+    let replicas: Vec<(usize, &ParamSet)> = finals
         .iter()
-        .fold(0.0f32, |m, p| m.max(p.max_abs_diff(&mean)));
+        .enumerate()
+        .map(|(w, (p, _))| (w, p))
+        .collect();
+    let (mean, drift) = final_cohort(&replicas, elastic, &plan, train.len());
     let mut eval_net = factory();
     eval_net.set_params(&mean);
     let (x, y) = test.as_batch();
     let (loss, acc) = eval_net.eval_batch(x, &y);
     let counter = |f: fn(&FaultRuntime) -> &AtomicU64| -> u64 {
-        faults
-            .as_ref()
-            .map_or(0, |fr| f(fr).load(Ordering::Relaxed))
+        faults.map_or(0, |fr| f(fr).load(Ordering::Relaxed))
     };
     // Classic runs execute the full schedule; elastic runs execute exactly
     // the rounds the membership view scheduled (counted as they happen).
-    let total_iterations = match faults.as_ref() {
+    let total_iterations = match faults {
         Some(fr) if fr.cfg.elastic.is_some() => fr.global_iters.load(Ordering::Relaxed),
         _ => cfg.workers as u64 * cfg.epochs * (shard_len / cfg.batch) as u64,
     };

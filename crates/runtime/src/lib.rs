@@ -29,6 +29,7 @@ pub mod adaptive;
 pub mod backend;
 pub mod collective;
 mod engine;
+pub mod hub;
 mod strategy;
 pub mod sync;
 mod worker;
@@ -40,6 +41,7 @@ pub use engine::{
     default_workers, train_threaded, train_threaded_observed, RuntimeFaultConfig, ThreadedConfig,
     ThreadedReport,
 };
-pub use strategy::{ExchangeMsg, GossipMsg, PeerCtrl, PeerNet, PsState, Strategy};
+pub use hub::Hub;
+pub use strategy::{PsState, Strategy};
 pub use sync::ElasticBarrier;
 pub use worker::{worker_body, WorkerOutcome};

@@ -1,16 +1,18 @@
-//! Aggregation strategies for the threaded engine, and their shared state.
+//! The aggregation strategies of the two real execution paths, and the
+//! parameter-server state they share.
 //!
-//! These are the same seven algorithms as `dtrain-algos`, but running on
-//! real OS threads against real shared memory: a `Mutex`-guarded parameter
-//! server for the centralized family, channels for the decentralized one.
-//! Unlike the simulator, execution here is *not* deterministic — it races
-//! like production training does.
+//! These are the same seven algorithms as `dtrain-algos`, run for real: a
+//! `Mutex`-guarded parameter server for the centralized family, and the
+//! [`crate::Hub`]'s mailboxes for the decentralized one. [`PsState`] is
+//! owned by the hub; the threaded backend locks it directly and the process
+//! coordinator on behalf of a frame. Unlike the simulator, execution here
+//! is *not* deterministic — it races like production training does.
 
 use std::sync::Arc;
 
-use crossbeam_channel::{unbounded, Receiver, Sender};
+use dtrain_faults::CtrlAction;
 use dtrain_nn::{ParamSet, SgdMomentum};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 /// Which aggregation rule the threaded workers follow.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -41,6 +43,17 @@ impl Strategy {
             Strategy::AdPsgd => "AD-PSGD",
         }
     }
+
+    /// The strategy a run continues under after the degradation
+    /// controller's verdict: only BSP relaxes to SSP (the barrier is what a
+    /// straggler poisons; the asynchronous strategies already decouple),
+    /// and `EnableDgc` cannot change what the real paths put on the wire.
+    pub fn degraded(self, action: CtrlAction) -> Strategy {
+        match (self, action) {
+            (Strategy::Bsp, CtrlAction::SwitchToSsp { staleness }) => Strategy::Ssp { staleness },
+            _ => self,
+        }
+    }
 }
 
 /// Centralized shared state: global parameters + optimizer + SSP clocks.
@@ -59,17 +72,23 @@ impl PsState {
         })
     }
 
-    /// ASP/SSP push: apply `grad` at `lr` and return fresh global params.
-    pub fn push_and_pull(&self, grad: &ParamSet, lr: f32) -> ParamSet {
+    /// One optimizer step on the global parameters; the guard is handed
+    /// back so a caller can read the result under the same lock.
+    fn apply(&self, grad: &ParamSet, lr: f32) -> MutexGuard<'_, (ParamSet, SgdMomentum)> {
         let mut g = self.global.lock();
         let (params, opt) = &mut *g;
         opt.step(params, grad, lr);
-        params.clone()
+        g
     }
 
-    /// BSP round: apply the already-averaged gradient once, return params.
-    pub fn apply_round(&self, mean_grad: &ParamSet, lr: f32) -> ParamSet {
-        self.push_and_pull(mean_grad, lr)
+    /// Apply `grad` at `lr` without pulling (SSP push, BSP round close).
+    pub fn push(&self, grad: &ParamSet, lr: f32) {
+        drop(self.apply(grad, lr));
+    }
+
+    /// ASP push: apply `grad` at `lr` and return fresh global params.
+    pub fn push_and_pull(&self, grad: &ParamSet, lr: f32) -> ParamSet {
+        self.apply(grad, lr).0.clone()
     }
 
     /// Read-only snapshot of the global parameters.
@@ -106,68 +125,6 @@ impl PsState {
         updated.lerp(center, alpha);
         center.lerp(worker_params, alpha);
         updated
-    }
-}
-
-/// A gossip share: parameters plus their push-sum mixing weight.
-pub struct GossipMsg {
-    pub params: ParamSet,
-    pub alpha: f32,
-}
-
-/// An AD-PSGD exchange request: the active side's parameters and a channel
-/// to send the agreed midpoint back on.
-pub struct ExchangeMsg {
-    pub params: ParamSet,
-    pub reply: Sender<ParamSet>,
-}
-
-/// Per-worker mailboxes for the decentralized strategies.
-pub struct PeerNet {
-    pub gossip_tx: Vec<Sender<GossipMsg>>,
-    pub gossip_rx: Vec<Mutex<Receiver<GossipMsg>>>,
-    pub exchange_tx: Vec<Sender<PeerCtrl>>,
-    pub exchange_rx: Vec<Mutex<Receiver<PeerCtrl>>>,
-    /// Hierarchical-collective mailboxes: `(sender_rank, payload)` for the
-    /// intra-machine reduce/broadcast legs.
-    pub coll_tx: Vec<Sender<(usize, ParamSet)>>,
-    pub coll_rx: Vec<Mutex<Receiver<(usize, ParamSet)>>>,
-}
-
-/// Control messages on the exchange channels.
-pub enum PeerCtrl {
-    Exchange(ExchangeMsg),
-    /// One active worker finished (passives exit after hearing from all).
-    Done,
-}
-
-impl PeerNet {
-    pub fn new(workers: usize) -> Arc<Self> {
-        let mut gossip_tx = Vec::with_capacity(workers);
-        let mut gossip_rx = Vec::with_capacity(workers);
-        let mut exchange_tx = Vec::with_capacity(workers);
-        let mut exchange_rx = Vec::with_capacity(workers);
-        let mut coll_tx = Vec::with_capacity(workers);
-        let mut coll_rx = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let (gt, gr) = unbounded();
-            gossip_tx.push(gt);
-            gossip_rx.push(Mutex::new(gr));
-            let (et, er) = unbounded();
-            exchange_tx.push(et);
-            exchange_rx.push(Mutex::new(er));
-            let (ct, cr) = unbounded();
-            coll_tx.push(ct);
-            coll_rx.push(Mutex::new(cr));
-        }
-        Arc::new(PeerNet {
-            gossip_tx,
-            gossip_rx,
-            exchange_tx,
-            exchange_rx,
-            coll_tx,
-            coll_rx,
-        })
     }
 }
 
@@ -209,19 +166,6 @@ mod tests {
         state.bump_clock(1, 4);
         let min = waiter.join().expect("waiter thread");
         assert_eq!(min, 4);
-    }
-
-    #[test]
-    fn peer_net_routes_messages() {
-        let net = PeerNet::new(2);
-        net.gossip_tx[1]
-            .send(GossipMsg {
-                params: ps(&[1.0]),
-                alpha: 0.5,
-            })
-            .expect("send");
-        let got = net.gossip_rx[1].lock().try_recv().expect("recv");
-        assert_eq!(got.alpha, 0.5);
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Round-keyed synchronization primitives shared by the execution backends.
 //!
-//! [`ElasticBarrier`] was born inside the threaded engine (PR 4); the
-//! process-path coordinator (`dtrain-proc`) now drives the same barrier from
-//! its per-connection handler threads, so it lives here as a public type.
+//! [`ElasticBarrier`] decides which arrival closes a [`crate::Hub`] BSP
+//! round, on the threaded and the process path alike.
 
 use std::collections::HashMap;
 use std::time::Duration;
@@ -83,6 +82,13 @@ impl ElasticBarrier {
                 return Some(arrived);
             }
         }
+    }
+
+    /// Close every round, present and future: all waiters (and all later
+    /// arrivals) pass straight through. Run teardown.
+    pub fn release(&self) {
+        self.state.lock().closed = u64::MAX;
+        self.cv.notify_all();
     }
 }
 
