@@ -2,7 +2,7 @@
 //! scheduler.
 //!
 //! Each simulated process is an OS thread running ordinary sequential Rust
-//! code against a [`Ctx`] handle. The scheduler enforces that **exactly one
+//! code against a [`Ctx`] handle. The kernel enforces that **exactly one
 //! process executes at any instant**, resuming processes strictly in virtual
 //! timestamp order (ties broken by event sequence number), so a run is fully
 //! deterministic regardless of host scheduling. This is the classic
@@ -10,14 +10,57 @@
 //! model code — parameter servers, workers, NICs — be written as
 //! straight-line loops with blocking `recv`, instead of hand-written state
 //! machines.
+//!
+//! ## Who dispatches
+//!
+//! There is no scheduler thread. The right to run — the *baton* — belongs to
+//! one thread at a time, and **whichever thread holds the baton dispatches
+//! the next event itself**. A process that parks in `advance` / `recv` /
+//! `recv_match` (or returns from its body) keeps the kernel lock it already
+//! holds, runs [`Shared::dispatch`] — the one pop loop: event order,
+//! `events_processed`, dead letters, trace and hook all live there — and then
+//!
+//! * **continues**, when the event resumes the very process that parked (its
+//!   own `advance`, or a delivery it was waiting for): no thread is woken and
+//!   the lock is not even released;
+//! * **wakes the target process directly** and sleeps on its own [`Slot`]:
+//!   one thread switch per resume;
+//! * **hands back to the thread inside [`Simulation::run`]** in the rare
+//!   cases only it can settle: `dispatch` found nothing to resume (queue
+//!   empty — completion or deadlock — or a limit hit; `dispatch` does not
+//!   consume anything in that case, so `run` simply asks again and gets the
+//!   same answer), the `doomed` list is non-empty (kills are reaped — victim
+//!   unwound and joined — before the next event), or a process panicked.
+//!   `run` also does teardown, where every thread, finished or not, is joined.
+//!
+//! ## Why the kernel lock is never contended
+//!
+//! Only the baton holder touches [`Shared`]. A thread gives the baton away by
+//! releasing the lock *first* and waking the next thread *second*, and after
+//! that touches nothing but its own slot until it is woken again; `run`
+//! releases the lock before it wakes or joins anyone. So the mutex exists to
+//! satisfy `Send`/`Sync` and to publish the state to the next holder; each
+//! `Ctx` operation takes it once (plus once more after a real sleep).
+//!
+//! ## Why a wake-up cannot be lost
+//!
+//! A [`Slot`] is a flag under its own small mutex plus a condvar. `wake`
+//! stores the flag under that mutex and then notifies; `wait` sleeps only
+//! while the flag is empty, checked under the same mutex, and takes the flag
+//! when it leaves. A process can be resumed before it has reached its own
+//! `wait` (A wakes B, and B parks and dispatches A's resume while A is still
+//! on its way to sleep): the flag is already stored, so A's `wait` returns at
+//! once. And a flag is never overwritten: only the baton holder wakes
+//! anyone, it wakes exactly one thread and has then given the baton up, and
+//! the woken thread must take its flag to become the next holder.
 
+use std::any::Any;
 use std::collections::{BinaryHeap, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use crossbeam_channel::{bounded, Receiver, Sender};
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::time::SimTime;
 
@@ -34,36 +77,51 @@ impl Pid {
     }
 }
 
-/// What the scheduler tells a parked process.
+/// What a sleeping thread is told when it is woken.
 enum Go {
-    /// Continue executing.
+    /// The baton is yours: continue executing.
     Run,
-    /// The simulation is shutting down; unwind out of the process body.
+    /// You were killed, or the simulation is shutting down: unwind out of
+    /// the process body. The waker keeps the baton and joins the thread.
     Stop,
 }
 
-/// What a process tells the scheduler when it parks or exits.
-enum Yield {
-    /// Parked in `advance`/`recv`; will be resumed by a queued event.
-    Parked,
-    /// Process body returned normally.
-    Finished,
-    /// Process body panicked with this payload.
-    Panicked(Box<dyn std::any::Any + Send>),
-    /// Process acknowledged a `Stop`.
-    Stopped,
+/// One thread's wake-up slot (see the module docs for the lost-wakeup
+/// argument). Every process has one; so does the thread inside
+/// [`Simulation::run`].
+#[derive(Default)]
+struct Slot {
+    go: Mutex<Option<Go>>,
+    cv: Condvar,
 }
 
-/// Scheduler-visible state of one process.
+impl Slot {
+    fn wake(&self, go: Go) {
+        *self.go.lock() = Some(go);
+        self.cv.notify_one();
+    }
+
+    fn wait(&self) -> Go {
+        let mut go = self.go.lock();
+        loop {
+            if let Some(go) = go.take() {
+                return go;
+            }
+            self.cv.wait(&mut go);
+        }
+    }
+}
+
+/// Kernel-visible state of one process.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum ProcState {
     /// Parked, waiting for a `Resume` event it scheduled itself.
     Holding,
     /// Parked inside `recv`, waiting for any delivery.
     WaitingRecv,
-    /// Currently running (the scheduler is blocked on its yield).
+    /// Currently running: its thread holds the baton.
     Running,
-    /// Process body has returned.
+    /// Process body has returned, or the process was killed.
     Finished,
 }
 
@@ -110,10 +168,8 @@ pub struct TraceRecord {
 /// Observer invoked for every traced kernel event (see [`Shared::hook`]).
 type EventHook = Box<dyn FnMut(&TraceRecord) + Send>;
 
-/// Kernel state shared between the scheduler and the (one) running process.
-///
-/// Only one process runs at a time and the scheduler is parked while it does,
-/// so this mutex is never contended; it exists to satisfy `Send`/`Sync`.
+/// The whole kernel state. Only the thread holding the baton touches it, so
+/// its mutex is never contended (module docs).
 struct Shared<M> {
     queue: BinaryHeap<Event<M>>,
     mailboxes: Vec<VecDeque<M>>,
@@ -123,23 +179,26 @@ struct Shared<M> {
     /// Messages sent to already-finished processes.
     dead_letters: u64,
     events_processed: u64,
-    /// Processes killed via [`Ctx::kill`], awaiting scheduler-side teardown.
+    /// Resumes that had to wake another thread.
+    handoffs: u64,
+    /// Processes killed via [`Ctx::kill`], awaiting teardown by `run`.
     doomed: VecDeque<Pid>,
     kills: u64,
     trace: Option<Vec<TraceRecord>>,
     /// Observer invoked for every traced kernel event (resume / deliver /
-    /// kill / spawn) as it happens. Runs under the kernel lock while the
-    /// scheduler holds the baton: it must not re-enter the simulation.
+    /// kill / spawn) as it happens. Runs under the kernel lock on whichever
+    /// thread holds the baton: it must not re-enter the simulation.
     hook: Option<EventHook>,
-}
-
-/// Thread-side bookkeeping for every spawned process, shared between the
-/// [`Simulation`] driver and [`Ctx`] handles so processes can spawn peers
-/// mid-run (crash *respawn* in fault experiments).
-struct Registry {
-    go_txs: Vec<Sender<Go>>,
+    limits: RunLimits,
+    /// A process body's panic, parked here for `run` to re-raise.
+    panic: Option<(Pid, Box<dyn Any + Send>)>,
+    /// Per process, by pid: wake-up slot, thread handle (taken when joined)
+    /// and name.
+    slots: Vec<Arc<Slot>>,
     threads: Vec<Option<JoinHandle<()>>>,
     names: Vec<String>,
+    /// Wake-up slot of the thread inside [`Simulation::run`].
+    main: Arc<Slot>,
 }
 
 impl<M> Shared<M> {
@@ -163,16 +222,107 @@ impl<M> Shared<M> {
             hook(&rec);
         }
     }
+
+    fn is_finished(&self, pid: Pid) -> bool {
+        matches!(self.states[pid.index()], ProcState::Finished)
+    }
+
+    /// The one pop loop: process events in `(time, seq)` order until one
+    /// resumes a process, mark that process `Running` and return it. When
+    /// the run is over instead, say why — without consuming anything, so
+    /// asking again gives the same answer.
+    fn dispatch(&mut self) -> Result<Pid, StopReason> {
+        loop {
+            let Some(ev) = self.queue.peek() else {
+                let all_done = (0..self.states.len()).all(|i| self.is_finished(Pid(i)));
+                return Err(if all_done {
+                    StopReason::Completed
+                } else {
+                    StopReason::Deadlock
+                });
+            };
+            let RunLimits {
+                max_time,
+                max_events,
+            } = self.limits;
+            if max_time.is_some_and(|t| ev.time > t)
+                || max_events.is_some_and(|n| self.events_processed >= n)
+            {
+                return Err(StopReason::LimitReached);
+            }
+            let ev = self.queue.pop().expect("peeked above");
+            self.events_processed += 1;
+            let pid = match ev.kind {
+                EventKind::Deliver(pid, msg) => {
+                    if self.is_finished(pid) {
+                        self.dead_letters += 1;
+                        continue;
+                    }
+                    self.now = ev.time;
+                    self.trace_event(ev.time, pid, 1);
+                    self.mailboxes[pid.index()].push_back(msg);
+                    if !matches!(self.states[pid.index()], ProcState::WaitingRecv) {
+                        continue; // target is running/holding; it'll see it
+                    }
+                    pid
+                }
+                EventKind::Resume(pid) => {
+                    if self.is_finished(pid) {
+                        continue;
+                    }
+                    self.now = ev.time;
+                    self.trace_event(ev.time, pid, 0);
+                    pid
+                }
+            };
+            self.states[pid.index()] = ProcState::Running;
+            return Ok(pid);
+        }
+    }
+}
+
+type Kernel<M> = Arc<Mutex<Shared<M>>>;
+
+/// Resume `pid` on its own thread. Releases the kernel lock before waking,
+/// so the woken thread never finds it held.
+fn hand_to<M>(mut sh: MutexGuard<'_, Shared<M>>, pid: Pid) {
+    sh.handoffs += 1;
+    let slot = Arc::clone(&sh.slots[pid.index()]);
+    drop(sh);
+    slot.wake(Go::Run);
+}
+
+/// Give the baton away: called, kernel lock held, by a process thread that
+/// is about to sleep (`me` = its pid) or to exit (`me` = `None`). Dispatches
+/// the next event and wakes its target — or `run`, for the cases only `run`
+/// settles. Returns the lock, still held, when the event resumes `me`.
+fn pass_baton<M>(
+    mut sh: MutexGuard<'_, Shared<M>>,
+    me: Option<Pid>,
+) -> Option<MutexGuard<'_, Shared<M>>> {
+    let next = if sh.doomed.is_empty() && sh.panic.is_none() {
+        sh.dispatch().ok()
+    } else {
+        None
+    };
+    match next {
+        Some(pid) if Some(pid) == me => return Some(sh),
+        Some(pid) => hand_to(sh, pid),
+        None => {
+            let main = Arc::clone(&sh.main);
+            drop(sh);
+            main.wake(Go::Run);
+        }
+    }
+    None
 }
 
 /// Handle given to every process body; all interaction with virtual time and
 /// other processes goes through it.
 pub struct Ctx<M: Send + 'static> {
     pid: Pid,
-    shared: Arc<Mutex<Shared<M>>>,
-    registry: Arc<Mutex<Registry>>,
-    go_rx: Receiver<Go>,
-    yield_tx: Sender<(Pid, Yield)>,
+    shared: Kernel<M>,
+    slot: Arc<Slot>,
 }
 
 /// Sentinel panic payload used to unwind a process during shutdown.
@@ -191,15 +341,16 @@ impl<M: Send + 'static> Ctx<M> {
         self.shared.lock().now
     }
 
-    /// Park this process, then yield control to the scheduler and wait to be
-    /// resumed. Panics with the shutdown token if the simulation is tearing
-    /// down, which the spawn wrapper catches.
-    fn park(&self) {
-        self.yield_tx
-            .send((self.pid, Yield::Parked))
-            .expect("scheduler gone");
-        match self.go_rx.recv().expect("scheduler gone") {
-            Go::Run => {}
+    /// Park this process (the caller has recorded what it waits for) and
+    /// return, kernel lock held, once it is resumed — without ever sleeping
+    /// if the next event is its own. Panics with the shutdown token if the
+    /// simulation is tearing down, which the spawn wrapper catches.
+    fn park<'a>(&'a self, sh: MutexGuard<'a, Shared<M>>) -> MutexGuard<'a, Shared<M>> {
+        if let Some(sh) = pass_baton(sh, Some(self.pid)) {
+            return sh;
+        }
+        match self.slot.wait() {
+            Go::Run => self.shared.lock(),
             Go::Stop => panic::panic_any(ShutdownToken),
         }
     }
@@ -207,15 +358,13 @@ impl<M: Send + 'static> Ctx<M> {
     /// Advance this process's clock by `dt`, letting other processes run in
     /// the meantime. `advance(SimTime::ZERO)` is a deterministic yield point.
     pub fn advance(&self, dt: SimTime) {
-        {
-            let mut sh = self.shared.lock();
-            // Saturating: SimTime::MAX is a documented "never" sentinel and
-            // must not wrap into the past.
-            let at = SimTime::from_nanos(sh.now.as_nanos().saturating_add(dt.as_nanos()));
-            sh.states[self.pid.index()] = ProcState::Holding;
-            sh.push_event(at, EventKind::Resume(self.pid));
-        }
-        self.park();
+        let mut sh = self.shared.lock();
+        // Saturating: SimTime::MAX is a documented "never" sentinel and
+        // must not wrap into the past.
+        let at = SimTime::from_nanos(sh.now.as_nanos().saturating_add(dt.as_nanos()));
+        sh.states[self.pid.index()] = ProcState::Holding;
+        sh.push_event(at, EventKind::Resume(self.pid));
+        drop(self.park(sh));
     }
 
     /// Advance to an absolute timestamp (no-op if already past it).
@@ -244,16 +393,7 @@ impl<M: Send + 'static> Ctx<M> {
     /// Pop the next message from this process's mailbox, blocking in virtual
     /// time until one is delivered.
     pub fn recv(&self) -> M {
-        loop {
-            {
-                let mut sh = self.shared.lock();
-                if let Some(m) = sh.mailboxes[self.pid.index()].pop_front() {
-                    return m;
-                }
-                sh.states[self.pid.index()] = ProcState::WaitingRecv;
-            }
-            self.park();
-        }
+        self.recv_match(|_| true)
     }
 
     /// Non-blocking receive.
@@ -273,16 +413,14 @@ impl<M: Send + 'static> Ctx<M> {
     /// Receive the first mailbox message satisfying `pred`, blocking until
     /// one arrives. Non-matching messages stay queued in order.
     pub fn recv_match(&self, mut pred: impl FnMut(&M) -> bool) -> M {
+        let mut sh = self.shared.lock();
         loop {
-            {
-                let mut sh = self.shared.lock();
-                let mb = &mut sh.mailboxes[self.pid.index()];
-                if let Some(i) = mb.iter().position(&mut pred) {
-                    return mb.remove(i).expect("position just found");
-                }
-                sh.states[self.pid.index()] = ProcState::WaitingRecv;
+            let mb = &mut sh.mailboxes[self.pid.index()];
+            if let Some(i) = mb.iter().position(&mut pred) {
+                return mb.remove(i).expect("position just found");
             }
-            self.park();
+            sh.states[self.pid.index()] = ProcState::WaitingRecv;
+            sh = self.park(sh);
         }
     }
 
@@ -294,9 +432,7 @@ impl<M: Send + 'static> Ctx<M> {
     /// Whether `pid` is a live (spawned, not finished, not killed) process.
     pub fn is_live(&self, pid: Pid) -> bool {
         let sh = self.shared.lock();
-        pid.index() < sh.states.len()
-            && !matches!(sh.states[pid.index()], ProcState::Finished)
-            && !sh.doomed.contains(&pid)
+        pid.index() < sh.states.len() && !sh.is_finished(pid) && !sh.doomed.contains(&pid)
     }
 
     /// Kill another process at the current virtual instant (fault
@@ -309,7 +445,7 @@ impl<M: Send + 'static> Ctx<M> {
         assert_ne!(victim, self.pid, "a process cannot kill itself");
         let mut sh = self.shared.lock();
         if victim.index() >= sh.states.len()
-            || matches!(sh.states[victim.index()], ProcState::Finished)
+            || sh.is_finished(victim)
             || sh.doomed.contains(&victim)
         {
             return false;
@@ -328,79 +464,56 @@ impl<M: Send + 'static> Ctx<M> {
     where
         F: FnOnce(Ctx<M>) + Send + 'static,
     {
-        let start_at = self.shared.lock().now;
-        spawn_process(
-            &self.shared,
-            &self.registry,
-            &self.yield_tx,
-            start_at,
-            name.into(),
-            body,
-        )
+        spawn_process(&self.shared, name.into(), body)
     }
 }
 
-/// Shared spawn path for [`Simulation::spawn`] (at t=0, pre-run) and
-/// [`Ctx::spawn`] (mid-run, at the current instant).
-fn spawn_process<M, F>(
-    shared: &Arc<Mutex<Shared<M>>>,
-    registry: &Arc<Mutex<Registry>>,
-    yield_tx: &Sender<(Pid, Yield)>,
-    start_at: SimTime,
-    name: String,
-    body: F,
-) -> Pid
+/// Shared spawn path for [`Simulation::spawn`] (pre-run, at t=0) and
+/// [`Ctx::spawn`] (mid-run): the process starts at the current instant. The
+/// new thread sleeps on its slot until its first resume, so it is created
+/// with the kernel lock held and the pid can never be observed half-built.
+fn spawn_process<M, F>(shared: &Kernel<M>, name: String, body: F) -> Pid
 where
     M: Send + 'static,
     F: FnOnce(Ctx<M>) + Send + 'static,
 {
-    let (go_tx, go_rx) = bounded(1);
-    let pid = {
-        let mut reg = registry.lock();
-        let mut sh = shared.lock();
-        let pid = Pid(reg.threads.len());
-        sh.mailboxes.push(VecDeque::new());
-        sh.states.push(ProcState::Holding);
-        sh.push_event(start_at, EventKind::Resume(pid));
-        if start_at > SimTime::ZERO {
-            sh.trace_event(start_at, pid, 3);
-        }
-        reg.go_txs.push(go_tx);
-        reg.names.push(name.clone());
-        // Reserve the slot before the thread handle exists so a re-entrant
-        // spawn from another thread can't race the pid.
-        reg.threads.push(None);
-        pid
-    };
+    let mut sh = shared.lock();
+    let pid = Pid(sh.states.len());
+    let slot = Arc::new(Slot::default());
     let ctx = Ctx {
         pid,
         shared: Arc::clone(shared),
-        registry: Arc::clone(registry),
-        go_rx,
-        yield_tx: yield_tx.clone(),
+        slot: Arc::clone(&slot),
     };
-    let thread_yield_tx = yield_tx.clone();
     let handle = std::thread::Builder::new()
-        .name(name)
+        .name(name.clone())
         .spawn(move || {
-            // Wait for the first Go before touching anything.
-            match ctx.go_rx.recv() {
-                Ok(Go::Run) => {}
-                Ok(Go::Stop) | Err(_) => {
-                    let _ = thread_yield_tx.send((pid, Yield::Stopped));
-                    return;
-                }
+            if let Go::Stop = ctx.slot.wait() {
+                return; // killed or torn down before it ever ran
             }
-            let r = panic::catch_unwind(AssertUnwindSafe(|| body(ctx)));
-            let msg = match r {
-                Ok(()) => Yield::Finished,
-                Err(p) if p.is::<ShutdownToken>() => Yield::Stopped,
-                Err(p) => Yield::Panicked(p),
+            let shared = Arc::clone(&ctx.shared);
+            let panic = match panic::catch_unwind(AssertUnwindSafe(|| body(ctx))) {
+                Ok(()) => None,
+                // Stopped: `run` holds the baton and is joining this thread.
+                Err(p) if p.is::<ShutdownToken>() => return,
+                Err(p) => Some((pid, p)),
             };
-            let _ = thread_yield_tx.send((pid, msg));
+            let mut sh = shared.lock();
+            sh.states[pid.index()] = ProcState::Finished;
+            sh.panic = panic;
+            pass_baton(sh, None);
         })
         .expect("failed to spawn simulation process thread");
-    registry.lock().threads[pid.index()] = Some(handle);
+    let now = sh.now;
+    sh.mailboxes.push(VecDeque::new());
+    sh.states.push(ProcState::Holding);
+    sh.push_event(now, EventKind::Resume(pid));
+    if now > SimTime::ZERO {
+        sh.trace_event(now, pid, 3);
+    }
+    sh.slots.push(slot);
+    sh.threads.push(Some(handle));
+    sh.names.push(name);
     pid
 }
 
@@ -423,6 +536,9 @@ pub struct SimStats {
     /// Final virtual clock value.
     pub end_time: SimTime,
     pub events_processed: u64,
+    /// Resumes that had to wake another OS thread (the rest continued on the
+    /// thread that dispatched them). A host-cost counter, not a model output.
+    pub handoffs: u64,
     /// Messages addressed to processes that had already finished.
     pub dead_letters: u64,
     /// Processes torn down via [`Ctx::kill`] (fault injection).
@@ -444,10 +560,7 @@ pub struct RunLimits {
 
 /// A configured simulation: spawn processes, then [`run`](Simulation::run).
 pub struct Simulation<M: Send + 'static> {
-    shared: Arc<Mutex<Shared<M>>>,
-    registry: Arc<Mutex<Registry>>,
-    yield_tx: Sender<(Pid, Yield)>,
-    yield_rx: Receiver<(Pid, Yield)>,
+    shared: Kernel<M>,
 }
 
 impl<M: Send + 'static> Default for Simulation<M> {
@@ -458,7 +571,6 @@ impl<M: Send + 'static> Default for Simulation<M> {
 
 impl<M: Send + 'static> Simulation<M> {
     pub fn new() -> Self {
-        let (yield_tx, yield_rx) = bounded(1);
         Simulation {
             shared: Arc::new(Mutex::new(Shared {
                 queue: BinaryHeap::new(),
@@ -468,18 +580,18 @@ impl<M: Send + 'static> Simulation<M> {
                 next_seq: 0,
                 dead_letters: 0,
                 events_processed: 0,
+                handoffs: 0,
                 doomed: VecDeque::new(),
                 kills: 0,
                 trace: None,
                 hook: None,
-            })),
-            registry: Arc::new(Mutex::new(Registry {
-                go_txs: Vec::new(),
+                limits: RunLimits::default(),
+                panic: None,
+                slots: Vec::new(),
                 threads: Vec::new(),
                 names: Vec::new(),
+                main: Arc::new(Slot::default()),
             })),
-            yield_tx,
-            yield_rx,
         }
     }
 
@@ -491,8 +603,8 @@ impl<M: Send + 'static> Simulation<M> {
 
     /// Install a live observer called for every kernel scheduling event
     /// (resume / deliver / kill / spawn), in the exact order the trace
-    /// records them. The hook runs under the kernel lock while the
-    /// scheduler holds the baton, so it must be fast and must not touch
+    /// records them. The hook runs under the kernel lock on whichever
+    /// thread holds the baton, so it must be fast and must not touch
     /// the simulation; it exists so an external sink (e.g. `dtrain-obs`)
     /// can stream the event order without buffering the whole trace here.
     pub fn set_event_hook(&mut self, hook: impl FnMut(&TraceRecord) + Send + 'static) {
@@ -506,14 +618,7 @@ impl<M: Send + 'static> Simulation<M> {
     where
         F: FnOnce(Ctx<M>) + Send + 'static,
     {
-        spawn_process(
-            &self.shared,
-            &self.registry,
-            &self.yield_tx,
-            SimTime::ZERO,
-            name.into(),
-            body,
-        )
+        spawn_process(&self.shared, name.into(), body)
     }
 
     /// Run to completion (or deadlock). Panics from process bodies are
@@ -523,212 +628,94 @@ impl<M: Send + 'static> Simulation<M> {
     }
 
     /// Run with event/time limits; see [`RunLimits`].
-    pub fn run_with_limits(mut self, limits: RunLimits) -> SimStats {
-        let reason = self.schedule_loop(limits);
-        let (end_time, events, dead, kills, blocked, trace) = {
+    ///
+    /// This thread starts the first process and then sleeps; it is woken
+    /// only for what no process settles itself (module docs): reaping kills,
+    /// a panic, and the end of the run.
+    pub fn run_with_limits(self, limits: RunLimits) -> SimStats {
+        let main = {
             let mut sh = self.shared.lock();
-            let blocked: Vec<Pid> = sh
-                .states
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| !matches!(s, ProcState::Finished))
-                .map(|(i, _)| Pid(i))
-                .collect();
-            (
-                sh.now,
-                sh.events_processed,
-                sh.dead_letters,
-                sh.kills,
-                blocked,
-                sh.trace.take(),
-            )
+            sh.limits = limits;
+            Arc::clone(&sh.main)
         };
-        self.teardown(&blocked);
-        SimStats {
-            reason,
-            end_time,
-            events_processed: events,
-            dead_letters: dead,
-            kills,
-            blocked: if reason == StopReason::Completed {
-                Vec::new()
-            } else {
-                blocked
-            },
-            trace,
-        }
-    }
-
-    /// Main scheduling loop: pop the earliest event, resume the target
-    /// process, wait for it to park or finish.
-    fn schedule_loop(&mut self, limits: RunLimits) -> StopReason {
-        loop {
-            // Pop the next actionable event under the lock, then release it
-            // before handing control to the process.
-            let (time, kind) = {
-                let mut sh = self.shared.lock();
-                loop {
-                    let Some(ev) = sh.queue.pop() else {
-                        let any_live = sh.states.iter().any(|s| !matches!(s, ProcState::Finished));
-                        return if any_live {
-                            StopReason::Deadlock
-                        } else {
-                            StopReason::Completed
-                        };
-                    };
-                    if let Some(max_t) = limits.max_time {
-                        if ev.time > max_t {
-                            return StopReason::LimitReached;
-                        }
-                    }
-                    if let Some(max_e) = limits.max_events {
-                        if sh.events_processed >= max_e {
-                            return StopReason::LimitReached;
-                        }
-                    }
-                    sh.events_processed += 1;
-                    match ev.kind {
-                        EventKind::Deliver(pid, msg) => {
-                            if matches!(sh.states[pid.index()], ProcState::Finished) {
-                                sh.dead_letters += 1;
-                                continue; // drop, try next event
-                            }
-                            sh.now = ev.time;
-                            sh.trace_event(ev.time, pid, 1);
-                            sh.mailboxes[pid.index()].push_back(msg);
-                            if matches!(sh.states[pid.index()], ProcState::WaitingRecv) {
-                                break (ev.time, EventKind::<M>::Resume(pid));
-                            }
-                            continue; // target is running/holding; it'll see it
-                        }
-                        EventKind::Resume(pid) => {
-                            if matches!(sh.states[pid.index()], ProcState::Finished) {
-                                continue;
-                            }
-                            sh.now = ev.time;
-                            sh.trace_event(ev.time, pid, 0);
-                            break (ev.time, EventKind::Resume(pid));
-                        }
-                    }
-                }
-            };
-            let EventKind::Resume(pid) = kind else {
-                unreachable!()
-            };
-            let _ = time;
-            // Hand the baton to the process and wait for it to yield back.
-            {
-                let mut sh = self.shared.lock();
-                sh.states[pid.index()] = ProcState::Running;
-            }
-            let go_tx = self.registry.lock().go_txs[pid.index()].clone();
-            go_tx
-                .send(Go::Run)
-                .expect("process thread died unexpectedly");
-            let (ypid, y) = self.yield_rx.recv().expect("all processes vanished");
-            debug_assert_eq!(ypid, pid, "yield from unexpected process");
-            match y {
-                Yield::Parked => {
-                    // State was set to Holding/WaitingRecv by the ctx op.
-                }
-                Yield::Finished | Yield::Stopped => {
-                    self.shared.lock().states[pid.index()] = ProcState::Finished;
-                    let handle = self.registry.lock().threads[pid.index()].take();
-                    if let Some(h) = handle {
-                        let _ = h.join();
-                    }
-                }
-                Yield::Panicked(payload) => {
-                    self.shared.lock().states[pid.index()] = ProcState::Finished;
-                    let handle = self.registry.lock().threads[pid.index()].take();
-                    if let Some(h) = handle {
-                        let _ = h.join();
-                    }
-                    // Tear down remaining processes, then re-raise.
-                    let blocked: Vec<Pid> = {
-                        let sh = self.shared.lock();
-                        sh.states
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, s)| !matches!(s, ProcState::Finished))
-                            .map(|(i, _)| Pid(i))
-                            .collect()
-                    };
-                    self.teardown(&blocked);
-                    let name = self.registry.lock().names[pid.index()].clone();
-                    eprintln!("desim: process '{name}' panicked; re-raising");
-                    panic::resume_unwind(payload);
-                }
-            }
-            // Execute any kills the process requested while it ran: unwind
-            // the victims' threads before the next event so the kill takes
+        let (reason, mut sh) = loop {
+            // Unwind killed processes before the next event, so a kill takes
             // effect at the current instant, deterministically.
             self.reap_doomed();
-        }
+            let mut sh = self.shared.lock();
+            if let Some((pid, payload)) = sh.panic.take() {
+                let name = sh.names[pid.index()].clone();
+                drop(sh);
+                self.teardown();
+                eprintln!("desim: process '{name}' panicked; re-raising");
+                panic::resume_unwind(payload);
+            }
+            match sh.dispatch() {
+                Ok(pid) => {
+                    hand_to(sh, pid);
+                    main.wait();
+                }
+                Err(reason) => break (reason, sh),
+            }
+        };
+        let stats = SimStats {
+            reason,
+            end_time: sh.now,
+            events_processed: sh.events_processed,
+            handoffs: sh.handoffs,
+            dead_letters: sh.dead_letters,
+            kills: sh.kills,
+            // Empty on `Completed`: `dispatch` reports that only when every
+            // process has finished.
+            blocked: (0..sh.states.len())
+                .map(Pid)
+                .filter(|&p| !sh.is_finished(p))
+                .collect(),
+            trace: sh.trace.take(),
+        };
+        drop(sh);
+        self.teardown();
+        stats
     }
 
     /// Unwind and join every process queued in `doomed` by [`Ctx::kill`].
-    /// Victims are parked (only one process runs at a time), so a `Stop`
-    /// resume unwinds them via the shutdown token. Their mailboxes are
-    /// discarded; queued events targeting them count as dead letters when
-    /// popped.
-    fn reap_doomed(&mut self) {
+    /// Their mailboxes are discarded; queued events targeting them count as
+    /// dead letters when popped.
+    fn reap_doomed(&self) {
         loop {
-            let victim = {
-                let mut sh = self.shared.lock();
-                match sh.doomed.pop_front() {
-                    Some(v) => v,
-                    None => return,
-                }
+            let Some(victim) = self.shared.lock().doomed.pop_front() else {
+                return;
             };
-            if matches!(
-                self.shared.lock().states[victim.index()],
-                ProcState::Finished
-            ) {
-                continue;
-            }
-            let go_tx = self.registry.lock().go_txs[victim.index()].clone();
-            let _ = go_tx.send(Go::Stop);
-            match self.yield_rx.recv() {
-                Ok((p, Yield::Stopped)) | Ok((p, Yield::Finished)) => {
-                    debug_assert_eq!(p, victim);
-                }
-                Ok((_, Yield::Panicked(_))) | Ok((_, Yield::Parked)) | Err(_) => {}
-            }
-            let handle = self.registry.lock().threads[victim.index()].take();
-            if let Some(h) = handle {
-                let _ = h.join();
-            }
-            let mut sh = self.shared.lock();
-            sh.states[victim.index()] = ProcState::Finished;
-            sh.mailboxes[victim.index()].clear();
+            self.stop_process(victim);
         }
     }
 
-    /// Stop all still-live processes and join their threads.
-    fn teardown(&mut self, blocked: &[Pid]) {
-        for &pid in blocked {
-            let go_tx = {
-                let reg = self.registry.lock();
-                if reg.threads[pid.index()].is_none() {
-                    continue;
-                }
-                reg.go_txs[pid.index()].clone()
-            };
-            let _ = go_tx.send(Go::Stop);
-            // Wait for the Stopped acknowledgement so the thread exits
-            // deterministically before we join it.
-            match self.yield_rx.recv() {
-                Ok((p, Yield::Stopped)) | Ok((p, Yield::Finished)) => {
-                    debug_assert_eq!(p, pid);
-                }
-                Ok((_, Yield::Panicked(_))) | Ok((_, Yield::Parked)) | Err(_) => {}
-            }
-            let handle = self.registry.lock().threads[pid.index()].take();
-            if let Some(h) = handle {
-                let _ = h.join();
-            }
-            self.shared.lock().states[pid.index()] = ProcState::Finished;
+    /// Mark `pid` finished, unwind its thread if it had not finished by
+    /// itself, and join it. A live process is parked (this thread holds the
+    /// baton), so a `Stop` wake-up unwinds it via the shutdown token; the
+    /// kernel lock is released first because its destructors may use `Ctx`.
+    fn stop_process(&self, pid: Pid) {
+        let (live, slot, handle) = {
+            let mut sh = self.shared.lock();
+            let live = !sh.is_finished(pid);
+            sh.states[pid.index()] = ProcState::Finished;
+            sh.mailboxes[pid.index()].clear();
+            let slot = Arc::clone(&sh.slots[pid.index()]);
+            (live, slot, sh.threads[pid.index()].take())
+        };
+        if live {
+            slot.wake(Go::Stop);
+        }
+        if let Some(handle) = handle {
+            let _ = handle.join();
+        }
+    }
+
+    /// Stop all still-live processes, in pid order, and join every thread.
+    fn teardown(&self) {
+        let n = self.shared.lock().states.len();
+        for i in 0..n {
+            self.stop_process(Pid(i));
         }
     }
 }
@@ -925,6 +912,94 @@ mod tests {
                 ("b", 45_000_000),
             ]
         );
+    }
+
+    #[test]
+    fn same_instant_resumes_run_in_seq_order() {
+        // Both processes only ever yield at t=0, so every resume ties on
+        // time and `seq` alone decides. A parking process's own resume is
+        // always queued behind its peer's: continuing on the spot would be
+        // the cheapest hand-off and the wrong order.
+        let mut sim: Simulation<()> = Simulation::new();
+        let log = Arc::new(Mutex::new(Vec::new()));
+        for name in ["a", "b"] {
+            let log = Arc::clone(&log);
+            sim.spawn(name, move |ctx| {
+                for i in 0..3 {
+                    ctx.yield_now();
+                    log.lock().push((name, i));
+                }
+            });
+        }
+        let stats = sim.run();
+        assert_eq!(stats.end_time, SimTime::ZERO);
+        assert_eq!(
+            *log.lock(),
+            vec![("a", 0), ("b", 0), ("a", 1), ("b", 1), ("a", 2), ("b", 2)]
+        );
+        assert_eq!(
+            stats.handoffs, stats.events_processed,
+            "no resume was its own"
+        );
+    }
+
+    #[test]
+    fn lone_ticker_never_switches_threads() {
+        let mut sim: Simulation<()> = Simulation::new();
+        sim.spawn("ticker", |ctx| {
+            for _ in 0..1000 {
+                ctx.advance(SimTime::from_micros(1));
+            }
+        });
+        let stats = sim.run();
+        assert_eq!(stats.reason, StopReason::Completed);
+        assert_eq!(stats.events_processed, 1001);
+        assert!(stats.handoffs <= 1, "handoffs = {}", stats.handoffs);
+    }
+
+    #[test]
+    fn handoffs_count_only_resumes_of_another_thread() {
+        let mut sim: Simulation<()> = Simulation::new();
+        sim.spawn("ticker", |ctx| {
+            for _ in 0..10 {
+                ctx.advance(SimTime::from_millis(1));
+            }
+        });
+        sim.spawn("sleeper", |ctx| ctx.advance(SimTime::from_millis(100)));
+        let stats = sim.run();
+        assert_eq!(stats.events_processed, 13);
+        // run -> ticker -> sleeper (first resumes), sleeper -> ticker at 1 ms,
+        // nine self-resumes, exiting ticker -> sleeper at 100 ms.
+        assert_eq!(stats.handoffs, 4);
+    }
+
+    #[test]
+    fn kill_is_reaped_before_the_killers_own_resume() {
+        struct NoteDrop(Arc<Mutex<Vec<&'static str>>>);
+        impl Drop for NoteDrop {
+            fn drop(&mut self) {
+                self.0.lock().push("victim unwound");
+            }
+        }
+        let mut sim: Simulation<()> = Simulation::new();
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let log2 = Arc::clone(&log);
+        let victim = sim.spawn("victim", move |ctx| {
+            let _note = NoteDrop(log2);
+            ctx.recv();
+        });
+        let log3 = Arc::clone(&log);
+        sim.spawn("killer", move |ctx| {
+            ctx.advance(SimTime::from_millis(1));
+            assert!(ctx.kill(victim));
+            // The next event is this process's own resume: the fast path
+            // must still let `run` reap the victim first.
+            ctx.yield_now();
+            log3.lock().push("killer resumed");
+        });
+        let stats = sim.run();
+        assert_eq!(stats.reason, StopReason::Completed);
+        assert_eq!(*log.lock(), vec!["victim unwound", "killer resumed"]);
     }
 
     #[test]

@@ -1,51 +1,72 @@
 //! Property-based tests for the DES kernel: determinism, clock monotonicity,
 //! and message conservation under randomized process topologies.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use dtrain_desim::{SimTime, Simulation, TraceRecord};
+use dtrain_desim::{Pid, SimTime, Simulation, StopReason, TraceRecord};
 use parking_lot::Mutex;
 use proptest::prelude::*;
 
 /// A randomized "workload program": each worker repeatedly advances by a
-/// random-but-fixed delay and sends a token to a random-but-fixed peer; a
-/// sink counts tokens.
+/// random-but-fixed delay, sends a token to a random-but-fixed peer and then
+/// maybe yields, kills that peer or spawns a short-lived child — so the
+/// rare hand-backs (reaping, mid-run spawn, same-instant ties) are exercised
+/// alongside the common resume paths.
 #[derive(Clone, Debug)]
 struct Workload {
-    /// (delay_ns, peer_choice) per step per worker.
-    steps: Vec<Vec<(u64, usize)>>,
+    /// (delay_ns, peer_choice, op) per step per worker; see `run_workload`
+    /// for what each `op` does.
+    steps: Vec<Vec<(u64, usize, u8)>>,
 }
 
 fn workload_strategy() -> impl Strategy<Value = Workload> {
-    // 2..5 workers, each with 1..8 steps of (delay, peer index).
+    // 2..5 workers, each with 1..8 steps of (delay, peer index, op).
     prop::collection::vec(
-        prop::collection::vec((0u64..5_000_000, 0usize..16), 1..8),
+        prop::collection::vec((0u64..5_000_000, 0usize..16, 0u8..12), 1..8),
         2..5,
     )
     .prop_map(|steps| Workload { steps })
 }
 
-/// Build and run the workload; return (trace, tokens received per worker).
+/// Build and run the workload; return (trace, tokens received per worker,
+/// end time).
 fn run_workload(w: &Workload) -> (Vec<TraceRecord>, Vec<u64>, u64) {
     let n = w.steps.len();
     let mut sim: Simulation<u64> = Simulation::new();
     sim.enable_tracing();
     let counts = Arc::new(Mutex::new(vec![0u64; n]));
+    // Counted as they happen: a killed worker never sends its later tokens.
+    let sent = Arc::new(AtomicU64::new(0));
 
     // Spawn all workers first so pids are dense 0..n.
-    let mut bodies = Vec::new();
-    for (i, steps) in w.steps.iter().enumerate() {
-        bodies.push((i, steps.clone()));
-    }
-    let mut total_sent = 0u64;
-    for (i, steps) in bodies {
+    for (i, steps) in w.steps.iter().cloned().enumerate() {
         let counts = Arc::clone(&counts);
-        total_sent += steps.len() as u64;
+        let sent = Arc::clone(&sent);
         sim.spawn(format!("w{i}"), move |ctx| {
-            for (delay, peer) in &steps {
-                ctx.advance(SimTime::from_nanos(*delay));
-                let dst = dtrain_desim::Pid(*peer % n);
-                ctx.send(dst, SimTime::from_nanos(*delay / 2 + 1), 1);
+            for &(delay, peer, op) in &steps {
+                ctx.advance(SimTime::from_nanos(delay));
+                let dst = Pid(peer % n);
+                ctx.send(dst, SimTime::from_nanos(delay / 2 + 1), 1);
+                sent.fetch_add(1, Ordering::Relaxed);
+                match op {
+                    0 | 1 => ctx.yield_now(),
+                    2 if dst != ctx.pid() => {
+                        ctx.kill(dst);
+                        // The killer's own resume is the very next event.
+                        ctx.yield_now();
+                    }
+                    3 => {
+                        let sent = Arc::clone(&sent);
+                        ctx.spawn("child", move |cctx| {
+                            cctx.yield_now();
+                            cctx.send(dst, SimTime::from_nanos(delay), 1);
+                            sent.fetch_add(1, Ordering::Relaxed);
+                            cctx.advance(SimTime::from_nanos(delay / 3));
+                        });
+                    }
+                    _ => {}
+                }
             }
             // Drain whatever already arrived, then exit; remaining messages
             // become dead letters, which we account for below.
@@ -55,12 +76,20 @@ fn run_workload(w: &Workload) -> (Vec<TraceRecord>, Vec<u64>, u64) {
         });
     }
     let stats = sim.run();
+    assert_eq!(stats.reason, StopReason::Completed);
     let received: u64 = counts.lock().iter().sum();
     let accounted = received + stats.dead_letters;
-    assert_eq!(
-        accounted, total_sent,
-        "every sent token is either received or a dead letter"
-    );
+    let total_sent = sent.load(Ordering::Relaxed);
+    if stats.kills == 0 {
+        assert_eq!(
+            accounted, total_sent,
+            "every sent token is either received or a dead letter"
+        );
+    } else {
+        // A kill discards the victim's mailbox: those tokens are in neither
+        // bucket, but none may be counted twice.
+        assert!(accounted <= total_sent, "{accounted} > {total_sent}");
+    }
     let final_counts = counts.lock().clone();
     (
         stats.trace.expect("tracing enabled"),

@@ -105,12 +105,28 @@ fn easgd_trains_and_drifts() {
 
 #[test]
 fn gossip_trains() {
-    // Gossip arrival under heavy host load is genuinely racy; accept the
-    // best of three runs before judging.
-    let best = (0..3)
-        .map(|_| run_strategy(Strategy::Gossip { p: 0.5 }, 4, 10).final_accuracy)
-        .fold(0.0f32, f32::max);
-    assert!(best > 0.3, "GoSGD accuracy {best}");
+    // Which shares reach a replica before its last step is up to the host
+    // scheduler (on a loaded 2-vCPU host a worker can run its whole shard in
+    // one time slice, and shares sent to a finished worker are dropped), so
+    // GoSGD's accuracy after ten epochs is a distribution — 0.23–0.37 over
+    // 400 runs with six CPU burners alongside, loss 1.8–2.3. No floor
+    // inside that range holds for every interleaving; "it learned" does:
+    // the loss ends below the untrained model's (3.5) and accuracy clears
+    // twice chance (the untrained model scores 0.05).
+    let (_, test) = data();
+    let (x, y) = test.as_batch();
+    let (untrained_loss, _) = default_mlp(10, 7).eval_batch(x, &y);
+    let r = run_strategy(Strategy::Gossip { p: 0.5 }, 4, 10);
+    assert!(
+        r.final_loss < untrained_loss,
+        "GoSGD loss {} vs untrained {untrained_loss}",
+        r.final_loss
+    );
+    assert!(
+        r.final_accuracy >= 0.2,
+        "GoSGD accuracy {}",
+        r.final_accuracy
+    );
 }
 
 #[test]

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Regenerate every table and figure of the paper, plus the extension
-# studies, writing CSVs to results/. Takes ~25 minutes on a modern laptop;
-# add --quick after -- for a smoke-scale pass (~2 minutes).
+# studies, writing CSVs to results/. Takes ~9 minutes on a 2-vCPU cloud VM
+# (unpinned; it was 19.6 minutes there before the desim kernel stopped
+# routing every resume through a scheduler thread, with byte-identical
+# CSVs); add --quick after -- for a smoke-scale pass (~10 seconds).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 cargo build --release --workspace
