@@ -30,7 +30,7 @@
 //! expects of a dead peer, and what keeps test machines free of orphaned
 //! trainers.
 
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufReader, Write};
 use std::net::{Shutdown, TcpStream};
 use std::time::{Duration, Instant};
 
@@ -39,8 +39,8 @@ use dtrain_nn::{ParamSet, SgdMomentum};
 use dtrain_runtime::{BspOutcome, ExecBackend, PeerRequest, ReplyToken};
 use rand::rngs::SmallRng;
 
-use crate::codec::{write_frame, CodecError};
-use crate::proto::Msg;
+use crate::codec::{encode_frame, CodecError, Enc};
+use crate::proto::{scalar_and_set, t, Msg};
 
 /// Transport knobs for one worker's coordinator link.
 #[derive(Clone, Debug)]
@@ -87,15 +87,38 @@ fn connect_with_retry(
     Err(last_err.unwrap_or_else(|| std::io::Error::other("no connect attempts made")))
 }
 
+/// What [`ProcBackend::rpc`] sends: an owned [`Msg`], or a closure that
+/// writes the payload straight from tensors the caller only lent (see
+/// [`scalar_and_set`]). Either way it returns the message type.
+trait Request {
+    fn fill(self, e: &mut Enc) -> u8;
+}
+
+impl Request for Msg {
+    fn fill(self, e: &mut Enc) -> u8 {
+        self.encode_into(e)
+    }
+}
+
+impl<F: FnOnce(&mut Enc) -> u8> Request for F {
+    fn fill(self, e: &mut Enc) -> u8 {
+        self(e)
+    }
+}
+
 /// The process-path execution backend: one per worker process.
 pub struct ProcBackend {
     addr: String,
-    /// Kept alongside the buffered halves so recovery can `shutdown` the
-    /// old socket — the coordinator's handler then observes the disconnect
-    /// immediately instead of at its read deadline.
+    /// The write half — every frame leaves in one unbuffered `write_all` —
+    /// and the handle recovery `shutdown`s, so the coordinator's handler
+    /// observes the disconnect immediately instead of at its read deadline.
     stream: TcpStream,
     reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
+    /// The connection's two reusable buffers: the request frame (kept
+    /// whole until its reply arrives — recovery resends exactly these
+    /// bytes) and the payload of the frame being read.
+    frame: Vec<u8>,
+    payload: Vec<u8>,
     w: usize,
     momentum: f32,
     weight_decay: f32,
@@ -137,7 +160,6 @@ impl ProcBackend {
         // is orphaned and must die rather than linger.
         stream.set_read_timeout(Some(Duration::from_secs(120))).ok();
         let reader = BufReader::new(stream.try_clone()?);
-        let writer = BufWriter::new(stream.try_clone()?);
         let chaos = link.chaos.is_active().then(|| {
             let rng = link.chaos.rng_for(w);
             (link.chaos, rng)
@@ -146,7 +168,8 @@ impl ProcBackend {
             addr: addr.to_string(),
             stream,
             reader,
-            writer,
+            frame: Vec::new(),
+            payload: Vec::new(),
             w,
             momentum,
             weight_decay,
@@ -164,8 +187,8 @@ impl ProcBackend {
         // The handshake is chaos-exempt: the interposer models link
         // adversity on an established session, and connect_with_retry
         // already covers spawn races.
-        Msg::Hello { worker: w as u32 }.write_to(&mut backend.writer, backend.seq)?;
-        match Msg::read_from(&mut backend.reader)? {
+        Msg::Hello { worker: w as u32 }.write_to(&mut backend.stream, backend.seq)?;
+        match Msg::read_from(&mut backend.reader, &mut backend.payload)? {
             (
                 _,
                 Msg::HelloAck {
@@ -211,18 +234,19 @@ impl ProcBackend {
         }
     }
 
-    fn rpc(&mut self, msg: Msg) -> Result<Msg, CodecError> {
-        let (ty, payload) = msg.encode();
+    fn rpc(&mut self, req: impl Request) -> Result<Msg, CodecError> {
         self.seq += 1;
         let seq = self.seq;
-        let sent = matches!(self.send_with_chaos(ty, seq, &payload), Ok(true));
-        if sent {
-            // A read error falls through to recovery.
-            if let Ok(m) = self.read_reply(seq) {
-                return Ok(m);
-            }
-        }
-        self.recover(ty, seq, &payload)
+        let mut frame = std::mem::take(&mut self.frame);
+        encode_frame(&mut frame, seq, |e| req.fill(e));
+        let sent = matches!(self.send_with_chaos(&frame), Ok(true));
+        // A read error falls through to recovery.
+        let reply = match sent.then(|| self.read_reply(seq)) {
+            Some(Ok(m)) => Ok(m),
+            _ => self.recover(&frame, seq),
+        };
+        self.frame = frame;
+        reply
     }
 
     /// Read frames until the reply for `seq` arrives, discarding stale
@@ -230,7 +254,7 @@ impl ProcBackend {
     /// cached replies the worker already consumed).
     fn read_reply(&mut self, seq: u32) -> Result<Msg, CodecError> {
         loop {
-            let (rseq, msg) = Msg::read_from(&mut self.reader)?;
+            let (rseq, msg) = Msg::read_from(&mut self.reader, &mut self.payload)?;
             if rseq == seq {
                 return Ok(msg);
             }
@@ -241,26 +265,26 @@ impl ProcBackend {
     /// means a frame (possibly damaged) went out and a reply may come;
     /// `Ok(false)` means the frame is gone (dropped or link severed) and
     /// the caller must recover.
-    fn send_with_chaos(&mut self, ty: u8, seq: u32, payload: &[u8]) -> Result<bool, CodecError> {
+    fn send_with_chaos(&mut self, frame: &[u8]) -> Result<bool, CodecError> {
         self.frame_idx += 1;
         let frame_idx = self.frame_idx;
         let Some((spec, rng)) = self.chaos.as_mut() else {
-            write_frame(&mut self.writer, ty, seq, payload)?;
+            self.stream.write_all(frame)?;
             return Ok(true);
         };
         match spec.draw(rng, frame_idx) {
             ChaosAction::Pass => {
-                write_frame(&mut self.writer, ty, seq, payload)?;
+                self.stream.write_all(frame)?;
                 Ok(true)
             }
             ChaosAction::DelayMs(ms) => {
                 std::thread::sleep(Duration::from_millis(ms as u64));
-                write_frame(&mut self.writer, ty, seq, payload)?;
+                self.stream.write_all(frame)?;
                 Ok(true)
             }
             ChaosAction::Duplicate => {
-                write_frame(&mut self.writer, ty, seq, payload)?;
-                write_frame(&mut self.writer, ty, seq, payload)?;
+                self.stream.write_all(frame)?;
+                self.stream.write_all(frame)?;
                 Ok(true)
             }
             ChaosAction::Drop => Ok(false),
@@ -270,13 +294,11 @@ impl ProcBackend {
                 // confined to the seq/payload/crc region — corrupting the
                 // length prefix could stall both ends on a short read
                 // instead of failing fast.
-                let mut buf = Vec::with_capacity(payload.len() + 14);
-                write_frame(&mut buf, ty, seq, payload)?;
-                let region_bits = (buf.len() - 6) * 8;
+                let mut damaged = frame.to_vec();
+                let region_bits = (damaged.len() - 6) * 8;
                 let b = 6 * 8 + (bit as usize % region_bits);
-                buf[b / 8] ^= 1 << (b % 8);
-                self.writer.write_all(&buf)?;
-                self.writer.flush()?;
+                damaged[b / 8] ^= 1 << (b % 8);
+                self.stream.write_all(&damaged)?;
                 Ok(true)
             }
             ChaosAction::Sever => {
@@ -289,7 +311,7 @@ impl ProcBackend {
     /// Reconnect-with-resume: bounded exponential backoff inside the
     /// reconnect window. Returns the awaited reply, or the error that ends
     /// this process once the window expires.
-    fn recover(&mut self, ty: u8, seq: u32, payload: &[u8]) -> Result<Msg, CodecError> {
+    fn recover(&mut self, frame: &[u8], seq: u32) -> Result<Msg, CodecError> {
         // Tear the old socket down so the coordinator's handler observes
         // the disconnect now and starts its eviction window.
         let _ = self.stream.shutdown(Shutdown::Both);
@@ -299,7 +321,7 @@ impl ProcBackend {
         loop {
             attempt += 1;
             if !self.severed {
-                if let Ok(Some(msg)) = self.try_resume(ty, seq, payload, attempt) {
+                if let Ok(Some(msg)) = self.try_resume(frame, seq, attempt) {
                     return Ok(msg);
                 }
             }
@@ -321,31 +343,29 @@ impl ProcBackend {
     /// again".
     fn try_resume(
         &mut self,
-        ty: u8,
+        frame: &[u8],
         seq: u32,
-        payload: &[u8],
         attempt: u32,
     ) -> Result<Option<Msg>, CodecError> {
         let stream = TcpStream::connect(&self.addr)?;
         stream.set_nodelay(true).ok();
         stream.set_read_timeout(Some(Duration::from_secs(120))).ok();
         self.reader = BufReader::new(stream.try_clone()?);
-        self.writer = BufWriter::new(stream.try_clone()?);
         self.stream = stream;
         Msg::Resume {
             worker: self.w as u32,
             last_seq: seq,
             attempt,
         }
-        .write_to(&mut self.writer, seq)?;
+        .write_to(&mut self.stream, seq)?;
         loop {
-            let (rseq, msg) = Msg::read_from(&mut self.reader)?;
+            let (rseq, msg) = Msg::read_from(&mut self.reader, &mut self.payload)?;
             match msg {
                 Msg::ResumeAck => {
                     // The request never arrived: resend it — back through
                     // the chaos interposer, a retransmit can be damaged
                     // too.
-                    match self.send_with_chaos(ty, seq, payload) {
+                    match self.send_with_chaos(frame) {
                         Ok(true) => {}
                         Ok(false) | Err(_) => return Ok(None),
                     }
@@ -357,22 +377,22 @@ impl ProcBackend {
     }
 
     /// RPC that must succeed: a worker with a dead coordinator link exits.
-    fn must(&mut self, msg: Msg) -> Msg {
-        match self.rpc(msg) {
+    fn must(&mut self, req: impl Request) -> Msg {
+        match self.rpc(req) {
             Ok(m) => m,
             Err(e) => panic!("worker {}: coordinator RPC failed: {e}", self.w),
         }
     }
 
-    fn expect_ok(&mut self, msg: Msg) {
-        match self.must(msg) {
+    fn expect_ok(&mut self, req: impl Request) {
+        match self.must(req) {
             Msg::Ok => {}
             other => panic!("worker {}: expected Ok, got {other:?}", self.w),
         }
     }
 
-    fn expect_params(&mut self, msg: Msg) -> ParamSet {
-        match self.must(msg) {
+    fn expect_params(&mut self, req: impl Request) -> ParamSet {
+        match self.must(req) {
             Msg::Params { params } => params,
             other => panic!("worker {}: expected Params, got {other:?}", self.w),
         }
@@ -434,24 +454,15 @@ impl ExecBackend for ProcBackend {
     }
 
     fn ps_push_pull(&mut self, grad: &ParamSet, lr: f32) -> ParamSet {
-        self.expect_params(Msg::AspPushPull {
-            grad: grad.clone(),
-            lr,
-        })
+        self.expect_params(|e: &mut Enc| scalar_and_set(e, t::ASP_PUSH_PULL, lr, grad))
     }
 
     fn ps_push(&mut self, grad: &ParamSet, lr: f32) {
-        self.expect_ok(Msg::SspPush {
-            grad: grad.clone(),
-            lr,
-        });
+        self.expect_ok(|e: &mut Enc| scalar_and_set(e, t::SSP_PUSH, lr, grad));
     }
 
     fn ps_elastic_exchange(&mut self, params: &ParamSet, alpha: f32) -> ParamSet {
-        self.expect_params(Msg::EasgdExchange {
-            params: params.clone(),
-            alpha,
-        })
+        self.expect_params(|e: &mut Enc| scalar_and_set(e, t::EASGD_EXCHANGE, alpha, params))
     }
 
     fn bump_clock(&mut self, clock: u64) {

@@ -72,7 +72,10 @@ fn main() {
         .complete(
             outcome.iterations,
             outcome.logical_bytes,
-            outcome.busy.as_millis() as u64,
+            // Rounded up: a healthy rank's local work over a short run can
+            // total under a millisecond, and a `busy_ms` of 0 would read as
+            // an idle cohort (straggle ratio 1.0) to the adaptive controller.
+            outcome.busy.as_micros().div_ceil(1000) as u64,
             outcome.params,
         )
         .unwrap_or_else(|e| die(&format!("worker {worker}: completion report failed: {e}")));

@@ -25,6 +25,10 @@
 //! (`logical.bytes` equality with the sim and threaded paths) depend on
 //! that.
 //!
+//! Both transports build a frame in one buffer ([`encode_frame`]), hand
+//! the socket that buffer in one `write_all`, and read through one
+//! reusable payload buffer ([`read_frame_into`]).
+//!
 //! Every decode failure is an [`Err`], never a panic: the coordinator must
 //! treat a garbled peer as a dead peer, not die with it.
 
@@ -90,9 +94,16 @@ impl From<io::Error> for CodecError {
     }
 }
 
-/// IEEE CRC-32 lookup table (polynomial `0xEDB88320`, reflected).
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// Bytes folded per step of the strided CRC loop, and the number of
+/// lookup tables that takes.
+const CRC_STRIDE: usize = 16;
+
+/// IEEE CRC-32 slicing tables (polynomial `0xEDB88320`, reflected).
+/// `CRC_TABLES[0]` is the classic byte-at-a-time table; `CRC_TABLES[k][b]`
+/// is the sum of byte `b` followed by `k` zero bytes, which is what lets
+/// one step fold [`CRC_STRIDE`] input bytes with independent lookups.
+const CRC_TABLES: [[u32; 256]; CRC_STRIDE] = {
+    let mut tables = [[0u32; 256]; CRC_STRIDE];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -105,52 +116,118 @@ const CRC_TABLE: [u32; 256] = {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < CRC_STRIDE {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
-/// IEEE CRC-32 over the concatenation of `chunks` (table-driven, no
-/// external crates). Chunked so frame headers and payloads can be summed
-/// without copying them into one buffer.
-pub fn crc32(chunks: &[&[u8]]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for chunk in chunks {
-        for &b in *chunk {
-            c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-        }
+/// Advance the (pre-inverted) CRC state `c` over `bytes`: 16 bytes per
+/// step while they last, then the tail a byte at a time.
+fn crc32_update(mut c: u32, bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut strides = bytes.chunks_exact(CRC_STRIDE);
+    for s in &mut strides {
+        let w = |i: usize| u32::from_le_bytes([s[i], s[i + 1], s[i + 2], s[i + 3]]);
+        let (a, b, d, e) = (w(0) ^ c, w(4), w(8), w(12));
+        c = t[15][(a & 0xFF) as usize]
+            ^ t[14][((a >> 8) & 0xFF) as usize]
+            ^ t[13][((a >> 16) & 0xFF) as usize]
+            ^ t[12][(a >> 24) as usize]
+            ^ t[11][(b & 0xFF) as usize]
+            ^ t[10][((b >> 8) & 0xFF) as usize]
+            ^ t[9][((b >> 16) & 0xFF) as usize]
+            ^ t[8][(b >> 24) as usize]
+            ^ t[7][(d & 0xFF) as usize]
+            ^ t[6][((d >> 8) & 0xFF) as usize]
+            ^ t[5][((d >> 16) & 0xFF) as usize]
+            ^ t[4][(d >> 24) as usize]
+            ^ t[3][(e & 0xFF) as usize]
+            ^ t[2][((e >> 8) & 0xFF) as usize]
+            ^ t[1][((e >> 16) & 0xFF) as usize]
+            ^ t[0][(e >> 24) as usize];
     }
-    !c
+    for &b in strides.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    }
+    c
 }
 
-/// Write one frame: header + payload + CRC trailer, then flush.
+/// IEEE CRC-32 over the concatenation of `chunks` (slicing-by-16 from
+/// `const` tables, no external crates). Chunked so a frame header and its
+/// payload can be summed without copying them into one buffer; how the
+/// bytes are split across chunks never changes the sum.
+pub fn crc32(chunks: &[&[u8]]) -> u32 {
+    !chunks
+        .iter()
+        .fold(0xFFFF_FFFF, |c, chunk| crc32_update(c, chunk))
+}
+
+/// Frame bytes ahead of the payload: version, type, len, seq.
+const HEADER_LEN: usize = 10;
+/// Frame bytes after it: the CRC.
+const TRAILER_LEN: usize = 4;
+
+/// Build one complete frame in `frame` — header, the payload `fill` writes
+/// (it returns the message type, and so does this), CRC trailer — so the
+/// caller can hand the transport a single buffer in a single write.
+/// `frame` is cleared first and its capacity reused: a connection that
+/// keeps one around allocates nothing per frame.
+pub fn encode_frame(frame: &mut Vec<u8>, seq: u32, fill: impl FnOnce(&mut Enc) -> u8) -> u8 {
+    frame.clear();
+    frame.resize(HEADER_LEN, 0);
+    let mut enc = Enc {
+        buf: std::mem::take(frame),
+    };
+    let msg_type = fill(&mut enc);
+    *frame = enc.buf;
+    let len = frame.len() - HEADER_LEN;
+    debug_assert!(len as u64 <= MAX_PAYLOAD as u64);
+    frame[0] = PROTO_VERSION;
+    frame[1] = msg_type;
+    frame[2..6].copy_from_slice(&(len as u32).to_le_bytes());
+    frame[6..HEADER_LEN].copy_from_slice(&seq.to_le_bytes());
+    let crc = crc32(&[&frame[1..]]);
+    frame.extend_from_slice(&crc.to_le_bytes());
+    msg_type
+}
+
+/// Write one frame around an already-encoded payload: assembled in one
+/// buffer, written with one `write_all`, then flushed.
 pub fn write_frame<W: Write>(
     w: &mut W,
     msg_type: u8,
     seq: u32,
     payload: &[u8],
 ) -> Result<(), CodecError> {
-    debug_assert!(payload.len() as u64 <= MAX_PAYLOAD as u64);
-    let mut header = [0u8; 10];
-    header[0] = PROTO_VERSION;
-    header[1] = msg_type;
-    header[2..6].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    header[6..10].copy_from_slice(&seq.to_le_bytes());
-    let crc = crc32(&[&header[1..10], payload]);
-    w.write_all(&header)?;
-    w.write_all(payload)?;
-    w.write_all(&crc.to_le_bytes())?;
+    let mut frame = Vec::with_capacity(HEADER_LEN + payload.len() + TRAILER_LEN);
+    encode_frame(&mut frame, seq, |e| {
+        e.buf.extend_from_slice(payload);
+        msg_type
+    });
+    w.write_all(&frame)?;
     w.flush()?;
     Ok(())
 }
 
-/// Read one frame; returns `(type, seq, payload)`. The length cap is
-/// checked before the payload (or even the seq) is read, so a hostile
-/// length prefix can neither allocate nor stall.
-pub fn read_frame<R: Read>(r: &mut R) -> Result<(u8, u32, Vec<u8>), CodecError> {
-    let mut header = [0u8; 6];
-    r.read_exact(&mut header)?;
+/// Read one frame's payload into `payload` (cleared first, capacity
+/// reused); returns `(type, seq)`. The length cap is checked before the
+/// payload (or even the seq) is read, and the buffer grows with the bytes
+/// that actually arrive, never with the length the prefix claims — so a
+/// hostile length prefix can neither allocate nor stall.
+pub fn read_frame_into<R: Read>(r: &mut R, payload: &mut Vec<u8>) -> Result<(u8, u32), CodecError> {
+    let mut header = [0u8; HEADER_LEN];
+    r.read_exact(&mut header[..6])?;
     if header[0] != PROTO_VERSION {
         return Err(CodecError::BadVersion(header[0]));
     }
@@ -158,19 +235,29 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<(u8, u32, Vec<u8>), CodecError> 
     if len > MAX_PAYLOAD {
         return Err(CodecError::Oversized(len));
     }
-    let mut seq_bytes = [0u8; 4];
-    r.read_exact(&mut seq_bytes)?;
-    let seq = u32::from_le_bytes(seq_bytes);
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
-    let mut crc_bytes = [0u8; 4];
-    r.read_exact(&mut crc_bytes)?;
-    let found = u32::from_le_bytes(crc_bytes);
-    let expected = crc32(&[&header[1..6], &seq_bytes, &payload]);
+    r.read_exact(&mut header[6..])?;
+    let seq = u32::from_le_bytes([header[6], header[7], header[8], header[9]]);
+    let len = len as usize;
+    let want = len + TRAILER_LEN;
+    payload.clear();
+    let got = r.by_ref().take(want as u64).read_to_end(payload)?;
+    if got < want {
+        return Err(io::Error::from(io::ErrorKind::UnexpectedEof).into());
+    }
+    let found = Dec::new(&payload[len..]).u32()?;
+    payload.truncate(len);
+    let expected = crc32(&[&header[1..], payload]);
     if found != expected {
         return Err(CodecError::BadCrc { expected, found });
     }
-    Ok((header[1], seq, payload))
+    Ok((header[1], seq))
+}
+
+/// [`read_frame_into`] a fresh buffer; returns `(type, seq, payload)`.
+pub fn read_frame<R: Read>(r: &mut R) -> Result<(u8, u32, Vec<u8>), CodecError> {
+    let mut payload = Vec::new();
+    let (msg_type, seq) = read_frame_into(r, &mut payload)?;
+    Ok((msg_type, seq, payload))
 }
 
 /// Payload writer: appends primitives to a byte buffer.
@@ -209,8 +296,15 @@ impl Enc {
     }
 
     /// Parameter/gradient set: `u32 ntensors`, then per tensor
-    /// `u8 rank, rank x u32 dims, product x f32 data`.
+    /// `u8 rank, rank x u32 dims, product x f32 data`. The whole set (and
+    /// a frame trailer) is reserved once and each tensor's floats move as
+    /// one block.
     pub fn params(&mut self, p: &ParamSet) -> &mut Self {
+        let bytes: usize =
+            p.0.iter()
+                .map(|t| 1 + 4 * (t.shape().len() + t.data().len()))
+                .sum();
+        self.buf.reserve(4 + bytes + TRAILER_LEN);
         self.u32(p.0.len() as u32);
         for t in &p.0 {
             let shape = t.shape();
@@ -218,8 +312,11 @@ impl Enc {
             for &d in shape {
                 self.u32(d as u32);
             }
-            for &v in t.data() {
-                self.f32(v);
+            let data = t.data();
+            let at = self.buf.len();
+            self.buf.resize(at + 4 * data.len(), 0);
+            for (dst, v) in self.buf[at..].chunks_exact_mut(4).zip(data) {
+                dst.copy_from_slice(&v.to_le_bytes());
             }
         }
         self
@@ -312,13 +409,15 @@ impl<'a> Dec<'a> {
                     .ok_or(CodecError::Malformed("dim overflow"))?;
                 shape.push(d);
             }
-            if len > self.buf.len().saturating_sub(self.pos) / 4 + 1 {
-                return Err(CodecError::Malformed("tensor data exceeds payload"));
-            }
-            let mut data = Vec::with_capacity(len);
-            for _ in 0..len {
-                data.push(self.f32()?);
-            }
+            let nbytes = len
+                .checked_mul(4)
+                .ok_or(CodecError::Malformed("dim overflow"))?;
+            // `take` is the one (exact) bounds check for the whole block.
+            let data = self
+                .take(nbytes)?
+                .chunks_exact(4)
+                .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+                .collect();
             tensors.push(Tensor::from_vec(&shape, data));
         }
         Ok(ParamSet(tensors))
@@ -329,6 +428,42 @@ impl<'a> Dec<'a> {
             0 => Ok(None),
             1 => Ok(Some(self.params()?)),
             _ => Err(CodecError::Malformed("bad presence flag")),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The byte-at-a-time table loop `crc32` used to be: the oracle.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        !bytes.iter().fold(0xFFFF_FFFFu32, |c, &b| {
+            CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8)
+        })
+    }
+
+    /// Frame-sized buffers (the proptest in `tests/codec_frames.rs` covers
+    /// short chunk lists against a table-free oracle): lengths on, just
+    /// under and just over stride multiples, summed whole and as
+    /// header-plus-payload.
+    #[test]
+    fn strided_crc_matches_bytewise_on_frame_sized_buffers() {
+        let bytes: Vec<u8> = (0..70_001u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8)
+            .collect();
+        for len in [
+            0, 1, 9, 15, 16, 17, 31, 32, 33, 18_431, 18_432, 18_441, 70_001,
+        ] {
+            let buf = &bytes[..len];
+            let want = crc32_bytewise(buf);
+            assert_eq!(crc32(&[buf]), want, "len {len}");
+            let cut = len.min(9);
+            assert_eq!(
+                crc32(&[&buf[..cut], &buf[cut..]]),
+                want,
+                "len {len} as 9 + rest"
+            );
         }
     }
 }

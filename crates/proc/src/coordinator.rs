@@ -45,7 +45,7 @@
 //! the observed evict/rejoin events — the same round-indexed view the
 //! simulator and threaded paths consult, here fed by real process deaths.
 
-use std::io::{BufReader, BufWriter};
+use std::io::{BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -60,7 +60,7 @@ use dtrain_obs::{names, ObsSink, Track, TrackHandle};
 use dtrain_runtime::hub::{final_cohort, Hub, PeerItem, Reply, Seat};
 use parking_lot::{Condvar, Mutex};
 
-use crate::codec::{write_frame, CodecError};
+use crate::codec::{encode_frame, CodecError};
 use crate::config::{encode_worker_cfg, worker_exe, ProcConfig};
 use crate::proto::Msg;
 use crate::session::{Inbound, ResumeDecision, Session};
@@ -170,11 +170,17 @@ struct PauseState {
     released: bool,
 }
 
+/// A reply as the session caches it: the whole sealed frame (it carries
+/// the request's seq, which a replay echoes again), shared between the
+/// cache and the handler writing it — cached without a copy, replayed in
+/// one write with no second checksum.
+type ReplyFrame = Arc<Vec<u8>>;
+
 /// One rank's transport session plus the disconnect clock that decides
 /// when link trouble hardens into an eviction.
 #[derive(Default)]
 struct SessionSlot {
-    s: Session,
+    s: Session<ReplyFrame>,
     /// Set when the rank's connection dropped without a completed outcome;
     /// cleared by a successful Hello/Resume or by the eviction itself.
     disconnected_at: Option<Instant>,
@@ -549,15 +555,10 @@ fn handshake_hello(coord: &Arc<Coord>, w: usize, seq: u32, stream: TcpStream) {
         start_round,
         params: coord.hub.ps().snapshot(),
     };
-    let mut writer = BufWriter::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    });
-    if ack.write_to(&mut writer, seq).is_err() {
+    if ack.write_to(&mut &stream, seq).is_err() {
         coord.note_disconnect(w, generation);
         return;
     }
-    drop(writer);
     serve_connection(coord, w, stream, generation);
 }
 
@@ -594,17 +595,11 @@ fn handshake_resume(
     };
     coord.retries.fetch_add(1, Ordering::Relaxed);
     markers::retry(&coord.obs_rt, coord.ns(), attempt);
-    let mut writer = BufWriter::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    });
     let served = match decision {
         // Never saw `last_seq`: ask the worker to resend it.
-        ResumeDecision::RequestResend => Msg::ResumeAck.write_to(&mut writer, seq).is_ok(),
+        ResumeDecision::RequestResend => Msg::ResumeAck.write_to(&mut &stream, seq).is_ok(),
         // Saw it and finished it: replay the cached reply verbatim.
-        ResumeDecision::ResendCached(ty, payload) => {
-            write_frame(&mut writer, ty, last_seq, &payload).is_ok()
-        }
+        ResumeDecision::ResendCached(_, frame) => (&stream).write_all(&frame).is_ok(),
         // Saw it, but its dispatch still runs on the stale handler
         // (parked in a barrier or mailbox wait). Wait for that handler
         // to cache its reply, then replay it here.
@@ -615,8 +610,8 @@ fn handshake_resume(
                 if sess[w].s.generation != generation {
                     break None; // superseded by yet another resume
                 }
-                if let Some((ty, payload)) = sess[w].s.cached.clone() {
-                    break Some((ty, payload));
+                if let Some((_, frame)) = &sess[w].s.cached {
+                    break Some(Arc::clone(frame));
                 }
                 if coord.stop.load(Ordering::Relaxed) || Instant::now() >= deadline {
                     break None;
@@ -625,10 +620,7 @@ fn handshake_resume(
                     .session_cv
                     .wait_for(&mut sess, Duration::from_millis(20));
             };
-            match replay {
-                Some((ty, payload)) => write_frame(&mut writer, ty, last_seq, &payload).is_ok(),
-                None => false,
-            }
+            replay.is_some_and(|frame| (&stream).write_all(&frame).is_ok())
         }
         ResumeDecision::Refuse => unreachable!("refused above"),
     };
@@ -636,17 +628,18 @@ fn handshake_resume(
         coord.note_disconnect(w, generation);
         return;
     }
-    drop(writer);
     serve_connection(coord, w, stream, generation);
 }
 
 /// One worker connection's service loop: handshake already done; read a
 /// request, run it through the rank's session (dedup / replay), dispatch
 /// fresh requests, cache then write replies, until completion or a link
-/// error. Link errors start the reconnect clock via
+/// error. Requests are read through one reusable payload buffer; a reply is
+/// encoded once, straight into the frame the cache and the socket share,
+/// and leaves in one write. Link errors start the reconnect clock via
 /// [`Coord::note_disconnect`]; only protocol violations (a message type a
 /// worker must never send) still evict directly.
-fn serve_connection(coord: &Arc<Coord>, w: usize, stream: TcpStream, generation: u64) {
+fn serve_connection(coord: &Arc<Coord>, w: usize, mut stream: TcpStream, generation: u64) {
     let _ = stream.set_read_timeout(Some(coord.cfg.transfer_deadline));
     let _ = stream.set_nodelay(true);
     let mut reader = BufReader::new(match stream.try_clone() {
@@ -656,9 +649,9 @@ fn serve_connection(coord: &Arc<Coord>, w: usize, stream: TcpStream, generation:
             return;
         }
     });
-    let mut writer = BufWriter::new(stream);
+    let mut payload = Vec::new();
     loop {
-        let (seq, msg) = match Msg::read_from(&mut reader) {
+        let (seq, msg) = match Msg::read_from(&mut reader, &mut payload) {
             Ok(m) => m,
             Err(_) => {
                 // EOF, RST, read timeout, or a CRC-damaged frame: all link
@@ -671,8 +664,8 @@ fn serve_connection(coord: &Arc<Coord>, w: usize, stream: TcpStream, generation:
         // re-dispatching; stale frames are dropped on the floor.
         match coord.sessions.lock()[w].s.classify(seq) {
             Inbound::Fresh => {}
-            Inbound::Duplicate(Some((ty, payload))) => {
-                if write_frame(&mut writer, ty, seq, &payload).is_err() {
+            Inbound::Duplicate(Some((_, frame))) => {
+                if stream.write_all(&frame).is_err() {
                     coord.note_disconnect(w, generation);
                     return;
                 }
@@ -683,12 +676,23 @@ fn serve_connection(coord: &Arc<Coord>, w: usize, stream: TcpStream, generation:
             // its reply is coming): nothing to do for this copy.
             Inbound::Duplicate(None) | Inbound::Stale => continue,
         }
+        // This handler may now park in a barrier for most of a round: keep
+        // the capacity the frame needed (the next one is the same size),
+        // not the up-to-2x slack that growing it by doubling left — per
+        // parked connection that is a model's worth of nothing. The floor
+        // keeps a heartbeat from shrinking it under the next gradient.
+        payload.shrink_to(64 << 10);
         let finished = matches!(msg, Msg::RunComplete { .. });
         let Ok(reply) = coord.dispatch(w, msg) else {
             coord.record_death(w);
             return;
         };
-        let (rty, rpayload) = reply.encode();
+        let mut frame = Vec::new();
+        let rty = encode_frame(&mut frame, seq, |e| reply.encode_into(e));
+        let frame = Arc::new(frame);
+        // Encoded, the reply's parameter set is dead weight: free it before
+        // the write below blocks on a slow peer.
+        drop(reply);
         // Cache BEFORE writing: if the write (or the frame in flight) is
         // lost, the resumed connection replays from this cache. If a
         // resume superseded this socket while dispatch was parked, the
@@ -698,7 +702,7 @@ fn serve_connection(coord: &Arc<Coord>, w: usize, stream: TcpStream, generation:
             let mut sess = coord.sessions.lock();
             let slot = &mut sess[w];
             if slot.s.last_seq == seq {
-                slot.s.cache_reply(rty, rpayload.clone());
+                slot.s.cache_reply(rty, Arc::clone(&frame));
             }
             slot.s.generation != generation
         };
@@ -706,7 +710,7 @@ fn serve_connection(coord: &Arc<Coord>, w: usize, stream: TcpStream, generation:
         if stale {
             return;
         }
-        if write_frame(&mut writer, rty, seq, &rpayload).is_err() {
+        if stream.write_all(&frame).is_err() {
             coord.note_disconnect(w, generation);
             return;
         }
@@ -810,7 +814,7 @@ impl ProcRun {
                         Ok(s) => s,
                         Err(_) => return,
                     });
-                    match Msg::read_from(&mut reader) {
+                    match Msg::read_from(&mut reader, &mut Vec::new()) {
                         Ok((seq, Msg::Hello { worker })) => {
                             handshake_hello(&coord, worker as usize, seq, stream);
                         }

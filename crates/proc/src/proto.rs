@@ -18,7 +18,7 @@
 
 use dtrain_nn::ParamSet;
 
-use crate::codec::{read_frame, write_frame, CodecError, Dec, Enc};
+use crate::codec::{read_frame_into, write_frame, CodecError, Dec, Enc};
 
 /// Every frame that crosses a worker/coordinator connection.
 #[derive(Debug, Clone)]
@@ -141,8 +141,9 @@ pub enum Msg {
     RunComplete {
         iterations: u64,
         logical_bytes: u64,
-        /// Milliseconds the rank spent on local work (compute + backend
-        /// iteration hooks) — the adaptive controller's straggler signal.
+        /// Milliseconds (rounded up) the rank spent on local work (compute +
+        /// backend iteration hooks) — the adaptive controller's straggler
+        /// signal.
         busy_ms: u64,
         params: ParamSet,
     },
@@ -165,7 +166,7 @@ pub enum Msg {
 }
 
 // Message type discriminants (frame header byte 1).
-mod t {
+pub(crate) mod t {
     pub const HELLO: u8 = 1;
     pub const HELLO_ACK: u8 = 2;
     pub const HEARTBEAT: u8 = 3;
@@ -206,11 +207,26 @@ mod t {
     pub const RESUME_ACK: u8 = 38;
 }
 
+/// Payload of the parameter-server requests (`AspPushPull`, `SspPush`,
+/// `EasgdExchange`): a scalar, then a set. A function of its own so
+/// [`crate::ProcBackend`] can write it straight from the set its caller
+/// lent, instead of cloning that into an owned [`Msg`] first.
+pub(crate) fn scalar_and_set(e: &mut Enc, ty: u8, scalar: f32, set: &ParamSet) -> u8 {
+    e.f32(scalar).params(set);
+    ty
+}
+
 impl Msg {
     /// Serialize into `(type, payload)`.
     pub fn encode(&self) -> (u8, Vec<u8>) {
         let mut e = Enc::new();
-        let ty = match self {
+        let ty = self.encode_into(&mut e);
+        (ty, e.into_bytes())
+    }
+
+    /// Append the payload to `e`; returns the message type.
+    pub fn encode_into(&self, e: &mut Enc) -> u8 {
+        match self {
             Msg::Hello { worker } => {
                 e.u32(*worker);
                 t::HELLO
@@ -246,18 +262,11 @@ impl Msg {
                 e.params(params);
                 t::PARAMS
             }
-            Msg::AspPushPull { grad, lr } => {
-                e.f32(*lr).params(grad);
-                t::ASP_PUSH_PULL
-            }
-            Msg::SspPush { grad, lr } => {
-                e.f32(*lr).params(grad);
-                t::SSP_PUSH
-            }
+            Msg::AspPushPull { grad, lr } => scalar_and_set(e, t::ASP_PUSH_PULL, *lr, grad),
+            Msg::SspPush { grad, lr } => scalar_and_set(e, t::SSP_PUSH, *lr, grad),
             Msg::Ok => t::OK,
             Msg::EasgdExchange { params, alpha } => {
-                e.f32(*alpha).params(params);
-                t::EASGD_EXCHANGE
+                scalar_and_set(e, t::EASGD_EXCHANGE, *alpha, params)
             }
             Msg::BumpClock { clock } => {
                 e.u64(*clock);
@@ -376,8 +385,7 @@ impl Msg {
                 t::RESUME
             }
             Msg::ResumeAck => t::RESUME_ACK,
-        };
-        (ty, e.into_bytes())
+        }
     }
 
     /// Deserialize from `(type, payload)`.
@@ -511,15 +519,20 @@ impl Msg {
 
     /// Write this message as one frame carrying sequence number `seq`
     /// (requests: the worker's monotone counter; replies: the request's
-    /// seq, echoed).
+    /// seq, echoed). For handshakes and recovery; the per-round paths encode
+    /// straight into a frame buffer ([`crate::codec::encode_frame`]).
     pub fn write_to<W: std::io::Write>(&self, w: &mut W, seq: u32) -> Result<(), CodecError> {
         let (ty, payload) = self.encode();
         write_frame(w, ty, seq, &payload)
     }
 
-    /// Read one message from the stream; returns `(seq, msg)`.
-    pub fn read_from<R: std::io::Read>(r: &mut R) -> Result<(u32, Msg), CodecError> {
-        let (ty, seq, payload) = read_frame(r)?;
-        Ok((seq, Msg::decode(ty, &payload)?))
+    /// Read one message from the stream through `buf`, the connection's
+    /// reusable payload buffer; returns `(seq, msg)`.
+    pub fn read_from<R: std::io::Read>(
+        r: &mut R,
+        buf: &mut Vec<u8>,
+    ) -> Result<(u32, Msg), CodecError> {
+        let (ty, seq) = read_frame_into(r, buf)?;
+        Ok((seq, Msg::decode(ty, buf)?))
     }
 }

@@ -11,13 +11,17 @@
 //! the chaos layer duplicated long after its reply was consumed; drop it).
 //!
 //! Kept free of sockets, clocks and threads so the idempotency guarantees
-//! can be property-tested directly (see `tests/session_props.rs`).
+//! can be property-tested directly (see `tests/session_props.rs`). For the
+//! same reason it is generic over `R`, the bytes of a cached reply: the
+//! tests use plain `Vec<u8>` payloads; the coordinator caches
+//! `Arc<Vec<u8>>` — the whole sealed frame, shared with the handler that
+//! writes it, so neither caching nor replaying a reply copies it.
 
 /// One rank's session, owned by the coordinator across that rank's
 /// connections (the TCP connection may die and resume; the session does
 /// not).
 #[derive(Debug, Default)]
-pub struct Session {
+pub struct Session<R = Vec<u8>> {
     /// Bumped on every accepted connection (fresh or resumed); handler
     /// threads capture their generation at spawn so a stale thread that
     /// wakes up after a resume can tell its socket is no longer the
@@ -25,9 +29,9 @@ pub struct Session {
     pub generation: u64,
     /// Highest request seq accepted for dispatch.
     pub last_seq: u32,
-    /// Encoded reply `(type, payload)` for `last_seq`; `None` while that
+    /// Encoded reply `(type, bytes)` for `last_seq`; `None` while that
     /// request is still being dispatched.
-    pub cached: Option<(u8, Vec<u8>)>,
+    pub cached: Option<(u8, R)>,
     /// The rank's outstanding AD-PSGD exchange token. Session-scoped (not
     /// connection-scoped) so an `ExchangeAwait` issued after a reconnect
     /// still finds the token its `ExchangeRequest` registered.
@@ -38,14 +42,14 @@ pub struct Session {
 
 /// What to do with an inbound request frame.
 #[derive(Debug, PartialEq, Eq)]
-pub enum Inbound {
+pub enum Inbound<R = Vec<u8>> {
     /// New request: dispatch it (the session has recorded its seq and
     /// invalidated the previous cached reply).
     Fresh,
     /// Duplicate of the last request. `Some` carries the cached reply to
     /// resend; `None` means the original dispatch is still running on
     /// another (stale) handler thread — wait for it to cache, then resend.
-    Duplicate(Option<(u8, Vec<u8>)>),
+    Duplicate(Option<(u8, R)>),
     /// Older than the last dispatched request: its reply was already
     /// consumed, drop the frame silently.
     Stale,
@@ -53,11 +57,11 @@ pub enum Inbound {
 
 /// What to do with a [`crate::proto::Msg::Resume`].
 #[derive(Debug, PartialEq, Eq)]
-pub enum ResumeDecision {
+pub enum ResumeDecision<R = Vec<u8>> {
     /// The awaited request was never received: ask the worker to resend it.
     RequestResend,
     /// The awaited request was served; replay the cached reply.
-    ResendCached(u8, Vec<u8>),
+    ResendCached(u8, R),
     /// The awaited request is still being dispatched; wait until its reply
     /// is cached, then replay it.
     AwaitInFlight,
@@ -66,7 +70,7 @@ pub enum ResumeDecision {
     Refuse,
 }
 
-impl Session {
+impl<R: Clone> Session<R> {
     /// Accept a new connection for this session (fresh handshake or
     /// resume); returns the new generation.
     pub fn next_generation(&mut self) -> u64 {
@@ -84,7 +88,7 @@ impl Session {
 
     /// Classify an inbound request frame. `Fresh` records `seq` and
     /// clears the cache, so the caller *must* dispatch it.
-    pub fn classify(&mut self, seq: u32) -> Inbound {
+    pub fn classify(&mut self, seq: u32) -> Inbound<R> {
         if seq > self.last_seq {
             self.last_seq = seq;
             self.cached = None;
@@ -98,18 +102,18 @@ impl Session {
 
     /// Record the encoded reply for the request most recently accepted by
     /// [`Self::classify`].
-    pub fn cache_reply(&mut self, ty: u8, payload: Vec<u8>) {
-        self.cached = Some((ty, payload));
+    pub fn cache_reply(&mut self, ty: u8, reply: R) {
+        self.cached = Some((ty, reply));
     }
 
     /// Decide how to answer a resume that awaits `last_seq`.
-    pub fn on_resume(&mut self, last_seq: u32) -> ResumeDecision {
+    pub fn on_resume(&mut self, last_seq: u32) -> ResumeDecision<R> {
         self.resumes += 1;
         if last_seq > self.last_seq {
             ResumeDecision::RequestResend
         } else if last_seq == self.last_seq {
             match &self.cached {
-                Some((ty, payload)) => ResumeDecision::ResendCached(*ty, payload.clone()),
+                Some((ty, reply)) => ResumeDecision::ResendCached(*ty, reply.clone()),
                 None => ResumeDecision::AwaitInFlight,
             }
         } else {
@@ -124,7 +128,7 @@ mod tests {
 
     #[test]
     fn fresh_then_duplicate_then_stale() {
-        let mut s = Session::default();
+        let mut s = Session::<Vec<u8>>::default();
         assert_eq!(s.classify(1), Inbound::Fresh);
         // Duplicate before the reply exists: wait, don't re-dispatch.
         assert_eq!(s.classify(1), Inbound::Duplicate(None));
@@ -137,7 +141,7 @@ mod tests {
 
     #[test]
     fn resume_decisions_cover_the_three_link_failure_points() {
-        let mut s = Session::default();
+        let mut s = Session::<Vec<u8>>::default();
         // Request lost before arrival: coordinator never saw seq 1.
         assert_eq!(s.on_resume(1), ResumeDecision::RequestResend);
         // Request arrived, dispatch still running.
@@ -153,7 +157,7 @@ mod tests {
 
     #[test]
     fn reset_restarts_numbering_but_keeps_generation_monotone() {
-        let mut s = Session::default();
+        let mut s = Session::<Vec<u8>>::default();
         assert_eq!(s.next_generation(), 1);
         s.classify(5);
         s.cache_reply(3, vec![]);

@@ -1,19 +1,68 @@
 //! Wire-format tests: frame + payload round trips under arbitrary sizes,
-//! and malformed frames (truncated prefix, oversized length, bad version)
-//! that must come back as errors, never panics.
+//! malformed frames (truncated prefix, oversized length, bad version)
+//! that must come back as errors, never panics, the strided CRC against a
+//! bit-at-a-time oracle, and frames recorded with the PR 13 encoder that
+//! must keep decoding and re-encoding byte-identically.
 
-use std::io::Cursor;
+use std::io::{self, Cursor, Write};
 
 use dtrain_nn::ParamSet;
 use dtrain_proc::codec::{
-    read_frame, write_frame, CodecError, Dec, Enc, MAX_PAYLOAD, PROTO_VERSION,
+    crc32, encode_frame, read_frame, read_frame_into, write_frame, CodecError, Dec, Enc,
+    MAX_PAYLOAD, PROTO_VERSION,
 };
 use dtrain_proc::proto::Msg;
 use dtrain_tensor::Tensor;
 use proptest::prelude::*;
 
+/// The test oracle: IEEE CRC-32 one bit at a time, no tables.
+fn crc32_bitwise(bytes: &[u8]) -> u32 {
+    let mut c = 0xFFFF_FFFFu32;
+    for &b in bytes {
+        c ^= b as u32;
+        for _ in 0..8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+        }
+    }
+    !c
+}
+
+/// Counts `write` calls and accepts every byte offered.
+#[derive(Default)]
+struct CountingWriter {
+    writes: usize,
+    bytes: Vec<u8>,
+}
+
+impl Write for CountingWriter {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.writes += 1;
+        self.bytes.extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The strided CRC equals the bitwise oracle on any chunk list: chunk
+    /// lengths straddle the 16-byte stride, so state carries across chunk
+    /// boundaries in every phase of it.
+    #[test]
+    fn crc_fast_path_matches_bitwise_oracle(
+        chunks in prop::collection::vec(prop::collection::vec(0u8..=255, 0..70), 0..8),
+    ) {
+        let refs: Vec<&[u8]> = chunks.iter().map(Vec::as_slice).collect();
+        prop_assert_eq!(crc32(&refs), crc32_bitwise(&chunks.concat()));
+    }
 
     /// Any (type, seq, payload) round-trips through a frame byte-exactly.
     #[test]
@@ -95,6 +144,160 @@ proptest! {
             prop_assert!(res.is_err(), "truncated at {cut}/{} must error", buf.len());
         }
     }
+}
+
+#[test]
+fn crc_known_answers() {
+    assert_eq!(crc32(&[b"123456789"]), 0xCBF4_3926);
+    assert_eq!(crc32(&[]), 0);
+    assert_eq!(crc32(&[b"", b""]), 0);
+    assert_eq!(crc32(&[b"1234", b"", b"56789"]), 0xCBF4_3926);
+}
+
+/// Every way of cutting a buffer into three chunks gives the one sum, for
+/// every length 0..=96 — all tails of the 16-byte stride, at every offset.
+#[test]
+fn crc_is_independent_of_chunking() {
+    let bytes: Vec<u8> = (0..96u32).map(|i| (i * 37 + 11) as u8).collect();
+    for len in 0..=bytes.len() {
+        let buf = &bytes[..len];
+        let whole = crc32_bitwise(buf);
+        for i in 0..=len {
+            for j in i..=len {
+                assert_eq!(
+                    crc32(&[&buf[..i], &buf[i..j], &buf[j..]]),
+                    whole,
+                    "len {len} split at {i},{j}"
+                );
+            }
+        }
+    }
+}
+
+fn unhex(s: &str) -> Vec<u8> {
+    (0..s.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&s[i..i + 2], 16).expect("hex digit pair"))
+        .collect()
+}
+
+/// `fixtures/frames_v2_parent.hex` holds one `BspExchange` and one
+/// `BspResult` frame written by the PR 13 encoder (bytewise CRC, per-float
+/// codec, three-part `write_frame`). The wire format did not move: both
+/// still decode, and encoding what they decode to gives the recorded bytes.
+#[test]
+fn parent_recorded_frames_round_trip_byte_identically() {
+    assert_eq!(PROTO_VERSION, 2);
+    let fixture = include_str!("fixtures/frames_v2_parent.hex");
+    let mut seen = Vec::new();
+    for line in fixture.lines() {
+        let (name, hex) = line.split_once(' ').expect("`name hex` per line");
+        let recorded = unhex(hex);
+        let (ty, seq, payload) = read_frame(&mut recorded.as_slice()).expect("frame reads");
+        let msg = Msg::decode(ty, &payload).expect("payload decodes");
+        match (name, &msg) {
+            ("bsp_exchange", Msg::BspExchange { round: 7, grad, .. }) => {
+                // NaN payloads, -0.0 and subnormals arrive as recorded.
+                let bits: Vec<u32> = grad.0[0].data().iter().map(|v| v.to_bits()).collect();
+                assert_eq!(bits[..3], [0x7FC1_2345, 0xFFA0_0001, 0x8000_0000]);
+            }
+            (
+                "bsp_result",
+                Msg::BspResult {
+                    leader: true,
+                    arrived: 2,
+                    expected: 2,
+                    ..
+                },
+            ) => {}
+            other => panic!("unexpected fixture entry {other:?}"),
+        }
+        // Re-encode both ways: the public two-step, and in place in one
+        // frame buffer as the transports do.
+        let (rty, rpayload) = msg.encode();
+        assert_eq!((rty, &rpayload), (ty, &payload), "{name}: payload bytes");
+        let mut two_step = Vec::new();
+        write_frame(&mut two_step, rty, seq, &rpayload).expect("write");
+        assert_eq!(two_step, recorded, "{name}: write_frame bytes");
+        let mut in_place = vec![0xEE; 7]; // stale contents must not leak
+        assert_eq!(encode_frame(&mut in_place, seq, |e| msg.encode_into(e)), ty);
+        assert_eq!(in_place, recorded, "{name}: encode_frame bytes");
+        seen.push(name);
+    }
+    assert_eq!(seen, ["bsp_exchange", "bsp_result"]);
+}
+
+/// The bulk float path is a bit-for-bit move: no value is canonicalised.
+#[test]
+fn special_f32_bit_patterns_survive_params() {
+    let bits = [
+        0x7FC1_2345u32, // quiet NaN with payload
+        0x7F80_0001,    // signalling NaN
+        0xFFFF_FFFF,    // negative NaN, all payload bits
+        0x8000_0000,    // -0.0
+        0x0000_0001,    // smallest subnormal
+        0x807F_FFFF,    // largest negative subnormal
+        0x7F80_0000,    // +inf
+        0xFF80_0000,    // -inf
+        0x0000_0000,
+        0x3F80_0000,
+    ];
+    let p = ParamSet(vec![Tensor::from_vec(
+        &[2, 5],
+        bits.iter().map(|&b| f32::from_bits(b)).collect(),
+    )]);
+    let mut e = Enc::new();
+    e.params(&p);
+    let bytes = e.into_bytes();
+    let mut d = Dec::new(&bytes);
+    let back = d.params().expect("decode");
+    d.done().expect("fully consumed");
+    let got: Vec<u32> = back.0[0].data().iter().map(|v| v.to_bits()).collect();
+    assert_eq!(got, bits);
+}
+
+/// A frame is one buffer and one `write` — header, payload and trailer
+/// are not three segments on a `TCP_NODELAY` socket.
+#[test]
+fn a_frame_is_one_write() {
+    let grad = ParamSet(vec![Tensor::from_vec(&[4096], vec![0.25; 4096])]);
+    let msg = Msg::BspExchange {
+        round: 1,
+        lr: 0.1,
+        grad,
+    };
+    let (ty, payload) = msg.encode();
+    assert!(payload.len() >= 8 << 10);
+
+    let mut w = CountingWriter::default();
+    write_frame(&mut w, ty, 9, &payload).expect("write");
+    assert_eq!(w.writes, 1, "write_frame");
+    let framed = std::mem::take(&mut w.bytes);
+
+    let mut w = CountingWriter::default();
+    msg.write_to(&mut w, 9).expect("write");
+    assert_eq!(w.writes, 1, "Msg::write_to");
+    assert_eq!(w.bytes, framed);
+}
+
+/// A length prefix inside the cap but with nothing behind it is an I/O
+/// error, and the reader's buffer never grew towards the claimed length.
+#[test]
+fn hostile_length_prefix_then_eof_allocates_nothing_like_it() {
+    let mut buf = vec![PROTO_VERSION, 3];
+    buf.extend_from_slice(&MAX_PAYLOAD.to_le_bytes());
+    buf.extend_from_slice(&7u32.to_le_bytes()); // seq
+    buf.extend_from_slice(&[0xAA; 100]); // a sliver of "payload", then EOF
+    let mut payload = Vec::new();
+    match read_frame_into(&mut buf.as_slice(), &mut payload) {
+        Err(CodecError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof),
+        other => panic!("expected Io(UnexpectedEof), got {other:?}"),
+    }
+    assert!(
+        payload.capacity() < 4096,
+        "buffer grew to {} for a {MAX_PAYLOAD}-byte claim backed by 100 bytes",
+        payload.capacity()
+    );
 }
 
 #[test]
