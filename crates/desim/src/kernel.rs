@@ -1,67 +1,63 @@
 //! The simulation kernel: a process-oriented, deterministic discrete-event
 //! scheduler.
 //!
-//! Each simulated process is an OS thread running ordinary sequential Rust
-//! code against a [`Ctx`] handle. The kernel enforces that **exactly one
-//! process executes at any instant**, resuming processes strictly in virtual
-//! timestamp order (ties broken by event sequence number), so a run is fully
-//! deterministic regardless of host scheduling. This is the classic
-//! "coroutine DES" model (cf. SimPy) realized with parked threads, which lets
-//! model code — parameter servers, workers, NICs — be written as
+//! Each simulated process is ordinary sequential Rust code running against a
+//! [`Ctx`] handle on a stack of its own. The kernel enforces that **exactly
+//! one process executes at any instant**, resuming processes strictly in
+//! virtual timestamp order (ties broken by event sequence number), so a run
+//! is fully deterministic. This is the classic "coroutine DES" model (cf.
+//! SimPy): model code — parameter servers, workers, NICs — is written as
 //! straight-line loops with blocking `recv`, instead of hand-written state
-//! machines.
+//! machines. What a process stands on is a [`Fiber`]: a user-space context
+//! switched on the thread that called [`Simulation::run`] (`context.rs`), or,
+//! on targets that file has no switch for, a parked OS thread (`parked.rs`).
+//! Nothing in this file depends on which.
 //!
 //! ## Who dispatches
 //!
-//! There is no scheduler thread. The right to run — the *baton* — belongs to
-//! one thread at a time, and **whichever thread holds the baton dispatches
-//! the next event itself**. A process that parks in `advance` / `recv` /
-//! `recv_match` (or returns from its body) keeps the kernel lock it already
-//! holds, runs [`Shared::dispatch`] — the one pop loop: event order,
-//! `events_processed`, dead letters, trace and hook all live there — and then
+//! There is no scheduler. The right to run — the *baton* — belongs to one
+//! fiber at a time, and **whichever fiber holds the baton dispatches the next
+//! event itself**. A process that parks in `advance` / `recv` / `recv_match`
+//! (or returns from its body) keeps the kernel lock it already holds, runs
+//! [`Shared::dispatch`] — the one pop loop: event order, `events_processed`,
+//! dead letters, trace and hook all live there — and then
 //!
 //! * **continues**, when the event resumes the very process that parked (its
-//!   own `advance`, or a delivery it was waiting for): no thread is woken and
-//!   the lock is not even released;
-//! * **wakes the target process directly** and sleeps on its own [`Slot`]:
-//!   one thread switch per resume;
-//! * **hands back to the thread inside [`Simulation::run`]** in the rare
-//!   cases only it can settle: `dispatch` found nothing to resume (queue
-//!   empty — completion or deadlock — or a limit hit; `dispatch` does not
-//!   consume anything in that case, so `run` simply asks again and gets the
-//!   same answer), the `doomed` list is non-empty (kills are reaped — victim
-//!   unwound and joined — before the next event), or a process panicked.
-//!   `run` also does teardown, where every thread, finished or not, is joined.
+//!   own `advance`, or a delivery it was waiting for): no switch, and the
+//!   lock is not even released;
+//! * **switches to the target process directly**: one context switch per
+//!   resume ([`SimStats::handoffs`] counts them). An exiting process does the
+//!   same, as its last act;
+//! * **hands back to the code inside [`Simulation::run`]** in the rare cases
+//!   only it can settle: `dispatch` found nothing to resume (queue empty —
+//!   completion or deadlock — or a limit hit; `dispatch` does not consume
+//!   anything in that case, so `run` simply asks again and gets the same
+//!   answer), the `doomed` list is non-empty (kills are reaped — victim
+//!   unwound, its stack released — before the next event), or a process
+//!   panicked. `run` also does teardown, where every process still alive is
+//!   stopped: one that is parked unwinds through [`ShutdownToken`], one that
+//!   never started just has its body dropped.
 //!
 //! ## Why the kernel lock is never contended
 //!
-//! Only the baton holder touches [`Shared`]. A thread gives the baton away by
-//! releasing the lock *first* and waking the next thread *second*, and after
-//! that touches nothing but its own slot until it is woken again; `run`
-//! releases the lock before it wakes or joins anyone. So the mutex exists to
-//! satisfy `Send`/`Sync` and to publish the state to the next holder; each
-//! `Ctx` operation takes it once (plus once more after a real sleep).
+//! Only the baton holder touches [`Shared`], and it gives the baton away by
+//! releasing the lock *first* and switching *second*. So the mutex exists to
+//! satisfy `Send`/`Sync` (and, under `parked.rs`, to publish the state to the
+//! next thread); each `Ctx` operation takes it once, plus once more after a
+//! real switch. No guard is ever held across a switch.
 //!
-//! ## Why a wake-up cannot be lost
-//!
-//! A [`Slot`] is a flag under its own small mutex plus a condvar. `wake`
-//! stores the flag under that mutex and then notifies; `wait` sleeps only
-//! while the flag is empty, checked under the same mutex, and takes the flag
-//! when it leaves. A process can be resumed before it has reached its own
-//! `wait` (A wakes B, and B parks and dispatches A's resume while A is still
-//! on its way to sleep): the flag is already stored, so A's `wait` returns at
-//! once. And a flag is never overwritten: only the baton holder wakes
-//! anyone, it wakes exactly one thread and has then given the baton up, and
-//! the woken thread must take its flag to become the next holder.
+//! The switch itself — what is saved, the initial stack, why no panic leaves
+//! a process's stack, what a stack overflow looks like — is argued where the
+//! `unsafe` is: see "Safety of the switch" in `context.rs`.
 
 use std::any::Any;
 use std::collections::{BinaryHeap, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use parking_lot::{Mutex, MutexGuard};
 
+use crate::fiber::Fiber;
 use crate::time::SimTime;
 
 /// Identifier of a simulated process, assigned densely from zero in spawn
@@ -77,39 +73,13 @@ impl Pid {
     }
 }
 
-/// What a sleeping thread is told when it is woken.
-enum Go {
+/// What a suspended fiber is told when it is resumed.
+pub(crate) enum Go {
     /// The baton is yours: continue executing.
     Run,
     /// You were killed, or the simulation is shutting down: unwind out of
-    /// the process body. The waker keeps the baton and joins the thread.
+    /// the process body. Whoever stopped you keeps the baton.
     Stop,
-}
-
-/// One thread's wake-up slot (see the module docs for the lost-wakeup
-/// argument). Every process has one; so does the thread inside
-/// [`Simulation::run`].
-#[derive(Default)]
-struct Slot {
-    go: Mutex<Option<Go>>,
-    cv: Condvar,
-}
-
-impl Slot {
-    fn wake(&self, go: Go) {
-        *self.go.lock() = Some(go);
-        self.cv.notify_one();
-    }
-
-    fn wait(&self) -> Go {
-        let mut go = self.go.lock();
-        loop {
-            if let Some(go) = go.take() {
-                return go;
-            }
-            self.cv.wait(&mut go);
-        }
-    }
 }
 
 /// Kernel-visible state of one process.
@@ -119,7 +89,7 @@ enum ProcState {
     Holding,
     /// Parked inside `recv`, waiting for any delivery.
     WaitingRecv,
-    /// Currently running: its thread holds the baton.
+    /// Currently running: it holds the baton.
     Running,
     /// Process body has returned, or the process was killed.
     Finished,
@@ -168,7 +138,7 @@ pub struct TraceRecord {
 /// Observer invoked for every traced kernel event (see [`Shared::hook`]).
 type EventHook = Box<dyn FnMut(&TraceRecord) + Send>;
 
-/// The whole kernel state. Only the thread holding the baton touches it, so
+/// The whole kernel state. Only the fiber holding the baton touches it, so
 /// its mutex is never contended (module docs).
 struct Shared<M> {
     queue: BinaryHeap<Event<M>>,
@@ -179,7 +149,7 @@ struct Shared<M> {
     /// Messages sent to already-finished processes.
     dead_letters: u64,
     events_processed: u64,
-    /// Resumes that had to wake another thread.
+    /// Resumes that had to switch to another fiber.
     handoffs: u64,
     /// Processes killed via [`Ctx::kill`], awaiting teardown by `run`.
     doomed: VecDeque<Pid>,
@@ -187,18 +157,17 @@ struct Shared<M> {
     trace: Option<Vec<TraceRecord>>,
     /// Observer invoked for every traced kernel event (resume / deliver /
     /// kill / spawn) as it happens. Runs under the kernel lock on whichever
-    /// thread holds the baton: it must not re-enter the simulation.
+    /// fiber holds the baton: it must not re-enter the simulation.
     hook: Option<EventHook>,
     limits: RunLimits,
     /// A process body's panic, parked here for `run` to re-raise.
     panic: Option<(Pid, Box<dyn Any + Send>)>,
-    /// Per process, by pid: wake-up slot, thread handle (taken when joined)
-    /// and name.
-    slots: Vec<Arc<Slot>>,
-    threads: Vec<Option<JoinHandle<()>>>,
+    /// Per process, by pid: what it executes on, and its name.
+    fibers: Vec<Arc<Fiber>>,
     names: Vec<String>,
-    /// Wake-up slot of the thread inside [`Simulation::run`].
-    main: Arc<Slot>,
+    /// The fiber of the code inside [`Simulation::run`] (or dropping the
+    /// `Simulation`).
+    main: Arc<Fiber>,
 }
 
 impl<M> Shared<M> {
@@ -279,42 +248,32 @@ impl<M> Shared<M> {
             return Ok(pid);
         }
     }
+
+    /// Count a resume of `pid` that needs a switch, and return its fiber.
+    fn hand_to(&mut self, pid: Pid) -> Arc<Fiber> {
+        self.handoffs += 1;
+        Arc::clone(&self.fibers[pid.index()])
+    }
 }
 
 type Kernel<M> = Arc<Mutex<Shared<M>>>;
 
-/// Resume `pid` on its own thread. Releases the kernel lock before waking,
-/// so the woken thread never finds it held.
-fn hand_to<M>(mut sh: MutexGuard<'_, Shared<M>>, pid: Pid) {
-    sh.handoffs += 1;
-    let slot = Arc::clone(&sh.slots[pid.index()]);
-    drop(sh);
-    slot.wake(Go::Run);
-}
-
-/// Give the baton away: called, kernel lock held, by a process thread that
-/// is about to sleep (`me` = its pid) or to exit (`me` = `None`). Dispatches
-/// the next event and wakes its target — or `run`, for the cases only `run`
-/// settles. Returns the lock, still held, when the event resumes `me`.
-fn pass_baton<M>(
-    mut sh: MutexGuard<'_, Shared<M>>,
-    me: Option<Pid>,
-) -> Option<MutexGuard<'_, Shared<M>>> {
+/// Give the baton away: called, kernel lock held, by a process that is about
+/// to park (`me` = its pid) or to exit (`me` = `None`). Dispatches the next
+/// event and returns the fiber to switch to once the lock is released — the
+/// event's target, or `run`'s fiber for the cases only `run` settles — or
+/// `None` when the event resumes `me` itself.
+fn next_holder<M>(sh: &mut Shared<M>, me: Option<Pid>) -> Option<Arc<Fiber>> {
     let next = if sh.doomed.is_empty() && sh.panic.is_none() {
         sh.dispatch().ok()
     } else {
         None
     };
     match next {
-        Some(pid) if Some(pid) == me => return Some(sh),
-        Some(pid) => hand_to(sh, pid),
-        None => {
-            let main = Arc::clone(&sh.main);
-            drop(sh);
-            main.wake(Go::Run);
-        }
+        Some(pid) if Some(pid) == me => None,
+        Some(pid) => Some(sh.hand_to(pid)),
+        None => Some(Arc::clone(&sh.main)),
     }
-    None
 }
 
 /// Handle given to every process body; all interaction with virtual time and
@@ -322,7 +281,7 @@ fn pass_baton<M>(
 pub struct Ctx<M: Send + 'static> {
     pid: Pid,
     shared: Kernel<M>,
-    slot: Arc<Slot>,
+    me: Arc<Fiber>,
 }
 
 /// Sentinel panic payload used to unwind a process during shutdown.
@@ -342,14 +301,15 @@ impl<M: Send + 'static> Ctx<M> {
     }
 
     /// Park this process (the caller has recorded what it waits for) and
-    /// return, kernel lock held, once it is resumed — without ever sleeping
-    /// if the next event is its own. Panics with the shutdown token if the
+    /// return, kernel lock held, once it is resumed — without any switch if
+    /// the next event is its own. Panics with the shutdown token if the
     /// simulation is tearing down, which the spawn wrapper catches.
-    fn park<'a>(&'a self, sh: MutexGuard<'a, Shared<M>>) -> MutexGuard<'a, Shared<M>> {
-        if let Some(sh) = pass_baton(sh, Some(self.pid)) {
+    fn park<'a>(&'a self, mut sh: MutexGuard<'a, Shared<M>>) -> MutexGuard<'a, Shared<M>> {
+        let Some(next) = next_holder(&mut sh, Some(self.pid)) else {
             return sh;
-        }
-        match self.slot.wait() {
+        };
+        drop(sh);
+        match self.me.switch(&next, Go::Run) {
             Go::Run => self.shared.lock(),
             Go::Stop => panic::panic_any(ShutdownToken),
         }
@@ -436,7 +396,7 @@ impl<M: Send + 'static> Ctx<M> {
     }
 
     /// Kill another process at the current virtual instant (fault
-    /// injection). The victim's mailbox is discarded and its thread unwound
+    /// injection). The victim's mailbox is discarded and its body unwound
     /// before any further event is processed; events already queued for it
     /// become dead letters. Returns `false` if the victim had already
     /// finished (or was already killed). Killing yourself is not supported —
@@ -469,9 +429,9 @@ impl<M: Send + 'static> Ctx<M> {
 }
 
 /// Shared spawn path for [`Simulation::spawn`] (pre-run, at t=0) and
-/// [`Ctx::spawn`] (mid-run): the process starts at the current instant. The
-/// new thread sleeps on its slot until its first resume, so it is created
-/// with the kernel lock held and the pid can never be observed half-built.
+/// [`Ctx::spawn`] (mid-run): the process starts at the current instant. Its
+/// fiber stays suspended until its first resume, and is created with the
+/// kernel lock held, so the pid can never be observed half-built.
 fn spawn_process<M, F>(shared: &Kernel<M>, name: String, body: F) -> Pid
 where
     M: Send + 'static,
@@ -479,31 +439,24 @@ where
 {
     let mut sh = shared.lock();
     let pid = Pid(sh.states.len());
-    let slot = Arc::new(Slot::default());
-    let ctx = Ctx {
-        pid,
-        shared: Arc::clone(shared),
-        slot: Arc::clone(&slot),
-    };
-    let handle = std::thread::Builder::new()
-        .name(name.clone())
-        .spawn(move || {
-            if let Go::Stop = ctx.slot.wait() {
-                return; // killed or torn down before it ever ran
-            }
-            let shared = Arc::clone(&ctx.shared);
-            let panic = match panic::catch_unwind(AssertUnwindSafe(|| body(ctx))) {
-                Ok(()) => None,
-                // Stopped: `run` holds the baton and is joining this thread.
-                Err(p) if p.is::<ShutdownToken>() => return,
-                Err(p) => Some((pid, p)),
-            };
-            let mut sh = shared.lock();
-            sh.states[pid.index()] = ProcState::Finished;
-            sh.panic = panic;
-            pass_baton(sh, None);
-        })
-        .expect("failed to spawn simulation process thread");
+    let shared = Arc::clone(shared);
+    let fiber = Fiber::spawn(&name, move |me| {
+        let ctx = Ctx {
+            pid,
+            shared: Arc::clone(&shared),
+            me,
+        };
+        let panic = match panic::catch_unwind(AssertUnwindSafe(|| body(ctx))) {
+            Ok(()) => None,
+            // Stopped: whoever stopped this process has the baton.
+            Err(p) if p.is::<ShutdownToken>() => return None,
+            Err(p) => Some((pid, p)),
+        };
+        let mut sh = shared.lock();
+        sh.states[pid.index()] = ProcState::Finished;
+        sh.panic = panic;
+        next_holder(&mut sh, None)
+    });
     let now = sh.now;
     sh.mailboxes.push(VecDeque::new());
     sh.states.push(ProcState::Holding);
@@ -511,8 +464,7 @@ where
     if now > SimTime::ZERO {
         sh.trace_event(now, pid, 3);
     }
-    sh.slots.push(slot);
-    sh.threads.push(Some(handle));
+    sh.fibers.push(fiber);
     sh.names.push(name);
     pid
 }
@@ -536,8 +488,8 @@ pub struct SimStats {
     /// Final virtual clock value.
     pub end_time: SimTime,
     pub events_processed: u64,
-    /// Resumes that had to wake another OS thread (the rest continued on the
-    /// thread that dispatched them). A host-cost counter, not a model output.
+    /// Resumes that needed a context switch (the rest continued in the
+    /// process that dispatched them). A host-cost counter, not a model output.
     pub handoffs: u64,
     /// Messages addressed to processes that had already finished.
     pub dead_letters: u64,
@@ -587,10 +539,9 @@ impl<M: Send + 'static> Simulation<M> {
                 hook: None,
                 limits: RunLimits::default(),
                 panic: None,
-                slots: Vec::new(),
-                threads: Vec::new(),
+                fibers: Vec::new(),
                 names: Vec::new(),
-                main: Arc::new(Slot::default()),
+                main: Fiber::caller(),
             })),
         }
     }
@@ -603,8 +554,8 @@ impl<M: Send + 'static> Simulation<M> {
 
     /// Install a live observer called for every kernel scheduling event
     /// (resume / deliver / kill / spawn), in the exact order the trace
-    /// records them. The hook runs under the kernel lock on whichever
-    /// thread holds the baton, so it must be fast and must not touch
+    /// records them. The hook runs under the kernel lock in whichever
+    /// process holds the baton, so it must be fast and must not touch
     /// the simulation; it exists so an external sink (e.g. `dtrain-obs`)
     /// can stream the event order without buffering the whole trace here.
     pub fn set_event_hook(&mut self, hook: impl FnMut(&TraceRecord) + Send + 'static) {
@@ -623,15 +574,26 @@ impl<M: Send + 'static> Simulation<M> {
 
     /// Run to completion (or deadlock). Panics from process bodies are
     /// re-raised after teardown.
+    ///
+    /// Bodies execute **on the calling thread** (one at a time, each on its
+    /// own stack) and therefore see that thread's thread-locals: a scope such
+    /// as `tensor::simd::with_isa` or `parallel::with_max_threads` around
+    /// `run` governs every body, and every body observes the caller's
+    /// `thread::current()`. The other side of that coin: a body must not
+    /// hold a thread-local *borrow* (`RefCell::borrow_mut` inside
+    /// `LocalKey::with`) across `advance` / `recv`, because the next body
+    /// would find it taken. (Targets without a stack switch still give each
+    /// process a thread — see `parked.rs` — so portable code relies on
+    /// neither.)
     pub fn run(self) -> SimStats {
         self.run_with_limits(RunLimits::default())
     }
 
     /// Run with event/time limits; see [`RunLimits`].
     ///
-    /// This thread starts the first process and then sleeps; it is woken
-    /// only for what no process settles itself (module docs): reaping kills,
-    /// a panic, and the end of the run.
+    /// The caller switches to the first process and is switched back to only
+    /// for what no process settles itself (module docs): reaping kills, a
+    /// panic, and the end of the run.
     pub fn run_with_limits(self, limits: RunLimits) -> SimStats {
         let main = {
             let mut sh = self.shared.lock();
@@ -652,13 +614,14 @@ impl<M: Send + 'static> Simulation<M> {
             }
             match sh.dispatch() {
                 Ok(pid) => {
-                    hand_to(sh, pid);
-                    main.wait();
+                    let next = sh.hand_to(pid);
+                    drop(sh);
+                    main.switch(&next, Go::Run);
                 }
                 Err(reason) => break (reason, sh),
             }
         };
-        let stats = SimStats {
+        SimStats {
             reason,
             end_time: sh.now,
             events_processed: sh.events_processed,
@@ -672,15 +635,13 @@ impl<M: Send + 'static> Simulation<M> {
                 .filter(|&p| !sh.is_finished(p))
                 .collect(),
             trace: sh.trace.take(),
-        };
-        drop(sh);
-        self.teardown();
-        stats
+        }
+        // Dropping `self` tears down whatever is still alive.
     }
 
-    /// Unwind and join every process queued in `doomed` by [`Ctx::kill`].
-    /// Their mailboxes are discarded; queued events targeting them count as
-    /// dead letters when popped.
+    /// Stop every process queued in `doomed` by [`Ctx::kill`]. Their
+    /// mailboxes are discarded; queued events targeting them count as dead
+    /// letters when popped.
     fn reap_doomed(&self) {
         loop {
             let Some(victim) = self.shared.lock().doomed.pop_front() else {
@@ -690,33 +651,35 @@ impl<M: Send + 'static> Simulation<M> {
         }
     }
 
-    /// Mark `pid` finished, unwind its thread if it had not finished by
-    /// itself, and join it. A live process is parked (this thread holds the
-    /// baton), so a `Stop` wake-up unwinds it via the shutdown token; the
-    /// kernel lock is released first because its destructors may use `Ctx`.
+    /// Mark `pid` finished and stop its fiber: a parked process unwinds via
+    /// the shutdown token, one that never started has its body dropped, and
+    /// either way the stack (or thread) is given back. The kernel lock is
+    /// released first because the victim's destructors may use `Ctx`.
     fn stop_process(&self, pid: Pid) {
-        let (live, slot, handle) = {
+        let (fiber, main) = {
             let mut sh = self.shared.lock();
-            let live = !sh.is_finished(pid);
             sh.states[pid.index()] = ProcState::Finished;
             sh.mailboxes[pid.index()].clear();
-            let slot = Arc::clone(&sh.slots[pid.index()]);
-            (live, slot, sh.threads[pid.index()].take())
+            (Arc::clone(&sh.fibers[pid.index()]), Arc::clone(&sh.main))
         };
-        if live {
-            slot.wake(Go::Stop);
-        }
-        if let Some(handle) = handle {
-            let _ = handle.join();
-        }
+        fiber.stop(&main);
     }
 
-    /// Stop all still-live processes, in pid order, and join every thread.
+    /// Stop every process, in pid order.
     fn teardown(&self) {
         let n = self.shared.lock().states.len();
         for i in 0..n {
             self.stop_process(Pid(i));
         }
+    }
+}
+
+/// Teardown on every way out — the end of `run`, a panic through it, or a
+/// simulation that was built and never run: no process outlives its
+/// `Simulation`, and no body is leaked unrun.
+impl<M: Send + 'static> Drop for Simulation<M> {
+    fn drop(&mut self) {
+        self.teardown();
     }
 }
 
@@ -944,7 +907,7 @@ mod tests {
     }
 
     #[test]
-    fn lone_ticker_never_switches_threads() {
+    fn lone_ticker_never_switches_contexts() {
         let mut sim: Simulation<()> = Simulation::new();
         sim.spawn("ticker", |ctx| {
             for _ in 0..1000 {
@@ -958,7 +921,7 @@ mod tests {
     }
 
     #[test]
-    fn handoffs_count_only_resumes_of_another_thread() {
+    fn handoffs_count_only_resumes_of_another_process() {
         let mut sim: Simulation<()> = Simulation::new();
         sim.spawn("ticker", |ctx| {
             for _ in 0..10 {
@@ -968,8 +931,9 @@ mod tests {
         sim.spawn("sleeper", |ctx| ctx.advance(SimTime::from_millis(100)));
         let stats = sim.run();
         assert_eq!(stats.events_processed, 13);
-        // run -> ticker -> sleeper (first resumes), sleeper -> ticker at 1 ms,
-        // nine self-resumes, exiting ticker -> sleeper at 100 ms.
+        // Context switches: run -> ticker -> sleeper (first resumes), sleeper
+        // -> ticker at 1 ms, then nine self-resumes without one, and the
+        // exiting ticker -> sleeper at 100 ms.
         assert_eq!(stats.handoffs, 4);
     }
 

@@ -1,7 +1,8 @@
-//! Teardown robustness: whatever way a run ends — completion, deadlock,
-//! limits, or a process panic — every process thread must be joined and no
-//! state leaked. These tests run many kernels in sequence; leaked threads
-//! would accumulate and show up as resource exhaustion.
+//! Teardown robustness: whatever way a simulation ends — completion,
+//! deadlock, limits, a process panic, or never being run at all — every
+//! process must be unwound (or dropped unrun) and no state leaked. These
+//! tests run many kernels in sequence; leaked stacks or threads would
+//! accumulate and show up as resource exhaustion.
 
 use std::panic;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -9,8 +10,8 @@ use std::sync::Arc;
 
 use dtrain_desim::{RunLimits, SimTime, Simulation, StopReason};
 
-/// Count of live guard objects: incremented when a process starts, and the
-/// drop runs when its closure is dropped (i.e. the thread finished).
+/// Count of live guard objects: incremented when a process is spawned, and
+/// the drop runs when its closure (or the frame it moved into) is dropped.
 struct Guard(Arc<AtomicUsize>);
 
 impl Drop for Guard {
@@ -97,4 +98,28 @@ fn panic_teardown_joins_survivors() {
         0,
         "survivor processes must be joined even after a panic"
     );
+}
+
+#[test]
+fn a_simulation_dropped_without_run_releases_every_body() {
+    let live = Arc::new(AtomicUsize::new(0));
+    for round in 0..20 {
+        let mut sim: Simulation<()> = Simulation::new();
+        for i in 0..5 {
+            let guard = Guard(Arc::clone(&live));
+            live.fetch_add(1, Ordering::SeqCst);
+            sim.spawn(format!("unrun{round}_{i}"), move |ctx| {
+                let _guard = guard;
+                ctx.recv();
+                unreachable!("the simulation is never run");
+            });
+        }
+        assert_eq!(live.load(Ordering::SeqCst), 5);
+        drop(sim);
+        assert_eq!(
+            live.load(Ordering::SeqCst),
+            0,
+            "dropping the simulation drops the bodies it never started"
+        );
+    }
 }

@@ -13,6 +13,14 @@
 //! `Network`, owns its own arena). `grown()` counts requests the free list
 //! could not serve from existing capacity; tests use it as the
 //! allocation-counting hook required for the zero-alloc guarantee.
+//!
+//! Arenas come and go — one per `Network`, so one per simulated worker per
+//! study cell — while the shapes they serve repeat. A dropped arena therefore
+//! leaves its parked buffers in a thread-local **depot**, and an arena that
+//! must grow looks there first: the next cell's networks pick up the last
+//! cell's buffers instead of having the allocator trim them away and fault
+//! them back in. A thread that builds its arenas once (a threaded or proc
+//! worker) never finds anything in its depot and allocates exactly as before.
 
 use crate::tensor::Tensor;
 
@@ -21,6 +29,37 @@ use crate::tensor::Tensor;
 /// iteration (the training loop does this with each batch) cannot grow
 /// memory without bound.
 const MAX_PARKED: usize = 64;
+
+/// Buffers that outlived their arena, per thread (module docs).
+#[derive(Default)]
+struct Depot {
+    f32_free: Vec<Vec<f32>>,
+    u32_free: Vec<Vec<u32>>,
+}
+
+thread_local! {
+    static DEPOT: std::cell::RefCell<Depot> = std::cell::RefCell::new(Depot::default());
+}
+
+/// A parked buffer for a `len` request. `Ok`: the tightest fit in `free`.
+/// `Err`: nothing there fits, and this is what to grow (or use) instead — the
+/// tightest fit in this thread's depot, else the largest buffer of `free`,
+/// else nothing.
+fn parked<T>(
+    free: &mut Vec<Vec<T>>,
+    depot: fn(&mut Depot) -> &mut Vec<Vec<T>>,
+    len: usize,
+) -> Result<Vec<T>, Option<Vec<T>>> {
+    tightest_fit(free, len).ok_or_else(|| {
+        // `try_with`: an arena owned by another thread-local may be used
+        // while this one is already destroyed at thread exit.
+        DEPOT
+            .try_with(|d| tightest_fit(depot(&mut d.borrow_mut()), len))
+            .ok()
+            .flatten()
+            .or_else(|| largest(free))
+    })
+}
 
 /// Pooling arena for `f32` and `u32` scratch buffers.
 #[derive(Default)]
@@ -36,8 +75,9 @@ impl Scratch {
         Scratch::default()
     }
 
-    /// Number of buffer requests that had to grow capacity (i.e. touch the
-    /// heap). Stays flat across steady-state iterations — the zero-alloc
+    /// Number of buffer requests the arena's own free list could not serve:
+    /// it touched the heap, or took a buffer a dropped arena left in the
+    /// depot. Stays flat across steady-state iterations — the zero-alloc
     /// test hook.
     pub fn grown(&self) -> usize {
         self.grown
@@ -51,22 +91,27 @@ impl Scratch {
     /// A `len`-sized buffer with unspecified contents. Allocation-free when
     /// a parked buffer with sufficient capacity exists.
     pub fn take_any(&mut self, len: usize) -> Vec<f32> {
-        match best_fit(&mut self.f32_free, len) {
-            Some(mut buf) => {
-                if buf.capacity() >= len {
-                    self.reused += 1;
-                } else {
-                    self.grown += 1;
-                }
-                buf.truncate(len);
-                if buf.len() < len {
-                    buf.resize(len, 0.0);
-                }
-                buf
+        let found = parked(&mut self.f32_free, |d| &mut d.f32_free, len);
+        let Some(mut buf) = self.count(found) else {
+            return vec![0.0; len];
+        };
+        buf.truncate(len);
+        if buf.len() < len {
+            buf.resize(len, 0.0);
+        }
+        buf
+    }
+
+    /// Book a [`parked`] lookup as `reused` or `grown`.
+    fn count<T>(&mut self, found: Result<Vec<T>, Option<Vec<T>>>) -> Option<Vec<T>> {
+        match found {
+            Ok(buf) => {
+                self.reused += 1;
+                Some(buf)
             }
-            None => {
+            Err(buf) => {
                 self.grown += 1;
-                vec![0.0; len]
+                buf
             }
         }
     }
@@ -104,22 +149,13 @@ impl Scratch {
 
     /// A `u32` index buffer (max-pool argmax indices), zero-filled.
     pub fn take_u32(&mut self, len: usize) -> Vec<u32> {
-        match best_fit(&mut self.u32_free, len) {
-            Some(mut buf) => {
-                if buf.capacity() >= len {
-                    self.reused += 1;
-                } else {
-                    self.grown += 1;
-                }
-                buf.clear();
-                buf.resize(len, 0);
-                buf
-            }
-            None => {
-                self.grown += 1;
-                vec![0; len]
-            }
-        }
+        let found = parked(&mut self.u32_free, |d| &mut d.u32_free, len);
+        let Some(mut buf) = self.count(found) else {
+            return vec![0; len];
+        };
+        buf.clear();
+        buf.resize(len, 0);
+        buf
     }
 
     pub fn recycle_u32(&mut self, buf: Vec<u32>) {
@@ -131,6 +167,29 @@ impl Scratch {
     /// Parked buffer count (both pools) — introspection for tests.
     pub fn parked(&self) -> usize {
         self.f32_free.len() + self.u32_free.len()
+    }
+}
+
+/// Leave the parked buffers to this thread's later arenas — at most as many
+/// as this arena drew from depot and heap (`grown`), largest first. Buffers
+/// recycled into it from outside (the training loop feeds every input batch
+/// in) are thereby not passed on, so the depot holds no more than the peak
+/// working set its arenas have reached; the rest is freed as before.
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        if self.parked() == 0 {
+            return;
+        }
+        fn hand_over<T>(free: &mut Vec<Vec<T>>, depot: &mut Vec<Vec<T>>, at_most: usize) {
+            free.sort_unstable_by_key(|buf| std::cmp::Reverse(buf.capacity()));
+            free.truncate(at_most);
+            depot.append(free);
+        }
+        let _ = DEPOT.try_with(|d| {
+            let mut d = d.borrow_mut();
+            hand_over(&mut self.f32_free, &mut d.f32_free, self.grown);
+            hand_over(&mut self.u32_free, &mut d.u32_free, self.grown);
+        });
     }
 }
 
@@ -246,6 +305,12 @@ thread_local! {
     /// every later call allocation-free. Thread-local (rather than passed
     /// through `Scratch`) because pool workers and the main thread hit
     /// GEMM through many call paths that don't thread a scratch handle.
+    ///
+    /// Every simulated worker of a `desim` run executes on the one thread
+    /// inside `Simulation::run`, so they all share this arena (and
+    /// [`DEPOT`]). That is sound only because no borrow outlives a single
+    /// kernel call: nothing may hold it across `Ctx::advance` / `recv`,
+    /// where another worker continues on the same thread.
     static PACK_BUFS: std::cell::RefCell<PackBufs> = std::cell::RefCell::new(PackBufs::default());
 }
 
@@ -255,26 +320,24 @@ pub(crate) fn with_pack_bufs<R>(f: impl FnOnce(&mut PackBufs) -> R) -> R {
     PACK_BUFS.with(|b| f(&mut b.borrow_mut()))
 }
 
-/// Pop the parked buffer whose capacity fits `len` most tightly; if none
-/// fits, pop the largest one (growing a single buffer converges faster than
-/// growing many). Linear scan — the list is small by construction.
-fn best_fit<T>(free: &mut Vec<Vec<T>>, len: usize) -> Option<Vec<T>> {
-    if free.is_empty() {
-        return None;
-    }
+/// Pop the parked buffer whose capacity fits `len` most tightly, if one
+/// fits. Linear scan — the lists are small by construction.
+fn tightest_fit<T>(free: &mut Vec<Vec<T>>, len: usize) -> Option<Vec<T>> {
     let mut fit: Option<(usize, usize)> = None; // (index, capacity)
-    let mut largest = (0usize, 0usize);
     for (i, buf) in free.iter().enumerate() {
         let cap = buf.capacity();
         if cap >= len && fit.is_none_or(|(_, c)| cap < c) {
             fit = Some((i, cap));
         }
-        if cap >= largest.1 {
-            largest = (i, cap);
-        }
     }
-    let idx = fit.map(|(i, _)| i).unwrap_or(largest.0);
-    Some(free.swap_remove(idx))
+    fit.map(|(i, _)| free.swap_remove(i))
+}
+
+/// Pop the largest parked buffer (the last of equals): when nothing fits,
+/// growing a single buffer converges faster than growing many.
+fn largest<T>(free: &mut Vec<Vec<T>>) -> Option<Vec<T>> {
+    let (i, _) = free.iter().enumerate().max_by_key(|(_, b)| b.capacity())?;
+    Some(free.swap_remove(i))
 }
 
 #[cfg(test)]
@@ -344,6 +407,89 @@ mod tests {
         s.recycle(vec![7.0; 32]);
         let z = s.take_zeroed(16);
         assert!(z.iter().all(|&v| v == 0.0));
+    }
+
+    #[test]
+    fn a_dropped_arena_leaves_its_buffers_to_the_next_one_on_the_thread() {
+        let mut first = Scratch::new();
+        let buf = first.take_zeroed(1000);
+        let ptr = buf.as_ptr();
+        first.recycle(buf);
+        drop(first);
+        let mut second = Scratch::new();
+        let got = second.take_any(900);
+        assert_eq!(got.as_ptr(), ptr, "served from the depot");
+        assert_eq!(
+            (second.grown(), second.reused()),
+            (1, 0),
+            "a depot hit is a request the arena's own list could not serve"
+        );
+        // The depot gave it away: a third arena allocates.
+        let other = Scratch::new().take_any(900);
+        assert_ne!(other.as_ptr(), ptr);
+        // Back in `second`'s own list it is an ordinary reuse.
+        second.recycle(got);
+        let again = second.take_any(1000);
+        assert_eq!(again.as_ptr(), ptr);
+        assert_eq!((second.grown(), second.reused()), (1, 1));
+    }
+
+    #[test]
+    fn buffers_from_the_depot_are_zeroed_on_request() {
+        let mut first = Scratch::new();
+        let mut f = first.take_any(64);
+        f.fill(7.0);
+        first.recycle(f);
+        let mut u = first.take_u32(64);
+        u.fill(9);
+        first.recycle_u32(u);
+        drop(first);
+        let mut second = Scratch::new();
+        assert!(second.take_zeroed(48).iter().all(|&v| v == 0.0));
+        assert!(second.take_u32(48).iter().all(|&v| v == 0));
+        assert_eq!(second.grown(), 2);
+    }
+
+    #[test]
+    fn an_arena_passes_on_no_more_buffers_than_it_drew() {
+        let mut first = Scratch::new();
+        let own = first.take_any(4096);
+        let own_ptr = own.as_ptr();
+        first.recycle(own);
+        for _ in 0..10 {
+            first.recycle(vec![0.0; 16]); // fed in from outside, like input batches
+        }
+        assert_eq!((first.grown(), first.parked()), (1, 11));
+        drop(first);
+        let mut second = Scratch::new();
+        let kept = second.take_any(8);
+        assert_eq!(kept.as_ptr(), own_ptr, "the largest one");
+        let mut third = Scratch::new();
+        let fresh = third.take_any(8);
+        assert!(
+            fresh.capacity() < 16,
+            "nothing else was kept: {}",
+            fresh.capacity()
+        );
+    }
+
+    #[test]
+    fn the_depot_is_per_thread() {
+        let mut first = Scratch::new();
+        let buf = first.take_any(512);
+        let ptr = buf.as_ptr() as usize;
+        first.recycle(buf);
+        drop(first);
+        let elsewhere = std::thread::spawn(|| {
+            let mut arena = Scratch::new();
+            let buf = arena.take_any(512);
+            (buf.as_ptr() as usize, arena.grown())
+        });
+        let (elsewhere, grown) = elsewhere.join().expect("thread");
+        assert_ne!(elsewhere, ptr, "another thread starts with an empty depot");
+        assert_eq!(grown, 1);
+        let here = Scratch::new().take_any(512);
+        assert_eq!(here.as_ptr() as usize, ptr);
     }
 
     #[test]

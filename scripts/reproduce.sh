@@ -1,9 +1,13 @@
 #!/usr/bin/env bash
 # Regenerate every table and figure of the paper, plus the extension
-# studies, writing CSVs to results/. Takes ~9 minutes on a 2-vCPU cloud VM
-# (unpinned; it was 19.6 minutes there before the desim kernel stopped
-# routing every resume through a scheduler thread, with byte-identical
-# CSVs); add --quick after -- for a smoke-scale pass (~10 seconds).
+# studies, writing CSVs to results/. Takes about a minute and a half on a
+# 2-vCPU cloud VM, pinned or not (it was 19.6 minutes there while every
+# resume went through a scheduler thread, 8.5–9 while simulated processes
+# were parked OS threads handing a baton to each other, and is what it is
+# now that they are user-space contexts on one thread — byte-identical
+# CSVs each time). The committed results/*.csv are this script's output and
+# CI's `reproduce` job fails if they are not. Add --quick for a smoke-scale
+# pass (seconds).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 cargo build --release --workspace

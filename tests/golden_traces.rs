@@ -296,10 +296,33 @@ fn elastic_markers_appear_in_canonical_traces() {
 /// trace, the same virtual end time, and bit-identical accuracy. This is
 /// the regression fence that lets kernels get faster (or slower) without
 /// ever re-blessing a golden trace.
+///
+/// `with_isa` is a thread-local scope, so the fence only holds if simulated
+/// workers execute on the thread that opened it. They do where `desim`
+/// switches contexts on the caller's thread; when processes were OS threads
+/// both runs silently used the detected tier. The probe below asserts, from
+/// inside a process body, that the scope (and `with_max_threads`, which
+/// works the same way) is what the bodies see.
 #[test]
 fn kernel_speed_cannot_alter_golden_traces() {
     use dtrain_core::presets::{accuracy_run, AccuracyScale};
-    use dtrain_tensor::simd::{supported_isas, with_isa, Isa};
+    use dtrain_tensor::parallel::{current_num_threads, with_max_threads};
+    use dtrain_tensor::simd::{active_isa, supported_isas, with_isa, Isa};
+
+    /// What one `desim` process body observes of its thread.
+    fn seen_by_a_process_body() -> (std::thread::ThreadId, Isa, usize) {
+        let seen = std::sync::Arc::new(std::sync::Mutex::new(None));
+        let seen2 = std::sync::Arc::clone(&seen);
+        let mut sim: dtrain_desim::Simulation<()> = dtrain_desim::Simulation::new();
+        sim.spawn("probe", move |ctx| {
+            ctx.advance(dtrain_desim::SimTime::from_nanos(1));
+            let here = std::thread::current().id();
+            *seen2.lock().expect("probe") = Some((here, active_isa(), current_num_threads()));
+        });
+        sim.run();
+        let seen = seen.lock().expect("probe").take();
+        seen.expect("the probe body ran")
+    }
 
     let scale = AccuracyScale {
         epochs: 1,
@@ -312,6 +335,16 @@ fn kernel_speed_cannot_alter_golden_traces() {
     let cfg = accuracy_run(Algo::Bsp, 2, &scale);
     let run_on = |isa: Isa| {
         with_isa(isa, || {
+            let (thread, isa_seen, width_seen) = with_max_threads(1, seen_by_a_process_body);
+            if thread == std::thread::current().id() {
+                assert_eq!(isa_seen, isa, "with_isa must reach process bodies");
+                assert_eq!(width_seen, 1, "with_max_threads must reach process bodies");
+            } else {
+                // Parked-thread fallback target: bodies cannot see the scope.
+                eprintln!(
+                    "note: desim bodies run on their own threads here; both runs use {isa_seen:?}"
+                );
+            }
             let sink = ObsSink::enabled();
             let out = run_observed(&cfg, &sink);
             (
