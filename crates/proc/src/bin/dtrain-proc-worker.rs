@@ -61,7 +61,7 @@ fn main() {
     .unwrap_or_else(|e| die(&format!("worker {worker}: connect to {addr} failed: {e}")));
     // Adopt the coordinator's current globals (bit-identical to the local
     // init for a fresh run; the live state for a rejoin replacement).
-    net.set_params(&backend.initial_params().clone());
+    net.set_params(backend.initial_params());
 
     // Worker-side events die with the process; the coordinator emits the
     // canonical trace. A noop sink keeps worker_body's obs calls free.

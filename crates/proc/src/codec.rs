@@ -16,9 +16,11 @@
 //!   monotonically increasing counter that survives reconnects; replies
 //!   echo the request's seq, which is what lets the session layer discard
 //!   duplicated replies and resend cached ones idempotently.
-//! * `crc` — CRC-32 (IEEE) over `type, len, seq, payload`. A mismatch is
-//!   [`CodecError::BadCrc`]: the frame was damaged in flight and the
-//!   connection must be torn down and resumed, never trusted.
+//! * `crc` — CRC-32 (IEEE) over `type, len, seq, payload` ([`crc32`]; how
+//!   it is computed — table-driven, or by carry-less multiplication where
+//!   the CPU has it — is `crc.rs`'s business and never shows in the value).
+//!   A mismatch is [`CodecError::BadCrc`]: the frame was damaged in flight
+//!   and the connection must be torn down and resumed, never trusted.
 //!
 //! Floats cross the wire via `to_le_bytes`/`from_le_bytes`, so parameter
 //! payloads are bit-exact round trips — the cross-path conformance pins
@@ -37,6 +39,8 @@ use std::io::{self, Read, Write};
 
 use dtrain_nn::ParamSet;
 use dtrain_tensor::Tensor;
+
+pub use crate::crc::crc32;
 
 /// Wire protocol version; bumped on any frame or payload layout change.
 /// v2 added the `seq` field and the CRC-32 trailer.
@@ -92,85 +96,6 @@ impl From<io::Error> for CodecError {
     fn from(e: io::Error) -> Self {
         CodecError::Io(e)
     }
-}
-
-/// Bytes folded per step of the strided CRC loop, and the number of
-/// lookup tables that takes.
-const CRC_STRIDE: usize = 16;
-
-/// IEEE CRC-32 slicing tables (polynomial `0xEDB88320`, reflected).
-/// `CRC_TABLES[0]` is the classic byte-at-a-time table; `CRC_TABLES[k][b]`
-/// is the sum of byte `b` followed by `k` zero bytes, which is what lets
-/// one step fold [`CRC_STRIDE`] input bytes with independent lookups.
-const CRC_TABLES: [[u32; 256]; CRC_STRIDE] = {
-    let mut tables = [[0u32; 256]; CRC_STRIDE];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        tables[0][i] = c;
-        i += 1;
-    }
-    let mut k = 1;
-    while k < CRC_STRIDE {
-        let mut i = 0;
-        while i < 256 {
-            let prev = tables[k - 1][i];
-            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
-            i += 1;
-        }
-        k += 1;
-    }
-    tables
-};
-
-/// Advance the (pre-inverted) CRC state `c` over `bytes`: 16 bytes per
-/// step while they last, then the tail a byte at a time.
-fn crc32_update(mut c: u32, bytes: &[u8]) -> u32 {
-    let t = &CRC_TABLES;
-    let mut strides = bytes.chunks_exact(CRC_STRIDE);
-    for s in &mut strides {
-        let w = |i: usize| u32::from_le_bytes([s[i], s[i + 1], s[i + 2], s[i + 3]]);
-        let (a, b, d, e) = (w(0) ^ c, w(4), w(8), w(12));
-        c = t[15][(a & 0xFF) as usize]
-            ^ t[14][((a >> 8) & 0xFF) as usize]
-            ^ t[13][((a >> 16) & 0xFF) as usize]
-            ^ t[12][(a >> 24) as usize]
-            ^ t[11][(b & 0xFF) as usize]
-            ^ t[10][((b >> 8) & 0xFF) as usize]
-            ^ t[9][((b >> 16) & 0xFF) as usize]
-            ^ t[8][(b >> 24) as usize]
-            ^ t[7][(d & 0xFF) as usize]
-            ^ t[6][((d >> 8) & 0xFF) as usize]
-            ^ t[5][((d >> 16) & 0xFF) as usize]
-            ^ t[4][(d >> 24) as usize]
-            ^ t[3][(e & 0xFF) as usize]
-            ^ t[2][((e >> 8) & 0xFF) as usize]
-            ^ t[1][((e >> 16) & 0xFF) as usize]
-            ^ t[0][(e >> 24) as usize];
-    }
-    for &b in strides.remainder() {
-        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c
-}
-
-/// IEEE CRC-32 over the concatenation of `chunks` (slicing-by-16 from
-/// `const` tables, no external crates). Chunked so a frame header and its
-/// payload can be summed without copying them into one buffer; how the
-/// bytes are split across chunks never changes the sum.
-pub fn crc32(chunks: &[&[u8]]) -> u32 {
-    !chunks
-        .iter()
-        .fold(0xFFFF_FFFF, |c, chunk| crc32_update(c, chunk))
 }
 
 /// Frame bytes ahead of the payload: version, type, len, seq.
@@ -260,6 +185,16 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<(u8, u32, Vec<u8>), CodecError> 
     Ok((msg_type, seq, payload))
 }
 
+/// Bytes [`Enc::params`] writes for a set whose tensors have these
+/// `(rank, element count)`s. Saturating, so sizing a model from user input
+/// ([`crate::ProcConfig::validate`]) needs no overflow checks of its own.
+pub(crate) fn params_wire_len(tensors: impl IntoIterator<Item = (usize, u64)>) -> u64 {
+    tensors.into_iter().fold(4, |n, (rank, len)| {
+        n.saturating_add(1 + 4 * rank as u64)
+            .saturating_add(len.saturating_mul(4))
+    })
+}
+
 /// Payload writer: appends primitives to a byte buffer.
 #[derive(Default)]
 pub struct Enc {
@@ -300,11 +235,8 @@ impl Enc {
     /// a frame trailer) is reserved once and each tensor's floats move as
     /// one block.
     pub fn params(&mut self, p: &ParamSet) -> &mut Self {
-        let bytes: usize =
-            p.0.iter()
-                .map(|t| 1 + 4 * (t.shape().len() + t.data().len()))
-                .sum();
-        self.buf.reserve(4 + bytes + TRAILER_LEN);
+        let bytes = params_wire_len(p.0.iter().map(|t| (t.shape().len(), t.data().len() as u64)));
+        self.buf.reserve(bytes as usize + TRAILER_LEN);
         self.u32(p.0.len() as u32);
         for t in &p.0 {
             let shape = t.shape();
@@ -428,42 +360,6 @@ impl<'a> Dec<'a> {
             0 => Ok(None),
             1 => Ok(Some(self.params()?)),
             _ => Err(CodecError::Malformed("bad presence flag")),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The byte-at-a-time table loop `crc32` used to be: the oracle.
-    fn crc32_bytewise(bytes: &[u8]) -> u32 {
-        !bytes.iter().fold(0xFFFF_FFFFu32, |c, &b| {
-            CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8)
-        })
-    }
-
-    /// Frame-sized buffers (the proptest in `tests/codec_frames.rs` covers
-    /// short chunk lists against a table-free oracle): lengths on, just
-    /// under and just over stride multiples, summed whole and as
-    /// header-plus-payload.
-    #[test]
-    fn strided_crc_matches_bytewise_on_frame_sized_buffers() {
-        let bytes: Vec<u8> = (0..70_001u32)
-            .map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8)
-            .collect();
-        for len in [
-            0, 1, 9, 15, 16, 17, 31, 32, 33, 18_431, 18_432, 18_441, 70_001,
-        ] {
-            let buf = &bytes[..len];
-            let want = crc32_bytewise(buf);
-            assert_eq!(crc32(&[buf]), want, "len {len}");
-            let cut = len.min(9);
-            assert_eq!(
-                crc32(&[&buf[..cut], &buf[cut..]]),
-                want,
-                "len {len} as 9 + rest"
-            );
         }
     }
 }

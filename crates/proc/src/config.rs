@@ -16,6 +16,8 @@ use dtrain_data::TeacherTaskConfig;
 use dtrain_faults::ChaosSpec;
 use dtrain_runtime::{RunPlan, Strategy};
 
+use crate::codec::{params_wire_len, MAX_PAYLOAD};
+
 /// Millisecond duration from an env var, if set and parseable.
 fn env_ms(var: &str) -> Option<Duration> {
     std::env::var(var)
@@ -92,10 +94,14 @@ pub struct ProcConfig {
 }
 
 impl ProcConfig {
-    /// Reject configurations whose failure detector cannot work: the
-    /// reconnect window must exceed the liveness-poll period, or a
-    /// disconnected rank could be swept before it ever had a poll's worth
-    /// of time to come back.
+    /// Reject, before anything is spawned, configurations that cannot run.
+    ///
+    /// * A failure detector that cannot work: the reconnect window must
+    ///   exceed the liveness-poll period, or a disconnected rank could be
+    ///   swept before it ever had a poll's worth of time to come back.
+    /// * A model that does not fit a frame: past [`MAX_PAYLOAD`] the
+    ///   receiver answers `Oversized` and drops the link, and the sender
+    ///   would spend its whole reconnect window learning nothing from it.
     pub fn validate(&self) -> Result<(), String> {
         if self.reconnect_window <= self.heartbeat_interval {
             return Err(format!(
@@ -103,7 +109,33 @@ impl ProcConfig {
                 self.reconnect_window, self.heartbeat_interval
             ));
         }
+        let frame = self.largest_payload();
+        if frame > MAX_PAYLOAD as u64 {
+            return Err(format!(
+                "model {}-{:?}-{} needs a {frame}-byte parameter frame, over the \
+                 {MAX_PAYLOAD}-byte MAX_PAYLOAD cap",
+                self.task.input_dim, self.hidden, self.task.num_classes
+            ));
+        }
         Ok(())
+    }
+
+    /// Payload bytes of the largest single-set frame of a run: the MLP's
+    /// parameters (per dense layer a rank-2 weight and a rank-1 bias)
+    /// behind the widest fixed prefix any message puts before a set,
+    /// `RunComplete`'s three `u64`s. A gossip drain that finds several
+    /// peers' sets queued is the one frame that can be larger; it is bounded
+    /// by the traffic, not the model.
+    fn largest_payload(&self) -> u64 {
+        let mut fan_in = self.task.input_dim as u64;
+        let widths = self.hidden.iter().chain([&self.task.num_classes]);
+        let tensors = widths.flat_map(|&fan_out| {
+            let fan_out = fan_out as u64;
+            let weight = (2, fan_out.saturating_mul(fan_in));
+            fan_in = fan_out;
+            [weight, (1, fan_out)]
+        });
+        params_wire_len(tensors).saturating_add(3 * 8)
     }
 }
 
@@ -410,6 +442,49 @@ mod tests {
         assert!(cfg.validate().is_err());
         cfg.reconnect_window = cfg.heartbeat_interval + Duration::from_millis(1);
         assert!(cfg.validate().is_ok());
+    }
+
+    /// A model whose parameter frame cannot cross the wire is refused at
+    /// launch, by a message naming the size and the cap — not discovered
+    /// by a worker burning its reconnect window against `Oversized`.
+    #[test]
+    fn validate_refuses_a_model_larger_than_a_frame() {
+        use crate::coordinator::{ProcError, ProcRun};
+        use crate::proto::Msg;
+
+        // The size is the encoder's, not an estimate of it.
+        let cfg = ProcConfig::default();
+        let net = dtrain_models::mlp_classifier(
+            cfg.task.input_dim,
+            &cfg.hidden,
+            cfg.task.num_classes,
+            cfg.model_seed,
+        );
+        let (_, payload) = Msg::RunComplete {
+            iterations: 1,
+            logical_bytes: 2,
+            busy_ms: 3,
+            params: net.get_params(),
+        }
+        .encode();
+        assert_eq!(cfg.largest_payload(), payload.len() as u64);
+
+        let mut cfg = ProcConfig {
+            hidden: vec![1024, 1024],
+            ..ProcConfig::default()
+        };
+        assert!(cfg.validate().is_ok());
+        cfg.hidden = vec![4096, 4096];
+        let err = cfg.validate().expect_err("16.9 M floats exceed 64 MiB");
+        assert!(err.contains(&cfg.largest_payload().to_string()), "{err}");
+        assert!(err.contains(&MAX_PAYLOAD.to_string()), "{err}");
+        // `launch` asks `validate` before it looks for a worker binary,
+        // binds a port or builds the model: nothing was spawned.
+        match ProcRun::launch(cfg, &dtrain_obs::ObsSink::disabled()) {
+            Err(ProcError::Config(msg)) => assert_eq!(msg, err),
+            Err(other) => panic!("expected the size refusal, got {other}"),
+            Ok(_) => panic!("an oversized model launched"),
+        }
     }
 
     #[test]

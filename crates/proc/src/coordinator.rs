@@ -518,7 +518,7 @@ impl Coord {
 
 /// First frame was a fresh `Hello`: (re)initialise the rank's session,
 /// answer `HelloAck` with the current globals, and serve the connection.
-fn handshake_hello(coord: &Arc<Coord>, w: usize, seq: u32, stream: TcpStream) {
+fn handshake_hello(coord: &Arc<Coord>, w: usize, seq: u32, conn: BufReader<TcpStream>) {
     if w >= coord.cfg.plan.workers {
         return;
     }
@@ -555,11 +555,11 @@ fn handshake_hello(coord: &Arc<Coord>, w: usize, seq: u32, stream: TcpStream) {
         start_round,
         params: coord.hub.ps().snapshot(),
     };
-    if ack.write_to(&mut &stream, seq).is_err() {
+    if ack.write_to(&mut conn.get_ref(), seq).is_err() {
         coord.note_disconnect(w, generation);
         return;
     }
-    serve_connection(coord, w, stream, generation);
+    serve_connection(coord, w, conn, generation);
 }
 
 /// First frame was a `Resume`: the rank's previous socket died but the
@@ -572,7 +572,7 @@ fn handshake_resume(
     seq: u32,
     last_seq: u32,
     attempt: u32,
-    stream: TcpStream,
+    conn: BufReader<TcpStream>,
 ) {
     if w >= coord.cfg.plan.workers {
         return;
@@ -595,11 +595,12 @@ fn handshake_resume(
     };
     coord.retries.fetch_add(1, Ordering::Relaxed);
     markers::retry(&coord.obs_rt, coord.ns(), attempt);
+    let mut stream = conn.get_ref();
     let served = match decision {
         // Never saw `last_seq`: ask the worker to resend it.
-        ResumeDecision::RequestResend => Msg::ResumeAck.write_to(&mut &stream, seq).is_ok(),
+        ResumeDecision::RequestResend => Msg::ResumeAck.write_to(&mut stream, seq).is_ok(),
         // Saw it and finished it: replay the cached reply verbatim.
-        ResumeDecision::ResendCached(_, frame) => (&stream).write_all(&frame).is_ok(),
+        ResumeDecision::ResendCached(_, frame) => stream.write_all(&frame).is_ok(),
         // Saw it, but its dispatch still runs on the stale handler
         // (parked in a barrier or mailbox wait). Wait for that handler
         // to cache its reply, then replay it here.
@@ -620,7 +621,7 @@ fn handshake_resume(
                     .session_cv
                     .wait_for(&mut sess, Duration::from_millis(20));
             };
-            replay.is_some_and(|frame| (&stream).write_all(&frame).is_ok())
+            replay.is_some_and(|frame| stream.write_all(&frame).is_ok())
         }
         ResumeDecision::Refuse => unreachable!("refused above"),
     };
@@ -628,7 +629,7 @@ fn handshake_resume(
         coord.note_disconnect(w, generation);
         return;
     }
-    serve_connection(coord, w, stream, generation);
+    serve_connection(coord, w, conn, generation);
 }
 
 /// One worker connection's service loop: handshake already done; read a
@@ -639,19 +640,20 @@ fn handshake_resume(
 /// and leaves in one write. Link errors start the reconnect clock via
 /// [`Coord::note_disconnect`]; only protocol violations (a message type a
 /// worker must never send) still evict directly.
-fn serve_connection(coord: &Arc<Coord>, w: usize, mut stream: TcpStream, generation: u64) {
-    let _ = stream.set_read_timeout(Some(coord.cfg.transfer_deadline));
-    let _ = stream.set_nodelay(true);
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => {
-            coord.note_disconnect(w, generation);
-            return;
-        }
-    });
+///
+/// `conn` is the reader the handshake was read through, and replies go out
+/// on the socket inside it: a connection has one read buffer for life. A
+/// second `BufReader` on a clone of the socket would lose whatever the peer
+/// sent behind its `Hello`/`Resume` that the first had already buffered —
+/// latent, because no client pipelines a request behind its handshake today.
+fn serve_connection(coord: &Arc<Coord>, w: usize, mut conn: BufReader<TcpStream>, generation: u64) {
+    let _ = conn
+        .get_ref()
+        .set_read_timeout(Some(coord.cfg.transfer_deadline));
+    let _ = conn.get_ref().set_nodelay(true);
     let mut payload = Vec::new();
     loop {
-        let (seq, msg) = match Msg::read_from(&mut reader, &mut payload) {
+        let (seq, msg) = match Msg::read_from(&mut conn, &mut payload) {
             Ok(m) => m,
             Err(_) => {
                 // EOF, RST, read timeout, or a CRC-damaged frame: all link
@@ -665,7 +667,7 @@ fn serve_connection(coord: &Arc<Coord>, w: usize, mut stream: TcpStream, generat
         match coord.sessions.lock()[w].s.classify(seq) {
             Inbound::Fresh => {}
             Inbound::Duplicate(Some((_, frame))) => {
-                if stream.write_all(&frame).is_err() {
+                if conn.get_ref().write_all(&frame).is_err() {
                     coord.note_disconnect(w, generation);
                     return;
                 }
@@ -710,7 +712,7 @@ fn serve_connection(coord: &Arc<Coord>, w: usize, mut stream: TcpStream, generat
         if stale {
             return;
         }
-        if stream.write_all(&frame).is_err() {
+        if conn.get_ref().write_all(&frame).is_err() {
             coord.note_disconnect(w, generation);
             return;
         }
@@ -727,7 +729,6 @@ pub struct ProcRun {
     coord: Arc<Coord>,
     accept_thread: Option<std::thread::JoinHandle<()>>,
     started: Instant,
-    sink_enabled: bool,
     cleaned: bool,
 }
 
@@ -810,13 +811,10 @@ impl ProcRun {
                 let coord = Arc::clone(&accept_coord);
                 std::thread::spawn(move || {
                     let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
-                    let mut reader = BufReader::new(match stream.try_clone() {
-                        Ok(s) => s,
-                        Err(_) => return,
-                    });
-                    match Msg::read_from(&mut reader, &mut Vec::new()) {
+                    let mut conn = BufReader::new(stream);
+                    match Msg::read_from(&mut conn, &mut Vec::new()) {
                         Ok((seq, Msg::Hello { worker })) => {
-                            handshake_hello(&coord, worker as usize, seq, stream);
+                            handshake_hello(&coord, worker as usize, seq, conn);
                         }
                         Ok((
                             seq,
@@ -826,14 +824,7 @@ impl ProcRun {
                                 attempt,
                             },
                         )) => {
-                            handshake_resume(
-                                &coord,
-                                worker as usize,
-                                seq,
-                                last_seq,
-                                attempt,
-                                stream,
-                            );
+                            handshake_resume(&coord, worker as usize, seq, last_seq, attempt, conn);
                         }
                         _ => {}
                     }
@@ -894,7 +885,6 @@ impl ProcRun {
             coord,
             accept_thread: Some(accept_thread),
             started: Instant::now(),
-            sink_enabled: sink.is_enabled(),
             cleaned: false,
         })
     }
@@ -1074,7 +1064,6 @@ impl ProcRun {
             let _ = TcpStream::connect(&self.coord.addr);
             let _ = handle.join();
         }
-        let _ = self.sink_enabled;
     }
 }
 

@@ -10,6 +10,7 @@
 //! | layer | module |
 //! |---|---|
 //! | frames + payload primitives (CRC-32, seq) | [`codec`] |
+//! | the checksum itself: portable and `pclmulqdq` tiers, all the crate's `unsafe` | `crc` (private; [`codec::crc32`]) |
 //! | RPC message set | [`proto`] |
 //! | per-rank dedup / reply-replay machine | [`session`] |
 //! | run config + argv encoding | [`config`] |
@@ -37,6 +38,7 @@ pub mod backend;
 pub mod codec;
 pub mod config;
 pub mod coordinator;
+mod crc;
 pub mod proto;
 pub mod session;
 

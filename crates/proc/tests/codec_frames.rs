@@ -1,6 +1,7 @@
 //! Wire-format tests: frame + payload round trips under arbitrary sizes,
 //! malformed frames (truncated prefix, oversized length, bad version)
-//! that must come back as errors, never panics, the strided CRC against a
+//! that must come back as errors, never panics, the CRC (whichever tier
+//! `crc.rs` selects here; its unit tests compare the tiers) against a
 //! bit-at-a-time oracle, and frames recorded with the PR 13 encoder that
 //! must keep decoding and re-encoding byte-identically.
 
@@ -31,6 +32,15 @@ fn crc32_bitwise(bytes: &[u8]) -> u32 {
     !c
 }
 
+/// Payload bytes whose length is as likely to leave the frame under the
+/// CRC's 64-byte fold threshold (summed by the portable tier alone) as to
+/// take it up to `max` (folded, with every `mod 64` and `mod 16` tail).
+fn payload(max: usize) -> impl Strategy<Value = Vec<u8>> {
+    (0usize..2).prop_flat_map(move |long| {
+        prop::collection::vec(0u8..=255, 0..if long == 1 { max } else { 96 })
+    })
+}
+
 /// Counts `write` calls and accepts every byte offered.
 #[derive(Default)]
 struct CountingWriter {
@@ -53,12 +63,12 @@ impl Write for CountingWriter {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// The strided CRC equals the bitwise oracle on any chunk list: chunk
-    /// lengths straddle the 16-byte stride, so state carries across chunk
-    /// boundaries in every phase of it.
+    /// The CRC equals the bitwise oracle on any chunk list: chunk lengths
+    /// straddle the 16-byte stride and the 64-byte fold block, so state
+    /// carries across chunk boundaries in every phase of both.
     #[test]
     fn crc_fast_path_matches_bitwise_oracle(
-        chunks in prop::collection::vec(prop::collection::vec(0u8..=255, 0..70), 0..8),
+        chunks in prop::collection::vec(payload(700), 0..8),
     ) {
         let refs: Vec<&[u8]> = chunks.iter().map(Vec::as_slice).collect();
         prop_assert_eq!(crc32(&refs), crc32_bitwise(&chunks.concat()));
@@ -69,7 +79,7 @@ proptest! {
     fn frame_round_trips(
         ty in 0u8..=255,
         seq in 0u32..=u32::MAX,
-        payload in prop::collection::vec(0u8..=255, 0..4096),
+        payload in payload(4096),
     ) {
         let mut buf = Vec::new();
         write_frame(&mut buf, ty, seq, &payload).expect("write");
@@ -86,7 +96,7 @@ proptest! {
     #[test]
     fn single_bit_corruption_is_always_detected(
         seq in 1u32..1000,
-        payload in prop::collection::vec(0u8..=255, 0..512),
+        payload in payload(700),
         bit_pick in 0usize..100_000,
     ) {
         let mut buf = Vec::new();
