@@ -3,25 +3,24 @@
 //! ambient jitter), and `wan` (a sustained 50× inter-machine squeeze) —
 //! each with the adaptive degradation controller off and on.
 //!
-//! The simulator is bit-deterministic, so every reported metric is exact:
-//! the `--baseline` gate against the committed `BENCH_010.json` trips on
-//! any drift at all, and a drift is a real change to the chaos trace
-//! generators, the network model, or the controller. The binary also
-//! self-checks two acceptance bars: under the WAN squeeze the controller
-//! must trip BSP (comm-bound probe → DGC on), and on a clean fabric it
-//! must *not* trip — an idle controller may cost nothing.
+//! The simulator is bit-deterministic, so every reported metric is exact
+//! and the gate is regenerate-and-diff: a run rewrites the committed
+//! `BENCH_010.json` in place, CI follows it with `git diff --exit-code`,
+//! and any difference is a real change to the chaos trace generators, the
+//! network model, or the controller. The binary also self-checks two
+//! acceptance bars: under the WAN squeeze the controller must trip BSP
+//! (comm-bound probe → DGC on), and on a clean fabric it must *not* trip —
+//! an idle controller may cost nothing.
 //!
-//! Flags: `--smoke` runs the short variant only (the records CI gates
-//! on), `--baseline PATH` gates against a committed trajectory, `--out
-//! PATH` overrides the output (default `BENCH_010.json`), `--csv DIR`
-//! archives the tables.
+//! Flags: `--out PATH` writes the trajectory elsewhere (default
+//! `BENCH_010.json`), `--csv DIR` archives the table.
 
 use dtrain_algos::adaptive::run_adaptive;
 use dtrain_algos::{
     run_observed, Algo, FaultConfig, OptimizationConfig, RealTraining, RunConfig, StopCondition,
     SyntheticTask,
 };
-use dtrain_bench::trajectory::{check_baseline, write_trajectory, TrajRecord};
+use dtrain_bench::trajectory::{finish_study, study_args, TrajRecord};
 use dtrain_bench::HarnessOpts;
 use dtrain_cluster::{ClusterConfig, NetworkConfig};
 use dtrain_core::report::Table;
@@ -151,23 +150,16 @@ fn run_cell(algo: Algo, scenario: &str, epochs: u64, probe: Option<u64>) -> Cell
     }
 }
 
-/// Run the full matrix at one scale; emit the table and exact trajectory
-/// records (`_smoke` suffix distinguishes the short variant).
-fn run_variant(
-    opts: &HarnessOpts,
-    epochs: u64,
-    probe_epochs: u64,
-    suffix: &str,
-    records: &mut Vec<TrajRecord>,
-    divergences: &mut Vec<String>,
-) {
+/// Run the matrix at training length; emit the table and the trajectory
+/// records.
+fn run_matrix(opts: &HarnessOpts, records: &mut Vec<TrajRecord>, divergences: &mut Vec<String>) {
+    let (epochs, probe_epochs) = (6, 2);
     let mut table = Table::new(
         format!(
-            "chaos matrix: {} algos x {} scenarios x ctrl off/on (seed {}{})",
+            "chaos matrix: {} algos x {} scenarios x ctrl off/on (seed {})",
             ALGOS.len(),
             SCENARIOS.len(),
-            STUDY_SEED,
-            if suffix.is_empty() { "" } else { ", smoke" }
+            STUDY_SEED
         ),
         &[
             "algo", "scenario", "ctrl", "end_s", "acc", "inter_MB", "action",
@@ -188,29 +180,29 @@ fn run_variant(
                     format!("{:?}", cell.action),
                 ]);
                 records.push(TrajRecord {
-                    kernel: format!(
-                        "chaos_{}_{}_{}{suffix}",
+                    name: format!(
+                        "chaos_{}_{}_{}",
                         algo.name().to_lowercase().replace('-', ""),
                         scenario,
                         ctrl_tag
                     ),
-                    threads: 1,
-                    ms: cell.end_secs * 1e3,
-                    oversubscribed: false,
+                    machines: MACHINES,
+                    value: cell.end_secs * 1e3,
+                    unit: "ms",
                 });
 
-                // Acceptance bars, checked on the BSP row of every
-                // variant: the controller must trip under the WAN squeeze
-                // and must not trip on a clean fabric.
+                // Acceptance bars, checked on the BSP rows: the
+                // controller must trip under the WAN squeeze and must not
+                // trip on a clean fabric.
                 if algo == Algo::Bsp && ctrl_on {
                     match scenario {
                         "wan" if cell.action == CtrlAction::Stay => divergences.push(format!(
                             "acceptance: BSP under the WAN squeeze did not trip \
-                             (action {:?}{suffix})",
+                             (action {:?})",
                             cell.action
                         )),
                         "clean" if cell.action != CtrlAction::Stay => divergences.push(format!(
-                            "acceptance: BSP on a clean fabric tripped to {:?}{suffix}",
+                            "acceptance: BSP on a clean fabric tripped to {:?}",
                             cell.action
                         )),
                         _ => {}
@@ -219,7 +211,7 @@ fn run_variant(
             }
         }
     }
-    opts.emit(&table, &format!("chaos_matrix{}", suffix.replace('_', "")));
+    opts.emit(&table, "chaos_matrix");
 }
 
 /// Same cell, run twice: trace and end time must be bit-identical.
@@ -246,60 +238,17 @@ fn determinism_self_check(epochs: u64, probe_epochs: u64, divergences: &mut Vec<
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut smoke = false;
-    let mut baseline: Option<String> = None;
-    let mut out_path: Option<String> = None;
-    let mut rest = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--smoke" => smoke = true,
-            "--baseline" => {
-                i += 1;
-                baseline = Some(args.get(i).expect("--baseline requires a path").clone());
-            }
-            "--out" => {
-                i += 1;
-                out_path = Some(args.get(i).expect("--out requires a path").clone());
-            }
-            other => rest.push(other.to_string()),
-        }
-        i += 1;
-    }
-    let opts = HarnessOpts::from_args(&rest);
+    let (opts, out) = study_args(std::env::args().skip(1).collect(), "BENCH_010.json");
 
     let mut records = Vec::new();
     let mut divergences = Vec::new();
 
-    // The smoke records are always produced: they are what CI's exact
-    // baseline gate compares. The full variant reruns the matrix at
-    // training length.
-    run_variant(&opts, 3, 1, "_smoke", &mut records, &mut divergences);
+    run_matrix(&opts, &mut records, &mut divergences);
     determinism_self_check(3, 1, &mut divergences);
-    if !smoke {
-        run_variant(&opts, 6, 2, "", &mut records, &mut divergences);
-    }
 
-    if let Some(path) = &baseline {
-        check_baseline(path, &records, &mut divergences);
-    }
-    let out = out_path.as_deref().unwrap_or("BENCH_010.json");
     let meta = [
-        ("study", "\"chaos_study\"".to_string()),
-        ("smoke", smoke.to_string()),
         ("seed", STUDY_SEED.to_string()),
-        ("machines", MACHINES.to_string()),
         ("algos", ALGOS.len().to_string()),
     ];
-    write_trajectory(out, &meta, &records, &divergences).expect("write trajectory");
-    println!("wrote {out} ({} records)", records.len());
-
-    if !divergences.is_empty() {
-        eprintln!("CHAOS STUDY DIVERGENCE:");
-        for d in &divergences {
-            eprintln!("  {d}");
-        }
-        std::process::exit(1);
-    }
+    finish_study("chaos_study", &out, &meta, &records, &divergences);
 }

@@ -12,60 +12,36 @@
 //! under the flat ring vs. the two-level hierarchical allreduce vs. the
 //! chunked pipelined schedule, swept over machine counts and both models
 //! on the 10 Gbps cluster. Reports the crossover point (the smallest
-//! machine count where pipelined beats the flat ring) per model, emits a
-//! `BENCH_008`-format trajectory (`--out PATH`, default
-//! `results/fig4_collective.json`), and gates against a committed one with
-//! `--baseline PATH` — the simulator is deterministic, so any drift there
-//! is a real model change. Exits nonzero if pipelined fails to beat flat
-//! for ResNet-50 at 8+ machines.
+//! machine count where pipelined beats the flat ring) per model and
+//! rewrites the committed `BENCH_008.json` in place (`--out PATH` writes
+//! elsewhere). The simulator is deterministic, so the gate is
+//! regenerate-and-diff: CI follows the run with `git diff --exit-code`,
+//! and any difference is a real model change. The study has one scale —
+//! 8 iterations over 1–16 machines, under a second — which `--quick` does
+//! not shrink, so what is diffed is always what is committed. Exits
+//! nonzero if pipelined fails to beat flat for ResNet-50 at 8+ machines.
 
-use dtrain_bench::trajectory::{check_baseline, write_trajectory, TrajRecord};
+use dtrain_bench::trajectory::{finish_study, study_args, TrajRecord};
 use dtrain_bench::HarnessOpts;
 use dtrain_core::prelude::*;
 use dtrain_core::presets::{collective_run, optimization_run, PaperModel};
 
 fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let mut collective = false;
-    let mut baseline: Option<String> = None;
-    let mut out_path: Option<String> = None;
-    let mut rest: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < raw.len() {
-        match raw[i].as_str() {
-            "--collective" => collective = true,
-            "--baseline" | "--out" => {
-                let Some(v) = raw.get(i + 1) else {
-                    eprintln!("{} requires a path argument", raw[i]);
-                    std::process::exit(2);
-                };
-                if raw[i] == "--baseline" {
-                    baseline = Some(v.clone());
-                } else {
-                    out_path = Some(v.clone());
-                }
-                i += 1;
-            }
-            other => rest.push(other.to_string()),
-        }
-        i += 1;
-    }
-    let opts = HarnessOpts::from_args(&rest);
-    if collective {
-        crossover_study(&opts, baseline.as_deref(), out_path.as_deref());
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let given = args.len();
+    args.retain(|a| a != "--collective");
+    if args.len() < given {
+        let (opts, out) = study_args(args, "BENCH_008.json");
+        crossover_study(&opts, &out);
     } else {
-        cumulative_optimizations(&opts);
+        cumulative_optimizations(&HarnessOpts::from_args(&args));
     }
 }
 
 /// The `--collective` crossover study (see module docs).
-fn crossover_study(opts: &HarnessOpts, baseline: Option<&str>, out_path: Option<&str>) {
-    let iterations = if opts.quick { 4 } else { 8 };
-    let machine_counts: Vec<usize> = if opts.quick {
-        vec![2, 4, 8]
-    } else {
-        vec![1, 2, 4, 8, 12, 16]
-    };
+fn crossover_study(opts: &HarnessOpts, out: &str) {
+    let iterations = 8;
+    let machine_counts = [1, 2, 4, 8, 12, 16];
     let net = NetworkConfig::TEN_GBPS;
     let mut records: Vec<TrajRecord> = Vec::new();
     let mut divergences: Vec<String> = Vec::new();
@@ -79,21 +55,21 @@ fn crossover_study(opts: &HarnessOpts, baseline: Option<&str>, out_path: Option<
     );
     for model in [PaperModel::ResNet50, PaperModel::Vgg16] {
         let mut crossover: Option<usize> = None;
-        for &m in &machine_counts {
+        for m in machine_counts {
             let mut row = vec![model.name().to_string(), m.to_string()];
             let mut times = Vec::new();
             for schedule in CollectiveSchedule::ALL {
                 let out = run(&collective_run(model, m, net, schedule, iterations));
                 row.push(format!("{:.0}", out.throughput));
                 records.push(TrajRecord {
-                    kernel: format!(
+                    name: format!(
                         "arsgd_{}_{}",
                         schedule.name(),
                         model.name().to_lowercase().replace('-', "")
                     ),
-                    threads: m,
-                    ms: out.end_time.as_secs_f64() * 1e3 / iterations as f64,
-                    oversubscribed: false,
+                    machines: m,
+                    value: out.end_time.as_secs_f64() * 1e3 / iterations as f64,
+                    unit: "ms/iter",
                 });
                 times.push((schedule, out.end_time));
             }
@@ -154,25 +130,8 @@ fn crossover_study(opts: &HarnessOpts, baseline: Option<&str>, out_path: Option<
         println!("wrote {path} — open it at https://ui.perfetto.dev");
     }
 
-    if let Some(path) = baseline {
-        check_baseline(path, &records, &mut divergences);
-    }
-    let out = out_path.unwrap_or("results/fig4_collective.json");
-    let meta = [
-        ("study", "\"fig4_collective\"".to_string()),
-        ("quick", opts.quick.to_string()),
-        ("iterations", iterations.to_string()),
-    ];
-    write_trajectory(out, &meta, &records, &divergences).expect("write trajectory");
-    println!("wrote {out} ({} records)", records.len());
-
-    if !divergences.is_empty() {
-        eprintln!("COLLECTIVE STUDY DIVERGENCE:");
-        for d in &divergences {
-            eprintln!("  {d}");
-        }
-        std::process::exit(1);
-    }
+    let meta = [("iterations", iterations.to_string())];
+    finish_study("fig4_collective", out, &meta, &records, &divergences);
 }
 
 /// The paper's original figure: cumulative optimization levels.

@@ -3,22 +3,21 @@
 //! compared across the three placement policies (`pack`, `spread`,
 //! `predictive`).
 //!
-//! The simulator is bit-deterministic, so every reported metric is exact:
-//! the `--baseline` gate against the committed `BENCH_009.json` trips on
-//! any drift at all, and a drift is a real change to the scheduler, the
-//! cost model, or the trace generator. The full run additionally enforces
-//! the acceptance bar for the checkpoint path: at least one real-math job
-//! must be preempted, resume from its checkpoint, and finish with
-//! parameter bits identical to an undisturbed standalone run.
+//! The simulator is bit-deterministic, so every reported metric is exact
+//! and the gate is regenerate-and-diff: a run rewrites the committed
+//! `BENCH_009.json` in place, CI follows it with `git diff --exit-code`,
+//! and any difference is a real change to the scheduler, the cost model,
+//! or the trace generator. The run also enforces the acceptance bar for
+//! the checkpoint path: at least one real-math job must be preempted,
+//! resume from its checkpoint, and finish with parameter bits identical
+//! to an undisturbed standalone run.
 //!
-//! Flags: `--smoke` runs the short-jobs variant only (the records CI gates
-//! on), `--baseline PATH` gates against a committed trajectory, `--out
-//! PATH` overrides the output (default `BENCH_009.json`), `--csv DIR`
-//! archives the tables. `DTRAIN_TRACE=perfetto` writes
-//! `results/trace_sched_study.json` with the `sched.*` scheduler track and
-//! one track per job.
+//! Flags: `--out PATH` writes the trajectory elsewhere (default
+//! `BENCH_009.json`), `--csv DIR` archives the tables.
+//! `DTRAIN_TRACE=perfetto` writes `results/trace_sched_study.json` with
+//! the `sched.*` scheduler track and one track per job.
 
-use dtrain_bench::trajectory::{check_baseline, write_trajectory, TrajRecord};
+use dtrain_bench::trajectory::{finish_study, study_args, TrajRecord};
 use dtrain_bench::HarnessOpts;
 use dtrain_cluster::{ClusterConfig, NetworkConfig};
 use dtrain_core::report::Table;
@@ -35,8 +34,6 @@ use dtrain_sched::{
 const STUDY_SEED: u64 = 25;
 const STUDY_JOBS: usize = 10;
 const STUDY_MACHINES: usize = 12;
-/// Job-length scale for the smoke variant (CI's exact-gate records).
-const SMOKE_SCALE: f64 = 0.12;
 
 fn study_cluster() -> ClusterConfig {
     let mut c = ClusterConfig::paper(NetworkConfig::TEN_GBPS);
@@ -45,33 +42,25 @@ fn study_cluster() -> ClusterConfig {
     c
 }
 
-fn study_trace(scale: f64) -> Vec<JobSpec> {
+fn study_trace() -> Vec<JobSpec> {
     generate_trace(&TraceConfig {
         jobs: STUDY_JOBS,
         seed: STUDY_SEED,
         machines: STUDY_MACHINES,
-        iters_scale: scale,
         ..Default::default()
     })
 }
 
-/// Run all three policies at one scale; emit the policy table and exact
-/// trajectory records (`_smoke` suffix distinguishes the short variant).
-fn run_variant(
-    opts: &HarnessOpts,
-    scale: f64,
-    suffix: &str,
-    records: &mut Vec<TrajRecord>,
-) -> Vec<(Policy, SchedRun)> {
+/// Run all three policies; emit the policy table and the trajectory
+/// records, and hand back the predictive run for the per-job checks.
+fn run_policies(opts: &HarnessOpts, jobs: &[JobSpec], records: &mut Vec<TrajRecord>) -> SchedRun {
     let cluster = study_cluster();
-    let jobs = study_trace(scale);
     let mut table = Table::new(
         format!(
-            "gang scheduling: {} jobs on {} machines (seed {}{})",
+            "gang scheduling: {} jobs on {} machines (seed {})",
             jobs.len(),
             cluster.machines,
-            STUDY_SEED,
-            if suffix.is_empty() { "" } else { ", smoke" }
+            STUDY_SEED
         ),
         &[
             "policy",
@@ -85,9 +74,9 @@ fn run_variant(
             "done",
         ],
     );
-    let mut runs = Vec::new();
+    let mut predictive = None;
     for policy in Policy::ALL {
-        let run = run_scheduler(&cluster, policy, &jobs, &ObsSink::disabled());
+        let run = run_scheduler(&cluster, policy, jobs, &ObsSink::disabled());
         let m = &run.metrics;
         let shrinks: u64 = run.outcomes.iter().map(|o| o.shrinks).sum();
         let grows: u64 = run.outcomes.iter().map(|o| o.grows).sum();
@@ -102,33 +91,24 @@ fn run_variant(
             grows.to_string(),
             format!("{}/{}", m.completed, jobs.len()),
         ]);
-        records.push(TrajRecord {
-            kernel: format!("sched_{}_makespan{suffix}", policy.name()),
-            threads: 1,
-            ms: m.makespan_secs * 1e3,
-            oversubscribed: false,
-        });
-        // Informational (skipped by the ms gate): utilization and
-        // fairness as percentages.
-        records.push(TrajRecord {
-            kernel: format!("sched_{}_util{suffix}_pct", policy.name()),
-            threads: 1,
-            ms: m.utilization * 100.0,
-            oversubscribed: false,
-        });
-        records.push(TrajRecord {
-            kernel: format!("sched_{}_jain{suffix}_pct", policy.name()),
-            threads: 1,
-            ms: m.jain_fairness * 100.0,
-            oversubscribed: false,
-        });
-        runs.push((policy, run));
+        for (metric, value, unit) in [
+            ("makespan", m.makespan_secs * 1e3, "ms"),
+            ("util_pct", m.utilization * 100.0, "%"),
+            ("jain_pct", m.jain_fairness * 100.0, "%"),
+        ] {
+            records.push(TrajRecord {
+                name: format!("sched_{}_{metric}", policy.name()),
+                machines: STUDY_MACHINES,
+                value,
+                unit,
+            });
+        }
+        if policy == Policy::Predictive {
+            predictive = Some(run);
+        }
     }
-    opts.emit(
-        &table,
-        &format!("sched_policies{}", suffix.replace('_', "")),
-    );
-    runs
+    opts.emit(&table, "sched_policies");
+    predictive.expect("predictive ran")
 }
 
 fn per_job_table(opts: &HarnessOpts, run: &SchedRun) {
@@ -158,11 +138,10 @@ fn per_job_table(opts: &HarnessOpts, run: &SchedRun) {
 
 /// Same seed, same policy, run twice: every metric and final model must be
 /// bit-identical.
-fn determinism_self_check(scale: f64, divergences: &mut Vec<String>) {
+fn determinism_self_check(jobs: &[JobSpec], divergences: &mut Vec<String>) {
     let cluster = study_cluster();
-    let jobs = study_trace(scale);
-    let a = run_scheduler(&cluster, Policy::Predictive, &jobs, &ObsSink::disabled());
-    let b = run_scheduler(&cluster, Policy::Predictive, &jobs, &ObsSink::disabled());
+    let a = run_scheduler(&cluster, Policy::Predictive, jobs, &ObsSink::disabled());
+    let b = run_scheduler(&cluster, Policy::Predictive, jobs, &ObsSink::disabled());
     if a.metrics.makespan_secs.to_bits() != b.metrics.makespan_secs.to_bits() {
         divergences.push("determinism: makespan differs between identical runs".into());
     }
@@ -210,84 +189,29 @@ fn preemption_acceptance(jobs: &[JobSpec], run: &SchedRun, divergences: &mut Vec
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut smoke = false;
-    let mut baseline: Option<String> = None;
-    let mut out_path: Option<String> = None;
-    let mut rest = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--smoke" => smoke = true,
-            "--baseline" => {
-                i += 1;
-                baseline = Some(args.get(i).expect("--baseline requires a path").clone());
-            }
-            "--out" => {
-                i += 1;
-                out_path = Some(args.get(i).expect("--out requires a path").clone());
-            }
-            other => rest.push(other.to_string()),
-        }
-        i += 1;
-    }
-    let opts = HarnessOpts::from_args(&rest);
+    let (opts, out) = study_args(std::env::args().skip(1).collect(), "BENCH_009.json");
 
     let mut records = Vec::new();
     let mut divergences = Vec::new();
 
-    // The smoke records are always produced: they are what CI's exact
-    // baseline gate compares. The full variant adds the long-jobs study
-    // with the preemption/bit-identity acceptance checks.
-    let smoke_runs = run_variant(&opts, SMOKE_SCALE, "_smoke", &mut records);
-    if !smoke {
-        let full_runs = run_variant(&opts, 1.0, "", &mut records);
-        let (_, predictive) = full_runs
-            .iter()
-            .find(|(p, _)| *p == Policy::Predictive)
-            .expect("predictive ran");
-        per_job_table(&opts, predictive);
-        preemption_acceptance(&study_trace(1.0), predictive, &mut divergences);
-        determinism_self_check(1.0, &mut divergences);
-    } else {
-        determinism_self_check(SMOKE_SCALE, &mut divergences);
-    }
-    drop(smoke_runs);
+    let jobs = study_trace();
+    let predictive = run_policies(&opts, &jobs, &mut records);
+    per_job_table(&opts, &predictive);
+    preemption_acceptance(&jobs, &predictive, &mut divergences);
+    determinism_self_check(&jobs, &mut divergences);
 
     if std::env::var("DTRAIN_TRACE").is_ok_and(|v| v == "perfetto") {
-        let scale = if smoke { SMOKE_SCALE } else { 1.0 };
         let sink = ObsSink::enabled();
-        run_scheduler(
-            &study_cluster(),
-            Policy::Predictive,
-            &study_trace(scale),
-            &sink,
-        );
+        run_scheduler(&study_cluster(), Policy::Predictive, &jobs, &sink);
         std::fs::create_dir_all("results").expect("create results/");
         let path = "results/trace_sched_study.json";
         std::fs::write(path, perfetto_trace(&sink.snapshot())).expect("write trace");
         println!("wrote {path} — open it at https://ui.perfetto.dev");
     }
 
-    if let Some(path) = &baseline {
-        check_baseline(path, &records, &mut divergences);
-    }
-    let out = out_path.as_deref().unwrap_or("BENCH_009.json");
     let meta = [
-        ("study", "\"sched_study\"".to_string()),
-        ("smoke", smoke.to_string()),
         ("seed", STUDY_SEED.to_string()),
         ("jobs", STUDY_JOBS.to_string()),
-        ("machines", STUDY_MACHINES.to_string()),
     ];
-    write_trajectory(out, &meta, &records, &divergences).expect("write trajectory");
-    println!("wrote {out} ({} records)", records.len());
-
-    if !divergences.is_empty() {
-        eprintln!("SCHED STUDY DIVERGENCE:");
-        for d in &divergences {
-            eprintln!("  {d}");
-        }
-        std::process::exit(1);
-    }
+    finish_study("sched_study", &out, &meta, &records, &divergences);
 }

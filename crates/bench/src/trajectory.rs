@@ -1,52 +1,52 @@
-//! The committed perf-trajectory format shared by the harness binaries.
+//! The committed trajectory files of the three virtual-time studies:
+//! `BENCH_008.json` (`fig4_optimizations --collective`), `BENCH_009.json`
+//! (`sched_study`) and `BENCH_010.json` (`chaos_study`).
 //!
-//! A trajectory file (`BENCH_00N.json` at the repo root, or an ad-hoc
-//! `results/*.json`) is a flat list of `(kernel, threads, ms)` minima plus
-//! free-form metadata. `bench_kernels` records real wall-clock kernel
-//! minima; `fig4_optimizations --collective` records *simulated* collective
-//! round times (deterministic, so the gate is exact there). Both gate
-//! against a committed file with [`check_baseline`]: any matching record
-//! that regressed more than 15% (plus a 0.02 ms absolute floor for
-//! µs-scale kernels) is a divergence, and records oversubscribed on either
-//! side are excluded outright rather than compared — a 1-core CI host
-//! timesharing an 8-thread pool measures scheduler luck, and comparing it
-//! against a wider host's baseline (or vice versa) flakes the gate without
-//! any code change.
+//! Every value in them is a *simulator output* — simulated milliseconds or
+//! a ratio of them — not a timing of this code; wall-clock is `perf/`'s
+//! job. The simulator is bit-deterministic, so the gate is the one the
+//! `results/*.csv` have: a study rewrites its file in place and CI runs
+//! `git diff --exit-code` on it. Any difference at all — a moved value, a
+//! missing or extra record — is a change to the model and fails; an
+//! intended one is re-blessed by committing the regenerated file.
 
-/// One benchmarked configuration's minimum.
+use crate::HarnessOpts;
+
+/// One model output of a study.
 pub struct TrajRecord {
-    pub kernel: String,
-    pub threads: usize,
-    pub ms: f64,
-    /// `threads > host_parallelism`: measures oversubscription overhead,
-    /// not scaling. Excluded from the baseline gate.
-    pub oversubscribed: bool,
+    pub name: String,
+    /// Machines in the simulated cluster the value was taken on.
+    pub machines: usize,
+    pub value: f64,
+    pub unit: &'static str,
 }
 
-pub fn json_escape(s: &str) -> String {
+fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 /// Render the trajectory document. `meta` entries are emitted verbatim as
-/// top-level `"key": value` pairs, so values must already be valid JSON
-/// (`"3"`, `"false"`, `"\"avx512\""`).
-pub fn render_trajectory(
+/// top-level `"key": value` pairs, so values must already be valid JSON.
+/// `divergences` are the study's failed self-checks (empty in a committed
+/// file).
+fn render_trajectory(
+    study: &str,
     meta: &[(&str, String)],
     records: &[TrajRecord],
     divergences: &[String],
 ) -> String {
-    let mut json = String::from("{\n");
+    let mut json = format!("{{\n  \"study\": \"{study}\",\n  \"clock\": \"virtual\",\n");
     for (k, v) in meta {
         json.push_str(&format!("  \"{k}\": {v},\n"));
     }
     json.push_str("  \"records\": [\n");
     for (i, r) in records.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"kernel\": \"{}\", \"threads\": {}, \"ms\": {:.6}, \"oversubscribed\": {}}}{}\n",
-            json_escape(&r.kernel),
-            r.threads,
-            r.ms,
-            r.oversubscribed,
+            "    {{\"name\": \"{}\", \"machines\": {}, \"value\": {:.6}, \"unit\": \"{}\"}}{}\n",
+            json_escape(&r.name),
+            r.machines,
+            r.value,
+            r.unit,
             if i + 1 < records.len() { "," } else { "" }
         ));
     }
@@ -62,88 +62,52 @@ pub fn render_trajectory(
     json
 }
 
-/// Render and write, creating parent directories.
-pub fn write_trajectory(
-    path: &str,
+/// Take `--out PATH` off a study's argument list; `default` is the
+/// committed file.
+fn take_out_path(args: &mut Vec<String>, default: &str) -> String {
+    let Some(i) = args.iter().position(|a| a == "--out") else {
+        return default.to_string();
+    };
+    if i + 1 >= args.len() {
+        eprintln!("--out requires a path argument");
+        std::process::exit(2);
+    }
+    let path = args.remove(i + 1);
+    args.remove(i);
+    path
+}
+
+/// The head of every study's `main`: `--out PATH` (default: the committed
+/// file the study rewrites) plus the common harness options.
+pub fn study_args(mut args: Vec<String>, default_out: &str) -> (HarnessOpts, String) {
+    let out = take_out_path(&mut args, default_out);
+    (HarnessOpts::from_args(&args), out)
+}
+
+/// The tail of every study's `main`: write the trajectory to `out`
+/// (creating parent directories), then exit nonzero if a self-check
+/// diverged.
+pub fn finish_study(
+    study: &str,
+    out: &str,
     meta: &[(&str, String)],
     records: &[TrajRecord],
     divergences: &[String],
-) -> std::io::Result<()> {
-    if let Some(dir) = std::path::Path::new(path).parent() {
+) {
+    if let Some(dir) = std::path::Path::new(out).parent() {
         if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)?;
+            std::fs::create_dir_all(dir).expect("create output directory");
         }
     }
-    std::fs::write(path, render_trajectory(meta, records, divergences))
-}
-
-/// Compare this run's minima against a committed trajectory file; push a
-/// divergence line per regression (see module docs for the rule). Records
-/// whose kernel ends in `_pct` are obs-overhead percentages, gated
-/// separately at measurement time, and skipped here.
-pub fn check_baseline(path: &str, records: &[TrajRecord], divergences: &mut Vec<String>) {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            divergences.push(format!("baseline {path}: unreadable ({e})"));
-            return;
+    std::fs::write(out, render_trajectory(study, meta, records, divergences))
+        .expect("write trajectory");
+    println!("wrote {out} ({} records)", records.len());
+    if !divergences.is_empty() {
+        eprintln!("{study}: self-check diverged:");
+        for d in divergences {
+            eprintln!("  {d}");
         }
-    };
-    let doc = match serde_json::from_str(&text) {
-        Ok(v) => v,
-        Err(e) => {
-            divergences.push(format!("baseline {path}: parse error ({e:?})"));
-            return;
-        }
-    };
-    let Some(base_records) = doc.get_key("records").and_then(|r| r.as_array()) else {
-        divergences.push(format!("baseline {path}: no records array"));
-        return;
-    };
-    let mut compared = 0usize;
-    let mut excluded = 0usize;
-    for br in base_records {
-        let (Some(kernel), Some(threads), Some(old_ms)) = (
-            br.get_key("kernel").and_then(|v| v.as_str()),
-            br.get_key("threads").and_then(|v| v.as_u64()),
-            br.get_key("ms").and_then(|v| v.as_f64()),
-        ) else {
-            continue;
-        };
-        if kernel.ends_with("_pct") {
-            continue;
-        }
-        let Some(new) = records
-            .iter()
-            .find(|r| r.kernel == kernel && r.threads == threads as usize)
-        else {
-            continue;
-        };
-        let base_oversub = br
-            .get_key("oversubscribed")
-            .and_then(|v| v.as_bool())
-            .unwrap_or(false);
-        if new.oversubscribed || base_oversub {
-            excluded += 1;
-            continue;
-        }
-        compared += 1;
-        if new.ms > old_ms * 1.15 + 0.02 {
-            divergences.push(format!(
-                "perf regression: {kernel} @ {threads}t: {:.4} ms vs baseline {old_ms:.4} ms \
-                 (>15% + 0.02 ms)",
-                new.ms
-            ));
-        }
-    }
-    println!(
-        "perf gate: compared {compared} records against {path} \
-         ({excluded} oversubscribed excluded)"
-    );
-    if compared == 0 {
-        divergences.push(format!(
-            "baseline {path}: no comparable records — gate would be vacuous"
-        ));
+        std::process::exit(1);
     }
 }
 
@@ -151,149 +115,55 @@ pub fn check_baseline(path: &str, records: &[TrajRecord], divergences: &mut Vec<
 mod tests {
     use super::*;
 
-    fn rec(kernel: &str, ms: f64, oversub: bool) -> TrajRecord {
-        TrajRecord {
-            kernel: kernel.into(),
-            threads: 1,
-            ms,
-            oversubscribed: oversub,
-        }
-    }
-
     #[test]
-    fn render_then_gate_round_trips() {
-        let records = vec![rec("a", 1.0, false), rec("b", 2.0, true)];
-        let doc = render_trajectory(&[("smoke", "true".into())], &records, &[]);
-        let dir = std::env::temp_dir().join("dtrain_traj_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("base.json");
-        std::fs::write(&path, &doc).unwrap();
-        // Identical run: no divergences, one compared (b excluded).
-        let mut div = Vec::new();
-        check_baseline(path.to_str().unwrap(), &records, &mut div);
-        assert!(div.is_empty(), "{div:?}");
-        // Regressed run: a at 2x must trip the gate; oversubscribed b at
-        // 10x must not.
-        let worse = vec![rec("a", 2.0, false), rec("b", 20.0, true)];
-        let mut div = Vec::new();
-        check_baseline(path.to_str().unwrap(), &worse, &mut div);
-        assert_eq!(div.len(), 1, "{div:?}");
-        assert!(div[0].contains("perf regression: a"));
-    }
-
-    #[test]
-    fn missing_baseline_is_a_divergence_not_a_panic() {
-        let mut div = Vec::new();
-        check_baseline("/nonexistent/path.json", &[rec("a", 1.0, false)], &mut div);
-        assert_eq!(div.len(), 1);
-        assert!(div[0].contains("unreadable"));
-    }
-
-    fn write_temp(name: &str, doc: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join("dtrain_traj_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(name);
-        std::fs::write(&path, doc).unwrap();
-        path
-    }
-
-    /// The gate is `new > old * 1.15 + 0.02`: exactly at the threshold
-    /// passes, a hair above trips.
-    #[test]
-    fn gate_threshold_is_fifteen_percent_plus_absolute_floor() {
-        let base = render_trajectory(&[], &[rec("k", 1.0, false)], &[]);
-        let path = write_temp("boundary.json", &base);
-        let at = 1.0 * 1.15 + 0.02;
-
-        let mut div = Vec::new();
-        check_baseline(path.to_str().unwrap(), &[rec("k", at, false)], &mut div);
-        assert!(div.is_empty(), "exactly at the bound must pass: {div:?}");
-
-        let mut div = Vec::new();
-        check_baseline(
-            path.to_str().unwrap(),
-            &[rec("k", at + 1e-9, false)],
-            &mut div,
+    fn rendered_document_parses_back_with_every_field() {
+        let records = [
+            TrajRecord {
+                name: "a_ms".into(),
+                machines: 4,
+                value: 1.25,
+                unit: "ms",
+            },
+            TrajRecord {
+                name: "b \"quoted\"".into(),
+                machines: 12,
+                value: 85.5,
+                unit: "%",
+            },
+        ];
+        let text = render_trajectory(
+            "demo",
+            &[("seed", "7".into())],
+            &records,
+            &["x \\ y".to_string()],
         );
-        assert_eq!(div.len(), 1, "just past the bound must trip");
-
-        // The 0.02 ms floor dominates for µs-scale kernels: a 100%
-        // regression on a 0.01 ms kernel stays inside 0.01*1.15 + 0.02.
-        let base = render_trajectory(&[], &[rec("tiny", 0.01, false)], &[]);
-        let path = write_temp("tiny.json", &base);
-        let mut div = Vec::new();
-        check_baseline(
-            path.to_str().unwrap(),
-            &[rec("tiny", 0.02, false)],
-            &mut div,
+        let doc = serde_json::from_str(&text).expect("valid JSON");
+        let str_at = |key| doc.get_key(key).and_then(|v| v.as_str());
+        assert_eq!(str_at("study"), Some("demo"));
+        assert_eq!(str_at("clock"), Some("virtual"));
+        assert_eq!(doc.get_key("seed").and_then(|v| v.as_u64()), Some(7));
+        let recs = doc.get_key("records").and_then(|r| r.as_array()).unwrap();
+        assert_eq!(recs.len(), 2);
+        let b = &recs[1];
+        assert_eq!(
+            b.get_key("name").and_then(|v| v.as_str()),
+            Some("b \"quoted\"")
         );
-        assert!(
-            div.is_empty(),
-            "absolute floor must absorb µs jitter: {div:?}"
-        );
-    }
-
-    /// Oversubscription on *either* side excludes the pair — and if that
-    /// leaves nothing to compare, the gate reports itself vacuous instead
-    /// of silently passing.
-    #[test]
-    fn oversubscribed_on_either_side_excludes_and_empty_gate_is_vacuous() {
-        // Baseline oversubscribed, current not.
-        let base = render_trajectory(&[], &[rec("k", 1.0, true)], &[]);
-        let path = write_temp("oversub.json", &base);
-        let mut div = Vec::new();
-        check_baseline(path.to_str().unwrap(), &[rec("k", 100.0, false)], &mut div);
-        assert_eq!(div.len(), 1, "{div:?}");
-        assert!(div[0].contains("vacuous"), "{div:?}");
-
-        // Current oversubscribed, baseline not: same outcome.
-        let base = render_trajectory(&[], &[rec("k", 1.0, false)], &[]);
-        let path = write_temp("oversub2.json", &base);
-        let mut div = Vec::new();
-        check_baseline(path.to_str().unwrap(), &[rec("k", 100.0, true)], &mut div);
-        assert_eq!(div.len(), 1, "{div:?}");
-        assert!(div[0].contains("vacuous"), "{div:?}");
-    }
-
-    /// `_pct` records are obs-overhead percentages, not milliseconds; the
-    /// ms gate must skip them no matter how much they moved.
-    #[test]
-    fn pct_records_are_skipped_by_the_ms_gate() {
-        let base = render_trajectory(
-            &[],
-            &[rec("obs_overhead_pct", 1.0, false), rec("k", 1.0, false)],
-            &[],
-        );
-        let path = write_temp("pct.json", &base);
-        let mut div = Vec::new();
-        check_baseline(
-            path.to_str().unwrap(),
-            &[rec("obs_overhead_pct", 50.0, false), rec("k", 1.0, false)],
-            &mut div,
-        );
-        assert!(div.is_empty(), "{div:?}");
+        assert_eq!(b.get_key("machines").and_then(|v| v.as_u64()), Some(12));
+        assert_eq!(b.get_key("value").and_then(|v| v.as_f64()), Some(85.5));
+        assert_eq!(b.get_key("unit").and_then(|v| v.as_str()), Some("%"));
+        let div = doc.get_key("divergences").and_then(|d| d.as_array());
+        assert_eq!(div.unwrap()[0].as_str(), Some("x \\ y"));
     }
 
     #[test]
-    fn unparseable_baseline_is_a_divergence() {
-        let path = write_temp("garbage.json", "{not json");
-        let mut div = Vec::new();
-        check_baseline(path.to_str().unwrap(), &[rec("k", 1.0, false)], &mut div);
-        assert_eq!(div.len(), 1);
-        assert!(
-            div[0].contains("parse error") || div[0].contains("no records"),
-            "{div:?}"
-        );
-    }
-
-    #[test]
-    fn records_missing_from_the_current_run_are_ignored() {
-        // A kernel present only in the baseline (e.g. retired config) must
-        // not trip the gate as long as something else still compares.
-        let base = render_trajectory(&[], &[rec("old", 1.0, false), rec("k", 1.0, false)], &[]);
-        let path = write_temp("missing.json", &base);
-        let mut div = Vec::new();
-        check_baseline(path.to_str().unwrap(), &[rec("k", 1.0, false)], &mut div);
-        assert!(div.is_empty(), "{div:?}");
+    fn out_flag_is_taken_wherever_it_sits() {
+        let mut args: Vec<String> = ["--csv", "d", "--out", "f.json", "--quick"]
+            .map(String::from)
+            .to_vec();
+        assert_eq!(take_out_path(&mut args, "BENCH.json"), "f.json");
+        assert_eq!(args, ["--csv", "d", "--quick"]);
+        assert_eq!(take_out_path(&mut args, "BENCH.json"), "BENCH.json");
+        assert_eq!(args, ["--csv", "d", "--quick"]);
     }
 }

@@ -1,14 +1,16 @@
-//! Determinism regression: every kernel must produce *bit-identical* output
-//! at any thread count. The parallel substrate only ever splits work over
-//! independent output blocks and keeps each per-element reduction in a fixed
-//! sequential order, so `DTRAIN_THREADS=1`, `=2`, and `=8` must agree to the
-//! last bit — this is what makes the distributed-training experiments
-//! reproducible across machines with different core counts.
+//! Determinism regression: every kernel, and a whole training step built
+//! from them, must produce *bit-identical* output at any thread count. The
+//! parallel substrate only ever splits work over independent output blocks
+//! and keeps each per-element reduction in a fixed sequential order, so
+//! `DTRAIN_THREADS=1`, `=2`, and `=8` must agree to the last bit — this is
+//! what makes the distributed-training experiments reproducible across
+//! machines with different core counts.
 //!
 //! Single `#[test]`: the pool is sized once per process from the
 //! environment, so the test sets `DTRAIN_THREADS=8` before the first kernel
 //! call and then narrows the usable width with `with_max_threads`.
 
+use dtrain_models::small_cnn;
 use dtrain_tensor::parallel::with_max_threads;
 use dtrain_tensor::{
     conv2d_backward, conv2d_forward, matmul, matmul_a_bt, matmul_at_b, Conv2dSpec, Tensor,
@@ -47,6 +49,15 @@ fn kernel_suite() -> Vec<Vec<f32>> {
     out.push(dx.into_vec());
     out.push(dw.into_vec());
     out.push(db.into_vec());
+
+    // Above the kernel level: one `small_cnn` training step (conv, relu,
+    // pool, dense, loss, full backward) on a fresh, seeded network.
+    let xb = Tensor::randn(&[32, 3, 16, 16], 1.0, &mut rng);
+    let labels: Vec<usize> = (0..32).map(|i| i % 10).collect();
+    let mut net = small_cnn(3, 16, 10, 7);
+    let (loss, acc) = net.train_batch(xb, &labels);
+    out.push(vec![loss, acc]);
+    out.push(net.grads().0[0].data().to_vec());
     out
 }
 

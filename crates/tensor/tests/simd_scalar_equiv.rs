@@ -25,14 +25,15 @@ fn gemm_bits(isa: Isa, a: &Tensor, b: &Tensor) -> [Vec<u32>; 3] {
 /// ragged-edge, multi-panel, and reductions spanning multiple KC=512
 /// chunks (the chunk boundary stores C and reloads it — an f32 roundtrip
 /// that must stay exact on every tier).
-const SHAPES: [(usize, usize, usize); 7] = [
+const SHAPES: [(usize, usize, usize); 8] = [
     (1, 1, 1),
     (3, 5, 2),
     (8, 64, 32),   // exactly one AVX-512 tile
     (9, 65, 33),   // one past every tile edge
     (63, 130, 47), // ragged in all three dims, multiple panels
     (128, 128, 128),
-    (5, 1061, 9), // reduction spans three KC chunks
+    (5, 1061, 9),   // reduction spans three KC chunks
+    (127, 600, 96), // many row blocks, each crossing one KC boundary
 ];
 
 #[test]

@@ -21,8 +21,8 @@
 //! capped at [`host_parallelism`] so ordinary kernels never pay
 //! oversubscription contention; explicit scopes bypass the cap (the sweep
 //! asked for that width on purpose), and `DTRAIN_OVERSUBSCRIBE=1` removes
-//! the cap globally. Benches annotate records where the requested width
-//! exceeds the host (see `bench_kernels`).
+//! the cap globally. `perf/` reports `host.parallelism` with every run, so
+//! a scaling number taken on too narrow a host can be told apart.
 
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
