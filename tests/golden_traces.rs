@@ -12,7 +12,7 @@
 //! ```
 //!
 //! On failure, the first divergence (with context) is printed and the full
-//! report is written to `results/golden_diffs/<algo>.diff`.
+//! report is written to `results/golden_diffs/<file>.diff`.
 
 use std::fs;
 use std::path::PathBuf;
@@ -74,42 +74,63 @@ fn record(algo: Algo) -> Vec<Event> {
     sink.snapshot()
 }
 
-fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(format!("{name}.trace"))
+/// Well-formedness every golden run owes before it is compared, then its
+/// canonical form.
+fn canonical(name: &str, events: &[Event]) -> String {
+    assert!(!events.is_empty(), "{name}: run produced no events");
+    verify_stack_discipline(events)
+        .unwrap_or_else(|e| panic!("{name}: malformed span nesting: {e}"));
+    canonical_trace(events)
+}
+
+/// Canonical trace of one observed run of `cfg`, and its event count.
+fn trace_of(name: &str, cfg: &RunConfig) -> (String, usize) {
+    let sink = ObsSink::enabled();
+    let _ = run_observed(cfg, &sink);
+    assert_eq!(sink.dropped(), 0, "{name}: ring buffers overflowed");
+    let events = sink.snapshot();
+    (canonical(name, &events), events.len())
+}
+
+fn repo_path(rel: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(rel)
+}
+
+/// Compare `got` with the committed `tests/golden/<file>` — or record it,
+/// under `DTRAIN_BLESS=1`. A divergence comes back as its report, which is
+/// also written to `results/golden_diffs/<file>.diff`.
+fn check_golden(file: &str, got: &str) -> Result<(), String> {
+    let path = repo_path("tests/golden").join(file);
+    if std::env::var("DTRAIN_BLESS").is_ok_and(|v| v == "1") {
+        fs::create_dir_all(path.parent().unwrap()).unwrap();
+        fs::write(&path, got).unwrap();
+        eprintln!("blessed {} ({} lines)", path.display(), got.lines().count());
+        return Ok(());
+    }
+    let expected = fs::read_to_string(&path).unwrap_or_else(|_| {
+        panic!(
+            "missing golden file {}; record it with DTRAIN_BLESS=1 cargo test --test golden_traces",
+            path.display()
+        )
+    });
+    let Some(report) = diff_canonical(&expected, got) else {
+        return Ok(());
+    };
+    let dir = repo_path("results/golden_diffs");
+    fs::create_dir_all(&dir).unwrap();
+    fs::write(dir.join(format!("{file}.diff")), &report).unwrap();
+    Err(format!("== {file} ==\n{report}"))
 }
 
 #[test]
 fn golden_traces_all_seven_algorithms() {
-    let bless = std::env::var("DTRAIN_BLESS").is_ok_and(|v| v == "1");
-    let mut failures: Vec<String> = Vec::new();
-    for (name, algo) in ALGOS {
-        let events = record(algo);
-        assert!(!events.is_empty(), "{name}: run produced no events");
-        verify_stack_discipline(&events)
-            .unwrap_or_else(|e| panic!("{name}: malformed span nesting: {e}"));
-        let got = canonical_trace(&events);
-        let path = golden_path(name);
-        if bless {
-            fs::create_dir_all(path.parent().unwrap()).unwrap();
-            fs::write(&path, &got).unwrap();
-            eprintln!("blessed {} ({} lines)", path.display(), got.lines().count());
-            continue;
-        }
-        let expected = fs::read_to_string(&path).unwrap_or_else(|_| {
-            panic!(
-                "missing golden trace {}; record it with DTRAIN_BLESS=1 cargo test --test golden_traces",
-                path.display()
-            )
-        });
-        if let Some(report) = diff_canonical(&expected, &got) {
-            let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("results/golden_diffs");
-            fs::create_dir_all(&dir).unwrap();
-            fs::write(dir.join(format!("{name}.diff")), &report).unwrap();
-            failures.push(format!("== {name} ==\n{report}"));
-        }
-    }
+    let failures: Vec<String> = ALGOS
+        .iter()
+        .filter_map(|&(name, algo)| {
+            let got = canonical(name, &record(algo));
+            check_golden(&format!("{name}.trace"), &got).err()
+        })
+        .collect();
     assert!(
         failures.is_empty(),
         "golden trace divergence in {} of {} algorithms (full reports in results/golden_diffs/):\n\n{}",
@@ -119,59 +140,105 @@ fn golden_traces_all_seven_algorithms() {
     );
 }
 
-/// One pinned *elastic* run rides next to the seven fault-free traces: BSP
-/// with a loss-and-rejoin plan. Pinning it freezes the whole recovery
-/// choreography — eviction, partial barrier, sponsor catch-up, rejoin —
-/// not just the counters.
-fn elastic_bsp_cfg() -> RunConfig {
+/// One cell of the fault matrix: `golden_cfg` without local aggregation
+/// (leader/follower machine aggregation has no crash-recovery path), 12
+/// iterations, `victim` crashing at 100 ms.
+fn fault_cell_cfg(
+    algo: Algo,
+    victim: usize,
+    elastic: bool,
+    restart_after: Option<dtrain_desim::SimTime>,
+) -> RunConfig {
     use dtrain_desim::SimTime;
     use dtrain_faults::ElasticConfig;
-    let mut cfg = golden_cfg(Algo::Bsp);
-    // Leader/follower machine aggregation has no crash-recovery path.
+    let mut cfg = golden_cfg(algo);
     cfg.opts.local_aggregation = false;
     cfg.stop = StopCondition::Iterations(12);
     cfg.faults = Some(FaultConfig {
         schedule: FaultSchedule::new(vec![FaultEvent {
             at: SimTime::from_millis(100),
             kind: FaultKind::WorkerCrash {
-                worker: 1,
-                restart_after: Some(SimTime::from_secs(2)),
+                worker: victim,
+                restart_after,
             },
         }]),
         checkpoint_interval: 4,
-        elastic: Some(ElasticConfig::default()),
+        elastic: elastic.then(ElasticConfig::default),
     });
     cfg
 }
 
+/// One pinned *elastic* run rides next to the seven fault-free traces: BSP
+/// with a loss-and-rejoin plan. Pinning it freezes the whole recovery
+/// choreography — eviction, partial barrier, sponsor catch-up, rejoin —
+/// not just the counters.
+fn elastic_bsp_cfg() -> RunConfig {
+    fault_cell_cfg(
+        Algo::Bsp,
+        1,
+        true,
+        Some(dtrain_desim::SimTime::from_secs(2)),
+    )
+}
+
 #[test]
 fn golden_trace_elastic_bsp() {
-    let bless = std::env::var("DTRAIN_BLESS").is_ok_and(|v| v == "1");
-    let sink = ObsSink::enabled();
-    let _ = run_observed(&elastic_bsp_cfg(), &sink);
-    let events = sink.snapshot();
-    assert_eq!(sink.dropped(), 0);
-    verify_stack_discipline(&events).expect("elastic trace has malformed span nesting");
-    let got = canonical_trace(&events);
-    let path = golden_path("elastic_bsp");
-    if bless {
-        fs::create_dir_all(path.parent().unwrap()).unwrap();
-        fs::write(&path, &got).unwrap();
-        eprintln!("blessed {} ({} lines)", path.display(), got.lines().count());
-        return;
-    }
-    let expected = fs::read_to_string(&path).unwrap_or_else(|_| {
-        panic!(
-            "missing golden trace {}; record it with DTRAIN_BLESS=1 cargo test --test golden_traces",
-            path.display()
-        )
-    });
-    if let Some(report) = diff_canonical(&expected, &got) {
-        let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("results/golden_diffs");
-        fs::create_dir_all(&dir).unwrap();
-        fs::write(dir.join("elastic_bsp.diff"), &report).unwrap();
+    let (got, _) = trace_of("elastic_bsp", &elastic_bsp_cfg());
+    if let Err(report) = check_golden("elastic_bsp.trace", &got) {
         panic!("elastic_bsp golden trace diverged:\n{report}");
     }
+}
+
+/// The membership gate, crash fallback and adopt/rejoin path of *every*
+/// body, pinned: 7 algorithms × victim ∈ {1, 2} (an AD-PSGD passive on
+/// machine 0, an active on machine 1) × {elastic, classic} × {restart after
+/// 2 s, permanent loss}. `fault_matrix.digest` carries one line per cell —
+/// name, event count, 64-bit FNV-1a of the canonical trace; the seven
+/// elastic loss-and-rejoin cells at victim 1 are also committed in full
+/// (`elastic_<algo>.trace`) so a divergence there reads as a line diff. A
+/// cell whose digest line moved leaves its trace in `results/golden_diffs/`.
+#[test]
+fn golden_fault_matrix() {
+    fn fnv1a64(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+    let committed = fs::read_to_string(repo_path("tests/golden/fault_matrix.digest"));
+    let committed = committed.unwrap_or_default();
+    let mut digest = String::new();
+    let mut failures: Vec<String> = Vec::new();
+    for (name, algo) in ALGOS {
+        for victim in [1, 2] {
+            for (mode, elastic) in [("elastic", true), ("classic", false)] {
+                for (fate, restart_after) in [
+                    ("restart", Some(dtrain_desim::SimTime::from_secs(2))),
+                    ("permanent", None),
+                ] {
+                    let cell = format!("{name}_v{victim}_{mode}_{fate}");
+                    let cfg = fault_cell_cfg(algo, victim, elastic, restart_after);
+                    let (got, events) = trace_of(&cell, &cfg);
+                    let line = format!("{cell} {events} {:016x}", fnv1a64(got.as_bytes()));
+                    if !committed.lines().any(|l| l == line) {
+                        let dir = repo_path("results/golden_diffs");
+                        fs::create_dir_all(&dir).unwrap();
+                        fs::write(dir.join(format!("{cell}.trace")), &got).unwrap();
+                    }
+                    digest.push_str(&line);
+                    digest.push('\n');
+                    if victim == 1 && elastic && restart_after.is_some() {
+                        failures.extend(check_golden(&format!("elastic_{name}.trace"), &got).err());
+                    }
+                }
+            }
+        }
+    }
+    failures.extend(check_golden("fault_matrix.digest", &digest).err());
+    assert!(
+        failures.is_empty(),
+        "fault matrix diverged (moved cells' traces and reports in results/golden_diffs/):\n\n{}",
+        failures.join("\n\n")
+    );
 }
 
 /// A pinned *collective* run rides next to the fault-free traces: AR-SGD
@@ -187,13 +254,7 @@ fn pipelined_arsgd_cfg() -> RunConfig {
 
 #[test]
 fn golden_trace_pipelined_arsgd() {
-    let bless = std::env::var("DTRAIN_BLESS").is_ok_and(|v| v == "1");
-    let sink = ObsSink::enabled();
-    let _ = run_observed(&pipelined_arsgd_cfg(), &sink);
-    let events = sink.snapshot();
-    assert_eq!(sink.dropped(), 0);
-    verify_stack_discipline(&events).expect("collective trace has malformed span nesting");
-    let got = canonical_trace(&events);
+    let (got, _) = trace_of("arsgd_pipelined", &pipelined_arsgd_cfg());
     for name in [
         dtrain_obs::names::COLL_INTRA_REDUCE,
         dtrain_obs::names::COLL_INTER_RING,
@@ -202,23 +263,7 @@ fn golden_trace_pipelined_arsgd() {
     ] {
         assert!(got.contains(name), "pipelined trace lacks {name}");
     }
-    let path = golden_path("arsgd_pipelined");
-    if bless {
-        fs::create_dir_all(path.parent().unwrap()).unwrap();
-        fs::write(&path, &got).unwrap();
-        eprintln!("blessed {} ({} lines)", path.display(), got.lines().count());
-        return;
-    }
-    let expected = fs::read_to_string(&path).unwrap_or_else(|_| {
-        panic!(
-            "missing golden trace {}; record it with DTRAIN_BLESS=1 cargo test --test golden_traces",
-            path.display()
-        )
-    });
-    if let Some(report) = diff_canonical(&expected, &got) {
-        let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("results/golden_diffs");
-        fs::create_dir_all(&dir).unwrap();
-        fs::write(dir.join("arsgd_pipelined.diff"), &report).unwrap();
+    if let Err(report) = check_golden("arsgd_pipelined.trace", &got) {
         panic!("arsgd_pipelined golden trace diverged:\n{report}");
     }
 }
