@@ -1,32 +1,31 @@
 //! The four centralized algorithms (paper §III): BSP, ASP, SSP, EASGD.
 //!
 //! Each runs as worker processes plus one process per parameter-server
-//! shard. The PS process is shared across the four algorithms with a
-//! per-algorithm [`PsMode`]; the worker loops differ enough to be separate
-//! functions. All communication reserves NIC time through
-//! [`dtrain_cluster::NetModel`], which is what produces the PS-bottleneck
-//! behaviour the paper analyses.
+//! shard. The PS process ([`ps_process`]) is shared across the four
+//! algorithms with a per-algorithm [`PsMode`]; its worker-side mirror is
+//! [`PsBody`], one [`Body`] for the family: the PS shards are who a worker
+//! tells when it leaves, pulls from when it rejoins and sends its `Stop`
+//! to, and what differs per algorithm (and BSP role) is the step —
+//! [`PsBody::step`] dispatches to `bsp_follower_step`, `bsp_leader_step`,
+//! `ssp_step`, `easgd_step`, or, for BSP-solo and ASP, plain
+//! [`compute_and_push`] + [`pull_replies`]. Gradient pushes are one
+//! function ([`push_grad`]); every transfer goes through
+//! [`WorkerCore::send`] (see `exec`'s table), which reserves NIC time
+//! through [`dtrain_cluster::NetModel`] — that is what produces the
+//! PS-bottleneck behaviour the paper analyses.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 use dtrain_cluster::{
-    tree_broadcast_delays, CollectiveSchedule, MetricsHub, NetModel, NodeId, Phase, ShardHomes,
-    TrafficClass,
+    tree_broadcast_delays, CollectiveSchedule, NetModel, NodeId, Phase, ShardHomes, TrafficClass,
 };
-use dtrain_desim::{Ctx, Pid, SimTime};
-use dtrain_faults::{markers, CheckpointStore, ElasticConfig};
+use dtrain_desim::{Ctx, SimTime};
+use dtrain_faults::{markers, CheckpointStore, ElasticConfig, MembershipView};
 use dtrain_nn::{ParamSet, SgdMomentum};
 use dtrain_obs::TrackHandle;
 
-use crate::exec::{GradData, Msg, WorkerCore};
-
-/// Address of a simulated process: its pid plus the machine it runs on.
-#[derive(Clone, Copy, Debug)]
-pub struct Addr {
-    pub pid: Pid,
-    pub node: NodeId,
-}
+use crate::exec::{slice_set, Addr, Body, Charge, GradData, Msg, WorkerCore};
 
 /// Bytes/second one PS process can sum-and-apply. TF-1.x parameter servers
 /// were single-process CPU aggregators, so this is a few GB/s — which is
@@ -38,12 +37,12 @@ const PS_APPLY_BYTES_PER_SEC: f64 = 1.2e9;
 /// Fixed per-message handling overhead at the PS.
 const PS_HANDLE_OVERHEAD: SimTime = SimTime::from_micros(50);
 /// Time for the PS to fold `bytes` into its state.
-pub fn ps_apply_time(bytes: u64) -> SimTime {
+fn ps_apply_time(bytes: u64) -> SimTime {
     PS_HANDLE_OVERHEAD + SimTime::from_secs_f64(bytes as f64 / PS_APPLY_BYTES_PER_SEC)
 }
 
 /// Real-math state of one PS shard.
-pub struct PsRealState {
+pub(crate) struct PsRealState {
     /// This shard's slice of the global parameters.
     pub params: ParamSet,
     pub opt: SgdMomentum,
@@ -52,36 +51,22 @@ pub struct PsRealState {
 impl PsRealState {
     /// Additive table update (SSP): the worker already ran its optimizer;
     /// the server just accumulates the pushed delta (Ho et al.'s SSPTable).
-    pub fn apply_delta(&mut self, data: &GradData) {
-        let dense = match data {
-            GradData::Dense(g) => g.clone(),
-            GradData::Sparse(s) => s.to_dense(),
-        };
-        self.params.add_assign(&dense);
+    fn apply_delta(&mut self, data: &GradData) {
+        self.params.add_assign(&data.to_dense());
     }
 
-    /// Apply one (possibly aggregated) gradient: `lr` is the per-gradient
-    /// rate, `weight` the number of worker gradients folded in; `scale`
-    /// divides the gradient (1/weight for averaging semantics).
-    pub fn apply(&mut self, data: &GradData, lr: f32, weight: f32) {
-        let dense = match data {
-            GradData::Dense(g) => g.clone(),
-            GradData::Sparse(s) => s.to_dense(),
-        };
-        // Each of the `weight` folded gradients should move the params by
-        // lr·g_i, so the summed gradient is applied at lr directly.
-        let _ = weight;
-        self.opt.step(&mut self.params, &dense, lr);
+    /// Apply one (possibly aggregated) gradient at the per-gradient rate
+    /// `lr`. Each of the folded gradients should move the params by
+    /// lr·g_i, so a summed gradient is applied at `lr` directly.
+    fn apply(&mut self, data: &GradData, lr: f32) {
+        self.opt.step(&mut self.params, &data.to_dense(), lr);
     }
 }
 
 /// Merge a gradient contribution into an accumulator (local/global
 /// aggregation). Sparse contributions densify on arrival.
 pub fn merge_grad(acc: &mut Option<ParamSet>, data: &GradData) {
-    let dense = match data {
-        GradData::Dense(g) => g.clone(),
-        GradData::Sparse(s) => s.to_dense(),
-    };
+    let dense = data.to_dense();
     match acc {
         Some(a) => a.add_assign(&dense),
         None => *acc = Some(dense),
@@ -101,7 +86,7 @@ pub fn elastic_update(center: &mut ParamSet, worker: &ParamSet, alpha: f32) -> P
 }
 
 /// Per-algorithm PS behaviour.
-pub enum PsMode {
+pub(crate) enum PsMode {
     /// Round-synchronous: wait for `num_senders` pushes, apply once, reply
     /// to every sender.
     Bsp { num_senders: usize },
@@ -116,11 +101,11 @@ pub enum PsMode {
 
 /// Owner-key offset for PS shards in the run's shared checkpoint store
 /// (workers use their id directly; shards use `PS_OWNER_BASE + shard`).
-pub const PS_OWNER_BASE: usize = 1 << 20;
+const PS_OWNER_BASE: usize = 1 << 20;
 
 /// Fault-injection state of one PS shard: its outage schedule plus the
 /// shared checkpoint store its parameter state rolls back to.
-pub struct PsFaultState {
+pub(crate) struct PsFaultState {
     /// Outage windows `(start, duration)`, earliest first.
     pub outages: VecDeque<(SimTime, SimTime)>,
     pub store: Arc<CheckpointStore>,
@@ -129,7 +114,7 @@ pub struct PsFaultState {
 }
 
 /// State for one run of the PS process.
-pub struct PsCore {
+pub(crate) struct PsCore {
     pub shard: usize,
     pub node: NodeId,
     pub net: NetModel,
@@ -318,6 +303,42 @@ impl PsCore {
             },
         );
     }
+
+    /// Serve one push outside any barrier: pay the apply time, let `fold`
+    /// work it into the shard's state, answer the sender with what `fold`
+    /// hands back, and count the update.
+    fn serve_push(
+        &mut self,
+        ctx: &Ctx<Msg>,
+        sender: usize,
+        bytes: u64,
+        fold: impl FnOnce(&mut PsRealState) -> Option<ParamSet>,
+    ) {
+        ctx.advance(ps_apply_time(bytes));
+        let reply = self.real.as_mut().and_then(fold);
+        self.send_params(ctx, sender, 0, reply);
+        self.tick_checkpoint(ctx.now());
+    }
+
+    /// [`Self::serve_push`] for a gradient, answered with the fresh shard
+    /// parameters: every ASP push, and a BSP straggler surfacing after its
+    /// round closed partially — folded in out-of-round and released at once
+    /// so it never blocks on a barrier that already moved on.
+    fn serve_grad(
+        &mut self,
+        ctx: &Ctx<Msg>,
+        sender: usize,
+        bytes: u64,
+        lr: f32,
+        data: Option<GradData>,
+    ) {
+        self.serve_push(ctx, sender, bytes, |real| {
+            if let Some(d) = &data {
+                real.apply(d, lr);
+            }
+            Some(real.params.clone())
+        });
+    }
 }
 
 /// Min clock over live workers (a crashed worker must not hold the SSP
@@ -346,7 +367,7 @@ fn release_pulls(ps: &PsCore, ctx: &Ctx<Msg>, pending: &mut Vec<(usize, u64)>, m
 }
 
 /// The parameter-server process body.
-pub fn ps_process(mut ps: PsCore, mode: PsMode, ctx: Ctx<Msg>) {
+pub(crate) fn ps_process(mut ps: PsCore, mode: PsMode, ctx: Ctx<Msg>) {
     // Baseline checkpoint so an outage before the first cadence tick still
     // has a state to roll back to.
     if let (Some(f), Some(real)) = (ps.faults.as_ref(), ps.real.as_ref()) {
@@ -379,8 +400,6 @@ pub fn ps_process(mut ps: PsCore, mode: PsMode, ctx: Ctx<Msg>) {
     let mut round_acc: Option<ParamSet> = None;
     let mut round_members: Vec<usize> = Vec::new();
     let mut round_bytes = 0u64;
-    let mut round_weight = 0.0f32;
-    #[allow(unused_assignments)]
     let mut round_lr = 0.0f32;
     // SSP clock state
     let mut clocks: Vec<u64> = match &mode {
@@ -407,84 +426,59 @@ pub fn ps_process(mut ps: PsCore, mode: PsMode, ctx: Ctx<Msg>) {
                 sender,
                 iter,
                 lr,
-                weight,
                 data,
                 bytes,
                 ..
-            } => {
-                match &mode {
-                    PsMode::Bsp { .. } => {
-                        if let Some(i) = late_from.iter().position(|&w| w == sender) {
-                            // Straggler surfacing after its round closed
-                            // partially: fold its contribution in
-                            // out-of-round and release it immediately so
-                            // it never blocks on a barrier that already
-                            // moved on.
-                            late_from.swap_remove(i);
-                            ctx.advance(ps_apply_time(bytes));
-                            if let (Some(real), Some(d)) = (ps.real.as_mut(), &data) {
-                                real.apply(d, lr, weight);
+            } => match &mode {
+                PsMode::Bsp { .. } => {
+                    if let Some(i) = late_from.iter().position(|&w| w == sender) {
+                        late_from.swap_remove(i);
+                        ps.serve_grad(&ctx, sender, bytes, lr, data);
+                    } else {
+                        // First arrival of a round arms the partial-
+                        // barrier deadline (elastic only).
+                        if round_members.is_empty() {
+                            if let Some(dl) = barrier_deadline {
+                                ctx.send(ctx.pid(), dl, Msg::RoundDeadline { round: round_seq });
                             }
-                            ps.send_params(&ctx, sender, 0, ps.reply_params());
-                            ps.tick_checkpoint(ctx.now());
-                        } else {
-                            // First arrival of a round arms the partial-
-                            // barrier deadline (elastic only).
-                            if round_members.is_empty() {
-                                if let Some(dl) = barrier_deadline {
-                                    ctx.send(
-                                        ctx.pid(),
-                                        dl,
-                                        Msg::RoundDeadline { round: round_seq },
-                                    );
-                                }
-                            }
-                            // Accumulate only; round completion is checked
-                            // below so a shrinking `bsp_senders` can also
-                            // complete a round.
-                            if let Some(d) = &data {
-                                merge_grad(&mut round_acc, d);
-                            }
-                            round_members.push(sender);
-                            round_bytes += bytes;
-                            round_weight += weight;
-                            round_lr = lr;
-                            // How full the barrier is — Fig. 3's "waiting
-                            // on stragglers" shape, directly observable.
-                            ps.obs.counter(
-                                ctx.now().as_nanos(),
-                                dtrain_obs::names::BARRIER_OCCUPANCY,
-                                round_members.len() as i64,
-                            );
                         }
-                    }
-                    PsMode::Asp => {
-                        ctx.advance(ps_apply_time(bytes));
-                        if let (Some(real), Some(d)) = (ps.real.as_mut(), &data) {
-                            real.apply(d, lr, weight);
+                        // Accumulate only; round completion is checked
+                        // below so a shrinking `bsp_senders` can also
+                        // complete a round.
+                        if let Some(d) = &data {
+                            merge_grad(&mut round_acc, d);
                         }
-                        ps.send_params(&ctx, sender, 0, ps.reply_params());
-                        ps.tick_checkpoint(ctx.now());
-                    }
-                    PsMode::Ssp { .. } => {
-                        ctx.advance(ps_apply_time(bytes));
-                        if let (Some(real), Some(d)) = (ps.real.as_mut(), &data) {
-                            real.apply_delta(d);
-                        }
-                        if ps.shard == 0 {
-                            // monotonic: NIC FIFO delivers in order today,
-                            // but the clock must never regress regardless
-                            clocks[sender] = clocks[sender].max(iter + 1);
-                            let min_clock = live_min_clock(&clocks, &live);
-                            release_pulls(&ps, &ctx, &mut pending_pulls, min_clock);
-                        }
-                        ps.tick_checkpoint(ctx.now());
-                    }
-                    PsMode::Easgd { .. } => {
-                        unreachable!("EASGD workers push parameters, not gradients")
+                        round_members.push(sender);
+                        round_bytes += bytes;
+                        round_lr = lr;
+                        // How full the barrier is — Fig. 3's "waiting
+                        // on stragglers" shape, directly observable.
+                        ps.obs.counter(
+                            ctx.now().as_nanos(),
+                            dtrain_obs::names::BARRIER_OCCUPANCY,
+                            round_members.len() as i64,
+                        );
                     }
                 }
-            }
+                PsMode::Asp => ps.serve_grad(&ctx, sender, bytes, lr, data),
+                PsMode::Ssp { .. } => {
+                    ctx.advance(ps_apply_time(bytes));
+                    if let (Some(real), Some(d)) = (ps.real.as_mut(), &data) {
+                        real.apply_delta(d);
+                    }
+                    if ps.shard == 0 {
+                        // monotonic: NIC FIFO delivers in order today,
+                        // but the clock must never regress regardless
+                        clocks[sender] = clocks[sender].max(iter + 1);
+                        let min_clock = live_min_clock(&clocks, &live);
+                        release_pulls(&ps, &ctx, &mut pending_pulls, min_clock);
+                    }
+                    ps.tick_checkpoint(ctx.now());
+                }
+                PsMode::Easgd { .. } => {
+                    unreachable!("EASGD workers push parameters, not gradients")
+                }
+            },
             Msg::PullReq { sender, .. } => {
                 // Non-gating shards answer pulls immediately (only SSP
                 // issues them; shard 0 gets GatedPull instead).
@@ -492,23 +486,16 @@ pub fn ps_process(mut ps: PsCore, mode: PsMode, ctx: Ctx<Msg>) {
             }
             Msg::ParamPush {
                 sender,
-                lr: _,
                 data,
                 bytes,
                 ..
             } => {
-                let PsMode::Easgd { alpha } = &mode else {
+                let PsMode::Easgd { alpha } = mode else {
                     unreachable!("ParamPush outside EASGD")
                 };
-                ctx.advance(ps_apply_time(bytes));
-                let reply = match (ps.real.as_mut(), data) {
-                    (Some(real), Some(worker_params)) => {
-                        Some(elastic_update(&mut real.params, &worker_params, *alpha))
-                    }
-                    _ => None,
-                };
-                ps.send_params(&ctx, sender, 0, reply);
-                ps.tick_checkpoint(ctx.now());
+                ps.serve_push(&ctx, sender, bytes, |real| {
+                    data.map(|worker| elastic_update(&mut real.params, &worker, alpha))
+                });
             }
             Msg::GatedPull { sender, min_needed } => {
                 // SSP shard-0 gated pull: reply once min clock ≥ min_needed.
@@ -599,7 +586,7 @@ pub fn ps_process(mut ps: PsCore, mode: PsMode, ctx: Ctx<Msg>) {
         {
             ctx.advance(ps_apply_time(round_bytes));
             if let (Some(real), Some(sum)) = (ps.real.as_mut(), round_acc.take()) {
-                real.apply(&GradData::Dense(sum), round_lr, round_weight);
+                real.apply(&GradData::Dense(sum), round_lr);
             }
             let members = std::mem::take(&mut round_members);
             if !ps.collective.is_flat() && members.len() > 1 {
@@ -611,7 +598,6 @@ pub fn ps_process(mut ps: PsCore, mode: PsMode, ctx: Ctx<Msg>) {
             }
             round_acc = None;
             round_bytes = 0;
-            round_weight = 0.0;
             round_seq += 1;
             force_close = false;
             ps.tick_checkpoint(ctx.now());
@@ -620,193 +606,11 @@ pub fn ps_process(mut ps: PsCore, mode: PsMode, ctx: Ctx<Msg>) {
 }
 
 // ---------------------------------------------------------------------------
-// Worker-side fault handling
-// ---------------------------------------------------------------------------
-
-/// Wire size of a fault-control message (MemberDown / MemberUp / AdoptReq).
-pub(crate) const CTRL_BYTES: u64 = 64;
-
-/// Consume any crash events that are due for this worker — called at the
-/// top of each iteration, i.e. at a protocol-quiescent point (no replies
-/// outstanding). Every PS shard is notified with `MemberDown`. A permanent
-/// crash returns `false`: the caller must exit without sending its Stop
-/// (the MemberDown already adjusted the PS's stop accounting). A
-/// restartable crash advances the clock by the restart delay, rolls
-/// parameters and optimizer back to the last checkpoint, announces
-/// `MemberUp`, and returns `true`.
-pub fn handle_crash(core: &mut WorkerCore, ps: &[Addr], ctx: &Ctx<Msg>) -> bool {
-    if core
-        .faults
-        .as_ref()
-        .is_none_or(|f| f.pending_crashes.is_empty())
-    {
-        return true;
-    }
-    while let Some(restart) = core.take_due_crash(ctx.now()) {
-        let permanent = restart.is_none();
-        markers::crash(
-            core.metrics.worker_track(core.w),
-            ctx.now().as_nanos(),
-            core.w,
-        );
-        for a in ps {
-            let delay = core.net.transfer_delay_class(
-                ctx.now(),
-                core.node,
-                a.node,
-                CTRL_BYTES,
-                TrafficClass::Other,
-            );
-            ctx.send(
-                a.pid,
-                delay,
-                Msg::MemberDown {
-                    worker: core.w,
-                    permanent,
-                    rejoining: false,
-                },
-            );
-        }
-        let Some(outage) = restart else { return false };
-        ctx.advance(outage);
-        core.restore_checkpoint(ctx.now());
-        markers::restart(
-            core.metrics.worker_track(core.w),
-            ctx.now().as_nanos(),
-            core.w,
-        );
-        for a in ps {
-            let delay = core.net.transfer_delay_class(
-                ctx.now(),
-                core.node,
-                a.node,
-                CTRL_BYTES,
-                TrafficClass::Other,
-            );
-            ctx.send(a.pid, delay, Msg::MemberUp { worker: core.w });
-        }
-    }
-    true
-}
-
-/// Outcome of the elastic membership check at the top of an iteration.
-pub enum ElasticFlow {
-    /// Keep executing this iteration.
-    Live,
-    /// This worker left the cohort permanently: exit without a Stop (the
-    /// permanent MemberDown already adjusted the PS's stop accounting).
-    Exit,
-    /// The worker died, was evicted, sat out, and re-entered: `iter` was
-    /// advanced to the rejoin round and fresh parameters pulled — continue
-    /// the loop from the new iteration.
-    Rejoined,
-}
-
-/// Broadcast a control message to every PS shard (at its *live* home).
-fn announce(core: &WorkerCore, ps: &[Addr], ctx: &Ctx<Msg>, msg: Msg) {
-    for (s, a) in ps.iter().enumerate() {
-        let node = core.ps_node(a.node, s);
-        let delay = core.net.transfer_delay_class(
-            ctx.now(),
-            core.node,
-            node,
-            CTRL_BYTES,
-            TrafficClass::Other,
-        );
-        ctx.send(a.pid, delay, msg.clone());
-    }
-}
-
-/// Elastic-mode replacement for [`handle_crash`], called at the top of each
-/// iteration. Round-indexed: the membership view (not wall-clock time)
-/// decides death, so the simulator and the threaded runtime agree on the
-/// final cohort and per-worker iteration counts.
-///
-/// On the death round the worker announces a *permanent* MemberDown to all
-/// shards — the topology repairs around it (BSP round shrinks, SSP bound
-/// drops it) instead of waiting. If the plan has a rejoin round, the worker
-/// sits out the dead rounds in virtual time, pulls fresh parameters from
-/// every shard (wire bytes charged), resets its optimizer, announces
-/// MemberUp (NIC FIFO guarantees it precedes the first new push at every
-/// shard), and resumes at the rejoin round.
-pub fn elastic_guard(
-    core: &mut WorkerCore,
-    ps: &[Addr],
-    ctx: &Ctx<Msg>,
-    iter: &mut u64,
-) -> ElasticFlow {
-    let Some(el) = core.elastic.clone() else {
-        return if handle_crash(core, ps, ctx) {
-            ElasticFlow::Live
-        } else {
-            ElasticFlow::Exit
-        };
-    };
-    if el.view.death_round(core.w) != Some(*iter) {
-        return ElasticFlow::Live;
-    }
-    let now = ctx.now().as_nanos();
-    markers::crash(core.metrics.worker_track(core.w), now, core.w);
-    markers::evict(core.metrics.worker_track(core.w), now, core.w);
-    // A rejoin round past the end of the run is a permanent loss.
-    let rejoin = el
-        .view
-        .rejoin_round(core.w)
-        .filter(|&j| j < core.total_iters);
-    announce(
-        core,
-        ps,
-        ctx,
-        Msg::MemberDown {
-            worker: core.w,
-            permanent: true,
-            rejoining: rejoin.is_some(),
-        },
-    );
-    let Some(j) = rejoin else {
-        return ElasticFlow::Exit;
-    };
-    // Sit out the dead rounds, then pull the current model from the shards.
-    let gap = j.saturating_sub(*iter).max(1);
-    ctx.advance(el.cfg.round_estimate * gap);
-    for (s, a) in ps.iter().enumerate() {
-        let node = core.ps_node(a.node, s);
-        let delay = core.net.transfer_delay_class(
-            ctx.now(),
-            core.node,
-            node,
-            CTRL_BYTES,
-            TrafficClass::WorkerPs,
-        );
-        ctx.send(
-            a.pid,
-            delay,
-            Msg::PullReq {
-                sender: core.w,
-                shard: s,
-            },
-        );
-    }
-    collect_and_apply_shard_params(core, ctx, ps.len(), Phase::GlobalAgg);
-    if let Some(real) = core.real.as_mut() {
-        real.opt.reset();
-    }
-    announce(core, ps, ctx, Msg::MemberUp { worker: core.w });
-    markers::rejoin(
-        core.metrics.worker_track(core.w),
-        ctx.now().as_nanos(),
-        core.w,
-    );
-    *iter = j;
-    ElasticFlow::Rejoined
-}
-
-// ---------------------------------------------------------------------------
-// Worker bodies
+// Worker side
 // ---------------------------------------------------------------------------
 
 /// Role of a BSP worker under local aggregation.
-pub enum BspRole {
+pub(crate) enum BspRole {
     /// No local aggregation: push straight to the PS shards.
     Solo,
     /// Machine leader: aggregates co-located gradients, talks to the PS,
@@ -816,619 +620,439 @@ pub enum BspRole {
     Follower { leader: Addr },
 }
 
-/// BSP worker (paper §III-A), optionally with local aggregation.
-pub fn bsp_worker(mut core: WorkerCore, ps: Vec<Addr>, role: BspRole, ctx: Ctx<Msg>) {
-    let shards = ps.len();
-    let metrics: MetricsHub = core.metrics.clone();
-    let mut iter = 0u64;
-    while iter < core.total_iters {
-        match elastic_guard(&mut core, &ps, &ctx, &mut iter) {
-            ElasticFlow::Exit => return,
-            ElasticFlow::Rejoined => continue,
-            ElasticFlow::Live => {}
-        }
-        core.metrics.begin_iteration(core.w, ctx.now(), iter);
-        let grads = core.real_grad_slices();
-        let lr = core.current_lr();
-        match &role {
-            BspRole::Solo => {
-                core.run_compute_phase(&ctx, |core, ctx, s| {
-                    let bytes = core.grad_bytes(s);
-                    let data = grads.as_ref().map(|g| g[s].clone());
-                    core.send_counted(
-                        ctx,
-                        ps[s].pid,
-                        core.ps_node(ps[s].node, s),
-                        bytes,
-                        TrafficClass::WorkerPs,
-                        Msg::GradPush {
-                            sender: core.w,
-                            shard: s,
-                            iter,
-                            lr,
-                            weight: 1.0,
-                            data,
-                            bytes,
-                        },
-                    );
-                });
-                collect_and_apply_shard_params(&mut core, &ctx, shards, Phase::GlobalAgg);
-            }
-            BspRole::Follower { leader } => {
-                let leader = *leader;
-                core.run_compute_phase(&ctx, |core, ctx, s| {
-                    let bytes = core.grad_bytes(s);
-                    let data = grads.as_ref().map(|g| g[s].clone());
-                    let delay = core.net.transfer_delay_class(
-                        ctx.now(),
-                        core.node,
-                        leader.node,
-                        bytes,
-                        TrafficClass::LocalAgg,
-                    );
-                    let msg = Msg::LocalGrad {
-                        sender: core.w,
-                        iter,
-                        shard: s,
-                        data,
-                        bytes,
-                    };
-                    core.count_logical(ctx.now(), crate::exec::logical_payload(&msg));
-                    ctx.send(leader.pid, delay, msg);
-                });
-                // Wait for fresh parameters from the leader.
-                let t0 = ctx.now();
-                let msg = ctx.recv_match(|m| matches!(m, Msg::LocalParams { .. }));
-                metrics.record_at(core.w, Phase::LocalAgg, t0, ctx.now() - t0);
-                if let Msg::LocalParams { data: Some(p), .. } = msg {
-                    if let Some(real) = core.real.as_mut() {
-                        real.net.set_params(&p);
-                        real.opt.reset();
-                    }
-                }
-            }
-            BspRole::Leader { followers } => {
-                let nf = followers.len();
-                // own shard readiness + peer contributions per shard
-                let mut own: Vec<Option<GradData>> = vec![None; shards];
-                let mut own_ready = vec![false; shards];
-                let mut peer_acc: Vec<Option<ParamSet>> = vec![None; shards];
-                let mut peer_count = vec![0usize; shards];
-                let mut peer_bytes = vec![0u64; shards];
-                let mut pushed = vec![false; shards];
-                let mut deferred: Vec<Msg> = Vec::new();
-
-                // Closure to push shard s once everything local arrived.
-                // (Implemented as a macro-like fn to satisfy the borrow
-                // checker inside the emit callback.)
-                #[allow(clippy::too_many_arguments)] // borrow-splitting helper
-                fn try_push(
-                    core: &mut WorkerCore,
-                    ctx: &Ctx<Msg>,
-                    ps: &[Addr],
-                    iter: u64,
-                    lr: f32,
-                    nf: usize,
-                    s: usize,
-                    own: &mut [Option<GradData>],
-                    own_ready: &[bool],
-                    peer_acc: &mut [Option<ParamSet>],
-                    peer_count: &[usize],
-                    peer_bytes: &[u64],
-                    pushed: &mut [bool],
-                ) {
-                    if pushed[s] || !own_ready[s] || peer_count[s] != nf {
-                        return;
-                    }
-                    // Fold own gradient into the peers' sum.
-                    let data = match (own[s].take(), peer_acc[s].take()) {
-                        (Some(d), acc0) => {
-                            let mut acc = acc0;
-                            merge_grad(&mut acc, &d);
-                            acc.map(GradData::Dense)
-                        }
-                        (None, acc0) => acc0.map(GradData::Dense),
-                    };
-                    // Local aggregation sends ONE message per machine: the
-                    // summed gradient, same size as a single one.
-                    let bytes = core.grad_bytes(s);
-                    let _ = peer_bytes;
-                    core.send_counted(
-                        ctx,
-                        ps[s].pid,
-                        ps[s].node,
-                        bytes,
-                        TrafficClass::WorkerPs,
-                        Msg::GradPush {
-                            sender: core.w,
-                            shard: s,
-                            iter,
-                            lr,
-                            weight: (nf + 1) as f32,
-                            data,
-                            bytes,
-                        },
-                    );
-                    pushed[s] = true;
-                }
-
-                core.run_compute_phase(&ctx, |core, ctx, s| {
-                    own[s] = grads.as_ref().map(|g| g[s].clone());
-                    own_ready[s] = true;
-                    // Drain any peer gradients that already arrived.
-                    while let Some(m) = ctx.try_recv() {
-                        match m {
-                            Msg::LocalGrad {
-                                shard, data, bytes, ..
-                            } => {
-                                if let Some(d) = &data {
-                                    merge_grad(&mut peer_acc[shard], d);
-                                }
-                                peer_count[shard] += 1;
-                                peer_bytes[shard] += bytes;
-                            }
-                            other => deferred.push(other),
-                        }
-                    }
-                    for sh in 0..ps.len() {
-                        try_push(
-                            core,
-                            ctx,
-                            &ps,
-                            iter,
-                            lr,
-                            nf,
-                            sh,
-                            &mut own,
-                            &own_ready,
-                            &mut peer_acc,
-                            &peer_count,
-                            &peer_bytes,
-                            &mut pushed,
-                        );
-                    }
-                });
-                // Wait (LocalAgg) until every shard has been pushed.
-                let t_local = ctx.now();
-                while pushed.iter().any(|&p| !p) {
-                    let m = ctx.recv();
-                    match m {
-                        Msg::LocalGrad {
-                            shard, data, bytes, ..
-                        } => {
-                            if let Some(d) = &data {
-                                merge_grad(&mut peer_acc[shard], d);
-                            }
-                            peer_count[shard] += 1;
-                            peer_bytes[shard] += bytes;
-                            try_push(
-                                &mut core,
-                                &ctx,
-                                &ps,
-                                iter,
-                                lr,
-                                nf,
-                                shard,
-                                &mut own,
-                                &own_ready,
-                                &mut peer_acc,
-                                &peer_count,
-                                &peer_bytes,
-                                &mut pushed,
-                            );
-                        }
-                        other => deferred.push(other),
-                    }
-                }
-                metrics.record_at(core.w, Phase::LocalAgg, t_local, ctx.now() - t_local);
-                // Collect shard replies (some may be in `deferred`).
-                let t_global = ctx.now();
-                let mut got = 0usize;
-                let mut reply_wire = SimTime::ZERO;
-                let mut handle_params =
-                    |core: &mut WorkerCore, shard: usize, data: Option<ParamSet>, bytes: u64| {
-                        if let (Some(real), Some(p)) = (core.real.as_mut(), data) {
-                            real.set_shard_params(shard, &p);
-                        }
-                        reply_wire += core.wire_time(ps[shard].node, bytes);
-                    };
-                for m in deferred.drain(..) {
-                    match m {
-                        Msg::ShardParams {
-                            shard, data, bytes, ..
-                        } => {
-                            handle_params(&mut core, shard, data, bytes);
-                            got += 1;
-                        }
-                        other => {
-                            unreachable!("BSP leader deferred an unexpected message: {other:?}")
-                        }
-                    }
-                }
-                while got < shards {
-                    match ctx.recv_match(|m| matches!(m, Msg::ShardParams { .. })) {
-                        Msg::ShardParams {
-                            shard, data, bytes, ..
-                        } => {
-                            handle_params(&mut core, shard, data, bytes);
-                            got += 1;
-                        }
-                        _ => unreachable!(),
-                    }
-                }
-                let blocked = ctx.now() - t_global;
-                let wire = reply_wire.min(blocked);
-                metrics.record_at(core.w, Phase::Comm, ctx.now() - wire, wire);
-                metrics.record_at(
-                    core.w,
-                    Phase::GlobalAgg,
-                    t_global,
-                    blocked.saturating_sub(wire),
-                );
-                // Broadcast fresh full parameters to followers.
-                let full = core.real.as_ref().map(|r| r.net.get_params());
-                let full_bytes: u64 = core.shard_bytes.iter().sum();
-                for f in followers.clone() {
-                    let delay = core.net.transfer_delay_class(
-                        ctx.now(),
-                        core.node,
-                        f.node,
-                        full_bytes,
-                        TrafficClass::LocalAgg,
-                    );
-                    let msg = Msg::LocalParams {
-                        data: full.clone(),
-                        bytes: full_bytes,
-                    };
-                    core.count_logical(ctx.now(), crate::exec::logical_payload(&msg));
-                    ctx.send(f.pid, delay, msg);
-                }
-            }
-        }
-        finish_iteration(&mut core, &ctx);
-        iter += 1;
-    }
-    // Tell the PS shards we're done (Solo and Leader are the PS's senders).
-    if !matches!(role, BspRole::Follower { .. }) {
-        for a in &ps {
-            ctx.send(a.pid, SimTime::from_nanos(1), Msg::Stop { sender: core.w });
-        }
-    }
+/// The worker side of the centralized family: one membership protocol — the
+/// PS shards track the cohort — around four steps.
+pub(crate) enum PsBody {
+    /// BSP (paper §III-A), optionally with local aggregation.
+    Bsp(BspRole),
+    /// ASP (paper §III-B): push, get fresh params back, never wait for
+    /// other workers.
+    Asp,
+    /// SSP (paper §III-C): asynchronous pushes with a staleness bound.
+    /// `cache_ts` is the min worker clock the local cache reflects.
+    Ssp { staleness: u64, cache_ts: u64 },
+    /// EASGD (paper §III-D): pure local SGD, elastic exchange with the PS
+    /// every `tau` iterations.
+    Easgd { tau: u64 },
 }
 
-/// ASP worker (paper §III-B): push, get fresh params back, never wait for
-/// other workers.
-pub fn asp_worker(mut core: WorkerCore, ps: Vec<Addr>, ctx: Ctx<Msg>) {
-    let shards = ps.len();
-    let mut iter = 0u64;
-    while iter < core.total_iters {
-        match elastic_guard(&mut core, &ps, &ctx, &mut iter) {
-            ElasticFlow::Exit => return,
-            ElasticFlow::Rejoined => continue,
-            ElasticFlow::Live => {}
+impl Body for PsBody {
+    fn step(&mut self, core: &mut WorkerCore, ctx: &Ctx<Msg>, iter: u64) {
+        match self {
+            PsBody::Bsp(BspRole::Solo) => push_and_pull(core, ctx, iter),
+            PsBody::Bsp(BspRole::Follower { leader }) => {
+                bsp_follower_step(core, ctx, iter, *leader)
+            }
+            PsBody::Bsp(BspRole::Leader { followers }) => {
+                bsp_leader_step(core, ctx, iter, followers)
+            }
+            PsBody::Asp => {
+                push_and_pull(core, ctx, iter);
+                if let Some(real) = core.real.as_mut() {
+                    real.opt.reset(); // momentum lives at the PS
+                }
+            }
+            PsBody::Ssp {
+                staleness,
+                cache_ts,
+            } => ssp_step(core, ctx, iter, *staleness, cache_ts),
+            PsBody::Easgd { tau } => easgd_step(core, ctx, iter, *tau),
         }
-        core.metrics.begin_iteration(core.w, ctx.now(), iter);
-        let grads = core.real_grad_slices();
-        let lr = core.current_lr();
-        core.run_compute_phase(&ctx, |core, ctx, s| {
-            let bytes = core.grad_bytes(s);
-            let data = grads.as_ref().map(|g| g[s].clone());
-            core.send_counted(
-                ctx,
-                ps[s].pid,
-                core.ps_node(ps[s].node, s),
-                bytes,
-                TrafficClass::WorkerPs,
-                Msg::GradPush {
-                    sender: core.w,
-                    shard: s,
-                    iter,
-                    lr,
-                    weight: 1.0,
-                    data,
-                    bytes,
-                },
-            );
-        });
-        collect_and_apply_shard_params(&mut core, &ctx, shards, Phase::GlobalAgg);
-        if let Some(real) = core.real.as_mut() {
-            real.opt.reset(); // momentum lives at the PS
-        }
-        finish_iteration(&mut core, &ctx);
-        iter += 1;
     }
-    for a in &ps {
-        ctx.send(a.pid, SimTime::from_nanos(1), Msg::Stop { sender: core.w });
-    }
-}
 
-/// SSP worker (paper §III-C): asynchronous pushes with a staleness bound of
-/// `s`. A worker trains against its local cache; whenever its clock outruns
-/// the cache timestamp by more than `s`, it must refresh from the PS — and
-/// the refresh is *gated* until the slowest worker's clock reaches
-/// `clock − s`, which is exactly the SSPTable read rule of Ho et al. With
-/// `s = 0` this degenerates to BSP-like lockstep; with `s = ∞` to isolated
-/// local training (ensembling), as the paper notes.
-pub fn ssp_worker(mut core: WorkerCore, ps: Vec<Addr>, staleness: u64, ctx: Ctx<Msg>) {
-    let shards = ps.len();
-    // Timestamp (min worker clock) the min worker clock the cache reflects.
-    let mut cache_ts: u64 = 0;
-    let mut iter = 0u64;
-    while iter < core.total_iters {
-        match elastic_guard(&mut core, &ps, &ctx, &mut iter) {
-            ElasticFlow::Exit => return,
-            ElasticFlow::Rejoined => {
-                // The rejoin pull refreshed the cache as of "now".
-                cache_ts = iter;
-                continue;
-            }
-            ElasticFlow::Live => {}
-        }
-        core.metrics.begin_iteration(core.w, ctx.now(), iter);
-        // SSPTable semantics (Ho et al.): the worker runs its own optimizer
-        // on its cache and pushes the applied *delta*; the server is a
-        // purely additive table. (Pushing raw gradients through a second
-        // server-side optimizer double-filters them and destabilizes at
-        // high worker counts.)
-        let delta = core.real.as_mut().map(|real| {
-            let g = real.compute_grad();
-            let glr = real.grad_lr(core.num_workers);
-            let before = real.net.get_params();
-            let mut p = before.clone();
-            real.opt.step(&mut p, &g, glr);
-            real.net.set_params(&p);
-            p.axpy(-1.0, &before); // p ← applied delta
-            p
-        });
-        let slices = slice_current_grad(&mut core, delta.as_ref());
-        let lr = core.current_lr();
-        core.run_compute_phase(&ctx, |core, ctx, s| {
-            let bytes = core.grad_bytes(s);
-            let data = slices.as_ref().map(|g| g[s].clone());
-            core.send_counted(
-                ctx,
-                ps[s].pid,
-                core.ps_node(ps[s].node, s),
-                bytes,
-                TrafficClass::WorkerPs,
-                Msg::GradPush {
-                    sender: core.w,
-                    shard: s,
-                    iter,
-                    lr,
-                    weight: 1.0,
-                    data,
-                    bytes,
-                },
-            );
-        });
-        // Send-buffer backpressure: SSP's pushes get no reply, so unlike the
-        // other centralized algorithms nothing naturally throttles the
-        // worker. A real sender blocks once its (finite) send buffers fill;
-        // we model that as draining this machine's TX NIC before the next
-        // iteration. This is what makes SSP share ASP's PS-bottleneck
-        // behaviour on the 10 Gbps network (paper §VI-C).
-        {
-            let t0 = ctx.now();
-            let tx_free = core.net.tx_free_at(core.node);
-            if tx_free > t0 {
-                ctx.advance(tx_free - t0);
-                let own_wire: SimTime = (0..shards)
-                    .map(|s| core.wire_time(core.ps_node(ps[s].node, s), core.grad_bytes(s)))
-                    .sum();
-                let stall = ctx.now() - t0;
-                core.metrics.record_at(
-                    core.w,
-                    Phase::GlobalAgg,
-                    t0,
-                    stall.saturating_sub(own_wire),
-                );
-            }
-        }
-        let my_clock = iter + 1;
-        if my_clock > cache_ts + staleness {
-            // Cache too stale to proceed: refresh (gated on shard 0).
-            let need = my_clock - staleness;
-            let delay = core.net.transfer_delay_class(
-                ctx.now(),
-                core.node,
-                core.ps_node(ps[0].node, 0),
-                64,
-                TrafficClass::WorkerPs,
-            );
-            ctx.send(
-                ps[0].pid,
-                delay,
-                Msg::GatedPull {
-                    sender: core.w,
-                    min_needed: need,
-                },
-            );
-            // other shards reply immediately
-            for (s, a) in ps.iter().enumerate().skip(1) {
-                let d = core.net.transfer_delay_class(
-                    ctx.now(),
-                    core.node,
-                    core.ps_node(a.node, s),
-                    64,
-                    TrafficClass::WorkerPs,
-                );
-                ctx.send(
-                    a.pid,
-                    d,
-                    Msg::PullReq {
-                        sender: core.w,
-                        shard: s,
-                    },
-                );
-            }
-            let seen_clock =
-                collect_and_apply_shard_params(&mut core, &ctx, shards, Phase::GlobalAgg);
-            // The refresh replaces the cache wholesale, so the local
-            // velocity — accumulated along the abandoned trajectory — is
-            // discarded with it. (Keeping it degrades large-staleness
-            // configurations badly: stale momentum keeps pushing from a
-            // point the worker no longer occupies.)
-            if let Some(real) = core.real.as_mut() {
-                real.opt.reset();
-            }
-            // The gated reply carries the PS's current min clock, which is
-            // at least `need`; the cache is fresh as of that timestamp.
-            cache_ts = seen_clock.max(need);
-        }
-        core.metrics.worker_track(core.w).counter(
-            ctx.now().as_nanos(),
-            dtrain_obs::names::STALENESS,
-            my_clock.saturating_sub(cache_ts) as i64,
+    /// The shards repair around the loss: BSP rounds shrink, the SSP bound
+    /// drops the member.
+    fn depart(&mut self, core: &mut WorkerCore, ctx: &Ctx<Msg>, rejoining: bool) {
+        core.announce_ps(
+            ctx,
+            Msg::MemberDown {
+                worker: core.w,
+                permanent: true,
+                rejoining,
+            },
         );
-        finish_iteration(&mut core, &ctx);
-        iter += 1;
     }
-    for a in &ps {
-        ctx.send(a.pid, SimTime::from_nanos(1), Msg::Stop { sender: core.w });
-    }
-}
 
-/// EASGD worker (paper §III-D): pure local SGD, elastic exchange with the
-/// PS every `tau` iterations.
-pub fn easgd_worker(mut core: WorkerCore, ps: Vec<Addr>, tau: u64, ctx: Ctx<Msg>) {
-    let shards = ps.len();
-    let mut iter = 0u64;
-    while iter < core.total_iters {
-        match elastic_guard(&mut core, &ps, &ctx, &mut iter) {
-            ElasticFlow::Exit => return,
-            ElasticFlow::Rejoined => continue,
-            ElasticFlow::Live => {}
-        }
-        core.metrics.begin_iteration(core.w, ctx.now(), iter);
-        // local compute + local SGD step
-        let t = core
-            .gpu
-            .iteration_time(&core.iteration_compute.profile, core.batch);
-        core.metrics.record_at(core.w, Phase::Compute, ctx.now(), t);
-        ctx.advance(t);
+    /// Pull the current model from every shard (wire bytes charged), reset
+    /// the optimizer, announce MemberUp — NIC FIFO guarantees it precedes
+    /// the first new push at every shard.
+    fn rejoin(&mut self, core: &mut WorkerCore, ctx: &Ctx<Msg>, _view: &MembershipView, j: u64) {
+        request_params(core, ctx, None);
+        pull_replies(core, ctx);
         if let Some(real) = core.real.as_mut() {
-            let g = real.compute_grad();
-            let glr = real.grad_lr(core.num_workers);
-            let mut p = real.net.get_params();
-            real.opt.step(&mut p, &g, glr);
-            real.net.set_params(&p);
+            real.opt.reset();
         }
-        if (iter + 1).is_multiple_of(tau) {
-            let lr = core.current_lr();
-            // push local params to every shard
-            let slices: Option<Vec<ParamSet>> = core.real.as_ref().map(|r| {
-                let p = r.net.get_params();
-                r.shard_indices
-                    .iter()
-                    .map(|idx| crate::exec::slice_set(&p, idx))
-                    .collect()
-            });
-            for (s, a) in ps.iter().enumerate() {
-                let bytes = core.dense_bytes(s);
-                let data = slices.as_ref().map(|v| v[s].clone());
-                core.send_counted(
-                    &ctx,
-                    a.pid,
-                    core.ps_node(a.node, s),
-                    bytes,
-                    TrafficClass::WorkerPs,
-                    Msg::ParamPush {
-                        sender: core.w,
-                        shard: s,
-                        lr,
-                        data,
-                        bytes,
-                    },
-                );
-            }
-            collect_and_apply_shard_params(&mut core, &ctx, shards, Phase::GlobalAgg);
+        core.announce_ps(ctx, Msg::MemberUp { worker: core.w });
+        if let PsBody::Ssp { cache_ts, .. } = self {
+            // The rejoin pull refreshed the cache as of "now".
+            *cache_ts = j;
         }
-        finish_iteration(&mut core, &ctx);
-        iter += 1;
     }
-    for a in &ps {
-        ctx.send(a.pid, SimTime::from_nanos(1), Msg::Stop { sender: core.w });
+
+    /// Tell the PS shards we're done (a follower is not one of the PS's
+    /// senders; its leader is).
+    fn epilogue(&mut self, core: &mut WorkerCore, ctx: &Ctx<Msg>) {
+        if !matches!(self, PsBody::Bsp(BspRole::Follower { .. })) {
+            for &shard in &core.ps {
+                core.send_stop(ctx, shard);
+            }
+        }
     }
 }
 
-// ---------------------------------------------------------------------------
-// shared worker plumbing
-// ---------------------------------------------------------------------------
+/// BSP-solo and ASP: push this iteration's gradient as it is produced,
+/// then block for every shard's fresh parameters.
+fn push_and_pull(core: &mut WorkerCore, ctx: &Ctx<Msg>, iter: u64) {
+    let grads = fresh_payloads(core);
+    compute_and_push(core, ctx, iter, grads);
+    pull_replies(core, ctx);
+}
 
-/// Block until `shards` ShardParams messages arrive; write each into the
-/// local replica; attribute blocked time to `phase` (minus analytic reply
-/// wire time, which goes to Comm).
-pub fn collect_and_apply_shard_params(
+/// Real mode: this iteration's gradient as per-shard payloads.
+fn fresh_payloads(core: &mut WorkerCore) -> Option<Vec<GradData>> {
+    core.real.as_mut().map(|real| {
+        let grad = real.compute_grad();
+        real.shard_payloads(&grad)
+    })
+}
+
+/// One shard's gradient to its PS shard; `weight` = how many workers'
+/// gradients `data` sums.
+fn push_grad(
     core: &mut WorkerCore,
     ctx: &Ctx<Msg>,
-    shards: usize,
-    phase: Phase,
+    iter: u64,
+    s: usize,
+    lr: f32,
+    weight: f32,
+    data: Option<GradData>,
+) {
+    let bytes = core.grad_bytes(s);
+    let push = Msg::GradPush {
+        sender: core.w,
+        shard: s,
+        iter,
+        lr,
+        weight,
+        data,
+        bytes,
+    };
+    core.send(
+        ctx,
+        core.ps_addr(s),
+        TrafficClass::WorkerPs,
+        Charge::Wire,
+        push,
+    );
+}
+
+/// The compute phase, each shard's payload leaving for its PS shard the
+/// moment it may (BSP-solo, ASP, SSP).
+fn compute_and_push(
+    core: &mut WorkerCore,
+    ctx: &Ctx<Msg>,
+    iter: u64,
+    payloads: Option<Vec<GradData>>,
+) {
+    let lr = core.current_lr();
+    core.run_compute_phase(ctx, |core, ctx, s| {
+        let data = payloads.as_ref().map(|g| g[s].clone());
+        push_grad(core, ctx, iter, s, lr, 1.0, data);
+    });
+}
+
+/// Ask every shard for its current parameters. `min_needed` makes shard 0
+/// — SSP's clock authority — hold its reply until the slowest live worker's
+/// clock has reached it; the other shards always reply at once.
+fn request_params(core: &mut WorkerCore, ctx: &Ctx<Msg>, min_needed: Option<u64>) {
+    for s in 0..core.ps.len() {
+        let sender = core.w;
+        let pull = match min_needed {
+            Some(min_needed) if s == 0 => Msg::GatedPull { sender, min_needed },
+            _ => Msg::PullReq { sender, shard: s },
+        };
+        core.send(
+            ctx,
+            core.ps_addr(s),
+            TrafficClass::WorkerPs,
+            Charge::Free,
+            pull,
+        );
+    }
+}
+
+/// Block until every shard's `ShardParams` is in; write each into the
+/// local replica; attribute the blocked time to GlobalAgg, minus the
+/// replies' analytic wire time, which goes to Comm. Returns the largest
+/// clock a reply carried (SSP).
+fn pull_replies(core: &mut WorkerCore, ctx: &Ctx<Msg>) -> u64 {
+    collect_shard_params(core, ctx, Vec::new(), |core, _, bytes| {
+        core.wire_time_for_reply(bytes)
+    })
+}
+
+/// [`pull_replies`] with its two degrees of freedom open: `early` holds
+/// replies the caller already took off the mailbox, `reply_wire` prices one
+/// reply of `bytes` from shard `s`.
+fn collect_shard_params(
+    core: &mut WorkerCore,
+    ctx: &Ctx<Msg>,
+    early: Vec<Msg>,
+    reply_wire: impl Fn(&WorkerCore, usize, u64) -> SimTime,
 ) -> u64 {
     let t0 = ctx.now();
-    let mut reply_wire = SimTime::ZERO;
+    let mut early = early.into_iter();
+    let mut wire = SimTime::ZERO;
     let mut max_clock = 0u64;
-    for _ in 0..shards {
-        match ctx.recv_match(|m| matches!(m, Msg::ShardParams { .. })) {
-            Msg::ShardParams {
-                shard,
-                clock,
-                data,
-                bytes,
-            } => {
-                if let (Some(real), Some(p)) = (core.real.as_mut(), data) {
-                    real.set_shard_params(shard, &p);
-                }
-                max_clock = max_clock.max(clock);
-                // reply came from the shard's node; wire time is analytic
-                reply_wire += core.wire_time_for_reply(bytes);
-            }
-            _ => unreachable!(),
+    for _ in 0..core.ps.len() {
+        let reply = early
+            .next()
+            .unwrap_or_else(|| ctx.recv_match(|m| matches!(m, Msg::ShardParams { .. })));
+        let Msg::ShardParams {
+            shard,
+            clock,
+            data,
+            bytes,
+        } = reply
+        else {
+            unreachable!("expected a shard reply, got {reply:?}")
+        };
+        if let (Some(real), Some(p)) = (core.real.as_mut(), data) {
+            real.set_shard_params(shard, &p);
         }
+        max_clock = max_clock.max(clock);
+        wire += reply_wire(core, shard, bytes);
     }
     let blocked = ctx.now() - t0;
-    let wire = reply_wire.min(blocked);
+    let wire = wire.min(blocked);
     core.metrics
         .record_at(core.w, Phase::Comm, ctx.now() - wire, wire);
     core.metrics
-        .record_at(core.w, phase, t0, blocked.saturating_sub(wire));
+        .record_at(core.w, Phase::GlobalAgg, t0, blocked.saturating_sub(wire));
     max_clock
 }
 
-/// Slice an already-computed dense gradient per shard (SSP needs both the
-/// full gradient for the local step and the slices for pushing; DGC
-/// compression happens here when enabled).
-fn slice_current_grad(core: &mut WorkerCore, full: Option<&ParamSet>) -> Option<Vec<GradData>> {
-    let real = core.real.as_mut()?;
-    let grad = full?;
-    if let Some(dgc) = real.dgc.as_mut() {
-        let upd = dgc.compress(grad, real.epoch as usize);
-        Some(
-            real.shard_indices
-                .iter()
-                .map(|idx| GradData::Sparse(crate::exec::slice_sparse(&upd, idx)))
-                .collect(),
-        )
-    } else {
-        Some(
-            real.shard_indices
-                .iter()
-                .map(|idx| GradData::Dense(crate::exec::slice_set(grad, idx)))
-                .collect(),
-        )
+fn bsp_follower_step(core: &mut WorkerCore, ctx: &Ctx<Msg>, iter: u64, leader: Addr) {
+    let grads = fresh_payloads(core);
+    core.run_compute_phase(ctx, |core, ctx, s| {
+        let bytes = core.grad_bytes(s);
+        let grad = Msg::LocalGrad {
+            sender: core.w,
+            iter,
+            shard: s,
+            data: grads.as_ref().map(|g| g[s].clone()),
+            bytes,
+        };
+        core.send(ctx, leader, TrafficClass::LocalAgg, Charge::Free, grad);
+    });
+    // Wait for fresh parameters from the leader.
+    let t0 = ctx.now();
+    let msg = ctx.recv_match(|m| matches!(m, Msg::LocalParams { .. }));
+    core.metrics
+        .record_at(core.w, Phase::LocalAgg, t0, ctx.now() - t0);
+    if let (Some(real), Msg::LocalParams { data: Some(p), .. }) = (core.real.as_mut(), msg) {
+        real.net.set_params(&p);
+        real.opt.reset();
     }
 }
 
-/// Per-iteration epilogue: advance the data cursor, snapshot on epoch
-/// boundaries, count the iteration.
-pub fn finish_iteration(core: &mut WorkerCore, ctx: &Ctx<Msg>) {
-    let epoch_done = core
-        .real
-        .as_mut()
-        .map(|real| real.advance_cursor().then_some(real.epoch));
-    if let Some(Some(epoch)) = epoch_done {
-        core.maybe_snapshot(ctx, epoch);
+/// What has arrived at a machine leader for each shard this round, and
+/// what has gone up to the PS.
+struct LeaderRound {
+    iter: u64,
+    lr: f32,
+    followers: usize,
+    /// The leader's own slice once its backward produced it (inner `None`
+    /// in cost-only runs).
+    own: Vec<Option<Option<GradData>>>,
+    peer_acc: Vec<Option<ParamSet>>,
+    peer_count: Vec<usize>,
+    pushed: Vec<bool>,
+    /// Anything that is not a co-located gradient — early shard replies.
+    deferred: Vec<Msg>,
+}
+
+impl LeaderRound {
+    /// Take one message off the mailbox; a follower's gradient is folded
+    /// into its shard's sum and the shard handed back.
+    fn absorb(&mut self, m: Msg) -> Option<usize> {
+        match m {
+            Msg::LocalGrad { shard, data, .. } => {
+                if let Some(d) = &data {
+                    merge_grad(&mut self.peer_acc[shard], d);
+                }
+                self.peer_count[shard] += 1;
+                Some(shard)
+            }
+            other => {
+                self.deferred.push(other);
+                None
+            }
+        }
     }
-    core.tick_checkpoint(ctx.now());
-    core.metrics.finish_iteration(core.w, ctx.now());
+
+    /// Push shard `s` once everything local arrived: ONE message per
+    /// machine, the summed gradient, same size as a single one.
+    fn push_if_complete(&mut self, core: &mut WorkerCore, ctx: &Ctx<Msg>, s: usize) {
+        if self.pushed[s] || self.own[s].is_none() || self.peer_count[s] != self.followers {
+            return;
+        }
+        // Fold own gradient into the peers' sum.
+        let mut sum = self.peer_acc[s].take();
+        if let Some(d) = self.own[s].take().flatten() {
+            merge_grad(&mut sum, &d);
+        }
+        let weight = (self.followers + 1) as f32;
+        let data = sum.map(GradData::Dense);
+        push_grad(core, ctx, self.iter, s, self.lr, weight, data);
+        self.pushed[s] = true;
+    }
+}
+
+fn bsp_leader_step(core: &mut WorkerCore, ctx: &Ctx<Msg>, iter: u64, followers: &[Addr]) {
+    let shards = core.ps.len();
+    let grads = fresh_payloads(core);
+    let mut round = LeaderRound {
+        iter,
+        lr: core.current_lr(),
+        followers: followers.len(),
+        own: vec![None; shards],
+        peer_acc: vec![None; shards],
+        peer_count: vec![0; shards],
+        pushed: vec![false; shards],
+        deferred: Vec::new(),
+    };
+    core.run_compute_phase(ctx, |core, ctx, s| {
+        round.own[s] = Some(grads.as_ref().map(|g| g[s].clone()));
+        // Drain any peer gradients that already arrived.
+        while let Some(m) = ctx.try_recv() {
+            round.absorb(m);
+        }
+        for sh in 0..shards {
+            round.push_if_complete(core, ctx, sh);
+        }
+    });
+    // Wait (LocalAgg) until every shard has been pushed.
+    let t_local = ctx.now();
+    while round.pushed.iter().any(|&p| !p) {
+        if let Some(shard) = round.absorb(ctx.recv()) {
+            round.push_if_complete(core, ctx, shard);
+        }
+    }
+    core.metrics
+        .record_at(core.w, Phase::LocalAgg, t_local, ctx.now() - t_local);
+    // Shard replies, some possibly among the deferred; a co-located shard's
+    // reply is priced at the intra-machine rate.
+    collect_shard_params(core, ctx, round.deferred, |core, s, bytes| {
+        core.wire_time(core.ps[s].node, bytes)
+    });
+    // Broadcast fresh full parameters to followers.
+    let full = core.replica();
+    let full_bytes = core.model_bytes();
+    for &f in followers {
+        let params = Msg::LocalParams {
+            data: full.clone(),
+            bytes: full_bytes,
+        };
+        core.send(ctx, f, TrafficClass::LocalAgg, Charge::Free, params);
+    }
+}
+
+/// A worker trains against its local cache; whenever its clock outruns the
+/// cache timestamp by more than `staleness`, it must refresh from the PS —
+/// and the refresh is *gated* until the slowest worker's clock reaches
+/// `clock − s`, which is exactly the SSPTable read rule of Ho et al. With
+/// `s = 0` this degenerates to BSP-like lockstep; with `s = ∞` to isolated
+/// local training (ensembling), as the paper notes.
+fn ssp_step(core: &mut WorkerCore, ctx: &Ctx<Msg>, iter: u64, staleness: u64, cache_ts: &mut u64) {
+    let shards = core.ps.len();
+    // SSPTable semantics (Ho et al.): the worker runs its own optimizer
+    // on its cache and pushes the applied *delta*; the server is a
+    // purely additive table. (Pushing raw gradients through a second
+    // server-side optimizer double-filters them and destabilizes at
+    // high worker counts.)
+    let num_workers = core.num_workers;
+    let deltas = core.real.as_mut().map(|real| {
+        let g = real.compute_grad();
+        let glr = real.grad_lr(num_workers);
+        let before = real.net.get_params();
+        let mut p = before.clone();
+        real.opt.step(&mut p, &g, glr);
+        real.net.set_params(&p);
+        p.axpy(-1.0, &before); // p ← applied delta
+        real.shard_payloads(&p)
+    });
+    compute_and_push(core, ctx, iter, deltas);
+    // Send-buffer backpressure: SSP's pushes get no reply, so unlike the
+    // other centralized algorithms nothing naturally throttles the
+    // worker. A real sender blocks once its (finite) send buffers fill;
+    // we model that as draining this machine's TX NIC before the next
+    // iteration. This is what makes SSP share ASP's PS-bottleneck
+    // behaviour on the 10 Gbps network (paper §VI-C).
+    let t0 = ctx.now();
+    let tx_free = core.net.tx_free_at(core.node);
+    if tx_free > t0 {
+        ctx.advance(tx_free - t0);
+        let own_wire: SimTime = (0..shards)
+            .map(|s| core.wire_time(core.ps_addr(s).node, core.grad_bytes(s)))
+            .sum();
+        let stall = (ctx.now() - t0).saturating_sub(own_wire);
+        core.metrics.record_at(core.w, Phase::GlobalAgg, t0, stall);
+    }
+    let my_clock = iter + 1;
+    if my_clock > *cache_ts + staleness {
+        // Cache too stale to proceed: refresh, gated on the slowest clock.
+        let need = my_clock - staleness;
+        request_params(core, ctx, Some(need));
+        let seen_clock = pull_replies(core, ctx);
+        // The refresh replaces the cache wholesale, so the local
+        // velocity — accumulated along the abandoned trajectory — is
+        // discarded with it. (Keeping it degrades large-staleness
+        // configurations badly: stale momentum keeps pushing from a
+        // point the worker no longer occupies.)
+        if let Some(real) = core.real.as_mut() {
+            real.opt.reset();
+        }
+        // The gated reply carries the PS's current min clock, which is
+        // at least `need`; the cache is fresh as of that timestamp.
+        *cache_ts = seen_clock.max(need);
+    }
+    core.metrics.worker_track(core.w).counter(
+        ctx.now().as_nanos(),
+        dtrain_obs::names::STALENESS,
+        my_clock.saturating_sub(*cache_ts) as i64,
+    );
+}
+
+fn easgd_step(core: &mut WorkerCore, ctx: &Ctx<Msg>, iter: u64, tau: u64) {
+    core.local_sgd(ctx);
+    if !(iter + 1).is_multiple_of(tau) {
+        return;
+    }
+    // Push local params to every shard; the replies carry them back
+    // elastically averaged against the center.
+    let lr = core.current_lr();
+    let slices: Option<Vec<ParamSet>> = core.real.as_ref().map(|r| {
+        let p = r.net.get_params();
+        let shards = r.shard_indices.iter();
+        shards.map(|idx| slice_set(&p, idx)).collect()
+    });
+    for s in 0..core.ps.len() {
+        let bytes = core.shard_bytes[s];
+        let push = Msg::ParamPush {
+            sender: core.w,
+            shard: s,
+            lr,
+            data: slices.as_ref().map(|v| v[s].clone()),
+            bytes,
+        };
+        core.send(
+            ctx,
+            core.ps_addr(s),
+            TrafficClass::WorkerPs,
+            Charge::Wire,
+            push,
+        );
+    }
+    pull_replies(core, ctx);
 }

@@ -29,13 +29,12 @@ use dtrain_faults::MembershipView;
 use dtrain_obs::{names, TrackHandle};
 use std::sync::Arc;
 
-use crate::centralized::Addr;
-use crate::exec::{Msg, WorkerCore};
+use crate::exec::{Addr, Charge, Msg, WorkerCore};
 
 /// The per-iteration chunking both sides (workers and engines) must agree
 /// on: dense chunk boundaries (for backward readiness) plus the wire bytes
 /// each chunk occupies (DGC-compressed when enabled).
-pub struct ChunkLayout {
+pub(crate) struct ChunkLayout {
     /// Dense chunk size used for readiness arithmetic (0 = single chunk).
     pub chunk_dense: u64,
     /// Dense bytes per chunk.
@@ -69,14 +68,10 @@ impl ChunkLayout {
     pub fn len(&self) -> usize {
         self.dense.len()
     }
-
-    pub fn is_empty(&self) -> bool {
-        self.dense.is_empty()
-    }
 }
 
 /// State of one machine's collective engine process.
-pub struct EngineCore {
+pub(crate) struct EngineCore {
     pub machine: usize,
     pub node: NodeId,
     pub net: NetModel,
@@ -103,13 +98,27 @@ impl EngineCore {
             None => (0..self.num_workers).collect(),
         }
     }
+
+    /// The engine's one way onto the wire: a `Collective`-class transfer of
+    /// `bytes` to `to`. Engines keep no Fig. 3 books — their time shows up
+    /// as the workers' wait for the broadcast.
+    fn send(&self, ctx: &Ctx<Msg>, to: Addr, bytes: u64, msg: Msg) {
+        let delay = self.net.transfer_delay_class(
+            ctx.now(),
+            self.node,
+            to.node,
+            bytes,
+            TrafficClass::Collective,
+        );
+        ctx.send(to.pid, delay, msg);
+    }
 }
 
 /// Body of the per-machine collective engine process. Purely reactive: all
 /// time it spends is message-arrival time; the schedule's structure (who
 /// gathers, who rings, who broadcasts) is derived per round from the shared
 /// cohort, so eviction and rejoin re-shape the trees with zero messages.
-pub fn collective_engine(eng: EngineCore, ctx: Ctx<Msg>) {
+pub(crate) fn collective_engine(eng: EngineCore, ctx: Ctx<Msg>) {
     for iter in 0..eng.total_iters {
         let cohort = eng.cohort_at(iter);
         let groups = hier_groups(&cohort, eng.gpus_per_machine);
@@ -142,23 +151,13 @@ pub fn collective_engine(eng: EngineCore, ctx: Ctx<Msg>) {
                 let t1 = ctx.now();
                 let hop = (cwire / m as u64).max(1);
                 for step in 0..2 * (m as u32 - 1) {
-                    let delay = eng.net.transfer_delay_class(
-                        ctx.now(),
-                        eng.node,
-                        next.node,
-                        hop,
-                        TrafficClass::Collective,
-                    );
-                    ctx.send(
-                        next.pid,
-                        delay,
-                        Msg::CollRing {
-                            iter,
-                            chunk: c32,
-                            step,
-                            bytes: hop,
-                        },
-                    );
+                    let ring = Msg::CollRing {
+                        iter,
+                        chunk: c32,
+                        step,
+                        bytes: hop,
+                    };
+                    eng.send(&ctx, next, hop, ring);
                     let _ = ctx.recv_match(|msg| {
                         matches!(msg, Msg::CollRing { iter: i, chunk: cc, step: s, .. }
                             if *i == iter && *cc == c32 && *s == step)
@@ -173,23 +172,12 @@ pub fn collective_engine(eng: EngineCore, ctx: Ctx<Msg>) {
             }
             // 3. intra-machine broadcast of the reduced chunk.
             for &w in &members {
-                let dst = eng.workers[w];
-                let delay = eng.net.transfer_delay_class(
-                    ctx.now(),
-                    eng.node,
-                    dst.node,
-                    cwire,
-                    TrafficClass::Collective,
-                );
-                ctx.send(
-                    dst.pid,
-                    delay,
-                    Msg::CollBcast {
-                        iter,
-                        chunk: c32,
-                        bytes: cwire,
-                    },
-                );
+                let bcast = Msg::CollBcast {
+                    iter,
+                    chunk: c32,
+                    bytes: cwire,
+                };
+                eng.send(&ctx, eng.workers[w], cwire, bcast);
             }
             eng.obs.instant(
                 ctx.now().as_nanos(),
@@ -200,51 +188,13 @@ pub fn collective_engine(eng: EngineCore, ctx: Ctx<Msg>) {
     }
 }
 
-/// Send every chunk in `sent..upto` to this machine's engine, stamping the
-/// cumulative-bytes counter used by the overlap timeline in DESIGN.md §6.
-#[allow(clippy::too_many_arguments)] // chunk-window cursors, not configuration
-fn send_chunks_upto(
-    core: &mut WorkerCore,
-    ctx: &Ctx<Msg>,
-    engine: Addr,
-    layout: &ChunkLayout,
-    iter: u64,
-    sent: &mut usize,
-    upto: usize,
-    cum_wire: &mut u64,
-) {
-    while *sent < upto {
-        let bytes = layout.wire[*sent];
-        *cum_wire += bytes;
-        core.metrics.worker_track(core.w).counter(
-            ctx.now().as_nanos(),
-            names::COLL_CHUNK_BYTES,
-            *cum_wire as i64,
-        );
-        core.send_counted(
-            ctx,
-            engine.pid,
-            engine.node,
-            bytes,
-            TrafficClass::Collective,
-            Msg::CollChunk {
-                sender: core.w,
-                iter,
-                chunk: *sent as u32,
-                bytes,
-            },
-        );
-        *sent += 1;
-    }
-}
-
 /// One AR-SGD iteration's compute + hierarchical allreduce, replacing the
 /// flat worker ring. Under the pipelined schedule (and wait-free BP) the
 /// backward pass is walked layer by layer and each chunk goes on the intra
 /// link the moment its bytes are produced; otherwise the whole gradient is
 /// handed over after compute. Either way the worker then blocks on the
 /// engine's broadcast of every chunk.
-pub fn run_hier_allreduce(
+pub(crate) fn run_hier_allreduce(
     core: &mut WorkerCore,
     ctx: &Ctx<Msg>,
     engine: Addr,
@@ -254,52 +204,42 @@ pub fn run_hier_allreduce(
     let nchunks = layout.len();
     let mut sent = 0usize;
     let mut cum_wire = 0u64;
+    // Send every chunk in `sent..upto` to this machine's engine, stamping
+    // the cumulative-bytes counter used by the overlap timeline in
+    // DESIGN.md §6.
+    let mut send_upto = |core: &mut WorkerCore, upto: usize| {
+        while sent < upto {
+            let bytes = layout.wire[sent];
+            cum_wire += bytes;
+            core.metrics.worker_track(core.w).counter(
+                ctx.now().as_nanos(),
+                names::COLL_CHUNK_BYTES,
+                cum_wire as i64,
+            );
+            let chunk = Msg::CollChunk {
+                sender: core.w,
+                iter,
+                chunk: sent as u32,
+                bytes,
+            };
+            core.send(ctx, engine, TrafficClass::Collective, Charge::Wire, chunk);
+            sent += 1;
+        }
+    };
     if layout.chunk_dense > 0 && core.wait_free {
-        let fwd = core
-            .gpu
-            .forward_time(&core.iteration_compute.profile, core.batch);
-        let bwd = core
-            .gpu
-            .backward_layer_times(&core.iteration_compute.profile, core.batch);
-        let bwd_bytes = core.iteration_compute.profile.backward_layer_bytes();
-        let total: SimTime = fwd + bwd.iter().copied().sum();
-        core.metrics
-            .record_at(core.w, Phase::Compute, ctx.now(), total);
-        ctx.advance(fwd);
+        let bwd = core.compute_forward(ctx);
+        let bwd_bytes = core.profile.backward_layer_bytes();
         let mut cum_dense = 0u64;
         for (dt, lb) in bwd.into_iter().zip(bwd_bytes) {
             ctx.advance(dt);
             cum_dense += lb;
-            let ready = chunks_ready(cum_dense, layout.chunk_dense, nchunks);
-            send_chunks_upto(
-                core,
-                ctx,
-                engine,
-                layout,
-                iter,
-                &mut sent,
-                ready,
-                &mut cum_wire,
-            );
+            send_upto(core, chunks_ready(cum_dense, layout.chunk_dense, nchunks));
         }
     } else {
-        let t = core
-            .gpu
-            .iteration_time(&core.iteration_compute.profile, core.batch);
-        core.metrics.record_at(core.w, Phase::Compute, ctx.now(), t);
-        ctx.advance(t);
+        core.compute(ctx);
     }
     // Flush the remainder chunk (and everything, in the non-pipelined case).
-    send_chunks_upto(
-        core,
-        ctx,
-        engine,
-        layout,
-        iter,
-        &mut sent,
-        nchunks,
-        &mut cum_wire,
-    );
+    send_upto(core, nchunks);
     // Block for the reduced chunks coming back from the engine.
     let t0 = ctx.now();
     let mut bcast_wire = SimTime::ZERO;

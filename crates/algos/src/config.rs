@@ -1,6 +1,6 @@
 //! Run configuration: which algorithm, which optimizations, which workload.
 
-use dtrain_cluster::{ClusterConfig, CollectiveSchedule};
+use dtrain_cluster::{ClusterConfig, CollectiveSchedule, ShardPlan};
 use dtrain_compress::DgcConfig;
 use dtrain_data::{Dataset, ImageTaskConfig, TeacherTaskConfig};
 use dtrain_faults::{ElasticConfig, FaultKind, FaultSchedule};
@@ -282,6 +282,21 @@ impl RunConfig {
     /// The elastic tunables, when enabled.
     pub fn elastic(&self) -> Option<&ElasticConfig> {
         self.faults.as_ref().and_then(|f| f.elastic.as_ref())
+    }
+
+    /// The plan that spreads `layer_bytes` over this run's PS shards (a
+    /// decentralized run is one shard).
+    pub(crate) fn shard_plan(&self, layer_bytes: &[u64]) -> ShardPlan {
+        let shards = if self.algo.is_centralized() {
+            self.opts.ps_shards
+        } else {
+            1
+        };
+        if self.opts.balanced_sharding {
+            ShardPlan::balanced(layer_bytes, shards)
+        } else {
+            ShardPlan::layer_wise(layer_bytes, shards)
+        }
     }
 
     /// Sanity-check invariants before running.

@@ -6,51 +6,31 @@
 //! all-gather, 2(N−1) steps), so its bandwidth behaviour — every link
 //! carrying ~2·M/N bytes per iteration regardless of N — emerges rather
 //! than being assumed.
+//!
+//! Each algorithm (AD-PSGD: each role) is a [`Body`] under
+//! `exec::run_worker`: [`ArSgd`], [`GoSgd`], [`AdPsgdActive`],
+//! [`AdPsgdPassive`]. Under elastic membership nobody has to be told a
+//! member left — every member reads the same shared view — except AD-PSGD's
+//! actives, who may be blocked on the passive that died; a rejoiner is
+//! seeded by a sponsor ([`sponsor_rejoiners`] / [`adopt_local_params`] for
+//! AR-SGD and GoSGD, [`adpsgd_adopt`] for AD-PSGD).
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use dtrain_cluster::{CollectiveSchedule, Phase, TrafficClass};
 use dtrain_desim::{Ctx, SimTime};
-use dtrain_faults::{markers, MembershipView};
+use dtrain_faults::MembershipView;
 use dtrain_nn::ParamSet;
 use parking_lot::Mutex;
 use rand::Rng;
 
-use crate::centralized::{finish_iteration, handle_crash, Addr, CTRL_BYTES};
 use crate::collective::{run_hier_allreduce, ChunkLayout};
-use crate::exec::{Msg, WorkerCore};
+use crate::exec::{Addr, Body, Charge, Msg, WorkerCore};
 
 // ---------------------------------------------------------------------------
-// Elastic membership (shared by the decentralized family)
+// Elastic membership (shared by AR-SGD and GoSGD)
 // ---------------------------------------------------------------------------
-
-/// The membership view's decree for this worker at this round: `None` while
-/// alive; `Some(None)` = dead for good; `Some(Some(j))` = dead now,
-/// rejoining at round `j`. Emits the crash/evict markers but does NOT
-/// advance time — the caller announces its departure first (control
-/// messages must carry the death timestamp), then serves the dormancy.
-fn elastic_death(core: &mut WorkerCore, ctx: &Ctx<Msg>, iter: u64) -> Option<Option<u64>> {
-    let el = core.elastic.clone()?;
-    if el.view.death_round(core.w) != Some(iter) {
-        return None;
-    }
-    let now = ctx.now().as_nanos();
-    markers::crash(core.metrics.worker_track(core.w), now, core.w);
-    markers::evict(core.metrics.worker_track(core.w), now, core.w);
-    // A rejoin round past the end of the run is a permanent loss.
-    Some(
-        el.view
-            .rejoin_round(core.w)
-            .filter(|&j| j < core.total_iters),
-    )
-}
-
-/// Sit out the dead rounds `iter..j` in virtual time.
-fn serve_dormancy(core: &WorkerCore, ctx: &Ctx<Msg>, iter: u64, j: u64) {
-    let el = core.elastic.as_ref().expect("elastic dormancy");
-    ctx.advance(el.cfg.round_estimate * j.saturating_sub(iter).max(1));
-}
 
 /// Send a full-parameter seed to every member rejoining at `iter`, if this
 /// worker is the designated sponsor: the lowest-id live member that is not
@@ -62,7 +42,6 @@ fn sponsor_rejoiners(
     peers: &[Addr],
     view: &MembershipView,
     iter: u64,
-    full_bytes: u64,
 ) {
     let me = core.w;
     let rejoiners: Vec<usize> = (0..peers.len())
@@ -78,26 +57,19 @@ fn sponsor_rejoiners(
     if sponsor != Some(me) {
         return;
     }
+    let bytes = core.model_bytes();
     for w2 in rejoiners {
-        let data = core.real.as_ref().map(|r| r.net.get_params());
-        let dst = peers[w2];
-        core.send_counted(
-            ctx,
-            dst.pid,
-            dst.node,
-            full_bytes,
-            TrafficClass::Peer,
-            Msg::LocalParams {
-                data,
-                bytes: full_bytes,
-            },
-        );
+        let seed = Msg::LocalParams {
+            data: core.replica(),
+            bytes,
+        };
+        core.send(ctx, peers[w2], TrafficClass::Peer, Charge::Wire, seed);
     }
 }
 
-/// Adopt the sponsor's replica after dormancy (AR-SGD / GoSGD): block for
-/// the `LocalParams` seed the sponsor sends at the top of round `j`. If no
-/// live member can sponsor, resume on the checkpointed state.
+/// Adopt the sponsor's replica after dormancy: block for the `LocalParams`
+/// seed the sponsor sends at the top of round `j`. If no live member can
+/// sponsor, resume on the checkpointed state.
 fn adopt_local_params(core: &mut WorkerCore, ctx: &Ctx<Msg>, view: &MembershipView, j: u64) {
     let has_sponsor = view
         .live_at(j)
@@ -121,7 +93,7 @@ fn adopt_local_params(core: &mut WorkerCore, ctx: &Ctx<Msg>, view: &MembershipVi
 /// barrier, the mean gradient can be computed exactly once everyone has
 /// deposited. The ring messages carry only timing.
 #[derive(Clone, Default)]
-pub struct AllReduceBoard {
+pub(crate) struct AllReduceBoard {
     inner: Arc<Mutex<HashMap<u64, RoundSlot>>>,
 }
 
@@ -132,18 +104,14 @@ struct RoundSlot {
 }
 
 impl AllReduceBoard {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Deposit worker `_w`'s gradient for `iter`.
-    pub fn deposit(&self, iter: u64, grad: ParamSet) {
+    /// Deposit one worker's gradient for `iter`.
+    fn deposit(&self, iter: u64, grad: ParamSet) {
         self.inner.lock().entry(iter).or_default().grads.push(grad);
     }
 
     /// Mean of all `n` deposited gradients for `iter`. Panics if called
     /// before the barrier completed (a bug in the ring protocol).
-    pub fn mean(&self, iter: u64, n: usize) -> ParamSet {
+    fn mean(&self, iter: u64, n: usize) -> ParamSet {
         let mut map = self.inner.lock();
         let slot = map.get_mut(&iter).expect("allreduce read before deposit");
         assert_eq!(
@@ -166,54 +134,48 @@ impl AllReduceBoard {
 /// AR-SGD worker (paper §IV-A). `buckets` > 1 pipelines the ring against
 /// backward computation (wait-free BP); the ring itself is
 /// reduce-scatter + all-gather over `ring` neighbors. A non-flat
-/// `collective` replaces the flat worker ring with the two-level schedule
-/// of DESIGN.md §6: `engines[machine]` is this worker's collective engine
-/// and carries the intra-reduce / inter-ring / intra-broadcast flow.
-#[allow(clippy::too_many_arguments)]
-pub fn arsgd_worker(
-    mut core: WorkerCore,
+/// collective schedule replaces the flat worker ring with the two-level
+/// schedule of DESIGN.md §6: `hier` is this worker's machine engine, which
+/// carries the intra-reduce / inter-ring / intra-broadcast flow, and the
+/// chunking both sides agree on.
+pub(crate) struct ArSgd {
     ring: Vec<Addr>,
     board: Option<AllReduceBoard>,
     buckets: usize,
-    collective: CollectiveSchedule,
-    engines: Vec<Addr>,
-    ctx: Ctx<Msg>,
-) {
-    let n_static = ring.len();
-    let me = core.w;
-    let hier_layout = (!collective.is_flat())
-        .then(|| ChunkLayout::new(core.shard_bytes.iter().sum(), collective, core.dgc_sparsity));
-    // Bucket the model bytes: contiguous layer ranges via a round-robin
-    // plan over buckets (reuses the shard planner's arithmetic through
-    // WorkerCore's profile plan when buckets == plan arity; otherwise the
-    // total bytes split evenly — ring chunks are byte-level anyway).
-    let total_bytes: u64 = core.shard_bytes.iter().sum();
-    let dense_bucket = total_bytes / buckets as u64;
-    let bucket_total = match core.dgc_sparsity {
-        Some(s) => dtrain_compress::compressed_wire_bytes(dense_bucket, s),
-        None => dense_bucket,
-    };
+    /// Wire bytes of one bucket (ring chunks are byte-level: the model
+    /// splits evenly).
+    bucket_bytes: u64,
+    hier: Option<(Addr, ChunkLayout)>,
+}
 
-    let mut iter = 0u64;
-    while iter < core.total_iters {
-        if let Some(fate) = elastic_death(&mut core, &ctx, iter) {
-            let Some(j) = fate else { return };
-            serve_dormancy(&core, &ctx, iter, j);
-            let view = core.elastic.clone().expect("elastic").view;
-            adopt_local_params(&mut core, &ctx, &view, j);
-            markers::rejoin(core.metrics.worker_track(me), ctx.now().as_nanos(), me);
-            iter = j;
-            continue;
+impl ArSgd {
+    pub(crate) fn new(
+        core: &WorkerCore,
+        ring: Vec<Addr>,
+        board: Option<AllReduceBoard>,
+        buckets: usize,
+        collective: CollectiveSchedule,
+        engines: &[Addr],
+    ) -> Self {
+        let dense_bucket = core.model_bytes() / buckets as u64;
+        Self {
+            ring,
+            board,
+            buckets,
+            bucket_bytes: match core.dgc_sparsity {
+                Some(s) => dtrain_compress::compressed_wire_bytes(dense_bucket, s),
+                None => dense_bucket,
+            },
+            hier: (!collective.is_flat()).then(|| {
+                let layout = ChunkLayout::new(core.model_bytes(), collective, core.dgc_sparsity);
+                (engines[core.node.0], layout)
+            }),
         }
-        if let Some(el) = core.elastic.clone() {
-            sponsor_rejoiners(&mut core, &ctx, &ring, &el.view, iter, total_bytes);
-        } else {
-            // Classic decentralized crashes are always restarts (no PS to
-            // rebalance a permanent loss, so build_worker_cores coerces
-            // them); peers stall in their recv until this worker resumes,
-            // mailboxes buffering.
-            handle_crash(&mut core, &[], &ctx);
-        }
+    }
+}
+
+impl Body for ArSgd {
+    fn step(&mut self, core: &mut WorkerCore, ctx: &Ctx<Msg>, iter: u64) {
         // This round's ring: the live cohort in id order (shared view ⇒
         // every member rebuilds the identical ring), else the static one.
         let (n, right) = match core.elastic.as_ref() {
@@ -221,119 +183,94 @@ pub fn arsgd_worker(
                 let ids = el.view.ring_at(iter);
                 let pos = ids
                     .iter()
-                    .position(|&x| x == me)
+                    .position(|&x| x == core.w)
                     .expect("live member must be in its own ring");
-                (ids.len(), ring[ids[(pos + 1) % ids.len()]])
+                (ids.len(), self.ring[ids[(pos + 1) % ids.len()]])
             }
-            None => (n_static, ring[(me + 1) % n_static]),
+            None => (self.ring.len(), self.ring[(core.w + 1) % self.ring.len()]),
         };
-        let steps = 2 * (n.saturating_sub(1)) as u32;
-        core.metrics.begin_iteration(core.w, ctx.now(), iter);
         // Real math: deposit own gradient before any communication.
-        let full_grad = core.real.as_mut().map(|r| r.compute_grad());
-        if let (Some(b), Some(g)) = (&board, &full_grad) {
-            b.deposit(iter, g.clone());
+        if let (Some(b), Some(real)) = (&self.board, core.real.as_mut()) {
+            b.deposit(iter, real.compute_grad());
         }
         let lr_full = core.current_lr() * core.num_workers as f32;
 
         // Compute phase; bucket b's ring may start once its backward slice
-        // is done. We reuse run_compute_phase's emission points by mapping
-        // its shard count (1 for AR-SGD) onto bucket starts: without
-        // wait-free BP, the whole backward runs first, then all rings.
-        if let Some(layout) = &hier_layout {
-            let engine = engines[core.node.0];
-            run_hier_allreduce(&mut core, &ctx, engine, layout, iter);
+        // is done: without wait-free BP, the whole backward runs first,
+        // then all rings.
+        let buckets = self.buckets;
+        if let Some((engine, layout)) = &self.hier {
+            run_hier_allreduce(core, ctx, *engine, layout, iter);
         } else if core.wait_free && buckets > 1 {
             // forward + per-bucket backward slices, ring after each slice
-            let fwd = core
-                .gpu
-                .forward_time(&core.iteration_compute.profile, core.batch);
-            let bwd_total: SimTime = core
-                .gpu
-                .backward_layer_times(&core.iteration_compute.profile, core.batch)
-                .iter()
-                .copied()
-                .sum();
-            core.metrics
-                .record_at(core.w, Phase::Compute, ctx.now(), fwd + bwd_total);
-            ctx.advance(fwd);
+            let bwd_total: SimTime = core.compute_forward(ctx).into_iter().sum();
             let slice = bwd_total / buckets as u64;
             for b in 0..buckets {
                 ctx.advance(slice);
-                run_ring_bucket(&mut core, &ctx, right, n, steps, b as u32, bucket_total);
+                self.ring_bucket(core, ctx, right, n, b as u32);
             }
         } else {
-            let t = core
-                .gpu
-                .iteration_time(&core.iteration_compute.profile, core.batch);
-            core.metrics.record_at(core.w, Phase::Compute, ctx.now(), t);
-            ctx.advance(t);
+            core.compute(ctx);
             for b in 0..buckets {
-                run_ring_bucket(&mut core, &ctx, right, n, steps, b as u32, bucket_total);
+                self.ring_bucket(core, ctx, right, n, b as u32);
             }
         }
 
         // Barrier complete: everyone holds the aggregated gradient.
-        if let (Some(b), Some(real)) = (&board, core.real.as_mut()) {
-            let mean = b.mean(iter, n);
-            let mut p = real.net.get_params();
-            real.opt.step(&mut p, &mean, lr_full);
-            real.net.set_params(&p);
+        if let (Some(b), Some(real)) = (&self.board, core.real.as_mut()) {
+            real.apply_grad(&b.mean(iter, n), lr_full);
         }
-        finish_iteration(&mut core, &ctx);
-        iter += 1;
+    }
+
+    fn before_round(
+        &mut self,
+        core: &mut WorkerCore,
+        ctx: &Ctx<Msg>,
+        view: &MembershipView,
+        iter: u64,
+    ) {
+        sponsor_rejoiners(core, ctx, &self.ring, view, iter);
+    }
+
+    fn rejoin(&mut self, core: &mut WorkerCore, ctx: &Ctx<Msg>, view: &MembershipView, j: u64) {
+        adopt_local_params(core, ctx, view, j);
     }
 }
 
-/// Execute the 2(N−1) hops of one ring bucket. Each hop: send the chunk to
-/// the right neighbor, block for the matching chunk from the left.
-fn run_ring_bucket(
-    core: &mut WorkerCore,
-    ctx: &Ctx<Msg>,
-    right: Addr,
-    n: usize,
-    steps: u32,
-    bucket: u32,
-    bucket_total: u64,
-) {
-    if n == 1 {
-        return;
-    }
-    let chunk = (bucket_total / n as u64).max(1);
-    let t0 = ctx.now();
-    let mut own_wire = SimTime::ZERO;
-    for step in 0..steps {
-        core.metrics.record_at(
-            core.w,
-            Phase::Comm,
-            ctx.now(),
-            core.wire_time(right.node, chunk),
-        );
-        own_wire += core.wire_time(right.node, chunk);
-        let delay = core.net.transfer_delay_class(
-            ctx.now(),
-            core.node,
-            right.node,
-            chunk,
-            TrafficClass::Peer,
-        );
-        ctx.send(
-            right.pid,
-            delay,
-            Msg::RingChunk {
+impl ArSgd {
+    /// Execute the 2(N−1) hops of one ring bucket. Each hop: send the chunk
+    /// to the right neighbor, block for the matching chunk from the left.
+    fn ring_bucket(
+        &self,
+        core: &mut WorkerCore,
+        ctx: &Ctx<Msg>,
+        right: Addr,
+        n: usize,
+        bucket: u32,
+    ) {
+        if n == 1 {
+            return;
+        }
+        let chunk = (self.bucket_bytes / n as u64).max(1);
+        let t0 = ctx.now();
+        let mut own_wire = SimTime::ZERO;
+        for step in 0..2 * (n - 1) as u32 {
+            own_wire += core.wire_time(right.node, chunk);
+            let hop = Msg::RingChunk {
                 step,
                 bucket,
                 bytes: chunk,
-            },
-        );
-        // wait for the matching hop from the left neighbor
-        let _ = ctx.recv_match(
-            |m| matches!(m, Msg::RingChunk { step: s, bucket: b, .. } if *s == step && *b == bucket),
-        );
+            };
+            core.send(ctx, right, TrafficClass::Peer, Charge::Hop, hop);
+            // wait for the matching hop from the left neighbor
+            let _ = ctx.recv_match(
+                |m| matches!(m, Msg::RingChunk { step: s, bucket: b, .. } if *s == step && *b == bucket),
+            );
+        }
+        let blocked = (ctx.now() - t0).saturating_sub(own_wire);
+        core.metrics
+            .record_at(core.w, Phase::GlobalAgg, t0, blocked);
     }
-    let blocked = (ctx.now() - t0).saturating_sub(own_wire);
-    core.metrics
-        .record_at(core.w, Phase::GlobalAgg, t0, blocked);
 }
 
 // ---------------------------------------------------------------------------
@@ -343,106 +280,94 @@ fn run_ring_bucket(
 /// GoSGD worker (paper §IV-B, Blot et al.): with probability `p` per
 /// iteration, halve the local mixing weight α and send `(x, α)` to a random
 /// peer — fire-and-forget. Incoming shares merge by weighted average.
-pub fn gosgd_worker(mut core: WorkerCore, peers: Vec<Addr>, p: f64, ctx: Ctx<Msg>) {
-    let n = peers.len();
-    let mut alpha: f32 = 1.0 / n as f32;
-    let full_bytes: u64 = core.shard_bytes.iter().sum();
-    let mut iter = 0u64;
-    while iter < core.total_iters {
-        if let Some(fate) = elastic_death(&mut core, &ctx, iter) {
-            let Some(j) = fate else { return };
-            serve_dormancy(&core, &ctx, iter, j);
-            let view = core.elastic.clone().expect("elastic").view;
-            adopt_local_params(&mut core, &ctx, &view, j);
-            // Fresh mixing mass, as at init — the dead replica's α mass
-            // left the system with it.
-            alpha = 1.0 / n as f32;
-            markers::rejoin(
-                core.metrics.worker_track(core.w),
-                ctx.now().as_nanos(),
-                core.w,
-            );
-            iter = j;
-            continue;
-        }
-        if let Some(el) = core.elastic.clone() {
-            sponsor_rejoiners(&mut core, &ctx, &peers, &el.view, iter, full_bytes);
-        } else {
-            handle_crash(&mut core, &[], &ctx);
-        }
-        core.metrics.begin_iteration(core.w, ctx.now(), iter);
-        // compute + local SGD step
-        let t = core
-            .gpu
-            .iteration_time(&core.iteration_compute.profile, core.batch);
-        core.metrics.record_at(core.w, Phase::Compute, ctx.now(), t);
-        ctx.advance(t);
-        if let Some(real) = core.real.as_mut() {
-            let g = real.compute_grad();
-            let glr = real.grad_lr(core.num_workers);
-            let mut px = real.net.get_params();
-            real.opt.step(&mut px, &g, glr);
-            real.net.set_params(&px);
-        }
+pub(crate) struct GoSgd {
+    peers: Vec<Addr>,
+    p: f64,
+    alpha: f32,
+}
+
+impl GoSgd {
+    pub(crate) fn new(peers: Vec<Addr>, p: f64) -> Self {
+        let alpha = 1.0 / peers.len() as f32;
+        Self { peers, p, alpha }
+    }
+}
+
+impl Body for GoSgd {
+    fn step(&mut self, core: &mut WorkerCore, ctx: &Ctx<Msg>, iter: u64) {
+        let n = self.peers.len();
+        core.local_sgd(ctx);
         // merge everything that arrived (asymmetric: never block)
         while let Some(m) = ctx.try_recv() {
             if let Msg::Gossip {
                 alpha: ar, data, ..
             } = m
             {
-                let anew = alpha + ar;
+                let anew = self.alpha + ar;
                 if let (Some(real), Some(xr)) = (core.real.as_mut(), data) {
                     let mut x = real.net.get_params();
                     // x ← (α·x + α_r·x_r) / (α + α_r)
                     x.lerp(&xr, ar / anew);
                     real.net.set_params(&x);
                 }
-                alpha = anew;
+                self.alpha = anew;
             }
         }
         // gossip with probability p (needs a peer to talk to)
-        if n >= 2 && core.rng.gen::<f64>() < p {
-            // Elastic targeting draws from the live cohort so shares never
-            // chase an evicted replica; the classic draw loop is kept
-            // verbatim so fault-free runs replay the same rng sequence.
-            let target = match core.elastic.as_ref() {
-                Some(el) => {
-                    let mut live = el.view.live_at(iter);
-                    live.retain(|&x| x != core.w);
-                    if live.is_empty() {
-                        None
-                    } else {
-                        Some(live[core.rng.gen_range(0..live.len())])
-                    }
-                }
-                None => Some(loop {
-                    let t = core.rng.gen_range(0..n);
-                    if t != core.w {
-                        break t;
-                    }
-                }),
-            };
-            if let Some(target) = target {
-                alpha *= 0.5;
-                let data = core.real.as_ref().map(|r| r.net.get_params());
-                let dst = peers[target];
-                core.send_counted(
-                    &ctx,
-                    dst.pid,
-                    dst.node,
-                    full_bytes,
-                    TrafficClass::Peer,
-                    Msg::Gossip {
-                        sender: core.w,
-                        alpha,
-                        data,
-                        bytes: full_bytes,
-                    },
-                );
-            }
+        if n < 2 || core.rng.gen::<f64>() >= self.p {
+            return;
         }
-        finish_iteration(&mut core, &ctx);
-        iter += 1;
+        // Elastic targeting draws from the live cohort so shares never
+        // chase an evicted replica; the classic draw loop is kept
+        // verbatim so fault-free runs replay the same rng sequence.
+        let target = match core.elastic.as_ref() {
+            Some(el) => {
+                let mut live = el.view.live_at(iter);
+                live.retain(|&x| x != core.w);
+                if live.is_empty() {
+                    return;
+                }
+                live[core.rng.gen_range(0..live.len())]
+            }
+            None => loop {
+                let t = core.rng.gen_range(0..n);
+                if t != core.w {
+                    break t;
+                }
+            },
+        };
+        self.alpha *= 0.5;
+        let bytes = core.model_bytes();
+        let share = Msg::Gossip {
+            sender: core.w,
+            alpha: self.alpha,
+            data: core.replica(),
+            bytes,
+        };
+        core.send(
+            ctx,
+            self.peers[target],
+            TrafficClass::Peer,
+            Charge::Wire,
+            share,
+        );
+    }
+
+    fn before_round(
+        &mut self,
+        core: &mut WorkerCore,
+        ctx: &Ctx<Msg>,
+        view: &MembershipView,
+        iter: u64,
+    ) {
+        sponsor_rejoiners(core, ctx, &self.peers, view, iter);
+    }
+
+    fn rejoin(&mut self, core: &mut WorkerCore, ctx: &Ctx<Msg>, view: &MembershipView, j: u64) {
+        adopt_local_params(core, ctx, view, j);
+        // Fresh mixing mass, as at init — the dead replica's α mass left
+        // the system with it.
+        self.alpha = 1.0 / self.peers.len() as f32;
     }
 }
 
@@ -453,54 +378,63 @@ pub fn gosgd_worker(mut core: WorkerCore, peers: Vec<Addr>, p: f64, ctx: Ctx<Msg
 /// Bipartite role split (paper §IV-C): even ranks are active (they initiate
 /// exchanges), odd ranks are passive (they answer). Active workers only
 /// ever wait on passive ones, so the wait graph is acyclic — no deadlock.
-pub fn adpsgd_is_active(w: usize) -> bool {
+pub(crate) fn adpsgd_is_active(w: usize) -> bool {
     w.is_multiple_of(2)
+}
+
+/// The ranks of one role among `n` workers, ascending.
+fn adpsgd_ranks(n: usize, active: bool) -> Vec<usize> {
+    (0..n).filter(|&w| adpsgd_is_active(w) == active).collect()
 }
 
 /// AD-PSGD active worker: kick off a symmetric exchange, overlap it with
 /// this iteration's computation, merge on completion.
-pub fn adpsgd_active_worker(
-    mut core: WorkerCore,
+pub(crate) struct AdPsgdActive {
     peers: Vec<Addr>,
     passives: Vec<usize>,
     overlap: bool,
-    ctx: Ctx<Msg>,
-) {
-    let full_bytes: u64 = core.shard_bytes.iter().sum();
-    let me = core.w;
-    // Passives this active has seen a MemberDown for (cleared by MemberUp);
-    // both arrive interleaved with exchange replies and are consumed inside
-    // the reply wait.
-    let mut down = vec![false; peers.len()];
-    let send_stops = |ctx: &Ctx<Msg>| {
-        for &pidx in &passives {
-            let dst = peers[pidx];
-            ctx.send(dst.pid, SimTime::from_nanos(1), Msg::Stop { sender: me });
+    /// Passives this active has seen a MemberDown for (cleared by
+    /// MemberUp); both arrive interleaved with exchange replies and are
+    /// consumed inside the reply wait.
+    down: Vec<bool>,
+}
+
+impl AdPsgdActive {
+    pub(crate) fn new(peers: Vec<Addr>, overlap: bool) -> Self {
+        Self {
+            passives: adpsgd_ranks(peers.len(), false),
+            down: vec![false; peers.len()],
+            peers,
+            overlap,
         }
-    };
-    let mut iter = 0u64;
-    while iter < core.total_iters {
-        if let Some(fate) = elastic_death(&mut core, &ctx, iter) {
-            let Some(j) = fate else {
-                // Never coming back: settle the passives' stop accounting
-                // now so they don't wait on a ghost.
-                send_stops(&ctx);
-                return;
-            };
-            serve_dormancy(&core, &ctx, iter, j);
-            adpsgd_adopt(&mut core, &ctx, &peers, j);
-            markers::rejoin(
-                core.metrics.worker_track(core.w),
-                ctx.now().as_nanos(),
-                core.w,
-            );
-            iter = j;
-            continue;
+    }
+
+    fn initiate(&self, core: &mut WorkerCore, ctx: &Ctx<Msg>, target: usize) {
+        let bytes = core.model_bytes();
+        let req = Msg::ExchangeReq {
+            sender: core.w,
+            data: core.replica(),
+            bytes,
+        };
+        core.send(
+            ctx,
+            self.peers[target],
+            TrafficClass::Peer,
+            Charge::Wire,
+            req,
+        );
+    }
+
+    /// Release the passive workers from waiting on this active.
+    fn stop_passives(&self, core: &WorkerCore, ctx: &Ctx<Msg>) {
+        for &p in &self.passives {
+            core.send_stop(ctx, self.peers[p]);
         }
-        if core.elastic.is_none() {
-            handle_crash(&mut core, &[], &ctx);
-        }
-        core.metrics.begin_iteration(core.w, ctx.now(), iter);
+    }
+}
+
+impl Body for AdPsgdActive {
+    fn step(&mut self, core: &mut WorkerCore, ctx: &Ctx<Msg>, iter: u64) {
         // 1. pick the passive peer; with overlap (the paper's design) the
         //    exchange goes on the wire *before* computing, hiding its
         //    latency behind the gradient computation. Elastic draws only
@@ -508,10 +442,11 @@ pub fn adpsgd_active_worker(
         //    none qualify this iteration is pure local SGD.
         let target = match core.elastic.as_ref() {
             Some(el) => {
-                let live: Vec<usize> = passives
+                let live: Vec<usize> = self
+                    .passives
                     .iter()
                     .copied()
-                    .filter(|&x| el.view.is_live(x, iter) && !down[x])
+                    .filter(|&x| el.view.is_live(x, iter) && !self.down[x])
                     .collect();
                 if live.is_empty() {
                     None
@@ -519,39 +454,16 @@ pub fn adpsgd_active_worker(
                     Some(live[core.rng.gen_range(0..live.len())])
                 }
             }
-            None => Some(passives[core.rng.gen_range(0..passives.len())]),
+            None => Some(self.passives[core.rng.gen_range(0..self.passives.len())]),
         };
-        let initiate = |core: &mut WorkerCore, ctx: &Ctx<Msg>, dst: Addr| {
-            let data = core.real.as_ref().map(|r| r.net.get_params());
-            core.send_counted(
-                ctx,
-                dst.pid,
-                dst.node,
-                full_bytes,
-                TrafficClass::Peer,
-                Msg::ExchangeReq {
-                    sender: core.w,
-                    data,
-                    bytes: full_bytes,
-                },
-            );
-        };
-        if overlap {
-            if let Some(t) = target {
-                initiate(&mut core, &ctx, peers[t]);
-            }
+        if let (true, Some(t)) = (self.overlap, target) {
+            self.initiate(core, ctx, t);
         }
         // 2. compute this iteration's gradient (wire busy in parallel)
-        let t = core
-            .gpu
-            .iteration_time(&core.iteration_compute.profile, core.batch);
-        core.metrics.record_at(core.w, Phase::Compute, ctx.now(), t);
-        ctx.advance(t);
+        core.compute(ctx);
         let grad = core.real.as_mut().map(|r| r.compute_grad());
-        if !overlap {
-            if let Some(t) = target {
-                initiate(&mut core, &ctx, peers[t]);
-            }
+        if let (false, Some(t)) = (self.overlap, target) {
+            self.initiate(core, ctx, t);
         }
         // 3. wait (often zero) for the atomic-averaging midpoint: the
         //    passive peer computed mid = (x_active + x_passive)/2, adopted
@@ -561,7 +473,7 @@ pub fn adpsgd_active_worker(
         //    exchange is abandoned.
         if let Some(target) = target {
             let t0 = ctx.now();
-            let mid = wait_exchange_rep(&ctx, target, &mut down);
+            let mid = wait_exchange_rep(ctx, target, &mut self.down);
             core.metrics
                 .record_at(core.w, Phase::GlobalAgg, t0, ctx.now() - t0);
             if let (Some(real), Some(mid)) = (core.real.as_mut(), mid) {
@@ -571,16 +483,25 @@ pub fn adpsgd_active_worker(
         // 4. gradient step on top of the averaged point:
         //    x_{k+1} = mid − γ·g(x_k)
         if let (Some(real), Some(g)) = (core.real.as_mut(), &grad) {
-            let glr = real.grad_lr(core.num_workers);
-            let mut px = real.net.get_params();
-            real.opt.step(&mut px, g, glr);
-            real.net.set_params(&px);
+            real.apply_grad(g, real.grad_lr(core.num_workers));
         }
-        finish_iteration(&mut core, &ctx);
-        iter += 1;
     }
-    // release passive workers
-    send_stops(&ctx);
+
+    /// Never coming back: settle the passives' stop accounting now so they
+    /// don't wait on a ghost.
+    fn depart(&mut self, core: &mut WorkerCore, ctx: &Ctx<Msg>, rejoining: bool) {
+        if !rejoining {
+            self.stop_passives(core, ctx);
+        }
+    }
+
+    fn rejoin(&mut self, core: &mut WorkerCore, ctx: &Ctx<Msg>, view: &MembershipView, j: u64) {
+        adpsgd_adopt(core, ctx, &self.peers, view, j);
+    }
+
+    fn epilogue(&mut self, core: &mut WorkerCore, ctx: &Ctx<Msg>) {
+        self.stop_passives(core, ctx);
+    }
 }
 
 /// Block for the midpoint reply from `target`, absorbing membership
@@ -612,22 +533,20 @@ fn wait_exchange_rep(ctx: &Ctx<Msg>, target: usize, down: &mut [bool]) -> Option
 /// `AdoptReq`, answered with a plain `ExchangeRep` (no averaging, so the
 /// rejoiner's stale state never pollutes the cohort). With no live passive
 /// to seed from, resume on the checkpointed state.
-fn adpsgd_adopt(core: &mut WorkerCore, ctx: &Ctx<Msg>, peers: &[Addr], j: u64) {
-    let view = core.elastic.as_ref().expect("elastic rejoin").view.clone();
+fn adpsgd_adopt(
+    core: &mut WorkerCore,
+    ctx: &Ctx<Msg>,
+    peers: &[Addr],
+    view: &MembershipView,
+    j: u64,
+) {
     let sponsor = view
         .live_at(j)
         .into_iter()
         .find(|&w| !adpsgd_is_active(w) && w != core.w && view.rejoin_round(w) != Some(j));
     let Some(sp) = sponsor else { return };
-    let dst = peers[sp];
-    core.send_counted(
-        ctx,
-        dst.pid,
-        dst.node,
-        CTRL_BYTES,
-        TrafficClass::Other,
-        Msg::AdoptReq { sender: core.w },
-    );
+    let req = Msg::AdoptReq { sender: core.w };
+    core.send(ctx, peers[sp], TrafficClass::Other, Charge::Wire, req);
     let m = ctx.recv_match(|m| matches!(m, Msg::ExchangeRep { sender, .. } if *sender == sp));
     if let (Some(real), Msg::ExchangeRep { data: Some(p), .. }) = (core.real.as_mut(), m) {
         real.net.set_params(&p);
@@ -638,17 +557,24 @@ fn adpsgd_adopt(core: &mut WorkerCore, ctx: &Ctx<Msg>, peers: &[Addr], j: u64) {
 /// AD-PSGD passive worker: trains locally, answering exchange requests at
 /// iteration boundaries (the model of the paper's background communication
 /// thread), and keeps answering after finishing until every active stopped.
-pub fn adpsgd_passive_worker(
-    mut core: WorkerCore,
+pub(crate) struct AdPsgdPassive {
     peers: Vec<Addr>,
-    num_actives: usize,
-    ctx: Ctx<Msg>,
-) {
-    let full_bytes: u64 = core.shard_bytes.iter().sum();
-    let mut stops = 0usize;
-    let actives: Vec<usize> = (0..peers.len()).filter(|&w| adpsgd_is_active(w)).collect();
-    let answer = |core: &mut WorkerCore, ctx: &Ctx<Msg>, m: Msg, stops: &mut usize| {
-        match m {
+    actives: Vec<usize>,
+    /// Actives that have finished (or left for good).
+    stops: usize,
+}
+
+impl AdPsgdPassive {
+    pub(crate) fn new(peers: Vec<Addr>) -> Self {
+        Self {
+            actives: adpsgd_ranks(peers.len(), true),
+            peers,
+            stops: 0,
+        }
+    }
+
+    fn answer(&mut self, core: &mut WorkerCore, ctx: &Ctx<Msg>, m: Msg) {
+        let (to, data) = match m {
             Msg::ExchangeReq { sender, data, .. } => {
                 // Atomic averaging: compute the midpoint, adopt it, and send
                 // the SAME midpoint back, so neither side's updates are lost.
@@ -661,122 +587,81 @@ pub fn adpsgd_passive_worker(
                     }
                     _ => None,
                 };
-                let dst = peers[sender];
-                core.send_counted(
-                    ctx,
-                    dst.pid,
-                    dst.node,
-                    full_bytes,
-                    TrafficClass::Peer,
-                    Msg::ExchangeRep {
-                        sender: core.w,
-                        data: mid,
-                        bytes: full_bytes,
-                    },
-                );
+                (sender, mid)
             }
-            Msg::AdoptReq { sender } => {
-                // Seed a rejoiner with this replica, unaveraged — adoption
-                // must not drag the rejoiner's stale state into the cohort.
-                let data = core.real.as_ref().map(|r| r.net.get_params());
-                let dst = peers[sender];
-                core.send_counted(
-                    ctx,
-                    dst.pid,
-                    dst.node,
-                    full_bytes,
-                    TrafficClass::Peer,
-                    Msg::ExchangeRep {
-                        sender: core.w,
-                        data,
-                        bytes: full_bytes,
-                    },
-                );
+            // Seed a rejoiner with this replica, unaveraged — adoption
+            // must not drag the rejoiner's stale state into the cohort.
+            Msg::AdoptReq { sender } => (sender, core.replica()),
+            Msg::Stop { .. } => {
+                self.stops += 1;
+                return;
             }
-            Msg::Stop { .. } => *stops += 1,
             other => unreachable!("passive got {other:?}"),
-        }
-    };
-    // Announce this passive's membership change to every active (they may
-    // be blocked on an exchange with it right now).
-    let announce = |core: &mut WorkerCore, ctx: &Ctx<Msg>, msg: Msg| {
-        for &a in &actives {
-            let dst = peers[a];
-            let delay = core.net.transfer_delay_class(
-                ctx.now(),
-                core.node,
-                dst.node,
-                CTRL_BYTES,
-                TrafficClass::Other,
-            );
-            ctx.send(dst.pid, delay, msg.clone());
-        }
-    };
-    let me = core.w;
-    let mut iter = 0u64;
-    while iter < core.total_iters {
-        if let Some(fate) = elastic_death(&mut core, &ctx, iter) {
-            announce(
-                &mut core,
-                &ctx,
-                Msg::MemberDown {
-                    worker: me,
-                    permanent: true,
-                    rejoining: fate.is_some(),
-                },
-            );
-            let Some(j) = fate else { return };
-            serve_dormancy(&core, &ctx, iter, j);
-            // Discard exchange requests that queued while dormant — their
-            // initiators were woken by the MemberDown and abandoned the
-            // exchange; answering now would strand unmatched replies. Stop
-            // and adopt accounting still applies.
-            while let Some(m) = ctx.try_recv() {
-                match m {
-                    Msg::ExchangeReq { .. } => {}
-                    m @ (Msg::Stop { .. } | Msg::AdoptReq { .. }) => {
-                        answer(&mut core, &ctx, m, &mut stops)
-                    }
-                    other => unreachable!("dormant passive got {other:?}"),
-                }
-            }
-            adpsgd_adopt(&mut core, &ctx, &peers, j);
-            announce(&mut core, &ctx, Msg::MemberUp { worker: me });
-            markers::rejoin(
-                core.metrics.worker_track(core.w),
-                ctx.now().as_nanos(),
-                core.w,
-            );
-            iter = j;
-            continue;
-        }
-        if core.elastic.is_none() {
-            handle_crash(&mut core, &[], &ctx);
-        }
-        core.metrics.begin_iteration(core.w, ctx.now(), iter);
-        let t = core
-            .gpu
-            .iteration_time(&core.iteration_compute.profile, core.batch);
-        core.metrics.record_at(core.w, Phase::Compute, ctx.now(), t);
-        ctx.advance(t);
-        let grad = core.real.as_mut().map(|r| r.compute_grad());
-        if let (Some(real), Some(g)) = (core.real.as_mut(), &grad) {
-            let glr = real.grad_lr(core.num_workers);
-            let mut px = real.net.get_params();
-            real.opt.step(&mut px, g, glr);
-            real.net.set_params(&px);
-        }
-        while let Some(m) = ctx.try_recv() {
-            answer(&mut core, &ctx, m, &mut stops);
-        }
-        finish_iteration(&mut core, &ctx);
-        iter += 1;
+        };
+        let bytes = core.model_bytes();
+        let rep = Msg::ExchangeRep {
+            sender: core.w,
+            data,
+            bytes,
+        };
+        core.send(ctx, self.peers[to], TrafficClass::Peer, Charge::Wire, rep);
     }
-    // Keep answering until all actives are done. Permanently-lost actives
-    // sent their Stop at death, so the count still converges.
-    while stops < num_actives {
-        let m = ctx.recv();
-        answer(&mut core, &ctx, m, &mut stops);
+
+    /// Announce this passive's membership change to every active (they may
+    /// be blocked on an exchange with it right now).
+    fn announce(&self, core: &mut WorkerCore, ctx: &Ctx<Msg>, msg: Msg) {
+        for &a in &self.actives {
+            core.send(
+                ctx,
+                self.peers[a],
+                TrafficClass::Other,
+                Charge::Free,
+                msg.clone(),
+            );
+        }
+    }
+}
+
+impl Body for AdPsgdPassive {
+    fn step(&mut self, core: &mut WorkerCore, ctx: &Ctx<Msg>, _iter: u64) {
+        core.local_sgd(ctx);
+        while let Some(m) = ctx.try_recv() {
+            self.answer(core, ctx, m);
+        }
+    }
+
+    fn depart(&mut self, core: &mut WorkerCore, ctx: &Ctx<Msg>, rejoining: bool) {
+        let down = Msg::MemberDown {
+            worker: core.w,
+            permanent: true,
+            rejoining,
+        };
+        self.announce(core, ctx, down);
+    }
+
+    fn rejoin(&mut self, core: &mut WorkerCore, ctx: &Ctx<Msg>, view: &MembershipView, j: u64) {
+        // Discard exchange requests that queued while dormant — their
+        // initiators were woken by the MemberDown and abandoned the
+        // exchange; answering now would strand unmatched replies. Stop
+        // and adopt accounting still applies.
+        while let Some(m) = ctx.try_recv() {
+            match m {
+                Msg::ExchangeReq { .. } => {}
+                m @ (Msg::Stop { .. } | Msg::AdoptReq { .. }) => self.answer(core, ctx, m),
+                other => unreachable!("dormant passive got {other:?}"),
+            }
+        }
+        adpsgd_adopt(core, ctx, &self.peers, view, j);
+        self.announce(core, ctx, Msg::MemberUp { worker: core.w });
+    }
+
+    /// Keep answering until all actives are done. Permanently-lost actives
+    /// sent their Stop at death, so the count still converges.
+    fn epilogue(&mut self, core: &mut WorkerCore, ctx: &Ctx<Msg>) {
+        while self.stops < self.actives.len() {
+            let m = ctx.recv();
+            self.answer(core, ctx, m);
+        }
     }
 }
 
@@ -791,7 +676,7 @@ mod tests {
 
     #[test]
     fn board_mean_and_cleanup() {
-        let b = AllReduceBoard::new();
+        let b = AllReduceBoard::default();
         b.deposit(0, ps(&[1.0, 2.0]));
         b.deposit(0, ps(&[3.0, 4.0]));
         let m1 = b.mean(0, 2);
@@ -807,16 +692,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "barrier violated")]
     fn board_detects_missing_deposit() {
-        let b = AllReduceBoard::new();
+        let b = AllReduceBoard::default();
         b.deposit(0, ps(&[1.0]));
         let _ = b.mean(0, 2);
     }
 
     #[test]
     fn bipartite_split() {
-        let actives: Vec<usize> = (0..6).filter(|&w| adpsgd_is_active(w)).collect();
-        let passives: Vec<usize> = (0..6).filter(|&w| !adpsgd_is_active(w)).collect();
-        assert_eq!(actives, vec![0, 2, 4]);
-        assert_eq!(passives, vec![1, 3, 5]);
+        assert_eq!(adpsgd_ranks(6, true), vec![0, 2, 4]);
+        assert_eq!(adpsgd_ranks(6, false), vec![1, 3, 5]);
     }
 }

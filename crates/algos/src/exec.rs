@@ -1,5 +1,7 @@
 //! Shared execution machinery: messages, per-worker state, shard slicing,
-//! and the snapshot recorder.
+//! the snapshot recorder — and the two things every worker body stands on:
+//! the **iteration skeleton** ([`run_worker`] + [`Body`]) and the one
+//! **charged-send primitive** ([`WorkerCore::send`]).
 //!
 //! A run is a set of [`dtrain_desim`] processes — workers plus (for
 //! centralized algorithms) parameter-server shards — exchanging [`Msg`]s.
@@ -8,6 +10,44 @@
 //! trainable model's tensors) when the run is an accuracy experiment. This
 //! is the hybrid virtual-time design from DESIGN.md §1: the interleavings
 //! are the paper's, the arithmetic is real.
+//!
+//! ## The skeleton
+//!
+//! [`run_worker`] is the only worker loop: membership gate →
+//! `begin_iteration` → [`Body::step`] → `finish_iteration`, then
+//! [`Body::epilogue`]. The gate is written once too: classic runs consume
+//! due crashes; elastic runs ask the shared [`MembershipView`] whether this
+//! is the worker's death round and, if so, walk evict → [`Body::depart`] →
+//! dormancy → [`Body::rejoin`] → rejoin marker. A body is what is left: its
+//! step, whom it tells when it leaves, whom it adopts a replica from, and
+//! what it owes after its last iteration — `centralized::PsBody` and
+//! `decentralized::{ArSgd, GoSgd, AdPsgdActive, AdPsgdPassive}`.
+//!
+//! ## Who charges what
+//!
+//! Every modelled transfer a worker starts goes through
+//! [`WorkerCore::send`], which reserves NIC time and counts the message's
+//! real payload toward `logical.bytes` (zero for control and timing-only
+//! messages); the [`Charge`] argument states the rest:
+//!
+//! | site | message | class | charge |
+//! |---|---|---|---|
+//! | BSP solo/leader, ASP, SSP push | `GradPush` | WorkerPs | `Wire` |
+//! | EASGD exchange | `ParamPush` | WorkerPs | `Wire` |
+//! | SSP refresh, elastic rejoin pull | `GatedPull`, `PullReq` | WorkerPs | `Free` |
+//! | membership → PS shards, AD-PSGD actives | `MemberDown`, `MemberUp` | Other | `Free` |
+//! | BSP follower ↔ leader | `LocalGrad`, `LocalParams` | LocalAgg | `Free` |
+//! | flat ring hop | `RingChunk` | Peer | `Hop` |
+//! | gossip, AD-PSGD exchange, rejoin seed | `Gossip`, `Exchange*`, `LocalParams` | Peer | `Wire` |
+//! | AD-PSGD adopt request | `AdoptReq` | Other | `Wire` |
+//! | worker → collective engine | `CollChunk` | Collective | `Wire` |
+//!
+//! PS shards are always addressed at their *live* home
+//! ([`WorkerCore::ps_addr`]; only an elastic centralized run can move one).
+//! `Stop` is not a transfer (1 ns, uncharged: [`WorkerCore::send_stop`]).
+//! The server sides have one primitive each: `PsCore::send_params`
+//! (WorkerPs; the worker books the reply's wire time when it collects) and
+//! `EngineCore::send` (Collective).
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -18,7 +58,7 @@ use dtrain_cluster::{
 };
 use dtrain_compress::{compressed_wire_bytes, DgcCompressor, SparseUpdate};
 use dtrain_data::Dataset;
-use dtrain_desim::{Ctx, SimTime};
+use dtrain_desim::{Ctx, Pid, SimTime};
 use dtrain_faults::{markers, CheckpointStore, ElasticConfig, MembershipView};
 use dtrain_models::ModelProfile;
 use dtrain_nn::{LrSchedule, Network, ParamLayout, ParamSet, SgdMomentum};
@@ -34,6 +74,16 @@ use crate::config::{RealTraining, RunConfig, StopCondition};
 pub enum GradData {
     Dense(ParamSet),
     Sparse(SparseUpdate),
+}
+
+impl GradData {
+    /// The payload as a dense set (sparse contributions densify).
+    pub(crate) fn to_dense(&self) -> ParamSet {
+        match self {
+            GradData::Dense(g) => g.clone(),
+            GradData::Sparse(s) => s.to_dense(),
+        }
+    }
 }
 
 /// Everything that flows between processes.
@@ -149,11 +199,33 @@ pub enum Msg {
     CollBcast { iter: u64, chunk: u32, bytes: u64 },
 }
 
+impl Msg {
+    /// Wire size under the timing profile: the `bytes` a payload message
+    /// carries, [`CTRL_BYTES`] for control messages.
+    pub(crate) fn wire_bytes(&self) -> u64 {
+        match self {
+            Msg::GradPush { bytes, .. }
+            | Msg::ParamPush { bytes, .. }
+            | Msg::ShardParams { bytes, .. }
+            | Msg::LocalGrad { bytes, .. }
+            | Msg::LocalParams { bytes, .. }
+            | Msg::RingChunk { bytes, .. }
+            | Msg::Gossip { bytes, .. }
+            | Msg::ExchangeReq { bytes, .. }
+            | Msg::ExchangeRep { bytes, .. }
+            | Msg::CollChunk { bytes, .. }
+            | Msg::CollRing { bytes, .. }
+            | Msg::CollBcast { bytes, .. } => *bytes,
+            _ => CTRL_BYTES,
+        }
+    }
+}
+
 /// Bytes of *real* model payload carried by `msg` (0 for cost-only or
 /// control messages). This is the cross-path "logical traffic" unit: the
 /// threaded runtime moves the same `ParamSet`s through memory, so both
 /// execution paths can report identical `logical.bytes` counters.
-pub fn logical_payload(msg: &Msg) -> u64 {
+fn logical_payload(msg: &Msg) -> u64 {
     fn grad(g: &Option<GradData>) -> u64 {
         match g {
             Some(GradData::Dense(p)) => p.num_bytes(),
@@ -222,6 +294,16 @@ pub fn shard_tensor_indices(layout: &ParamLayout, plan: &ShardPlan, shard: usize
     out
 }
 
+/// Tensor indices of every shard of the *real* model under `cfg`'s sharding
+/// options: the plan runs over the layout's layer groups.
+pub(crate) fn real_shard_indices(cfg: &RunConfig, layout: &ParamLayout) -> Vec<Vec<usize>> {
+    let group_bytes: Vec<u64> = layout.groups.iter().map(|g| g.num_bytes()).collect();
+    let plan = cfg.shard_plan(&group_bytes);
+    (0..plan.num_shards)
+        .map(|s| shard_tensor_indices(layout, &plan, s))
+        .collect()
+}
+
 /// Extract the tensors of `shard` from a full set (gradient or params).
 pub fn slice_set(set: &ParamSet, indices: &[usize]) -> ParamSet {
     ParamSet(indices.iter().map(|&i| set.0[i].clone()).collect())
@@ -237,7 +319,7 @@ pub fn unslice_set(full: &mut ParamSet, indices: &[usize], slice: &ParamSet) {
 }
 
 /// Extract a shard's slices from a sparse update.
-pub fn slice_sparse(upd: &SparseUpdate, indices: &[usize]) -> SparseUpdate {
+fn slice_sparse(upd: &SparseUpdate, indices: &[usize]) -> SparseUpdate {
     SparseUpdate {
         tensors: indices.iter().map(|&i| upd.tensors[i].clone()).collect(),
     }
@@ -258,9 +340,7 @@ pub struct RealWorkerState {
     pub batches: Vec<Vec<usize>>,
     pub batch_in_epoch: usize,
     pub epoch: u64,
-    /// Shard plan over the *real* model's layer groups (arity = PS shards).
-    pub real_plan: ShardPlan,
-    /// Tensor indices per shard, precomputed.
+    /// Tensor indices per shard of the *real* model (arity = PS shards).
     pub shard_indices: Vec<Vec<usize>>,
     pub dgc: Option<DgcCompressor>,
     pub shard_seed: u64,
@@ -302,6 +382,30 @@ impl RealWorkerState {
         grads
     }
 
+    /// One optimizer step of `grad` at rate `lr` on the local replica.
+    pub(crate) fn apply_grad(&mut self, grad: &ParamSet, lr: f32) {
+        let mut p = self.net.get_params();
+        self.opt.step(&mut p, grad, lr);
+        self.net.set_params(&p);
+    }
+
+    /// Per-shard payloads of one dense gradient (or delta), DGC-compressed
+    /// when enabled.
+    pub(crate) fn shard_payloads(&mut self, grad: &ParamSet) -> Vec<GradData> {
+        let shards = self.shard_indices.iter();
+        match self.dgc.as_mut() {
+            Some(dgc) => {
+                let upd = dgc.compress(grad, self.epoch as usize);
+                shards
+                    .map(|idx| GradData::Sparse(slice_sparse(&upd, idx)))
+                    .collect()
+            }
+            None => shards
+                .map(|idx| GradData::Dense(slice_set(grad, idx)))
+                .collect(),
+        }
+    }
+
     /// Overwrite this replica's parameters for one shard's tensors.
     pub fn set_shard_params(&mut self, shard: usize, slice: &ParamSet) {
         let mut p = self.net.get_params();
@@ -335,6 +439,32 @@ impl RealWorkerState {
 /// re-admit — see DESIGN.md "Fault model").
 pub const DEFAULT_RESTART: SimTime = SimTime::from_secs(5);
 
+/// Wire size of a control message (membership, pull and adopt requests).
+const CTRL_BYTES: u64 = 64;
+
+/// Address of a simulated process: its pid plus the machine it runs on.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Addr {
+    pub pid: Pid,
+    pub node: NodeId,
+}
+
+/// What a worker-side send is charged beyond its NIC reservation (see the
+/// module docs for the table of sites).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Charge {
+    /// A transfer the iteration pays for: its analytic wire time goes to the
+    /// Fig. 3 Comm bar and, under elastic membership, it runs under the
+    /// per-transfer deadline/retry policy.
+    Wire,
+    /// One hop of the flat ring: the Comm bar, but never retried — a ring
+    /// cannot route around a hop, it is rebuilt from the view each round.
+    Hop,
+    /// NIC time only: control messages, and the intra-machine legs of local
+    /// aggregation (their cost is the LocalAgg wait itself).
+    Free,
+}
+
 /// Elastic-membership runtime handle (elastic mode only): the shared
 /// deterministic view plus the layer's tunables. All workers (and the PS
 /// shards) hold clones of the same `Arc`, so every party derives topology
@@ -358,7 +488,7 @@ impl ElasticRuntime {
 
 /// Per-worker fault-injection state: the worker's crash schedule plus the
 /// run's shared checkpoint store.
-pub struct WorkerFaults {
+pub(crate) struct WorkerFaults {
     /// Upcoming crashes as `(at, restart_after)`, earliest first.
     /// `restart_after = None` is a permanent loss.
     pub pending_crashes: VecDeque<(SimTime, Option<SimTime>)>,
@@ -381,19 +511,23 @@ pub struct WorkerCore {
     pub profile_plan: ShardPlan,
     /// Per-shard wire bytes (dense).
     pub shard_bytes: Vec<u64>,
-    /// Per-shard message emission offsets within the compute phase when
-    /// wait-free BP is on (None = emit everything after compute).
+    /// Wait-free BP: emit each shard's message at its readiness point
+    /// within the backward pass (off = everything after compute).
     pub wait_free: bool,
     pub dgc_sparsity: Option<f64>,
-    pub iteration_compute: IterationCompute,
+    /// Timing profile the compute phase is drawn from.
+    pub profile: ModelProfile,
     pub total_iters: u64,
     pub batch: usize,
     pub rng: SmallRng,
     pub real: Option<RealWorkerState>,
     pub virtual_lr: f32,
-    pub faults: Option<WorkerFaults>,
+    pub(crate) faults: Option<WorkerFaults>,
     /// Elastic-membership handle; `Some` exactly when the run is elastic.
     pub elastic: Option<ElasticRuntime>,
+    /// The PS shards at their static placement (empty for decentralized
+    /// algorithms); address them through [`Self::ps_addr`].
+    pub(crate) ps: Vec<Addr>,
     /// Live shard→machine map (elastic centralized runs): sends to a PS
     /// shard resolve the destination machine here so traffic follows a
     /// failed-over shard. `None` = static placement.
@@ -403,16 +537,10 @@ pub struct WorkerCore {
     pub logical_bytes: u64,
 }
 
-/// Precomputed compute-phase structure for a worker iteration.
-pub struct IterationCompute {
-    /// Profile for drawing jittered times.
-    pub profile: ModelProfile,
-}
-
 impl WorkerCore {
-    /// Dense wire bytes of `shard`'s gradient/param message.
-    pub fn dense_bytes(&self, shard: usize) -> u64 {
-        self.shard_bytes[shard]
+    /// Dense wire bytes of the whole model.
+    pub(crate) fn model_bytes(&self) -> u64 {
+        self.shard_bytes.iter().sum()
     }
 
     /// Analytic wire time of a PS reply, counted at inter-machine rate
@@ -433,26 +561,27 @@ impl WorkerCore {
         SimTime::from_secs_f64(secs)
     }
 
-    /// Send `msg` of `bytes` to a process at `dst_node`, reserving NIC time
-    /// and attributing the analytic wire time to the Comm phase. In elastic
-    /// mode the transfer runs under the per-transfer deadline/retry policy;
-    /// each retry is stamped on this worker's obs track.
-    pub fn send_counted(
+    /// The one way a worker puts a modelled transfer on the wire: reserve
+    /// NIC time for `msg`'s wire bytes to `to` under `class`, book what
+    /// `charge` says, count its real payload toward `logical.bytes`, and
+    /// deliver it after the resulting delay. Under [`Charge::Wire`] in
+    /// elastic mode each retry is stamped on this worker's obs track.
+    pub(crate) fn send(
         &mut self,
         ctx: &Ctx<Msg>,
-        dst_pid: dtrain_desim::Pid,
-        dst_node: NodeId,
-        bytes: u64,
+        to: Addr,
         class: TrafficClass,
+        charge: Charge,
         msg: Msg,
     ) {
         let now = ctx.now();
-        let delay = match &self.elastic {
+        let bytes = msg.wire_bytes();
+        let delay = match self.elastic.as_ref().filter(|_| charge == Charge::Wire) {
             Some(e) => {
                 let (delay, retries) = self.net.transfer_delay_deadline(
                     now,
                     self.node,
-                    dst_node,
+                    to.node,
                     bytes,
                     class,
                     e.deadline_policy(),
@@ -464,26 +593,48 @@ impl WorkerCore {
             }
             None => self
                 .net
-                .transfer_delay_class(now, self.node, dst_node, bytes, class),
+                .transfer_delay_class(now, self.node, to.node, bytes, class),
         };
-        self.metrics
-            .record_at(self.w, Phase::Comm, now, self.wire_time(dst_node, bytes));
+        if charge != Charge::Free {
+            self.metrics
+                .record_at(self.w, Phase::Comm, now, self.wire_time(to.node, bytes));
+        }
         self.count_logical(now, logical_payload(&msg));
-        ctx.send(dst_pid, delay, msg);
+        ctx.send(to.pid, delay, msg);
     }
 
-    /// Destination machine for PS shard `s`: the live home under elastic
-    /// failover, the static placement otherwise.
-    pub fn ps_node(&self, static_node: NodeId, s: usize) -> NodeId {
-        match &self.ps_homes {
-            Some(h) => h.node_of(s),
-            None => static_node,
+    /// `Stop` is not a transfer: it leaves 1 ns after the sender's last
+    /// iteration, uncharged.
+    pub(crate) fn send_stop(&self, ctx: &Ctx<Msg>, to: Addr) {
+        ctx.send(to.pid, SimTime::from_nanos(1), Msg::Stop { sender: self.w });
+    }
+
+    /// PS shard `s` at its live home: the failover target once an elastic
+    /// run has moved it, the static placement otherwise.
+    pub(crate) fn ps_addr(&self, s: usize) -> Addr {
+        let mut to = self.ps[s];
+        if let Some(homes) = &self.ps_homes {
+            to.node = homes.node_of(s);
         }
+        to
+    }
+
+    /// Tell every PS shard about a membership change (no-op without a PS).
+    pub(crate) fn announce_ps(&mut self, ctx: &Ctx<Msg>, msg: Msg) {
+        for s in 0..self.ps.len() {
+            let to = self.ps_addr(s);
+            self.send(ctx, to, TrafficClass::Other, Charge::Free, msg.clone());
+        }
+    }
+
+    /// Real mode: a copy of this worker's current parameters.
+    pub(crate) fn replica(&self) -> Option<ParamSet> {
+        self.real.as_ref().map(|r| r.net.get_params())
     }
 
     /// Accumulate real-payload bytes and emit the cumulative
     /// `logical.bytes` counter on this worker's obs track.
-    pub fn count_logical(&mut self, now: SimTime, bytes: u64) {
+    fn count_logical(&mut self, now: SimTime, bytes: u64) {
         if bytes == 0 {
             return;
         }
@@ -511,15 +662,42 @@ impl WorkerCore {
         }
     }
 
-    /// Advance through one iteration's compute phase. Returns per-shard
-    /// gradient payloads together with their *relative emission offsets*
-    /// already consumed (the caller should send each shard's message right
-    /// when this function returns it — so this is an iterator-style helper).
-    ///
-    /// Concretely: computes the full compute time, then either
-    /// - wait_free = false: `advance(full)`, return all shards at once;
-    /// - wait_free = true: walk the backward schedule, `advance` in steps,
-    ///   handing back each shard at its readiness point via `emit`.
+    /// One whole compute phase (forward + backward) with nothing emitted
+    /// inside it.
+    pub(crate) fn compute(&mut self, ctx: &Ctx<Msg>) {
+        let t = self.gpu.iteration_time(&self.profile, self.batch);
+        self.metrics.record_at(self.w, Phase::Compute, ctx.now(), t);
+        ctx.advance(t);
+    }
+
+    /// Open a compute phase whose backward pass the caller walks itself:
+    /// books the whole phase, advances through forward, and hands back the
+    /// per-layer backward times (in backward order).
+    pub(crate) fn compute_forward(&mut self, ctx: &Ctx<Msg>) -> Vec<SimTime> {
+        let fwd = self.gpu.forward_time(&self.profile, self.batch);
+        let bwd = self.gpu.backward_layer_times(&self.profile, self.batch);
+        let total: SimTime = fwd + bwd.iter().copied().sum();
+        self.metrics
+            .record_at(self.w, Phase::Compute, ctx.now(), total);
+        ctx.advance(fwd);
+        bwd
+    }
+
+    /// A purely local iteration (EASGD, GoSGD, AD-PSGD passive): compute,
+    /// then one SGD step on the local replica at the single-gradient rate.
+    pub(crate) fn local_sgd(&mut self, ctx: &Ctx<Msg>) {
+        self.compute(ctx);
+        if let Some(real) = self.real.as_mut() {
+            let g = real.compute_grad();
+            real.apply_grad(&g, real.grad_lr(self.num_workers));
+        }
+    }
+
+    /// Advance through one iteration's compute phase, calling `emit` for
+    /// each shard at the moment its gradient message may leave:
+    /// - wait_free = false: after the whole phase, all shards at once;
+    /// - wait_free = true: during backward, each shard when the *last* of
+    ///   its layers (the one closest to the input) finishes.
     pub fn run_compute_phase(
         &mut self,
         ctx: &Ctx<Msg>,
@@ -527,38 +705,19 @@ impl WorkerCore {
     ) {
         let num_shards = self.profile_plan.num_shards;
         if !self.wait_free {
-            let t = self
-                .gpu
-                .iteration_time(&self.iteration_compute.profile, self.batch);
-            self.metrics.record_at(self.w, Phase::Compute, ctx.now(), t);
-            ctx.advance(t);
+            self.compute(ctx);
             for s in 0..num_shards {
                 emit(self, ctx, s);
             }
             return;
         }
-        // Wait-free BP: forward, then per-layer backward; a shard's message
-        // becomes ready when the *last* of its layers (the one closest to
-        // the input) finishes its backward computation.
-        let fwd = self
-            .gpu
-            .forward_time(&self.iteration_compute.profile, self.batch);
-        let bwd = self
-            .gpu
-            .backward_layer_times(&self.iteration_compute.profile, self.batch);
-        let total: SimTime = fwd + bwd.iter().copied().sum();
-        self.metrics
-            .record_at(self.w, Phase::Compute, ctx.now(), total);
-        ctx.advance(fwd);
-        // Walk backward order (= profile layers reversed), tracking which
-        // shards become complete at each step.
-        let layers = self.iteration_compute.profile.layers.len();
-        let plan = self.profile_plan.clone();
+        let bwd = self.compute_forward(ctx);
         // For each shard, the backward step at which it completes = the
         // position (in backward order) of its lowest-forward-index layer.
+        let layers = self.profile.layers.len();
         let mut completes_at = vec![0usize; num_shards];
-        for (fwd_idx, &s) in plan.layer_to_shard.iter().enumerate() {
-            let bwd_pos = layers - 1 - fwd_idx; // position in backward order
+        for (fwd_idx, &s) in self.profile_plan.layer_to_shard.iter().enumerate() {
+            let bwd_pos = layers - 1 - fwd_idx;
             completes_at[s] = completes_at[s].max(bwd_pos);
         }
         for (bwd_pos, dt) in bwd.into_iter().enumerate() {
@@ -572,32 +731,9 @@ impl WorkerCore {
         }
     }
 
-    /// Real-mode: compute the gradient payload for each shard from one
-    /// batch. Returns `None` in cost-only mode.
-    pub fn real_grad_slices(&mut self) -> Option<Vec<GradData>> {
-        let real = self.real.as_mut()?;
-        let grad = real.compute_grad();
-        if let Some(dgc) = real.dgc.as_mut() {
-            let upd = dgc.compress(&grad, real.epoch as usize);
-            let slices = real
-                .shard_indices
-                .iter()
-                .map(|idx| GradData::Sparse(slice_sparse(&upd, idx)))
-                .collect();
-            Some(slices)
-        } else {
-            let slices = real
-                .shard_indices
-                .iter()
-                .map(|idx| GradData::Dense(slice_set(&grad, idx)))
-                .collect();
-            Some(slices)
-        }
-    }
-
     /// Pop the next crash if it is due at `now`. Returns the crash's
     /// restart delay (`None` inside = permanent loss).
-    pub fn take_due_crash(&mut self, now: SimTime) -> Option<Option<SimTime>> {
+    fn take_due_crash(&mut self, now: SimTime) -> Option<Option<SimTime>> {
         let f = self.faults.as_mut()?;
         match f.pending_crashes.front() {
             Some(&(at, restart)) if at <= now => {
@@ -611,7 +747,7 @@ impl WorkerCore {
     /// Roll this replica back to its last checkpoint (crash recovery). In
     /// cost-only mode there is no parameter state to lose; only the restart
     /// time matters.
-    pub fn restore_checkpoint(&mut self, now: SimTime) {
+    fn restore_checkpoint(&mut self, now: SimTime) {
         let Some(f) = &self.faults else { return };
         let Some(real) = self.real.as_mut() else {
             return;
@@ -628,8 +764,8 @@ impl WorkerCore {
     }
 
     /// Count one completed iteration and checkpoint when the cadence says
-    /// so. Called from [`crate::centralized::finish_iteration`].
-    pub fn tick_checkpoint(&mut self, now: SimTime) {
+    /// so. Called from [`finish_iteration`].
+    fn tick_checkpoint(&mut self, now: SimTime) {
         let Some(f) = self.faults.as_mut() else {
             return;
         };
@@ -648,7 +784,7 @@ impl WorkerCore {
     }
 
     /// Record a snapshot of the worker's current parameters (real mode).
-    pub fn maybe_snapshot(&self, ctx: &Ctx<Msg>, epoch_completed: u64) {
+    fn maybe_snapshot(&self, ctx: &Ctx<Msg>, epoch_completed: u64) {
         if let Some(real) = &self.real {
             self.recorder.record(Snapshot {
                 worker: self.w,
@@ -658,6 +794,170 @@ impl WorkerCore {
             });
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// The iteration skeleton
+// ---------------------------------------------------------------------------
+
+/// What one algorithm (and role) adds to the shared worker loop. Hooks other
+/// than [`Body::step`] only run in elastic-membership runs, except the
+/// epilogue.
+pub(crate) trait Body {
+    /// Iteration `iter`, between `begin_iteration` and `finish_iteration`.
+    fn step(&mut self, core: &mut WorkerCore, ctx: &Ctx<Msg>, iter: u64);
+
+    /// Alive at round `iter`: duties owed before the round opens.
+    fn before_round(
+        &mut self,
+        _core: &mut WorkerCore,
+        _ctx: &Ctx<Msg>,
+        _view: &MembershipView,
+        _iter: u64,
+    ) {
+    }
+
+    /// This is the worker's death round: tell whoever tracks it.
+    /// `rejoining` = the plan re-enters it later. Control messages sent
+    /// here carry the death timestamp; the dormancy comes after.
+    fn depart(&mut self, _core: &mut WorkerCore, _ctx: &Ctx<Msg>, _rejoining: bool) {}
+
+    /// The dormancy is over and the worker re-enters at round `j`: adopt a
+    /// current replica and announce the return.
+    fn rejoin(&mut self, core: &mut WorkerCore, ctx: &Ctx<Msg>, view: &MembershipView, j: u64);
+
+    /// After the last iteration (not reached by a worker that left).
+    fn epilogue(&mut self, _core: &mut WorkerCore, _ctx: &Ctx<Msg>) {}
+}
+
+/// The worker process body of every algorithm.
+pub(crate) fn run_worker(mut core: WorkerCore, mut body: impl Body, ctx: Ctx<Msg>) {
+    let mut iter = 0u64;
+    while iter < core.total_iters {
+        match membership_gate(&mut core, &mut body, &ctx, iter) {
+            Gate::Exit => return,
+            Gate::Rejoined(j) => {
+                iter = j;
+                continue;
+            }
+            Gate::Live => {}
+        }
+        core.metrics.begin_iteration(core.w, ctx.now(), iter);
+        body.step(&mut core, &ctx, iter);
+        finish_iteration(&mut core, &ctx);
+        iter += 1;
+    }
+    body.epilogue(&mut core, &ctx);
+}
+
+/// Outcome of the membership check at the top of an iteration.
+enum Gate {
+    /// Keep executing this iteration.
+    Live,
+    /// This worker left the cohort for good: exit without an epilogue (its
+    /// departure already settled everyone's stop accounting).
+    Exit,
+    /// The worker died, sat out, and re-entered with a fresh replica:
+    /// continue the loop from this round.
+    Rejoined(u64),
+}
+
+/// Called at the top of each iteration, i.e. at a protocol-quiescent point
+/// (no replies outstanding). Classic runs consume time-based crashes;
+/// elastic runs are round-indexed — the membership view (not wall-clock
+/// time) decides death, so the simulator and the threaded runtime agree on
+/// the final cohort and per-worker iteration counts. On its death round the
+/// worker departs *permanently* — the topology repairs around it instead of
+/// waiting — and, if the plan has a rejoin round inside the run, sits out
+/// the dead rounds in virtual time and re-enters there.
+fn membership_gate(core: &mut WorkerCore, body: &mut impl Body, ctx: &Ctx<Msg>, iter: u64) -> Gate {
+    let Some(el) = core.elastic.clone() else {
+        return if handle_crash(core, ctx) {
+            Gate::Live
+        } else {
+            Gate::Exit
+        };
+    };
+    if el.view.death_round(core.w) != Some(iter) {
+        body.before_round(core, ctx, &el.view, iter);
+        return Gate::Live;
+    }
+    let now = ctx.now().as_nanos();
+    markers::crash(core.metrics.worker_track(core.w), now, core.w);
+    markers::evict(core.metrics.worker_track(core.w), now, core.w);
+    // A rejoin round past the end of the run is a permanent loss.
+    let rejoin = el
+        .view
+        .rejoin_round(core.w)
+        .filter(|&j| j < core.total_iters);
+    body.depart(core, ctx, rejoin.is_some());
+    let Some(j) = rejoin else { return Gate::Exit };
+    ctx.advance(el.cfg.round_estimate * j.saturating_sub(iter).max(1));
+    body.rejoin(core, ctx, &el.view, j);
+    markers::rejoin(
+        core.metrics.worker_track(core.w),
+        ctx.now().as_nanos(),
+        core.w,
+    );
+    Gate::Rejoined(j)
+}
+
+/// Classic fault handling: consume any crash events that are due. Every PS
+/// shard is notified with `MemberDown` (decentralized peers need no notice:
+/// they stall in their recv until this worker resumes, mailboxes
+/// buffering). A permanent crash returns `false`: the caller must exit
+/// without its epilogue (the MemberDown already adjusted the PS's stop
+/// accounting; `build_worker_cores` coerces permanent losses of
+/// decentralized members to restarts). A restartable crash advances the
+/// clock by the restart delay, rolls parameters and optimizer back to the
+/// last checkpoint, announces `MemberUp`, and returns `true`.
+fn handle_crash(core: &mut WorkerCore, ctx: &Ctx<Msg>) -> bool {
+    if core
+        .faults
+        .as_ref()
+        .is_none_or(|f| f.pending_crashes.is_empty())
+    {
+        return true;
+    }
+    while let Some(restart) = core.take_due_crash(ctx.now()) {
+        markers::crash(
+            core.metrics.worker_track(core.w),
+            ctx.now().as_nanos(),
+            core.w,
+        );
+        core.announce_ps(
+            ctx,
+            Msg::MemberDown {
+                worker: core.w,
+                permanent: restart.is_none(),
+                rejoining: false,
+            },
+        );
+        let Some(outage) = restart else { return false };
+        ctx.advance(outage);
+        core.restore_checkpoint(ctx.now());
+        markers::restart(
+            core.metrics.worker_track(core.w),
+            ctx.now().as_nanos(),
+            core.w,
+        );
+        core.announce_ps(ctx, Msg::MemberUp { worker: core.w });
+    }
+    true
+}
+
+/// Per-iteration epilogue: advance the data cursor, snapshot on epoch
+/// boundaries, count the iteration.
+fn finish_iteration(core: &mut WorkerCore, ctx: &Ctx<Msg>) {
+    let epoch_done = core
+        .real
+        .as_mut()
+        .map(|real| real.advance_cursor().then_some(real.epoch));
+    if let Some(Some(epoch)) = epoch_done {
+        core.maybe_snapshot(ctx, epoch);
+    }
+    core.tick_checkpoint(ctx.now());
+    core.metrics.finish_iteration(core.w, ctx.now());
 }
 
 /// Build the per-worker cores for a run (shared by all algorithm
@@ -671,17 +971,8 @@ pub fn build_worker_cores(
     store: Option<&Arc<CheckpointStore>>,
 ) -> Vec<WorkerCore> {
     let profile_bytes: Vec<u64> = cfg.profile.layers.iter().map(|l| l.bytes()).collect();
-    let num_shards = if cfg.algo.is_centralized() {
-        cfg.opts.ps_shards
-    } else {
-        1
-    };
-    let profile_plan = if cfg.opts.balanced_sharding {
-        ShardPlan::balanced(&profile_bytes, num_shards)
-    } else {
-        ShardPlan::layer_wise(&profile_bytes, num_shards)
-    };
-    let shard_bytes: Vec<u64> = (0..num_shards)
+    let profile_plan = cfg.shard_plan(&profile_bytes);
+    let shard_bytes: Vec<u64> = (0..profile_plan.num_shards)
         .map(|s| profile_plan.bytes_of_shard(s))
         .collect();
 
@@ -706,9 +997,9 @@ pub fn build_worker_cores(
 
     (0..cfg.workers)
         .map(|w| {
-            let real = real_setup.as_ref().map(|(train, rcfg)| {
-                build_real_state(cfg, rcfg, Arc::clone(train), w, &profile_plan)
-            });
+            let real = real_setup
+                .as_ref()
+                .map(|(train, rcfg)| build_real_state(cfg, rcfg, Arc::clone(train), w));
             let (slowdown, faults) = match (&cfg.faults, store) {
                 (Some(fc), Some(store)) => {
                     let mut crashes: VecDeque<(SimTime, Option<SimTime>)> =
@@ -756,9 +1047,7 @@ pub fn build_worker_cores(
                 shard_bytes: shard_bytes.clone(),
                 wait_free: cfg.opts.wait_free_bp,
                 dgc_sparsity: cfg.opts.dgc.as_ref().map(|d| d.final_sparsity),
-                iteration_compute: IterationCompute {
-                    profile: cfg.profile.clone(),
-                },
+                profile: cfg.profile.clone(),
                 total_iters,
                 batch: cfg.batch,
                 rng: SmallRng::seed_from_u64(
@@ -768,6 +1057,7 @@ pub fn build_worker_cores(
                 virtual_lr: 0.05,
                 faults,
                 elastic: elastic_rt.clone(),
+                ps: Vec::new(),
                 ps_homes: None,
                 logical_bytes: 0,
             }
@@ -800,27 +1090,12 @@ fn build_real_state(
     rcfg: &RealTraining,
     train: Arc<Dataset>,
     w: usize,
-    _profile_plan: &ShardPlan,
 ) -> RealWorkerState {
     let mut net = rcfg.task.build_net(rcfg.model_seed);
     if let Some(p) = &rcfg.initial_params {
         net.set_params(p);
     }
-    let layout = net.layout();
-    let group_bytes: Vec<u64> = layout.groups.iter().map(|g| g.num_bytes()).collect();
-    let num_shards = if cfg.algo.is_centralized() {
-        cfg.opts.ps_shards
-    } else {
-        1
-    };
-    let real_plan = if cfg.opts.balanced_sharding {
-        ShardPlan::balanced(&group_bytes, num_shards)
-    } else {
-        ShardPlan::layer_wise(&group_bytes, num_shards)
-    };
-    let shard_indices: Vec<Vec<usize>> = (0..num_shards)
-        .map(|s| shard_tensor_indices(&layout, &real_plan, s))
-        .collect();
+    let shard_indices = real_shard_indices(cfg, &net.layout());
     let shard = train.shard(w, cfg.workers);
     let shard_seed = cfg.seed ^ (w as u64).wrapping_mul(0xA076_1D64_78BD_642F);
     let batches = shard.epoch_batches(rcfg.batch, shard_seed, 0);
@@ -838,7 +1113,6 @@ fn build_real_state(
         batches,
         batch_in_epoch: 0,
         epoch: 0,
-        real_plan,
         shard_indices,
         dgc: cfg.opts.dgc.as_ref().map(|d| {
             let mut d = d.clone();

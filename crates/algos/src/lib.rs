@@ -19,6 +19,14 @@
 //! experiments* (cost-only, full ResNet-50/VGG-16 profiles).
 //!
 //! Entry point: build a [`RunConfig`] and call [`run`].
+//!
+//! Inside: `runner` assembles a run; `exec` holds the messages, the
+//! per-worker state, the one worker loop (`run_worker` over a `Body`) and
+//! the one charged-send primitive (`WorkerCore::send`, with the table of
+//! which site charges what); `centralized` is the PS process and `PsBody`,
+//! the four centralized algorithms' steps; `decentralized` is `ArSgd`,
+//! `GoSgd` and the two AD-PSGD roles; `collective` is the per-machine
+//! engine of the hierarchical schedules.
 
 pub mod adaptive;
 mod centralized;
@@ -30,17 +38,12 @@ mod exec;
 mod runner;
 
 pub use adaptive::{run_adaptive, AdaptiveRunOutput};
-pub use centralized::{
-    elastic_update, handle_crash, merge_grad, ps_apply_time, Addr, BspRole, PsCore, PsFaultState,
-    PsMode, PsRealState, PS_OWNER_BASE,
-};
-pub use collective::{collective_engine, run_hier_allreduce, ChunkLayout, EngineCore};
+pub use centralized::{elastic_update, merge_grad};
 pub use config::{
     Algo, FaultConfig, OptimizationConfig, RealTraining, RunConfig, StopCondition, SyntheticTask,
 };
-pub use decentralized::{adpsgd_is_active, AllReduceBoard};
 pub use exec::{
-    build_worker_cores, shard_tensor_indices, slice_set, slice_sparse, unslice_set, GradData, Msg,
-    Recorder, Snapshot, WorkerCore, WorkerFaults,
+    build_worker_cores, shard_tensor_indices, slice_set, unslice_set, GradData, Msg, Recorder,
+    Snapshot, WorkerCore,
 };
 pub use runner::{run, run_observed, run_traced, EpochPoint, RunOutput};

@@ -4,24 +4,22 @@
 
 use std::sync::Arc;
 
-use dtrain_cluster::{Breakdown, LinkWindow, MetricsHub, NetModel, ShardPlan, TrafficStats};
+use dtrain_cluster::{Breakdown, LinkWindow, MetricsHub, NetModel, TrafficStats};
 use dtrain_compress::compressed_wire_bytes;
 use dtrain_desim::{Pid, SimTime, Simulation, StopReason, TraceRecord};
 use dtrain_faults::CheckpointStore;
 use dtrain_nn::{ParamSet, SgdMomentum};
 use dtrain_obs::{names, ObsSink, Track};
 
-use crate::centralized::{
-    asp_worker, bsp_worker, easgd_worker, ps_process, ssp_worker, Addr, BspRole, PsCore,
-    PsFaultState, PsMode, PsRealState,
-};
+use crate::centralized::{ps_process, BspRole, PsBody, PsCore, PsFaultState, PsMode, PsRealState};
 use crate::collective::{collective_engine, ChunkLayout, EngineCore};
 use crate::config::{Algo, RunConfig};
 use crate::decentralized::{
-    adpsgd_active_worker, adpsgd_is_active, adpsgd_passive_worker, arsgd_worker, gosgd_worker,
-    AllReduceBoard,
+    adpsgd_is_active, AdPsgdActive, AdPsgdPassive, AllReduceBoard, ArSgd, GoSgd,
 };
-use crate::exec::{build_worker_cores, shard_tensor_indices, slice_set, Msg, Recorder, Snapshot};
+use crate::exec::{
+    build_worker_cores, real_shard_indices, run_worker, slice_set, Addr, Msg, Recorder, Snapshot,
+};
 
 /// One evaluated point of the accuracy/time curve (Fig. 1 of the paper).
 #[derive(Clone, Debug)]
@@ -157,11 +155,7 @@ fn run_impl(cfg: &RunConfig, trace: bool, sink: &ObsSink) -> (RunOutput, Option<
     // Pids are assigned densely in spawn order (kernel contract): PS shards
     // first, then workers.
     let profile_bytes: Vec<u64> = cfg.profile.layers.iter().map(|l| l.bytes()).collect();
-    let profile_plan = if cfg.opts.balanced_sharding {
-        ShardPlan::balanced(&profile_bytes, num_shards.max(1))
-    } else {
-        ShardPlan::layer_wise(&profile_bytes, num_shards.max(1))
-    };
+    let profile_plan = cfg.shard_plan(&profile_bytes);
     let ps_addrs: Vec<Addr> = (0..num_shards)
         .map(|s| Addr {
             pid: Pid(s),
@@ -183,12 +177,13 @@ fn run_impl(cfg: &RunConfig, trace: bool, sink: &ObsSink) -> (RunOutput, Option<
         None
     };
     for core in cores.iter_mut() {
+        core.ps = ps_addrs.clone();
         core.ps_homes = ps_homes.clone();
     }
 
     // ---- spawn PS shards (centralized algorithms) ----
     if cfg.algo.is_centralized() {
-        let global_shards = build_global_shard_params(cfg, num_shards);
+        let global_shards = build_global_shard_params(cfg);
         let leaders = bsp_leaders(cfg);
         for s in 0..num_shards {
             let real = global_shards.as_ref().map(|slices| PsRealState {
@@ -261,7 +256,7 @@ fn run_impl(cfg: &RunConfig, trace: bool, sink: &ObsSink) -> (RunOutput, Option<
 
     // ---- spawn workers ----
     let board = if matches!(cfg.algo, Algo::ArSgd) && cfg.real.is_some() {
-        Some(AllReduceBoard::new())
+        Some(AllReduceBoard::default())
     } else {
         None
     };
@@ -271,8 +266,6 @@ fn run_impl(cfg: &RunConfig, trace: bool, sink: &ObsSink) -> (RunOutput, Option<
         1
     };
     let leaders = bsp_leaders(cfg);
-    let actives: Vec<usize> = (0..cfg.workers).filter(|&w| adpsgd_is_active(w)).collect();
-    let passives: Vec<usize> = (0..cfg.workers).filter(|&w| !adpsgd_is_active(w)).collect();
 
     // Hierarchical/pipelined AR-SGD: one collective engine per machine,
     // spawned after the workers (pids `num_shards + workers + m`).
@@ -294,17 +287,14 @@ fn run_impl(cfg: &RunConfig, trace: bool, sink: &ObsSink) -> (RunOutput, Option<
         .and_then(|c| c.elastic.as_ref().map(|e| Arc::clone(&e.view)));
 
     for (w, core) in cores.drain(..).enumerate() {
-        let ps = ps_addrs.clone();
         let peers = worker_addrs.clone();
         let algo = cfg.algo;
         let local_agg = cfg.opts.local_aggregation;
         let leaders = leaders.clone();
         let board = board.clone();
-        let passives = passives.clone();
         let collective = cfg.opts.collective;
         let engines = engine_addrs.clone();
-        let no_overlap = cfg.opts.disable_overlap;
-        let num_actives = actives.len();
+        let overlap = !cfg.opts.disable_overlap;
         let name = format!("worker{w}");
         let pid = sim.spawn(name, move |ctx| match algo {
             Algo::Bsp => {
@@ -325,20 +315,30 @@ fn run_impl(cfg: &RunConfig, trace: bool, sink: &ObsSink) -> (RunOutput, Option<
                         leader: peers[leader_w],
                     }
                 };
-                bsp_worker(core, ps, role, ctx)
+                run_worker(core, PsBody::Bsp(role), ctx)
             }
-            Algo::Asp => asp_worker(core, ps, ctx),
-            Algo::Ssp { staleness } => ssp_worker(core, ps, staleness, ctx),
-            Algo::Easgd { tau, .. } => easgd_worker(core, ps, tau, ctx),
-            Algo::ArSgd => arsgd_worker(core, peers, board, buckets, collective, engines, ctx),
-            Algo::GoSgd { p } => gosgd_worker(core, peers, p, ctx),
-            Algo::AdPsgd => {
-                if adpsgd_is_active(w) {
-                    adpsgd_active_worker(core, peers, passives, !no_overlap, ctx)
-                } else {
-                    adpsgd_passive_worker(core, peers, num_actives, ctx)
-                }
+            Algo::Asp => run_worker(core, PsBody::Asp, ctx),
+            Algo::Ssp { staleness } => {
+                let cache_ts = 0;
+                run_worker(
+                    core,
+                    PsBody::Ssp {
+                        staleness,
+                        cache_ts,
+                    },
+                    ctx,
+                )
             }
+            Algo::Easgd { tau, .. } => run_worker(core, PsBody::Easgd { tau }, ctx),
+            Algo::ArSgd => {
+                let body = ArSgd::new(&core, peers, board, buckets, collective, &engines);
+                run_worker(core, body, ctx)
+            }
+            Algo::GoSgd { p } => run_worker(core, GoSgd::new(peers, p), ctx),
+            Algo::AdPsgd if adpsgd_is_active(w) => {
+                run_worker(core, AdPsgdActive::new(peers, overlap), ctx)
+            }
+            Algo::AdPsgd => run_worker(core, AdPsgdPassive::new(peers), ctx),
         });
         assert_eq!(pid, worker_addrs[w].pid, "pid assignment contract");
     }
@@ -425,25 +425,15 @@ fn bsp_leaders(cfg: &RunConfig) -> std::collections::BTreeMap<usize, Vec<usize>>
 }
 
 /// Initial global parameters, sliced per PS shard (real mode only).
-fn build_global_shard_params(cfg: &RunConfig, num_shards: usize) -> Option<Vec<ParamSet>> {
+fn build_global_shard_params(cfg: &RunConfig) -> Option<Vec<ParamSet>> {
     let rcfg = cfg.real.as_ref()?;
     let mut net = rcfg.task.build_net(rcfg.model_seed);
     if let Some(p) = &rcfg.initial_params {
         net.set_params(p);
     }
-    let layout = net.layout();
-    let group_bytes: Vec<u64> = layout.groups.iter().map(|g| g.num_bytes()).collect();
-    let plan = if cfg.opts.balanced_sharding {
-        ShardPlan::balanced(&group_bytes, num_shards)
-    } else {
-        ShardPlan::layer_wise(&group_bytes, num_shards)
-    };
     let params = net.get_params();
-    Some(
-        (0..num_shards)
-            .map(|s| slice_set(&params, &shard_tensor_indices(&layout, &plan, s)))
-            .collect(),
-    )
+    let shards = real_shard_indices(cfg, &net.layout());
+    Some(shards.iter().map(|idx| slice_set(&params, idx)).collect())
 }
 
 /// The trained model at the last completed epoch, selected the same way

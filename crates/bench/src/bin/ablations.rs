@@ -12,8 +12,8 @@ use dtrain_core::presets::{accuracy_run, AccuracyScale, PaperModel};
 
 fn main() {
     let opts = HarnessOpts::from_env();
-    let iters = if opts.quick { 10 } else { 25 };
-    let workers = if opts.quick { 8 } else { 24 };
+    let iters = 25;
+    let workers = 24;
 
     ablate_local_aggregation(&opts, workers, iters);
     ablate_sharding(&opts, workers, iters);
@@ -117,11 +117,7 @@ fn ablate_overlap(opts: &HarnessOpts, workers: usize, iters: u64) {
 }
 
 fn ablate_dgc_components(opts: &HarnessOpts) {
-    let scale = if opts.quick {
-        AccuracyScale::quick()
-    } else {
-        AccuracyScale::default()
-    };
+    let scale = AccuracyScale::default();
     let workers = 8;
     let mut table = Table::new(
         format!(

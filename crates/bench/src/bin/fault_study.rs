@@ -161,8 +161,8 @@ fn main() {
     let elastic = args.iter().any(|a| a == "--elastic");
     args.retain(|a| a != "--elastic");
     let opts = HarnessOpts::from_args(&args);
-    let workers = if opts.quick { 8 } else { 16 };
-    let iters = if opts.quick { 15 } else { 40 };
+    let workers = 16;
+    let iters = 40;
     let algos: Vec<(&str, Algo)> = vec![
         ("BSP", Algo::Bsp),
         ("AR-SGD", Algo::ArSgd),
@@ -258,11 +258,7 @@ fn main() {
     opts.emit(&loss_table, "fault_permanent_loss");
 
     // --- accuracy side (real math): what do crash rollbacks cost? ---
-    let scale = if opts.quick {
-        AccuracyScale::quick()
-    } else {
-        AccuracyScale::default()
-    };
+    let scale = AccuracyScale::default();
     let acc_workers = 8;
     let mut acc_table = Table::new(
         format!(

@@ -13,12 +13,8 @@ use dtrain_core::presets::{accuracy_run, paper_algorithms, AccuracyScale};
 
 fn main() {
     let opts = HarnessOpts::from_env();
-    let scale = if opts.quick {
-        AccuracyScale::quick()
-    } else {
-        AccuracyScale::default()
-    };
-    let workers = if opts.quick { 8 } else { 24 };
+    let scale = AccuracyScale::default();
+    let workers = 24;
 
     let mut per_epoch = Table::new(
         format!("Fig 1(a): top-1 test error vs epoch ({workers} workers)"),

@@ -8,14 +8,13 @@
 //! everything scales worse on VGG-16 (5.8× the parameters; fc6 skews the
 //! layer-wise shards).
 
-use dtrain_bench::{sweep_workers, HarnessOpts};
+use dtrain_bench::HarnessOpts;
 use dtrain_core::prelude::*;
 use dtrain_core::presets::{scalability_run, PaperModel, FIG2_WORKERS};
 
 fn main() {
     let opts = HarnessOpts::from_env();
-    let iterations = if opts.quick { 10 } else { 30 };
-    let workers = sweep_workers(&opts, &FIG2_WORKERS);
+    let iterations = 30;
     let algos: Vec<(&str, Algo)> = vec![
         ("BSP", Algo::Bsp),
         ("ASP", Algo::Asp),
@@ -27,7 +26,7 @@ fn main() {
     for model in [PaperModel::ResNet50, PaperModel::Vgg16] {
         for net in [NetworkConfig::TEN_GBPS, NetworkConfig::FIFTY_SIX_GBPS] {
             let mut headers: Vec<String> = vec!["algorithm".into()];
-            headers.extend(workers.iter().map(|w| format!("{w}w")));
+            headers.extend(FIG2_WORKERS.iter().map(|w| format!("{w}w")));
             let mut table = Table::new(
                 format!(
                     "Fig 2: speedup, {} @ {:.0} Gbps (baseline: 1-worker throughput)",
@@ -43,7 +42,7 @@ fn main() {
             let base_tp = run(&scalability_run(Algo::ArSgd, model, 1, net, iterations)).throughput;
             for (label, algo) in &algos {
                 let mut row = vec![label.to_string()];
-                for &w in &workers {
+                for &w in &FIG2_WORKERS {
                     if matches!(algo, Algo::AdPsgd) && w < 2 {
                         row.push("1.00x".into());
                         continue;

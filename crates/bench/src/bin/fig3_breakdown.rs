@@ -15,7 +15,7 @@ use dtrain_core::presets::{breakdown_run, PaperModel};
 
 fn main() {
     let opts = HarnessOpts::from_env();
-    let iterations = if opts.quick { 8 } else { 30 };
+    let iterations = 30;
     let algos: Vec<(&str, Algo)> = vec![
         ("BSP", Algo::Bsp),
         ("ASP", Algo::Asp),

@@ -16,9 +16,8 @@
 //! rewrites the committed `BENCH_008.json` in place (`--out PATH` writes
 //! elsewhere). The simulator is deterministic, so the gate is
 //! regenerate-and-diff: CI follows the run with `git diff --exit-code`,
-//! and any difference is a real model change. The study has one scale —
-//! 8 iterations over 1–16 machines, under a second — which `--quick` does
-//! not shrink, so what is diffed is always what is committed. Exits
+//! and any difference is a real model change (8 iterations over 1–16
+//! machines, under a second). Exits
 //! nonzero if pipelined fails to beat flat for ResNet-50 at 8+ machines.
 
 use dtrain_bench::trajectory::{finish_study, study_args, TrajRecord};
@@ -136,8 +135,8 @@ fn crossover_study(opts: &HarnessOpts, out: &str) {
 
 /// The paper's original figure: cumulative optimization levels.
 fn cumulative_optimizations(opts: &HarnessOpts) {
-    let iterations = if opts.quick { 8 } else { 25 };
-    let worker_counts: Vec<usize> = if opts.quick { vec![8] } else { vec![8, 16, 24] };
+    let iterations = 25;
+    let worker_counts: Vec<usize> = vec![8, 16, 24];
     let algos: Vec<(&str, Algo)> = vec![
         ("BSP", Algo::Bsp),
         ("ASP", Algo::Asp),

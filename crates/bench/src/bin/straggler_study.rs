@@ -27,8 +27,8 @@ fn straggler_faults(worker: usize, slowdown: f64) -> FaultConfig {
 
 fn main() {
     let opts = HarnessOpts::from_env();
-    let workers = if opts.quick { 8 } else { 16 };
-    let iters = if opts.quick { 12 } else { 30 };
+    let workers = 16;
+    let iters = 30;
     let slowdown = 3.0;
     let algos: Vec<(&str, Algo)> = vec![
         ("BSP", Algo::Bsp),
@@ -80,11 +80,7 @@ fn main() {
     opts.emit(&tp_table, "straggler_throughput");
 
     // --- accuracy side (real math): does heterogeneity hurt async algos? ---
-    let scale = if opts.quick {
-        AccuracyScale::quick()
-    } else {
-        AccuracyScale::default()
-    };
+    let scale = AccuracyScale::default();
     let acc_workers = 8;
     let mut acc_table = Table::new(
         format!("Straggler study: accuracy with one {slowdown}x-slow worker ({acc_workers} workers, {} epochs)", scale.epochs),

@@ -21,8 +21,8 @@ use dtrain_models::resnet50;
 
 fn main() {
     let opts = HarnessOpts::from_env();
-    let iters: u64 = if opts.quick { 24 } else { 120 };
-    let workers = if opts.quick { 8 } else { 24 };
+    let iters: u64 = 120;
+    let workers = 24;
     let cluster = ClusterConfig::paper_with_workers(NetworkConfig::FIFTY_SIX_GBPS, workers);
     let l = cluster.gpus_per_machine as f64;
     let profile = resnet50();

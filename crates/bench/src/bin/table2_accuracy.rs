@@ -15,12 +15,8 @@ use dtrain_core::presets::{accuracy_run, paper_algorithms, AccuracyScale};
 
 fn main() {
     let opts = HarnessOpts::from_env();
-    let scale = if opts.quick {
-        AccuracyScale::quick()
-    } else {
-        AccuracyScale::default()
-    };
-    let workers = if opts.quick { 8 } else { 24 };
+    let scale = AccuracyScale::default();
+    let workers = 24;
 
     let mut table = Table::new(
         format!(

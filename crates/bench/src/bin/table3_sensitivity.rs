@@ -7,18 +7,13 @@
 //! worse; SSP(s=10) collapses at 24 workers; EASGD and GoSGD collapse
 //! hardest.
 
-use dtrain_bench::{sweep_workers, HarnessOpts};
+use dtrain_bench::HarnessOpts;
 use dtrain_core::prelude::*;
 use dtrain_core::presets::{accuracy_run, AccuracyScale, TABLE3_WORKERS};
 
 fn main() {
     let opts = HarnessOpts::from_env();
-    let scale = if opts.quick {
-        AccuracyScale::quick()
-    } else {
-        AccuracyScale::default()
-    };
-    let workers = sweep_workers(&opts, &TABLE3_WORKERS);
+    let scale = AccuracyScale::default();
 
     let configs: Vec<(String, Algo)> = vec![
         ("BSP".into(), Algo::Bsp),
@@ -46,7 +41,7 @@ fn main() {
     ];
 
     let mut headers: Vec<String> = vec!["config".into()];
-    headers.extend(workers.iter().map(|w| format!("{w} workers")));
+    headers.extend(TABLE3_WORKERS.iter().map(|w| format!("{w} workers")));
     let mut table = Table::new(
         format!(
             "Table III: test accuracy vs workers ({} epochs)",
@@ -57,7 +52,7 @@ fn main() {
 
     for (label, algo) in configs {
         let mut row = vec![label];
-        for &w in &workers {
+        for &w in &TABLE3_WORKERS {
             let out = run(&accuracy_run(algo, w, &scale));
             row.push(fmt_acc(out.final_accuracy.expect("accuracy")));
         }

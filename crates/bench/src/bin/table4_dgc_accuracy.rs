@@ -12,12 +12,8 @@ use dtrain_core::presets::{accuracy_run, accuracy_run_with_dgc, AccuracyScale};
 
 fn main() {
     let opts = HarnessOpts::from_env();
-    let scale = if opts.quick {
-        AccuracyScale::quick()
-    } else {
-        AccuracyScale::default()
-    };
-    let workers = if opts.quick { 8 } else { 24 };
+    let scale = AccuracyScale::default();
+    let workers = 24;
 
     let configs: Vec<(&str, Algo)> = vec![
         ("BSP", Algo::Bsp),

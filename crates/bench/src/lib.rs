@@ -1,11 +1,9 @@
 //! Shared helpers for the harness binaries.
 //!
 //! Each binary regenerates one table or figure of the paper (see
-//! `DESIGN.md` §3 for the index). All binaries accept:
-//!
-//! * `--quick` (or env `DTRAIN_QUICK=1`) — a reduced-scale run for smoke
-//!   testing; the full run is the default.
-//! * `--csv DIR` — also write each printed table as CSV under `DIR`.
+//! `DESIGN.md` §3 for the index) at one scale — the one whose CSVs are
+//! committed under `results/` — and accepts `--csv DIR`: also write each
+//! printed table as CSV under `DIR`.
 
 use std::path::PathBuf;
 
@@ -16,12 +14,11 @@ pub mod trajectory;
 /// Parsed common CLI options.
 #[derive(Clone, Debug, Default)]
 pub struct HarnessOpts {
-    pub quick: bool,
     pub csv_dir: Option<PathBuf>,
 }
 
 impl HarnessOpts {
-    /// Parse from `std::env` (args + `DTRAIN_QUICK`).
+    /// Parse from the process arguments.
     pub fn from_env() -> Self {
         let args: Vec<String> = std::env::args().skip(1).collect();
         Self::from_args(&args)
@@ -30,15 +27,10 @@ impl HarnessOpts {
     /// Parse an explicit argument list (binaries with extra flags strip
     /// them first and pass the remainder here).
     pub fn from_args(args: &[String]) -> Self {
-        let mut opts = HarnessOpts {
-            quick: std::env::var("DTRAIN_QUICK").is_ok_and(|v| v != "0"),
-            csv_dir: None,
-        };
+        let mut opts = HarnessOpts::default();
         let mut i = 0;
         while i < args.len() {
             match args[i].as_str() {
-                "--quick" => opts.quick = true,
-                "--full" => opts.quick = false,
                 "--csv" => {
                     i += 1;
                     match args.get(i) {
@@ -50,7 +42,7 @@ impl HarnessOpts {
                     }
                 }
                 "--help" | "-h" => {
-                    eprintln!("usage: [--quick|--full] [--csv DIR]");
+                    eprintln!("usage: [--csv DIR]");
                     std::process::exit(0);
                 }
                 other => {
@@ -73,30 +65,5 @@ impl HarnessOpts {
                 Err(e) => eprintln!("failed to write {}: {e}", path.display()),
             }
         }
-    }
-}
-
-/// Worker counts to sweep, honoring `--quick`.
-pub fn sweep_workers(opts: &HarnessOpts, full: &[usize]) -> Vec<usize> {
-    if opts.quick {
-        full.iter().copied().filter(|&w| w <= 8).collect()
-    } else {
-        full.to_vec()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn quick_filters_worker_sweep() {
-        let q = HarnessOpts {
-            quick: true,
-            csv_dir: None,
-        };
-        assert_eq!(sweep_workers(&q, &[1, 2, 4, 8, 16, 24]), vec![1, 2, 4, 8]);
-        let f = HarnessOpts::default();
-        assert_eq!(sweep_workers(&f, &[4, 24]), vec![4, 24]);
     }
 }

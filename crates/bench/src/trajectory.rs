@@ -158,12 +158,12 @@ mod tests {
 
     #[test]
     fn out_flag_is_taken_wherever_it_sits() {
-        let mut args: Vec<String> = ["--csv", "d", "--out", "f.json", "--quick"]
+        let mut args: Vec<String> = ["--csv", "d", "--out", "f.json", "--elastic"]
             .map(String::from)
             .to_vec();
         assert_eq!(take_out_path(&mut args, "BENCH.json"), "f.json");
-        assert_eq!(args, ["--csv", "d", "--quick"]);
+        assert_eq!(args, ["--csv", "d", "--elastic"]);
         assert_eq!(take_out_path(&mut args, "BENCH.json"), "BENCH.json");
-        assert_eq!(args, ["--csv", "d", "--quick"]);
+        assert_eq!(args, ["--csv", "d", "--elastic"]);
     }
 }

@@ -7,9 +7,7 @@
 //! in §V-C of the reproduced paper.
 
 mod dgc;
-mod randomk;
 mod sparse;
 
 pub use dgc::{DgcCompressor, DgcConfig};
-pub use randomk::RandomKCompressor;
 pub use sparse::{compressed_wire_bytes, SparseTensor, SparseUpdate};

@@ -6,16 +6,15 @@
 # were parked OS threads handing a baton to each other, and is what it is
 # now that they are user-space contexts on one thread — byte-identical
 # CSVs each time). The committed results/*.csv are this script's output and
-# CI's `reproduce` job fails if they are not. Add --quick for a smoke-scale
-# pass (seconds).
+# CI's `reproduce` job fails if they are not. There is one scale.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 cargo build --release --workspace
 mkdir -p results
 for b in table1_summary table2_accuracy fig1_convergence table3_sensitivity \
          fig2_scalability fig3_breakdown fig4_optimizations \
-         table4_dgc_accuracy ablations straggler_study; do
+         table4_dgc_accuracy ablations straggler_study fault_study; do
   echo "=== $b ==="
-  ./target/release/$b --csv results "$@"
+  ./target/release/$b --csv results
 done
 echo "done — see results/"

@@ -67,9 +67,9 @@ const ALGOS: [(&str, Algo); 7] = [
     ("adpsgd", Algo::AdPsgd),
 ];
 
-fn record(algo: Algo) -> Vec<Event> {
+fn record(cfg: &RunConfig) -> Vec<Event> {
     let sink = ObsSink::enabled();
-    let _ = run_observed(&golden_cfg(algo), &sink);
+    let _ = run_observed(cfg, &sink);
     assert_eq!(sink.dropped(), 0, "ring buffers overflowed; raise capacity");
     sink.snapshot()
 }
@@ -85,10 +85,7 @@ fn canonical(name: &str, events: &[Event]) -> String {
 
 /// Canonical trace of one observed run of `cfg`, and its event count.
 fn trace_of(name: &str, cfg: &RunConfig) -> (String, usize) {
-    let sink = ObsSink::enabled();
-    let _ = run_observed(cfg, &sink);
-    assert_eq!(sink.dropped(), 0, "{name}: ring buffers overflowed");
-    let events = sink.snapshot();
+    let events = record(cfg);
     (canonical(name, &events), events.len())
 }
 
@@ -127,7 +124,7 @@ fn golden_traces_all_seven_algorithms() {
     let failures: Vec<String> = ALGOS
         .iter()
         .filter_map(|&(name, algo)| {
-            let got = canonical(name, &record(algo));
+            let (got, _) = trace_of(name, &golden_cfg(algo));
             check_golden(&format!("{name}.trace"), &got).err()
         })
         .collect();
@@ -277,11 +274,7 @@ fn elastic_markers_appear_in_canonical_traces() {
     use dtrain_faults::ElasticConfig;
 
     // Loss + rejoin under BSP: eviction, the degraded round, re-entry.
-    let trace = {
-        let sink = ObsSink::enabled();
-        let _ = run_observed(&elastic_bsp_cfg(), &sink);
-        canonical_trace(&sink.snapshot())
-    };
+    let trace = canonical_trace(&record(&elastic_bsp_cfg()));
     for name in ["member.evict", "member.rejoin", "barrier.partial"] {
         assert!(trace.contains(name), "BSP loss/rejoin trace lacks {name}");
     }
@@ -301,9 +294,7 @@ fn elastic_markers_appear_in_canonical_traces() {
             checkpoint_interval: 4,
             elastic: Some(ElasticConfig::default()),
         });
-        let sink = ObsSink::enabled();
-        let _ = run_observed(&cfg, &sink);
-        canonical_trace(&sink.snapshot())
+        canonical_trace(&record(&cfg))
     };
     assert!(
         trace.contains("ps.shard_failover"),
@@ -323,9 +314,7 @@ fn elastic_markers_appear_in_canonical_traces() {
                 ..Default::default()
             }),
         });
-        let sink = ObsSink::enabled();
-        let _ = run_observed(&cfg, &sink);
-        canonical_trace(&sink.snapshot())
+        canonical_trace(&record(&cfg))
     };
     assert!(
         trace.contains("net.retry"),
@@ -420,8 +409,8 @@ fn kernel_speed_cannot_alter_golden_traces() {
 
 #[test]
 fn traces_are_deterministic_across_runs() {
-    let a = canonical_trace(&record(Algo::Bsp));
-    let b = canonical_trace(&record(Algo::Bsp));
+    let a = canonical_trace(&record(&golden_cfg(Algo::Bsp)));
+    let b = canonical_trace(&record(&golden_cfg(Algo::Bsp)));
     assert_eq!(a, b, "two identical runs produced different traces");
 }
 
@@ -429,7 +418,7 @@ fn traces_are_deterministic_across_runs() {
 /// report the first divergent line readably.
 #[test]
 fn deliberate_reorder_fails_with_line_number() {
-    let events = record(Algo::Asp);
+    let events = record(&golden_cfg(Algo::Asp));
     let reference = canonical_trace(&events);
 
     // Swap two adjacent events in the middle of the trace.
@@ -466,7 +455,7 @@ fn golden_runs_cover_all_phases() {
     use dtrain_obs::EventKind;
     let mut seen: std::collections::BTreeSet<&'static str> = Default::default();
     for algo in [Algo::Bsp, Algo::AdPsgd] {
-        for e in record(algo) {
+        for e in record(&golden_cfg(algo)) {
             if let EventKind::Span { name, .. } = e.kind {
                 seen.insert(name);
             }
