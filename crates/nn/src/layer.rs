@@ -11,9 +11,10 @@
 //! performs zero heap allocations inside the layer stack.
 
 use dtrain_tensor::{
-    add_bias, conv2d_backward_scratch, conv2d_forward_scratch, matmul_a_bt_scratch,
-    matmul_at_b_scratch, matmul_scratch, maxpool2d_backward_scratch, maxpool2d_forward_scratch,
-    relu_backward_scratch, relu_scratch, sum_rows_scratch, Conv2dSpec, Scratch, Shape, Tensor,
+    add_bias, conv2d_backward_scratch, conv2d_forward_scratch, conv2d_param_grads_scratch,
+    matmul_a_bt_scratch, matmul_at_b_scratch, matmul_scratch, maxpool2d_backward_scratch,
+    maxpool2d_forward_scratch, relu_backward_scratch, relu_scratch, sum_rows_scratch, Conv2dSpec,
+    Scratch, Shape, Tensor,
 };
 use rand::Rng;
 
@@ -28,6 +29,15 @@ pub trait Layer: Send {
     fn forward(&mut self, x: Tensor, train: bool, scratch: &mut Scratch) -> Tensor;
 
     fn backward(&mut self, grad: Tensor, scratch: &mut Scratch) -> Tensor;
+
+    /// [`Self::backward`] for a layer nothing precedes: the parameter
+    /// gradients are stashed as usual, the input gradient has no reader.
+    /// Layers whose input gradient is a separate computation override this
+    /// to skip it.
+    fn backward_params(&mut self, grad: Tensor, scratch: &mut Scratch) {
+        let dx = self.backward(grad, scratch);
+        scratch.recycle_tensor(dx);
+    }
 
     /// Trainable tensors, in a fixed order.
     fn params(&self) -> Vec<&Tensor> {
@@ -72,6 +82,20 @@ impl Dense {
             cached_input: None,
         }
     }
+
+    /// Stash `dW`, `db` for `grad`; returns the cached input they consumed.
+    fn param_grads(&mut self, grad: &Tensor, scratch: &mut Scratch) -> Tensor {
+        let x = self
+            .cached_input
+            .take()
+            .expect("backward without forward(train=true)");
+        // dW[out,in] = gradᵀ[out,batch] · x[batch,in]
+        let dw = matmul_at_b_scratch(grad, &x, scratch);
+        scratch.recycle_tensor(std::mem::replace(&mut self.dweight, dw));
+        let db = sum_rows_scratch(grad, scratch);
+        scratch.recycle_tensor(std::mem::replace(&mut self.dbias, db));
+        x
+    }
 }
 
 impl Layer for Dense {
@@ -91,20 +115,18 @@ impl Layer for Dense {
     }
 
     fn backward(&mut self, grad: Tensor, scratch: &mut Scratch) -> Tensor {
-        let x = self
-            .cached_input
-            .take()
-            .expect("backward without forward(train=true)");
-        // dW[out,in] = gradᵀ[out,batch] · x[batch,in]
-        let dw = matmul_at_b_scratch(&grad, &x, scratch);
-        scratch.recycle_tensor(std::mem::replace(&mut self.dweight, dw));
-        let db = sum_rows_scratch(&grad, scratch);
-        scratch.recycle_tensor(std::mem::replace(&mut self.dbias, db));
+        let x = self.param_grads(&grad, scratch);
         // dx[batch,in] = grad[batch,out] · W[out,in]
         let dx = matmul_scratch(&grad, &self.weight, scratch);
         scratch.recycle_tensor(x);
         scratch.recycle_tensor(grad);
         dx
+    }
+
+    fn backward_params(&mut self, grad: Tensor, scratch: &mut Scratch) {
+        let x = self.param_grads(&grad, scratch);
+        scratch.recycle_tensor(x);
+        scratch.recycle_tensor(grad);
     }
 
     fn params(&self) -> Vec<&Tensor> {
@@ -171,7 +193,8 @@ pub struct Conv2d {
     bias: Tensor,
     dweight: Tensor,
     dbias: Tensor,
-    cached_cols: Option<Tensor>,
+    /// What `conv2d_backward` needs of the last training input.
+    cached_input: Option<Tensor>,
 }
 
 impl Conv2d {
@@ -191,7 +214,7 @@ impl Conv2d {
             bias: Tensor::zeros(&[spec.out_channels]),
             dweight: Tensor::zeros(&ws),
             dbias: Tensor::zeros(&[spec.out_channels]),
-            cached_cols: None,
+            cached_input: None,
         }
     }
 
@@ -202,6 +225,20 @@ impl Conv2d {
             self.spec.out_size(self.in_hw.1),
         )
     }
+
+    fn take_cache(&mut self) -> Tensor {
+        self.cached_input
+            .take()
+            .expect("backward without forward(train=true)")
+    }
+
+    /// Stash the new parameter gradients; recycle what backward consumed.
+    fn retire(&mut self, dw: Tensor, db: Tensor, cache: Tensor, grad: Tensor, s: &mut Scratch) {
+        s.recycle_tensor(std::mem::replace(&mut self.dweight, dw));
+        s.recycle_tensor(std::mem::replace(&mut self.dbias, db));
+        s.recycle_tensor(cache);
+        s.recycle_tensor(grad);
+    }
 }
 
 impl Layer for Conv2d {
@@ -210,35 +247,35 @@ impl Layer for Conv2d {
     }
 
     fn forward(&mut self, x: Tensor, train: bool, scratch: &mut Scratch) -> Tensor {
-        let (y, cols) = conv2d_forward_scratch(&x, &self.weight, &self.bias, &self.spec, scratch);
+        let (y, cache) = conv2d_forward_scratch(&x, &self.weight, &self.bias, &self.spec, scratch);
         scratch.recycle_tensor(x);
         if train {
-            cache_tensor(&mut self.cached_cols, cols, scratch);
+            cache_tensor(&mut self.cached_input, cache, scratch);
         } else {
-            scratch.recycle_tensor(cols);
+            scratch.recycle_tensor(cache);
         }
         y
     }
 
     fn backward(&mut self, grad: Tensor, scratch: &mut Scratch) -> Tensor {
-        let cols = self
-            .cached_cols
-            .take()
-            .expect("backward without forward(train=true)");
+        let cache = self.take_cache();
         let (dx, dw, db) = conv2d_backward_scratch(
             &grad,
-            &cols,
+            &cache,
             &self.weight,
             &self.spec,
             self.in_hw.0,
             self.in_hw.1,
             scratch,
         );
-        scratch.recycle_tensor(std::mem::replace(&mut self.dweight, dw));
-        scratch.recycle_tensor(std::mem::replace(&mut self.dbias, db));
-        scratch.recycle_tensor(cols);
-        scratch.recycle_tensor(grad);
+        self.retire(dw, db, cache, grad, scratch);
         dx
+    }
+
+    fn backward_params(&mut self, grad: Tensor, scratch: &mut Scratch) {
+        let cache = self.take_cache();
+        let (dw, db) = conv2d_param_grads_scratch(&grad, &cache, &self.spec, scratch);
+        self.retire(dw, db, cache, grad, scratch);
     }
 
     fn params(&self) -> Vec<&Tensor> {

@@ -33,12 +33,17 @@ impl Network {
     }
 
     /// Backward pass; `dlogits` is the loss gradient w.r.t. the output.
+    /// Nobody reads the gradient w.r.t. the network's input, so the first
+    /// layer is asked for its parameter gradients only.
     pub fn backward(&mut self, dlogits: Tensor) {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return self.scratch.recycle_tensor(dlogits);
+        };
         let mut g = dlogits;
-        for layer in self.layers.iter_mut().rev() {
+        for layer in rest.iter_mut().rev() {
             g = layer.backward(g, &mut self.scratch);
         }
-        self.scratch.recycle_tensor(g);
+        first.backward_params(g, &mut self.scratch);
     }
 
     /// One forward+backward on a batch; returns `(loss, batch_accuracy)`.
@@ -141,7 +146,8 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layer::{Dense, Relu};
+    use crate::layer::{Conv2d, Dense, Flatten, MaxPool2d, Relu};
+    use dtrain_tensor::Conv2dSpec;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -204,5 +210,87 @@ mod tests {
         net.set_params(&p);
         let (l1, _) = net.eval_batch(x, &labels);
         assert!(l1 < l0, "loss should drop: {l0} -> {l1}");
+    }
+
+    fn conv_first(seed: u64) -> Vec<Box<dyn Layer>> {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let spec = Conv2dSpec {
+            in_channels: 2,
+            out_channels: 3,
+            kernel: 3,
+            stride: 1,
+            padding: 1,
+        };
+        vec![
+            Box::new(Conv2d::new("c0", spec, (6, 6), &mut rng)),
+            Box::new(Relu::new("r0")),
+            Box::new(MaxPool2d::new("p0", 2)),
+            Box::new(Flatten::new("fl")),
+            Box::new(Dense::new("head", 27, 3, &mut rng)),
+        ]
+    }
+
+    fn flatten_first(seed: u64) -> Vec<Box<dyn Layer>> {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        vec![
+            Box::new(Flatten::new("fl")),
+            Box::new(Dense::new("d0", 72, 8, &mut rng)),
+            Box::new(Relu::new("r0")),
+            Box::new(Dense::new("d1", 8, 3, &mut rng)),
+        ]
+    }
+
+    #[test]
+    fn train_batch_grads_equal_a_full_backward_walk() {
+        // `Network::backward` asks its first layer for parameter gradients
+        // only; they must be the bits a plain `Layer::backward` over every
+        // layer leaves, whichever layer kind comes first (`Flatten` takes
+        // the provided method, `Conv2d` and `Dense` their overrides).
+        let mut rng = SmallRng::seed_from_u64(31);
+        let images = Tensor::randn(&[4, 2, 6, 6], 1.0, &mut rng);
+        let rows = images.clone().reshape(&[4, 72]);
+        let labels = [0usize, 2, 1, 0];
+        type Build = fn(u64) -> Vec<Box<dyn Layer>>;
+        let dense_first: Build = |seed| flatten_first(seed).split_off(1);
+        for (build, x) in [
+            (conv_first as Build, &images),
+            (flatten_first, &images),
+            (dense_first, &rows),
+        ] {
+            let mut net = Network::new(build(5));
+            let (loss, _) = net.train_batch(x.clone(), &labels);
+
+            let mut layers = build(5);
+            let mut scratch = Scratch::new();
+            let mut h = x.clone();
+            for layer in &mut layers {
+                h = layer.forward(h, true, &mut scratch);
+            }
+            let (by_hand_loss, mut g) = softmax_cross_entropy_scratch(&h, &labels, &mut scratch);
+            for layer in layers.iter_mut().rev() {
+                g = layer.backward(g, &mut scratch);
+            }
+            assert_eq!(g.len(), x.len(), "the walk did produce an input gradient");
+            let by_hand: Vec<&Tensor> = layers.iter().flat_map(|l| l.grads()).collect();
+
+            assert_eq!(loss.to_bits(), by_hand_loss.to_bits());
+            let got = net.grads();
+            assert_eq!(got.num_tensors(), by_hand.len());
+            for (a, b) in got.0.iter().zip(by_hand) {
+                let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(a), bits(b), "in a {}-layer net", layers.len());
+            }
+        }
+    }
+
+    #[test]
+    fn empty_network_is_the_identity() {
+        let mut net = Network::new(Vec::new());
+        let x = Tensor::from_vec(&[2, 3], vec![1., 2., 3., 3., 2., 1.]);
+        let (loss, acc) = net.train_batch(x.clone(), &[2, 0]);
+        assert!(loss.is_finite());
+        assert_eq!(acc, 1.0);
+        assert_eq!(net.grads().num_tensors(), 0);
+        assert_eq!(net.forward(x.clone(), false), x);
     }
 }

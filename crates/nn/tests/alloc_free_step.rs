@@ -48,21 +48,25 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// A model touching every layer kind: conv, batch-norm, ReLU, max-pool,
-/// flatten, a residual block, and dense.
+/// flatten, a residual block, and dense. Two convs: `c0` is the network's
+/// first layer, whose input gradient is never computed, and `c1` sits
+/// behind it, so its backward runs the per-image patch-gradient GEMM and
+/// fold on the per-thread work buffers too.
 fn build_net(seed: u64) -> Network {
     let mut rng = SmallRng::seed_from_u64(seed);
-    let spec = Conv2dSpec {
-        in_channels: 2,
+    let spec = |in_channels| Conv2dSpec {
+        in_channels,
         out_channels: 4,
         kernel: 3,
         stride: 1,
         padding: 1,
     };
     Network::new(vec![
-        Box::new(Conv2d::new("c0", spec, (8, 8), &mut rng)),
+        Box::new(Conv2d::new("c0", spec(2), (8, 8), &mut rng)),
         Box::new(BatchNorm2d::new("bn0", 4)),
         Box::new(Relu::new("r0")),
         Box::new(MaxPool2d::new("p0", 2)),
+        Box::new(Conv2d::new("c1", spec(4), (4, 4), &mut rng)),
         Box::new(Flatten::new("fl")),
         Box::new(Residual::new(
             "res0",

@@ -1,38 +1,64 @@
 //! 2-D convolution and max-pooling on `[N, C, H, W]` tensors.
 //!
-//! Convolution is implemented by im2col + matmul: the input patches are
-//! unrolled into a matrix so the heavy lifting reuses the deterministic
-//! parallel matmul kernel. This is the textbook approach (and what cuDNN's
-//! GEMM algorithms do), sized for the small CNNs the accuracy experiments
-//! train.
+//! Convolution is three GEMMs per call on the microkernels of
+//! [`crate::simd`], oriented so that **output pixels sit on the SIMD lanes**
+//! and nothing is reordered afterwards. With `CKK = C·K·K` and
+//! `P = OH·OW`, per image:
 //!
-//! im2col parallelises over **(image × output-row band)** tasks — each task
-//! owns a disjoint slice of the patch matrix, so even small batches yield
-//! `N × IM2COL_BANDS` tasks and the pool doesn't starve; the task→rows
-//! mapping depends only on the geometry, and im2col is a pure copy, so
-//! results are bit-identical at any thread count. The NCHW⇄patch-row
-//! reorders in the conv forward/backward parallelise per image the same
-//! way. col2im stays per-image: adjacent output rows *overlap* on input
-//! pixels when `kernel > stride`, so finer splits would race (or require a
-//! reduction, which would break the fixed accumulation order). The
-//! `_scratch` variants draw every temporary (patch matrices, reorder
-//! copies, outputs) from a [`Scratch`] arena so steady-state training
+//! - forward `y[img][OC, P] = W[OC, CKK] · patches[CKK, P]`, which *is* the
+//!   NCHW layout of the output; the bias is added to each finished row;
+//! - input gradient `dpatches[CKK, P] = Wᵀ[CKK, OC] · g[img][OC, P]`, read
+//!   straight from the NCHW gradient and folded back onto `dx[img]` a run of
+//!   pixels at a time;
+//! - weight gradient `dW[OC, CKK] += g[img][OC, P] · patchesᵀ[P, CKK]`,
+//!   the images taking turns on the one accumulator.
+//!
+//! No patch matrix is ever stored. Forward copies the batch once into a
+//! zero-bordered `[N, C, H+2p, W+2p]` tensor — its second return value, all
+//! backward needs of the input — where patch element `(ch, ky, kx)` of pixel
+//! `(oy, ox)` is a fixed offset from the pixel's corner and no read needs a
+//! bounds test. Each GEMM packs one column panel of `B` straight from that
+//! image (rows of pixels for forward, rows of patch elements for `dW`) and
+//! runs every row block of the packed `A` against it while it is in L1, so
+//! the working set is one 14 KB image, not a 3.5 MB matrix streamed three
+//! times. `W` is packed once per call and shared by all images.
+//!
+//! **Numeric contract** (DESIGN §2b/§2c): every product is rounded alone (no
+//! FMA) and every output element is summed from `+0.0` in one fixed order,
+//! whatever the ISA tier, thread count or blocking:
+//!
+//! | result | summed over, ascending | then |
+//! |---|---|---|
+//! | `y[img, oc, oy, ox]` | `p = (ch, ky, kx)`, padding cells as `0.0` products | `+ b[oc]` |
+//! | `dW[oc, p]` | `s = (img, oy, ox)` over the whole batch | |
+//! | `db[oc]` | `s = (img, oy, ox)` over the whole batch | |
+//! | `dpatches[p, s]` | `oc` | |
+//! | `dx[img, ch, iy, ix]` | the `(oy, ox)` whose patch covers it | |
+//!
+//! The per-image split of `dW` only round-trips the partial sum through
+//! memory between images, as reduction chunks already do. The fold visits
+//! `ky` then `kx` *descending* outside its pixel loop, which is `(oy, ox)`
+//! ascending for every input element. `tests/conv_reference.rs` is this
+//! table as seven scalar loops; `tests/golden/conv_bits.digest` pins the bits
+//! the previous im2col-matrix implementation produced.
+//!
+//! **Parallelism** is one task per image for forward and the input gradient
+//! (disjoint outputs, each image computed sequentially, the ISA resolved
+//! once by the caller); `dW`/`db` are reductions over the batch and run on
+//! the calling thread. Outputs, the padded batch and the packed weights come
+//! from the caller's [`Scratch`] arena; `B` panels and the per-image
+//! `dpatches` live in the per-thread pack buffers, so steady-state training
 //! allocates nothing here.
 
-use crate::matmul::{matmul_a_bt_scratch, matmul_at_b_scratch, matmul_scratch};
-use crate::scratch::Scratch;
+use crate::matmul::{pack_a_block, pack_b_panel, ASrc, BSrc, KC};
+use crate::scratch::{with_pack_bufs, AlignedVec, Scratch};
+use crate::simd::{self, Isa, StageTile};
 use crate::tensor::Tensor;
 use rayon::prelude::*;
 
 /// Below this many output elements the per-region dispatch overhead beats
 /// the parallel win; run sequentially.
 const PAR_MIN_ELEMS: usize = 64 * 64;
-
-/// Output-row bands each image's im2col is split into, so task count is
-/// `N × bands` (clamped to `OH`). Purely a scheduling knob: the task→rows
-/// mapping is fixed by geometry and im2col writes disjoint cells, so the
-/// value can never change results.
-const IM2COL_BANDS: usize = 4;
 
 /// Static geometry of a conv layer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -59,44 +85,266 @@ impl Conv2dSpec {
     }
 }
 
-/// Unroll output rows `[oy0, oy1)` of one image into `dst`, which covers
-/// exactly that band of the image's patch-matrix slice. Writes every cell
-/// (0.0 for padding), so the destination may hold stale data.
-#[allow(clippy::too_many_arguments)]
-fn im2col_rows(
-    dst: &mut [f32],
-    img_chan: &[f32],
+/// One conv call's geometry over the zero-padded `[C, hp, wp]` image.
+struct Geom {
     c: usize,
-    h: usize,
-    w: usize,
     k: usize,
     s: usize,
-    p: usize,
-    oy0: usize,
-    oy1: usize,
+    hp: usize,
+    wp: usize,
+    oh: usize,
     ow: usize,
+}
+
+impl Geom {
+    fn new(spec: &Conv2dSpec, h: usize, w: usize) -> Self {
+        Geom {
+            c: spec.in_channels,
+            k: spec.kernel,
+            s: spec.stride,
+            hp: h + 2 * spec.padding,
+            wp: w + 2 * spec.padding,
+            oh: spec.out_size(h),
+            ow: spec.out_size(w),
+        }
+    }
+
+    /// Patch length `C·K·K`: the forward reduction dimension.
+    fn ckk(&self) -> usize {
+        self.c * self.k * self.k
+    }
+
+    /// Output pixels per image and channel.
+    fn pixels(&self) -> usize {
+        self.oh * self.ow
+    }
+
+    /// Elements of one padded image.
+    fn image_len(&self) -> usize {
+        self.c * self.hp * self.wp
+    }
+
+    /// Where patch element `p = (ch, ky, kx)` sits relative to its pixel's
+    /// top-left corner in the padded image: `off[p] = ch·hp·wp + ky·wp + kx`,
+    /// so `patch(pixel (oy, ox), p) = image[(oy·s)·wp + ox·s + off[p]]` with
+    /// no bounds to test.
+    fn patch_offsets(&self, scratch: &mut Scratch) -> Vec<u32> {
+        assert!(
+            u32::try_from(self.image_len()).is_ok(),
+            "padded image exceeds u32 offsets"
+        );
+        let mut off = scratch.take_u32(self.ckk());
+        let mut slots = off.iter_mut();
+        for ch in 0..self.c {
+            for ky in 0..self.k {
+                for (kx, slot) in (0..self.k).zip(&mut slots) {
+                    *slot = ((ch * self.hp + ky) * self.wp + kx) as u32;
+                }
+            }
+        }
+        off
+    }
+}
+
+/// Copy `x[N,C,H,W]` into a zero-bordered `[N, C, H+2p, W+2p]` arena tensor:
+/// what every patch of the convolution reads, and what the forward pass
+/// hands to backward.
+fn pad_input(x: &Tensor, pad: usize, scratch: &mut Scratch) -> Tensor {
+    let shape = x.shape();
+    let (n, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
+    let (hp, wp) = (h + 2 * pad, w + 2 * pad);
+    let mut xp = scratch.tensor_zeroed(&[n, c, hp, wp]);
+    let dst = xp.data_mut();
+    for (r, row) in x.data().chunks_exact(w).enumerate() {
+        let at = ((r / h) * hp + r % h + pad) * wp + pad;
+        dst[at..at + w].copy_from_slice(row);
+    }
+    xp
+}
+
+/// Patch rows, pixels contiguous — the forward GEMM's `B` panel:
+/// `dst[p·stride + jj] = patch(pixel j0+jj, off[p])` for `jj < cols`, zero
+/// beyond. A run of pixels within one output row is a contiguous copy at
+/// stride 1 and a strided one otherwise.
+fn fill_patch_rows(
+    dst: &mut [f32],
+    stride: usize,
+    image: &[f32],
+    g: &Geom,
+    off: &[u32],
+    j0: usize,
+    cols: usize,
 ) {
-    let cols_w = c * k * k;
-    for oy in oy0..oy1 {
-        for ox in 0..ow {
-            let base = ((oy - oy0) * ow + ox) * cols_w;
-            let mut col = 0usize;
-            for ch in 0..c {
-                let chan = &img_chan[ch * h * w..(ch + 1) * h * w];
-                for ky in 0..k {
-                    let iy = (oy * s + ky) as isize - p as isize;
-                    for kx in 0..k {
-                        let ix = (ox * s + kx) as isize - p as isize;
-                        dst[base + col] =
-                            if iy >= 0 && iy < h as isize && ix >= 0 && ix < w as isize {
-                                chan[iy as usize * w + ix as usize]
-                            } else {
-                                0.0
-                            };
-                        col += 1;
+    for (row, &o) in dst.chunks_exact_mut(stride).zip(off) {
+        let (mut oy, mut ox) = (j0 / g.ow, j0 % g.ow);
+        let mut jj = 0;
+        while jj < cols {
+            let run = (g.ow - ox).min(cols - jj);
+            let src = &image[o as usize + oy * g.s * g.wp + ox * g.s..];
+            if g.s == 1 {
+                row[jj..jj + run].copy_from_slice(&src[..run]);
+            } else {
+                for (d, &v) in row[jj..jj + run].iter_mut().zip(src.iter().step_by(g.s)) {
+                    *d = v;
+                }
+            }
+            jj += run;
+            (oy, ox) = (oy + 1, 0);
+        }
+        row[cols..].fill(0.0);
+    }
+}
+
+/// Pixel rows, patch elements contiguous — the weight-gradient GEMM's `B`
+/// panel and [`im2col`]'s layout: row `r` of `dst` is pixel `pix0 + r`,
+/// `dst[r·stride + jj] = patch(pixel, off[jj])`, zero beyond `off.len()`.
+fn fill_pixel_rows(
+    dst: &mut [f32],
+    stride: usize,
+    image: &[f32],
+    g: &Geom,
+    off: &[u32],
+    pix0: usize,
+) {
+    let (mut oy, mut ox) = (pix0 / g.ow, pix0 % g.ow);
+    for row in dst.chunks_exact_mut(stride) {
+        let corner = &image[oy * g.s * g.wp + ox * g.s..];
+        for (d, &o) in row.iter_mut().zip(off) {
+            *d = corner[o as usize];
+        }
+        row[off.len()..].fill(0.0);
+        ox += 1;
+        if ox == g.ow {
+            (oy, ox) = (oy + 1, 0);
+        }
+    }
+}
+
+/// Fold one image's patch-gradient rows `[C·K·K, OH·OW]` onto its zeroed
+/// `[C, H, W]` slice, a run of output pixels at a time. Each input element
+/// must collect its terms in ascending `(oy, ox)` order (module docs):
+/// `oy` rises as `ky` falls and `ox` as `kx` falls, so `ky` and `kx` run
+/// *downwards* outside the row loop.
+fn fold_patch_rows(dst: &mut [f32], rows: &[f32], g: &Geom, pad: usize) {
+    let (h, w) = (g.hp - 2 * pad, g.wp - 2 * pad);
+    for (ch, plane) in dst.chunks_exact_mut(h * w).enumerate() {
+        for ky in (0..g.k).rev() {
+            for kx in (0..g.k).rev() {
+                // Output columns whose input column `ox·s + kx − pad` exists.
+                let lo = pad.saturating_sub(kx).div_ceil(g.s);
+                let hi = ((w + pad).saturating_sub(kx).div_ceil(g.s)).min(g.ow);
+                if lo >= hi {
+                    continue;
+                }
+                let row = &rows[((ch * g.k + ky) * g.k + kx) * g.pixels()..][..g.pixels()];
+                for oy in 0..g.oh {
+                    let Some(iy) = (oy * g.s + ky).checked_sub(pad).filter(|&iy| iy < h) else {
+                        continue;
+                    };
+                    let src = &row[oy * g.ow + lo..oy * g.ow + hi];
+                    let at = iy * w + lo * g.s + kx - pad;
+                    if g.s == 1 {
+                        for (d, &v) in plane[at..at + src.len()].iter_mut().zip(src) {
+                            *d += v;
+                        }
+                    } else {
+                        for (d, &v) in plane[at..].iter_mut().step_by(g.s).zip(src) {
+                            *d += v;
+                        }
                     }
                 }
             }
+        }
+    }
+}
+
+/// Elements [`pack_a`] writes for an `m×k` left operand.
+fn packed_a_len(isa: Isa, m: usize, k: usize) -> usize {
+    let (mr, _) = isa.geometry();
+    m.div_ceil(mr) * mr * k
+}
+
+/// Pack all of an `m×k` left operand for [`panel_gemm`]: reduction chunk by
+/// reduction chunk, row block by row block, each block `kc·mr` floats as the
+/// microkernel reads them.
+fn pack_a(isa: Isa, d: &[f32], stride: usize, src: ASrc, m: usize, k: usize, dst: &mut [f32]) {
+    let (mr, _) = isa.geometry();
+    let mut at = 0;
+    for k0 in (0..k).step_by(KC) {
+        let kc = (k - k0).min(KC);
+        for i0 in (0..m).step_by(mr) {
+            let rows = (m - i0).min(mr);
+            pack_a_block(
+                d,
+                stride,
+                src,
+                i0,
+                rows,
+                mr,
+                k0,
+                kc,
+                &mut dst[at..at + kc * mr],
+            );
+            at += kc * mr;
+        }
+    }
+}
+
+/// Sequential `C[m,n] (+)= A·B` on the GEMM microkernels, one column panel
+/// of `B` at a time: `fill_b(j0, cols, k0, kc, panel)` packs
+/// `panel[p·nr + jj] = b(k0+p, j0+jj)` (zero for `jj ≥ cols`) and every row
+/// block of `apack` (see [`pack_a`]) runs against it while it is hot.
+/// `init` starts the sums from `+0.0`; otherwise they continue from `c`, as
+/// they do across reduction chunks — either way a round trip through memory
+/// that cannot reorder or re-round anything (`matmul` module docs).
+#[allow(clippy::too_many_arguments)]
+fn panel_gemm(
+    isa: Isa,
+    apack: &[f32],
+    mut fill_b: impl FnMut(usize, usize, usize, usize, &mut [f32]),
+    panel: &mut AlignedVec,
+    c: &mut [f32],
+    m: usize,
+    n: usize,
+    k: usize,
+    init: bool,
+) {
+    assert_eq!(c.len(), m * n);
+    let (mr, nr) = isa.geometry();
+    let a_rows = m.div_ceil(mr) * mr;
+    let mut stage = StageTile::new();
+    for k0 in (0..k).step_by(KC) {
+        let kc = (k - k0).min(KC);
+        let bp = panel.ensure_len(kc * nr);
+        let a_chunk = &apack[a_rows * k0..][..a_rows * kc];
+        for j0 in (0..n).step_by(nr) {
+            let cols = (n - j0).min(nr);
+            fill_b(j0, cols, k0, kc, bp);
+            for (ap, i0) in a_chunk.chunks_exact(kc * mr).zip((0..m).step_by(mr)) {
+                let rows = (m - i0).min(mr);
+                // SAFETY: the tile's `rows×cols` region starts at
+                // `(i0, j0)` of the exclusively borrowed `m×n` buffer `c`
+                // (length asserted above) and `i0+rows ≤ m`, `j0+cols ≤ n`.
+                let tile = unsafe { c.as_mut_ptr().add(i0 * n + j0) };
+                let first = init && k0 == 0;
+                simd::run_tile(isa, ap, bp, tile, n, kc, rows, cols, first, &mut stage);
+            }
+        }
+    }
+}
+
+/// Run `f(img, chunk)` over the `img_len`-sized chunks of `out`, as one
+/// parallel task per image when the batch is worth a region. Chunks are
+/// disjoint and each is computed sequentially, so the thread count never
+/// shows in a result.
+fn for_each_image(out: &mut [f32], img_len: usize, f: impl Fn(usize, &mut [f32]) + Sync) {
+    if out.len() > img_len && out.len() >= PAR_MIN_ELEMS && rayon::current_num_threads() > 1 {
+        out.par_chunks_mut(img_len)
+            .enumerate()
+            .for_each(|(img, chunk)| f(img, chunk));
+    } else {
+        for (img, chunk) in out.chunks_mut(img_len).enumerate() {
+            f(img, chunk);
         }
     }
 }
@@ -116,148 +364,25 @@ pub fn im2col_scratch(
 ) -> Tensor {
     let shape = x.shape();
     assert_eq!(shape.len(), 4, "im2col expects NCHW");
-    let (n, c) = (shape[0], shape[1]);
-    assert_eq!(c, spec.in_channels);
+    assert_eq!(shape[1], spec.in_channels);
     assert_eq!((shape[2], shape[3]), (h, w));
-    let (k, s, p) = (spec.kernel, spec.stride, spec.padding);
-    let oh = spec.out_size(h);
-    let ow = spec.out_size(w);
-    let cols_w = c * k * k;
-    let mut out = scratch.tensor_any(&[n * oh * ow, cols_w]);
-    let xd = x.data();
-    let img_len = c * h * w;
-    let row_len = ow * cols_w;
-    let od = out.data_mut();
-    let bands = IM2COL_BANDS.min(oh).max(1);
-    let tasks = n * bands;
-    if tasks > 1 && od.len() >= PAR_MIN_ELEMS && rayon::current_num_threads() > 1 {
-        let od_addr = od.as_mut_ptr() as usize;
-        rayon::parallel_for(tasks, &|t| {
-            let img = t / bands;
-            let band = t % bands;
-            let oy0 = band * oh / bands;
-            let oy1 = (band + 1) * oh / bands;
-            // SAFETY: task (img, band) exclusively owns the patch-matrix
-            // rows for output rows [oy0, oy1) of image `img` — bands
-            // partition [0, oh) and images partition the matrix, so slices
-            // are disjoint and in bounds of the `n*oh*ow × cols_w` buffer.
-            let dst = unsafe {
-                std::slice::from_raw_parts_mut(
-                    (od_addr as *mut f32).add((img * oh + oy0) * row_len),
-                    (oy1 - oy0) * row_len,
-                )
-            };
-            let src = &xd[img * img_len..(img + 1) * img_len];
-            im2col_rows(dst, src, c, h, w, k, s, p, oy0, oy1, ow);
-        });
-    } else {
-        for img in 0..n {
-            let dst = &mut od[img * oh * row_len..(img + 1) * oh * row_len];
-            let src = &xd[img * img_len..(img + 1) * img_len];
-            im2col_rows(dst, src, c, h, w, k, s, p, 0, oh, ow);
-        }
-    }
-    out
-}
-
-/// Fold one image's patch-gradients back onto its `c*h*w` input slice.
-/// The destination must be zeroed (this accumulates).
-#[allow(clippy::too_many_arguments)]
-fn col2im_image(
-    dst: &mut [f32],
-    img_cols: &[f32],
-    c: usize,
-    h: usize,
-    w: usize,
-    k: usize,
-    s: usize,
-    p: usize,
-    oh: usize,
-    ow: usize,
-) {
-    let cols_w = c * k * k;
-    for oy in 0..oh {
-        for ox in 0..ow {
-            let base = (oy * ow + ox) * cols_w;
-            let mut col = 0usize;
-            for ch in 0..c {
-                let chan_base = ch * h * w;
-                for ky in 0..k {
-                    let iy = (oy * s + ky) as isize - p as isize;
-                    for kx in 0..k {
-                        let ix = (ox * s + kx) as isize - p as isize;
-                        if iy >= 0 && iy < h as isize && ix >= 0 && ix < w as isize {
-                            dst[chan_base + iy as usize * w + ix as usize] += img_cols[base + col];
-                        }
-                        col += 1;
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Fold patch-gradients back onto the input: the adjoint of [`im2col`].
-pub fn col2im(cols: &Tensor, spec: &Conv2dSpec, n: usize, h: usize, w: usize) -> Tensor {
-    col2im_scratch(cols, spec, n, h, w, &mut Scratch::new())
-}
-
-/// [`col2im`] with the output drawn from the arena.
-pub fn col2im_scratch(
-    cols: &Tensor,
-    spec: &Conv2dSpec,
-    n: usize,
-    h: usize,
-    w: usize,
-    scratch: &mut Scratch,
-) -> Tensor {
-    let (c, k, s, p) = (spec.in_channels, spec.kernel, spec.stride, spec.padding);
-    let oh = spec.out_size(h);
-    let ow = spec.out_size(w);
-    assert_eq!(cols.shape(), &[n * oh * ow, c * k * k]);
-    let mut out = scratch.tensor_zeroed(&[n, c, h, w]);
-    let cd = cols.data();
-    let img_len = c * h * w;
-    let cols_chunk = oh * ow * c * k * k;
-    let od = out.data_mut();
-    if n > 1 && od.len() >= PAR_MIN_ELEMS && rayon::current_num_threads() > 1 {
-        od.par_chunks_mut(img_len)
-            .enumerate()
-            .for_each(|(img, dst)| {
-                col2im_image(
-                    dst,
-                    &cd[img * cols_chunk..(img + 1) * cols_chunk],
-                    c,
-                    h,
-                    w,
-                    k,
-                    s,
-                    p,
-                    oh,
-                    ow,
-                );
-            });
-    } else {
-        for (img, dst) in od.chunks_mut(img_len).enumerate() {
-            col2im_image(
-                dst,
-                &cd[img * cols_chunk..(img + 1) * cols_chunk],
-                c,
-                h,
-                w,
-                k,
-                s,
-                p,
-                oh,
-                ow,
-            );
-        }
-    }
+    let g = Geom::new(spec, h, w);
+    let xp = pad_input(x, spec.padding, scratch);
+    let off = g.patch_offsets(scratch);
+    let mut out = scratch.tensor_any(&[shape[0] * g.pixels(), g.ckk()]);
+    let xd = xp.data();
+    for_each_image(out.data_mut(), g.pixels() * g.ckk(), |img, dst| {
+        let image = &xd[img * g.image_len()..][..g.image_len()];
+        fill_pixel_rows(dst, g.ckk(), image, &g, &off, 0);
+    });
+    scratch.recycle_u32(off);
+    scratch.recycle_tensor(xp);
     out
 }
 
 /// Conv forward. `weight` is `[out_c, in_c*k*k]`, `bias` is `[out_c]`.
-/// Returns `(output[N,OC,OH,OW], cols)` — `cols` is cached for backward.
+/// Returns `(output[N,OC,OH,OW], cache)` — `cache` is what
+/// [`conv2d_backward`] needs of the input (the zero-padded batch).
 pub fn conv2d_forward(
     x: &Tensor,
     weight: &Tensor,
@@ -267,8 +392,7 @@ pub fn conv2d_forward(
     conv2d_forward_scratch(x, weight, bias, spec, &mut Scratch::new())
 }
 
-/// [`conv2d_forward`] with every temporary (patch matrix, GEMM output,
-/// reorder copy) drawn from the arena.
+/// [`conv2d_forward`] with output, cache and workspaces drawn from the arena.
 pub fn conv2d_forward_scratch(
     x: &Tensor,
     weight: &Tensor,
@@ -277,44 +401,48 @@ pub fn conv2d_forward_scratch(
     scratch: &mut Scratch,
 ) -> (Tensor, Tensor) {
     let shape = x.shape();
+    assert_eq!(shape.len(), 4, "conv expects NCHW");
     let (n, h, w) = (shape[0], shape[2], shape[3]);
-    let oh = spec.out_size(h);
-    let ow = spec.out_size(w);
-    let cols = im2col_scratch(x, spec, h, w, scratch);
-    // [N*OH*OW, CKK] x [CKK, OC] — via A · Bᵀ with weight [OC, CKK].
-    let mut y = matmul_a_bt_scratch(&cols, weight, scratch); // [N*OH*OW, OC]
-    crate::ops::add_bias(&mut y, bias);
-    // Rearrange [N*OH*OW, OC] → [N, OC, OH, OW]: a pure per-image permuted
-    // copy, parallelized over images (disjoint output chunks).
-    let mut out = scratch.tensor_any(&[n, spec.out_channels, oh, ow]);
-    {
-        let od = out.data_mut();
-        let yd = y.data();
-        let oc_n = spec.out_channels;
-        let reorder = |(img, dst): (usize, &mut [f32])| {
-            for pix in 0..oh * ow {
-                let src = (img * oh * ow + pix) * oc_n;
-                for oc in 0..oc_n {
-                    dst[oc * oh * ow + pix] = yd[src + oc];
-                }
-            }
+    assert_eq!(shape[1], spec.in_channels);
+    assert_eq!(weight.shape(), &spec.weight_shape());
+    let g = Geom::new(spec, h, w);
+    let (oc, ckk, pixels) = (spec.out_channels, g.ckk(), g.pixels());
+    assert_eq!(bias.len(), oc, "bias length mismatch");
+    // Resolve the ISA once, on the calling thread: a `with_isa` override is
+    // thread-local and pool workers must not consult their own.
+    let isa = simd::active_isa();
+    let (_, nr) = isa.geometry();
+
+    let xp = pad_input(x, spec.padding, scratch);
+    let off = g.patch_offsets(scratch);
+    let mut wpack = scratch.take_any(packed_a_len(isa, oc, ckk));
+    pack_a(isa, weight.data(), ckk, ASrc::Rows, oc, ckk, &mut wpack);
+    let mut out = scratch.tensor_any(&[n, oc, g.oh, g.ow]);
+    let (xd, bd) = (xp.data(), bias.data());
+    // y[img][OC, OH·OW] = W[OC, CKK] · patches[CKK, OH·OW] + b: already NCHW.
+    for_each_image(out.data_mut(), oc * pixels, |img, y| {
+        let image = &xd[img * g.image_len()..][..g.image_len()];
+        let patches = |j0: usize, cols: usize, k0: usize, kc: usize, bp: &mut [f32]| {
+            fill_patch_rows(bp, nr, image, &g, &off[k0..k0 + kc], j0, cols)
         };
-        if n > 1 && od.len() >= PAR_MIN_ELEMS && rayon::current_num_threads() > 1 {
-            od.par_chunks_mut(oc_n * oh * ow)
-                .enumerate()
-                .for_each(reorder);
-        } else {
-            od.chunks_mut(oc_n * oh * ow).enumerate().for_each(reorder);
+        with_pack_bufs(|bufs| {
+            panel_gemm(isa, &wpack, patches, &mut bufs.b, y, oc, pixels, ckk, true)
+        });
+        for (row, &b) in y.chunks_exact_mut(pixels).zip(bd) {
+            for v in row {
+                *v += b;
+            }
         }
-    }
-    scratch.recycle_tensor(y);
-    (out, cols)
+    });
+    scratch.recycle(wpack);
+    scratch.recycle_u32(off);
+    (out, xp)
 }
 
 /// Conv backward. Returns `(dx, dweight, dbias)`.
 pub fn conv2d_backward(
     grad_out: &Tensor,
-    cols: &Tensor,
+    cache: &Tensor,
     weight: &Tensor,
     spec: &Conv2dSpec,
     in_h: usize,
@@ -322,7 +450,7 @@ pub fn conv2d_backward(
 ) -> (Tensor, Tensor, Tensor) {
     conv2d_backward_scratch(
         grad_out,
-        cols,
+        cache,
         weight,
         spec,
         in_h,
@@ -336,47 +464,144 @@ pub fn conv2d_backward(
 /// retired.
 pub fn conv2d_backward_scratch(
     grad_out: &Tensor,
-    cols: &Tensor,
+    cache: &Tensor,
     weight: &Tensor,
     spec: &Conv2dSpec,
     in_h: usize,
     in_w: usize,
     scratch: &mut Scratch,
 ) -> (Tensor, Tensor, Tensor) {
-    let gs = grad_out.shape();
-    let (n, oc, oh, ow) = (gs[0], gs[1], gs[2], gs[3]);
+    assert_eq!(
+        &cache.shape()[2..],
+        &[in_h + 2 * spec.padding, in_w + 2 * spec.padding]
+    );
+    let (dw, db) = conv2d_param_grads_scratch(grad_out, cache, spec, scratch);
+    let dx = input_grad(grad_out, weight, spec, in_h, in_w, scratch);
+    (dx, dw, db)
+}
+
+/// The parameter half of [`conv2d_backward_scratch`]: `(dweight, dbias)`
+/// without the input gradient — all a network's first layer needs.
+pub fn conv2d_param_grads_scratch(
+    grad_out: &Tensor,
+    cache: &Tensor,
+    spec: &Conv2dSpec,
+    scratch: &mut Scratch,
+) -> (Tensor, Tensor) {
+    let (gs, xs) = (grad_out.shape(), cache.shape());
+    let (n, oc) = (gs[0], gs[1]);
     assert_eq!(oc, spec.out_channels);
-    // Rearrange grad [N, OC, OH, OW] → [N*OH*OW, OC]: per-image permuted
-    // copy, parallelized over images (disjoint output chunks).
-    let mut g2 = scratch.tensor_any(&[n * oh * ow, oc]);
-    {
-        let g2d = g2.data_mut();
-        let gd = grad_out.data();
-        let reorder = |(img, dst): (usize, &mut [f32])| {
-            for c in 0..oc {
-                let src = &gd[(img * oc + c) * oh * ow..(img * oc + c + 1) * oh * ow];
-                for (pix, &v) in src.iter().enumerate() {
-                    dst[pix * oc + c] = v;
-                }
+    assert_eq!((xs[0], xs[1]), (n, spec.in_channels));
+    let g = Geom::new(spec, xs[2] - 2 * spec.padding, xs[3] - 2 * spec.padding);
+    assert_eq!((gs[2], gs[3]), (g.oh, g.ow));
+    let (ckk, pixels) = (g.ckk(), g.pixels());
+    let isa = simd::active_isa();
+    let (_, nr) = isa.geometry();
+
+    let off = g.patch_offsets(scratch);
+    let mut dw = scratch.tensor_zeroed(&[oc, ckk]);
+    let mut db = scratch.tensor_zeroed(&[oc]);
+    let images = cache.data().chunks_exact(g.image_len());
+    let grads = grad_out.data().chunks_exact(oc * pixels);
+    // dW[OC, CKK] = Σ_img g[img][OC, OH·OW] · patchesᵀ[OH·OW, CKK]: the sum
+    // runs over the whole batch in order, so images take turns on one `C`.
+    with_pack_bufs(|bufs| {
+        for (img, (image, gimg)) in images.zip(grads).enumerate() {
+            let gpack = bufs.a.ensure_len(packed_a_len(isa, oc, pixels));
+            pack_a(isa, gimg, pixels, ASrc::Rows, oc, pixels, gpack);
+            let patches = |j0: usize, cols: usize, k0: usize, _kc: usize, bp: &mut [f32]| {
+                fill_pixel_rows(bp, nr, image, &g, &off[j0..j0 + cols], k0)
+            };
+            let first = img == 0;
+            panel_gemm(
+                isa,
+                gpack,
+                patches,
+                &mut bufs.b,
+                dw.data_mut(),
+                oc,
+                ckk,
+                pixels,
+                first,
+            );
+            sum_rows_onto(db.data_mut(), gimg, pixels);
+        }
+    });
+    scratch.recycle_u32(off);
+    (dw, db)
+}
+
+/// `acc[r] += Σ row r of `rows`` — each sum sequential in ascending order,
+/// eight rows' dependency chains interleaved so the adds pipeline.
+fn sum_rows_onto(acc: &mut [f32], rows: &[f32], len: usize) {
+    const CHAINS: usize = 8;
+    let mut groups = acc.chunks_exact_mut(CHAINS);
+    for (group, rows) in (&mut groups).zip(rows.chunks_exact(CHAINS * len)) {
+        let mut sums = [0.0f32; CHAINS];
+        sums.copy_from_slice(group);
+        for i in 0..len {
+            for (r, sum) in sums.iter_mut().enumerate() {
+                *sum += rows[r * len + i];
             }
-        };
-        if n > 1 && g2d.len() >= PAR_MIN_ELEMS && rayon::current_num_threads() > 1 {
-            g2d.par_chunks_mut(oh * ow * oc)
-                .enumerate()
-                .for_each(reorder);
-        } else {
-            g2d.chunks_mut(oh * ow * oc).enumerate().for_each(reorder);
+        }
+        group.copy_from_slice(&sums);
+    }
+    let tail = groups.into_remainder();
+    let done = rows.len() - tail.len() * len;
+    for (sum, row) in tail.iter_mut().zip(rows[done..].chunks_exact(len)) {
+        for &v in row {
+            *sum += v;
         }
     }
-    // dW[OC, CKK] = g2ᵀ · cols
-    let dw = matmul_at_b_scratch(&g2, cols, scratch);
-    let db = crate::ops::sum_rows_scratch(&g2, scratch);
-    // dcols[N*OH*OW, CKK] = g2 · W
-    let dcols = matmul_scratch(&g2, weight, scratch);
-    scratch.recycle_tensor(g2);
-    let dx = col2im_scratch(&dcols, spec, n, in_h, in_w, scratch);
-    scratch.recycle_tensor(dcols);
-    (dx, dw, db)
+}
+
+/// The input half of conv backward: per image
+/// `dpatches[CKK, OH·OW] = Wᵀ[CKK, OC] · g[img][OC, OH·OW]`, read straight
+/// from the NCHW gradient and folded back onto `dx[img]`.
+fn input_grad(
+    grad_out: &Tensor,
+    weight: &Tensor,
+    spec: &Conv2dSpec,
+    in_h: usize,
+    in_w: usize,
+    scratch: &mut Scratch,
+) -> Tensor {
+    let gs = grad_out.shape();
+    let (n, oc) = (gs[0], gs[1]);
+    let g = Geom::new(spec, in_h, in_w);
+    assert_eq!((gs[2], gs[3]), (g.oh, g.ow));
+    assert_eq!(weight.shape(), &spec.weight_shape());
+    let (ckk, pixels) = (g.ckk(), g.pixels());
+    let isa = simd::active_isa();
+    let (_, nr) = isa.geometry();
+
+    let mut wtpack = scratch.take_any(packed_a_len(isa, ckk, oc));
+    pack_a(isa, weight.data(), ckk, ASrc::Cols, ckk, oc, &mut wtpack);
+    let mut dx = scratch.tensor_zeroed(&[n, g.c, in_h, in_w]);
+    let gd = grad_out.data();
+    for_each_image(dx.data_mut(), g.c * in_h * in_w, |img, dst| {
+        let gimg = &gd[img * oc * pixels..][..oc * pixels];
+        let grads = |j0: usize, cols: usize, k0: usize, kc: usize, bp: &mut [f32]| {
+            pack_b_panel(gimg, pixels, BSrc::Rows, j0, cols, nr, k0, kc, bp)
+        };
+        with_pack_bufs(|bufs| {
+            let dpatches = bufs.a.ensure_len(ckk * pixels);
+            panel_gemm(
+                isa,
+                &wtpack,
+                grads,
+                &mut bufs.b,
+                dpatches,
+                ckk,
+                pixels,
+                oc,
+                true,
+            );
+            fold_patch_rows(dst, dpatches, &g, spec.padding);
+        });
+    });
+    scratch.recycle(wtpack);
+    dx
 }
 
 /// Max-pool forward with square window/stride. Returns output and the flat
@@ -409,8 +634,10 @@ pub fn maxpool2d_forward_scratch(
             let ob = (img * c + ch) * oh * ow;
             for oy in 0..oh {
                 for ox in 0..ow {
-                    let mut best = f32::NEG_INFINITY;
-                    let mut bi = 0usize;
+                    // Start from the window's own first cell, so a window of
+                    // `-inf` or NaN reports itself and an index inside it.
+                    let mut bi = cb + oy * window * w + ox * window;
+                    let mut best = xd[bi];
                     for ky in 0..window {
                         for kx in 0..window {
                             let i = cb + (oy * window + ky) * w + ox * window + kx;
@@ -502,26 +729,13 @@ mod tests {
         let sp = spec(1, 1, 3, 1, 1);
         let x = Tensor::full(&[1, 1, 3, 3], 1.0);
         let clean = im2col(&x, &sp, 3, 3);
+        assert_eq!(clean.shape(), &[9, 9]);
+        assert_eq!(clean.data()[..9], [0., 0., 0., 0., 1., 1., 0., 1., 1.]);
         let mut s = Scratch::new();
         s.recycle(vec![f32::NAN; clean.len() + 13]);
+        s.recycle(vec![f32::NAN; 25]);
         let dirty = im2col_scratch(&x, &sp, 3, 3, &mut s);
         assert_eq!(clean.data(), dirty.data());
-    }
-
-    #[test]
-    fn col2im_is_adjoint_of_im2col() {
-        // <im2col(x), y> == <x, col2im(y)> for random x, y — the defining
-        // property of an adjoint pair, which backprop relies on.
-        use rand::{rngs::SmallRng, SeedableRng};
-        let mut rng = SmallRng::seed_from_u64(11);
-        let sp = spec(2, 1, 3, 1, 1);
-        let x = Tensor::randn(&[2, 2, 5, 5], 1.0, &mut rng);
-        let cols = im2col(&x, &sp, 5, 5);
-        let y = Tensor::randn(cols.shape(), 1.0, &mut rng);
-        let lhs: f32 = cols.data().iter().zip(y.data()).map(|(a, b)| a * b).sum();
-        let folded = col2im(&y, &sp, 2, 5, 5);
-        let rhs: f32 = x.data().iter().zip(folded.data()).map(|(a, b)| a * b).sum();
-        assert!((lhs - rhs).abs() < 1e-3, "{lhs} vs {rhs}");
     }
 
     #[test]
@@ -625,5 +839,26 @@ mod tests {
         assert_eq!(dx.data()[13], 3.0); // "12"
         assert_eq!(dx.data()[15], 4.0); // "16"
         assert_eq!(dx.sum(), 10.0);
+    }
+
+    #[test]
+    fn maxpool_window_without_a_finite_cell_stays_in_its_window() {
+        // A window of `-inf` (or NaN) used to report flat index 0 — image 0,
+        // channel 0, pixel (0,0) — so backward credited another image, and
+        // a NaN window read back as `-inf`.
+        let inf = f32::NEG_INFINITY;
+        let x = Tensor::from_vec(&[2, 1, 2, 2], vec![1., 2., 3., 4., inf, inf, inf, inf]);
+        let (y, idx) = maxpool2d_forward(&x, 2);
+        assert_eq!(y.data(), &[4.0, inf]);
+        assert_eq!(idx, [3, 4]);
+        let g = Tensor::from_vec(&[2, 1, 1, 1], vec![10., 20.]);
+        let dx = maxpool2d_backward(&g, &idx, &[2, 1, 2, 2]);
+        assert_eq!(dx.data(), &[0., 0., 0., 10., 20., 0., 0., 0.]);
+
+        let nan = f32::NAN;
+        let x = Tensor::from_vec(&[2, 1, 2, 2], vec![1., 2., 3., 4., nan, nan, nan, nan]);
+        let (y, idx) = maxpool2d_forward(&x, 2);
+        assert!(y.data()[1].is_nan(), "a diverged window must stay visible");
+        assert_eq!(idx, [3, 4]);
     }
 }

@@ -3,12 +3,12 @@
 //! A deliberately small dense-tensor library: the numerical substrate for the
 //! `dtrain` reproduction of the IPDPS 2021 distributed-training study. It
 //! provides exactly what data-parallel SGD over MLPs/CNNs needs — row-major
-//! `f32` tensors, three cache-blocked GEMM variants, im2col convolution,
-//! max-pooling, softmax cross-entropy — executed on a real persistent
-//! thread pool (behind the `rayon` facade) with **deterministic**
-//! parallelism: work splits over independent output blocks only, and every
-//! per-element reduction runs in a fixed sequential order, so results are
-//! bit-identical for any `DTRAIN_THREADS` setting.
+//! `f32` tensors, three cache-blocked GEMM variants, convolution as per-image
+//! GEMMs on the same microkernels, max-pooling, softmax cross-entropy —
+//! executed on a real persistent thread pool (behind the `rayon` facade) with
+//! **deterministic** parallelism: work splits over independent output blocks
+//! only, and every per-element reduction runs in a fixed sequential order, so
+//! results are bit-identical for any `DTRAIN_THREADS` setting.
 //!
 //! The GEMM inner loops are explicit SIMD microkernels ([`simd`]) selected
 //! at runtime (AVX-512 / AVX2 / portable scalar) over packed, cache-line
@@ -17,7 +17,7 @@
 //! bit-identical across ISA tiers and machines — kernel speed is invisible
 //! to every numeric result.
 //!
-//! The [`Scratch`] arena pools kernel temporaries (im2col patch matrices,
+//! The [`Scratch`] arena pools kernel temporaries (zero-padded conv inputs,
 //! GEMM outputs, activation/gradient buffers); the `_scratch` kernel
 //! variants draw their outputs from it so steady-state training iterations
 //! allocate nothing.
@@ -39,9 +39,9 @@ pub mod simd;
 mod tensor;
 
 pub use conv::{
-    col2im, col2im_scratch, conv2d_backward, conv2d_backward_scratch, conv2d_forward,
-    conv2d_forward_scratch, im2col, im2col_scratch, maxpool2d_backward, maxpool2d_backward_scratch,
-    maxpool2d_forward, maxpool2d_forward_scratch, Conv2dSpec,
+    conv2d_backward, conv2d_backward_scratch, conv2d_forward, conv2d_forward_scratch,
+    conv2d_param_grads_scratch, im2col, im2col_scratch, maxpool2d_backward,
+    maxpool2d_backward_scratch, maxpool2d_forward, maxpool2d_forward_scratch, Conv2dSpec,
 };
 pub use matmul::{
     matmul, matmul_a_bt, matmul_a_bt_scratch, matmul_at_b, matmul_at_b_scratch, matmul_scratch,

@@ -45,7 +45,7 @@ use crate::tensor::Tensor;
 /// Reduction-dimension chunk: one packed A block column + B panel column
 /// stays L2-resident while a tile pass streams it. Chunk `> 0` resumes from
 /// the partial sums already in `C`.
-const KC: usize = 512;
+pub(crate) const KC: usize = 512;
 
 /// GEMMs below this many flops (`2·m·n·k`) run sequentially: a parallel
 /// region costs ~2–10 µs of dispatch + join, which a sub-8-Mflop GEMM
@@ -56,7 +56,7 @@ const PAR_FLOPS_MIN: usize = 8_000_000;
 /// How the packing stage reads the left operand's coefficient `a(i, p)`
 /// for output row `i`, reduction index `p`.
 #[derive(Clone, Copy)]
-enum ASrc {
+pub(crate) enum ASrc {
     /// `a(i, p) = d[i*stride + p]` — A stored row-major (`matmul`,
     /// `matmul_a_bt`).
     Rows,
@@ -67,7 +67,7 @@ enum ASrc {
 /// How the packing stage reads the right operand's element `b(p, j)` for
 /// reduction index `p`, output column `j`.
 #[derive(Clone, Copy)]
-enum BSrc {
+pub(crate) enum BSrc {
     /// `b(p, j) = d[p*stride + j]` — B stored row-major.
     Rows,
     /// `b(p, j) = d[j*stride + p]` — the Bᵀ view (`matmul_a_bt`): output
@@ -78,7 +78,7 @@ enum BSrc {
 /// Pack one A row-block: `dst[p*mr + ii] = a(i0+ii, k0+p)` for `p < kc`,
 /// zero-padding rows past `rows` so edge blocks feed the full-width kernel.
 #[allow(clippy::too_many_arguments)] // block coordinates, not configuration
-fn pack_a_block(
+pub(crate) fn pack_a_block(
     d: &[f32],
     stride: usize,
     src: ASrc,
@@ -120,7 +120,7 @@ fn pack_a_block(
 /// Pack one B column-panel: `dst[p*nr + jj] = b(k0+p, j0+jj)` for `p < kc`,
 /// zero-padding columns past `cols`.
 #[allow(clippy::too_many_arguments)] // panel coordinates, not configuration
-fn pack_b_panel(
+pub(crate) fn pack_b_panel(
     d: &[f32],
     stride: usize,
     src: BSrc,

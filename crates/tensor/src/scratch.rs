@@ -1,7 +1,7 @@
 //! A pooling arena for kernel and layer temporaries.
 //!
 //! Training iterates the same network over same-shaped batches, so every
-//! temporary buffer (im2col patches, GEMM outputs, activation/gradient
+//! temporary buffer (padded conv inputs, GEMM outputs, activation/gradient
 //! tensors, batch-norm statistics) has a stable size from one step to the
 //! next. [`Scratch`] keeps the backing `Vec`s of retired temporaries on a
 //! free list and hands them back on the next request: after a warm-up
@@ -292,7 +292,9 @@ impl Drop for AlignedVec {
 }
 
 /// Aligned packing buffers for one GEMM invocation: the packed A blocks and
-/// the packed B panels of the current reduction chunk.
+/// the packed B panels of the current reduction chunk. The convolutions keep
+/// their one live B panel in `b` and use `a` for whichever per-image operand
+/// is not shared across the batch (packed gradient rows, patch gradients).
 #[derive(Default)]
 pub(crate) struct PackBufs {
     pub a: AlignedVec,
