@@ -8,11 +8,11 @@
 //! decision (and the trace) is bit-reproducible run over run.
 //!
 //! Degradations applied here:
-//! - `SwitchToSsp` — BSP only: the remainder runs `Algo::Ssp` at the
-//!   policy's staleness. Other algorithms keep their strategy (the
-//!   barrier is the thing a straggler poisons).
-//! - `EnableDgc` — gradient-pushing algorithms only (BSP/ASP/SSP/AR-SGD):
-//!   the remainder runs with `opts.dgc = Some(default)`.
+//! - `SwitchToSsp` — [`Algo::degraded`](dtrain_faults::Algo::degraded), as
+//!   on the real paths: BSP only, the remainder runs `Algo::Ssp` at the
+//!   policy's staleness.
+//! - `EnableDgc` — the simulator-only half: gradient-pushing algorithms
+//!   (BSP/ASP/SSP/AR-SGD) run the remainder with `opts.dgc = Some(default)`.
 //!
 //! Each segment restarts its LR schedule over its own epoch span; the
 //! carried state is the model, exactly as a stop-and-restart with adopted
@@ -24,7 +24,7 @@ use dtrain_compress::DgcConfig;
 use dtrain_faults::{straggle_ratio, Adaptive, CtrlAction, CtrlPlan, CtrlSignals, SegmentReport};
 use dtrain_obs::{ObsSink, Phase};
 
-use crate::config::{Algo, RunConfig, StopCondition};
+use crate::config::{RunConfig, StopCondition};
 use crate::runner::{run_observed, RunOutput};
 
 /// Outcome of an adaptive simulated run.
@@ -65,16 +65,12 @@ pub fn run_adaptive(cfg: &RunConfig, ctrl: &CtrlPlan, sink: &ObsSink) -> Adaptiv
     let run_segment = |epochs, action, adopted: Option<&RunOutput>| {
         let mut seg = cfg.clone();
         seg.stop = StopCondition::Epochs(epochs);
-        match action {
-            CtrlAction::SwitchToSsp { staleness } if matches!(cfg.algo, Algo::Bsp) => {
-                seg.algo = Algo::Ssp { staleness };
-            }
-            CtrlAction::EnableDgc
-                if cfg.algo.communicates_gradients() && seg.opts.dgc.is_none() =>
-            {
-                seg.opts.dgc = Some(DgcConfig::default());
-            }
-            _ => {}
+        seg.algo = cfg.algo.degraded(action);
+        if action == CtrlAction::EnableDgc
+            && cfg.algo.communicates_gradients()
+            && seg.opts.dgc.is_none()
+        {
+            seg.opts.dgc = Some(DgcConfig::default());
         }
         let params = adopted.and_then(|probe| probe.final_params.clone());
         if let (Some(real), Some(params)) = (seg.real.as_mut(), params) {

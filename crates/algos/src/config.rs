@@ -3,61 +3,8 @@
 use dtrain_cluster::{ClusterConfig, CollectiveSchedule, ShardPlan};
 use dtrain_compress::DgcConfig;
 use dtrain_data::{Dataset, ImageTaskConfig, TeacherTaskConfig};
-use dtrain_faults::{ElasticConfig, FaultKind, FaultSchedule};
+use dtrain_faults::{Algo, ElasticConfig, FaultKind, FaultSchedule};
 use dtrain_models::ModelProfile;
-
-/// The seven algorithms of the paper (Table I), with their hyperparameters.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum Algo {
-    /// Bulk Synchronous Parallel (centralized, synchronous).
-    Bsp,
-    /// Asynchronous Parallel (centralized, asynchronous).
-    Asp,
-    /// Stale Synchronous Parallel with staleness threshold `s`.
-    Ssp { staleness: u64 },
-    /// Elastic Averaging SGD with communication period `tau` and moving
-    /// rate `alpha` (the paper's recommended α = 0.9/N when `None`).
-    Easgd { tau: u64, alpha: Option<f32> },
-    /// AllReduce SGD (decentralized, synchronous; ring collective).
-    ArSgd,
-    /// Gossip SGD with exchange probability `p`.
-    GoSgd { p: f64 },
-    /// Asynchronous Decentralized Parallel SGD (bipartite pairing).
-    AdPsgd,
-}
-
-impl Algo {
-    pub fn name(&self) -> &'static str {
-        match self {
-            Algo::Bsp => "BSP",
-            Algo::Asp => "ASP",
-            Algo::Ssp { .. } => "SSP",
-            Algo::Easgd { .. } => "EASGD",
-            Algo::ArSgd => "AR-SGD",
-            Algo::GoSgd { .. } => "GoSGD",
-            Algo::AdPsgd => "AD-PSGD",
-        }
-    }
-
-    /// Centralized algorithms use parameter servers.
-    pub fn is_centralized(&self) -> bool {
-        matches!(
-            self,
-            Algo::Bsp | Algo::Asp | Algo::Ssp { .. } | Algo::Easgd { .. }
-        )
-    }
-
-    /// Synchronous algorithms keep replicas identical every iteration.
-    pub fn is_synchronous(&self) -> bool {
-        matches!(self, Algo::Bsp | Algo::ArSgd)
-    }
-
-    /// Algorithms that communicate gradients (vs. parameters); only these
-    /// admit wait-free BP and DGC (paper §V-B/C).
-    pub fn communicates_gradients(&self) -> bool {
-        matches!(self, Algo::Bsp | Algo::Asp | Algo::Ssp { .. } | Algo::ArSgd)
-    }
-}
 
 /// The three optimization techniques (paper §V), plus BSP local aggregation.
 #[derive(Clone, Debug)]
@@ -339,22 +286,7 @@ impl RunConfig {
                 self.algo.name()
             ));
         }
-        if let Algo::GoSgd { p } = self.algo {
-            if !(0.0..=1.0).contains(&p) {
-                return Err(format!("GoSGD probability {p} out of [0,1]"));
-            }
-            if p > 0.0 && self.workers < 2 {
-                return Err("GoSGD with p > 0 needs ≥ 2 workers (no gossip target)".into());
-            }
-        }
-        if let Algo::Easgd { tau, .. } = self.algo {
-            if tau == 0 {
-                return Err("EASGD communication period τ must be ≥ 1".into());
-            }
-        }
-        if matches!(self.algo, Algo::AdPsgd) && self.workers < 2 {
-            return Err("AD-PSGD needs ≥ 2 workers".into());
-        }
+        self.algo.validate(self.workers)?;
         if self.real.is_none() && matches!(self.stop, StopCondition::Epochs(_)) {
             return Err(
                 "StopCondition::Epochs requires real training (epochs are data passes)".into(),
@@ -418,22 +350,6 @@ mod tests {
     }
 
     #[test]
-    fn names_and_classes() {
-        assert!(Algo::Bsp.is_centralized());
-        assert!(Algo::Bsp.is_synchronous());
-        assert!(!Algo::ArSgd.is_centralized());
-        assert!(Algo::ArSgd.is_synchronous());
-        assert!(!Algo::AdPsgd.is_synchronous());
-        assert!(Algo::Ssp { staleness: 3 }.communicates_gradients());
-        assert!(!Algo::Easgd {
-            tau: 8,
-            alpha: None
-        }
-        .communicates_gradients());
-        assert_eq!(Algo::GoSgd { p: 0.5 }.name(), "GoSGD");
-    }
-
-    #[test]
     fn validation_catches_misuse() {
         assert!(base(Algo::Bsp).validate().is_ok());
         let mut c = base(Algo::ArSgd);
@@ -445,9 +361,11 @@ mod tests {
         });
         c.opts.dgc = Some(DgcConfig::default());
         assert!(c.validate().is_err());
-        let mut c = base(Algo::GoSgd { p: 1.5 });
-        c.opts.ps_shards = 1;
-        assert!(c.validate().is_err());
+        for p in [1.5, -0.5] {
+            let mut c = base(Algo::GoSgd { p });
+            c.opts.ps_shards = 1;
+            assert!(c.validate().is_err(), "GoSGD p = {p}");
+        }
         let mut c = base(Algo::Bsp);
         c.workers = 100;
         assert!(c.validate().is_err());

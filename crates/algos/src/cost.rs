@@ -16,8 +16,8 @@
 //! re-derivations of it; they share its constants (FLOP accounting,
 //! `link_secs`) but flatten per-chunk pipelining into per-round terms.
 
-use crate::config::Algo;
 use dtrain_cluster::{BandwidthClass, ClusterConfig};
+use dtrain_faults::Algo;
 use dtrain_models::ModelProfile;
 
 /// Jitter-free compute seconds for one training iteration (forward +

@@ -189,9 +189,13 @@ impl Body for ArSgd {
             }
             None => (self.ring.len(), self.ring[(core.w + 1) % self.ring.len()]),
         };
-        // Real math: deposit own gradient before any communication.
+        // Real math: deposit own gradient before any communication. The
+        // ring hops carry timing only, so the deposit is where this
+        // worker's gradient counts toward `logical.bytes`.
         if let (Some(b), Some(real)) = (&self.board, core.real.as_mut()) {
-            b.deposit(iter, real.compute_grad());
+            let grad = real.compute_grad();
+            core.count_logical(ctx.now(), grad.num_bytes());
+            b.deposit(iter, grad);
         }
         let lr_full = core.current_lr() * core.num_workers as f32;
 

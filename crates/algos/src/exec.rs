@@ -28,7 +28,9 @@
 //! Every modelled transfer a worker starts goes through
 //! [`WorkerCore::send`], which reserves NIC time and counts the message's
 //! real payload toward `logical.bytes` (zero for control and timing-only
-//! messages); the [`Charge`] argument states the rest:
+//! messages — AR-SGD's ring hops are timing-only, so `ArSgd` counts its
+//! gradient where it deposits it on the all-reduce board); the [`Charge`]
+//! argument states the rest:
 //!
 //! | site | message | class | charge |
 //! |---|---|---|---|
@@ -634,7 +636,7 @@ impl WorkerCore {
 
     /// Accumulate real-payload bytes and emit the cumulative
     /// `logical.bytes` counter on this worker's obs track.
-    fn count_logical(&mut self, now: SimTime, bytes: u64) {
+    pub(crate) fn count_logical(&mut self, now: SimTime, bytes: u64) {
         if bytes == 0 {
             return;
         }
@@ -1116,7 +1118,7 @@ fn build_real_state(
         shard_indices,
         dgc: cfg.opts.dgc.as_ref().map(|d| {
             let mut d = d.clone();
-            if matches!(cfg.algo, crate::config::Algo::Ssp { .. }) {
+            if matches!(cfg.algo, dtrain_faults::Algo::Ssp { .. }) {
                 // SSP pushes optimizer *deltas*, which already carry the
                 // worker's momentum; DGC's momentum correction would apply
                 // momentum a second time and destabilize large-staleness

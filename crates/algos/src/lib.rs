@@ -40,8 +40,9 @@ mod runner;
 pub use adaptive::{run_adaptive, AdaptiveRunOutput};
 pub use centralized::{elastic_update, merge_grad};
 pub use config::{
-    Algo, FaultConfig, OptimizationConfig, RealTraining, RunConfig, StopCondition, SyntheticTask,
+    FaultConfig, OptimizationConfig, RealTraining, RunConfig, StopCondition, SyntheticTask,
 };
+pub use dtrain_faults::Algo;
 pub use exec::{
     build_worker_cores, shard_tensor_indices, slice_set, unslice_set, GradData, Msg, Recorder,
     Snapshot, WorkerCore,

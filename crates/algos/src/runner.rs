@@ -7,13 +7,13 @@ use std::sync::Arc;
 use dtrain_cluster::{Breakdown, LinkWindow, MetricsHub, NetModel, TrafficStats};
 use dtrain_compress::compressed_wire_bytes;
 use dtrain_desim::{Pid, SimTime, Simulation, StopReason, TraceRecord};
-use dtrain_faults::CheckpointStore;
+use dtrain_faults::{Algo, CheckpointStore};
 use dtrain_nn::{ParamSet, SgdMomentum};
 use dtrain_obs::{names, ObsSink, Track};
 
 use crate::centralized::{ps_process, BspRole, PsBody, PsCore, PsFaultState, PsMode, PsRealState};
 use crate::collective::{collective_engine, ChunkLayout, EngineCore};
-use crate::config::{Algo, RunConfig};
+use crate::config::RunConfig;
 use crate::decentralized::{
     adpsgd_is_active, AdPsgdActive, AdPsgdPassive, AllReduceBoard, ArSgd, GoSgd,
 };
@@ -66,13 +66,6 @@ impl RunOutput {
             self.throughput / single_worker_throughput
         }
     }
-}
-
-/// How the "trained model" is extracted for evaluation.
-fn eval_uses_worker_average(algo: Algo) -> bool {
-    // Synchronous algorithms keep replicas identical: worker 0 is the model.
-    // Everything else drifts; the conventional artifact is the replica mean.
-    !algo.is_synchronous()
 }
 
 /// Execute one run.
@@ -245,7 +238,7 @@ fn run_impl(cfg: &RunConfig, trace: bool, sink: &ObsSink) -> (RunOutput, Option<
                     num_workers: cfg.workers,
                 },
                 Algo::Easgd { alpha, .. } => PsMode::Easgd {
-                    alpha: alpha.unwrap_or(0.9 / cfg.workers as f32),
+                    alpha: Algo::easgd_alpha(alpha, cfg.workers),
                 },
                 _ => unreachable!(),
             };
@@ -378,18 +371,12 @@ fn run_impl(cfg: &RunConfig, trace: bool, sink: &ObsSink) -> (RunOutput, Option<
     );
 
     // ---- distill outputs ----
-    let snapshots = recorder.snapshots();
-    let curve = if cfg.real.is_some() {
-        evaluate_curve(cfg, &snapshots)
+    let (curve, final_params) = if cfg.real.is_some() {
+        evaluate_curve(cfg, &recorder.snapshots())
     } else {
-        Vec::new()
+        (Vec::new(), None)
     };
     let final_accuracy = curve.last().map(|p| p.test_accuracy);
-    let final_params = if cfg.real.is_some() {
-        final_params_of(cfg, &snapshots)
-    } else {
-        None
-    };
     let out = RunOutput {
         algo: cfg.algo.name().to_string(),
         workers: cfg.workers,
@@ -436,36 +423,19 @@ fn build_global_shard_params(cfg: &RunConfig) -> Option<Vec<ParamSet>> {
     Some(shards.iter().map(|idx| slice_set(&params, idx)).collect())
 }
 
-/// The trained model at the last completed epoch, selected the same way
-/// [`evaluate_curve`] picks the model it evaluates.
-fn final_params_of(cfg: &RunConfig, snapshots: &[Snapshot]) -> Option<ParamSet> {
-    let max_epoch = snapshots.iter().map(|s| s.epoch).max()?;
-    let of_epoch: Vec<&Snapshot> = snapshots.iter().filter(|s| s.epoch == max_epoch).collect();
-    if of_epoch.is_empty() {
-        return None;
-    }
-    let params: Vec<&ParamSet> = of_epoch.iter().map(|s| &s.params).collect();
-    let mean = ParamSet::mean_of(&params);
-    Some(if eval_uses_worker_average(cfg.algo) {
-        mean
-    } else {
-        of_epoch
-            .iter()
-            .find(|s| s.worker == 0)
-            .map(|s| s.params.clone())
-            .unwrap_or(mean)
-    })
-}
-
-/// Evaluate the recorded snapshots into an accuracy curve.
-fn evaluate_curve(cfg: &RunConfig, snapshots: &[Snapshot]) -> Vec<EpochPoint> {
+/// Evaluate the recorded snapshots into an accuracy curve, and hand back
+/// the model its last point evaluated — the run's trained model. Each
+/// epoch's model is worker 0's replica for synchronous algorithms (their
+/// replicas are identical) and the replica mean for everything else, the
+/// conventional artifact of replicas that drift.
+fn evaluate_curve(cfg: &RunConfig, snapshots: &[Snapshot]) -> (Vec<EpochPoint>, Option<ParamSet>) {
     let rcfg = cfg.real.as_ref().expect("real mode");
     let (_train, test) = rcfg.datasets();
     let (x, y) = test.as_batch();
     let mut eval_net = rcfg.task.build_net(rcfg.model_seed);
-    let use_average = eval_uses_worker_average(cfg.algo);
     let max_epoch = snapshots.iter().map(|s| s.epoch).max().unwrap_or(0);
     let mut out = Vec::new();
+    let mut trained = None;
     for e in 1..=max_epoch {
         let of_epoch: Vec<&Snapshot> = snapshots.iter().filter(|s| s.epoch == e).collect();
         if of_epoch.is_empty() {
@@ -477,14 +447,14 @@ fn evaluate_curve(cfg: &RunConfig, snapshots: &[Snapshot]) -> Vec<EpochPoint> {
         let drift = params
             .iter()
             .fold(0.0f32, |m, p| m.max(p.max_abs_diff(&mean)));
-        let chosen = if use_average {
-            mean
-        } else {
+        let chosen = if cfg.algo.is_synchronous() {
             of_epoch
                 .iter()
                 .find(|s| s.worker == 0)
                 .map(|s| s.params.clone())
                 .unwrap_or(mean)
+        } else {
+            mean
         };
         eval_net.set_params(&chosen);
         let (_loss, acc) = eval_net.eval_batch(x.clone(), &y);
@@ -495,6 +465,7 @@ fn evaluate_curve(cfg: &RunConfig, snapshots: &[Snapshot]) -> Vec<EpochPoint> {
             test_error: 1.0 - acc,
             drift,
         });
+        trained = Some(chosen);
     }
-    out
+    (out, trained)
 }

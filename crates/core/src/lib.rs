@@ -48,7 +48,7 @@ pub mod prelude {
     pub use dtrain_compress::DgcConfig;
     pub use dtrain_faults::{
         CheckpointStore, ElasticConfig, FaultEvent, FaultKind, FaultPlan, FaultSchedule,
-        MembershipView, RecoveryPolicy,
+        MembershipView,
     };
     pub use dtrain_models::{resnet50, vgg16, ModelProfile};
     pub use dtrain_obs::export::{canonical_trace, diff_canonical, perfetto_trace};

@@ -19,7 +19,7 @@ use dtrain_obs::{ObsSink, Track};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::schedule::{FaultEvent, FaultKind, FaultSchedule};
+use crate::schedule::{poisson, FaultEvent, FaultKind, FaultSchedule};
 
 /// Shared shape of every sim-path trace generator.
 #[derive(Clone, Copy, Debug)]
@@ -116,22 +116,6 @@ pub fn merge(schedules: &[FaultSchedule]) -> FaultSchedule {
             .flat_map(|s| s.events().iter().cloned())
             .collect(),
     )
-}
-
-/// Knuth's Poisson sampler (small λ).
-fn poisson(rng: &mut SmallRng, lambda: f64) -> usize {
-    if lambda <= 0.0 {
-        return 0;
-    }
-    let l = (-lambda).exp();
-    let (mut k, mut p) = (0usize, 1.0f64);
-    loop {
-        p *= rng.gen::<f64>();
-        if p <= l {
-            return k;
-        }
-        k += 1;
-    }
 }
 
 // ---------------------------------------------------------------------------

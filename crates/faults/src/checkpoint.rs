@@ -2,7 +2,7 @@
 //! parameter and optimizer state, keyed by owner id. A crashed member
 //! restores the snapshot instead of restarting from scratch, and a PS shard
 //! coming back from an outage rolls back to it — the recovery substrate for
-//! every policy in [`crate::RecoveryPolicy`].
+//! every per-algorithm recovery policy (DESIGN.md §3c).
 //!
 //! The store keeps a small bounded history per owner (not just the latest
 //! snapshot): PS-shard failover may need the state *at or before* a known

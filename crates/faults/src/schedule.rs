@@ -135,21 +135,6 @@ impl FaultSchedule {
     }
 }
 
-/// How an algorithm reacts to losing a member — the per-algorithm recovery
-/// semantics of the paper's seven algorithms.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RecoveryPolicy {
-    /// Synchronous groups (BSP barrier, AR-SGD ring): survivors rebuild the
-    /// group without the member and stall only while detection takes.
-    RebuildGroup,
-    /// Membership-flexible (ASP, EASGD, GoSGD, AD-PSGD): drop the member
-    /// immediately, re-admit it when it restarts.
-    DropAndReadmit,
-    /// SSP: drop the member *and* recompute the staleness bound over the
-    /// live workers' clocks so the bound does not pin to a dead clock.
-    RecomputeStaleness,
-}
-
 /// A per-worker, iteration-indexed projection of a schedule, for execution
 /// paths that count iterations instead of virtual time (the threaded
 /// runtime).
@@ -227,8 +212,9 @@ impl Default for FaultPlan {
     }
 }
 
-/// Knuth's Poisson sampler; fine for the small λ fault rates use.
-fn poisson(rng: &mut SmallRng, lambda: f64) -> usize {
+/// Knuth's Poisson sampler; fine for the small λ fault rates and chaos
+/// traces use.
+pub(crate) fn poisson(rng: &mut SmallRng, lambda: f64) -> usize {
     if lambda <= 0.0 {
         return 0;
     }

@@ -15,8 +15,8 @@
 //! - `comm_fraction` — the share of wall time the mean rank spent *not*
 //!   busy: exchange waits, server round-trips, reconnect backoff.
 //!
-//! Actions map to strategies by `dtrain_runtime::Strategy::degraded`, as
-//! on the threaded path.
+//! Actions map to algorithms by `dtrain_faults::Algo::degraded`, as on the
+//! threaded path and in the simulator.
 
 use std::time::{Duration, Instant};
 

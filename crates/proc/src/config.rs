@@ -13,8 +13,8 @@ use std::time::Duration;
 
 use dtrain_cluster::CollectiveSchedule;
 use dtrain_data::TeacherTaskConfig;
-use dtrain_faults::ChaosSpec;
-use dtrain_runtime::{RunPlan, Strategy};
+use dtrain_faults::{Algo, ChaosSpec};
+use dtrain_runtime::RunPlan;
 
 use crate::codec::{params_wire_len, MAX_PAYLOAD};
 
@@ -96,6 +96,9 @@ pub struct ProcConfig {
 impl ProcConfig {
     /// Reject, before anything is spawned, configurations that cannot run.
     ///
+    /// * Hyperparameters the algorithm cannot run with ([`Algo::validate`]):
+    ///   a worker would otherwise never average, or panic, and its death
+    ///   would be reported as an eviction.
     /// * A failure detector that cannot work: the reconnect window must
     ///   exceed the liveness-poll period, or a disconnected rank could be
     ///   swept before it ever had a poll's worth of time to come back.
@@ -103,6 +106,7 @@ impl ProcConfig {
     ///   receiver answers `Oversized` and drops the link, and the sender
     ///   would spend its whole reconnect window learning nothing from it.
     pub fn validate(&self) -> Result<(), String> {
+        self.plan.strategy.validate(self.plan.workers)?;
         if self.reconnect_window <= self.heartbeat_interval {
             return Err(format!(
                 "reconnect_window ({:?}) must exceed heartbeat_interval ({:?})",
@@ -166,18 +170,23 @@ impl Default for ProcConfig {
     }
 }
 
-fn strategy_str(s: Strategy) -> String {
+fn strategy_str(s: Algo) -> String {
     match s {
-        Strategy::Bsp => "bsp".into(),
-        Strategy::Asp => "asp".into(),
-        Strategy::Ssp { staleness } => format!("ssp:{staleness}"),
-        Strategy::Easgd { tau, alpha } => format!("easgd:{tau}:{:08x}", alpha.to_bits()),
-        Strategy::Gossip { p } => format!("gossip:{:016x}", p.to_bits()),
-        Strategy::AdPsgd => "adpsgd".into(),
+        Algo::Bsp => "bsp".into(),
+        Algo::Asp => "asp".into(),
+        Algo::Ssp { staleness } => format!("ssp:{staleness}"),
+        Algo::Easgd { tau, alpha: None } => format!("easgd:{tau}"),
+        Algo::Easgd {
+            tau,
+            alpha: Some(a),
+        } => format!("easgd:{tau}:{:08x}", a.to_bits()),
+        Algo::ArSgd => "arsgd".into(),
+        Algo::GoSgd { p } => format!("gossip:{:016x}", p.to_bits()),
+        Algo::AdPsgd => "adpsgd".into(),
     }
 }
 
-fn parse_strategy(s: &str) -> Result<Strategy, String> {
+fn parse_strategy(s: &str) -> Result<Algo, String> {
     let mut parts = s.split(':');
     let head = parts.next().unwrap_or("");
     fn hex(part: Option<&str>, s: &str, what: &str) -> Result<u64, String> {
@@ -185,25 +194,30 @@ fn parse_strategy(s: &str) -> Result<Strategy, String> {
             .ok_or_else(|| format!("strategy {s}: bad {what}"))
     }
     match head {
-        "bsp" => Ok(Strategy::Bsp),
-        "asp" => Ok(Strategy::Asp),
-        "adpsgd" => Ok(Strategy::AdPsgd),
+        "bsp" => Ok(Algo::Bsp),
+        "asp" => Ok(Algo::Asp),
+        "arsgd" => Ok(Algo::ArSgd),
+        "adpsgd" => Ok(Algo::AdPsgd),
         "ssp" => {
             let st = parts
                 .next()
                 .and_then(|v| v.parse::<u64>().ok())
                 .ok_or_else(|| format!("strategy {s}: bad staleness"))?;
-            Ok(Strategy::Ssp { staleness: st })
+            Ok(Algo::Ssp { staleness: st })
         }
         "easgd" => {
             let tau = parts
                 .next()
                 .and_then(|v| v.parse::<u64>().ok())
                 .ok_or_else(|| format!("strategy {s}: bad tau"))?;
-            let alpha = f32::from_bits(hex(parts.next(), s, "alpha")? as u32);
-            Ok(Strategy::Easgd { tau, alpha })
+            // No α token: the worker resolves the paper's 0.9/N itself.
+            let alpha = match parts.next() {
+                None => None,
+                a => Some(f32::from_bits(hex(a, s, "alpha")? as u32)),
+            };
+            Ok(Algo::Easgd { tau, alpha })
         }
-        "gossip" => Ok(Strategy::Gossip {
+        "gossip" => Ok(Algo::GoSgd {
             p: f64::from_bits(hex(parts.next(), s, "p")?),
         }),
         other => Err(format!("unknown strategy '{other}'")),
@@ -385,9 +399,9 @@ mod tests {
     #[test]
     fn worker_cfg_round_trips() {
         let mut cfg = ProcConfig::default();
-        cfg.plan.strategy = Strategy::Easgd {
+        cfg.plan.strategy = Algo::Easgd {
             tau: 4,
-            alpha: 0.23,
+            alpha: Some(0.23),
         };
         cfg.plan.base_lr = 0.0173;
         cfg.plan.collective = CollectiveSchedule::Pipelined;
@@ -408,7 +422,7 @@ mod tests {
         let back = decode_worker_cfg(&s).expect("decode");
         assert_eq!(back.plan.workers, cfg.plan.workers);
         assert_eq!(back.plan.base_lr.to_bits(), cfg.plan.base_lr.to_bits());
-        assert!(matches!(back.plan.strategy, Strategy::Easgd { tau: 4, alpha } if alpha == 0.23));
+        assert_eq!(back.plan.strategy, cfg.plan.strategy);
         assert_eq!(back.plan.collective, CollectiveSchedule::Pipelined);
         assert_eq!(back.plan.gpus_per_machine, 3);
         assert_eq!(back.hidden, cfg.hidden);
@@ -490,18 +504,65 @@ mod tests {
     #[test]
     fn all_strategies_round_trip() {
         for s in [
-            Strategy::Bsp,
-            Strategy::Asp,
-            Strategy::Ssp { staleness: 3 },
-            Strategy::Easgd {
+            Algo::Bsp,
+            Algo::Asp,
+            Algo::Ssp { staleness: 3 },
+            Algo::Easgd {
                 tau: 8,
-                alpha: 0.125,
+                alpha: None,
             },
-            Strategy::Gossip { p: 0.37 },
-            Strategy::AdPsgd,
+            Algo::Easgd {
+                tau: 8,
+                alpha: Some(0.125),
+            },
+            Algo::ArSgd,
+            Algo::GoSgd { p: 0.37 },
+            Algo::AdPsgd,
         ] {
             let back = parse_strategy(&strategy_str(s)).expect("parse");
             assert_eq!(format!("{back:?}"), format!("{s:?}"));
+        }
+        assert!(
+            parse_strategy("easgd:8:zz").is_err(),
+            "a present α must parse"
+        );
+    }
+
+    /// Hyperparameters no worker can run with are refused at launch, before
+    /// a worker binary is looked for or a process spawned: EASGD with τ = 0
+    /// would never average, GoSGD with p outside [0, 1] is no probability,
+    /// and a lone AD-PSGD worker would panic on an empty passive set — a
+    /// death the coordinator would report as an eviction.
+    #[test]
+    fn launch_refuses_unrunnable_hyperparameters() {
+        use crate::coordinator::{ProcError, ProcRun};
+
+        for (workers, strategy) in [
+            (
+                2,
+                Algo::Easgd {
+                    tau: 0,
+                    alpha: None,
+                },
+            ),
+            (2, Algo::GoSgd { p: 1.5 }),
+            (2, Algo::GoSgd { p: -0.5 }),
+            (1, Algo::AdPsgd),
+        ] {
+            let mut cfg = ProcConfig {
+                // Were `validate` skipped, the spawn would fail with `Io`.
+                worker_exe: Some(PathBuf::from("/nonexistent/dtrain-proc-worker")),
+                ..ProcConfig::default()
+            };
+            cfg.plan.workers = workers;
+            cfg.plan.strategy = strategy;
+            let err = cfg.validate().expect_err(strategy.name());
+            assert_eq!(Err(err.clone()), strategy.validate(workers));
+            match ProcRun::launch(cfg, &dtrain_obs::ObsSink::disabled()) {
+                Err(ProcError::Config(msg)) => assert_eq!(msg, err),
+                Err(other) => panic!("{}: expected the refusal, got {other}", strategy.name()),
+                Ok(_) => panic!("{}: launched", strategy.name()),
+            }
         }
     }
 

@@ -12,11 +12,11 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use dtrain_data::TeacherTaskConfig;
-use dtrain_faults::{CtrlAction, CtrlPlan};
+use dtrain_faults::{Algo, CtrlAction, CtrlPlan};
 use dtrain_obs::export::canonical_line;
 use dtrain_obs::ObsSink;
 use dtrain_proc::{train_proc_adaptive, ProcConfig};
-use dtrain_runtime::{RunPlan, Strategy};
+use dtrain_runtime::RunPlan;
 
 const TIMEOUT: Duration = Duration::from_secs(120);
 
@@ -28,7 +28,7 @@ fn straggler_cfg(epochs: u64) -> ProcConfig {
             workers: 4,
             epochs,
             batch: 16,
-            strategy: Strategy::Bsp,
+            strategy: Algo::Bsp,
             seed: 5,
             ..Default::default()
         },
@@ -82,11 +82,8 @@ fn straggling_process_trips_bsp_to_ssp_with_pinned_marker() {
     );
     assert!(a.signals.straggle_ratio > 2.0, "{:?}", a.signals);
     assert_eq!(a.segments.len(), 2);
-    assert_eq!(a.segments[0].strategy, Strategy::Bsp.name());
-    assert_eq!(
-        a.segments[1].strategy,
-        Strategy::Ssp { staleness: 3 }.name()
-    );
+    assert_eq!(a.segments[0].strategy, Algo::Bsp.name());
+    assert_eq!(a.segments[1].strategy, Algo::Ssp { staleness: 3 }.name());
     assert_eq!(
         a.segments.iter().map(|s| s.evictions).sum::<u64>(),
         0,

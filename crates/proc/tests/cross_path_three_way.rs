@@ -1,12 +1,13 @@
-//! The three-way conformance pin: for BSP on the same model, data, and
-//! schedule, the **simulator**, the **threaded runtime**, and the
-//! **process path** (real OS processes over loopback TCP) must agree
-//! exactly on the logical work — per-worker payload bytes pushed and
-//! iterations executed — and the two real-SGD paths must produce the
-//! same final model.
+//! The three-way conformance pin: for each of the seven algorithms on the
+//! same model, data, and schedule, the **simulator**, the **threaded
+//! runtime**, and the **process path** (real OS processes over loopback
+//! TCP) must agree exactly on the logical work — per-worker payload bytes
+//! pushed and iterations executed — and, where the math is deterministic,
+//! the two real-SGD paths must produce the same final model.
 //!
 //! This is the contract that makes the `ExecBackend` refactor safe: one
-//! `worker_body`, three transports, identical algorithm semantics.
+//! `Algo`, one `worker_body`, three transports, identical algorithm
+//! semantics.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -17,7 +18,7 @@ use dtrain_data::{teacher_task, TeacherTaskConfig};
 use dtrain_models::mlp_classifier;
 use dtrain_nn::ParamSet;
 use dtrain_proc::{train_proc_observed, ProcConfig};
-use dtrain_runtime::{train_threaded_observed, RunPlan, Strategy, ThreadedConfig};
+use dtrain_runtime::{train_threaded_observed, RunPlan, ThreadedConfig};
 
 const MODEL_SEED: u64 = 7;
 
@@ -39,6 +40,176 @@ fn final_counter(events: &[Event], track: Track, name: &str) -> Option<i64> {
             EventKind::Counter { name: n, value } if n == name => Some(value),
             _ => None,
         })
+}
+
+fn count_iters(events: &[Event], track: Track) -> usize {
+    events
+        .iter()
+        .filter(|e| e.track == track)
+        .filter(|e| matches!(e.kind, EventKind::Enter { name: "iter", .. }))
+        .count()
+}
+
+fn param_bits(p: &ParamSet) -> Vec<u32> {
+    p.0.iter()
+        .flat_map(|t| t.data().iter().map(|x| x.to_bits()))
+        .collect()
+}
+
+/// All seven algorithms, 2 workers, 2 epochs (8 iterations each), the
+/// identical MLP on all three paths. At two workers every push schedule is
+/// deterministic — ASP and SSP push every gradient, EASGD every τ-th
+/// iteration, GoSGD at p = 1 shares with the one peer every iteration,
+/// AD-PSGD's one active always pairs with its one passive — so per worker
+/// the `logical.bytes` counter and the iteration count must be equal on
+/// every path and equal to their analytic values, even where the arithmetic
+/// races. AR-SGD runs BSP's round on the real paths, so its final model is
+/// BSP's, bit for bit, on threads and on processes alike.
+#[test]
+fn sim_threaded_and_proc_agree_on_all_seven_algorithms() {
+    let task = tiny_task();
+    let (workers, batch, epochs) = (2usize, 16usize, 2u64);
+    let iters = epochs * (task.train_size as u64 / workers as u64 / batch as u64);
+    let (train, test) = teacher_task(&task);
+    let train = Arc::new(train);
+    let model_bytes = mlp_classifier(task.input_dim, &[64, 32], task.num_classes, MODEL_SEED)
+        .get_params()
+        .num_bytes();
+    let mut synchronous_models = Vec::new();
+
+    for algo in [
+        Algo::Bsp,
+        Algo::Asp,
+        Algo::Ssp { staleness: 3 },
+        Algo::Easgd {
+            tau: 2,
+            alpha: None,
+        },
+        Algo::ArSgd,
+        Algo::GoSgd { p: 1.0 },
+        Algo::AdPsgd,
+    ] {
+        let name = algo.name();
+        let sim_sink = ObsSink::enabled();
+        let sim = run_observed(
+            &RunConfig {
+                algo,
+                cluster: ClusterConfig::paper(NetworkConfig::TEN_GBPS),
+                workers,
+                profile: resnet50(),
+                batch,
+                opts: OptimizationConfig::default(),
+                stop: StopCondition::Iterations(iters),
+                real: Some(RealTraining {
+                    task: dtrain_algos::SyntheticTask::Teacher(task.clone()),
+                    batch,
+                    model_seed: MODEL_SEED,
+                    ..Default::default()
+                }),
+                seed: 5,
+                faults: None,
+            },
+            &sim_sink,
+        );
+        let thr_sink = ObsSink::enabled();
+        let thr = train_threaded_observed(
+            || mlp_classifier(task.input_dim, &[64, 32], task.num_classes, MODEL_SEED),
+            &train,
+            &test,
+            &ThreadedConfig {
+                workers,
+                epochs,
+                batch,
+                strategy: algo,
+                seed: 5,
+                ..Default::default()
+            },
+            &thr_sink,
+        );
+        let proc_sink = ObsSink::enabled();
+        let proc = train_proc_observed(
+            ProcConfig {
+                plan: RunPlan {
+                    workers,
+                    epochs,
+                    batch,
+                    strategy: algo,
+                    seed: 5,
+                    ..Default::default()
+                },
+                task: task.clone(),
+                model_seed: MODEL_SEED,
+                worker_exe: Some(PathBuf::from(env!("CARGO_BIN_EXE_dtrain-proc-worker"))),
+                ..Default::default()
+            },
+            Duration::from_secs(120),
+            &proc_sink,
+        )
+        .unwrap_or_else(|e| panic!("{name}: process-path run failed: {e}"));
+
+        let totals = [
+            sim.total_iterations,
+            thr.total_iterations,
+            proc.total_iterations,
+        ];
+        assert_eq!(
+            totals,
+            [workers as u64 * iters; 3],
+            "{name}: sim/threads/proc"
+        );
+        // One model-sized payload per push: a gradient (BSP, ASP, SSP,
+        // AR-SGD), the replica (EASGD, GoSGD, the AD-PSGD active's request)
+        // or the midpoint (the AD-PSGD passive's answer to each request,
+        // so the passive's bytes equal the active's).
+        let pushes = match algo {
+            Algo::Easgd { tau, .. } => iters / tau,
+            _ => iters,
+        };
+        let events = [
+            sim_sink.snapshot(),
+            thr_sink.snapshot(),
+            proc_sink.snapshot(),
+        ];
+        for w in 0..workers {
+            let track = Track::Worker(w as u16);
+            let bytes = events.each_ref().map(|ev| {
+                final_counter(ev, track, "logical.bytes")
+                    .unwrap_or_else(|| panic!("{name}: worker {w} emitted no logical.bytes"))
+            });
+            let expected = (pushes * model_bytes) as i64;
+            assert_eq!(
+                bytes, [expected; 3],
+                "{name}: worker {w} sim/threads/proc bytes"
+            );
+            // Iteration spans stay in the worker process; its report counts.
+            let counted = [
+                count_iters(&events[0], track) as u64,
+                count_iters(&events[1], track) as u64,
+                proc.per_worker[w].iterations,
+            ];
+            assert_eq!(
+                counted, [iters; 3],
+                "{name}: worker {w} sim/threads/proc iterations"
+            );
+            assert_eq!(proc.per_worker[w].logical_bytes, expected as u64, "{name}");
+        }
+        if algo.is_synchronous() {
+            synchronous_models.push((name, thr.final_params, proc.final_params));
+        }
+    }
+
+    // BSP first, AR-SGD second: four bit-identical models.
+    assert_eq!(synchronous_models.len(), 2);
+    let (_, bsp_thr, _) = &synchronous_models[0];
+    let bsp = param_bits(bsp_thr);
+    for (name, thr, proc) in &synchronous_models {
+        assert_eq!(param_bits(thr), bsp, "{name} on threads vs BSP on threads");
+        assert_eq!(
+            param_bits(proc),
+            bsp,
+            "{name} on processes vs BSP on threads"
+        );
+    }
 }
 
 /// BSP, 2 workers, 8 iterations, identical MLP on all three paths.
@@ -85,7 +256,7 @@ fn sim_threaded_and_proc_agree_on_bsp_logical_metrics() {
             workers,
             epochs,
             batch,
-            strategy: Strategy::Bsp,
+            strategy: Algo::Bsp,
             seed: 5,
             ..Default::default()
         },
@@ -101,7 +272,7 @@ fn sim_threaded_and_proc_agree_on_bsp_logical_metrics() {
                 workers,
                 epochs,
                 batch,
-                strategy: Strategy::Bsp,
+                strategy: Algo::Bsp,
                 seed: 5,
                 ..Default::default()
             },
@@ -185,7 +356,7 @@ fn threaded_and_proc_agree_bitwise_under_hier_collectives() {
                 workers,
                 epochs,
                 batch,
-                strategy: Strategy::Bsp,
+                strategy: Algo::Bsp,
                 seed: 5,
                 collective,
                 gpus_per_machine: 2,
@@ -199,7 +370,7 @@ fn threaded_and_proc_agree_bitwise_under_hier_collectives() {
                     workers,
                     epochs,
                     batch,
-                    strategy: Strategy::Bsp,
+                    strategy: Algo::Bsp,
                     seed: 5,
                     collective,
                     gpus_per_machine: 2,
@@ -250,11 +421,11 @@ fn threaded_and_proc_agree_bitwise_on_single_worker_server_strategies() {
     let train = Arc::new(train);
 
     for strategy in [
-        Strategy::Asp,
-        Strategy::Ssp { staleness: 3 },
-        Strategy::Easgd {
+        Algo::Asp,
+        Algo::Ssp { staleness: 3 },
+        Algo::Easgd {
             tau: 2,
-            alpha: 0.25,
+            alpha: Some(0.25),
         },
     ] {
         let thr = train_threaded_observed(

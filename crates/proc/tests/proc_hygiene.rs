@@ -6,9 +6,10 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use dtrain_data::TeacherTaskConfig;
+use dtrain_faults::Algo;
 use dtrain_obs::ObsSink;
 use dtrain_proc::{ProcConfig, ProcRun};
-use dtrain_runtime::{RunPlan, Strategy};
+use dtrain_runtime::RunPlan;
 
 fn cfg(epochs: u64) -> ProcConfig {
     ProcConfig {
@@ -16,7 +17,7 @@ fn cfg(epochs: u64) -> ProcConfig {
             workers: 4,
             epochs,
             batch: 16,
-            strategy: Strategy::Bsp,
+            strategy: Algo::Bsp,
             seed: 5,
             ..Default::default()
         },

@@ -8,7 +8,7 @@
 //! and its clock (wall nanoseconds since the adaptive run began).
 //!
 //! What each action means on the real paths is
-//! [`Strategy::degraded`](crate::Strategy::degraded): `SwitchToSsp`
+//! [`Algo::degraded`](dtrain_faults::Algo::degraded): `SwitchToSsp`
 //! applies only to a BSP probe; `EnableDgc` is recorded in the marker but
 //! shared memory moves no bytes — the sim path is where DGC alters the run.
 //!

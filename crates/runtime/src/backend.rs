@@ -10,11 +10,13 @@
 //! |---|---|---|
 //! | threads | `ThreadedBackend` (in this crate) | a direct call |
 //! | processes | `ProcBackend` (`dtrain-proc`) | a frame over TCP, decoded by the coordinator into the same call |
-//! | simulator | `dtrain-algos` | — (own bodies; conformance via golden traces) |
+//! | simulator | `dtrain-algos` | — (own bodies; held to the same logical work by the three-way pin) |
 //!
 //! The simulator keeps its own deterministic implementations (it must charge
-//! modeled time, not real time); the golden-trace suite plus the cross-path
-//! pins hold it to the same logical behavior as the real paths.
+//! modeled time, not real time); all three paths take the same
+//! [`dtrain_faults::Algo`], and the three-way pin
+//! (`dtrain-proc/tests/cross_path_three_way.rs`) holds all seven algorithms
+//! to the same per-worker payload bytes and iteration counts on every path.
 //!
 //! Method families:
 //!
@@ -23,7 +25,8 @@
 //!   pre-computed [`dtrain_faults::MembershipView`]; the process backend
 //!   answers from the coordinator's *dynamic* table, built as real
 //!   processes die.
-//! * **parameter server** — push/pull primitives for BSP/ASP/SSP/EASGD.
+//! * **parameter server** — push/pull primitives for BSP/ASP/SSP/EASGD
+//!   (and AR-SGD, which the real paths run as BSP's synchronous round).
 //! * **peer exchange** — mailbox primitives for GoSGD and AD-PSGD.
 //! * **fault hooks** — checkpoint cadence, crash restore, heartbeats.
 
@@ -31,9 +34,8 @@ use std::time::Duration;
 
 use crossbeam_channel::Sender;
 use dtrain_cluster::CollectiveSchedule;
+use dtrain_faults::Algo;
 use dtrain_nn::{ParamSet, SgdMomentum};
-
-use crate::strategy::Strategy;
 
 /// The path-agnostic slice of a run configuration: everything
 /// [`crate::worker_body`] needs to execute its share of the training run.
@@ -43,15 +45,15 @@ pub struct RunPlan {
     pub workers: usize,
     pub epochs: u64,
     pub batch: usize,
-    pub strategy: Strategy,
+    pub strategy: Algo,
     /// Single-worker base LR; scaled/warmed/decayed like the paper.
     pub base_lr: f32,
     pub momentum: f32,
     pub weight_decay: f32,
     pub seed: u64,
-    /// Reduction schedule for the synchronous (BSP) rounds. `Flat` is the
-    /// classic all-ranks barrier; `Hier`/`Pipelined` run the two-level
-    /// machine-grouped exchange from [`crate::hier_bsp_exchange`].
+    /// Reduction schedule for the synchronous (BSP, AR-SGD) rounds. `Flat`
+    /// is the classic all-ranks barrier; `Hier`/`Pipelined` run the
+    /// two-level machine-grouped exchange from [`crate::hier_bsp_exchange`].
     pub collective: CollectiveSchedule,
     /// Ranks per machine group for the hierarchical schedules (ranks
     /// `[m*g, (m+1)*g)` share machine `m`, mirroring the simulator's
@@ -65,7 +67,7 @@ impl Default for RunPlan {
             workers: 4,
             epochs: 10,
             batch: 32,
-            strategy: Strategy::Bsp,
+            strategy: Algo::Bsp,
             base_lr: 0.02,
             momentum: 0.9,
             weight_decay: 1e-4,

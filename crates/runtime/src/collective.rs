@@ -2,11 +2,11 @@
 //! paths.
 //!
 //! The simulator's two-level AR-SGD schedule (`dtrain-algos`) charges
-//! *modeled* time; this module is its real-execution twin for the BSP
-//! strategy (BSP ≡ AR-SGD in shared memory: one synchronous mean per
-//! round, only the transport differs). Ranks are grouped into synthetic
-//! machines of `gpus_per_machine` consecutive ranks — the simulator's
-//! placement — and each round runs three legs:
+//! *modeled* time; this module is its real-execution twin, run by BSP and
+//! AR-SGD alike (`worker_body` lowers AR-SGD onto BSP's round: one
+//! synchronous mean per round, only the transport differs). Ranks are
+//! grouped into synthetic machines of `gpus_per_machine` consecutive ranks
+//! — the simulator's placement — and each round runs three legs:
 //!
 //! 1. **intra-machine reduce** — every non-leader hands its raw gradient
 //!    to the group leader (min live rank on the machine); the leader sums

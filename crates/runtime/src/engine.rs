@@ -1,5 +1,5 @@
 //! The threaded training engine: N OS threads, each owning a model replica
-//! and a data shard, aggregating through the chosen [`Strategy`].
+//! and a data shard, aggregating by the chosen [`Algo`].
 //!
 //! This is the "production" counterpart of the simulator in `dtrain-algos`:
 //! same algorithms, real parallelism, real wall-clock. Execution is
@@ -19,14 +19,14 @@ use std::time::{Duration, Instant};
 
 use dtrain_cluster::CollectiveSchedule;
 use dtrain_data::Dataset;
-use dtrain_faults::{markers, CheckpointStore, MembershipView, RuntimeFaultSchedule};
+use dtrain_faults::{markers, Algo, CheckpointStore, MembershipView, RuntimeFaultSchedule};
 use dtrain_nn::{Network, ParamSet, SgdMomentum};
 use dtrain_obs::{ObsSink, Track, TrackHandle};
 use parking_lot::Mutex;
 
 use crate::backend::{BspOutcome, ExecBackend, PeerRequest, ReplyToken, RunPlan};
 use crate::hub::{final_cohort, Hub, PeerItem, Reply, Seat};
-use crate::strategy::{PsState, Strategy};
+use crate::strategy::PsState;
 use crate::worker::worker_body;
 
 /// Checkpoint-store owner key for the shared parameter server (workers use
@@ -100,7 +100,7 @@ pub struct ThreadedConfig {
     pub workers: usize,
     pub epochs: u64,
     pub batch: usize,
-    pub strategy: Strategy,
+    pub strategy: Algo,
     /// Single-worker base LR; scaled/warmed/decayed like the paper.
     pub base_lr: f32,
     pub momentum: f32,
@@ -137,7 +137,7 @@ impl Default for ThreadedConfig {
             workers: default_workers(),
             epochs: 10,
             batch: 32,
-            strategy: Strategy::Bsp,
+            strategy: Algo::Bsp,
             base_lr: 0.02,
             momentum: 0.9,
             weight_decay: 1e-4,
@@ -643,8 +643,8 @@ where
     F: Fn() -> Network + Send + Sync,
 {
     assert!(cfg.workers >= 1, "need at least one worker");
-    if matches!(cfg.strategy, Strategy::AdPsgd) {
-        assert!(cfg.workers >= 2, "AD-PSGD needs two workers");
+    if let Err(e) = cfg.strategy.validate(cfg.workers) {
+        panic!("{e}");
     }
     let shard_len = train.len() / cfg.workers;
     assert!(

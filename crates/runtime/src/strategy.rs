@@ -1,60 +1,17 @@
-//! The aggregation strategies of the two real execution paths, and the
-//! parameter-server state they share.
+//! The parameter-server state the two real execution paths share.
 //!
-//! These are the same seven algorithms as `dtrain-algos`, run for real: a
-//! `Mutex`-guarded parameter server for the centralized family, and the
-//! [`crate::Hub`]'s mailboxes for the decentralized one. [`PsState`] is
-//! owned by the hub; the threaded backend locks it directly and the process
-//! coordinator on behalf of a frame. Unlike the simulator, execution here
-//! is *not* deterministic — it races like production training does.
+//! The centralized family (BSP, ASP, SSP, EASGD) and AR-SGD, whose one
+//! synchronous mean per round the real paths take through BSP's round, run
+//! against a `Mutex`-guarded parameter server; GoSGD and AD-PSGD use the
+//! [`crate::Hub`]'s mailboxes. [`PsState`] is owned by the hub; the
+//! threaded backend locks it directly and the process coordinator on
+//! behalf of a frame. Unlike the simulator, execution here is *not*
+//! deterministic — it races like production training does.
 
 use std::sync::Arc;
 
-use dtrain_faults::CtrlAction;
 use dtrain_nn::{ParamSet, SgdMomentum};
 use parking_lot::{Condvar, Mutex, MutexGuard};
-
-/// Which aggregation rule the threaded workers follow.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum Strategy {
-    /// Barrier-synchronous rounds with a shared optimizer (BSP ≡ AR-SGD in
-    /// shared memory: the all-reduce is just the shared sum).
-    Bsp,
-    /// Lock-the-server asynchronous pushes (ASP).
-    Asp,
-    /// ASP plus a staleness bound: workers ahead of `slowest + s` block.
-    Ssp { staleness: u64 },
-    /// Local SGD with an elastic-averaging round every `tau` iterations.
-    Easgd { tau: u64, alpha: f32 },
-    /// Asymmetric gossip with probability `p` per iteration.
-    Gossip { p: f64 },
-    /// Bipartite symmetric exchanges (even ranks initiate).
-    AdPsgd,
-}
-
-impl Strategy {
-    pub fn name(&self) -> &'static str {
-        match self {
-            Strategy::Bsp => "BSP",
-            Strategy::Asp => "ASP",
-            Strategy::Ssp { .. } => "SSP",
-            Strategy::Easgd { .. } => "EASGD",
-            Strategy::Gossip { .. } => "GoSGD",
-            Strategy::AdPsgd => "AD-PSGD",
-        }
-    }
-
-    /// The strategy a run continues under after the degradation
-    /// controller's verdict: only BSP relaxes to SSP (the barrier is what a
-    /// straggler poisons; the asynchronous strategies already decouple),
-    /// and `EnableDgc` cannot change what the real paths put on the wire.
-    pub fn degraded(self, action: CtrlAction) -> Strategy {
-        match (self, action) {
-            (Strategy::Bsp, CtrlAction::SwitchToSsp { staleness }) => Strategy::Ssp { staleness },
-            _ => self,
-        }
-    }
-}
 
 /// Centralized shared state: global parameters + optimizer + SSP clocks.
 pub struct PsState {
@@ -166,12 +123,5 @@ mod tests {
         state.bump_clock(1, 4);
         let min = waiter.join().expect("waiter thread");
         assert_eq!(min, 4);
-    }
-
-    #[test]
-    fn strategy_names() {
-        assert_eq!(Strategy::Bsp.name(), "BSP");
-        assert_eq!(Strategy::Ssp { staleness: 3 }.name(), "SSP");
-        assert_eq!(Strategy::Gossip { p: 0.1 }.name(), "GoSGD");
     }
 }

@@ -10,7 +10,7 @@
 use std::time::Instant;
 
 use dtrain_data::Dataset;
-use dtrain_faults::markers;
+use dtrain_faults::{markers, Algo};
 use dtrain_nn::{LrSchedule, Network, SgdMomentum};
 use dtrain_obs::{names, Phase, TrackHandle, NO_ITER};
 use dtrain_tensor::Tensor;
@@ -18,7 +18,6 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::backend::{ExecBackend, PeerRequest, RunPlan};
-use crate::strategy::Strategy;
 
 /// What one worker hands back when its share of the run is over.
 pub struct WorkerOutcome {
@@ -117,7 +116,7 @@ pub fn worker_body<B: ExecBackend>(
                     markers::crash(obs, ns(&wall), w);
                     markers::evict(obs, ns(&wall), w);
                     backend.note_eviction();
-                    if matches!(plan.strategy, Strategy::Ssp { .. }) {
+                    if matches!(plan.strategy, Algo::Ssp { .. }) {
                         // Park the dead clock so survivors' staleness gate
                         // excludes it (a stalled clock would block them).
                         backend.park_clock();
@@ -128,16 +127,17 @@ pub fn worker_body<B: ExecBackend>(
                 }
                 if backend.rejoin_round(w) == Some(it_idx) {
                     match plan.strategy {
-                        Strategy::Bsp
-                        | Strategy::Asp
-                        | Strategy::Ssp { .. }
-                        | Strategy::Easgd { .. } => {
+                        Algo::Bsp
+                        | Algo::ArSgd
+                        | Algo::Asp
+                        | Algo::Ssp { .. }
+                        | Algo::Easgd { .. } => {
                             // Pull the current parameters from the server.
                             let fresh = backend.ps_snapshot();
                             net.set_params(&fresh);
                             opt.reset();
                         }
-                        Strategy::Gossip { .. } | Strategy::AdPsgd => {
+                        Algo::GoSgd { .. } | Algo::AdPsgd => {
                             // No server: resume from the latest checkpoint
                             // (peer averaging re-converges the replica).
                             if let Some((p, o, cp_iter)) = backend.checkpoint_restore() {
@@ -148,7 +148,7 @@ pub fn worker_body<B: ExecBackend>(
                             alpha = 1.0 / n; // gossip mixing mass as at init
                         }
                     }
-                    if matches!(plan.strategy, Strategy::Ssp { .. }) {
+                    if matches!(plan.strategy, Algo::Ssp { .. }) {
                         clock = it_idx;
                         cache_ts = it_idx;
                         backend.bump_clock(it_idx);
@@ -172,7 +172,10 @@ pub fn worker_body<B: ExecBackend>(
             obs.enter(ns(&wall), names::ITER, it_idx);
 
             match plan.strategy {
-                Strategy::Bsp => {
+                // AR-SGD is one synchronous mean per round: on the real
+                // paths that is BSP's round through the hub, flat or
+                // hierarchical — only the simulator models a ring.
+                Algo::Bsp | Algo::ArSgd => {
                     let (x, y) = train.gather(&batch);
                     busy += timed_train(&mut net, x, &y, obs, &wall);
                     let grad = net.grads();
@@ -200,7 +203,7 @@ pub fn worker_body<B: ExecBackend>(
                     }
                     net.set_params(&out.params);
                 }
-                Strategy::Asp => {
+                Algo::Asp => {
                     let (x, y) = train.gather(&batch);
                     busy += timed_train(&mut net, x, &y, obs, &wall);
                     backend.ps_gate();
@@ -211,7 +214,7 @@ pub fn worker_body<B: ExecBackend>(
                     net.set_params(&fresh);
                     backend.ps_applied();
                 }
-                Strategy::Ssp { staleness } => {
+                Algo::Ssp { staleness } => {
                     let (x, y) = train.gather(&batch);
                     busy += timed_train(&mut net, x, &y, obs, &wall);
                     let grad = net.grads();
@@ -240,7 +243,7 @@ pub fn worker_body<B: ExecBackend>(
                         clock.saturating_sub(cache_ts) as i64,
                     );
                 }
-                Strategy::Easgd { tau, alpha: a } => {
+                Algo::Easgd { tau, alpha: a } => {
                     let (x, y) = train.gather(&batch);
                     busy += timed_train(&mut net, x, &y, obs, &wall);
                     let grad = net.grads();
@@ -253,12 +256,13 @@ pub fn worker_body<B: ExecBackend>(
                         let push = net.get_params();
                         logical += push.num_bytes();
                         obs.counter(ns(&wall), names::LOGICAL_BYTES, logical as i64);
+                        let a = Algo::easgd_alpha(a, plan.workers);
                         let updated = backend.ps_elastic_exchange(&push, a);
                         net.set_params(&updated);
                         backend.ps_applied();
                     }
                 }
-                Strategy::Gossip { p } => {
+                Algo::GoSgd { p } => {
                     let (x, y) = train.gather(&batch);
                     busy += timed_train(&mut net, x, &y, obs, &wall);
                     let grad = net.grads();
@@ -301,7 +305,7 @@ pub fn worker_body<B: ExecBackend>(
                         }
                     }
                 }
-                Strategy::AdPsgd => {
+                Algo::AdPsgd => {
                     if is_active {
                         // initiate the exchange, overlap with compute;
                         // elastic draws only from passives scheduled live
@@ -380,7 +384,7 @@ pub fn worker_body<B: ExecBackend>(
 
     // AD-PSGD teardown: actives announce completion; passives serve until
     // every active is done (otherwise actives could block forever).
-    if matches!(plan.strategy, Strategy::AdPsgd) {
+    if matches!(plan.strategy, Algo::AdPsgd) {
         if is_active {
             backend.announce_done();
         } else {

@@ -5,8 +5,9 @@ use std::sync::Arc;
 
 use dtrain_cluster::CollectiveSchedule;
 use dtrain_data::{teacher_task, TeacherTaskConfig};
+use dtrain_faults::Algo;
 use dtrain_models::default_mlp;
-use dtrain_runtime::{train_threaded, Strategy, ThreadedConfig};
+use dtrain_runtime::{train_threaded, ThreadedConfig};
 
 fn data() -> (Arc<dtrain_data::Dataset>, dtrain_data::Dataset) {
     let (train, test) = teacher_task(&TeacherTaskConfig {
@@ -18,7 +19,7 @@ fn data() -> (Arc<dtrain_data::Dataset>, dtrain_data::Dataset) {
     (Arc::new(train), test)
 }
 
-fn run_strategy(strategy: Strategy, workers: usize, epochs: u64) -> dtrain_runtime::ThreadedReport {
+fn run_strategy(strategy: Algo, workers: usize, epochs: u64) -> dtrain_runtime::ThreadedReport {
     let (train, test) = data();
     train_threaded(
         || default_mlp(10, 7),
@@ -35,7 +36,7 @@ fn run_strategy(strategy: Strategy, workers: usize, epochs: u64) -> dtrain_runti
 
 #[test]
 fn bsp_trains_and_replicas_agree() {
-    let r = run_strategy(Strategy::Bsp, 4, 10);
+    let r = run_strategy(Algo::Bsp, 4, 10);
     assert!(r.final_accuracy > 0.45, "BSP accuracy {}", r.final_accuracy);
     assert!(r.final_drift < 1e-5, "BSP drift {}", r.final_drift);
     assert_eq!(r.total_iterations, 4 * 10 * 16);
@@ -56,7 +57,7 @@ fn bsp_hier_trains_and_replicas_agree() {
             &ThreadedConfig {
                 workers: 4,
                 epochs: 10,
-                strategy: Strategy::Bsp,
+                strategy: Algo::Bsp,
                 collective,
                 gpus_per_machine: 2,
                 ..Default::default()
@@ -75,22 +76,22 @@ fn bsp_hier_trains_and_replicas_agree() {
 
 #[test]
 fn asp_trains() {
-    let r = run_strategy(Strategy::Asp, 4, 10);
+    let r = run_strategy(Algo::Asp, 4, 10);
     assert!(r.final_accuracy > 0.4, "ASP accuracy {}", r.final_accuracy);
 }
 
 #[test]
 fn ssp_trains_with_bounded_staleness() {
-    let r = run_strategy(Strategy::Ssp { staleness: 3 }, 4, 10);
+    let r = run_strategy(Algo::Ssp { staleness: 3 }, 4, 10);
     assert!(r.final_accuracy > 0.4, "SSP accuracy {}", r.final_accuracy);
 }
 
 #[test]
 fn easgd_trains_and_drifts() {
     let r = run_strategy(
-        Strategy::Easgd {
+        Algo::Easgd {
             tau: 4,
-            alpha: 0.9 / 4.0,
+            alpha: None,
         },
         4,
         10,
@@ -116,7 +117,7 @@ fn gossip_trains() {
     let (_, test) = data();
     let (x, y) = test.as_batch();
     let (untrained_loss, _) = default_mlp(10, 7).eval_batch(x, &y);
-    let r = run_strategy(Strategy::Gossip { p: 0.5 }, 4, 10);
+    let r = run_strategy(Algo::GoSgd { p: 0.5 }, 4, 10);
     assert!(
         r.final_loss < untrained_loss,
         "GoSGD loss {} vs untrained {untrained_loss}",
@@ -131,7 +132,7 @@ fn gossip_trains() {
 
 #[test]
 fn adpsgd_trains() {
-    let r = run_strategy(Strategy::AdPsgd, 4, 10);
+    let r = run_strategy(Algo::AdPsgd, 4, 10);
     assert!(
         r.final_accuracy > 0.35,
         "AD-PSGD accuracy {}",
@@ -141,7 +142,7 @@ fn adpsgd_trains() {
 
 #[test]
 fn single_worker_matches_sequential_sgd_shape() {
-    let r = run_strategy(Strategy::Bsp, 1, 10);
+    let r = run_strategy(Algo::Bsp, 1, 10);
     assert!(
         r.final_accuracy > 0.45,
         "1-worker accuracy {}",
@@ -154,9 +155,59 @@ fn single_worker_matches_sequential_sgd_shape() {
 fn more_workers_do_more_total_iterations_in_parallel() {
     // Not a timing assertion (CI noise); just that the partitioned work adds
     // up and wall time is recorded.
-    let r = run_strategy(Strategy::Asp, 8, 4);
+    let r = run_strategy(Algo::Asp, 8, 4);
     assert_eq!(r.total_iterations, 8 * 4 * 8);
     assert!(r.wall_time.as_nanos() > 0);
+}
+
+/// Start a one-epoch run of `strategy` on `workers` threads.
+fn start(strategy: Algo, workers: usize) {
+    let (train, test) = data();
+    let _ = train_threaded(
+        || default_mlp(10, 7),
+        &train,
+        &test,
+        &ThreadedConfig {
+            workers,
+            epochs: 1,
+            strategy,
+            ..Default::default()
+        },
+    );
+}
+
+// Hyperparameters no worker can run with are refused before a thread
+// starts, with `Algo::validate`'s message — not a run that never averages
+// (EASGD τ = 0) or a worker that panics on an empty passive set.
+
+#[test]
+#[should_panic(expected = "EASGD communication period τ must be ≥ 1")]
+fn easgd_without_a_period_is_refused() {
+    start(
+        Algo::Easgd {
+            tau: 0,
+            alpha: None,
+        },
+        2,
+    );
+}
+
+#[test]
+#[should_panic(expected = "GoSGD probability 1.5 out of [0,1]")]
+fn gossip_probability_above_one_is_refused() {
+    start(Algo::GoSgd { p: 1.5 }, 2);
+}
+
+#[test]
+#[should_panic(expected = "GoSGD probability -0.5 out of [0,1]")]
+fn gossip_probability_below_zero_is_refused() {
+    start(Algo::GoSgd { p: -0.5 }, 2);
+}
+
+#[test]
+#[should_panic(expected = "AD-PSGD needs ≥ 2 workers")]
+fn lone_adpsgd_worker_is_refused() {
+    start(Algo::AdPsgd, 1);
 }
 
 #[test]

@@ -14,8 +14,9 @@ use std::time::Duration;
 
 use dtrain_data::TeacherTaskConfig;
 use dtrain_obs::ObsSink;
+use dtrain_repro::faults::Algo;
 use dtrain_repro::proc::{ProcConfig, ProcRun};
-use dtrain_repro::runtime::{RunPlan, Strategy};
+use dtrain_repro::runtime::RunPlan;
 
 fn main() {
     let cfg = ProcConfig {
@@ -23,7 +24,7 @@ fn main() {
             workers: 4,
             epochs: 3,
             batch: 16,
-            strategy: Strategy::Bsp,
+            strategy: Algo::Bsp,
             seed: 5,
             ..Default::default()
         },

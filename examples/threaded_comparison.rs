@@ -1,6 +1,7 @@
-//! Real multi-threaded training (no simulation): run all six aggregation
-//! strategies on actual OS threads and compare wall-clock time, accuracy,
-//! and replica drift on this machine.
+//! Real multi-threaded training (no simulation): run the paper's seven
+//! algorithms, with the simulator's own hyperparameters, on actual OS
+//! threads and compare wall-clock time, accuracy, and replica drift on
+//! this machine.
 //!
 //! Run with: `cargo run --release --example threaded_comparison`
 
@@ -9,7 +10,7 @@ use std::sync::Arc;
 use dtrain_core::prelude::*;
 use dtrain_data::{teacher_task, TeacherTaskConfig};
 use dtrain_models::default_mlp;
-use dtrain_repro::runtime::{train_threaded, Strategy, ThreadedConfig};
+use dtrain_repro::runtime::{train_threaded, ThreadedConfig};
 
 fn main() {
     let workers = std::thread::available_parallelism()
@@ -25,23 +26,11 @@ fn main() {
     });
     let train = Arc::new(train);
 
-    let strategies = [
-        Strategy::Bsp,
-        Strategy::Asp,
-        Strategy::Ssp { staleness: 3 },
-        Strategy::Easgd {
-            tau: 8,
-            alpha: 0.9 / workers as f32,
-        },
-        Strategy::Gossip { p: 0.1 },
-        Strategy::AdPsgd,
-    ];
-
     let mut table = Table::new(
         format!("Threaded training on {workers} OS threads (16 epochs, real wall-clock)"),
-        &["strategy", "accuracy", "drift", "wall time", "iters"],
+        &["algorithm", "accuracy", "drift", "wall time", "iters"],
     );
-    for strategy in strategies {
+    for strategy in presets::paper_algorithms() {
         let report = train_threaded(
             || default_mlp(10, 7),
             &train,
@@ -64,6 +53,7 @@ fn main() {
     println!("{}", table.render());
     println!(
         "Unlike the simulator, these runs race for real: rerun and the\n\
-         asynchronous rows will differ. The BSP row's drift stays exactly 0."
+         asynchronous rows will differ. The BSP and AR-SGD rows' drift stays\n\
+         exactly 0: both are one synchronous mean per round."
     );
 }

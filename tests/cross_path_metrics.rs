@@ -13,7 +13,7 @@ use std::sync::Arc;
 use dtrain_core::prelude::*;
 use dtrain_data::{teacher_task, TeacherTaskConfig};
 use dtrain_models::mlp_classifier;
-use dtrain_repro::runtime::{train_threaded_observed, Strategy, ThreadedConfig};
+use dtrain_repro::runtime::{train_threaded_observed, ThreadedConfig};
 
 const MODEL_SEED: u64 = 7;
 
@@ -91,7 +91,7 @@ fn sim_and_threaded_agree_on_bsp_logical_metrics() {
             workers,
             epochs,
             batch,
-            strategy: Strategy::Bsp,
+            strategy: Algo::Bsp,
             seed: 5,
             ..Default::default()
         },
@@ -197,7 +197,7 @@ fn sim_and_threaded_agree_on_elastic_bsp_schedule() {
             workers,
             epochs: 3,
             batch: 16,
-            strategy: Strategy::Bsp,
+            strategy: Algo::Bsp,
             seed: 5,
             faults: Some(RuntimeFaultConfig {
                 elastic: Some(Arc::new(view.clone())),
