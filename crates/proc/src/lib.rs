@@ -15,7 +15,8 @@
 //! | per-rank dedup / reply-replay machine | [`session`] |
 //! | run config + argv encoding | [`config`] |
 //! | worker-side `ExecBackend` (reconnect + chaos) | [`backend`] |
-//! | coordinator, spawning, failure model | [`coordinator`] |
+//! | coordinator state machine: membership, sessions, failure clocks — no sockets, threads or clock | [`coord_core`] |
+//! | coordinator shell: spawning, accept, handler threads, reaper, obs | [`coordinator`] |
 //!
 //! ```no_run
 //! use std::time::Duration;
@@ -37,6 +38,7 @@ pub mod adaptive;
 pub mod backend;
 pub mod codec;
 pub mod config;
+pub mod coord_core;
 pub mod coordinator;
 mod crc;
 pub mod proto;

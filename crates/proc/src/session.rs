@@ -1,5 +1,6 @@
 //! Per-rank session state: the pure request-dedup / reply-replay machine
-//! the coordinator drives its self-healing transport with.
+//! behind the self-healing transport ([`crate::coord_core`] keeps one per
+//! rank).
 //!
 //! The worker is always the caller and keeps exactly one request in
 //! flight, numbered by a per-rank sequence counter that survives
@@ -10,12 +11,10 @@
 //! applied twice would corrupt the model), and lower is *stale* (a frame
 //! the chaos layer duplicated long after its reply was consumed; drop it).
 //!
-//! Kept free of sockets, clocks and threads so the idempotency guarantees
-//! can be property-tested directly (see `tests/session_props.rs`). For the
-//! same reason it is generic over `R`, the bytes of a cached reply: the
-//! tests use plain `Vec<u8>` payloads; the coordinator caches
-//! `Arc<Vec<u8>>` — the whole sealed frame, shared with the handler that
-//! writes it, so neither caching nor replaying a reply copies it.
+//! Free of sockets, clocks and threads, so the idempotency guarantees are
+//! property-tested directly (`tests/session_props.rs`), and generic over
+//! `R`, the bytes of a cached reply: the tests use `Vec<u8>`, the core a
+//! [`ReplyFrame`](crate::coord_core::ReplyFrame).
 
 /// One rank's session, owned by the coordinator across that rank's
 /// connections (the TCP connection may die and resume; the session does
