@@ -73,16 +73,11 @@ pub fn merge_grad(acc: &mut Option<ParamSet>, data: &GradData) {
     }
 }
 
-/// The elastic-averaging update (EASGD, Zhang et al. 2015):
-/// `diff = x_w − x̃; x̃ += α·diff; x_w −= α·diff`. Returns the updated
-/// worker params; mutates the center in place.
+/// The elastic-averaging update, [`ParamSet::elastic_exchange`] with
+/// `center` as the center. Returns the updated worker params; mutates the
+/// center in place.
 pub fn elastic_update(center: &mut ParamSet, worker: &ParamSet, alpha: f32) -> ParamSet {
-    let mut updated = worker.clone();
-    // x_w' = x_w − α(x_w − x̃) = (1−α)x_w + α·x̃ :  lerp toward center
-    updated.lerp(center, alpha);
-    // x̃' = x̃ + α(x_w − x̃) : lerp toward worker
-    center.lerp(worker, alpha);
-    updated
+    center.elastic_exchange(worker, alpha)
 }
 
 /// Per-algorithm PS behaviour.

@@ -64,6 +64,18 @@ impl ParamSet {
         }
     }
 
+    /// The elastic-averaging exchange (EASGD, Zhang et al. 2015) with
+    /// `self` as the center: `diff = x_w − x̃; x̃ += α·diff; x_w −= α·diff`.
+    /// Returns the updated worker parameters; the center moves in place.
+    pub fn elastic_exchange(&mut self, worker: &ParamSet, alpha: f32) -> ParamSet {
+        let mut updated = worker.clone();
+        // x_w' = x_w − α(x_w − x̃) = (1−α)x_w + α·x̃ :  lerp toward center
+        updated.lerp(self, alpha);
+        // x̃' = x̃ + α(x_w − x̃) : lerp toward worker
+        self.lerp(worker, alpha);
+        updated
+    }
+
     /// Zero all tensors, keeping allocations.
     pub fn zero_(&mut self) {
         for t in &mut self.0 {

@@ -1,11 +1,12 @@
 //! The coordinator's decisions, with no sockets, threads or clock:
 //! membership fed by real deaths, each rank's [`Session`] and disconnect
-//! clock, the test pause gate, the counters — everything but the `Hub`.
-//! Inputs are what a rank's connections and processes do, plus
+//! clock, the request each rank has in flight and the connection its
+//! answer goes to, the test pause gate, the counters — everything but the
+//! `Hub`. Inputs are what a rank's connections and processes do, plus
 //! [`CoordCore::tick`] with the run's elapsed time handed in. Each call
-//! answers and queues [`Effect`]s for the caller to apply, in order, once
-//! it has let go of the core. DESIGN §5 "Failure model" has the state
-//! table; `tests/coord_core.rs` drives it through seeded interleavings.
+//! answers and queues [`Effect`]s for the caller to apply, in order.
+//! DESIGN §5 "Failure model" has the state table; `tests/coord_core.rs`
+//! drives it through seeded interleavings.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -84,8 +85,8 @@ pub enum Effect {
     /// Spawn the rank's rejoin replacement, numbered as [`CoordCore::exit`]
     /// expects it back.
     Spawn(usize, u32),
-    /// Something a waiter blocks on moved: an outcome or death recorded,
-    /// the pause gate, a generation, a reply cached for a newer connection.
+    /// Something `ProcRun`'s waits block on moved: an outcome or death
+    /// recorded, or the pause gate.
     Wake,
 }
 
@@ -93,9 +94,9 @@ pub enum Effect {
 struct Rank {
     phase: Phase,
     session: Session<ReplyFrame>,
-    /// Generation of the current process's handshake; an older
-    /// connection's reply belongs to a dead process.
-    first_gen: u64,
+    /// The request dispatched and not yet answered: the connection
+    /// generation it was read on and its seq. Only its reply is cached.
+    in_flight: Option<(u64, u32)>,
     /// Which of the rank's processes is current (0: the original).
     life: u32,
     /// Round the current process's next heartbeat announces; its start.
@@ -115,9 +116,10 @@ pub struct CoordCore {
     evicts: Vec<(usize, u64)>,
     rejoins: Vec<(usize, u64)>,
     view: Arc<MembershipView>,
-    /// Test pause gate: armed `(rank, round)`, then the rank it froze.
+    /// Test pause gate: armed `(rank, round)`, then the rank it froze with
+    /// the rounds its held heartbeat ack reports.
     armed: Option<(usize, u64)>,
-    paused: Option<usize>,
+    paused: Option<(usize, u64)>,
     tally: Tally,
     fx: Vec<Effect>,
 }
@@ -163,9 +165,8 @@ impl CoordCore {
         (r.phase, r.start_round, r.last_hb) = (Phase::Connected, start, start);
         r.session.reset();
         r.session.classify(seq); // the Hello consumed this seq
-        r.first_gen = r.session.next_generation();
-        self.fx.push(Effect::Wake);
-        Some((start, r.first_gen))
+        r.in_flight = None;
+        Some((start, r.session.next_generation()))
     }
 
     /// A connection opened with `Resume` from rank `w`:
@@ -188,36 +189,49 @@ impl CoordCore {
         }
         r.phase = Phase::Connected;
         self.tally.retries += 1;
-        let retry = Effect::Marker(names::RETRY, attempt.into());
-        self.fx.extend([retry, Effect::Wake]);
+        self.fx.push(Effect::Marker(names::RETRY, attempt.into()));
         Some((r.session.next_generation(), decision))
     }
 
     /// Request `seq` read on connection `generation`: stale unless that is
-    /// the rank's live connection.
+    /// the rank's live connection. A fresh one is in flight until replied.
     pub fn frame(&mut self, w: usize, generation: u64, seq: u32) -> Inbound<ReplyFrame> {
         let r = &mut self.ranks[w];
         if r.phase != Phase::Connected || r.session.generation != generation {
             return Inbound::Stale;
         }
-        r.session.classify(seq)
+        let inbound = r.session.classify(seq);
+        if inbound == Inbound::Fresh {
+            r.in_flight = Some((generation, seq));
+        }
+        inbound
     }
 
-    /// The dispatch of `seq`, read on connection `generation`, produced
-    /// `reply`: cache it for replay. Returns whether a newer connection
-    /// took over meanwhile — it then replays the cache, and the old
-    /// handler must leave the wire alone.
-    pub fn reply(&mut self, w: usize, generation: u64, seq: u32, reply: (u8, ReplyFrame)) -> bool {
+    /// Rank `w`'s request in flight, `(generation, seq)`: the one a
+    /// released answer belongs to.
+    pub fn in_flight(&self, w: usize) -> Option<(u64, u32)> {
+        self.ranks[w].in_flight
+    }
+
+    /// Request `seq`, read on connection `generation`, is answered with
+    /// `reply`. Unless that request is no longer in flight (its process is
+    /// gone), cache the reply for replay and name the connection to write
+    /// it to: the rank's live one, which a resume may have replaced since
+    /// the read; `None` while the link is down.
+    pub fn reply(
+        &mut self,
+        w: usize,
+        generation: u64,
+        seq: u32,
+        reply: (u8, ReplyFrame),
+    ) -> Option<u64> {
         let r = &mut self.ranks[w];
-        let cached = generation >= r.first_gen && r.session.last_seq == seq;
-        if cached {
-            r.session.cache_reply(reply.0, reply.1);
+        if r.in_flight != Some((generation, seq)) {
+            return None;
         }
-        let superseded = r.session.generation != generation;
-        if superseded && cached {
-            self.fx.push(Effect::Wake);
-        }
-        superseded
+        r.in_flight = None;
+        r.session.cache_reply(reply.0, reply.1);
+        (r.phase == Phase::Connected).then_some(r.session.generation)
     }
 
     /// Connection `generation` of rank `w` failed at `now`: link trouble,
@@ -249,19 +263,20 @@ impl CoordCore {
     }
 
     /// Rank `w` is about to run `round`: the rounds its current process
-    /// has executed, and whether the pause gate froze it (hold the ack
-    /// while [`Self::paused`] names it).
-    pub fn heartbeat(&mut self, w: usize, round: u64) -> (u64, bool) {
+    /// has executed, or `None` when the pause gate froze it — its ack is
+    /// held until [`Self::release_pause`] hands it out.
+    pub fn heartbeat(&mut self, w: usize, round: u64) -> Option<u64> {
         let r = &mut self.ranks[w];
         if matches!(r.phase, Phase::Connected | Phase::Disconnected(_)) {
             r.last_hb = r.last_hb.max(round);
         }
-        let gated = self.armed == Some((w, round));
-        if gated {
-            (self.armed, self.paused) = (None, Some(w));
-            self.fx.push(Effect::Wake);
+        let executed = round.saturating_sub(r.start_round);
+        if self.armed != Some((w, round)) {
+            return Some(executed);
         }
-        (round.saturating_sub(r.start_round), gated)
+        (self.armed, self.paused) = (None, Some((w, executed)));
+        self.fx.push(Effect::Wake);
+        None
     }
 
     /// A BSP round force-closed with `arrived` of its cohort.
@@ -352,13 +367,15 @@ impl CoordCore {
 
     /// The rank the pause gate froze, until the gate is released.
     pub fn paused(&self) -> Option<usize> {
-        self.paused
+        self.paused.map(|(w, _)| w)
     }
 
-    /// Open the pause gate for good: thaw the frozen rank, disarm the rest.
-    pub fn release_pause(&mut self) {
-        (self.armed, self.paused) = (None, None);
+    /// Open the pause gate for good and disarm it. Returns the frozen rank
+    /// and the rounds its held heartbeat ack reports.
+    pub fn release_pause(&mut self) -> Option<(usize, u64)> {
+        self.armed = None;
         self.fx.push(Effect::Wake);
+        self.paused.take()
     }
 
     pub fn tally(&self) -> Tally {

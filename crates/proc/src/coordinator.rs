@@ -1,14 +1,16 @@
 //! The coordinator shell: spawns worker processes, serves each connection
 //! from its own handler thread, reaps children and emits obs events. It
 //! decides nothing: membership, sessions, failure clocks, the pause gate
-//! and the done rule are [`CoordCore`]'s, behind one mutex and one condvar,
-//! and every exchange is [`Hub`]'s — `Coord::dispatch` is a frame ↔
-//! hub-call table, and a blocking request parks its handler in the hub.
-//! The shell applies the core's [`Effect`]s after each call and wakes
-//! waiters only when one says so. DESIGN §5 has the failure model.
+//! and the done rule are [`CoordCore`]'s, and every exchange is [`Hub`]'s,
+//! both behind one mutex. `Coord::dispatch` is a frame ↔ hub-call table.
+//! No handler thread waits in it: a request that cannot be answered yet is
+//! parked in the hub, the handler goes back to reading, and whichever call
+//! releases the answer — another rank's handler or the reaper's tick —
+//! caches it in the rank's session and writes it to the connection the
+//! core names. DESIGN §5 has the failure model.
 
-use std::io::{BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::{BufReader, ErrorKind, Write};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -19,10 +21,11 @@ use dtrain_faults::{markers, CheckpointStore};
 use dtrain_models::mlp_classifier;
 use dtrain_nn::{ParamSet, SgdMomentum};
 use dtrain_obs::{names, ObsSink, Track, TrackHandle};
-use dtrain_runtime::hub::{final_cohort, Hub, PeerItem, Reply, Seat};
+use dtrain_runtime::hub::{final_cohort, Answer, Hub, PeerItem, Reply, Seat};
+use dtrain_runtime::PsState;
 use parking_lot::{Condvar, Mutex};
 
-use crate::codec::encode_frame;
+use crate::codec::{encode_frame, CodecError};
 use crate::config::{encode_worker_cfg, worker_exe, ProcConfig};
 pub use crate::coord_core::WorkerStats;
 use crate::coord_core::{CoordCore, Effect, Outcome};
@@ -88,14 +91,29 @@ struct Proc {
     exited: bool,
 }
 
+/// What the coordinator's decisions read and write, under its one lock: the
+/// core, the hub, and the connection each rank's answers go to.
+struct State {
+    core: CoordCore,
+    hub: Hub,
+    /// Each rank's latest admitted connection: its generation and write
+    /// half.
+    links: Vec<Option<(u64, Link)>>,
+}
+
+/// A connection's write half, shared by its handler and whichever call
+/// answers the rank's parked request: one frame at a time.
+type Link = Arc<Mutex<TcpStream>>;
+
 /// Shared coordinator state (one per run), behind an `Arc` so handler
 /// threads, the reaper, and the [`ProcRun`] handle all see it.
 struct Coord {
     cfg: ProcConfig,
-    hub: Hub,
+    /// The hub's parameter server, reached without the lock.
+    ps: Arc<PsState>,
     store: CheckpointStore,
-    core: Mutex<CoordCore>,
-    /// Notified only on [`Effect::Wake`].
+    state: Mutex<State>,
+    /// Notified only on [`Effect::Wake`], for `ProcRun`'s waits.
     cv: Condvar,
     children: Mutex<Vec<Proc>>,
     stop: AtomicBool,
@@ -109,32 +127,89 @@ struct Coord {
 }
 
 impl Coord {
+    fn new(cfg: ProcConfig, sink: &ObsSink, exe: std::path::PathBuf, addr: String) -> Coord {
+        let mut init_net = mlp_classifier(
+            cfg.task.input_dim,
+            &cfg.hidden,
+            cfg.task.num_classes,
+            cfg.model_seed,
+        );
+        if let Some(p) = &cfg.initial_params {
+            init_net.set_params(p);
+        }
+        let hub = Hub::new(init_net.get_params(), &cfg.plan, Some(cfg.barrier_deadline));
+        let workers = cfg.plan.workers;
+        Coord {
+            ps: Arc::clone(hub.ps()),
+            store: CheckpointStore::new(cfg.checkpoint_interval),
+            state: Mutex::new(State {
+                core: CoordCore::new(&cfg),
+                hub,
+                links: vec![None; workers],
+            }),
+            cv: Condvar::new(),
+            children: Mutex::new(Vec::new()),
+            stop: AtomicBool::new(false),
+            wall: Instant::now(),
+            obs_rt: sink.track(Track::Runtime(0)),
+            obs_workers: (0..workers)
+                .map(|w| sink.track(Track::Worker(w as u16)))
+                .collect(),
+            exe,
+            addr,
+            cfg_str: encode_worker_cfg(&cfg),
+            cfg,
+        }
+    }
+
     fn ns(&self) -> u64 {
         self.wall.elapsed().as_nanos() as u64
     }
 
-    /// Run `f` on the core, then apply the effects it queued, in order and
-    /// outside the lock.
-    fn with_core<T>(&self, f: impl FnOnce(&mut CoordCore) -> T) -> T {
-        let mut core = self.core.lock();
-        let out = f(&mut core);
-        let effects = core.drain();
-        drop(core);
+    /// Run `f` on the state, then settle what it moved. Under the lock the
+    /// core's `Evict`/`Retire` reach the hub, and every answer the hub
+    /// released is matched to the request in flight that it answers, so a
+    /// dead process's answer can never be taken for its replacement's. The
+    /// other effects and the answers' writes happen after the lock.
+    fn with_state<T>(&self, f: impl FnOnce(&mut State) -> T) -> T {
+        let mut state = self.state.lock();
+        let out = f(&mut state);
+        let State { core, hub, .. } = &mut *state;
+        let mut effects = core.drain();
+        for effect in &effects {
+            match *effect {
+                Effect::Evict(w) => hub.evict(w),
+                Effect::Retire(w) => hub.retire(w),
+                _ => {}
+            }
+        }
+        let answers: Vec<_> = hub
+            .drain()
+            .into_iter()
+            .filter_map(|(w, answer)| {
+                count_partial(core, &answer);
+                Some((w, core.in_flight(w)?, answer))
+            })
+            .collect();
+        effects.extend(core.drain());
+        drop(state);
         effects.into_iter().for_each(|effect| self.apply(effect));
+        for (w, (generation, seq), answer) in answers {
+            self.deliver(w, generation, seq, self.reply_msg(answer));
+        }
         out
     }
 
     fn apply(&self, effect: Effect) {
         match effect {
             Effect::Marker(name, value) => self.obs_rt.instant(self.ns(), name, value),
-            Effect::Evict(w) => self.hub.evict(w),
-            Effect::Retire(w) => self.hub.retire(w),
             Effect::Spawn(rank, life) => {
                 if let Err(e) = self.spawn_worker(rank, life) {
                     eprintln!("dtrain-proc: failed to spawn rejoin replacement for {rank}: {e}");
                 }
             }
             Effect::Wake => self.cv.notify_all(),
+            Effect::Evict(_) | Effect::Retire(_) => {} // applied under the lock
         }
     }
 
@@ -147,15 +222,15 @@ impl Coord {
         mut ready: impl FnMut(&CoordCore) -> Option<T>,
     ) -> Option<T> {
         let deadline = timeout.map(|t| Instant::now() + t);
-        let mut core = self.core.lock();
+        let mut state = self.state.lock();
         loop {
-            if let Some(t) = ready(&core) {
+            if let Some(t) = ready(&state.core) {
                 return Some(t);
             }
             match deadline.map(|d| d.saturating_duration_since(Instant::now())) {
-                None => self.cv.wait(&mut core),
+                None => self.cv.wait(&mut state),
                 Some(left) if left.is_zero() => return None,
-                Some(left) => _ = self.cv.wait_for(&mut core, left),
+                Some(left) => _ = self.cv.wait_for(&mut state, left),
             }
         }
     }
@@ -164,11 +239,17 @@ impl Coord {
     /// window (the reaper's `tick` hardens an expired one into a death).
     fn lost(&self, w: usize, generation: u64) {
         let now = self.wall.elapsed();
-        self.with_core(|c| c.disconnect(w, generation, now));
+        self.with_state(|s| s.core.disconnect(w, generation, now));
     }
 
-    /// Start process number `life` of rank `w`, the core's numbering.
+    /// Start process number `life` of rank `w`, the core's numbering —
+    /// unless cleanup has begun: `stop` is read under the lock cleanup
+    /// takes to kill and reap, so no child outlives it.
     fn spawn_worker(&self, w: usize, life: u32) -> Result<(), ProcError> {
+        let mut children = self.children.lock();
+        if self.stop.load(Ordering::Relaxed) {
+            return Err(std::io::Error::other("the run is shutting down").into());
+        }
         let child = Command::new(&self.exe)
             .arg("--addr")
             .arg(&self.addr)
@@ -179,7 +260,7 @@ impl Coord {
             .stdin(Stdio::null())
             .stdout(Stdio::null())
             .spawn()?;
-        self.children.lock().push(Proc {
+        children.push(Proc {
             rank: w,
             life,
             child,
@@ -188,109 +269,144 @@ impl Coord {
         Ok(())
     }
 
+    /// Answer request `seq` of rank `w`, read on connection `generation`:
+    /// encode the reply once into the frame the session caches and the
+    /// socket takes, cache it, then write it to the connection the core
+    /// names — none while the link is down (a resume replays the cache).
+    fn deliver(&self, w: usize, generation: u64, seq: u32, reply: Msg) {
+        let mut frame = Vec::new();
+        let rty = encode_frame(&mut frame, seq, |e| reply.encode_into(e));
+        let frame = Arc::new(frame);
+        // Encoded, the reply's parameter set is dead weight: free it before
+        // the write below blocks on a slow peer.
+        drop(reply);
+        let link = self.with_state(|s| {
+            let to = s
+                .core
+                .reply(w, generation, seq, (rty, Arc::clone(&frame)))?;
+            let (_, link) = s.links[w].as_ref().filter(|(g, _)| *g == to)?;
+            Some((to, Arc::clone(link)))
+        });
+        if let Some((to, link)) = link {
+            if link.lock().write_all(&frame).is_err() {
+                self.lost(w, to);
+            }
+        }
+    }
+
+    /// Open the pause gate for good, and send the rank it froze its held
+    /// heartbeat ack.
+    fn release_pause(&self) {
+        let held = self.with_state(|s| {
+            let (w, executed) = s.core.release_pause()?;
+            Some((w, s.core.in_flight(w)?, executed))
+        });
+        if let Some((w, (generation, seq), executed)) = held {
+            let ack = Msg::HeartbeatAck {
+                checkpoint: self.store.due(executed),
+            };
+            self.deliver(w, generation, seq, ack);
+        }
+    }
+
     /// Service one request from rank `w`: decode the frame's intent into
     /// the matching hub call (or core / checkpoint bookkeeping) and encode
-    /// the answer; `None` for a message type a worker never sends.
-    /// Blocking requests park here.
-    fn dispatch(&self, w: usize, msg: Msg) -> Option<Msg> {
-        let hub = &self.hub;
-        Some(match msg {
+    /// the answer. `Ok(None)`: the request parked, and the call that
+    /// releases it answers. `Err` for a message type a worker never sends.
+    fn dispatch(&self, w: usize, msg: Msg) -> Result<Option<Msg>, Violation> {
+        let ps = &self.ps;
+        Ok(Some(match msg {
             Msg::Heartbeat { round } => {
-                let (executed, gated) = self.with_core(|c| c.heartbeat(w, round));
-                // Test pause gate: freeze this handler (and therefore the
-                // worker, which blocks on the ack) at a pinned round.
-                if gated {
-                    self.wait_until(None, |c| (c.paused() != Some(w)).then_some(()));
-                }
+                // Test pause gate: a frozen rank's ack is held back, and
+                // the worker, which blocks on it, with it.
+                let Some(executed) = self.with_state(|s| s.core.heartbeat(w, round)) else {
+                    return Ok(None);
+                };
                 Msg::HeartbeatAck {
                     checkpoint: self.store.due(executed),
                 }
             }
             Msg::Membership { round } => {
-                let live = self.core.lock().view().live_at(round);
+                let live = self.state.lock().core.view().live_at(round);
                 Msg::LiveSet {
                     live: live.into_iter().map(|v| v as u32).collect(),
                 }
             }
             Msg::Snapshot => Msg::Params {
-                params: hub.ps().snapshot(),
+                params: ps.snapshot(),
             },
             Msg::AspPushPull { grad, lr } => Msg::Params {
-                params: hub.ps().push_and_pull(&grad, lr),
+                params: ps.push_and_pull(&grad, lr),
             },
             Msg::SspPush { grad, lr } => {
-                hub.ps().push(&grad, lr);
+                ps.push(&grad, lr);
                 Msg::Ok
             }
             Msg::EasgdExchange { params, alpha } => Msg::Params {
-                params: hub.ps().elastic_exchange(&params, alpha),
+                params: ps.elastic_exchange(&params, alpha),
             },
             Msg::BumpClock { clock } => {
-                hub.ps().bump_clock(w, clock);
+                self.with_state(|s| s.hub.bump_clock(w, clock));
                 Msg::Ok
             }
-            Msg::WaitMinClock { needed } => Msg::MinClock {
-                min: hub.ps().wait_for_min_clock(needed),
-            },
-            Msg::BspExchange { round, lr, grad } => self.bsp_round(w, round, None, (grad, 1), lr),
+            Msg::WaitMinClock { needed } => {
+                return Ok(self.ask(|s| s.hub.wait_min_clock(w, needed)))
+            }
+            Msg::BspExchange { round, lr, grad } => {
+                return Ok(self.bsp_round(w, round, None, (grad, 1), lr))
+            }
             Msg::BspPartial {
                 round,
                 lr,
                 weight,
                 leaders,
                 partial,
-            } => self.bsp_round(w, round, Some(leaders), (partial, weight), lr),
+            } => return Ok(self.bsp_round(w, round, Some(leaders), (partial, weight), lr)),
             Msg::CollSend { target, params } => {
-                hub.coll_send(w, target as usize, params);
+                self.with_state(|s| s.hub.coll_send(w, target as usize, params));
                 Msg::Ok
             }
             // Bounded by the transfer deadline so a leader gathering from a
-            // worker that died mid-round degrades instead of parking forever.
-            Msg::CollRecv => match hub.coll_recv(w, Some(self.cfg.transfer_deadline)) {
-                Some((sender, params)) => Msg::CollItem {
-                    sender: sender as u32,
-                    params,
-                },
-                None => Msg::Gone,
-            },
+            // worker that died mid-round degrades instead of waiting forever.
+            Msg::CollRecv => {
+                let until = self.wall.elapsed() + self.cfg.transfer_deadline;
+                return Ok(self.ask(|s| s.hub.coll_recv(w, Some(until))));
+            }
             Msg::GossipSend {
                 target,
                 alpha,
                 params,
             } => {
-                hub.gossip_send(target as usize, params, alpha);
+                self.with_state(|s| s.hub.gossip_send(target as usize, params, alpha));
                 Msg::Ok
             }
             Msg::GossipDrain => Msg::GossipItems {
-                items: hub
-                    .gossip_drain(w)
+                items: self
+                    .with_state(|s| s.hub.gossip_drain(w))
                     .into_iter()
                     .map(|(params, alpha)| (alpha, params))
                     .collect(),
             },
             Msg::ExchangeRequest { target, params } => {
-                let token = hub.exchange_request(w, target as usize, params);
-                self.with_core(|c| *c.token(w) = Some(token));
+                self.with_state(|s| {
+                    let token = s.hub.exchange_request(w, target as usize, params);
+                    *s.core.token(w) = Some(token);
+                });
                 Msg::Ok
             }
             Msg::ExchangeAwait => {
-                let token = self.with_core(|c| c.token(w).take());
-                match token.map(|t| hub.exchange_await(t, None)) {
-                    Some(Reply::Ready(params)) => Msg::Params { params },
-                    _ => Msg::Gone,
-                }
+                return Ok(self.ask(|s| match s.core.token(w).take() {
+                    Some(token) => s.hub.exchange_await(token, None),
+                    None => Some(Answer::Exchange(Reply::Gone)),
+                }))
             }
-            Msg::ExchangePoll { block } => match hub.exchange_next(w, block) {
-                Some(PeerItem::Exchange { token, params }) => Msg::ExchangeItem { token, params },
-                Some(PeerItem::Done) => Msg::PeerDone,
-                None => Msg::Gone,
-            },
+            Msg::ExchangePoll { block } => return Ok(self.ask(|s| s.hub.exchange_next(w, block))),
             Msg::ExchangeRespond { token, params } => {
-                hub.exchange_respond(token, params);
+                self.with_state(|s| s.hub.exchange_respond(token, params));
                 Msg::Ok
             }
             Msg::AnnounceDone => {
-                hub.announce_done(w);
+                self.with_state(|s| s.hub.announce_done(w));
                 Msg::Ok
             }
             Msg::CkptSave { iteration, params } => {
@@ -319,11 +435,45 @@ impl Coord {
                     busy_ms,
                     params,
                 };
-                self.with_core(|c| c.complete(w, outcome));
+                self.with_state(|s| s.core.complete(w, outcome));
                 Msg::Ok // the connection loop ends after this
             }
-            _ => return None,
-        })
+            _ => return Err(Violation),
+        }))
+    }
+
+    /// A hub request that can wait: its reply now, or `None` once parked.
+    fn ask(&self, f: impl FnOnce(&mut State) -> Option<Answer>) -> Option<Msg> {
+        let answer = self.with_state(|s| {
+            let answer = f(s)?;
+            count_partial(&mut s.core, &answer);
+            Some(answer)
+        });
+        answer.map(|answer| self.reply_msg(answer))
+    }
+
+    /// The frame that answers a hub request. A round's reply carries the
+    /// fresh parameters, read as it is encoded: one answer's copy at a time.
+    fn reply_msg(&self, answer: Answer) -> Msg {
+        match answer {
+            Answer::Round { arrived, expected } => Msg::BspResult {
+                leader: arrived.is_some(),
+                arrived: arrived.unwrap_or(0) as u32,
+                expected: expected as u32,
+                params: self.ps.snapshot(),
+            },
+            Answer::MinClock(min) => Msg::MinClock { min },
+            Answer::Coll(Some((sender, params))) => Msg::CollItem {
+                sender: sender as u32,
+                params,
+            },
+            Answer::Exchange(Reply::Ready(params)) => Msg::Params { params },
+            Answer::Peer(Some(PeerItem::Exchange { token, params })) => {
+                Msg::ExchangeItem { token, params }
+            }
+            Answer::Peer(Some(PeerItem::Done)) => Msg::PeerDone,
+            Answer::Coll(None) | Answer::Exchange(_) | Answer::Peer(None) => Msg::Gone,
+        }
     }
 
     /// One BSP barrier seat (flat, or hierarchical over `leaders`), with a
@@ -336,24 +486,34 @@ impl Coord {
         leaders: Option<u32>,
         (partial, weight): (ParamSet, u32),
         lr: f32,
-    ) -> Msg {
-        let view = self.core.lock().view();
-        let seat = Seat {
-            rank: w,
-            round,
-            view: Some(&view),
-            leaders: leaders.map(|n| n as usize),
-        };
-        let deposit = (partial, weight as usize);
-        let out = self.hub.bsp_round(seat, deposit, lr, |_| {}, |_| {});
-        if let Some(arrived) = out.arrived.filter(|&n| n < out.expected) {
-            self.with_core(|c| c.partial_round(arrived));
-        }
-        Msg::BspResult {
-            leader: out.arrived.is_some(),
-            arrived: out.arrived.unwrap_or(0) as u32,
-            expected: out.expected as u32,
-            params: out.params,
+    ) -> Option<Msg> {
+        let now = self.wall.elapsed();
+        self.ask(|s| {
+            let view = s.core.view();
+            let seat = Seat {
+                rank: w,
+                round,
+                view: Some(&view),
+                leaders: leaders.map(|n| n as usize),
+                now,
+            };
+            s.hub.bsp_round(seat, (partial, weight as usize), lr, &())
+        })
+    }
+}
+
+/// A well-formed frame carrying a message type no worker sends.
+struct Violation;
+
+/// The closer of a round that force-closed short of its cohort counts it.
+fn count_partial(core: &mut CoordCore, answer: &Answer) {
+    if let &Answer::Round {
+        arrived: Some(n),
+        expected,
+    } = answer
+    {
+        if n < expected {
+            core.partial_round(n);
         }
     }
 }
@@ -361,22 +521,36 @@ impl Coord {
 /// A new connection: a fresh process's `Hello` (answered with the current
 /// globals) or a live process's `Resume` (answered as the core decides).
 /// What the core refuses is dropped; the rest falls into the service loop.
+/// An admitted connection becomes its rank's link in the same lock as the
+/// admission, so an answer released a moment later is written to it.
 fn handshake(coord: &Arc<Coord>, stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
+    let _ = stream.set_write_timeout(Some(coord.cfg.transfer_deadline));
+    let Ok(writer) = stream.try_clone() else {
+        return;
+    };
+    let link: Link = Arc::new(Mutex::new(writer));
     let mut conn = BufReader::new(stream);
     let first = Msg::read_from(&mut conn, &mut Vec::new());
-    let mut stream = conn.get_ref();
+    let admit = |s: &mut State, w: usize, generation: u64| {
+        s.links[w] = Some((generation, Arc::clone(&link)));
+    };
     let (w, generation, served) = match first {
         Ok((seq, Msg::Hello { worker })) => {
             let w = worker as usize;
-            let Some((start_round, generation)) = coord.with_core(|c| c.hello(w, seq)) else {
+            let admitted = coord.with_state(|s| {
+                let (start_round, generation) = s.core.hello(w, seq)?;
+                admit(s, w, generation);
+                Some((start_round, generation))
+            });
+            let Some((start_round, generation)) = admitted else {
                 return;
             };
             let ack = Msg::HelloAck {
                 start_round,
-                params: coord.hub.ps().snapshot(),
+                params: coord.ps.snapshot(),
             };
-            (w, generation, ack.write_to(&mut stream, seq).is_ok())
+            (w, generation, ack.write_to(&mut *link.lock(), seq).is_ok())
         }
         Ok((
             seq,
@@ -387,30 +561,24 @@ fn handshake(coord: &Arc<Coord>, stream: TcpStream) {
             },
         )) => {
             let w = worker as usize;
-            let Some((generation, decision)) = coord.with_core(|c| c.resume(w, last_seq, attempt))
-            else {
+            let admitted = coord.with_state(|s| {
+                let (generation, decision) = s.core.resume(w, last_seq, attempt)?;
+                admit(s, w, generation);
+                Some((generation, decision))
+            });
+            let Some((generation, decision)) = admitted else {
                 return;
             };
             let served = match decision {
                 // Never saw `last_seq`: ask the worker to resend it.
-                ResumeDecision::RequestResend => Msg::ResumeAck.write_to(&mut stream, seq).is_ok(),
-                // Saw it and finished it: replay the cached reply verbatim.
-                ResumeDecision::ResendCached(_, frame) => stream.write_all(&frame).is_ok(),
-                // Saw it, but its dispatch still runs on the stale handler
-                // (parked in a barrier or mailbox wait). Wait for that
-                // handler to cache its reply, then replay it here.
-                ResumeDecision::AwaitInFlight => {
-                    let replay = coord.wait_until(Some(coord.cfg.transfer_deadline), |c| {
-                        let s = c.session(w);
-                        if s.generation != generation || coord.stop.load(Ordering::Relaxed) {
-                            return Some(None); // superseded, or the run is over
-                        }
-                        s.cached.as_ref().map(|(_, frame)| Some(Arc::clone(frame)))
-                    });
-                    replay
-                        .flatten()
-                        .is_some_and(|frame| stream.write_all(&frame).is_ok())
+                ResumeDecision::RequestResend => {
+                    Msg::ResumeAck.write_to(&mut *link.lock(), seq).is_ok()
                 }
+                // Saw it and finished it: replay the cached reply verbatim.
+                ResumeDecision::ResendCached(_, frame) => link.lock().write_all(&frame).is_ok(),
+                // Saw it, and it is still parked: whichever call answers it
+                // writes the answer here.
+                ResumeDecision::AwaitInFlight => true,
                 ResumeDecision::Refuse => unreachable!("the core refuses these connections"),
             };
             (w, generation, served)
@@ -418,69 +586,73 @@ fn handshake(coord: &Arc<Coord>, stream: TcpStream) {
         _ => return,
     };
     if served {
-        serve_connection(coord, w, conn, generation);
+        serve_connection(coord, w, &mut conn, generation, &link);
     } else {
         coord.lost(w, generation);
     }
+    // Close the socket for good: the link's copy of it would keep it open.
+    let _ = conn.get_ref().shutdown(Shutdown::Both);
 }
 
 /// One worker connection's service loop: handshake already done; read a
 /// request, let the core classify it (dedup / replay), dispatch fresh
-/// requests, cache then write replies, until completion or a link error.
-/// Requests are read through one reusable payload buffer; a reply is
-/// encoded once, straight into the frame the cache and the socket share,
-/// and leaves in one write. A read or write error is link trouble that
+/// requests, until completion or a link error. Requests are read through
+/// one reusable payload buffer. A read or write error is link trouble that
 /// starts the reconnect window; a message type a worker never sends is the
-/// process's death. `conn` is the handshake's reader: one read buffer per connection for
-/// life, so nothing the peer sent behind its `Hello`/`Resume` is lost.
-fn serve_connection(coord: &Arc<Coord>, w: usize, mut conn: BufReader<TcpStream>, generation: u64) {
+/// process's death. `conn` is the handshake's reader: one read buffer per
+/// connection for life, so nothing the peer sent behind its
+/// `Hello`/`Resume` is lost.
+fn serve_connection(
+    coord: &Arc<Coord>,
+    w: usize,
+    conn: &mut BufReader<TcpStream>,
+    generation: u64,
+    link: &Link,
+) {
     let _ = conn
         .get_ref()
         .set_read_timeout(Some(coord.cfg.transfer_deadline));
     let _ = conn.get_ref().set_nodelay(true);
     let mut payload = Vec::new();
     loop {
-        // EOF, RST, read timeout, or a CRC-damaged frame: all link
-        // trouble, none of it proof of death.
-        let Ok((seq, msg)) = Msg::read_from(&mut conn, &mut payload) else {
-            return coord.lost(w, generation);
+        // A read timeout is link trouble only while the rank owes nothing:
+        // with a request parked, its worker is silent because it waits.
+        let waiting = coord.state.lock().core.in_flight(w).is_some();
+        let (seq, msg) = match Msg::read_from(conn, &mut payload) {
+            Ok(frame) => frame,
+            Err(CodecError::Io(e))
+                if waiting && matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) =>
+            {
+                continue
+            }
+            // EOF, RST, a read timeout, or a CRC-damaged frame: all link
+            // trouble, none of it proof of death.
+            Err(_) => return coord.lost(w, generation),
         };
         // Session gate: a duplicate replays the cached reply, never the
-        // dispatch; one still in dispatch, and a stale frame, are dropped.
-        match coord.with_core(|c| c.frame(w, generation, seq)) {
+        // dispatch; one still parked, and a stale frame, are dropped.
+        match coord.with_state(|s| s.core.frame(w, generation, seq)) {
             Inbound::Fresh => {}
             Inbound::Duplicate(Some((_, frame))) => {
-                if conn.get_ref().write_all(&frame).is_err() {
+                if link.lock().write_all(&frame).is_err() {
                     return coord.lost(w, generation);
                 }
                 continue;
             }
             Inbound::Duplicate(None) | Inbound::Stale => continue,
         }
-        // This handler may now park in a barrier for most of a round: keep
-        // the capacity the frame needed (the next one is the same size),
-        // not the up-to-2x slack that growing it by doubling left — per
-        // parked connection that is a model's worth of nothing. The floor
-        // keeps a heartbeat from shrinking it under the next gradient.
+        // The request may now wait in the hub for most of a round, with
+        // this buffer idle: keep the capacity the frame needed (the next
+        // one is the same size), not the up-to-2x slack that growing it by
+        // doubling left — per connection that is a model's worth of
+        // nothing. The floor keeps a heartbeat from shrinking it under the
+        // next gradient.
         payload.shrink_to(64 << 10);
         let finished = matches!(msg, Msg::RunComplete { .. });
-        let Some(reply) = coord.dispatch(w, msg) else {
-            return coord.with_core(|c| c.violation(w, generation));
-        };
-        let mut frame = Vec::new();
-        let rty = encode_frame(&mut frame, seq, |e| reply.encode_into(e));
-        let frame = Arc::new(frame);
-        // Encoded, the reply's parameter set is dead weight: free it before
-        // the write below blocks on a slow peer.
-        drop(reply);
-        // Cache BEFORE writing: a resumed connection replays a lost reply
-        // from the cache — also the handoff when a resume superseded this
-        // socket while dispatch was parked, and this handler must go quiet.
-        if coord.with_core(|c| c.reply(w, generation, seq, (rty, Arc::clone(&frame)))) {
-            return;
-        }
-        if conn.get_ref().write_all(&frame).is_err() {
-            return coord.lost(w, generation);
+        match coord.dispatch(w, msg) {
+            Ok(Some(reply)) => coord.deliver(w, generation, seq, reply),
+            Ok(None) => {}
+            Err(Violation) => return coord.with_state(|s| s.core.violation(w, generation)),
         }
         if finished {
             return;
@@ -506,32 +678,7 @@ impl ProcRun {
         let exe = worker_exe(cfg.worker_exe.as_ref()).map_err(ProcError::Config)?;
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?.to_string();
-        let mut init_net = mlp_classifier(
-            cfg.task.input_dim,
-            &cfg.hidden,
-            cfg.task.num_classes,
-            cfg.model_seed,
-        );
-        if let Some(p) = &cfg.initial_params {
-            init_net.set_params(p);
-        }
-        let coord = Arc::new(Coord {
-            hub: Hub::new(init_net.get_params(), &cfg.plan, Some(cfg.barrier_deadline)),
-            store: CheckpointStore::new(cfg.checkpoint_interval),
-            core: Mutex::new(CoordCore::new(&cfg)),
-            cv: Condvar::new(),
-            children: Mutex::new(Vec::new()),
-            stop: AtomicBool::new(false),
-            wall: Instant::now(),
-            obs_rt: sink.track(Track::Runtime(0)),
-            obs_workers: (0..workers)
-                .map(|w| sink.track(Track::Worker(w as u16)))
-                .collect(),
-            exe,
-            addr,
-            cfg_str: encode_worker_cfg(&cfg),
-            cfg,
-        });
+        let coord = Arc::new(Coord::new(cfg, sink, exe, addr));
 
         // Accept loop: hand each incoming connection to a handler thread.
         // Keeps accepting so rejoin replacements can connect late.
@@ -547,10 +694,11 @@ impl ProcRun {
             }
         });
 
-        // Reaper: report each child's exit once — even while the rank's
-        // handler is parked; a corpse needs no reconnect grace, so a
-        // `SIGKILL` is recorded within one poll — and tick the core's clock
-        // so expired reconnect windows harden into deaths.
+        // Reaper: report each child's exit once — a corpse needs no
+        // reconnect grace, so a `SIGKILL` is recorded within one poll — and
+        // tick the core's clock, so expired reconnect windows harden into
+        // deaths, and the hub's, so rounds and collective reads past their
+        // deadlines are answered.
         let reap = Arc::clone(&coord);
         std::thread::spawn(move || {
             while !reap.stop.load(Ordering::Relaxed) {
@@ -565,9 +713,12 @@ impl ProcRun {
                     })
                     .collect();
                 let now = reap.wall.elapsed();
-                reap.with_core(|c| {
-                    exited.into_iter().for_each(|(w, life)| c.exit(w, life));
-                    c.tick(now);
+                reap.with_state(|s| {
+                    exited
+                        .into_iter()
+                        .for_each(|(w, life)| s.core.exit(w, life));
+                    s.core.tick(now);
+                    s.hub.tick(now, &());
                 });
                 std::thread::sleep(reap.cfg.heartbeat_interval);
             }
@@ -603,12 +754,12 @@ impl ProcRun {
         {
             let mut children = self.coord.children.lock();
             let victim = children.iter_mut().find(|p| p.child.id() == pid)?;
-            // Reaped before the gate opens, so the handler's next write or
-            // read deterministically fails.
+            // Reaped before the gate opens, so writing the held ack
+            // deterministically fails.
             let _ = victim.child.kill();
             let _ = victim.child.wait();
         }
-        self.coord.with_core(CoordCore::release_pause);
+        self.coord.release_pause();
         self.coord
             .wait_until(Some(timeout), |c| c.evicted(rank).then_some(pid))
     }
@@ -627,7 +778,8 @@ impl ProcRun {
             )));
         }
         let cfg = &self.coord.cfg;
-        let core = self.coord.core.lock();
+        let state = self.coord.state.lock();
+        let core = &state.core;
         let (mean, _drift) = final_cohort(
             &core.replicas(),
             Some(&core.view()),
@@ -665,11 +817,11 @@ impl ProcRun {
     /// Kill and reap every spawned child, stop the service threads. Every
     /// step is idempotent, so `finish` and `Drop` may both run it.
     fn cleanup(&mut self) {
+        // Set before the children lock is taken below: a rejoin replacement
+        // spawned from here on is refused.
         self.coord.stop.store(true, Ordering::Relaxed);
-        // Release any paused handler so its thread can observe the dead
-        // socket and exit; the wake-up also ends a resume's replay wait.
-        self.coord.with_core(CoordCore::release_pause);
-        self.coord.hub.shutdown();
+        self.coord.release_pause();
+        self.coord.with_state(|s| s.hub.shutdown());
         // Kill (idempotent for already-exited children) and reap.
         let mut children = std::mem::take(&mut *self.coord.children.lock());
         for p in children.iter_mut() {
@@ -706,4 +858,28 @@ pub fn train_proc_observed(
     sink: &ObsSink,
 ) -> Result<ProcReport, ProcError> {
     ProcRun::launch(cfg, sink)?.finish(timeout)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Once cleanup has begun, a rejoin replacement is refused, not
+    /// spawned where nothing would ever reap it.
+    #[test]
+    fn no_worker_is_spawned_once_cleanup_began() {
+        let mut cfg = ProcConfig::default();
+        cfg.plan.workers = 1;
+        // Never started: the spawn is refused first.
+        let exe = std::env::current_exe().expect("the test binary's path");
+        let coord = Coord::new(cfg, &ObsSink::disabled(), exe, "127.0.0.1:9".into());
+        let mut run = ProcRun {
+            coord: Arc::new(coord),
+            accept_thread: None,
+            started: Instant::now(),
+        };
+        run.cleanup();
+        assert!(run.coord.spawn_worker(0, 1).is_err());
+        assert_eq!(run.pids(), vec![], "a spawn after cleanup adds no PID");
+    }
 }

@@ -15,8 +15,8 @@
 //! | per-rank dedup / reply-replay machine | [`session`] |
 //! | run config + argv encoding | [`config`] |
 //! | worker-side `ExecBackend` (reconnect + chaos) | [`backend`] |
-//! | coordinator state machine: membership, sessions, failure clocks — no sockets, threads or clock | [`coord_core`] |
-//! | coordinator shell: spawning, accept, handler threads, reaper, obs | [`coordinator`] |
+//! | coordinator state machine: membership, sessions, failure clocks, which connection an answer goes to — no sockets, threads or clock | [`coord_core`] |
+//! | coordinator shell: spawning, accept, handler threads that never wait, delivery of parked answers, reaper, obs | [`coordinator`] |
 //!
 //! ```no_run
 //! use std::time::Duration;

@@ -4,9 +4,10 @@
 //! One TCP connection per worker (star topology). The worker is always the
 //! caller: it sends a request frame and blocks on the reply, so there is
 //! never more than one frame in flight per connection and the coordinator's
-//! per-connection handler thread can service requests in order — including
-//! blocking ones (barrier arrival, SSP clock waits), which simply park the
-//! handler thread while other connections proceed.
+//! per-connection handler thread can service requests in order. A request
+//! that must wait (barrier arrival, an SSP clock gate, an empty mailbox)
+//! parks in the hub, not on the thread: the handler goes back to reading,
+//! and whichever later call releases the answer writes the reply.
 //!
 //! Decentralized algorithms are *relayed*: gossip shares and AD-PSGD
 //! exchange requests are posted to per-worker mailboxes inside the
@@ -14,7 +15,7 @@
 //! `ExchangePoll`/`GossipDrain` piggybacked on its own connection. A
 //! [`Msg::ExchangeItem`] carries a coordinator-assigned `token`; the
 //! passive returns the midpoint with `ExchangeRespond { token, .. }` and
-//! the coordinator routes it back to the blocked requester.
+//! the coordinator routes it back to the waiting requester.
 
 use dtrain_nn::ParamSet;
 

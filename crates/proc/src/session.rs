@@ -22,9 +22,9 @@
 #[derive(Debug, Default)]
 pub struct Session<R = Vec<u8>> {
     /// Bumped on every accepted connection (fresh or resumed); handler
-    /// threads capture their generation at spawn so a stale thread that
-    /// wakes up after a resume can tell its socket is no longer the
-    /// session's and exit without recording a disconnect.
+    /// threads capture their generation at spawn so a stale thread can
+    /// tell its socket is no longer the session's and exit without
+    /// recording a disconnect.
     pub generation: u64,
     /// Highest request seq accepted for dispatch.
     pub last_seq: u32,
@@ -46,8 +46,8 @@ pub enum Inbound<R = Vec<u8>> {
     /// invalidated the previous cached reply).
     Fresh,
     /// Duplicate of the last request. `Some` carries the cached reply to
-    /// resend; `None` means the original dispatch is still running on
-    /// another (stale) handler thread — wait for it to cache, then resend.
+    /// resend; `None` means the request is still unanswered — its answer
+    /// goes to the live connection when it comes.
     Duplicate(Option<(u8, R)>),
     /// Older than the last dispatched request: its reply was already
     /// consumed, drop the frame silently.
@@ -61,8 +61,8 @@ pub enum ResumeDecision<R = Vec<u8>> {
     RequestResend,
     /// The awaited request was served; replay the cached reply.
     ResendCached(u8, R),
-    /// The awaited request is still being dispatched; wait until its reply
-    /// is cached, then replay it.
+    /// The awaited request is still unanswered; its answer goes to the
+    /// resumed connection when it comes.
     AwaitInFlight,
     /// The resume regressed below state the worker itself acknowledged —
     /// a protocol violation; drop the connection.

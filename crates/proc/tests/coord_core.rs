@@ -1,12 +1,17 @@
 //! Seeded interleavings of the coordinator's real state machine
 //! ([`CoordCore`]) and a real [`Hub`], with no process, socket, thread,
 //! sleep or wall clock. A simulated cohort of worker processes shakes
-//! hands and sends requests (heartbeats, gossip, AD-PSGD exchanges,
-//! completion) over links that drop, duplicate, delay and echo frames;
-//! links break and resume, processes are killed and reaped, and the clock
-//! ticks — all in a seed-chosen order. Handler threads are dispatches that
-//! may park and answer later. The harness plays the coordinator shell: it
-//! applies every [`Effect`] the core queues, and checks after every step:
+//! hands and sends requests — heartbeats (one may hit the pause gate),
+//! flat and partial BSP rounds, SSP clock bumps and waits, collective sends
+//! and reads, gossip, AD-PSGD exchanges with polls and blocking reads,
+//! completion — over links that drop, duplicate, delay and echo frames;
+//! links break and resume, processes are killed and reaped, the pause gate
+//! opens, and the clock ticks the core and the hub — all in a seed-chosen
+//! order. A request the hub cannot answer yet parks, and a later call
+//! releases its answer. The harness plays the coordinator shell: it applies
+//! every [`Effect`] the core queues, matches each released answer to the
+//! request in flight, caches it and writes it where the core says, winds
+//! the run down as `ProcRun` does, and checks after every step:
 //!
 //! 1. every request is dispatched exactly once, and a worker only ever
 //!    takes the reply its own request's dispatch produced;
@@ -16,7 +21,12 @@
 //! 4. every exchange waiting on a dead or retired rank resolves `Gone`,
 //!    whether it was still queued or already taken;
 //! 5. the run is done exactly when every rank has finished, or is dead
-//!    with no rejoin pending.
+//!    with no rejoin pending;
+//! 6. every parked request is answered exactly once, on its process's live
+//!    connection, unless that process died;
+//! 7. no BSP round closes short of its cohort before its deadline: the
+//!    earliest arrival of a member that is not rejoining at that round,
+//!    plus the barrier deadline.
 //!
 //! A failure prints its seed and op log; `interleave(seed)` is a function
 //! of the seed alone, so that one call reproduces it. The named tests at
@@ -31,11 +41,13 @@ use dtrain_nn::ParamSet;
 use dtrain_obs::names;
 use dtrain_proc::coord_core::{CoordCore, Effect, Outcome, Phase};
 use dtrain_proc::{Inbound, ProcConfig, RejoinSpec, ResumeDecision};
-use dtrain_runtime::hub::{Hub, PeerItem, Reply};
+use dtrain_runtime::hub::{Answer, Hub, PeerItem, Reply, Seat};
 use dtrain_runtime::RunPlan;
 use rand::prelude::*;
 
 const WINDOW: Duration = Duration::from_millis(100);
+const BARRIER: Duration = Duration::from_millis(50);
+const TRANSFER: Duration = Duration::from_millis(60);
 const SEEDS: u64 = 1200;
 const STEPS: usize = 200;
 
@@ -43,11 +55,17 @@ fn empty() -> ParamSet {
     ParamSet(Vec::new())
 }
 
-/// The configuration the core reads: ranks, reconnect window, rejoin.
-fn config(workers: usize, rejoin: Option<RejoinSpec>) -> ProcConfig {
+/// The configuration the core reads: ranks, reconnect window, rejoin, and
+/// the pause gate.
+fn config(
+    workers: usize,
+    rejoin: Option<RejoinSpec>,
+    pause_at: Option<(usize, u64)>,
+) -> ProcConfig {
     let mut cfg = ProcConfig {
         reconnect_window: WINDOW,
         rejoin,
+        pause_at,
         ..ProcConfig::default()
     };
     cfg.plan.workers = workers;
@@ -68,11 +86,20 @@ enum Req {
     /// The handshake's seq; never dispatched as a request.
     Hello,
     Heartbeat(u64),
+    /// A flat round, and a hierarchical one over this many leaders.
+    Bsp(u64),
+    Partial(u64, usize),
+    Bump(u64),
+    WaitClock(u64),
+    CollSend(usize),
+    CollRecv,
     Gossip(usize),
     Drain,
     Request(usize),
     Await,
-    Poll,
+    Poll {
+        block: bool,
+    },
     Respond(u64),
     Complete,
 }
@@ -91,8 +118,6 @@ struct Worker {
     /// core has known that connection dropped.
     gen: u64,
     down_since: Option<Duration>,
-    /// Resumed while its request's dispatch was still running.
-    replay_wait: bool,
     /// Its requests by seq; the last is in flight while `waiting`.
     reqs: Vec<Req>,
     waiting: bool,
@@ -136,10 +161,17 @@ struct World {
     wire: Vec<(usize, u64, u32)>,
     /// Connections whose far end closed, not yet seen by their handler.
     eofs: Vec<(usize, u64)>,
-    /// Dispatches parked on their handler `(process, connection, seq,
-    /// awaited token)`.
-    parked: Vec<(usize, u64, u32, Option<u64>)>,
+    /// Requests answered on the spot whose handler has not yet cached and
+    /// written the reply `(process, connection, seq)`.
+    handlers: Vec<(usize, u64, u32)>,
+    /// Each rank's parked request `(process, connection, seq)`: in the hub,
+    /// or held by the pause gate.
+    parked: HashMap<usize, (usize, u64, u32)>,
     dispatches: HashMap<(usize, u32, u32), u32>,
+    /// Replies cached, by `(rank, life, seq)`.
+    answered: HashMap<(usize, u32, u32), u32>,
+    /// BSP arrivals by round: when, and whether the member was rejoining.
+    arrivals: BTreeMap<u64, Vec<(Duration, bool)>>,
     /// Exchanges not yet resolved: token → (target, answered).
     tokens: BTreeMap<u64, (usize, bool)>,
     finished: Vec<bool>,
@@ -157,14 +189,17 @@ impl World {
             worker: rng.gen_range(0..ranks),
             at_round: rng.gen_range(0..6),
         });
+        let pause_at = rng
+            .gen_bool(0.3)
+            .then(|| (rng.gen_range(0..ranks), rng.gen_range(1..5)));
         let plan = RunPlan {
             workers: ranks,
             ..RunPlan::default()
         };
         World {
             rng,
-            core: CoordCore::new(&config(ranks, rejoin)),
-            hub: Hub::new(empty(), &plan, None),
+            core: CoordCore::new(&config(ranks, rejoin, pause_at)),
+            hub: Hub::new(empty(), &plan, Some(BARRIER)),
             ranks,
             rejoin,
             procs: (0..ranks)
@@ -176,14 +211,19 @@ impl World {
             now: Duration::ZERO,
             wire: Vec::new(),
             eofs: Vec::new(),
-            parked: Vec::new(),
+            handlers: Vec::new(),
+            parked: HashMap::new(),
             dispatches: HashMap::new(),
+            answered: HashMap::new(),
+            arrivals: BTreeMap::new(),
             tokens: BTreeMap::new(),
             finished: vec![false; ranks],
             dead_final: vec![false; ranks],
             evictions: 0,
             rejoined: 0,
-            log: vec![format!("{ranks} ranks, rejoin {rejoin:?}")],
+            log: vec![format!(
+                "{ranks} ranks, rejoin {rejoin:?}, pause at {pause_at:?}"
+            )],
         }
     }
 
@@ -209,10 +249,12 @@ impl World {
         (rank + self.rng.gen_range(1..self.ranks)) % self.ranks
     }
 
-    /// Play the shell: apply what the core queued, checking properties 2
-    /// and 3 at every eviction and property 4 after every hub eviction or
-    /// retirement. `reaped` is the process whose exit was just reported.
-    fn apply(&mut self, reaped: Option<usize>) {
+    /// Play the shell after a core or hub call: apply what the core queued
+    /// — checking properties 2 and 3 at every eviction and property 4
+    /// after every hub eviction or retirement — then answer what the hub
+    /// released, each to the request in flight for its rank. `reaped` is
+    /// the process whose exit was just reported.
+    fn settle(&mut self, reaped: Option<usize>) {
         let effects = self.core.drain();
         for (i, &effect) in effects.iter().enumerate() {
             if !matches!(effect, Effect::Marker(..) | Effect::Wake) {
@@ -242,6 +284,8 @@ impl World {
                         "rank {w}: a replacement iff a rejoin is due"
                     );
                     self.dead_final[w] = !rejoins;
+                    // A dead process's parked request needs no answer.
+                    self.parked.remove(&w);
                     self.hub.evict(w);
                     self.all_gone(w);
                 }
@@ -258,6 +302,13 @@ impl World {
                 Effect::Marker(..) | Effect::Wake => {}
             }
         }
+        for (rank, answer) in self.hub.drain() {
+            let Some((p, g, seq)) = self.parked.remove(&rank) else {
+                panic!("property 6: an answer released to r{rank}, which has nothing parked");
+            };
+            self.note(p, format!("seq {seq} released"));
+            self.take_answer(p, g, seq, answer);
+        }
     }
 
     /// Property 4: nothing waits on `b` any more, queued or taken.
@@ -269,9 +320,10 @@ impl World {
             .map(|(&token, _)| token)
             .collect();
         for token in waiting {
-            let reply = self.hub.exchange_await(token, Some(Duration::ZERO));
+            // A gone token is answered on the spot, without parking.
+            let reply = self.hub.exchange_await(token, None);
             assert!(
-                matches!(reply, Reply::Gone),
+                matches!(reply, Some(Answer::Exchange(Reply::Gone))),
                 "property 4: exchange {token} at rank {b} still waits after the rank left"
             );
             self.tokens.remove(&token);
@@ -289,7 +341,6 @@ impl World {
             "property 1: a process took another process's reply"
         );
         assert!(seq <= w.seq(), "a reply from the future");
-        w.replay_wait = false;
         if seq == w.seq() && w.waiting {
             w.waiting = false;
             let once = self.dispatches.get(&(rank, life, seq)) == Some(&1);
@@ -315,6 +366,8 @@ impl World {
         }
     }
 
+    /// The shell's dispatch table, against the real core and hub: answered
+    /// on the spot, or parked.
     fn dispatch(&mut self, p: usize, g: u64, seq: u32) {
         let (rank, life) = (self.procs[p].rank, self.procs[p].life);
         let req = self.procs[p].reqs[seq as usize];
@@ -324,48 +377,172 @@ impl World {
             *n, 1,
             "property 1: r{rank}/{life} seq {seq} dispatched twice"
         );
-        let mut awaited = None;
-        match req {
+        let now = self.now;
+        let gone = || Some(Answer::Exchange(Reply::Gone));
+        let hub = &mut self.hub;
+        // `None`: parked. `Some(None)`: answered with no hub answer.
+        let answer: Option<Option<Answer>> = match req {
             Req::Hello => panic!("a Hello's seq was dispatched as a request"),
-            Req::Heartbeat(round) => assert!(!self.core.heartbeat(rank, round).1),
-            Req::Gossip(target) => self.hub.gossip_send(target, empty(), 0.5),
-            Req::Drain => drop(self.hub.gossip_drain(rank)),
+            Req::Heartbeat(round) => self.core.heartbeat(rank, round).map(|_| None),
+            Req::Bsp(round) | Req::Partial(round, _) => {
+                let view = self.core.view();
+                let rejoining = view.rejoin_round(rank) == Some(round);
+                self.arrivals
+                    .entry(round)
+                    .or_default()
+                    .push((now, rejoining));
+                let leaders = match req {
+                    Req::Partial(_, leaders) => Some(leaders),
+                    _ => None,
+                };
+                let seat = Seat {
+                    rank,
+                    round,
+                    view: Some(&view),
+                    leaders,
+                    now,
+                };
+                hub.bsp_round(seat, (empty(), 1), 0.1, &()).map(Some)
+            }
+            Req::Bump(clock) => {
+                hub.bump_clock(rank, clock);
+                Some(None)
+            }
+            Req::WaitClock(needed) => hub.wait_min_clock(rank, needed).map(Some),
+            Req::CollSend(target) => {
+                hub.coll_send(rank, target, empty());
+                Some(None)
+            }
+            Req::CollRecv => hub.coll_recv(rank, Some(now + TRANSFER)).map(Some),
+            Req::Gossip(target) => {
+                hub.gossip_send(target, empty(), 0.5);
+                Some(None)
+            }
+            Req::Drain => {
+                hub.gossip_drain(rank);
+                Some(None)
+            }
             Req::Request(target) => {
-                let token = self.hub.exchange_request(rank, target, empty());
+                let token = hub.exchange_request(rank, target, empty());
                 *self.core.token(rank) = Some(token);
                 self.tokens.insert(token, (target, false));
+                Some(None)
             }
-            Req::Await => awaited = self.core.token(rank).take(),
-            Req::Poll => {
-                if let Some(PeerItem::Exchange { token, .. }) = self.hub.exchange_next(rank, false)
-                {
-                    self.procs[p].taken.push(token);
-                }
-            }
+            Req::Await => match self.core.token(rank).take() {
+                Some(token) => hub.exchange_await(token, None).map(Some),
+                None => Some(gone()),
+            },
+            Req::Poll { block } => hub.exchange_next(rank, block).map(Some),
             Req::Respond(token) => {
-                self.hub.exchange_respond(token, empty());
+                hub.exchange_respond(token, empty());
                 if let Some(t) = self.tokens.get_mut(&token) {
                     t.1 = true;
                 }
+                Some(None)
             }
-            Req::Complete => self.core.complete(rank, outcome()),
-        }
-        self.apply(None);
-        if awaited.is_some() || self.rng.gen_bool(0.3) {
-            self.parked.push((p, g, seq, awaited));
-        } else {
-            self.answer(p, g, seq);
+            Req::Complete => {
+                self.core.complete(rank, outcome());
+                Some(None)
+            }
+        };
+        match answer {
+            None => {
+                self.note(p, format!("seq {seq} {req:?} parks"));
+                self.parked.insert(rank, (p, g, seq));
+                self.settle(None);
+            }
+            Some(answer) => {
+                self.settle(None);
+                if let Some(answer) = &answer {
+                    self.observe(p, seq, answer);
+                }
+                // The handler may be slow to cache and write its reply.
+                if self.rng.gen_bool(0.3) {
+                    self.handlers.push((p, g, seq));
+                } else {
+                    self.answer(p, g, seq);
+                }
+            }
         }
     }
 
-    /// A handler's dispatch finished: cache, then write unless superseded.
+    /// What the harness learns from a hub answer: a token the passive
+    /// side must answer, and property 7 for a round that closed short.
+    fn observe(&mut self, p: usize, seq: u32, answer: &Answer) {
+        match answer {
+            Answer::Peer(Some(PeerItem::Exchange { token, .. })) => {
+                self.procs[p].taken.push(*token)
+            }
+            &Answer::Round { arrived, expected } => {
+                let Some(arrived) = arrived.filter(|&n| n < expected) else {
+                    return;
+                };
+                let (Req::Bsp(round) | Req::Partial(round, _)) = self.procs[p].reqs[seq as usize]
+                else {
+                    panic!("a round outcome answers a request that is no round");
+                };
+                let deadline = self.arrivals[&round]
+                    .iter()
+                    .filter(|&&(_, rejoining)| !rejoining)
+                    .map(|&(at, _)| at + BARRIER)
+                    .min();
+                assert!(
+                    deadline.is_some_and(|d| d <= self.now),
+                    "property 7: round {round} closed with {arrived} of {expected} at {:?}, \
+                     before its deadline {deadline:?}",
+                    self.now
+                );
+            }
+            _ => {}
+        }
+    }
+
+    /// A parked request's answer, released now: it must belong to the
+    /// request the core has in flight for the rank.
+    fn take_answer(&mut self, p: usize, g: u64, seq: u32, answer: Answer) {
+        let rank = self.procs[p].rank;
+        assert_eq!(
+            self.core.in_flight(rank),
+            Some((g, seq)),
+            "property 6: r{rank}'s released answer is not for the request in flight"
+        );
+        self.observe(p, seq, &answer);
+        self.answer(p, g, seq);
+    }
+
+    /// Deliver the reply to `seq`, read on connection `g`: cache it, then
+    /// write it to the connection the core names.
     fn answer(&mut self, p: usize, g: u64, seq: u32) {
         let (rank, life) = (self.procs[p].rank, self.procs[p].life);
         let frame = Arc::new(frame_for(rank, life, seq));
-        let superseded = self.core.reply(rank, g, seq, (0, Arc::clone(&frame)));
-        self.apply(None);
-        if !superseded && self.procs[p].conn == Some(g) {
+        let in_flight = self.core.in_flight(rank) == Some((g, seq));
+        let to = self.core.reply(rank, g, seq, (0, Arc::clone(&frame)));
+        if in_flight {
+            let n = self.answered.entry((rank, life, seq)).or_default();
+            *n += 1;
+            assert_eq!(*n, 1, "property 6: r{rank}/{life} seq {seq} answered twice");
+        }
+        if to.is_some() && self.procs[p].conn == to {
             self.receive(p, &frame);
+        }
+    }
+
+    /// Property 6, delivery: a live process waiting on the connection the
+    /// core holds live never waits for a reply the core already cached.
+    fn delivered(&self) {
+        for w in self.procs.iter().filter(|w| !w.killed && w.waiting) {
+            let (r, session) = (self.current(w.rank), self.core.session(w.rank));
+            let live = w.conn == Some(session.generation)
+                && self.procs[r].life == w.life
+                && self.core.phase(w.rank) == Phase::Connected;
+            assert!(
+                !(live && session.last_seq == w.seq() && session.cached.is_some()),
+                "property 6: r{}/{} seq {} was answered, but not on its live connection {}",
+                w.rank,
+                w.life,
+                w.seq(),
+                session.generation
+            );
         }
     }
 
@@ -374,7 +551,6 @@ impl World {
         if let Some(g) = self.procs[p].conn.take() {
             self.eofs.push((p, g));
         }
-        self.procs[p].replay_wait = false;
     }
 
     fn kill(&mut self, p: usize) {
@@ -401,8 +577,8 @@ impl World {
             }
             11 => self.eof(),
             12 => self.resume(),
-            13 => self.replay(),
-            14..=15 => self.unpark(),
+            13 => self.open_gate(),
+            14..=15 => self.handler(),
             16 => {
                 let p = self.pick(|w| !w.killed);
                 if let Some(p) = p.filter(|_| self.rng.gen_bool(0.25)) {
@@ -419,11 +595,13 @@ impl World {
                 self.now += Duration::from_millis(self.rng.gen_range(0..40));
                 self.log.push(format!("{:>5?} tick", self.now));
                 self.core.tick(self.now);
-                self.apply(None);
+                self.hub.tick(self.now, &());
+                self.settle(None);
             }
             _ if self.rng.gen_bool(0.5) => self.rogue_hello(),
             _ => self.stale_echo(),
         }
+        self.delivered();
         let done = (0..self.ranks).all(|w| self.finished[w] || self.dead_final[w]);
         assert_eq!(
             self.core.done(),
@@ -452,26 +630,37 @@ impl World {
         let w = &mut self.procs[p];
         (w.shook, w.conn, w.gen, w.round) = (true, Some(g), g, start);
         w.reqs = vec![Req::Hello, Req::Hello];
-        self.apply(None);
+        self.settle(None);
     }
 
     fn send(&mut self) {
-        let ready = |w: &Worker| w.shook && !w.killed && !w.done && !w.waiting && !w.replay_wait;
+        let ready = |w: &Worker| w.shook && !w.killed && !w.done && !w.waiting;
         let Some(p) = self.pick(ready) else {
             return;
         };
-        let rank = self.procs[p].rank;
-        let req = match self.rng.gen_range(0..10) {
+        let (rank, round) = (self.procs[p].rank, self.procs[p].round);
+        let req = match self.rng.gen_range(0..16) {
             0..=2 => {
                 self.procs[p].round += 1;
-                Req::Heartbeat(self.procs[p].round)
+                Req::Heartbeat(round + 1)
             }
-            3 => Req::Gossip(self.other_rank(rank)),
-            4 => Req::Drain,
-            5 => Req::Request(self.other_rank(rank)),
-            6 => Req::Await,
-            7 => Req::Poll,
-            8 => self.procs[p].taken.pop().map_or(Req::Poll, Req::Respond),
+            3..=4 => Req::Bsp(round),
+            5 => Req::Partial(round, self.rng.gen_range(1..=self.ranks)),
+            6 => Req::Bump(round),
+            7 => Req::WaitClock(round.saturating_sub(1)),
+            8 => Req::CollSend(self.other_rank(rank)),
+            9 => Req::CollRecv,
+            10 if self.rng.gen_bool(0.5) => Req::Gossip(self.other_rank(rank)),
+            10 => Req::Drain,
+            11 => Req::Request(self.other_rank(rank)),
+            12 => Req::Await,
+            13 => Req::Poll {
+                block: self.rng.gen_bool(0.5),
+            },
+            14 => self.procs[p]
+                .taken
+                .pop()
+                .map_or(Req::Poll { block: false }, Req::Respond),
             _ => Req::Complete,
         };
         let w = &mut self.procs[p];
@@ -544,43 +733,50 @@ impl World {
                 match decision {
                     ResumeDecision::RequestResend => self.wire.push((p, g, seq)),
                     ResumeDecision::ResendCached(_, frame) => self.receive(p, &frame),
-                    ResumeDecision::AwaitInFlight => w.replay_wait = true,
+                    // Whoever answers the request writes to `g`.
+                    ResumeDecision::AwaitInFlight => {}
                     ResumeDecision::Refuse => panic!("the core hands out no Refuse"),
                 }
             }
         }
-        self.apply(None);
+        self.settle(None);
     }
 
-    /// A resumed connection waiting on a parked dispatch checks the cache.
-    fn replay(&mut self) {
-        let Some(p) = self.pick(|w| w.replay_wait) else {
+    /// The pause gate opens (after the frozen process is killed, as
+    /// `kill_paused` does, or not): its held heartbeat ack goes out.
+    fn open_gate(&mut self) {
+        let Some(rank) = self.core.paused() else {
             return;
         };
-        let (rank, g) = (self.procs[p].rank, self.procs[p].conn.unwrap());
-        let session = self.core.session(rank);
-        if session.generation != g {
-            self.note(p, format!("replay wait on {g} superseded"));
-            self.break_link(p);
-        } else if let Some((_, frame)) = session.cached.clone() {
-            self.note(p, format!("replayed on {g}"));
-            self.receive(p, &frame);
+        let p = self.current(rank);
+        if self.rng.gen_bool(0.5) && !self.procs[p].killed {
+            self.note(p, "killed at the pause gate".into());
+            self.kill(p);
+        }
+        self.release_pause();
+    }
+
+    fn release_pause(&mut self) {
+        let released = self.core.release_pause();
+        self.settle(None);
+        let Some((rank, _)) = released else {
+            return;
+        };
+        if let Some((p, g, seq)) = self.parked.remove(&rank) {
+            self.note(p, format!("pause gate releases seq {seq}"));
+            assert_eq!(self.core.in_flight(rank), Some((g, seq)));
+            self.answer(p, g, seq);
         }
     }
 
-    fn unpark(&mut self) {
-        if self.parked.is_empty() {
+    /// A slow handler caches and writes its reply.
+    fn handler(&mut self) {
+        if self.handlers.is_empty() {
             return;
         }
-        let (p, g, seq, awaited) = self.parked.remove(self.rng.gen_range(0..self.parked.len()));
-        if let Some(token) = awaited {
-            match self.hub.exchange_await(token, Some(Duration::ZERO)) {
-                Reply::TimedOut => return self.parked.push((p, g, seq, awaited)),
-                Reply::Ready(_) | Reply::Gone => {
-                    self.tokens.remove(&token);
-                }
-            }
-        }
+        let (p, g, seq) = self
+            .handlers
+            .remove(self.rng.gen_range(0..self.handlers.len()));
         self.note(p, format!("handler of {g} answers seq {seq}"));
         self.answer(p, g, seq);
     }
@@ -590,7 +786,7 @@ impl World {
         self.procs[p].reaped = true;
         let (rank, life) = (self.procs[p].rank, self.procs[p].life);
         self.core.exit(rank, life);
-        self.apply(Some(p));
+        self.settle(Some(p));
     }
 
     /// A `Hello` the core must refuse: the rank finished, died for good or
@@ -610,7 +806,7 @@ impl World {
 
     /// The link echoes an old request long after its reply was consumed.
     fn stale_echo(&mut self) {
-        let Some(p) = self.pick(|w| w.conn.is_some() && !w.replay_wait && w.reqs.len() > 3) else {
+        let Some(p) = self.pick(|w| w.conn.is_some() && w.reqs.len() > 3) else {
             return;
         };
         let seq = self.rng.gen_range(2..self.procs[p].seq());
@@ -618,9 +814,26 @@ impl World {
         self.deliver(p, self.procs[p].conn.unwrap(), seq);
     }
 
-    /// Every process exits; once the reaper has reported them all (and any
-    /// replacement those deaths spawned), the run must be done.
+    /// Tear the run down as `ProcRun` does — open the pause gate, shut the
+    /// hub down — and then every process exits. Every request parked by a
+    /// process that is still alive must have been answered (property 6),
+    /// and once the reaper has reported every exit (and any replacement
+    /// those deaths spawned), the run must be done.
     fn wind_down(&mut self) {
+        self.log.push(format!("{:>5?} shutdown", self.now));
+        self.release_pause();
+        self.hub.shutdown();
+        self.settle(None);
+        while let Some(&(p, g, seq)) = self.handlers.first() {
+            self.handlers.remove(0);
+            self.answer(p, g, seq);
+        }
+        assert!(
+            self.parked.is_empty(),
+            "property 6: still parked after shutdown: {:?}",
+            self.parked
+        );
+        self.delivered();
         while let Some(p) = self.procs.iter().position(|w| !w.reaped) {
             self.kill(p);
             self.reap(p);
@@ -654,7 +867,7 @@ fn interleave(seed: u64) {
 }
 
 #[test]
-fn seeded_interleavings_keep_the_five_properties() {
+fn seeded_interleavings_keep_the_seven_properties() {
     for seed in 0..SEEDS {
         interleave(seed);
     }
@@ -662,7 +875,7 @@ fn seeded_interleavings_keep_the_five_properties() {
 
 /// Connect every rank of a fresh core.
 fn connected(workers: usize, rejoin: Option<RejoinSpec>) -> CoordCore {
-    let mut core = CoordCore::new(&config(workers, rejoin));
+    let mut core = CoordCore::new(&config(workers, rejoin, None));
     for w in 0..workers {
         assert_eq!(core.hello(w, 1), Some((0, 1)));
     }
@@ -803,10 +1016,36 @@ fn frames_on_a_superseded_connection_are_stale() {
     assert_eq!(core.frame(0, 1, 2), Inbound::Stale, "the old socket's copy");
     assert_eq!(core.frame(0, generation, 2), Inbound::Fresh, "the resend");
     let reply = Arc::new(frame_for(0, 0, 2));
-    assert!(
-        !core.reply(0, generation, 2, (0, reply)),
+    assert_eq!(
+        core.reply(0, generation, 2, (0, reply)),
+        Some(generation),
         "written on the live connection"
     );
+}
+
+/// A request still parked when its worker resumes is answered on the
+/// resumed connection, not on the one it was read on; while the link is
+/// down the answer is only cached, and the resume replays it.
+#[test]
+fn a_parked_answer_goes_to_the_connection_live_when_it_comes() {
+    let mut core = connected(1, None);
+    assert_eq!(core.frame(0, 1, 2), Inbound::Fresh); // parks
+    let (generation, decision) = core.resume(0, 2, 1).expect("a live rank resumes");
+    assert_eq!(decision, ResumeDecision::AwaitInFlight);
+    let reply = Arc::new(frame_for(0, 0, 2));
+    assert_eq!(
+        core.reply(0, 1, 2, (0, Arc::clone(&reply))),
+        Some(generation)
+    );
+    assert_eq!(core.in_flight(0), None, "answered once");
+    assert_eq!(core.reply(0, 1, 2, (0, reply)), None, "and only once");
+
+    assert_eq!(core.frame(0, generation, 3), Inbound::Fresh); // parks
+    core.disconnect(0, generation, Duration::ZERO);
+    let reply = Arc::new(frame_for(0, 0, 3));
+    assert_eq!(core.reply(0, generation, 3, (0, Arc::clone(&reply))), None);
+    let (_, decision) = core.resume(0, 3, 2).expect("a live rank resumes");
+    assert_eq!(decision, ResumeDecision::ResendCached(0, reply));
 }
 
 /// A dispatch still parked when its process died never caches its reply
@@ -822,9 +1061,9 @@ fn a_dead_processs_late_reply_is_not_replayed_to_its_replacement() {
     core.exit(0, 0);
     assert_eq!(core.hello(0, 1), Some((1, 2)));
     assert_eq!(core.frame(0, 2, 2), Inbound::Fresh); // the replacement's seq 2
-    assert!(core.reply(0, 1, 2, (0, Arc::new(frame_for(0, 0, 2)))));
+    assert_eq!(core.reply(0, 1, 2, (0, Arc::new(frame_for(0, 0, 2)))), None);
     assert_eq!(core.frame(0, 2, 2), Inbound::Duplicate(None));
     let reply = Arc::new(frame_for(0, 1, 2));
-    assert!(!core.reply(0, 2, 2, (0, Arc::clone(&reply))));
+    assert_eq!(core.reply(0, 2, 2, (0, Arc::clone(&reply))), Some(2));
     assert_eq!(core.frame(0, 2, 2), Inbound::Duplicate(Some((0, reply))));
 }

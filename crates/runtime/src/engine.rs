@@ -9,14 +9,16 @@
 //! The algorithm bodies live in [`crate::worker_body`], written once
 //! against the [`ExecBackend`] trait, and what they exchange with lives in
 //! [`crate::Hub`]; this module provides [`ThreadedBackend`] — the adapter
-//! that calls the hub directly — plus the thread supervisor (fault
-//! injection, watchdog, final evaluation).
+//! that calls the hub directly and waits for a parked request's answer on
+//! its rank's own slot — plus the thread supervisor (fault injection,
+//! watchdog, final evaluation).
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use crossbeam_channel::{Receiver, Sender};
 use dtrain_cluster::CollectiveSchedule;
 use dtrain_data::Dataset;
 use dtrain_faults::{markers, Algo, CheckpointStore, MembershipView, RuntimeFaultSchedule};
@@ -25,7 +27,7 @@ use dtrain_obs::{ObsSink, Track, TrackHandle};
 use parking_lot::Mutex;
 
 use crate::backend::{BspOutcome, ExecBackend, PeerRequest, ReplyToken, RunPlan};
-use crate::hub::{final_cohort, Hub, PeerItem, Reply, Seat};
+use crate::hub::{final_cohort, Answer, CloseHooks, Hub, PeerItem, Reply, Seat};
 use crate::strategy::PsState;
 use crate::worker::worker_body;
 
@@ -312,6 +314,21 @@ impl FaultRuntime {
     }
 }
 
+/// The PS fault hooks run on whichever call closes a BSP round.
+impl CloseHooks for Option<&FaultRuntime> {
+    fn before_apply(&self, ps: &PsState) {
+        if let Some(fr) = self {
+            fr.ps_gate(ps)
+        }
+    }
+
+    fn after_apply(&self, ps: &PsState) {
+        if let Some(fr) = self {
+            fr.ps_applied(ps)
+        }
+    }
+}
+
 /// Watchdog loop: samples heartbeats until every worker finished, counting
 /// workers silent for longer than the timeout.
 fn watchdog(fr: &FaultRuntime) {
@@ -345,7 +362,13 @@ fn watchdog(fr: &FaultRuntime) {
 struct ThreadedBackend<'a> {
     w: usize,
     workers: usize,
-    hub: &'a Hub,
+    hub: &'a Mutex<Hub>,
+    ps: &'a PsState,
+    /// Every rank's answer slot: where the answers to its parked hub
+    /// requests land, put there by whichever thread's hub call released
+    /// them. This thread reads its own from `answers`.
+    slots: &'a [Sender<Answer>],
+    answers: Receiver<Answer>,
     faults: Option<&'a FaultRuntime>,
     elastic: Option<&'a MembershipView>,
     obs: TrackHandle,
@@ -361,6 +384,44 @@ impl ThreadedBackend<'_> {
         self.wall.elapsed().as_nanos() as u64
     }
 
+    /// Run `f` on the hub, then put every answer it released in its rank's
+    /// slot.
+    fn with_hub<T>(&self, f: impl FnOnce(&mut Hub) -> T) -> T {
+        let mut hub = self.hub.lock();
+        let out = f(&mut hub);
+        let answers = hub.drain();
+        drop(hub);
+        for (rank, answer) in answers {
+            // The receiver lives as long as its rank's thread.
+            let _ = self.slots[rank].send(answer);
+        }
+        out
+    }
+
+    /// A hub request that can wait: answered now, or, once parked, in this
+    /// rank's slot. Each `patience` without an answer ticks the hub, so
+    /// the member blocked longest force-closes a round past its deadline.
+    fn ask(
+        &self,
+        patience: Option<Duration>,
+        f: impl FnOnce(&mut Hub) -> Option<Answer>,
+    ) -> Answer {
+        if let Some(answer) = self.with_hub(f) {
+            return answer;
+        }
+        loop {
+            let answer = match patience {
+                Some(p) => self.answers.recv_timeout(p).ok(),
+                None => self.answers.recv().ok(),
+            };
+            if let Some(answer) = answer {
+                return answer;
+            }
+            let now = self.wall.elapsed();
+            self.with_hub(|hub| hub.tick(now, &self.faults));
+        }
+    }
+
     /// One barrier round through the hub; the PS fault hooks ride along
     /// and run on whichever worker closes the round.
     fn round(
@@ -370,27 +431,28 @@ impl ThreadedBackend<'_> {
         deposit: (ParamSet, usize),
         lr: f32,
     ) -> BspOutcome {
-        let fr = self.faults;
-        self.hub.bsp_round(
-            Seat {
-                rank: self.w,
-                round,
-                view: self.elastic,
-                leaders,
+        let seat = Seat {
+            rank: self.w,
+            round,
+            view: self.elastic,
+            leaders,
+            now: self.wall.elapsed(),
+        };
+        let patience = self
+            .elastic
+            .and(self.faults.map(|fr| fr.cfg.barrier_deadline));
+        match self.ask(patience, |hub| {
+            hub.bsp_round(seat, deposit, lr, &self.faults)
+        }) {
+            // Each member reads the fresh parameters itself, on its own
+            // thread.
+            Answer::Round { arrived, expected } => BspOutcome {
+                params: self.ps.snapshot(),
+                arrived,
+                expected,
             },
-            deposit,
-            lr,
-            |ps| {
-                if let Some(fr) = fr {
-                    fr.ps_gate(ps)
-                }
-            },
-            |ps| {
-                if let Some(fr) = fr {
-                    fr.ps_applied(ps)
-                }
-            },
-        )
+            _ => unreachable!("a round is answered with its outcome"),
+        }
     }
 }
 
@@ -435,43 +497,42 @@ impl ExecBackend for ThreadedBackend<'_> {
     }
 
     fn park_clock(&mut self) {
-        self.hub.ps().bump_clock(self.w, u64::MAX);
+        self.bump_clock(u64::MAX);
     }
 
     fn ps_snapshot(&mut self) -> ParamSet {
-        self.hub.ps().snapshot()
+        self.ps.snapshot()
     }
 
     fn ps_push_pull(&mut self, grad: &ParamSet, lr: f32) -> ParamSet {
-        self.hub.ps().push_and_pull(grad, lr)
+        self.ps.push_and_pull(grad, lr)
     }
 
     fn ps_push(&mut self, grad: &ParamSet, lr: f32) {
-        self.hub.ps().push(grad, lr);
+        self.ps.push(grad, lr);
     }
 
     fn ps_elastic_exchange(&mut self, params: &ParamSet, alpha: f32) -> ParamSet {
-        self.hub.ps().elastic_exchange(params, alpha)
+        self.ps.elastic_exchange(params, alpha)
     }
 
     fn bump_clock(&mut self, clock: u64) {
-        self.hub.ps().bump_clock(self.w, clock);
+        self.with_hub(|hub| hub.bump_clock(self.w, clock));
     }
 
     fn wait_min_clock(&mut self, needed: u64) -> u64 {
-        self.hub.ps().wait_for_min_clock(needed)
+        match self.ask(None, |hub| hub.wait_min_clock(self.w, needed)) {
+            Answer::MinClock(min) => min,
+            _ => unreachable!("a staleness gate is answered with a clock"),
+        }
     }
 
     fn ps_gate(&mut self) {
-        if let Some(fr) = self.faults {
-            fr.ps_gate(self.hub.ps());
-        }
+        self.faults.before_apply(self.ps);
     }
 
     fn ps_applied(&mut self) {
-        if let Some(fr) = self.faults {
-            fr.ps_applied(self.hub.ps());
-        }
+        self.faults.after_apply(self.ps);
     }
 
     fn bsp_exchange(&mut self, round: u64, grad: ParamSet, lr: f32) -> BspOutcome {
@@ -479,13 +540,16 @@ impl ExecBackend for ThreadedBackend<'_> {
     }
 
     fn coll_send(&mut self, target: usize, params: ParamSet) {
-        self.hub.coll_send(self.w, target, params);
+        self.with_hub(|hub| hub.coll_send(self.w, target, params));
     }
 
     fn coll_recv(&mut self) -> Option<(usize, ParamSet)> {
         // Threaded membership is a pre-computed view shared by every rank,
         // so the expected senders always exist: no deadline.
-        self.hub.coll_recv(self.w, None)
+        match self.ask(None, |hub| hub.coll_recv(self.w, None)) {
+            Answer::Coll(item) => item,
+            _ => unreachable!("a collective read is answered with an item"),
+        }
     }
 
     fn bsp_exchange_partial(
@@ -500,15 +564,16 @@ impl ExecBackend for ThreadedBackend<'_> {
     }
 
     fn gossip_send(&mut self, target: usize, params: ParamSet, alpha: f32) {
-        self.hub.gossip_send(target, params, alpha);
+        self.with_hub(|hub| hub.gossip_send(target, params, alpha));
     }
 
     fn gossip_drain(&mut self) -> Vec<(ParamSet, f32)> {
-        self.hub.gossip_drain(self.w)
+        self.with_hub(|hub| hub.gossip_drain(self.w))
     }
 
     fn exchange_request(&mut self, target: usize, params: ParamSet) {
-        self.pending_reply = Some(self.hub.exchange_request(self.w, target, params));
+        let token = self.with_hub(|hub| hub.exchange_request(self.w, target, params));
+        self.pending_reply = Some(token);
     }
 
     fn exchange_await(&mut self) -> Option<ParamSet> {
@@ -523,18 +588,22 @@ impl ExecBackend for ThreadedBackend<'_> {
             None => (None, 1),
         };
         for attempt in 1..=retries {
-            match self.hub.exchange_await(token, deadline) {
-                Reply::Ready(midpoint) => return Some(midpoint),
-                Reply::Gone => return None,
-                Reply::TimedOut => markers::retry(&self.obs, self.ns(), attempt),
+            let until = deadline.map(|d| self.wall.elapsed() + d);
+            match self.ask(deadline, |hub| hub.exchange_await(token, until)) {
+                Answer::Exchange(Reply::Ready(midpoint)) => return Some(midpoint),
+                Answer::Exchange(Reply::TimedOut) => markers::retry(&self.obs, self.ns(), attempt),
+                _ => return None,
             }
         }
-        self.hub.exchange_abandon(token);
+        self.with_hub(|hub| hub.exchange_abandon(token));
         None
     }
 
     fn exchange_next(&mut self, block: bool) -> Option<PeerRequest> {
-        Some(match self.hub.exchange_next(self.w, block)? {
+        let Answer::Peer(item) = self.ask(None, |hub| hub.exchange_next(self.w, block)) else {
+            unreachable!("a mailbox read is answered with an item")
+        };
+        Some(match item? {
             PeerItem::Exchange { token, params } => PeerRequest::Exchange {
                 params,
                 token: ReplyToken::Remote(token),
@@ -545,12 +614,12 @@ impl ExecBackend for ThreadedBackend<'_> {
 
     fn exchange_reply(&mut self, token: ReplyToken, midpoint: ParamSet) {
         if let ReplyToken::Remote(token) = token {
-            self.hub.exchange_respond(token, midpoint);
+            self.with_hub(|hub| hub.exchange_respond(token, midpoint));
         }
     }
 
     fn announce_done(&mut self) {
-        self.hub.announce_done(self.w);
+        self.with_hub(|hub| hub.announce_done(self.w));
     }
 
     fn startup(&mut self, params: &ParamSet, opt: &SgdMomentum) {
@@ -662,6 +731,11 @@ where
         &plan,
         cfg.faults.as_ref().map(|fc| fc.barrier_deadline),
     );
+    let ps = Arc::clone(hub.ps());
+    let hub = Mutex::new(hub);
+    let (slots, answers): (Vec<_>, Vec<_>) = (0..cfg.workers)
+        .map(|_| crossbeam_channel::unbounded())
+        .unzip();
     let clock = Instant::now();
     let faults: Option<FaultRuntime> = cfg
         .faults
@@ -671,7 +745,7 @@ where
     if let Some(fr) = faults {
         // Baseline PS checkpoint so an outage before the first cadence tick
         // still has a state to roll back to.
-        let g = hub.ps().global.lock();
+        let g = ps.global.lock();
         fr.store.save(PS_OWNER, 0, &g.0, &g.1);
     }
 
@@ -681,8 +755,8 @@ where
             scope.spawn(move || watchdog(fr));
         }
         let mut handles = Vec::with_capacity(cfg.workers);
-        for w in 0..cfg.workers {
-            let (hub, plan, factory) = (&hub, &plan, &factory);
+        for (w, answers) in answers.into_iter().enumerate() {
+            let (hub, ps, slots, plan, factory) = (&hub, &*ps, &slots[..], &plan, &factory);
             let train = Arc::clone(train);
             let obs = sink.track(Track::Worker(w as u16));
             let backend_obs = sink.track(Track::Worker(w as u16));
@@ -691,6 +765,9 @@ where
                     w,
                     workers: plan.workers,
                     hub,
+                    ps,
+                    slots,
+                    answers,
                     elastic,
                     slowdown: faults.map_or(1.0, |fr| fr.cfg.schedule.straggler_slowdown(w)),
                     crash_iters: faults

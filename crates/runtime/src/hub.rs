@@ -2,15 +2,24 @@
 //!
 //! [`crate::worker_body`] is the worker side of the seven algorithms; the
 //! [`Hub`] is what those workers talk *to*: the parameter server, the BSP
-//! round (deposit, close, aggregate, apply), the per-rank gossip /
-//! AD-PSGD / collective mailboxes, the exchange-token life cycle and
-//! eviction. The threaded backend calls it directly and the process
-//! coordinator calls it on behalf of a decoded frame, so a difference
-//! between a threaded and a proc run is transport, never aggregation.
+//! round (deposit, close, aggregate, apply), the SSP staleness gate, the
+//! per-rank gossip / AD-PSGD / collective mailboxes, the exchange-token
+//! life cycle and eviction. The threaded backend calls it directly and the
+//! process coordinator calls it on behalf of a decoded frame, so a
+//! difference between a threaded and a proc run is transport, never
+//! aggregation.
 //!
-//! The hub knows no sockets, processes, obs sink or clock: waits are
-//! bounded by `Duration`s the caller hands in, and what only one path does
-//! at a round close (the threaded PS fault hooks) arrives as an argument.
+//! Nothing waits inside it. A request that cannot be answered yet — a
+//! round short of its cohort, a shut staleness gate, an empty mailbox, an
+//! unanswered exchange — returns `None` and is *parked*: recorded as its
+//! rank's one outstanding request. The later call that can answer it (the
+//! deposit that fills the round, a clock bump, a post, a reply, an
+//! eviction, [`Hub::tick`] past a deadline, [`Hub::shutdown`]) puts the
+//! [`Answer`] in an outbox, which that caller takes with [`Hub::drain`] and
+//! delivers: to a thread's slot, or to a worker's socket. The hub knows no
+//! sockets, processes, threads, obs sink or clock: `now` is an argument,
+//! and what only one path does at a round close (the threaded PS fault
+//! hooks) arrives as [`CloseHooks`].
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
@@ -18,14 +27,12 @@ use std::time::Duration;
 
 use dtrain_faults::MembershipView;
 use dtrain_nn::ParamSet;
-use parking_lot::{Condvar, Mutex, MutexGuard};
 
-use crate::backend::{BspOutcome, RunPlan};
+use crate::backend::RunPlan;
 use crate::collective::reduce_partials;
 use crate::strategy::PsState;
-use crate::sync::ElasticBarrier;
 
-/// Who is arriving at which BSP round, and what cohort it belongs to.
+/// Who is arriving at which BSP round, what cohort it belongs to, and when.
 pub struct Seat<'a> {
     pub rank: usize,
     pub round: u64,
@@ -35,6 +42,8 @@ pub struct Seat<'a> {
     /// `Some(n)`: a hierarchical round over `n` machine-group leaders;
     /// `None`: a flat round over the live ranks.
     pub leaders: Option<usize>,
+    /// The caller's clock: a member's barrier deadline runs from here.
+    pub now: Duration,
 }
 
 /// One item from a rank's AD-PSGD mailbox.
@@ -52,8 +61,60 @@ pub enum Reply {
     Ready(ParamSet),
     /// The exchange will never be answered; the token is consumed.
     Gone,
-    /// Still waiting after the caller's timeout; the token stays valid.
+    /// Still unanswered when the caller's deadline passed; the token stays
+    /// valid.
     TimedOut,
+}
+
+/// The answer to a request that can wait: returned on the spot, or, if the
+/// request parked, handed out later by [`Hub::drain`].
+pub enum Answer {
+    /// [`Hub::bsp_round`]: the round closed and was applied; the fresh
+    /// parameters are the server's ([`Hub::ps`]). `arrived` is `Some(n)`
+    /// for the one member that closed it, with `n` deposits (`n <
+    /// expected`: a force-close short of the cohort); `expected` is the
+    /// cohort this member counted on.
+    Round {
+        arrived: Option<usize>,
+        expected: usize,
+    },
+    /// [`Hub::wait_min_clock`]: the slowest SSP clock, at or past the one
+    /// needed (whatever it is at shutdown).
+    MinClock(u64),
+    /// [`Hub::coll_recv`]: `None` past the deadline (the sender died
+    /// mid-round) or at shutdown.
+    Coll(Option<(usize, ParamSet)>),
+    /// [`Hub::exchange_await`].
+    Exchange(Reply),
+    /// [`Hub::exchange_next`]: `None` when a poll finds nothing, or at
+    /// shutdown.
+    Peer(Option<PeerItem>),
+}
+
+/// What runs around a BSP round's apply, on whichever call closes it. `()`
+/// runs nothing.
+pub trait CloseHooks {
+    fn before_apply(&self, _ps: &PsState) {}
+    fn after_apply(&self, _ps: &PsState) {}
+}
+
+impl CloseHooks for () {}
+
+/// What a parked request waits for. It waits until a deadline, if it has
+/// one: a round member forces its round closed then, a collective read or
+/// an exchange wait gives up.
+#[derive(Clone, Copy)]
+enum Park {
+    /// Its round to close.
+    Round { round: u64, expected: usize },
+    /// The slowest SSP clock to reach this.
+    MinClock(u64),
+    /// An item in the collective mailbox.
+    Coll,
+    /// The answer to a token.
+    Await(u64),
+    /// An item in the exchange mailbox.
+    Next,
 }
 
 /// One outstanding exchange. A token that is not in the table is *gone*:
@@ -73,102 +134,136 @@ struct Mailbox {
     coll: VecDeque<(usize, ParamSet)>,
 }
 
-struct Mail {
-    boxes: Vec<Mailbox>,
-    tokens: HashMap<u64, Token>,
-    next_token: u64,
-    evicted: Vec<bool>,
-    shutdown: bool,
+/// A round still open: its deposits ascending by rank,
+/// `(partial_sum, ranks_covered)`, and the learning rate they came with.
+struct Open {
+    deposits: BTreeMap<usize, (ParamSet, usize)>,
+    lr: f32,
 }
-
-/// A round's deposits, ascending by rank: `(partial_sum, ranks_covered)`.
-type Deposits = BTreeMap<usize, (ParamSet, usize)>;
 
 pub struct Hub {
     ps: Arc<PsState>,
     workers: usize,
     barrier_deadline: Option<Duration>,
-    deposits: Mutex<BTreeMap<u64, Deposits>>,
-    /// Decides which arrival closes a round (complete cohort or deadline).
-    enter: ElasticBarrier,
-    /// Rounds below this have been applied to the parameter server.
-    applied: Mutex<u64>,
-    applied_cv: Condvar,
-    mail: Mutex<Mail>,
-    /// One per rank, all over `mail`: a rank is woken only by an item for
-    /// its own mailbox or a change to its own token, so a timed wait that
-    /// returns without one really did wait its full `Duration`.
-    mail_cv: Vec<Condvar>,
-}
-
-fn wait<T>(cv: &Condvar, guard: &mut MutexGuard<'_, T>, timeout: Option<Duration>) -> bool {
-    match timeout {
-        Some(d) => cv.wait_for(guard, d).timed_out(),
-        None => {
-            cv.wait(guard);
-            false
-        }
-    }
+    open: BTreeMap<u64, Open>,
+    /// Rounds below this are closed: an arrival passes straight through.
+    closed: u64,
+    boxes: Vec<Mailbox>,
+    tokens: HashMap<u64, Token>,
+    next_token: u64,
+    evicted: Vec<bool>,
+    shutdown: bool,
+    /// Each rank's one outstanding request while it waits, and until when.
+    parked: Vec<Option<(Park, Option<Duration>)>>,
+    outbox: Vec<(usize, Answer)>,
 }
 
 impl Hub {
     /// `barrier_deadline`: how long an elastic BSP round may stay short of
-    /// its cohort before the longest-blocked member force-closes it.
+    /// its cohort before its longest-blocked member force-closes it.
     pub fn new(params: ParamSet, plan: &RunPlan, barrier_deadline: Option<Duration>) -> Hub {
         let workers = plan.workers;
         Hub {
             ps: PsState::new(params, plan.momentum, plan.weight_decay, workers),
             workers,
             barrier_deadline,
-            deposits: Mutex::default(),
-            enter: ElasticBarrier::new(),
-            applied: Mutex::new(0),
-            applied_cv: Condvar::new(),
-            mail: Mutex::new(Mail {
-                boxes: (0..workers).map(|_| Mailbox::default()).collect(),
-                tokens: HashMap::new(),
-                next_token: 1,
-                evicted: vec![false; workers],
-                shutdown: false,
-            }),
-            mail_cv: (0..workers).map(|_| Condvar::new()).collect(),
+            open: BTreeMap::new(),
+            closed: 0,
+            boxes: (0..workers).map(|_| Mailbox::default()).collect(),
+            tokens: HashMap::new(),
+            next_token: 1,
+            evicted: vec![false; workers],
+            shutdown: false,
+            parked: vec![None; workers],
+            outbox: Vec::new(),
         }
     }
 
-    /// The parameter server: snapshot, ASP/SSP pushes, the EASGD exchange
-    /// and the SSP clocks are [`PsState`]'s own methods.
-    pub fn ps(&self) -> &PsState {
+    /// The parameter server: snapshot, ASP/SSP pushes and the EASGD
+    /// exchange are [`PsState`]'s own methods, and need no hub call.
+    pub fn ps(&self) -> &Arc<PsState> {
         &self.ps
+    }
+
+    /// Take the answers to parked requests that calls since the last drain
+    /// released, oldest first, each with the rank it answers.
+    pub fn drain(&mut self) -> Vec<(usize, Answer)> {
+        std::mem::take(&mut self.outbox)
+    }
+
+    /// Park `park` as `rank`'s request until `until`, unless it can be
+    /// answered now.
+    fn ask(&mut self, rank: usize, park: Park, until: Option<Duration>) -> Option<Answer> {
+        self.parked[rank] = Some((park, until));
+        self.ready(rank)
+    }
+
+    /// The answer `rank`'s parked request can have now, which unparks it.
+    fn ready(&mut self, rank: usize) -> Option<Answer> {
+        let down = self.shutdown;
+        let answer = match self.parked[rank]?.0 {
+            Park::Round { round, expected } if round < self.closed => Answer::Round {
+                arrived: None,
+                expected,
+            },
+            Park::Round { .. } => return None,
+            Park::MinClock(needed) => {
+                let min = self.ps.min_clock();
+                Answer::MinClock(Some(min).filter(|&m| m >= needed || down)?)
+            }
+            Park::Coll => Answer::Coll(item(self.boxes[rank].coll.pop_front(), down)?),
+            Park::Next => Answer::Peer(item(self.boxes[rank].exchange.pop_front(), down)?),
+            Park::Await(token) => {
+                let waiting = self.tokens.get(&token).is_some_and(|t| t.reply.is_none());
+                if waiting && !down {
+                    return None;
+                }
+                let reply = self.tokens.remove(&token).and_then(|t| t.reply);
+                Answer::Exchange(reply.map_or(Reply::Gone, Reply::Ready))
+            }
+        };
+        self.parked[rank] = None;
+        Some(answer)
+    }
+
+    /// Answer every parked request the last change made answerable.
+    fn wake(&mut self) {
+        for rank in 0..self.workers {
+            if let Some(answer) = self.ready(rank) {
+                self.outbox.push((rank, answer));
+            }
+        }
     }
 
     // --- BSP rounds ---
 
     /// Deposit `partial` (a sum covering `weight` ranks; a flat round's
-    /// raw gradient is the `weight == 1` case) at `seat`, wait for the
-    /// round to close and be applied, and return the fresh parameters.
+    /// raw gradient is the `weight == 1` case) at `seat`. Answered once
+    /// the round is closed and applied; parks until then.
     ///
     /// Cohort rule: a flat round expects the ranks live at `seat.round`
     /// (every rank without a view), a hierarchical one `seat.leaders`.
-    /// Under a view the round force-closes after `barrier_deadline` with
+    /// Under a view a parked member's deadline is `barrier_deadline` after
+    /// its arrival, and [`Self::tick`] past it force-closes the round with
     /// whoever deposited — except that a rejoiner, which arrives at its
-    /// re-entry round arbitrarily early, waits without a deadline. A
-    /// deposit for a round that already closed is dropped (at the next
-    /// close) and its owner passes through to the current parameters.
+    /// re-entry round arbitrarily early, has no deadline. A deposit for a
+    /// round that already closed is dropped, and its owner passes through
+    /// to the current parameters.
     ///
     /// The single closer sums the deposits ascending by rank, scales by
     /// `1/Σweight` and applies the result once — the same float tree on
-    /// every path. `before_apply` / `after_apply` run on the closer around
-    /// that step. Rounds are keyed, so a fast member's next deposit cannot
-    /// disturb a round still being applied: no second barrier is needed.
+    /// every path — between `hooks`. Rounds are keyed, so a fast member's
+    /// next deposit cannot disturb a round still open.
     pub fn bsp_round(
-        &self,
+        &mut self,
         seat: Seat<'_>,
         deposit: (ParamSet, usize),
         lr: f32,
-        before_apply: impl FnOnce(&PsState),
-        after_apply: impl FnOnce(&PsState),
-    ) -> BspOutcome {
-        let Seat { rank, round, .. } = seat;
+        hooks: &impl CloseHooks,
+    ) -> Option<Answer> {
+        let Seat {
+            rank, round, now, ..
+        } = seat;
         let expected = seat
             .leaders
             .unwrap_or_else(|| seat.view.map_or(self.workers, |v| v.live_at(round).len()))
@@ -176,97 +271,113 @@ impl Hub {
         let deadline = seat
             .view
             .filter(|v| v.rejoin_round(rank) != Some(round))
-            .and(self.barrier_deadline);
-
-        self.deposits
-            .lock()
-            .entry(round)
-            .or_default()
-            .insert(rank, deposit);
-        let arrived = self.enter.wait(round, expected, deadline);
-        if arrived.is_some() {
-            // Keep only later rounds' (a rejoiner's early) deposits.
-            let mut open = self.deposits.lock();
-            let later = open.split_off(&(round + 1));
-            let deposits = std::mem::replace(&mut *open, later).remove(&round);
-            drop(open);
-            before_apply(&self.ps);
-            let mean = reduce_partials(deposits.unwrap_or_default().into_iter().collect());
-            self.ps.push(&mean, lr);
-            after_apply(&self.ps);
-            let mut applied = self.applied.lock();
-            *applied = (*applied).max(round + 1);
-            self.applied_cv.notify_all();
-        } else {
-            let mut applied = self.applied.lock();
-            while *applied <= round {
-                self.applied_cv.wait(&mut applied);
-            }
+            .and(self.barrier_deadline)
+            .map(|d| now + d);
+        let pass = self.ask(rank, Park::Round { round, expected }, deadline);
+        if pass.is_some() {
+            return pass;
         }
-        BspOutcome {
-            params: self.ps.snapshot(),
-            arrived,
-            expected,
+        let open = self.open.entry(round).or_insert_with(|| Open {
+            deposits: BTreeMap::new(),
+            lr,
+        });
+        open.deposits.insert(rank, deposit);
+        open.lr = lr;
+        if open.deposits.len() < expected {
+            return None;
+        }
+        self.parked[rank] = None;
+        let arrived = Some(self.close(round, hooks));
+        Some(Answer::Round { arrived, expected })
+    }
+
+    /// Close `round` with what it holds, apply once between the hooks, and
+    /// let every member of it or of an earlier round pass through. Returns
+    /// how many deposited.
+    fn close(&mut self, round: u64, hooks: &impl CloseHooks) -> usize {
+        // Keep only later rounds' (a rejoiner's early) deposits.
+        let later = self.open.split_off(&(round + 1));
+        let open = std::mem::replace(&mut self.open, later)
+            .remove(&round)
+            .expect("only an open round closes");
+        self.closed = round + 1;
+        let arrived = open.deposits.len();
+        hooks.before_apply(&self.ps);
+        let mean = reduce_partials(open.deposits.into_iter().collect());
+        self.ps.push(&mean, open.lr);
+        hooks.after_apply(&self.ps);
+        self.wake();
+        arrived
+    }
+
+    /// The clock reads `now`: parked requests past their deadlines are
+    /// answered, longest-blocked first. A round member force-closes its
+    /// round and is told it closed it; a collective read gets `None`; an
+    /// exchange wait gets `TimedOut`, its token still valid.
+    pub fn tick(&mut self, now: Duration, hooks: &impl CloseHooks) {
+        let due = |(w, parked): (usize, &Option<(Park, Option<Duration>)>)| {
+            let until = parked.and_then(|(_, until)| until)?;
+            (until <= now).then_some((until, w))
+        };
+        while let Some((_, w)) = self.parked.iter().enumerate().filter_map(due).min() {
+            let (park, _) = self.parked[w].take().expect("a due request is parked");
+            let answer = match park {
+                Park::Round { round, expected } => {
+                    let arrived = Some(self.close(round, hooks));
+                    Answer::Round { arrived, expected }
+                }
+                Park::Coll => Answer::Coll(None),
+                Park::Await(_) => Answer::Exchange(Reply::TimedOut),
+                Park::MinClock(_) | Park::Next => unreachable!("these wait without a deadline"),
+            };
+            self.outbox.push((w, answer));
         }
     }
 
-    /// Deposits currently held for `round`: the barrier's depth, and what
-    /// a test spins on to force an arrival order.
-    pub fn deposits(&self, round: u64) -> usize {
-        self.deposits.lock().get(&round).map_or(0, BTreeMap::len)
+    // --- SSP clocks ---
+
+    /// Advance `rank`'s SSP clock.
+    pub fn bump_clock(&mut self, rank: usize, clock: u64) {
+        self.ps.bump_clock(rank, clock);
+        self.wake();
+    }
+
+    /// SSP staleness gate: answered with the slowest clock once it reaches
+    /// `needed`; parks until then.
+    pub fn wait_min_clock(&mut self, rank: usize, needed: u64) -> Option<Answer> {
+        self.ask(rank, Park::MinClock(needed), None)
     }
 
     // --- mailboxes ---
 
-    /// Run `f` on `target`'s mailbox and wake its owner. A target outside
-    /// the cohort (a rank id is wire input on the process path) is ignored.
-    fn post(&self, target: usize, f: impl FnOnce(&mut Mailbox)) {
-        if let Some(mb) = self.mail.lock().boxes.get_mut(target) {
+    /// Run `f` on `target`'s mailbox. A target outside the cohort (a rank
+    /// id is wire input on the process path) is ignored.
+    fn post(&mut self, target: usize, f: impl FnOnce(&mut Mailbox)) {
+        if let Some(mb) = self.boxes.get_mut(target) {
             f(mb);
-            self.mail_cv[target].notify_all();
-        }
-    }
-
-    /// Pop from `rank`'s mailbox. With `block`, wait for an item until
-    /// `timeout` passes (forever without one) or the hub shuts down.
-    fn recv<T>(
-        &self,
-        rank: usize,
-        block: bool,
-        timeout: Option<Duration>,
-        pop: impl Fn(&mut Mailbox) -> Option<T>,
-    ) -> Option<T> {
-        let mut m = self.mail.lock();
-        let mut timed_out = false;
-        loop {
-            let item = pop(&mut m.boxes[rank]);
-            if item.is_some() || !block || timed_out || m.shutdown {
-                return item;
-            }
-            timed_out = wait(&self.mail_cv[rank], &mut m, timeout);
+            self.wake();
         }
     }
 
     /// Hand `params` to `target`'s collective mailbox.
-    pub fn coll_send(&self, from: usize, target: usize, params: ParamSet) {
+    pub fn coll_send(&mut self, from: usize, target: usize, params: ParamSet) {
         self.post(target, |mb| mb.coll.push_back((from, params)));
     }
 
-    /// Next `(sender, payload)` from `rank`'s collective mailbox, blocking.
-    /// `None` after `timeout` with nothing queued (the sender died
-    /// mid-round) or at shutdown.
-    pub fn coll_recv(&self, rank: usize, timeout: Option<Duration>) -> Option<(usize, ParamSet)> {
-        self.recv(rank, true, timeout, |mb| mb.coll.pop_front())
+    /// Next `(sender, payload)` from `rank`'s collective mailbox; parks
+    /// while it is empty, until `until` (forever without one).
+    pub fn coll_recv(&mut self, rank: usize, until: Option<Duration>) -> Option<Answer> {
+        self.ask(rank, Park::Coll, until)
     }
 
     /// Queue a gossip share at `target`.
-    pub fn gossip_send(&self, target: usize, params: ParamSet, alpha: f32) {
+    pub fn gossip_send(&mut self, target: usize, params: ParamSet, alpha: f32) {
         self.post(target, |mb| mb.gossip.push_back((params, alpha)));
     }
 
     /// Take everything queued in `rank`'s gossip mailbox.
-    pub fn gossip_drain(&self, rank: usize) -> Vec<(ParamSet, f32)> {
-        self.mail.lock().boxes[rank].gossip.drain(..).collect()
+    pub fn gossip_drain(&mut self, rank: usize) -> Vec<(ParamSet, f32)> {
+        self.boxes[rank].gossip.drain(..).collect()
     }
 
     // --- AD-PSGD exchanges ---
@@ -274,73 +385,64 @@ impl Hub {
     /// Post an exchange request from `from` at `target`; the returned
     /// token claims the answer in [`Self::exchange_await`]. A request at
     /// an evicted (or nonexistent) rank is gone on the spot.
-    pub fn exchange_request(&self, from: usize, target: usize, params: ParamSet) -> u64 {
-        let mut m = self.mail.lock();
-        let token = m.next_token;
-        m.next_token += 1;
-        if m.evicted.get(target) == Some(&false) {
+    pub fn exchange_request(&mut self, from: usize, target: usize, params: ParamSet) -> u64 {
+        let token = self.next_token;
+        self.next_token += 1;
+        if self.evicted.get(target) == Some(&false) {
             let waiting = Token {
                 requester: from,
                 target,
                 reply: None,
             };
-            m.tokens.insert(token, waiting);
-            let item = PeerItem::Exchange { token, params };
-            m.boxes[target].exchange.push_back(item);
-            self.mail_cv[target].notify_all();
+            self.tokens.insert(token, waiting);
+            self.post(target, |mb| {
+                mb.exchange.push_back(PeerItem::Exchange { token, params })
+            });
         }
         token
     }
 
-    /// Claim the answer to `token`, waiting up to `timeout` (forever
-    /// without one). At shutdown a waiting token is gone.
-    pub fn exchange_await(&self, token: u64, timeout: Option<Duration>) -> Reply {
-        let mut m = self.mail.lock();
-        let mut timed_out = false;
-        loop {
-            let Some(t) = m.tokens.get(&token) else {
-                return Reply::Gone;
-            };
-            let requester = t.requester;
-            if t.reply.is_some() || m.shutdown {
-                let reply = m.tokens.remove(&token).and_then(|t| t.reply);
-                return reply.map_or(Reply::Gone, Reply::Ready);
-            }
-            if timed_out {
-                return Reply::TimedOut;
-            }
-            timed_out = wait(&self.mail_cv[requester], &mut m, timeout);
-        }
+    /// Claim the answer to `token`; its requester parks while the passive
+    /// side has not answered, until `until` (forever without one). At
+    /// shutdown a waiting token is gone.
+    pub fn exchange_await(&mut self, token: u64, until: Option<Duration>) -> Option<Answer> {
+        let Some(t) = self.tokens.get(&token) else {
+            return Some(Answer::Exchange(Reply::Gone));
+        };
+        self.ask(t.requester, Park::Await(token), until)
     }
 
     /// Forget `token`: the requester gave up; a late answer is dropped.
-    pub fn exchange_abandon(&self, token: u64) {
-        self.mail.lock().tokens.remove(&token);
+    pub fn exchange_abandon(&mut self, token: u64) {
+        self.tokens.remove(&token);
     }
 
-    /// Next item from `rank`'s exchange mailbox; with `block`, wait for
-    /// one (`None` then means shutdown).
-    pub fn exchange_next(&self, rank: usize, block: bool) -> Option<PeerItem> {
-        self.recv(rank, block, None, |mb| mb.exchange.pop_front())
+    /// Next item from `rank`'s exchange mailbox: a poll (`!block`) is
+    /// answered at once; a blocking read parks while the mailbox is empty.
+    pub fn exchange_next(&mut self, rank: usize, block: bool) -> Option<Answer> {
+        if !block {
+            return Some(Answer::Peer(self.boxes[rank].exchange.pop_front()));
+        }
+        self.ask(rank, Park::Next, None)
     }
 
     /// The passive side's answer to `token`.
-    pub fn exchange_respond(&self, token: u64, midpoint: ParamSet) {
-        if let Some(t) = self.mail.lock().tokens.get_mut(&token) {
+    pub fn exchange_respond(&mut self, token: u64, midpoint: ParamSet) {
+        if let Some(t) = self.tokens.get_mut(&token) {
             t.reply.get_or_insert(midpoint);
-            self.mail_cv[t.requester].notify_all();
+            self.wake();
         }
     }
 
     /// Active rank `from` is done: tell every passive (odd) rank.
-    pub fn announce_done(&self, from: usize) {
-        self.push_done(&mut self.mail.lock(), from);
+    pub fn announce_done(&mut self, from: usize) {
+        self.push_done(from);
+        self.wake();
     }
 
-    fn push_done(&self, m: &mut Mail, from: usize) {
+    fn push_done(&mut self, from: usize) {
         for v in (1..self.workers).step_by(2).filter(|&v| v != from) {
-            m.boxes[v].exchange.push_back(PeerItem::Done);
-            self.mail_cv[v].notify_all();
+            self.boxes[v].exchange.push_back(PeerItem::Done);
         }
     }
 
@@ -348,48 +450,50 @@ impl Hub {
 
     /// `rank` will serve no more exchanges (it finished): every request
     /// still waiting on it — queued or already taken — is gone.
-    pub fn retire(&self, rank: usize) {
-        self.drop_waiting_on(&mut self.mail.lock(), rank);
+    pub fn retire(&mut self, rank: usize) {
+        self.drop_waiting_on(rank);
+        self.wake();
     }
 
-    fn drop_waiting_on(&self, m: &mut Mail, rank: usize) {
-        m.boxes[rank].exchange.clear();
-        m.tokens.retain(|_, t| {
-            let gone = t.target == rank && t.reply.is_none();
-            if gone {
-                self.mail_cv[t.requester].notify_all();
-            }
-            !gone
-        });
+    fn drop_waiting_on(&mut self, rank: usize) {
+        self.boxes[rank].exchange.clear();
+        self.tokens
+            .retain(|_, t| t.target != rank || t.reply.is_some());
     }
 
-    /// `rank` died (idempotent): park its SSP clock so survivors'
-    /// staleness gates exclude it, drop every exchange waiting on it and
-    /// the collective items it will never consume, and — a dead active
-    /// cannot announce completion — synthesize its `Done` so passives do
-    /// not drain forever.
-    pub fn evict(&self, rank: usize) {
-        let mut m = self.mail.lock();
-        if std::mem::replace(&mut m.evicted[rank], true) {
+    /// `rank` died (idempotent): its own parked request needs no answer.
+    /// Park its SSP clock so survivors' staleness gates exclude it, drop
+    /// every exchange waiting on it and the collective items it will never
+    /// consume, and — a dead active cannot announce completion —
+    /// synthesize its `Done` so passives do not drain forever. Its deposit
+    /// in an open round stays.
+    pub fn evict(&mut self, rank: usize) {
+        self.parked[rank] = None;
+        if std::mem::replace(&mut self.evicted[rank], true) {
             return;
         }
         self.ps.bump_clock(rank, u64::MAX);
-        m.boxes[rank].coll.clear();
-        self.drop_waiting_on(&mut m, rank);
+        self.boxes[rank].coll.clear();
+        self.drop_waiting_on(rank);
         if rank.is_multiple_of(2) {
-            self.push_done(&mut m, rank);
+            self.push_done(rank);
         }
+        self.wake();
     }
 
-    /// Release every waiter: blocked mailbox reads return `None`, awaited
-    /// tokens are gone, and barrier members pass through.
-    pub fn shutdown(&self) {
-        self.enter.release();
-        *self.applied.lock() = u64::MAX;
-        self.applied_cv.notify_all();
-        self.mail.lock().shutdown = true;
-        self.mail_cv.iter().for_each(Condvar::notify_all);
+    /// Answer every request, parked or still to come, with what there is:
+    /// mailbox reads get what is queued or `None`, awaited tokens are gone,
+    /// round members pass through.
+    pub fn shutdown(&mut self) {
+        self.shutdown = true;
+        self.closed = u64::MAX;
+        self.wake();
     }
+}
+
+/// A mailbox read's answer: the item found, or nothing at shutdown.
+fn item<T>(found: Option<T>, down: bool) -> Option<Option<T>> {
+    (found.is_some() || down).then_some(found)
 }
 
 /// The trained model of a finished run: the mean of the replicas of the

@@ -5,19 +5,20 @@
 //! against a `Mutex`-guarded parameter server; GoSGD and AD-PSGD use the
 //! [`crate::Hub`]'s mailboxes. [`PsState`] is owned by the hub; the
 //! threaded backend locks it directly and the process coordinator on
-//! behalf of a frame. Unlike the simulator, execution here is *not*
-//! deterministic — it races like production training does.
+//! behalf of a frame. Nothing waits here: an SSP rank whose staleness gate
+//! is shut parks in the hub, which answers it when a clock bump opens the
+//! gate. Unlike the simulator, execution here is *not* deterministic — it
+//! races like production training does.
 
 use std::sync::Arc;
 
 use dtrain_nn::{ParamSet, SgdMomentum};
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use parking_lot::{Mutex, MutexGuard};
 
 /// Centralized shared state: global parameters + optimizer + SSP clocks.
 pub struct PsState {
     pub global: Mutex<(ParamSet, SgdMomentum)>,
     pub clocks: Mutex<Vec<u64>>,
-    pub clock_moved: Condvar,
 }
 
 impl PsState {
@@ -25,7 +26,6 @@ impl PsState {
         Arc::new(PsState {
             global: Mutex::new((params, SgdMomentum::new(momentum, weight_decay))),
             clocks: Mutex::new(vec![0; workers]),
-            clock_moved: Condvar::new(),
         })
     }
 
@@ -53,35 +53,20 @@ impl PsState {
         self.global.lock().0.clone()
     }
 
-    /// Advance `worker`'s clock to `clock` and wake staleness waiters.
+    /// Advance `worker`'s clock to `clock`.
     pub fn bump_clock(&self, worker: usize, clock: u64) {
-        let mut clocks = self.clocks.lock();
-        clocks[worker] = clock;
-        drop(clocks);
-        self.clock_moved.notify_all();
+        self.clocks.lock()[worker] = clock;
     }
 
-    /// Block until `min(clocks) ≥ needed` (SSP gating). Returns the min.
-    pub fn wait_for_min_clock(&self, needed: u64) -> u64 {
-        let mut clocks = self.clocks.lock();
-        loop {
-            let min = clocks.iter().copied().min().unwrap_or(0);
-            if min >= needed {
-                return min;
-            }
-            self.clock_moved.wait(&mut clocks);
-        }
+    /// The slowest clock: what an SSP staleness gate compares against.
+    pub fn min_clock(&self) -> u64 {
+        self.clocks.lock().iter().copied().min().unwrap_or(0)
     }
 
     /// Elastic-averaging exchange (EASGD): center pulls toward the worker,
     /// the returned params pull the worker toward the center.
     pub fn elastic_exchange(&self, worker_params: &ParamSet, alpha: f32) -> ParamSet {
-        let mut g = self.global.lock();
-        let (center, _) = &mut *g;
-        let mut updated = worker_params.clone();
-        updated.lerp(center, alpha);
-        center.lerp(worker_params, alpha);
-        updated
+        self.global.lock().0.elastic_exchange(worker_params, alpha)
     }
 }
 
@@ -113,15 +98,11 @@ mod tests {
     }
 
     #[test]
-    fn clock_gating_blocks_until_released() {
+    fn min_clock_is_the_slowest_worker() {
         let state = PsState::new(ps(&[0.0]), 0.0, 0.0, 2);
         state.bump_clock(0, 5);
-        let s2 = Arc::clone(&state);
-        let waiter = std::thread::spawn(move || s2.wait_for_min_clock(3));
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        assert!(!waiter.is_finished(), "must wait for worker 1's clock");
+        assert_eq!(state.min_clock(), 0, "worker 1 has not moved");
         state.bump_clock(1, 4);
-        let min = waiter.join().expect("waiter thread");
-        assert_eq!(min, 4);
+        assert_eq!(state.min_clock(), 4);
     }
 }

@@ -1,7 +1,9 @@
-//! Round-keyed synchronization primitives shared by the execution backends.
+//! A blocking round-keyed barrier.
 //!
-//! [`ElasticBarrier`] decides which arrival closes a [`crate::Hub`] BSP
-//! round, on the threaded and the process path alike.
+//! No execution path uses [`ElasticBarrier`] any more: the [`crate::Hub`]
+//! counts a BSP round's arrivals in its deposit table and answers the
+//! members instead of parking them. Its only caller is
+//! `perf/src/micro.rs`, whose `runtime.barrier_roundtrip_us` times it.
 
 use std::collections::HashMap;
 use std::time::Duration;
@@ -82,13 +84,6 @@ impl ElasticBarrier {
                 return Some(arrived);
             }
         }
-    }
-
-    /// Close every round, present and future: all waiters (and all later
-    /// arrivals) pass straight through. Run teardown.
-    pub fn release(&self) {
-        self.state.lock().closed = u64::MAX;
-        self.cv.notify_all();
     }
 }
 
