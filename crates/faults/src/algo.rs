@@ -63,6 +63,14 @@ impl Algo {
         matches!(self, Algo::Bsp | Algo::Asp | Algo::Ssp { .. } | Algo::ArSgd)
     }
 
+    /// Does a rank that rejoins resume from its own worker checkpoint? Only
+    /// the two without a server to pull (GoSGD, AD-PSGD). Every other
+    /// rejoiner adopts the server's current parameters, so its periodic
+    /// checkpoints are never read and the real paths need not take them.
+    pub fn restores_from_checkpoint(&self) -> bool {
+        matches!(self, Algo::GoSgd { .. } | Algo::AdPsgd)
+    }
+
     /// The algorithm a run continues under after the degradation
     /// controller's verdict: only BSP relaxes, to SSP (the barrier is what
     /// a straggler poisons; the others already decouple). `EnableDgc`
@@ -143,6 +151,28 @@ mod tests {
                     algo.name()
                 );
             }
+        }
+    }
+
+    /// The decentralized pair restores from a checkpoint; every algorithm
+    /// with a server (or, AR-SGD, the hub's synchronous mean) pulls it.
+    #[test]
+    fn only_serverless_rejoiners_restore_from_a_checkpoint() {
+        let easgd = Algo::Easgd {
+            tau: 4,
+            alpha: None,
+        };
+        let all = [
+            (Algo::Bsp, false),
+            (Algo::Asp, false),
+            (Algo::Ssp { staleness: 3 }, false),
+            (easgd, false),
+            (Algo::ArSgd, false),
+            (Algo::GoSgd { p: 0.1 }, true),
+            (Algo::AdPsgd, true),
+        ];
+        for (algo, restores) in all {
+            assert_eq!(algo.restores_from_checkpoint(), restores, "{}", algo.name());
         }
     }
 

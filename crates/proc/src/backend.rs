@@ -129,6 +129,9 @@ pub struct ProcBackend {
     live_cache: Option<(u64, Vec<usize>)>,
     /// Is an AD-PSGD exchange outstanding on this connection?
     pending_exchange: bool,
+    /// The round whose BSP deposit carried this iteration's heartbeat, with
+    /// the checkpoint directive its answer gave.
+    carried: Option<(u64, bool)>,
     /// Request sequence counter (survives reconnects).
     seq: u32,
     reconnect_window: Duration,
@@ -177,6 +180,7 @@ impl ProcBackend {
             init_params: ParamSet(Vec::new()),
             live_cache: None,
             pending_exchange: false,
+            carried: None,
             seq: 1,
             reconnect_window: link.reconnect_window,
             chaos,
@@ -397,6 +401,37 @@ impl ProcBackend {
             other => panic!("worker {}: expected Params, got {other:?}", self.w),
         }
     }
+
+    /// Deposit for `round` (a `BspExchange` or `BspPartial`) and take the
+    /// round's result, noting that it carried the heartbeat for `round + 1`.
+    fn bsp_deposit(&mut self, round: u64, req: Msg) -> BspOutcome {
+        match self.must(req) {
+            Msg::BspResult {
+                leader,
+                checkpoint,
+                arrived,
+                expected,
+                params,
+            } => {
+                self.carried = Some((round, checkpoint));
+                BspOutcome {
+                    params,
+                    arrived: leader.then_some(arrived as usize),
+                    expected: expected as usize,
+                }
+            }
+            other => panic!("worker {}: expected BspResult, got {other:?}", self.w),
+        }
+    }
+
+    /// An explicit heartbeat announcing `round`; returns the checkpoint
+    /// directive of its ack.
+    fn heartbeat(&mut self, round: u64) -> bool {
+        match self.must(Msg::Heartbeat { round }) {
+            Msg::HeartbeatAck { checkpoint } => checkpoint,
+            other => panic!("worker {}: expected HeartbeatAck, got {other:?}", self.w),
+        }
+    }
 }
 
 impl ExecBackend for ProcBackend {
@@ -481,19 +516,7 @@ impl ExecBackend for ProcBackend {
     fn ps_applied(&mut self) {}
 
     fn bsp_exchange(&mut self, round: u64, grad: ParamSet, lr: f32) -> BspOutcome {
-        match self.must(Msg::BspExchange { round, lr, grad }) {
-            Msg::BspResult {
-                leader,
-                arrived,
-                expected,
-                params,
-            } => BspOutcome {
-                params,
-                arrived: leader.then_some(arrived as usize),
-                expected: expected as usize,
-            },
-            other => panic!("worker {}: expected BspResult, got {other:?}", self.w),
-        }
+        self.bsp_deposit(round, Msg::BspExchange { round, lr, grad })
     }
 
     fn coll_send(&mut self, target: usize, params: ParamSet) {
@@ -519,25 +542,14 @@ impl ExecBackend for ProcBackend {
         lr: f32,
         leaders: usize,
     ) -> BspOutcome {
-        match self.must(Msg::BspPartial {
+        let req = Msg::BspPartial {
             round,
             lr,
             weight: weight as u32,
             leaders: leaders as u32,
             partial,
-        }) {
-            Msg::BspResult {
-                leader,
-                arrived,
-                expected,
-                params,
-            } => BspOutcome {
-                params,
-                arrived: leader.then_some(arrived as usize),
-                expected: expected as usize,
-            },
-            other => panic!("worker {}: expected BspResult, got {other:?}", self.w),
-        }
+        };
+        self.bsp_deposit(round, req)
     }
 
     fn gossip_send(&mut self, target: usize, params: ParamSet, alpha: f32) {
@@ -612,12 +624,7 @@ impl ExecBackend for ProcBackend {
     fn startup(&mut self, _params: &ParamSet, _opt: &SgdMomentum) {
         // First heartbeat: announces the round this rank is about to run
         // (also arms the test pause gate at a start round).
-        match self.must(Msg::Heartbeat {
-            round: self.start_round,
-        }) {
-            Msg::HeartbeatAck { .. } => {}
-            other => panic!("worker {}: expected HeartbeatAck, got {other:?}", self.w),
-        }
+        self.heartbeat(self.start_round);
     }
 
     fn poll_crash(&mut self, _local_iter: u64) -> Option<Option<(ParamSet, SgdMomentum, u64)>> {
@@ -641,6 +648,11 @@ impl ExecBackend for ProcBackend {
         }
     }
 
+    /// End of `round`: the straggler stretch, then the heartbeat announcing
+    /// `round + 1` — an RPC only when the round's BSP deposit did not carry
+    /// it already (startup aside, that is hierarchical non-leaders and the
+    /// five algorithms without a BSP round) — then a `CkptSave` if the
+    /// heartbeat's answer directed one.
     fn iter_end(
         &mut self,
         round: u64,
@@ -654,10 +666,9 @@ impl ExecBackend for ProcBackend {
             std::thread::sleep(Duration::from_millis(self.straggle_ms));
         }
         let next = round + 1;
-        let ack = self.must(Msg::Heartbeat { round: next });
-        let checkpoint = match ack {
-            Msg::HeartbeatAck { checkpoint } => checkpoint,
-            other => panic!("worker {}: expected HeartbeatAck, got {other:?}", self.w),
+        let checkpoint = match self.carried.take() {
+            Some((carried, checkpoint)) if carried == round => checkpoint,
+            _ => self.heartbeat(next),
         };
         if checkpoint {
             let (params, _opt) = state();

@@ -43,8 +43,9 @@ use dtrain_tensor::Tensor;
 pub use crate::crc::crc32;
 
 /// Wire protocol version; bumped on any frame or payload layout change.
-/// v2 added the `seq` field and the CRC-32 trailer.
-pub const PROTO_VERSION: u8 = 2;
+/// v2 added the `seq` field and the CRC-32 trailer; v3 the `checkpoint`
+/// byte of `BspResult`, whose deposit now carries the heartbeat.
+pub const PROTO_VERSION: u8 = 3;
 
 /// Hard cap on a single frame's payload (64 MiB). Large enough for any
 /// model this repo trains; small enough that a corrupt length prefix

@@ -59,9 +59,10 @@ pub struct ProcConfig {
     /// Socket read timeout on worker connections — a transfer that stalls
     /// longer than this counts as a dead peer.
     pub transfer_deadline: Duration,
-    /// Test hook: freeze rank `.0`'s connection handler when its heartbeat
-    /// announces round `.1` (before the round executes), so a test can
-    /// `SIGKILL` the process at a pinned point.
+    /// Test hook: freeze rank `.0` when its heartbeat announces round `.1`
+    /// (before the round executes; for a BSP rank, the deposit for round
+    /// `.1 − 1` announces it), holding back the answer it waits for, so a
+    /// test can `SIGKILL` the process at a pinned point.
     pub pause_at: Option<(usize, u64)>,
     /// Scheduled late rejoin after a real process death.
     pub rejoin: Option<RejoinSpec>,

@@ -102,6 +102,9 @@ struct Rank {
     /// Round the current process's next heartbeat announces; its start.
     last_hb: u64,
     start_round: u64,
+    /// The checkpoint directive of its latest heartbeat, which the answer
+    /// acknowledging that heartbeat carries.
+    checkpoint: bool,
     /// Rounds executed by the rank's dead processes.
     dead_iters: u64,
     outcome: Option<Outcome>,
@@ -112,26 +115,33 @@ pub struct CoordCore {
     ranks: Vec<Rank>,
     reconnect_window: Duration,
     rejoin: Option<RejoinSpec>,
+    /// Executed rounds between checkpoint directives: the configured
+    /// interval if the algorithm's rejoiners restore from a checkpoint,
+    /// else 0 (nothing would read one).
+    checkpoint_every: u64,
     /// Membership events (a rank's first death only) and their view.
     evicts: Vec<(usize, u64)>,
     rejoins: Vec<(usize, u64)>,
     view: Arc<MembershipView>,
-    /// Test pause gate: armed `(rank, round)`, then the rank it froze with
-    /// the rounds its held heartbeat ack reports.
+    /// Test pause gate: armed `(rank, round)`, then the process it froze,
+    /// `(rank, life)`, whose answers it holds back.
     armed: Option<(usize, u64)>,
-    paused: Option<(usize, u64)>,
+    paused: Option<(usize, u32)>,
     tally: Tally,
     fx: Vec<Effect>,
 }
 
 impl CoordCore {
-    /// A core for `cfg`'s ranks, reconnect window, rejoin and pause gate.
+    /// A core for `cfg`'s ranks, reconnect window, rejoin, checkpoint
+    /// cadence and pause gate.
     pub fn new(cfg: &ProcConfig) -> CoordCore {
         let workers = cfg.plan.workers;
+        let restores = cfg.plan.strategy.restores_from_checkpoint();
         CoordCore {
             ranks: (0..workers).map(|_| Rank::default()).collect(),
             reconnect_window: cfg.reconnect_window,
             rejoin: cfg.rejoin,
+            checkpoint_every: if restores { cfg.checkpoint_interval } else { 0 },
             evicts: Vec::new(),
             rejoins: Vec::new(),
             view: Arc::new(MembershipView::all_alive(workers)),
@@ -179,14 +189,17 @@ impl CoordCore {
         last_seq: u32,
         attempt: u32,
     ) -> Option<(u64, ResumeDecision<ReplyFrame>)> {
+        let held = self.held(w);
         let r = self.ranks.get_mut(w)?;
         if r.life > 0 || !matches!(r.phase, Phase::Connected | Phase::Disconnected(_)) {
             return None;
         }
-        let decision = r.session.on_resume(last_seq);
-        if matches!(decision, ResumeDecision::Refuse) {
-            return None;
-        }
+        // A held answer is not replayed: `release_pause` writes it.
+        let decision = match r.session.on_resume(last_seq) {
+            ResumeDecision::Refuse => return None,
+            ResumeDecision::ResendCached(..) if held => ResumeDecision::AwaitInFlight,
+            decision => decision,
+        };
         r.phase = Phase::Connected;
         self.tally.retries += 1;
         self.fx.push(Effect::Marker(names::RETRY, attempt.into()));
@@ -196,11 +209,16 @@ impl CoordCore {
     /// Request `seq` read on connection `generation`: stale unless that is
     /// the rank's live connection. A fresh one is in flight until replied.
     pub fn frame(&mut self, w: usize, generation: u64, seq: u32) -> Inbound<ReplyFrame> {
+        let held = self.held(w);
         let r = &mut self.ranks[w];
         if r.phase != Phase::Connected || r.session.generation != generation {
             return Inbound::Stale;
         }
-        let inbound = r.session.classify(seq);
+        let inbound = match r.session.classify(seq) {
+            // A duplicate of a held request gets no replay either.
+            Inbound::Duplicate(Some(_)) if held => Inbound::Duplicate(None),
+            inbound => inbound,
+        };
         if inbound == Inbound::Fresh {
             r.in_flight = Some((generation, seq));
         }
@@ -213,11 +231,18 @@ impl CoordCore {
         self.ranks[w].in_flight
     }
 
+    /// Does rank `w`'s process wait for an answer — one in flight, or one
+    /// the pause gate holds? Then its silence is no link trouble.
+    pub fn awaiting(&self, w: usize) -> bool {
+        self.ranks[w].in_flight.is_some() || self.held(w)
+    }
+
     /// Request `seq`, read on connection `generation`, is answered with
     /// `reply`. Unless that request is no longer in flight (its process is
     /// gone), cache the reply for replay and name the connection to write
     /// it to: the rank's live one, which a resume may have replaced since
-    /// the read; `None` while the link is down.
+    /// the read; `None` while the link is down, or while the pause gate
+    /// holds the process's answers.
     pub fn reply(
         &mut self,
         w: usize,
@@ -225,13 +250,14 @@ impl CoordCore {
         seq: u32,
         reply: (u8, ReplyFrame),
     ) -> Option<u64> {
+        let held = self.held(w);
         let r = &mut self.ranks[w];
         if r.in_flight != Some((generation, seq)) {
             return None;
         }
         r.in_flight = None;
         r.session.cache_reply(reply.0, reply.1);
-        (r.phase == Phase::Connected).then_some(r.session.generation)
+        (r.phase == Phase::Connected && !held).then_some(r.session.generation)
     }
 
     /// Connection `generation` of rank `w` failed at `now`: link trouble,
@@ -262,21 +288,38 @@ impl CoordCore {
         &self.ranks[w].session
     }
 
-    /// Rank `w` is about to run `round`: the rounds its current process
-    /// has executed, or `None` when the pause gate froze it — its ack is
-    /// held until [`Self::release_pause`] hands it out.
-    pub fn heartbeat(&mut self, w: usize, round: u64) -> Option<u64> {
+    /// Rank `w` is about to run `round`, announced by a `Heartbeat` or by
+    /// the BSP deposit for `round - 1`. Returns the checkpoint directive:
+    /// save when the rounds its current process has executed reach a
+    /// multiple of the cadence. [`Self::checkpoint`] keeps it for a round
+    /// answer that comes later. If the pause gate is armed at `(w, round)`
+    /// it freezes the process: the answer in flight is cached when it
+    /// comes, but neither written nor replayed until
+    /// [`Self::release_pause`].
+    pub fn heartbeat(&mut self, w: usize, round: u64) -> bool {
         let r = &mut self.ranks[w];
         if matches!(r.phase, Phase::Connected | Phase::Disconnected(_)) {
             r.last_hb = r.last_hb.max(round);
         }
-        let executed = round.saturating_sub(r.start_round);
-        if self.armed != Some((w, round)) {
-            return Some(executed);
+        let (executed, every) = (round.saturating_sub(r.start_round), self.checkpoint_every);
+        r.checkpoint = every > 0 && executed > 0 && executed.is_multiple_of(every);
+        if self.armed == Some((w, round)) {
+            (self.armed, self.paused) = (None, Some((w, r.life)));
+            self.fx.push(Effect::Wake);
         }
-        (self.armed, self.paused) = (None, Some((w, executed)));
-        self.fx.push(Effect::Wake);
-        None
+        r.checkpoint
+    }
+
+    /// The checkpoint directive of rank `w`'s latest heartbeat.
+    pub fn checkpoint(&self, w: usize) -> bool {
+        self.ranks[w].checkpoint
+    }
+
+    /// Does the pause gate hold rank `w`'s answers? Only while the process
+    /// it froze is the rank's current one.
+    fn held(&self, w: usize) -> bool {
+        self.paused
+            .is_some_and(|(v, life)| v == w && self.ranks[v].life == life)
     }
 
     /// A BSP round force-closed with `arrived` of its cohort.
@@ -370,12 +413,20 @@ impl CoordCore {
         self.paused.map(|(w, _)| w)
     }
 
-    /// Open the pause gate for good and disarm it. Returns the frozen rank
-    /// and the rounds its held heartbeat ack reports.
-    pub fn release_pause(&mut self) -> Option<(usize, u64)> {
+    /// Open the pause gate for good and disarm it. Returns the answer it
+    /// held, `(rank, connection, frame)`, when that answer is cached and
+    /// the frozen process is connected; one still to come is written as
+    /// any other.
+    pub fn release_pause(&mut self) -> Option<(usize, u64, ReplyFrame)> {
         self.armed = None;
         self.fx.push(Effect::Wake);
-        self.paused.take()
+        let (w, life) = self.paused.take()?;
+        let r = &self.ranks[w];
+        if r.life != life || r.phase != Phase::Connected {
+            return None;
+        }
+        let (_, frame) = r.session.cached.clone()?;
+        Some((w, r.session.generation, frame))
     }
 
     pub fn tally(&self) -> Tally {

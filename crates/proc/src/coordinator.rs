@@ -101,6 +101,14 @@ struct State {
     links: Vec<Option<(u64, Link)>>,
 }
 
+impl State {
+    /// Rank `w`'s write half, if connection `to` is still its latest.
+    fn link(&self, w: usize, to: u64) -> Option<(u64, Link)> {
+        let (_, link) = self.links[w].as_ref().filter(|(g, _)| *g == to)?;
+        Some((to, Arc::clone(link)))
+    }
+}
+
 /// A connection's write half, shared by its handler and whichever call
 /// answers the rank's parked request: one frame at a time.
 type Link = Arc<Mutex<TcpStream>>;
@@ -188,14 +196,14 @@ impl Coord {
             .into_iter()
             .filter_map(|(w, answer)| {
                 count_partial(core, &answer);
-                Some((w, core.in_flight(w)?, answer))
+                Some((w, core.in_flight(w)?, answer, core.checkpoint(w)))
             })
             .collect();
         effects.extend(core.drain());
         drop(state);
         effects.into_iter().for_each(|effect| self.apply(effect));
-        for (w, (generation, seq), answer) in answers {
-            self.deliver(w, generation, seq, self.reply_msg(answer));
+        for (w, (generation, seq), answer, checkpoint) in answers {
+            self.deliver(w, generation, seq, self.reply_msg(answer, checkpoint));
         }
         out
     }
@@ -284,28 +292,30 @@ impl Coord {
             let to = s
                 .core
                 .reply(w, generation, seq, (rty, Arc::clone(&frame)))?;
-            let (_, link) = s.links[w].as_ref().filter(|(g, _)| *g == to)?;
-            Some((to, Arc::clone(link)))
+            s.link(w, to)
         });
+        self.write(w, link, &frame);
+    }
+
+    /// Write `frame` to rank `w`'s connection `(generation, write half)`,
+    /// if there is one; a failed write starts the reconnect window.
+    fn write(&self, w: usize, link: Option<(u64, Link)>, frame: &[u8]) {
         if let Some((to, link)) = link {
-            if link.lock().write_all(&frame).is_err() {
+            if link.lock().write_all(frame).is_err() {
                 self.lost(w, to);
             }
         }
     }
 
-    /// Open the pause gate for good, and send the rank it froze its held
-    /// heartbeat ack.
+    /// Open the pause gate for good, and write the answer it held back
+    /// from the rank it froze, if that answer came while it was shut.
     fn release_pause(&self) {
         let held = self.with_state(|s| {
-            let (w, executed) = s.core.release_pause()?;
-            Some((w, s.core.in_flight(w)?, executed))
+            let (w, to, frame) = s.core.release_pause()?;
+            Some((w, s.link(w, to), frame))
         });
-        if let Some((w, (generation, seq), executed)) = held {
-            let ack = Msg::HeartbeatAck {
-                checkpoint: self.store.due(executed),
-            };
-            self.deliver(w, generation, seq, ack);
+        if let Some((w, link, frame)) = held {
+            self.write(w, link, &frame);
         }
     }
 
@@ -316,16 +326,11 @@ impl Coord {
     fn dispatch(&self, w: usize, msg: Msg) -> Result<Option<Msg>, Violation> {
         let ps = &self.ps;
         Ok(Some(match msg {
-            Msg::Heartbeat { round } => {
-                // Test pause gate: a frozen rank's ack is held back, and
-                // the worker, which blocks on it, with it.
-                let Some(executed) = self.with_state(|s| s.core.heartbeat(w, round)) else {
-                    return Ok(None);
-                };
-                Msg::HeartbeatAck {
-                    checkpoint: self.store.due(executed),
-                }
-            }
+            // Test pause gate: a frozen rank's ack is cached but held back,
+            // and the worker, which blocks on it, with it.
+            Msg::Heartbeat { round } => Msg::HeartbeatAck {
+                checkpoint: self.with_state(|s| s.core.heartbeat(w, round)),
+            },
             Msg::Membership { round } => {
                 let live = self.state.lock().core.view().live_at(round);
                 Msg::LiveSet {
@@ -350,7 +355,7 @@ impl Coord {
                 Msg::Ok
             }
             Msg::WaitMinClock { needed } => {
-                return Ok(self.ask(|s| s.hub.wait_min_clock(w, needed)))
+                return Ok(self.ask(w, |s| s.hub.wait_min_clock(w, needed)))
             }
             Msg::BspExchange { round, lr, grad } => {
                 return Ok(self.bsp_round(w, round, None, (grad, 1), lr))
@@ -370,7 +375,7 @@ impl Coord {
             // worker that died mid-round degrades instead of waiting forever.
             Msg::CollRecv => {
                 let until = self.wall.elapsed() + self.cfg.transfer_deadline;
-                return Ok(self.ask(|s| s.hub.coll_recv(w, Some(until))));
+                return Ok(self.ask(w, |s| s.hub.coll_recv(w, Some(until))));
             }
             Msg::GossipSend {
                 target,
@@ -395,12 +400,14 @@ impl Coord {
                 Msg::Ok
             }
             Msg::ExchangeAwait => {
-                return Ok(self.ask(|s| match s.core.token(w).take() {
+                return Ok(self.ask(w, |s| match s.core.token(w).take() {
                     Some(token) => s.hub.exchange_await(token, None),
                     None => Some(Answer::Exchange(Reply::Gone)),
                 }))
             }
-            Msg::ExchangePoll { block } => return Ok(self.ask(|s| s.hub.exchange_next(w, block))),
+            Msg::ExchangePoll { block } => {
+                return Ok(self.ask(w, |s| s.hub.exchange_next(w, block)))
+            }
             Msg::ExchangeRespond { token, params } => {
                 self.with_state(|s| s.hub.exchange_respond(token, params));
                 Msg::Ok
@@ -416,10 +423,13 @@ impl Coord {
                 Msg::Ok
             }
             Msg::CkptFetch => match self.store.restore(w) {
-                Some(cp) => Msg::CkptState {
-                    iteration: cp.iteration,
-                    params: cp.params,
-                },
+                Some(cp) => {
+                    markers::ckpt_restore(&self.obs_rt, self.ns(), cp.iteration);
+                    Msg::CkptState {
+                        iteration: cp.iteration,
+                        params: cp.params,
+                    }
+                }
                 None => Msg::Gone,
             },
             Msg::RunComplete {
@@ -442,22 +452,25 @@ impl Coord {
         }))
     }
 
-    /// A hub request that can wait: its reply now, or `None` once parked.
-    fn ask(&self, f: impl FnOnce(&mut State) -> Option<Answer>) -> Option<Msg> {
+    /// Rank `w`'s hub request that can wait: its reply now, or `None` once
+    /// parked.
+    fn ask(&self, w: usize, f: impl FnOnce(&mut State) -> Option<Answer>) -> Option<Msg> {
         let answer = self.with_state(|s| {
             let answer = f(s)?;
             count_partial(&mut s.core, &answer);
-            Some(answer)
+            Some((answer, s.core.checkpoint(w)))
         });
-        answer.map(|answer| self.reply_msg(answer))
+        answer.map(|(answer, checkpoint)| self.reply_msg(answer, checkpoint))
     }
 
     /// The frame that answers a hub request. A round's reply carries the
-    /// fresh parameters, read as it is encoded: one answer's copy at a time.
-    fn reply_msg(&self, answer: Answer) -> Msg {
+    /// fresh parameters, read as it is encoded: one answer's copy at a time,
+    /// and the checkpoint directive of the heartbeat its deposit carried.
+    fn reply_msg(&self, answer: Answer, checkpoint: bool) -> Msg {
         match answer {
             Answer::Round { arrived, expected } => Msg::BspResult {
                 leader: arrived.is_some(),
+                checkpoint,
                 arrived: arrived.unwrap_or(0) as u32,
                 expected: expected as u32,
                 params: self.ps.snapshot(),
@@ -479,6 +492,9 @@ impl Coord {
     /// One BSP barrier seat (flat, or hierarchical over `leaders`), with a
     /// deposit covering `.1` ranks: the cohort comes from the membership
     /// view as real deaths have shaped it; the round itself is the hub's.
+    /// The deposit is also the rank's heartbeat for `round + 1`, recorded
+    /// in the same lock section: once the round closes, the rank has
+    /// executed `round`.
     fn bsp_round(
         &self,
         w: usize,
@@ -488,7 +504,8 @@ impl Coord {
         lr: f32,
     ) -> Option<Msg> {
         let now = self.wall.elapsed();
-        self.ask(|s| {
+        self.ask(w, |s| {
+            s.core.heartbeat(w, round + 1);
             let view = s.core.view();
             let seat = Seat {
                 rank: w,
@@ -616,8 +633,9 @@ fn serve_connection(
     let mut payload = Vec::new();
     loop {
         // A read timeout is link trouble only while the rank owes nothing:
-        // with a request parked, its worker is silent because it waits.
-        let waiting = coord.state.lock().core.in_flight(w).is_some();
+        // with a request parked or an answer held, its worker is silent
+        // because it waits.
+        let waiting = coord.state.lock().core.awaiting(w);
         let (seq, msg) = match Msg::read_from(conn, &mut payload) {
             Ok(frame) => frame,
             Err(CodecError::Io(e))
@@ -740,7 +758,8 @@ impl ProcRun {
         children.iter().map(|p| (p.rank, p.child.id())).collect()
     }
 
-    /// Block until the armed pause gate freezes its worker; returns the
+    /// Block until the armed pause gate freezes its worker (the heartbeat
+    /// or BSP deposit announcing the armed round has arrived); returns the
     /// frozen rank and its PID.
     pub fn wait_paused(&self, timeout: Duration) -> Option<(usize, u32)> {
         let rank = self.coord.wait_until(Some(timeout), CoordCore::paused)?;
@@ -754,8 +773,8 @@ impl ProcRun {
         {
             let mut children = self.coord.children.lock();
             let victim = children.iter_mut().find(|p| p.child.id() == pid)?;
-            // Reaped before the gate opens, so writing the held ack
-            // deterministically fails.
+            // Reaped before the gate opens, so the held answer reaches no
+            // process: its write fails, or the recorded death drops it.
             let _ = victim.child.kill();
             let _ = victim.child.wait();
         }

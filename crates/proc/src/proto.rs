@@ -32,11 +32,17 @@ pub enum Msg {
     HelloAck { start_round: u64, params: ParamSet },
 
     // --- heartbeat / membership ---
-    /// Worker -> coordinator, once per executed iteration: "I am alive and
-    /// about to run `round`". Also the pause-gate hook for tests.
+    /// Worker -> coordinator: "I am alive and about to run `round`". Sent
+    /// at startup and at the end of every executed iteration whose round
+    /// did not carry it already: a flat or partial BSP deposit for round
+    /// `r` counts as the heartbeat for `r + 1`, so BSP leaders send this
+    /// only at startup. Also the pause-gate hook for tests.
     Heartbeat { round: u64 },
-    /// Reply: `checkpoint` directs the worker to snapshot its state back
-    /// to the coordinator's checkpoint store this iteration.
+    /// Reply to a `Heartbeat`: `checkpoint` directs the worker to snapshot
+    /// its state back to the coordinator's checkpoint store this
+    /// iteration. Given only to ranks that restore from a checkpoint when
+    /// they rejoin ([`dtrain_faults::Algo::restores_from_checkpoint`]).
+    /// The pause gate holds it back.
     HeartbeatAck { checkpoint: bool },
     /// Worker -> coordinator: who is live at `round`?
     Membership { round: u64 },
@@ -64,12 +70,18 @@ pub enum Msg {
     MinClock { min: u64 },
 
     // --- BSP ---
-    /// Deposit `grad` for `round`; blocks until the round closes.
+    /// Deposit `grad` for `round`; answered once the round closes. Also the
+    /// rank's heartbeat for `round + 1`: the coordinator records it in the
+    /// same lock section as the deposit, so no `Heartbeat` follows.
     BspExchange { round: u64, lr: f32, grad: ParamSet },
-    /// Reply: post-aggregation parameters plus the leader/arrival facts
-    /// (`arrived` is meaningful only when `leader`).
+    /// Reply to `BspExchange` and `BspPartial`: post-aggregation parameters
+    /// plus the leader/arrival facts (`arrived` is meaningful only when
+    /// `leader`), and the checkpoint directive of the heartbeat the deposit
+    /// carried, as `HeartbeatAck` would give it. The pause gate holds it
+    /// back; the frozen rank's deposit still counts in its round.
     BspResult {
         leader: bool,
+        checkpoint: bool,
         arrived: u32,
         expected: u32,
         params: ParamSet,
@@ -287,11 +299,13 @@ impl Msg {
             }
             Msg::BspResult {
                 leader,
+                checkpoint,
                 arrived,
                 expected,
                 params,
             } => {
                 e.u8(*leader as u8)
+                    .u8(*checkpoint as u8)
                     .u32(*arrived)
                     .u32(*expected)
                     .params(params);
@@ -438,6 +452,7 @@ impl Msg {
             },
             t::BSP_RESULT => Msg::BspResult {
                 leader: d.u8()? != 0,
+                checkpoint: d.u8()? != 0,
                 arrived: d.u32()?,
                 expected: d.u32()?,
                 params: d.params()?,

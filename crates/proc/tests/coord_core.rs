@@ -1,14 +1,16 @@
 //! Seeded interleavings of the coordinator's real state machine
 //! ([`CoordCore`]) and a real [`Hub`], with no process, socket, thread,
 //! sleep or wall clock. A simulated cohort of worker processes shakes
-//! hands and sends requests — heartbeats (one may hit the pause gate),
-//! flat and partial BSP rounds, SSP clock bumps and waits, collective sends
+//! hands and sends requests — heartbeats, flat and partial BSP rounds, SSP clock bumps and waits, collective sends
 //! and reads, gossip, AD-PSGD exchanges with polls and blocking reads,
 //! completion — over links that drop, duplicate, delay and echo frames;
 //! links break and resume, processes are killed and reaped, the pause gate
 //! opens, and the clock ticks the core and the hub — all in a seed-chosen
 //! order. A request the hub cannot answer yet parks, and a later call
-//! releases its answer. The harness plays the coordinator shell: it applies
+//! releases its answer. A BSP deposit is also the rank's heartbeat for the
+//! next round, as on the wire, so it can hit the pause gate too; the frozen
+//! process's answer is cached but held back until the gate opens. The
+//! harness plays the coordinator shell: it applies
 //! every [`Effect`] the core queues, matches each released answer to the
 //! request in flight, caches it and writes it where the core says, winds
 //! the run down as `ProcRun` does, and checks after every step:
@@ -26,7 +28,9 @@
 //!    connection, unless that process died;
 //! 7. no BSP round closes short of its cohort before its deadline: the
 //!    earliest arrival of a member that is not rejoining at that round,
-//!    plus the barrier deadline.
+//!    plus the barrier deadline;
+//! 8. the process the pause gate froze receives nothing — no answer, no
+//!    resume or duplicate replay — until the gate opens.
 //!
 //! A failure prints its seed and op log; `interleave(seed)` is a function
 //! of the seed alone, so that one call reproduces it. The named tests at
@@ -164,9 +168,10 @@ struct World {
     /// Requests answered on the spot whose handler has not yet cached and
     /// written the reply `(process, connection, seq)`.
     handlers: Vec<(usize, u64, u32)>,
-    /// Each rank's parked request `(process, connection, seq)`: in the hub,
-    /// or held by the pause gate.
+    /// Each rank's request parked in the hub `(process, connection, seq)`.
     parked: HashMap<usize, (usize, u64, u32)>,
+    /// The process the pause gate froze, until the gate opens.
+    frozen: Option<usize>,
     dispatches: HashMap<(usize, u32, u32), u32>,
     /// Replies cached, by `(rank, life, seq)`.
     answered: HashMap<(usize, u32, u32), u32>,
@@ -213,6 +218,7 @@ impl World {
             eofs: Vec::new(),
             handlers: Vec::new(),
             parked: HashMap::new(),
+            frozen: None,
             dispatches: HashMap::new(),
             answered: HashMap::new(),
             arrivals: BTreeMap::new(),
@@ -334,6 +340,11 @@ impl World {
     /// request it has in flight.
     fn receive(&mut self, p: usize, frame: &[u8]) {
         let (rank, life, seq) = parse(frame);
+        assert_ne!(
+            self.frozen,
+            Some(p),
+            "property 8: r{rank}/{life} got seq {seq} while the pause gate froze it"
+        );
         let w = &mut self.procs[p];
         assert_eq!(
             (rank, life),
@@ -383,8 +394,13 @@ impl World {
         // `None`: parked. `Some(None)`: answered with no hub answer.
         let answer: Option<Option<Answer>> = match req {
             Req::Hello => panic!("a Hello's seq was dispatched as a request"),
-            Req::Heartbeat(round) => self.core.heartbeat(rank, round).map(|_| None),
+            Req::Heartbeat(round) => {
+                self.core.heartbeat(rank, round);
+                Some(None)
+            }
             Req::Bsp(round) | Req::Partial(round, _) => {
+                // The deposit carries the heartbeat for the next round.
+                self.core.heartbeat(rank, round + 1);
                 let view = self.core.view();
                 let rejoining = view.rejoin_round(rank) == Some(round);
                 self.arrivals
@@ -445,6 +461,10 @@ impl World {
                 Some(None)
             }
         };
+        if self.frozen.is_none() && self.core.paused() == Some(rank) {
+            self.note(p, "frozen by the pause gate".into());
+            self.frozen = Some(p);
+        }
         match answer {
             None => {
                 self.note(p, format!("seq {seq} {req:?} parks"));
@@ -530,7 +550,9 @@ impl World {
     /// Property 6, delivery: a live process waiting on the connection the
     /// core holds live never waits for a reply the core already cached.
     fn delivered(&self) {
-        for w in self.procs.iter().filter(|w| !w.killed && w.waiting) {
+        let procs = self.procs.iter().enumerate();
+        let live = procs.filter(|&(p, w)| !w.killed && w.waiting && self.frozen != Some(p));
+        for (_, w) in live {
             let (r, session) = (self.current(w.rank), self.core.session(w.rank));
             let live = w.conn == Some(session.generation)
                 && self.procs[r].life == w.life
@@ -640,10 +662,7 @@ impl World {
         };
         let (rank, round) = (self.procs[p].rank, self.procs[p].round);
         let req = match self.rng.gen_range(0..16) {
-            0..=2 => {
-                self.procs[p].round += 1;
-                Req::Heartbeat(round + 1)
-            }
+            0..=2 => Req::Heartbeat(round + 1),
             3..=4 => Req::Bsp(round),
             5 => Req::Partial(round, self.rng.gen_range(1..=self.ranks)),
             6 => Req::Bump(round),
@@ -664,6 +683,10 @@ impl World {
             _ => Req::Complete,
         };
         let w = &mut self.procs[p];
+        // A heartbeat, and a deposit that carries one, move to the next round.
+        if matches!(req, Req::Heartbeat(_) | Req::Bsp(_) | Req::Partial(..)) {
+            w.round += 1;
+        }
         w.reqs.push(req);
         w.waiting = true;
         let (seq, conn) = (w.seq(), w.conn);
@@ -743,7 +766,7 @@ impl World {
     }
 
     /// The pause gate opens (after the frozen process is killed, as
-    /// `kill_paused` does, or not): its held heartbeat ack goes out.
+    /// `kill_paused` does, or not): its held answer goes out.
     fn open_gate(&mut self) {
         let Some(rank) = self.core.paused() else {
             return;
@@ -758,14 +781,15 @@ impl World {
 
     fn release_pause(&mut self) {
         let released = self.core.release_pause();
+        self.frozen = None;
         self.settle(None);
-        let Some((rank, _)) = released else {
+        let Some((rank, g, frame)) = released else {
             return;
         };
-        if let Some((p, g, seq)) = self.parked.remove(&rank) {
-            self.note(p, format!("pause gate releases seq {seq}"));
-            assert_eq!(self.core.in_flight(rank), Some((g, seq)));
-            self.answer(p, g, seq);
+        let p = self.current(rank);
+        self.note(p, format!("pause gate releases its answer to {g}"));
+        if self.procs[p].conn == Some(g) {
+            self.receive(p, &frame);
         }
     }
 
@@ -804,12 +828,13 @@ impl World {
         assert_eq!(self.core.tally(), tally, "a refused Hello moved a counter");
     }
 
-    /// The link echoes an old request long after its reply was consumed.
+    /// The link echoes a request: an old one long after its reply was
+    /// consumed, or the one in flight, answered or not.
     fn stale_echo(&mut self) {
-        let Some(p) = self.pick(|w| w.conn.is_some() && w.reqs.len() > 3) else {
+        let Some(p) = self.pick(|w| w.conn.is_some() && w.reqs.len() > 2) else {
             return;
         };
-        let seq = self.rng.gen_range(2..self.procs[p].seq());
+        let seq = self.rng.gen_range(2..=self.procs[p].seq());
         self.note(p, format!("echo of seq {seq}"));
         self.deliver(p, self.procs[p].conn.unwrap(), seq);
     }
@@ -867,7 +892,7 @@ fn interleave(seed: u64) {
 }
 
 #[test]
-fn seeded_interleavings_keep_the_seven_properties() {
+fn seeded_interleavings_keep_the_eight_properties() {
     for seed in 0..SEEDS {
         interleave(seed);
     }
@@ -1066,4 +1091,94 @@ fn a_dead_processs_late_reply_is_not_replayed_to_its_replacement() {
     let reply = Arc::new(frame_for(0, 1, 2));
     assert_eq!(core.reply(0, 2, 2, (0, Arc::clone(&reply))), Some(2));
     assert_eq!(core.frame(0, 2, 2), Inbound::Duplicate(Some((0, reply))));
+}
+
+/// The pause gate freezes the process whose heartbeat — here a BSP deposit
+/// announcing the armed round — reaches it. Its answer is cached but not
+/// written, not replayed to a duplicate request and not replayed to a
+/// resume, and its worker counts as waiting (its silence is no link
+/// trouble); opening the gate hands the answer out, once, to the live
+/// connection.
+#[test]
+fn a_frozen_processs_answer_is_held_until_the_gate_opens() {
+    let mut core = CoordCore::new(&config(2, None, Some((0, 3))));
+    assert_eq!(core.hello(0, 1), Some((0, 1)));
+    assert_eq!(core.frame(0, 1, 2), Inbound::Fresh); // BspExchange{2}
+    core.heartbeat(0, 3);
+    assert_eq!(core.paused(), Some(0));
+    let reply = Arc::new(frame_for(0, 0, 2));
+    assert_eq!(core.reply(0, 1, 2, (0, Arc::clone(&reply))), None, "held");
+    assert!(core.awaiting(0), "a held answer keeps its worker waiting");
+    assert_eq!(core.frame(0, 1, 2), Inbound::Duplicate(None), "no replay");
+    core.disconnect(0, 1, Duration::ZERO);
+    let (generation, decision) = core.resume(0, 2, 1).expect("a live rank resumes");
+    assert_eq!(decision, ResumeDecision::AwaitInFlight, "no replay");
+    assert_eq!(core.release_pause(), Some((0, generation, reply)));
+    assert_eq!(core.release_pause(), None, "handed out once");
+    assert!(!core.awaiting(0));
+    assert_eq!(core.paused(), None);
+
+    // Released before the answer came: the answer is written as usual.
+    let mut core = CoordCore::new(&config(2, None, Some((1, 1))));
+    assert_eq!(core.hello(1, 1), Some((0, 1)));
+    assert_eq!(core.frame(1, 1, 2), Inbound::Fresh);
+    core.heartbeat(1, 1);
+    assert_eq!(core.release_pause(), None);
+    let reply = (0, Arc::new(frame_for(1, 0, 2)));
+    assert_eq!(core.reply(1, 1, 2, reply), Some(1));
+}
+
+/// A frozen process that dies takes the hold with it: its rejoin
+/// replacement's answers are written, and the gate, opened late, hands out
+/// nothing.
+#[test]
+fn the_gate_holds_only_the_process_it_froze() {
+    let spec = RejoinSpec {
+        worker: 1,
+        at_round: 2,
+    };
+    let mut core = CoordCore::new(&config(2, Some(spec), Some((1, 1))));
+    assert_eq!(core.hello(1, 1), Some((0, 1)));
+    assert_eq!(core.frame(1, 1, 2), Inbound::Fresh);
+    core.heartbeat(1, 1);
+    core.exit(1, 0);
+    assert_eq!(core.hello(1, 1), Some((2, 2)));
+    assert_eq!(core.frame(1, 2, 2), Inbound::Fresh);
+    core.heartbeat(1, 3);
+    let reply = (0, Arc::new(frame_for(1, 1, 2)));
+    assert_eq!(
+        core.reply(1, 2, 2, reply),
+        Some(2),
+        "the replacement is not held"
+    );
+    assert_eq!(core.paused(), Some(1));
+    assert_eq!(core.release_pause(), None);
+}
+
+/// A heartbeat's answer directs a checkpoint every `checkpoint_interval`
+/// executed rounds, counted from the process's start round — but only for
+/// ranks whose rejoin restores from a checkpoint. Every other rejoiner
+/// pulls the server, so nothing would read the save.
+#[test]
+fn checkpoints_are_directed_only_where_a_rejoin_reads_them() {
+    use dtrain_faults::Algo;
+
+    let spec = RejoinSpec {
+        worker: 0,
+        at_round: 3,
+    };
+    for algo in [Algo::Bsp, Algo::GoSgd { p: 0.5 }] {
+        let mut cfg = config(2, Some(spec), None);
+        (cfg.plan.strategy, cfg.checkpoint_interval) = (algo, 2);
+        let mut core = CoordCore::new(&cfg);
+        assert_eq!(core.hello(0, 1), Some((0, 1)));
+        let due: Vec<bool> = (0..=4).map(|round| core.heartbeat(0, round)).collect();
+        let restores = algo.restores_from_checkpoint();
+        assert_eq!(due, [false, false, restores, false, restores], "{algo:?}");
+        assert_eq!(core.checkpoint(0), restores, "kept for a later answer");
+        core.exit(0, 0);
+        assert_eq!(core.hello(0, 1), Some((3, 2)));
+        let due: Vec<bool> = (3..=5).map(|round| core.heartbeat(0, round)).collect();
+        assert_eq!(due, [false, false, restores], "{algo:?} replacement");
+    }
 }

@@ -38,8 +38,11 @@ fn chaos_cfg() -> ProcConfig {
         model_seed: 7,
         // Generous: recoverable chaos must never force-close a barrier.
         barrier_deadline: Duration::from_secs(5),
+        // Seed 38 draws 2 drops, 3 bit flips and 2 duplicates over the
+        // run's ≈ 60 request frames (one per round and rank, plus startup,
+        // completion and resends).
         chaos: ChaosSpec {
-            seed: 42,
+            seed: 38,
             drop_pm: 25,
             corrupt_pm: 10,
             dup_pm: 20,
@@ -102,7 +105,7 @@ fn chaotic_bsp_completes_clean_and_reruns_bit_identical() {
     assert_eq!(a.total_iterations, 48);
     assert!(
         a.retries > 0,
-        "25\u{2030} drops over ~150 frames must force at least one resume"
+        "the seeded drops and bit flips must force at least one resume"
     );
     assert_eq!(
         instants(&sink, names::RETRY).len(),

@@ -126,27 +126,20 @@ pub fn worker_body<B: ExecBackend>(
                     continue;
                 }
                 if backend.rejoin_round(w) == Some(it_idx) {
-                    match plan.strategy {
-                        Algo::Bsp
-                        | Algo::ArSgd
-                        | Algo::Asp
-                        | Algo::Ssp { .. }
-                        | Algo::Easgd { .. } => {
-                            // Pull the current parameters from the server.
-                            let fresh = backend.ps_snapshot();
-                            net.set_params(&fresh);
-                            opt.reset();
+                    if plan.strategy.restores_from_checkpoint() {
+                        // No server: resume from the latest checkpoint
+                        // (peer averaging re-converges the replica).
+                        if let Some((p, o, cp_iter)) = backend.checkpoint_restore() {
+                            net.set_params(&p);
+                            opt = o;
+                            markers::ckpt_restore(obs, ns(&wall), cp_iter);
                         }
-                        Algo::GoSgd { .. } | Algo::AdPsgd => {
-                            // No server: resume from the latest checkpoint
-                            // (peer averaging re-converges the replica).
-                            if let Some((p, o, cp_iter)) = backend.checkpoint_restore() {
-                                net.set_params(&p);
-                                opt = o;
-                                markers::ckpt_restore(obs, ns(&wall), cp_iter);
-                            }
-                            alpha = 1.0 / n; // gossip mixing mass as at init
-                        }
+                        alpha = 1.0 / n; // gossip mixing mass as at init
+                    } else {
+                        // Pull the current parameters from the server.
+                        let fresh = backend.ps_snapshot();
+                        net.set_params(&fresh);
+                        opt.reset();
                     }
                     if matches!(plan.strategy, Algo::Ssp { .. }) {
                         clock = it_idx;
