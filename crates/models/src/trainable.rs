@@ -42,6 +42,9 @@ pub fn default_mlp(classes: usize, seed: u64) -> Network {
 
 /// A small CNN for `[C, side, side]` inputs:
 /// conv3×3(8) → relu → pool2 → conv3×3(16) → relu → pool2 → flatten → dense.
+/// Each ReLU is fused into the conv before it ([`Conv2d::with_relu`]), so
+/// the network has six layers, three with parameters (`conv0`, `conv1`,
+/// `dense0`), and computes the bits of the unfused stack.
 /// Requires `side` divisible by 4.
 pub fn small_cnn(channels: usize, side: usize, classes: usize, seed: u64) -> Network {
     assert!(
@@ -66,11 +69,9 @@ pub fn small_cnn(channels: usize, side: usize, classes: usize, seed: u64) -> Net
     let s2 = side / 2;
     let s4 = side / 4;
     Network::new(vec![
-        Box::new(Conv2d::new("conv0", c1, (side, side), &mut rng)),
-        Box::new(Relu::new("relu0")),
+        Box::new(Conv2d::new("conv0", c1, (side, side), &mut rng).with_relu()),
         Box::new(MaxPool2d::new("pool0", 2)),
-        Box::new(Conv2d::new("conv1", c2, (s2, s2), &mut rng)),
-        Box::new(Relu::new("relu1")),
+        Box::new(Conv2d::new("conv1", c2, (s2, s2), &mut rng).with_relu()),
         Box::new(MaxPool2d::new("pool1", 2)),
         Box::new(Flatten::new("flatten")),
         Box::new(Dense::new("dense0", 16 * s4 * s4, classes, &mut rng)),

@@ -12,9 +12,9 @@
 
 use dtrain_tensor::{
     add_bias, conv2d_backward_scratch, conv2d_forward_scratch, conv2d_param_grads_scratch,
-    matmul_a_bt_scratch, matmul_at_b_scratch, matmul_scratch, maxpool2d_backward_scratch,
-    maxpool2d_forward_scratch, relu_backward_scratch, relu_scratch, sum_rows_scratch, Conv2dSpec,
-    Scratch, Shape, Tensor,
+    conv2d_relu_forward_scratch, matmul_a_bt_scratch, matmul_at_b_scratch, matmul_scratch,
+    maxpool2d_backward_scratch, maxpool2d_forward_scratch, relu_backward_scratch, relu_mask_grad,
+    relu_scratch, sum_rows_scratch, Conv2dSpec, Scratch, Shape, Tensor,
 };
 use rand::Rng;
 
@@ -184,7 +184,8 @@ impl Layer for Relu {
     }
 }
 
-/// Convolution layer over `[N, C, H, W]` with square kernels.
+/// Convolution layer over `[N, C, H, W]` with square kernels, optionally
+/// with a ReLU on its output ([`Conv2d::with_relu`]).
 pub struct Conv2d {
     name: String,
     spec: Conv2dSpec,
@@ -195,6 +196,10 @@ pub struct Conv2d {
     dbias: Tensor,
     /// What `conv2d_backward` needs of the last training input.
     cached_input: Option<Tensor>,
+    /// The output carries a fused ReLU.
+    relu: bool,
+    /// Where the last training output was positive (fused ReLU only).
+    cached_mask: Option<Vec<u32>>,
 }
 
 impl Conv2d {
@@ -215,7 +220,18 @@ impl Conv2d {
             dweight: Tensor::zeros(&ws),
             dbias: Tensor::zeros(&[spec.out_channels]),
             cached_input: None,
+            relu: false,
+            cached_mask: None,
         }
+    }
+
+    /// This convolution followed by a ReLU, fused into the bias epilogue:
+    /// the bits of `Conv2d` → [`Relu`], without the activation pass, its
+    /// copy of the pre-activation, or its backward pass over it (the
+    /// gradient is masked in place by one bit per output element).
+    pub fn with_relu(mut self) -> Self {
+        self.relu = true;
+        self
     }
 
     /// Output spatial size given the configured input size.
@@ -226,7 +242,12 @@ impl Conv2d {
         )
     }
 
-    fn take_cache(&mut self) -> Tensor {
+    /// The cached input, and `grad` through the fused ReLU's backward.
+    fn take_cache(&mut self, grad: &mut Tensor, scratch: &mut Scratch) -> Tensor {
+        if let Some(mask) = self.cached_mask.take() {
+            relu_mask_grad(grad, &mask);
+            scratch.recycle_u32(mask);
+        }
         self.cached_input
             .take()
             .expect("backward without forward(train=true)")
@@ -247,18 +268,31 @@ impl Layer for Conv2d {
     }
 
     fn forward(&mut self, x: Tensor, train: bool, scratch: &mut Scratch) -> Tensor {
-        let (y, cache) = conv2d_forward_scratch(&x, &self.weight, &self.bias, &self.spec, scratch);
+        let (w, b, spec) = (&self.weight, &self.bias, &self.spec);
+        let (y, cache, mask) = if self.relu {
+            let (y, cache, mask) = conv2d_relu_forward_scratch(&x, w, b, spec, scratch);
+            (y, cache, Some(mask))
+        } else {
+            let (y, cache) = conv2d_forward_scratch(&x, w, b, spec, scratch);
+            (y, cache, None)
+        };
         scratch.recycle_tensor(x);
         if train {
             cache_tensor(&mut self.cached_input, cache, scratch);
+            if let Some(old) = std::mem::replace(&mut self.cached_mask, mask) {
+                scratch.recycle_u32(old);
+            }
         } else {
             scratch.recycle_tensor(cache);
+            if let Some(mask) = mask {
+                scratch.recycle_u32(mask);
+            }
         }
         y
     }
 
-    fn backward(&mut self, grad: Tensor, scratch: &mut Scratch) -> Tensor {
-        let cache = self.take_cache();
+    fn backward(&mut self, mut grad: Tensor, scratch: &mut Scratch) -> Tensor {
+        let cache = self.take_cache(&mut grad, scratch);
         let (dx, dw, db) = conv2d_backward_scratch(
             &grad,
             &cache,
@@ -272,8 +306,8 @@ impl Layer for Conv2d {
         dx
     }
 
-    fn backward_params(&mut self, grad: Tensor, scratch: &mut Scratch) {
-        let cache = self.take_cache();
+    fn backward_params(&mut self, mut grad: Tensor, scratch: &mut Scratch) {
+        let cache = self.take_cache(&mut grad, scratch);
         let (dw, db) = conv2d_param_grads_scratch(&grad, &cache, &self.spec, scratch);
         self.retire(dw, db, cache, grad, scratch);
     }

@@ -48,12 +48,15 @@ impl Network {
 
     /// One forward+backward on a batch; returns `(loss, batch_accuracy)`.
     /// Gradients are left inside the layers; collect with [`Self::grads`].
+    /// Each call is one step of the arena's [`Scratch::trim`] cycle, which
+    /// frees the input batches the first layer parks in it.
     pub fn train_batch(&mut self, x: Tensor, labels: &[usize]) -> (f32, f32) {
         let logits = self.forward(x, true);
         let acc = accuracy(&logits, labels);
         let (loss, dlogits) = softmax_cross_entropy_scratch(&logits, labels, &mut self.scratch);
         self.scratch.recycle_tensor(logits);
         self.backward(dlogits);
+        self.scratch.trim();
         (loss, acc)
     }
 
@@ -230,6 +233,24 @@ mod tests {
         ]
     }
 
+    /// `conv_first` with the ReLU fused into the conv.
+    fn fused_first(seed: u64) -> Vec<Box<dyn Layer>> {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let spec = Conv2dSpec {
+            in_channels: 2,
+            out_channels: 3,
+            kernel: 3,
+            stride: 1,
+            padding: 1,
+        };
+        vec![
+            Box::new(Conv2d::new("c0", spec, (6, 6), &mut rng).with_relu()),
+            Box::new(MaxPool2d::new("p0", 2)),
+            Box::new(Flatten::new("fl")),
+            Box::new(Dense::new("head", 27, 3, &mut rng)),
+        ]
+    }
+
     fn flatten_first(seed: u64) -> Vec<Box<dyn Layer>> {
         let mut rng = SmallRng::seed_from_u64(seed);
         vec![
@@ -245,7 +266,8 @@ mod tests {
         // `Network::backward` asks its first layer for parameter gradients
         // only; they must be the bits a plain `Layer::backward` over every
         // layer leaves, whichever layer kind comes first (`Flatten` takes
-        // the provided method, `Conv2d` and `Dense` their overrides).
+        // the provided method, `Conv2d` and `Dense` their overrides; a
+        // fused-ReLU `Conv2d` masks its gradient on both paths).
         let mut rng = SmallRng::seed_from_u64(31);
         let images = Tensor::randn(&[4, 2, 6, 6], 1.0, &mut rng);
         let rows = images.clone().reshape(&[4, 72]);
@@ -254,6 +276,7 @@ mod tests {
         let dense_first: Build = |seed| flatten_first(seed).split_off(1);
         for (build, x) in [
             (conv_first as Build, &images),
+            (fused_first, &images),
             (flatten_first, &images),
             (dense_first, &rows),
         ] {

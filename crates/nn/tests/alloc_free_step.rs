@@ -1,6 +1,7 @@
 //! Zero-allocation regression: after a warm-up iteration, a steady-state
-//! `train_batch` must perform **no heap allocations** in tensor temporaries.
-//! Verified two ways at once:
+//! `train_batch` must perform **no heap allocations** in tensor temporaries,
+//! over hundreds of steps that each bring a fresh input batch. Verified two
+//! ways at once:
 //!
 //! 1. the arena's own `grown()` counter (requests the free list could not
 //!    serve) must stay flat, and
@@ -51,7 +52,8 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// flatten, a residual block, and dense. Two convs: `c0` is the network's
 /// first layer, whose input gradient is never computed, and `c1` sits
 /// behind it, so its backward runs the per-image patch-gradient GEMM and
-/// fold on the per-thread work buffers too.
+/// fold on the per-thread work buffers too; `c1` also carries a fused ReLU,
+/// whose mask comes from the arena.
 fn build_net(seed: u64) -> Network {
     let mut rng = SmallRng::seed_from_u64(seed);
     let spec = |in_channels| Conv2dSpec {
@@ -66,7 +68,7 @@ fn build_net(seed: u64) -> Network {
         Box::new(BatchNorm2d::new("bn0", 4)),
         Box::new(Relu::new("r0")),
         Box::new(MaxPool2d::new("p0", 2)),
-        Box::new(Conv2d::new("c1", spec(4), (4, 4), &mut rng)),
+        Box::new(Conv2d::new("c1", spec(4), (4, 4), &mut rng).with_relu()),
         Box::new(Flatten::new("fl")),
         Box::new(Residual::new(
             "res0",
@@ -86,21 +88,24 @@ fn steady_state_training_step_allocates_nothing() {
     std::env::set_var("DTRAIN_THREADS", "1");
 
     let mut rng = SmallRng::seed_from_u64(7);
-    let x = Tensor::randn(&[8, 2, 8, 8], 1.0, &mut rng);
     let labels: Vec<usize> = (0..8).map(|i| i % 4).collect();
     let mut net = build_net(1);
 
     // Warm-up: populates the arena with every buffer size the step needs.
     for _ in 0..3 {
-        let (loss, _) = net.train_batch(x.clone(), &labels);
+        let x = Tensor::randn(&[8, 2, 8, 8], 1.0, &mut rng);
+        let (loss, _) = net.train_batch(x, &labels);
         assert!(loss.is_finite());
     }
 
-    // Inputs for the measured steps are cloned *before* the window opens —
-    // batch materialization is the data pipeline's allocation, not the
-    // training step's.
-    let batches = [x.clone(), x.clone()];
-    let mut losses = [0.0f32; 2];
+    // A fresh batch every step, as a data pipeline hands them over, and
+    // enough steps that an arena keeping each one would outgrow its parked
+    // list. The batches are gathered *before* the window opens — their
+    // allocation is the pipeline's, not the training step's.
+    let batches: Vec<Tensor> = (0..STEPS)
+        .map(|_| Tensor::randn(&[8, 2, 8, 8], 1.0, &mut rng))
+        .collect();
+    let mut losses = vec![0.0f32; STEPS];
     let grown_before = net.scratch_grown();
     let heap_before = HEAP_OPS.load(Ordering::Relaxed);
 
@@ -113,12 +118,16 @@ fn steady_state_training_step_allocates_nothing() {
     assert!(losses.iter().all(|l| l.is_finite()));
     assert_eq!(
         grown_delta, 0,
-        "arena grew {grown_delta} time(s) in steady state"
+        "arena grew {grown_delta} time(s) over {STEPS} steady-state steps"
     );
     assert_eq!(
         heap_delta, 0,
-        "steady-state train_batch performed {heap_delta} heap allocation(s)"
+        "{STEPS} steady-state train_batch calls performed {heap_delta} heap allocation(s)"
     );
     // The arena must actually be serving requests, not being bypassed.
     assert!(net.scratch_reused() > 0);
 }
+
+/// Measured steps: well past the ≈ 60 after which an arena that parks every
+/// input batch fills its 64-buffer list and starts reallocating.
+const STEPS: usize = 200;

@@ -27,13 +27,13 @@
 //! FMA) and every output element is summed from `+0.0` in one fixed order,
 //! whatever the ISA tier, thread count or blocking:
 //!
-//! | result | summed over, ascending | then |
-//! |---|---|---|
-//! | `y[img, oc, oy, ox]` | `p = (ch, ky, kx)`, padding cells as `0.0` products | `+ b[oc]` |
-//! | `dW[oc, p]` | `s = (img, oy, ox)` over the whole batch | |
-//! | `db[oc]` | `s = (img, oy, ox)` over the whole batch | |
-//! | `dpatches[p, s]` | `oc` | |
-//! | `dx[img, ch, iy, ix]` | the `(oy, ox)` whose patch covers it | |
+//! | result | summed over, ascending | then | relu (fused) |
+//! |---|---|---|---|
+//! | `y[img, oc, oy, ox]` | `p = (ch, ky, kx)`, padding cells as `0.0` products | `+ b[oc]` | `.max(0.0)`, mask bit `y > 0` |
+//! | `dW[oc, p]` | `s = (img, oy, ox)` over the whole batch | | |
+//! | `db[oc]` | `s = (img, oy, ox)` over the whole batch | | |
+//! | `dpatches[p, s]` | `oc` | | |
+//! | `dx[img, ch, iy, ix]` | the `(oy, ox)` whose patch covers it | | |
 //!
 //! The per-image split of `dW` only round-trips the partial sum through
 //! memory between images, as reduction chunks already do. The fold visits
@@ -41,6 +41,18 @@
 //! ascending for every input element. `tests/conv_reference.rs` is this
 //! table as seven scalar loops; `tests/golden/conv_bits.digest` pins the bits
 //! the previous im2col-matrix implementation produced.
+//!
+//! The fused ReLU ([`conv2d_relu_forward_scratch`]) keeps those bits: the
+//! mask is `y > 0`, which holds exactly where the pre-activation `x > 0`
+//! (`NaN.max(0.0)` is `0.0`; a sum from `+0.0` is never `-0.0`), so
+//! [`relu_mask_grad`] zeroes the gradient a separate ReLU would.
+//!
+//! **Max-pooling** keeps, per window, the *first* maximum in row-major order:
+//! it starts from the window's first cell and moves only on a strictly
+//! greater one, so a NaN first in its window is reported, a NaN later is
+//! skipped, and an all-`-inf` window reports its first cell. The window-2
+//! fast path compares (0,0), (0,1), (1,0), (1,1) in that order;
+//! `tests/golden/pool_bits.digest` pins it against the generic loop.
 //!
 //! **Parallelism** is one task per image for forward and the input gradient
 //! (disjoint outputs, each image computed sequentially, the ISA resolved
@@ -55,6 +67,7 @@ use crate::scratch::{with_pack_bufs, AlignedVec, Scratch};
 use crate::simd::{self, Isa, StageTile};
 use crate::tensor::Tensor;
 use rayon::prelude::*;
+use std::sync::Mutex;
 
 /// Below this many output elements the per-region dispatch overhead beats
 /// the parallel win; run sequentially.
@@ -198,6 +211,8 @@ fn fill_patch_rows(
 /// Pixel rows, patch elements contiguous — the weight-gradient GEMM's `B`
 /// panel and [`im2col`]'s layout: row `r` of `dst` is pixel `pix0 + r`,
 /// `dst[r·stride + jj] = patch(pixel, off[jj])`, zero beyond `off.len()`.
+/// The zeros are one fill of the whole panel: a fill of each row's short
+/// tail is a library call per pixel.
 fn fill_pixel_rows(
     dst: &mut [f32],
     stride: usize,
@@ -206,13 +221,15 @@ fn fill_pixel_rows(
     off: &[u32],
     pix0: usize,
 ) {
+    if off.len() < stride {
+        dst.fill(0.0);
+    }
     let (mut oy, mut ox) = (pix0 / g.ow, pix0 % g.ow);
     for row in dst.chunks_exact_mut(stride) {
         let corner = &image[oy * g.s * g.wp + ox * g.s..];
         for (d, &o) in row.iter_mut().zip(off) {
             *d = corner[o as usize];
         }
-        row[off.len()..].fill(0.0);
         ox += 1;
         if ox == g.ow {
             (oy, ox) = (oy + 1, 0);
@@ -400,6 +417,101 @@ pub fn conv2d_forward_scratch(
     spec: &Conv2dSpec,
     scratch: &mut Scratch,
 ) -> (Tensor, Tensor) {
+    forward(x, weight, bias, spec, None, scratch)
+}
+
+/// [`conv2d_forward_scratch`] with a ReLU fused into the bias epilogue:
+/// `y = max(conv + b, 0)` elementwise, the bits `relu(conv2d_forward(..))`
+/// gives. The third return value is the backward mask, one bit per output
+/// element set where `y > 0`; hand it to [`relu_mask_grad`] and recycle it
+/// with [`Scratch::recycle_u32`].
+pub fn conv2d_relu_forward_scratch(
+    x: &Tensor,
+    weight: &Tensor,
+    bias: &Tensor,
+    spec: &Conv2dSpec,
+    scratch: &mut Scratch,
+) -> (Tensor, Tensor, Vec<u32>) {
+    let s = x.shape();
+    let per_image = spec.out_channels * spec.out_size(s[2]) * spec.out_size(s[3]);
+    let mut mask = scratch.take_u32(s[0] * mask_words(per_image));
+    let (y, cache) = forward(x, weight, bias, spec, Some(&mut mask), scratch);
+    (y, cache, mask)
+}
+
+/// Zero `grad[N, ..]` wherever the fused forward's output was not positive:
+/// the ReLU backward of [`conv2d_relu_forward_scratch`], in place. `y > 0`
+/// exactly where the pre-activation `x > 0` (a NaN or non-positive `x` gives
+/// `y = 0`), so this passes the bits a separate ReLU's backward would.
+pub fn relu_mask_grad(grad: &mut Tensor, mask: &[u32]) {
+    let n = grad.shape()[0];
+    let per_image = grad.len() / n;
+    let words = mask_words(per_image);
+    assert_eq!(mask.len(), n * words, "mask shape mismatch");
+    let images = grad.data_mut().chunks_exact_mut(per_image);
+    let isa = simd::active_isa();
+    for (g, m) in images.zip(mask.chunks_exact(words)) {
+        apply_relu_mask(isa, g, m);
+    }
+}
+
+/// Words of fused-ReLU mask per image of `len` output elements.
+fn mask_words(len: usize) -> usize {
+    len.div_ceil(32)
+}
+
+simd::widened! {
+    /// The fused epilogue of one image's rows of `pixels` outputs:
+    /// `y = max(y + b, 0)`, exactly what a bias add followed by a separate
+    /// ReLU pass computes.
+    fn bias_relu(y: &mut [f32], bias: &[f32], pixels: usize) {
+        for (row, &b) in y.chunks_exact_mut(pixels).zip(bias) {
+            for v in row {
+                *v = (*v + b).max(0.0);
+            }
+        }
+    }
+}
+
+simd::widened! {
+    /// Set one image's fused-ReLU mask from its output `y`, bit-sliced:
+    /// element `e` is bit `e / words` of word `e % words` (`words =
+    /// mask.len()`), set where `y > 0`. Sliced rather than packing 32
+    /// neighbours per word so that this and [`apply_relu_mask`] are plain
+    /// vector loops over contiguous elements and words.
+    fn write_relu_mask(y: &[f32], mask: &mut [u32]) {
+        mask.fill(0);
+        for (bit, ys) in y.chunks(mask.len()).enumerate() {
+            for (word, &v) in mask.iter_mut().zip(ys) {
+                *word |= u32::from(v > 0.0) << bit;
+            }
+        }
+    }
+}
+
+simd::widened! {
+    /// [`relu_mask_grad`] for one image (mask layout: [`write_relu_mask`]).
+    fn apply_relu_mask(grad: &mut [f32], mask: &[u32]) {
+        for (bit, gs) in grad.chunks_mut(mask.len()).enumerate() {
+            // `g` where the bit is set, else `+0.0`: a select written as an
+            // AND, since a branch on random signs mispredicts.
+            for (g, &m) in gs.iter_mut().zip(mask) {
+                *g = f32::from_bits(g.to_bits() & ((m >> bit) & 1).wrapping_neg());
+            }
+        }
+    }
+}
+
+/// Conv forward; with `relu_mask`, the fused ReLU epilogue and its mask
+/// (see [`conv2d_relu_forward_scratch`]).
+fn forward(
+    x: &Tensor,
+    weight: &Tensor,
+    bias: &Tensor,
+    spec: &Conv2dSpec,
+    relu_mask: Option<&mut Vec<u32>>,
+    scratch: &mut Scratch,
+) -> (Tensor, Tensor) {
     let shape = x.shape();
     assert_eq!(shape.len(), 4, "conv expects NCHW");
     let (n, h, w) = (shape[0], shape[2], shape[3]);
@@ -419,6 +531,10 @@ pub fn conv2d_forward_scratch(
     pack_a(isa, weight.data(), ckk, ASrc::Rows, oc, ckk, &mut wpack);
     let mut out = scratch.tensor_any(&[n, oc, g.oh, g.ow]);
     let (xd, bd) = (xp.data(), bias.data());
+    let words = mask_words(oc * pixels);
+    // Images write disjoint words; the lock only lets their tasks share the
+    // buffer (it serialises the mask writes, not the GEMMs).
+    let mask = relu_mask.map(|m| Mutex::new(m.as_mut_slice()));
     // y[img][OC, OH·OW] = W[OC, CKK] · patches[CKK, OH·OW] + b: already NCHW.
     for_each_image(out.data_mut(), oc * pixels, |img, y| {
         let image = &xd[img * g.image_len()..][..g.image_len()];
@@ -428,11 +544,17 @@ pub fn conv2d_forward_scratch(
         with_pack_bufs(|bufs| {
             panel_gemm(isa, &wpack, patches, &mut bufs.b, y, oc, pixels, ckk, true)
         });
-        for (row, &b) in y.chunks_exact_mut(pixels).zip(bd) {
-            for v in row {
-                *v += b;
+        let Some(mask) = &mask else {
+            for (row, &b) in y.chunks_exact_mut(pixels).zip(bd) {
+                for v in row {
+                    *v += b;
+                }
             }
-        }
+            return;
+        };
+        bias_relu(isa, y, bd, pixels);
+        let mut mask = mask.lock().expect("a mask writer panicked");
+        write_relu_mask(isa, y, &mut mask[img * words..][..words]);
     });
     scratch.recycle(wpack);
     scratch.recycle_u32(off);
@@ -606,6 +728,12 @@ fn input_grad(
 
 /// Max-pool forward with square window/stride. Returns output and the flat
 /// argmax indices (into the input) needed by the backward pass.
+///
+/// Each window starts from its first cell and takes a later cell only when
+/// it compares strictly greater, in row-major order: ties keep the *first*
+/// maximum, a NaN first in its window is reported (nothing compares greater
+/// than it), a NaN later in its window is skipped, and an all-`-inf` window
+/// reports its own first cell.
 pub fn maxpool2d_forward(x: &Tensor, window: usize) -> (Tensor, Vec<u32>) {
     maxpool2d_forward_scratch(x, window, &mut Scratch::new())
 }
@@ -624,9 +752,13 @@ pub fn maxpool2d_forward_scratch(
         "pool window must divide input"
     );
     let (oh, ow) = (h / window, w / window);
-    let xd = x.data();
     let mut out = scratch.tensor_any(&[n, c, oh, ow]);
     let mut idx = scratch.take_u32(n * c * oh * ow);
+    if window == 2 {
+        pool2(simd::active_isa(), x.data(), w, out.data_mut(), &mut idx);
+        return (out, idx);
+    }
+    let xd = x.data();
     let od = out.data_mut();
     for img in 0..n {
         for ch in 0..c {
@@ -656,7 +788,45 @@ pub fn maxpool2d_forward_scratch(
     (out, idx)
 }
 
+simd::widened! {
+    /// The window-2 forward over every plane at once (the row count is even,
+    /// so no pair of rows straddles two planes), two input rows of width `w`
+    /// at a time. Each window compares its cells in the generic loop's order
+    /// — (0,0), (0,1), (1,0), (1,1), strict `>` from the first — so the same
+    /// maximum and index win. Written over plain indexed rows, the compiler
+    /// turns the comparisons into selects and vectorises the row.
+    fn pool2(src: &[f32], w: usize, dst: &mut [f32], ids: &mut [u32]) {
+        let ow = w / 2;
+        let rows = src
+            .chunks_exact(2 * w)
+            .zip(dst.chunks_exact_mut(ow))
+            .zip(ids.chunks_exact_mut(ow));
+        for (oy, ((pair, dst), ids)) in rows.enumerate() {
+            let (top, bottom) = pair.split_at(w);
+            let (top, bottom) = (&top[..2 * ow], &bottom[..2 * ow]);
+            let (corner0, w32) = ((2 * oy * w) as u32, w as u32);
+            for ox in 0..ow {
+                let at = corner0 + 2 * ox as u32;
+                let (mut best, mut bi) = (top[2 * ox], at);
+                if top[2 * ox + 1] > best {
+                    (best, bi) = (top[2 * ox + 1], at + 1);
+                }
+                if bottom[2 * ox] > best {
+                    (best, bi) = (bottom[2 * ox], at + w32);
+                }
+                if bottom[2 * ox + 1] > best {
+                    (best, bi) = (bottom[2 * ox + 1], at + w32 + 1);
+                }
+                dst[ox] = best;
+                ids[ox] = bi;
+            }
+        }
+    }
+}
+
 /// Max-pool backward: routes each output gradient to its argmax input cell.
+/// Every other cell is `+0.0`, and a routed gradient arrives as `0.0 + g`, so
+/// a `-0.0` gradient lands as `+0.0`.
 pub fn maxpool2d_backward(grad_out: &Tensor, indices: &[u32], input_shape: &[usize]) -> Tensor {
     maxpool2d_backward_scratch(grad_out, indices, input_shape, &mut Scratch::new())
 }

@@ -40,8 +40,9 @@ mod tensor;
 
 pub use conv::{
     conv2d_backward, conv2d_backward_scratch, conv2d_forward, conv2d_forward_scratch,
-    conv2d_param_grads_scratch, im2col, im2col_scratch, maxpool2d_backward,
-    maxpool2d_backward_scratch, maxpool2d_forward, maxpool2d_forward_scratch, Conv2dSpec,
+    conv2d_param_grads_scratch, conv2d_relu_forward_scratch, im2col, im2col_scratch,
+    maxpool2d_backward, maxpool2d_backward_scratch, maxpool2d_forward, maxpool2d_forward_scratch,
+    relu_mask_grad, Conv2dSpec,
 };
 pub use matmul::{
     matmul, matmul_a_bt, matmul_a_bt_scratch, matmul_at_b, matmul_at_b_scratch, matmul_scratch,

@@ -144,6 +144,47 @@ pub fn with_isa<R>(isa: Isa, f: impl FnOnce() -> R) -> R {
     f()
 }
 
+/// `widened! { fn name(args…) { body } }` defines `fn name(isa: Isa,
+/// args…)`, which runs `body` compiled for `isa`'s vector width: the same
+/// safe loop, in a function with AVX-512F or AVX2 enabled when `isa` is one
+/// of them. Only for element-wise loops, whose bits cannot depend on the
+/// width: one exact IEEE operation per element, no sum reassociated, no
+/// product fused. A function per kernel rather than a closure, because the
+/// slices must arrive as parameters for the compiler to know they do not
+/// overlap; without that it vectorises behind per-call overlap checks.
+macro_rules! widened {
+    ($(#[$m:meta])* fn $name:ident($($arg:ident: $ty:ty),* $(,)?) $body:block) => {
+        $(#[$m])*
+        fn $name(isa: $crate::simd::Isa, $($arg: $ty),*) {
+            #[inline(always)]
+            fn body($($arg: $ty),*) $body
+            #[cfg(target_arch = "x86_64")]
+            {
+                #[target_feature(enable = "avx512f")]
+                fn avx512($($arg: $ty),*) {
+                    body($($arg),*)
+                }
+                #[target_feature(enable = "avx2")]
+                fn avx2($($arg: $ty),*) {
+                    body($($arg),*)
+                }
+                match isa {
+                    // SAFETY: a tier is active only if `hw_supported` found
+                    // it on this CPU (`detect` and `with_isa` both check).
+                    $crate::simd::Isa::Avx512 => return unsafe { avx512($($arg),*) },
+                    // SAFETY: as above.
+                    $crate::simd::Isa::Avx2 => return unsafe { avx2($($arg),*) },
+                    $crate::simd::Isa::Scalar => {}
+                }
+            }
+            #[cfg(not(target_arch = "x86_64"))]
+            let _ = isa;
+            body($($arg),*)
+        }
+    };
+}
+pub(crate) use widened;
+
 /// Staging tile for partial edge tiles: cache-line aligned so the staged
 /// kernel sees the same alignment as a direct C write.
 #[repr(align(64))]
