@@ -94,7 +94,7 @@ impl EngineCore {
     /// derives, so groups and the machine ring agree without negotiation.
     fn cohort_at(&self, iter: u64) -> Vec<usize> {
         match &self.view {
-            Some(v) => v.ring_at(iter),
+            Some(v) => v.live_at(iter),
             None => (0..self.num_workers).collect(),
         }
     }

@@ -305,11 +305,6 @@ impl RunConfig {
                          local aggregation (machine-leader trees do not repair)"
                         .into());
                 }
-                if matches!(self.algo, Algo::ArSgd) && e.suspect_rounds != 0 {
-                    return Err("AR-SGD requires suspect_rounds = 0 (a ring cannot carry \
-                         a dead hop through a grace window)"
-                        .into());
-                }
                 if e.round_estimate == dtrain_desim::SimTime::ZERO {
                     return Err("elastic round_estimate must be > 0".into());
                 }
@@ -432,13 +427,12 @@ mod tests {
             .is_ok());
         assert!(!base(Algo::Bsp).is_elastic());
         assert!(elastic(Algo::Bsp, ElasticConfig::default()).is_elastic());
-        // AR-SGD cannot carry a suspect window.
+        // A zero round estimate cannot project crash times onto rounds.
         let e = ElasticConfig {
-            suspect_rounds: 2,
+            round_estimate: dtrain_desim::SimTime::ZERO,
             ..Default::default()
         };
-        assert!(elastic(Algo::ArSgd, e.clone()).validate().is_err());
-        assert!(elastic(Algo::Bsp, e).validate().is_ok());
+        assert!(elastic(Algo::ArSgd, e).validate().is_err());
         // Local aggregation has no repair path.
         let mut c = elastic(Algo::Bsp, ElasticConfig::default());
         c.opts.local_aggregation = true;

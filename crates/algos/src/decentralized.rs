@@ -180,7 +180,7 @@ impl Body for ArSgd {
         // every member rebuilds the identical ring), else the static one.
         let (n, right) = match core.elastic.as_ref() {
             Some(el) => {
-                let ids = el.view.ring_at(iter);
+                let ids = el.view.live_at(iter);
                 let pos = ids
                     .iter()
                     .position(|&x| x == core.w)

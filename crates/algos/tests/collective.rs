@@ -172,7 +172,7 @@ proptest! {
             .collect();
         let view = MembershipView::from_events(workers, &evicts, &rejoins);
         for round in 0..26u64 {
-            let cohort = view.ring_at(round);
+            let cohort = view.live_at(round);
             let groups = hier_groups(&cohort, gpus);
             // Union of group members == live cohort, no duplicates.
             let mut all: Vec<usize> = groups

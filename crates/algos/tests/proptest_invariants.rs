@@ -7,7 +7,6 @@ use dtrain_algos::{
     OptimizationConfig, RunConfig, StopCondition,
 };
 use dtrain_cluster::{ClusterConfig, NetworkConfig, ShardPlan};
-use dtrain_faults::{is_connected, MembershipView};
 use dtrain_models::uniform_profile;
 use dtrain_nn::{LayerGroup, ParamLayout, ParamSet};
 use dtrain_tensor::Tensor;
@@ -136,54 +135,6 @@ proptest! {
         prop_assert_eq!(a.end_time, b.end_time);
         prop_assert_eq!(a.traffic.inter_bytes, b.traffic.inter_bytes);
         prop_assert_eq!(a.total_iterations, workers as u64 * iters);
-    }
-
-    /// Elastic topology repair keeps every algorithm's communication graph
-    /// well-formed at every round, for any eviction/rejoin plan that leaves
-    /// at least two workers alive: the GoSGD/AD-PSGD gossip graph stays
-    /// connected, the AR-SGD ring covers exactly the live cohort, and the
-    /// AD-PSGD bipartite split partitions it.
-    #[test]
-    fn repaired_topologies_stay_well_formed(
-        workers in 3usize..10,
-        evict_seed in prop::collection::vec((0usize..10, 1u64..20), 0..6),
-        rejoin_seed in prop::collection::vec((0usize..10, 2u64..25), 0..3),
-    ) {
-        // Clamp the random plan so ≥ 2 workers survive every round: keep
-        // at most `workers - 2` distinct eviction victims.
-        let mut evicts: Vec<(usize, u64)> = Vec::new();
-        for (w, r) in evict_seed {
-            let w = w % workers;
-            if evicts.len() < workers - 2 && !evicts.iter().any(|&(x, _)| x == w) {
-                evicts.push((w, r));
-            }
-        }
-        let rejoins: Vec<(usize, u64)> = rejoin_seed
-            .into_iter()
-            .map(|(w, r)| (w % workers, r))
-            .collect();
-        let view = MembershipView::from_events(workers, &evicts, &rejoins);
-        for round in 0..26 {
-            let live = view.live_at(round);
-            prop_assert!(live.len() >= 2, "plan must leave ≥2 live: {live:?}");
-            // AR-SGD: the repaired ring is exactly the live cohort.
-            prop_assert_eq!(view.ring_at(round), live.clone());
-            // GoSGD / AD-PSGD: the peer graph spans the live cohort and
-            // stays connected after repair.
-            let edges = view.gossip_edges_at(round);
-            prop_assert!(
-                is_connected(&live, &edges),
-                "round {round}: disconnected graph over {live:?}"
-            );
-            // AD-PSGD: active/passive is a partition of the live cohort
-            // with both roles occupied.
-            let (active, passive) = view.adpsgd_split_at(round);
-            let mut merged = active.clone();
-            merged.extend(&passive);
-            merged.sort_unstable();
-            prop_assert_eq!(merged, live);
-            prop_assert!(!active.is_empty() && !passive.is_empty());
-        }
     }
 
     /// AR-SGD's ring moves exactly 2·(N−1)·chunk bytes per worker per

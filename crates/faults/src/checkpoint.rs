@@ -76,22 +76,6 @@ impl CheckpointStore {
         }
     }
 
-    /// Snapshot only when the interval says so; returns whether it saved.
-    pub fn maybe_save(
-        &self,
-        owner: usize,
-        iteration: u64,
-        params: &ParamSet,
-        opt: &SgdMomentum,
-    ) -> bool {
-        if self.due(iteration) {
-            self.save(owner, iteration, params, opt);
-            true
-        } else {
-            false
-        }
-    }
-
     /// Latest snapshot for `owner`, if any.
     pub fn restore(&self, owner: usize) -> Option<WorkerCheckpoint> {
         self.slots
@@ -109,15 +93,6 @@ impl CheckpointStore {
             .lock()
             .get(&owner)
             .and_then(|v| v.iter().rev().find(|c| c.iteration <= iteration).cloned())
-    }
-
-    /// Iteration of `owner`'s latest snapshot.
-    pub fn latest_iteration(&self, owner: usize) -> Option<u64> {
-        self.slots
-            .lock()
-            .get(&owner)
-            .and_then(|v| v.last())
-            .map(|c| c.iteration)
     }
 
     /// Number of owners with at least one snapshot.
@@ -176,29 +151,15 @@ mod tests {
     #[test]
     fn interval_gating() {
         let store = CheckpointStore::new(5);
-        let p = params(1.0);
-        let opt = SgdMomentum::plain();
-        assert!(!store.maybe_save(0, 0, &p, &opt), "iteration 0 never saves");
-        assert!(!store.maybe_save(0, 4, &p, &opt));
-        assert!(store.maybe_save(0, 5, &p, &opt));
-        assert_eq!(store.latest_iteration(0), Some(5));
-        assert!(
-            store.maybe_save(0, 10, &p, &opt),
-            "newer snapshot becomes the restore target"
-        );
-        assert_eq!(store.latest_iteration(0), Some(10));
-        assert_eq!(store.len(), 1);
-    }
-
-    #[test]
-    fn disabled_interval_still_allows_explicit_saves() {
+        assert!(!store.due(0), "iteration 0 never saves");
+        assert!(!store.due(4));
+        assert!(store.due(5));
+        assert!(store.due(10));
+        // 0 disables periodic saves; explicit saves still work.
         let store = CheckpointStore::new(0);
-        let p = params(2.0);
-        let opt = SgdMomentum::plain();
-        assert!(!store.maybe_save(1, 100, &p, &opt));
-        assert!(store.restore(1).is_none());
-        store.save(1, 100, &p, &opt);
-        assert_eq!(store.latest_iteration(1), Some(100));
+        assert!(!store.due(100));
+        store.save(1, 100, &params(2.0), &SgdMomentum::plain());
+        assert_eq!(store.restore(1).unwrap().iteration, 100);
     }
 
     #[test]
@@ -232,7 +193,6 @@ mod tests {
         // Owner 2 never saved; owner 1's snapshot must not leak to it.
         assert!(store.restore_at_or_before(2, 100).is_none());
         assert!(store.restore(2).is_none());
-        assert_eq!(store.latest_iteration(2), None);
     }
 
     /// Exact-version hit at iteration 0 and at the newest version — the

@@ -17,5 +17,5 @@ pub use chaos::{
     SegmentReport,
 };
 pub use checkpoint::{CheckpointStore, WorkerCheckpoint, MAX_VERSIONS};
-pub use membership::{is_connected, ElasticConfig, GangView, MemberState, MembershipView};
+pub use membership::{ElasticConfig, MembershipView};
 pub use schedule::{FaultEvent, FaultKind, FaultPlan, FaultSchedule, RuntimeFaultSchedule};

@@ -1,5 +1,5 @@
-//! Elastic membership: a deterministic, epoch-numbered view of which
-//! workers are in the cohort at every training round, derived from the
+//! Elastic membership: a deterministic view of which workers are in the
+//! cohort at every training round, derived from the
 //! [`FaultSchedule`](crate::FaultSchedule) so elastic runs stay
 //! bit-reproducible.
 //!
@@ -14,37 +14,17 @@
 //! State machine per worker (all transitions at round boundaries):
 //!
 //! ```text
-//! alive ──death──▶ suspect ──(suspect_rounds)──▶ evicted ──restart──▶ rejoined
+//! alive ──death──▶ evicted ──restart──▶ rejoined
 //! ```
 //!
-//! * **alive → suspect**: the worker misses its heartbeat (its crash round).
-//!   It no longer participates but is still counted by barriers — this is
-//!   the window the BSP partial-barrier deadline resolves.
-//! * **suspect → evicted**: after `suspect_rounds` grace rounds the cohort
-//!   evicts it and topology repairs (ring shrinks, peer graph re-knits,
-//!   barriers re-size, PS slots drop).
+//! * **alive → evicted**: the worker misses its heartbeat (its death
+//!   round). The cohort drops it at once and topology repairs (ring
+//!   shrinks, peer graph re-knits, barriers re-size, PS slots drop).
 //! * **evicted → rejoined**: a restarted worker re-enters at the current
-//!   epoch and pulls fresh parameters from the PS / a peer sponsor.
-//!
-//! Synchronous ring topologies require `suspect_rounds = 0` (a ring cannot
-//! contain a dead hop); the default is 0.
+//!   round and pulls fresh parameters from the PS / a peer sponsor.
 
 use crate::FaultSchedule;
 use dtrain_desim::SimTime;
-
-/// Lifecycle state of one worker at one round.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MemberState {
-    /// Participating normally.
-    Alive,
-    /// Dead but not yet evicted: still counted by barriers, produces
-    /// nothing. Deadline policies fire during this window.
-    Suspect,
-    /// Removed from the cohort; topology has repaired around it.
-    Evicted,
-    /// Re-entered after eviction (counts as live again).
-    Rejoined,
-}
 
 /// Tunables for the elastic layer, shared by both execution paths.
 #[derive(Clone, Debug, PartialEq)]
@@ -52,17 +32,12 @@ pub struct ElasticConfig {
     /// Nominal duration of one training round; the heartbeat period used to
     /// project schedule times onto round numbers.
     pub round_estimate: SimTime,
-    /// Grace rounds between death and eviction (`suspect` window). Must be
-    /// 0 for ring all-reduce; BSP tolerates > 0 via the partial-barrier
-    /// deadline.
-    pub suspect_rounds: u64,
     /// Per-transfer deadline; a transfer that would exceed it is cut off
     /// and retried with exponential backoff.
     pub transfer_deadline: SimTime,
     /// BSP-only: how long a round may stay open after its first arrival
     /// before the barrier degrades to a *partial* barrier over the members
-    /// present (stragglers and suspects are served out-of-round when they
-    /// show up).
+    /// present (stragglers are served out-of-round when they show up).
     pub barrier_deadline: SimTime,
     /// Retry attempts after the first try (bounded).
     pub max_retries: u32,
@@ -77,7 +52,6 @@ impl Default for ElasticConfig {
     fn default() -> Self {
         ElasticConfig {
             round_estimate: SimTime::from_millis(200),
-            suspect_rounds: 0,
             transfer_deadline: SimTime::from_millis(500),
             barrier_deadline: SimTime::from_secs(2),
             max_retries: 3,
@@ -87,15 +61,12 @@ impl Default for ElasticConfig {
     }
 }
 
-/// Deterministic membership history: per worker, the round it dies, the
-/// round it is evicted, and the round it rejoins (if ever).
+/// Deterministic membership history: per worker, the round it dies and the
+/// round it rejoins (if ever).
 #[derive(Clone, Debug, PartialEq)]
 pub struct MembershipView {
-    workers: usize,
     /// Round the worker stops participating (misses its first heartbeat).
     death: Vec<Option<u64>>,
-    /// Round the cohort evicts it (`death + suspect_rounds`).
-    evict: Vec<Option<u64>>,
     /// Round it re-enters, if it restarts.
     rejoin: Vec<Option<u64>>,
 }
@@ -104,9 +75,7 @@ impl MembershipView {
     /// A fixed cohort: everyone alive forever.
     pub fn all_alive(workers: usize) -> Self {
         MembershipView {
-            workers,
             death: vec![None; workers],
-            evict: vec![None; workers],
             rejoin: vec![None; workers],
         }
     }
@@ -114,20 +83,15 @@ impl MembershipView {
     /// Derive the view from a fault schedule: each worker's *first* crash
     /// becomes its death round (`ceil(at / round_estimate)`, clamped ≥ 1 so
     /// every member participates in round 0); `restart_after` becomes a
-    /// rejoin round strictly after eviction.
+    /// rejoin round at least one round after the death.
     pub fn from_schedule(schedule: &FaultSchedule, workers: usize, cfg: &ElasticConfig) -> Self {
         let mut view = MembershipView::all_alive(workers);
         let est = cfg.round_estimate.as_nanos().max(1);
         for w in 0..workers {
             if let Some((at, restart)) = schedule.crashes_for(w).first() {
                 let death = (at.as_nanos().div_ceil(est)).max(1);
-                let evict = death + cfg.suspect_rounds;
                 view.death[w] = Some(death);
-                view.evict[w] = Some(evict);
-                view.rejoin[w] = restart.map(|d| {
-                    let gap = (d.as_nanos().div_ceil(est)).max(1);
-                    (death + gap).max(evict + 1)
-                });
+                view.rejoin[w] = restart.map(|d| death + (d.as_nanos().div_ceil(est)).max(1));
             }
         }
         view
@@ -135,86 +99,39 @@ impl MembershipView {
 
     /// Build from explicit `(worker, round)` events — the form the threaded
     /// runtime uses (its schedule is already iteration-indexed) and the
-    /// form cross-path tests share between both paths.
-    pub fn from_events(workers: usize, evicts: &[(usize, u64)], rejoins: &[(usize, u64)]) -> Self {
+    /// form cross-path tests share between both paths. A worker's first
+    /// death counts (clamped ≥ 1); a rejoin clamps to `death + 1`.
+    pub fn from_events(workers: usize, deaths: &[(usize, u64)], rejoins: &[(usize, u64)]) -> Self {
         let mut view = MembershipView::all_alive(workers);
-        for &(w, r) in evicts {
-            if w < workers && view.evict[w].is_none() {
-                let r = r.max(1);
-                view.death[w] = Some(r);
-                view.evict[w] = Some(r);
+        for &(w, r) in deaths {
+            if w < workers && view.death[w].is_none() {
+                view.death[w] = Some(r.max(1));
             }
         }
         for &(w, r) in rejoins {
             if w < workers {
-                if let Some(e) = view.evict[w] {
-                    view.rejoin[w] = Some(r.max(e + 1));
+                if let Some(d) = view.death[w] {
+                    view.rejoin[w] = Some(r.max(d + 1));
                 }
             }
         }
         view
     }
 
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Lifecycle state of `worker` at `round`.
-    pub fn state_at(&self, worker: usize, round: u64) -> MemberState {
-        if let Some(rj) = self.rejoin[worker] {
-            if round >= rj {
-                return MemberState::Rejoined;
-            }
-        }
-        match (self.death[worker], self.evict[worker]) {
-            (_, Some(e)) if round >= e => MemberState::Evicted,
-            (Some(d), _) if round >= d => MemberState::Suspect,
-            _ => MemberState::Alive,
-        }
-    }
-
-    /// Is the worker actually participating (training, exchanging) at
-    /// `round`? Suspects are dead, so: alive or rejoined.
+    /// Is the worker participating (training, exchanging) at `round`:
+    /// before its death, or from its rejoin on?
     pub fn is_live(&self, worker: usize, round: u64) -> bool {
-        matches!(
-            self.state_at(worker, round),
-            MemberState::Alive | MemberState::Rejoined
-        )
+        match self.death[worker] {
+            Some(d) if round >= d => self.rejoin[worker].is_some_and(|rj| round >= rj),
+            _ => true,
+        }
     }
 
     /// Workers participating at `round`, ascending.
     pub fn live_at(&self, round: u64) -> Vec<usize> {
-        (0..self.workers)
+        (0..self.death.len())
             .filter(|&w| self.is_live(w, round))
             .collect()
-    }
-
-    /// Workers a barrier must count at `round`: live plus suspects (a
-    /// suspect has not been evicted yet, so synchronous rounds still wait
-    /// for it — up to the deadline).
-    pub fn cohort_at(&self, round: u64) -> Vec<usize> {
-        (0..self.workers)
-            .filter(|&w| self.state_at(w, round) != MemberState::Evicted)
-            .collect()
-    }
-
-    /// Epoch number at `round`: the count of membership transitions
-    /// (deaths, evictions, rejoins) that have happened at or before it.
-    /// Any topology change bumps the epoch, so equal epochs ⇒ identical
-    /// cohort.
-    pub fn epoch_at(&self, round: u64) -> u64 {
-        let mut epoch = 0;
-        for w in 0..self.workers {
-            for r in [self.death[w], self.evict[w], self.rejoin[w]]
-                .into_iter()
-                .flatten()
-            {
-                if r <= round {
-                    epoch += 1;
-                }
-            }
-        }
-        epoch
     }
 
     /// Death round of `worker` (first missed heartbeat), if it ever dies.
@@ -222,227 +139,16 @@ impl MembershipView {
         self.death[worker]
     }
 
-    /// Eviction round of `worker`, if it is ever evicted.
-    pub fn evict_round(&self, worker: usize) -> Option<u64> {
-        self.evict[worker]
-    }
-
     /// Rejoin round of `worker`, if it ever rejoins.
     pub fn rejoin_round(&self, worker: usize) -> Option<u64> {
         self.rejoin[worker]
     }
-
-    /// Rounds at which the topology changes (sorted, deduplicated) —
-    /// the epoch boundaries.
-    pub fn transition_rounds(&self) -> Vec<u64> {
-        let mut rounds: Vec<u64> = (0..self.workers)
-            .flat_map(|w| {
-                [self.death[w], self.evict[w], self.rejoin[w]]
-                    .into_iter()
-                    .flatten()
-            })
-            .collect();
-        rounds.sort_unstable();
-        rounds.dedup();
-        rounds
-    }
-
-    /// The AR-SGD ring at `round`: the live cohort in ascending order;
-    /// every member's successor is the next live id (wrapping). Its length
-    /// is by construction the live-cohort size — the repair invariant.
-    pub fn ring_at(&self, round: u64) -> Vec<usize> {
-        self.live_at(round)
-    }
-
-    /// The gossip peer graph at `round`: each live worker may push to every
-    /// other live worker, expressed as the undirected edge set of the
-    /// complete graph over the live cohort. Connected whenever ≥ 2 workers
-    /// are live.
-    pub fn gossip_edges_at(&self, round: u64) -> Vec<(usize, usize)> {
-        let live = self.live_at(round);
-        let mut edges = Vec::new();
-        for (i, &a) in live.iter().enumerate() {
-            for &b in &live[i + 1..] {
-                edges.push((a, b));
-            }
-        }
-        edges
-    }
-
-    /// The AD-PSGD bipartite split at `round`, rebalanced by *position* in
-    /// the sorted live cohort (even positions initiate, odd respond), so
-    /// both sides stay non-empty — and the exchange graph connected — for
-    /// any live cohort of ≥ 2.
-    pub fn adpsgd_split_at(&self, round: u64) -> (Vec<usize>, Vec<usize>) {
-        let live = self.live_at(round);
-        let mut active = Vec::new();
-        let mut passive = Vec::new();
-        for (pos, &w) in live.iter().enumerate() {
-            if pos % 2 == 0 {
-                active.push(w);
-            } else {
-                passive.push(w);
-            }
-        }
-        (active, passive)
-    }
-
-    /// Round-robin data-shard assignment over the live cohort at `round`:
-    /// `shards[i]` is owned by the `i % live`-th live worker. Rebalances
-    /// automatically as the cohort shrinks or regrows.
-    pub fn data_shards_at(&self, round: u64, num_shards: usize) -> Vec<usize> {
-        let live = self.live_at(round);
-        if live.is_empty() {
-            return Vec::new();
-        }
-        (0..num_shards).map(|s| live[s % live.len()]).collect()
-    }
-}
-
-/// Round-indexed membership ledger for a *gang* whose slots may shrink and
-/// regrow many times over one run — the scheduler-facing generalization of
-/// [`MembershipView`].
-///
-/// `MembershipView` deliberately models at most one
-/// death → evict → rejoin cycle per member (its `from_events` keeps the
-/// *first* evict and clamps a single rejoin after it), which matches a
-/// fault schedule where a machine crashes once. A scheduled job is
-/// different: the same gang slot can be taken away and handed back
-/// repeatedly as higher-priority work arrives and drains. `GangView`
-/// records every transition as an explicit `(round, live?)` edit,
-/// last-write-wins within a round, so an arbitrary
-/// shrink → grow → preempt → resume history replays deterministically.
-///
-/// Round 0 is reserved for setup: every slot is live there and all edits
-/// clamp to round ≥ 1, mirroring `MembershipView::from_events`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct GangView {
-    /// Per slot: `(round, is_live)` transitions, sorted ascending by round,
-    /// at most one entry per round.
-    transitions: Vec<Vec<(u64, bool)>>,
-}
-
-impl GangView {
-    /// A gang of `slots` members, all live from round 0.
-    pub fn all_live(slots: usize) -> Self {
-        GangView {
-            transitions: vec![Vec::new(); slots],
-        }
-    }
-
-    pub fn slots(&self) -> usize {
-        self.transitions.len()
-    }
-
-    fn record(&mut self, slot: usize, round: u64, live: bool) {
-        let round = round.max(1);
-        let edits = &mut self.transitions[slot];
-        match edits.binary_search_by_key(&round, |&(r, _)| r) {
-            // Same-round re-edit: the last decision for that round wins.
-            Ok(i) => edits[i].1 = live,
-            Err(i) => edits.insert(i, (round, live)),
-        }
-    }
-
-    /// Mark `slot` evicted from `round` on (clamped ≥ 1). Idempotent;
-    /// re-editing the same round overwrites.
-    pub fn evict(&mut self, slot: usize, round: u64) {
-        self.record(slot, round, false);
-    }
-
-    /// Mark `slot` live again from `round` on (clamped ≥ 1).
-    pub fn rejoin(&mut self, slot: usize, round: u64) {
-        self.record(slot, round, true);
-    }
-
-    /// Is `slot` live at `round`? Live until its first edit; thereafter the
-    /// most recent edit at or before `round` decides.
-    pub fn is_live(&self, slot: usize, round: u64) -> bool {
-        let edits = &self.transitions[slot];
-        match edits.binary_search_by_key(&round, |&(r, _)| r) {
-            Ok(i) => edits[i].1,
-            Err(0) => true,
-            Err(i) => edits[i - 1].1,
-        }
-    }
-
-    /// Slots live at `round`, ascending.
-    pub fn live_at(&self, round: u64) -> Vec<usize> {
-        (0..self.slots())
-            .filter(|&s| self.is_live(s, round))
-            .collect()
-    }
-
-    /// Number of slots live at `round`.
-    pub fn live_count_at(&self, round: u64) -> usize {
-        (0..self.slots())
-            .filter(|&s| self.is_live(s, round))
-            .count()
-    }
-
-    /// Epoch at `round`: the count of recorded transitions at or before it.
-    /// Same contract as [`MembershipView::epoch_at`] — any topology edit
-    /// bumps the epoch, so equal epochs ⇒ identical live set.
-    pub fn epoch_at(&self, round: u64) -> u64 {
-        self.transitions
-            .iter()
-            .map(|edits| edits.iter().filter(|&&(r, _)| r <= round).count() as u64)
-            .sum()
-    }
-
-    /// Rounds at which any slot changes state (sorted, deduplicated).
-    pub fn transition_rounds(&self) -> Vec<u64> {
-        let mut rounds: Vec<u64> = self
-            .transitions
-            .iter()
-            .flat_map(|edits| edits.iter().map(|&(r, _)| r))
-            .collect();
-        rounds.sort_unstable();
-        rounds.dedup();
-        rounds
-    }
-}
-
-/// Is the undirected graph over `nodes` with edge set `edges` connected?
-/// (Edges mentioning unknown nodes are ignored; the empty graph counts as
-/// connected.)
-pub fn is_connected(nodes: &[usize], edges: &[(usize, usize)]) -> bool {
-    if nodes.len() <= 1 {
-        return true;
-    }
-    let index = |n: usize| nodes.iter().position(|&x| x == n);
-    let mut adj = vec![Vec::new(); nodes.len()];
-    for &(a, b) in edges {
-        if let (Some(i), Some(j)) = (index(a), index(b)) {
-            adj[i].push(j);
-            adj[j].push(i);
-        }
-    }
-    let mut seen = vec![false; nodes.len()];
-    let mut stack = vec![0usize];
-    seen[0] = true;
-    while let Some(i) = stack.pop() {
-        for &j in &adj[i] {
-            if !seen[j] {
-                seen[j] = true;
-                stack.push(j);
-            }
-        }
-    }
-    seen.into_iter().all(|s| s)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{FaultEvent, FaultKind};
-
-    fn cfg() -> ElasticConfig {
-        ElasticConfig {
-            round_estimate: SimTime::from_secs(1),
-            ..Default::default()
-        }
-    }
 
     fn crash(at_secs: u64, worker: usize, restart: Option<u64>) -> FaultEvent {
         FaultEvent {
@@ -457,166 +163,20 @@ mod tests {
     #[test]
     fn schedule_projection_maps_times_to_rounds() {
         let sched = FaultSchedule::new(vec![crash(3, 1, None), crash(5, 2, Some(4))]);
-        let view = MembershipView::from_schedule(&sched, 4, &cfg());
-        assert_eq!(view.evict_round(1), Some(3));
+        let cfg = ElasticConfig {
+            round_estimate: SimTime::from_secs(1),
+            ..Default::default()
+        };
+        let view = MembershipView::from_schedule(&sched, 4, &cfg);
+        assert_eq!(view.death_round(1), Some(3));
         assert_eq!(view.rejoin_round(1), None);
-        assert_eq!(view.evict_round(2), Some(5));
+        assert_eq!(view.death_round(2), Some(5));
         assert_eq!(view.rejoin_round(2), Some(9));
-        assert_eq!(view.evict_round(0), None);
+        assert_eq!(view.death_round(0), None);
         // Round 0 always has the full cohort.
         assert_eq!(view.live_at(0), vec![0, 1, 2, 3]);
         assert_eq!(view.live_at(4), vec![0, 2, 3]);
         assert_eq!(view.live_at(6), vec![0, 3]);
         assert_eq!(view.live_at(9), vec![0, 2, 3]);
-        assert_eq!(view.state_at(2, 9), MemberState::Rejoined);
-    }
-
-    #[test]
-    fn suspect_window_counts_in_cohort_but_not_live() {
-        let sched = FaultSchedule::new(vec![crash(2, 0, None)]);
-        let view = MembershipView::from_schedule(
-            &sched,
-            3,
-            &ElasticConfig {
-                round_estimate: SimTime::from_secs(1),
-                suspect_rounds: 2,
-                ..Default::default()
-            },
-        );
-        assert_eq!(view.state_at(0, 1), MemberState::Alive);
-        assert_eq!(view.state_at(0, 2), MemberState::Suspect);
-        assert_eq!(view.state_at(0, 3), MemberState::Suspect);
-        assert_eq!(view.state_at(0, 4), MemberState::Evicted);
-        // Suspects still counted by barriers, not by topology.
-        assert_eq!(view.cohort_at(2), vec![0, 1, 2]);
-        assert_eq!(view.live_at(2), vec![1, 2]);
-        assert_eq!(view.cohort_at(4), vec![1, 2]);
-    }
-
-    #[test]
-    fn epochs_count_transitions() {
-        let sched = FaultSchedule::new(vec![crash(1, 0, Some(3)), crash(2, 1, None)]);
-        let view = MembershipView::from_schedule(&sched, 4, &cfg());
-        assert_eq!(view.epoch_at(0), 0);
-        // Worker 0 dies+evicts at round 1 (two transitions share the round
-        // when suspect_rounds = 0).
-        assert_eq!(view.epoch_at(1), 2);
-        assert_eq!(view.epoch_at(2), 4);
-        assert_eq!(view.epoch_at(4), 5, "rejoin of worker 0 at round 4");
-        assert_eq!(view.transition_rounds(), vec![1, 2, 4]);
-    }
-
-    #[test]
-    fn topology_repair_invariants() {
-        let view = MembershipView::from_events(6, &[(2, 3), (5, 4)], &[(2, 7)]);
-        for round in 0..10 {
-            let live = view.live_at(round);
-            assert_eq!(view.ring_at(round).len(), live.len());
-            assert!(is_connected(&live, &view.gossip_edges_at(round)));
-            let (a, p) = view.adpsgd_split_at(round);
-            assert_eq!(a.len() + p.len(), live.len());
-            if live.len() >= 2 {
-                assert!(!a.is_empty() && !p.is_empty());
-            }
-        }
-        assert_eq!(view.ring_at(3), vec![0, 1, 3, 4, 5]);
-        assert_eq!(view.ring_at(4), vec![0, 1, 3, 4]);
-        assert_eq!(view.ring_at(7), vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn data_shards_rebalance_over_live_cohort() {
-        let view = MembershipView::from_events(3, &[(1, 2)], &[]);
-        assert_eq!(view.data_shards_at(1, 6), vec![0, 1, 2, 0, 1, 2]);
-        assert_eq!(view.data_shards_at(2, 6), vec![0, 2, 0, 2, 0, 2]);
-    }
-
-    #[test]
-    fn from_events_clamps_rejoin_after_evict() {
-        let view = MembershipView::from_events(2, &[(1, 5)], &[(1, 2)]);
-        assert_eq!(view.rejoin_round(1), Some(6));
-        // Round 0 eviction clamps to 1 so round 0 is always full.
-        let v2 = MembershipView::from_events(2, &[(0, 0)], &[]);
-        assert_eq!(v2.evict_round(0), Some(1));
-    }
-
-    #[test]
-    fn gang_view_supports_repeated_shrink_grow_cycles() {
-        let mut gang = GangView::all_live(4);
-        // Cycle 1: shrink by two at round 3, grow back at round 6.
-        gang.evict(3, 3);
-        gang.evict(2, 3);
-        gang.rejoin(2, 6);
-        gang.rejoin(3, 6);
-        // Cycle 2 on the SAME slots — the case MembershipView cannot model.
-        gang.evict(3, 9);
-        gang.rejoin(3, 12);
-        assert_eq!(gang.live_at(0), vec![0, 1, 2, 3]);
-        assert_eq!(gang.live_at(3), vec![0, 1]);
-        assert_eq!(gang.live_at(6), vec![0, 1, 2, 3]);
-        assert_eq!(gang.live_at(9), vec![0, 1, 2]);
-        assert_eq!(gang.live_at(12), vec![0, 1, 2, 3]);
-        assert_eq!(gang.live_count_at(4), 2);
-        assert_eq!(gang.transition_rounds(), vec![3, 6, 9, 12]);
-        // Epochs count every edit, including the second cycle.
-        assert_eq!(gang.epoch_at(2), 0);
-        assert_eq!(gang.epoch_at(3), 2);
-        assert_eq!(gang.epoch_at(6), 4);
-        assert_eq!(gang.epoch_at(12), 6);
-    }
-
-    #[test]
-    fn gang_view_same_round_last_write_wins_and_round_zero_clamps() {
-        let mut gang = GangView::all_live(2);
-        // Preempt-then-resume granted within the same round: live wins.
-        gang.evict(1, 5);
-        gang.rejoin(1, 5);
-        assert!(gang.is_live(1, 5));
-        gang.evict(1, 5);
-        assert!(!gang.is_live(1, 5));
-        assert_eq!(gang.epoch_at(5), 1, "re-edits do not inflate the epoch");
-        // Round 0 is setup: edits clamp to 1, round 0 stays full.
-        gang.evict(0, 0);
-        assert!(gang.is_live(0, 0));
-        assert!(!gang.is_live(0, 1));
-    }
-
-    /// On single-cycle histories (one evict, one later rejoin per member)
-    /// GangView and MembershipView::from_events agree on the live set at
-    /// every round — the gang ledger is a strict generalization. (Epoch
-    /// *numbers* differ by convention: from_events records death+evict as
-    /// two transitions per crash, GangView as one edit; both still satisfy
-    /// "equal epochs ⇒ identical live set".)
-    #[test]
-    fn gang_view_agrees_with_membership_view_on_single_cycle_histories() {
-        let evicts = [(1usize, 2u64), (3, 4), (4, 4)];
-        let rejoins = [(1usize, 5u64), (4, 9)];
-        let view = MembershipView::from_events(6, &evicts, &rejoins);
-        let mut gang = GangView::all_live(6);
-        for &(w, r) in &evicts {
-            gang.evict(w, r);
-        }
-        for &(w, r) in &rejoins {
-            gang.rejoin(w, r);
-        }
-        for round in 0..12 {
-            assert_eq!(
-                gang.live_at(round),
-                view.live_at(round),
-                "live set diverged at round {round}"
-            );
-        }
-        // Epoch-change rounds coincide even though the counts differ.
-        assert_eq!(gang.transition_rounds(), view.transition_rounds());
-    }
-
-    #[test]
-    fn connectivity_helper() {
-        assert!(is_connected(&[], &[]));
-        assert!(is_connected(&[7], &[]));
-        assert!(is_connected(&[1, 2], &[(1, 2)]));
-        assert!(!is_connected(&[1, 2], &[]));
-        assert!(!is_connected(&[1, 2, 3], &[(1, 2)]));
-        assert!(is_connected(&[1, 2, 3], &[(1, 2), (3, 2)]));
     }
 }

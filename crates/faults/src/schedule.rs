@@ -282,31 +282,6 @@ impl FaultPlan {
         }
         FaultSchedule::new(events)
     }
-
-    /// Expand into an iteration-indexed schedule for the threaded runtime:
-    /// the horizon maps onto `total_iterations` per-worker iterations.
-    pub fn generate_runtime(&self, workers: usize, total_iterations: u64) -> RuntimeFaultSchedule {
-        let mut rng = SmallRng::seed_from_u64(self.seed ^ 0xFA01_7D5C_0DE0_FA17);
-        let iters = total_iterations.max(1);
-        let mut out = RuntimeFaultSchedule {
-            stragglers: self.stragglers.clone(),
-            ..Default::default()
-        };
-        if workers > 0 {
-            for _ in 0..poisson(&mut rng, self.expected_crashes) {
-                out.crashes
-                    .push((rng.gen_range(0..workers), rng.gen_range(1..=iters)));
-            }
-        }
-        for _ in 0..poisson(&mut rng, self.expected_ps_failures) {
-            let at = rng.gen_range(1..=iters);
-            let span = (iters / 10).max(1);
-            out.ps_outages.push((at, span));
-        }
-        out.crashes.sort_unstable_by_key(|&(w, it)| (it, w));
-        out.ps_outages.sort_unstable();
-        out
-    }
 }
 
 #[cfg(test)]
@@ -332,9 +307,6 @@ mod tests {
         let b = plan().generate(8, 2, 4);
         assert_eq!(a, b);
         assert!(!a.is_empty());
-        let ra = plan().generate_runtime(8, 500);
-        let rb = plan().generate_runtime(8, 500);
-        assert_eq!(ra, rb);
     }
 
     #[test]
@@ -396,7 +368,5 @@ mod tests {
             ..Default::default()
         };
         assert!(p.generate(8, 2, 4).is_empty());
-        let r = p.generate_runtime(8, 100);
-        assert!(r.crashes.is_empty() && r.ps_outages.is_empty());
     }
 }

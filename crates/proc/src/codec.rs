@@ -254,17 +254,6 @@ impl Enc {
         }
         self
     }
-
-    /// Optional parameter set: `u8` presence flag then the set.
-    pub fn opt_params(&mut self, p: Option<&ParamSet>) -> &mut Self {
-        match p {
-            Some(p) => {
-                self.u8(1);
-                self.params(p)
-            }
-            None => self.u8(0),
-        }
-    }
 }
 
 /// Payload reader: consumes primitives from a byte slice; any overrun or
@@ -354,13 +343,5 @@ impl<'a> Dec<'a> {
             tensors.push(Tensor::from_vec(&shape, data));
         }
         Ok(ParamSet(tensors))
-    }
-
-    pub fn opt_params(&mut self) -> Result<Option<ParamSet>, CodecError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.params()?)),
-            _ => Err(CodecError::Malformed("bad presence flag")),
-        }
     }
 }

@@ -12,8 +12,7 @@
 //! * **priority preemption** that checkpoints victims through the real
 //!   [`dtrain_faults::CheckpointStore`] path and resumes them via
 //!   `restore_at_or_before`, and
-//! * **elastic shrink/grow** at round boundaries, tracked by the
-//!   [`dtrain_faults::GangView`] evict/rejoin ledger.
+//! * **elastic shrink/grow** at round boundaries.
 //!
 //! The load-bearing property, pinned by this crate's test suite: a job's
 //! arithmetic is a fixed sequential stream of micro-steps, so its final

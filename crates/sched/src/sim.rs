@@ -13,9 +13,7 @@
 //! the next `Grant{resume: true}` it rebuilds from the spec and restores
 //! via `restore_at_or_before` — so resumption is forced through the real
 //! checkpoint path, never through state that survived in memory. Elastic
-//! resizes run the [`GangView`] evict/rejoin choreography at round
-//! boundaries, mirroring how the fault-tolerance layer reconfigures
-//! collectives.
+//! resizes take effect at round boundaries.
 
 use std::sync::Arc;
 
@@ -27,7 +25,7 @@ use crate::trainer::JobTrainer;
 use dtrain_algos::cost;
 use dtrain_cluster::ClusterConfig;
 use dtrain_desim::{Ctx, Pid, SimTime, Simulation, StopReason};
-use dtrain_faults::{CheckpointStore, GangView};
+use dtrain_faults::CheckpointStore;
 use dtrain_obs::{names, ObsSink, Track, TrackHandle};
 use parking_lot::Mutex;
 
@@ -93,26 +91,6 @@ fn round_ns(cluster: &ClusterConfig, spec: &JobSpec, g: usize) -> u64 {
     ((secs * 1e9) as u64).max(1)
 }
 
-/// Align the gang ledger's live count with `target` at `round` by evicting
-/// the highest live slots / rejoining the lowest dead ones — the same
-/// deterministic choreography the membership layer uses.
-fn resize_gang(gang: &mut GangView, round: u64, target: usize) {
-    while gang.live_count_at(round) > target {
-        let slot = *gang
-            .live_at(round)
-            .last()
-            .expect("live_count > target ≥ 0 implies a live slot");
-        gang.evict(slot, round);
-    }
-    while gang.live_count_at(round) < target {
-        let slot = (0..gang.slots())
-            .find(|&s| !gang.is_live(s, round))
-            .expect("live_count < target ≤ slots implies a dead slot");
-        gang.rejoin(slot, round);
-    }
-    debug_assert_eq!(gang.live_count_at(round), target);
-}
-
 #[allow(clippy::too_many_arguments)]
 fn agent_body(
     ctx: Ctx<SchedMsg>,
@@ -125,8 +103,6 @@ fn agent_body(
 ) {
     let sched = sched.lock().expect("scheduler spawned before run");
     let mut raw = RawStats::default();
-    let mut gang = GangView::all_live(spec.max_machines);
-    let mut round: u64 = 0;
     let mut segment: u64 = 0;
     'idle: loop {
         let msg = ctx.recv();
@@ -146,8 +122,6 @@ fn agent_body(
             // A job preempted before its first checkpoint restarts at 0.
             tr.restore(&store, spec.id, spec.iters);
         }
-        round += 1;
-        resize_gang(&mut gang, round, g);
         let seg_start = ctx.now().as_nanos();
         obs.enter(seg_start, names::SCHED_SEGMENT, segment);
         obs.counter(seg_start, names::SCHED_GANG, g as i64);
@@ -158,8 +132,6 @@ fn agent_body(
                     SchedMsg::Preempt => {
                         tr.save(&store, spec.id);
                         raw.preemptions += 1;
-                        round += 1;
-                        resize_gang(&mut gang, round, 0);
                         let now = ctx.now().as_nanos();
                         obs.counter(now, names::SCHED_GANG, 0);
                         obs.exit(now, names::SCHED_SEGMENT);
@@ -171,16 +143,12 @@ fn agent_body(
                         assert!(release < g, "shrink below one machine");
                         g -= release;
                         raw.shrinks += 1;
-                        round += 1;
-                        resize_gang(&mut gang, round, g);
                         obs.counter(ctx.now().as_nanos(), names::SCHED_GANG, g as i64);
                         ctx.send(sched, CTRL_DELAY, SchedMsg::Shrunk { job: spec.id });
                     }
                     SchedMsg::Grow { added } => {
                         g += added;
                         raw.grows += 1;
-                        round += 1;
-                        resize_gang(&mut gang, round, g);
                         obs.counter(ctx.now().as_nanos(), names::SCHED_GANG, g as i64);
                     }
                     other => panic!("job {} got {other:?} while running", spec.id),

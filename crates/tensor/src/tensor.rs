@@ -133,16 +133,6 @@ impl Tensor {
         }
     }
 
-    /// Uniform init on `[lo, hi)`.
-    pub fn rand_uniform(shape: &[usize], lo: f32, hi: f32, rng: &mut impl Rng) -> Self {
-        let n = shape.iter().product();
-        let data = (0..n).map(|_| rng.gen_range(lo..hi)).collect();
-        Tensor {
-            shape: Shape::from_slice(shape),
-            data,
-        }
-    }
-
     /// He (Kaiming) initialization for a layer with `fan_in` inputs —
     /// std = sqrt(2 / fan_in), the standard choice before ReLU.
     pub fn he_init(shape: &[usize], fan_in: usize, rng: &mut impl Rng) -> Self {
@@ -198,12 +188,6 @@ impl Tensor {
     pub fn at(&self, r: usize, c: usize) -> f32 {
         debug_assert_eq!(self.shape.len(), 2);
         self.data[r * self.shape[1] + c]
-    }
-
-    #[inline]
-    pub fn at_mut(&mut self, r: usize, c: usize) -> &mut f32 {
-        debug_assert_eq!(self.shape.len(), 2);
-        &mut self.data[r * self.shape[1] + c]
     }
 
     /// Row `r` of a rank-2 tensor as a slice.
