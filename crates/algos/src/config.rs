@@ -161,13 +161,6 @@ impl Default for RealTraining {
     }
 }
 
-impl RealTraining {
-    /// Materialize the train/test datasets.
-    pub fn datasets(&self) -> (Dataset, Dataset) {
-        self.task.datasets()
-    }
-}
-
 /// Fault-injection attachment for a run: a concrete schedule plus the
 /// checkpoint cadence the recovery layer uses. Recovery semantics are
 /// per-algorithm (see DESIGN.md "Fault model"): BSP stalls its barrier on a

@@ -963,10 +963,12 @@ fn finish_iteration(core: &mut WorkerCore, ctx: &Ctx<Msg>) {
 }
 
 /// Build the per-worker cores for a run (shared by all algorithm
-/// front-ends). `store` is the run's shared checkpoint store; pass `Some`
-/// exactly when `cfg.faults` is set.
+/// front-ends). `train` is the run's shared training set and `store` its
+/// shared checkpoint store; pass `Some` exactly when `cfg.real`,
+/// respectively `cfg.faults`, is set.
 pub fn build_worker_cores(
     cfg: &RunConfig,
+    train: Option<Arc<Dataset>>,
     metrics: &MetricsHub,
     recorder: &Recorder,
     net: &NetModel,
@@ -979,10 +981,12 @@ pub fn build_worker_cores(
         .collect();
 
     // Real-training setup (shared dataset; per-worker shards and replicas).
-    let real_setup = cfg.real.as_ref().map(|r| {
-        let (train, _test) = r.datasets();
-        (Arc::new(train), r.clone())
-    });
+    assert_eq!(
+        train.is_some(),
+        cfg.real.is_some(),
+        "a train set exactly for real training"
+    );
+    let real_setup = train.zip(cfg.real.clone());
 
     let total_iters = resolve_total_iters(cfg);
 

@@ -6,6 +6,7 @@ use std::sync::Arc;
 
 use dtrain_cluster::{Breakdown, LinkWindow, MetricsHub, NetModel, TrafficStats};
 use dtrain_compress::compressed_wire_bytes;
+use dtrain_data::Dataset;
 use dtrain_desim::{Pid, SimTime, Simulation, StopReason, TraceRecord};
 use dtrain_faults::{Algo, CheckpointStore};
 use dtrain_nn::{ParamSet, SgdMomentum};
@@ -119,7 +120,13 @@ fn run_impl(cfg: &RunConfig, trace: bool, sink: &ObsSink) -> (RunOutput, Option<
             net.set_link_faults(windows);
         }
     }
-    let mut cores = build_worker_cores(cfg, &metrics, &recorder, &net, store.as_ref());
+    // Real training generates its datasets once: the workers share the
+    // train set, the accuracy curve is evaluated on the test set.
+    let (train, test) = match cfg.real.as_ref().map(|r| r.task.datasets()) {
+        Some((train, test)) => (Some(Arc::new(train)), Some(test)),
+        None => (None, None),
+    };
+    let mut cores = build_worker_cores(cfg, train, &metrics, &recorder, &net, store.as_ref());
 
     let mut sim: Simulation<Msg> = Simulation::new();
     if trace {
@@ -371,10 +378,9 @@ fn run_impl(cfg: &RunConfig, trace: bool, sink: &ObsSink) -> (RunOutput, Option<
     );
 
     // ---- distill outputs ----
-    let (curve, final_params) = if cfg.real.is_some() {
-        evaluate_curve(cfg, &recorder.snapshots())
-    } else {
-        (Vec::new(), None)
+    let (curve, final_params) = match &test {
+        Some(test) => evaluate_curve(cfg, test, &recorder.snapshots()),
+        None => (Vec::new(), None),
     };
     let final_accuracy = curve.last().map(|p| p.test_accuracy);
     let out = RunOutput {
@@ -428,9 +434,12 @@ fn build_global_shard_params(cfg: &RunConfig) -> Option<Vec<ParamSet>> {
 /// epoch's model is worker 0's replica for synchronous algorithms (their
 /// replicas are identical) and the replica mean for everything else, the
 /// conventional artifact of replicas that drift.
-fn evaluate_curve(cfg: &RunConfig, snapshots: &[Snapshot]) -> (Vec<EpochPoint>, Option<ParamSet>) {
+fn evaluate_curve(
+    cfg: &RunConfig,
+    test: &Dataset,
+    snapshots: &[Snapshot],
+) -> (Vec<EpochPoint>, Option<ParamSet>) {
     let rcfg = cfg.real.as_ref().expect("real mode");
-    let (_train, test) = rcfg.datasets();
     let (x, y) = test.as_batch();
     let mut eval_net = rcfg.task.build_net(rcfg.model_seed);
     let max_epoch = snapshots.iter().map(|s| s.epoch).max().unwrap_or(0);

@@ -33,7 +33,7 @@ fn emission_times(wait_free: bool) -> (Vec<(usize, u64)>, u64) {
     let metrics = MetricsHub::new(1);
     let recorder = Recorder::new();
     let net = NetModel::new(&cfg.cluster);
-    let mut cores = build_worker_cores(&cfg, &metrics, &recorder, &net, None);
+    let mut cores = build_worker_cores(&cfg, None, &metrics, &recorder, &net, None);
     let mut core = cores.remove(0);
 
     let events = Arc::new(Mutex::new(Vec::new()));

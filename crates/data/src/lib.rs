@@ -6,6 +6,7 @@
 //! preserves the accuracy phenomena under study.
 
 mod dataset;
+mod noise;
 mod synth;
 
 pub use dataset::{Dataset, Shard};

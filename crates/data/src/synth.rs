@@ -9,7 +9,7 @@
 //!   differences between training algorithms are visible rather than
 //!   saturated — the property the paper's accuracy comparison depends on.
 //! * [`prototype_images`] — small `[C, H, W]` images built from per-class
-//!   prototype patterns plus Gaussian noise, for exercising the CNN path.
+//!   prototype patterns plus Irwin–Hall noise, for exercising the CNN path.
 
 use dtrain_nn::{Dense, Network, Relu};
 use dtrain_tensor::Tensor;
@@ -17,6 +17,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::dataset::Dataset;
+use crate::noise::irwin_hall_noise;
 
 /// Configuration for the teacher-labelled classification task.
 #[derive(Clone, Debug)]
@@ -91,7 +92,9 @@ pub struct ImageTaskConfig {
     pub num_classes: usize,
     pub train_size: usize,
     pub test_size: usize,
-    /// Gaussian noise std added on top of the class prototype.
+    /// Scale of the noise added on top of the class prototype. The noise is
+    /// Irwin–Hall(12) − 6 (the sum of 12 uniforms, centred): mean 0,
+    /// variance 1 and bounds ±6, so `noise` is its standard deviation.
     pub noise: f32,
     pub seed: u64,
 }
@@ -119,23 +122,13 @@ pub fn prototype_images(cfg: &ImageTaskConfig) -> (Dataset, Dataset) {
         .map(|_| Tensor::randn(&[sample_len], 1.0, &mut rng))
         .collect();
     let make = |n: usize, rng: &mut SmallRng| {
-        let mut inputs = Vec::with_capacity(n * sample_len);
-        let mut labels = Vec::with_capacity(n);
-        for i in 0..n {
-            let y = i % cfg.num_classes;
-            let proto = &prototypes[y];
-            for &p in proto.data() {
-                let eps: f32 = {
-                    // Box–Muller-lite via sum of uniforms is biased; use the
-                    // tensor crate's normal through randn for single values
-                    // would be wasteful — a 12-uniform Irwin–Hall sample is
-                    // plenty for data noise.
-                    let s: f32 = (0..12).map(|_| rng.gen::<f32>()).sum();
-                    s - 6.0
-                };
-                inputs.push(p + cfg.noise * eps);
+        let mut inputs = vec![0.0f32; n * sample_len];
+        irwin_hall_noise(rng, &mut inputs);
+        let labels: Vec<usize> = (0..n).map(|i| i % cfg.num_classes).collect();
+        for (sample, &y) in inputs.chunks_exact_mut(sample_len).zip(&labels) {
+            for (v, &p) in sample.iter_mut().zip(prototypes[y].data()) {
+                *v = p + cfg.noise * *v;
             }
-            labels.push(y);
         }
         Dataset::new(
             vec![cfg.channels, cfg.side, cfg.side],

@@ -181,6 +181,10 @@ pub fn with_isa<R>(isa: Isa, f: impl FnOnce() -> R) -> R {
 /// product fused. A function per kernel rather than a closure, because the
 /// slices must arrive as parameters for the compiler to know they do not
 /// overlap; without that it vectorises behind per-call overlap checks.
+/// Lane-wise loops qualify too (`dtrain-data`'s generator lanes): integer
+/// operations and one IEEE operation at a time per lane, no lane mixed
+/// into another.
+#[macro_export]
 macro_rules! widened {
     ($(#[$m:meta])* fn $name:ident($($arg:ident: $ty:ty),* $(,)?) $body:block) => {
         $(#[$m])*
@@ -212,7 +216,7 @@ macro_rules! widened {
         }
     };
 }
-pub(crate) use widened;
+pub use widened;
 
 /// Staging tile for partial edge tiles: cache-line aligned so the staged
 /// kernel sees the same alignment as a direct C write.
