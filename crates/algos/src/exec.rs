@@ -61,7 +61,7 @@ use dtrain_cluster::{
 use dtrain_compress::{compressed_wire_bytes, DgcCompressor, SparseUpdate};
 use dtrain_data::Dataset;
 use dtrain_desim::{Ctx, Pid, SimTime};
-use dtrain_faults::{markers, CheckpointStore, ElasticConfig, MembershipView};
+use dtrain_faults::{markers, CheckpointStore, ElasticConfig, ElasticRuntime, MembershipView};
 use dtrain_models::ModelProfile;
 use dtrain_nn::{LrSchedule, Network, ParamLayout, ParamSet, SgdMomentum};
 use dtrain_obs::names;
@@ -467,24 +467,13 @@ pub(crate) enum Charge {
     Free,
 }
 
-/// Elastic-membership runtime handle (elastic mode only): the shared
-/// deterministic view plus the layer's tunables. All workers (and the PS
-/// shards) hold clones of the same `Arc`, so every party derives topology
-/// from identical history.
-#[derive(Clone)]
-pub struct ElasticRuntime {
-    pub view: Arc<MembershipView>,
-    pub cfg: ElasticConfig,
-}
-
-impl ElasticRuntime {
-    /// The transport deadline/retry policy workers apply to their sends.
-    pub fn deadline_policy(&self) -> DeadlinePolicy {
-        DeadlinePolicy {
-            deadline: self.cfg.transfer_deadline,
-            max_retries: self.cfg.max_retries,
-            backoff: self.cfg.retry_backoff,
-        }
+/// The transport deadline/retry policy elastic workers apply to their
+/// sends.
+fn deadline_policy(cfg: &ElasticConfig) -> DeadlinePolicy {
+    DeadlinePolicy {
+        deadline: cfg.transfer_deadline,
+        max_retries: cfg.max_retries,
+        backoff: cfg.retry_backoff,
     }
 }
 
@@ -586,7 +575,7 @@ impl WorkerCore {
                     to.node,
                     bytes,
                     class,
-                    e.deadline_policy(),
+                    deadline_policy(&e.cfg),
                 );
                 for attempt in 1..=retries {
                     markers::retry(self.metrics.worker_track(self.w), now.as_nanos(), attempt);

@@ -17,5 +17,5 @@ pub use chaos::{
     SegmentReport,
 };
 pub use checkpoint::{CheckpointStore, WorkerCheckpoint, MAX_VERSIONS};
-pub use membership::{ElasticConfig, MembershipView};
+pub use membership::{ElasticConfig, ElasticRuntime, MembershipView};
 pub use schedule::{FaultEvent, FaultKind, FaultPlan, FaultSchedule, RuntimeFaultSchedule};

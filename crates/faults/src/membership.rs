@@ -23,6 +23,8 @@
 //! * **evicted → rejoined**: a restarted worker re-enters at the current
 //!   round and pulls fresh parameters from the PS / a peer sponsor.
 
+use std::sync::Arc;
+
 use crate::FaultSchedule;
 use dtrain_desim::SimTime;
 
@@ -59,6 +61,16 @@ impl Default for ElasticConfig {
             ps_recovery_delay: SimTime::from_millis(100),
         }
     }
+}
+
+/// Elastic-membership handle of one run: the shared deterministic view
+/// plus the layer's tunables. Every simulated worker and PS shard, and
+/// every worker thread, holds a clone of the same `Arc`, so every party
+/// derives topology from identical history.
+#[derive(Clone, Debug)]
+pub struct ElasticRuntime {
+    pub view: Arc<MembershipView>,
+    pub cfg: ElasticConfig,
 }
 
 /// Deterministic membership history: per worker, the round it dies and the

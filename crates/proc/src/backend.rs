@@ -679,6 +679,4 @@ impl ExecBackend for ProcBackend {
         }
         self.live_cache = None;
     }
-
-    fn finish(&mut self) {}
 }

@@ -1,5 +1,5 @@
-//! Process-path run configuration, its argv encoding for worker
-//! processes, and worker-binary discovery.
+//! Process-path run configuration and its argv encoding for worker
+//! processes.
 //!
 //! The coordinator and its workers are separate OS processes, so the run
 //! configuration crosses an `argv` boundary: [`encode_worker_cfg`] packs
@@ -17,14 +17,7 @@ use dtrain_faults::{Algo, ChaosSpec};
 use dtrain_runtime::RunPlan;
 
 use crate::codec::{params_wire_len, MAX_PAYLOAD};
-
-/// Millisecond duration from an env var, if set and parseable.
-fn env_ms(var: &str) -> Option<Duration> {
-    std::env::var(var)
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .map(Duration::from_millis)
-}
+use crate::coordinator::HEARTBEAT_INTERVAL;
 
 /// A scheduled late rejoin: when rank `worker`'s process death is
 /// recorded, the coordinator spawns a replacement process for the same
@@ -53,9 +46,6 @@ pub struct ProcConfig {
     /// A BSP round that cannot fill within this window force-closes
     /// partially (the degrade-to-partial-barrier path).
     pub barrier_deadline: Duration,
-    /// Worker connect: attempts and base backoff (doubled per retry).
-    pub connect_retries: u32,
-    pub connect_backoff: Duration,
     /// Socket read timeout on worker connections — a transfer that stalls
     /// longer than this counts as a dead peer.
     pub transfer_deadline: Duration,
@@ -66,14 +56,9 @@ pub struct ProcConfig {
     pub pause_at: Option<(usize, u64)>,
     /// Scheduled late rejoin after a real process death.
     pub rejoin: Option<RejoinSpec>,
-    /// Liveness-poll period: how often the reaper checks children for real
-    /// exits and disconnected sessions for expired reconnect windows.
-    /// Default 25 ms; `DTRAIN_PROC_HEARTBEAT_MS` overrides.
-    pub heartbeat_interval: Duration,
     /// How long a disconnected rank may take to reconnect-with-resume
-    /// before it is declared dead and evicted. Must exceed
-    /// `heartbeat_interval` (validated at launch). Default 1 s;
-    /// `DTRAIN_PROC_RECONNECT_MS` overrides.
+    /// before it is declared dead and evicted. Must exceed the reaper's
+    /// 25 ms poll period (validated at launch). Default 1 s.
     pub reconnect_window: Duration,
     /// Seeded chaos interposer applied on every worker's send path
     /// (inactive by default).
@@ -89,8 +74,8 @@ pub struct ProcConfig {
     /// `HelloAck` snapshot they already apply. The adaptive controller
     /// uses this to carry parameters across a mid-run strategy switch.
     pub initial_params: Option<dtrain_nn::ParamSet>,
-    /// Worker binary override; default is discovery next to the current
-    /// executable (see [`worker_exe`]).
+    /// Worker binary override; default is the `DTRAIN_PROC_WORKER` env
+    /// var, else discovery next to the current executable.
     pub worker_exe: Option<PathBuf>,
 }
 
@@ -119,10 +104,10 @@ impl ProcConfig {
                 "dataset ({n}) must divide evenly into workers x batch ({workers} x {batch})"
             ));
         }
-        if self.reconnect_window <= self.heartbeat_interval {
+        if self.reconnect_window <= HEARTBEAT_INTERVAL {
             return Err(format!(
-                "reconnect_window ({:?}) must exceed heartbeat_interval ({:?})",
-                self.reconnect_window, self.heartbeat_interval
+                "reconnect_window ({:?}) must exceed the heartbeat interval ({HEARTBEAT_INTERVAL:?})",
+                self.reconnect_window
             ));
         }
         let frame = self.largest_payload();
@@ -164,15 +149,10 @@ impl Default for ProcConfig {
             model_seed: 7,
             checkpoint_interval: 10,
             barrier_deadline: Duration::from_millis(1500),
-            connect_retries: 8,
-            connect_backoff: Duration::from_millis(10),
             transfer_deadline: Duration::from_secs(60),
             pause_at: None,
             rejoin: None,
-            heartbeat_interval: env_ms("DTRAIN_PROC_HEARTBEAT_MS")
-                .unwrap_or(Duration::from_millis(25)),
-            reconnect_window: env_ms("DTRAIN_PROC_RECONNECT_MS")
-                .unwrap_or(Duration::from_millis(1000)),
+            reconnect_window: Duration::from_millis(1000),
             chaos: ChaosSpec::default(),
             chaos_rank: None,
             straggler: None,
@@ -371,39 +351,6 @@ pub fn decode_worker_cfg(s: &str) -> Result<WorkerCfg, String> {
     })
 }
 
-/// Locate the `dtrain-proc-worker` binary: the explicit override, the
-/// `DTRAIN_PROC_WORKER` env var, or discovery next to the current
-/// executable (test binaries live in `target/<profile>/deps/`, the worker
-/// bin one level up in `target/<profile>/`).
-pub fn worker_exe(over: Option<&PathBuf>) -> Result<PathBuf, String> {
-    if let Some(p) = over {
-        return Ok(p.clone());
-    }
-    if let Ok(p) = std::env::var("DTRAIN_PROC_WORKER") {
-        return Ok(PathBuf::from(p));
-    }
-    let me = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
-    let mut dir = me
-        .parent()
-        .ok_or_else(|| "current_exe has no parent".to_string())?
-        .to_path_buf();
-    for _ in 0..2 {
-        let candidate = dir.join("dtrain-proc-worker");
-        if candidate.is_file() {
-            return Ok(candidate);
-        }
-        match dir.parent() {
-            Some(p) => dir = p.to_path_buf(),
-            None => break,
-        }
-    }
-    Err(
-        "cannot locate dtrain-proc-worker binary; build it (cargo build -p dtrain-proc) \
-         or set DTRAIN_PROC_WORKER / ProcConfig::worker_exe"
-            .to_string(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -464,9 +411,9 @@ mod tests {
     fn validate_requires_window_beyond_heartbeat() {
         let mut cfg = ProcConfig::default();
         assert!(cfg.validate().is_ok());
-        cfg.reconnect_window = cfg.heartbeat_interval;
+        cfg.reconnect_window = HEARTBEAT_INTERVAL;
         assert!(cfg.validate().is_err());
-        cfg.reconnect_window = cfg.heartbeat_interval + Duration::from_millis(1);
+        cfg.reconnect_window = HEARTBEAT_INTERVAL + Duration::from_millis(1);
         assert!(cfg.validate().is_ok());
     }
 

@@ -11,6 +11,7 @@
 
 use std::io::{BufReader, ErrorKind, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
+use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -26,7 +27,7 @@ use dtrain_runtime::PsState;
 use parking_lot::{Condvar, Mutex};
 
 use crate::codec::{encode_frame, CodecError};
-use crate::config::{encode_worker_cfg, worker_exe, ProcConfig};
+use crate::config::{encode_worker_cfg, ProcConfig};
 pub use crate::coord_core::WorkerStats;
 use crate::coord_core::{CoordCore, Effect, Outcome};
 use crate::proto::Msg;
@@ -678,6 +679,44 @@ fn serve_connection(
     }
 }
 
+/// The reaper's poll period: how often it checks children for real exits
+/// and ticks the core and the hub. A run's `reconnect_window` must exceed
+/// it.
+pub(crate) const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(25);
+
+/// Locate the `dtrain-proc-worker` binary: the explicit override, the
+/// `DTRAIN_PROC_WORKER` env var, or discovery next to the current
+/// executable (test binaries live in `target/<profile>/deps/`, the worker
+/// bin one level up in `target/<profile>/`).
+fn worker_exe(over: Option<&PathBuf>) -> Result<PathBuf, String> {
+    if let Some(p) = over {
+        return Ok(p.clone());
+    }
+    if let Ok(p) = std::env::var("DTRAIN_PROC_WORKER") {
+        return Ok(PathBuf::from(p));
+    }
+    let me = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
+    let mut dir = me
+        .parent()
+        .ok_or_else(|| "current_exe has no parent".to_string())?
+        .to_path_buf();
+    for _ in 0..2 {
+        let candidate = dir.join("dtrain-proc-worker");
+        if candidate.is_file() {
+            return Ok(candidate);
+        }
+        match dir.parent() {
+            Some(p) => dir = p.to_path_buf(),
+            None => break,
+        }
+    }
+    Err(
+        "cannot locate dtrain-proc-worker binary; build it (cargo build -p dtrain-proc) \
+         or set DTRAIN_PROC_WORKER / ProcConfig::worker_exe"
+            .to_string(),
+    )
+}
+
 /// A live process-path run: spawned workers, their connections, and the
 /// control hooks tests use (pause / kill / release). Dropping the handle
 /// kills and reaps every child it spawned — no orphans survive a panic.
@@ -738,7 +777,7 @@ impl ProcRun {
                     s.core.tick(now);
                     s.hub.tick(now, &());
                 });
-                std::thread::sleep(reap.cfg.heartbeat_interval);
+                std::thread::sleep(HEARTBEAT_INTERVAL);
             }
         });
 

@@ -245,6 +245,6 @@ pub trait ExecBackend {
         elapsed: Duration,
         state: &mut dyn FnMut() -> (ParamSet, SgdMomentum),
     );
-    /// Called once after the last iteration (final heartbeat).
-    fn finish(&mut self);
+    /// Called once after the last iteration.
+    fn finish(&mut self) {}
 }

@@ -11,7 +11,7 @@
 //! [`crate::Hub`]; this module provides [`ThreadedBackend`] — the adapter
 //! that calls the hub directly and waits for a parked request's answer on
 //! its rank's own slot — plus the thread supervisor (fault injection,
-//! watchdog, final evaluation).
+//! final evaluation).
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 use crossbeam_channel::{Receiver, Sender};
 use dtrain_cluster::CollectiveSchedule;
 use dtrain_data::Dataset;
-use dtrain_faults::{markers, Algo, CheckpointStore, MembershipView, RuntimeFaultSchedule};
+use dtrain_faults::{markers, Algo, CheckpointStore, ElasticRuntime, RuntimeFaultSchedule};
 use dtrain_nn::{Network, ParamSet, SgdMomentum};
 use dtrain_obs::{ObsSink, Track, TrackHandle};
 use parking_lot::Mutex;
@@ -37,7 +37,7 @@ const PS_OWNER: usize = 1 << 20;
 
 /// Fault injection for the threaded runtime: an iteration-indexed schedule
 /// plus the supervisor policy (checkpoint cadence, bounded restart retries
-/// with backoff, heartbeat watchdog threshold).
+/// with backoff, heartbeat timeout).
 #[derive(Clone, Debug)]
 pub struct RuntimeFaultConfig {
     pub schedule: RuntimeFaultSchedule,
@@ -49,25 +49,21 @@ pub struct RuntimeFaultConfig {
     /// Total restart budget for the run; crashes beyond it are abandoned
     /// (counted in [`ThreadedReport::abandoned_restarts`]).
     pub max_restarts: u64,
-    /// Watchdog threshold: a worker silent for longer than this counts a
-    /// missed heartbeat.
+    /// A worker beats once per executed iteration; a beat that comes
+    /// more than this after the worker's previous one counts a missed
+    /// heartbeat.
     pub heartbeat_timeout: Duration,
-    /// Elastic membership: the same round-indexed view the simulator
-    /// consults, keyed here by each worker's local iteration index. A dead
+    /// Elastic membership: the simulator's handle, whose round-indexed
+    /// view is keyed here by each worker's local iteration index. A dead
     /// round is skipped outright (no compute, no barrier seat) instead of
     /// being restarted; rejoiners re-enter at the current round with fresh
-    /// state. `None` = classic restart-based recovery. When set, the
-    /// iteration-indexed crash schedule is ignored (the view encodes it).
-    pub elastic: Option<Arc<MembershipView>>,
-    /// Elastic only: how long a peer-exchange reply may take before one
-    /// bounded retry wait is charged (and eventually abandoned).
-    pub transfer_deadline: Duration,
-    /// Elastic only: reply waits after the deadline before the exchange is
-    /// abandoned.
-    pub max_transfer_retries: u32,
-    /// Elastic only: a BSP round that cannot fill within this window
-    /// force-closes partially so survivors keep making progress.
-    pub barrier_deadline: Duration,
+    /// state. Of its `ElasticConfig` the threads read `barrier_deadline`
+    /// (a BSP round that cannot fill force-closes partially),
+    /// `transfer_deadline` and `max_retries` (bounded waits on a
+    /// peer-exchange reply, then the exchange is abandoned). `None` =
+    /// classic restart-based recovery. The view encodes the crashes, so
+    /// a non-empty `schedule.crashes` beside it is refused.
+    pub elastic: Option<ElasticRuntime>,
 }
 
 impl Default for RuntimeFaultConfig {
@@ -79,9 +75,6 @@ impl Default for RuntimeFaultConfig {
             max_restarts: 8,
             heartbeat_timeout: Duration::from_secs(5),
             elastic: None,
-            transfer_deadline: Duration::from_millis(500),
-            max_transfer_retries: 3,
-            barrier_deadline: Duration::from_secs(2),
         }
     }
 }
@@ -167,7 +160,8 @@ pub struct ThreadedReport {
     pub abandoned_restarts: u64,
     /// PS outages consumed (server state rolled back to its checkpoint).
     pub ps_recoveries: u64,
-    /// Watchdog observations of a worker silent past `heartbeat_timeout`.
+    /// Heartbeats that came more than `heartbeat_timeout` after the same
+    /// worker's previous one.
     pub missed_heartbeats: u64,
     /// Elastic membership: workers evicted from the cohort (no restart).
     pub evictions: u64,
@@ -188,9 +182,6 @@ struct FaultRuntime {
     store: CheckpointStore,
     /// Runtime-infrastructure obs track (PS outages, server checkpoints).
     obs: TrackHandle,
-    /// Millis-since-start of each worker's last heartbeat; `u64::MAX` once
-    /// the worker finished.
-    heartbeats: Vec<AtomicU64>,
     started: Instant,
     /// Global iteration counter (all workers), keys the PS outage windows.
     global_iters: AtomicU64,
@@ -207,13 +198,12 @@ struct FaultRuntime {
 }
 
 impl FaultRuntime {
-    fn new(cfg: RuntimeFaultConfig, workers: usize, obs: TrackHandle, clock: Instant) -> Self {
+    fn new(cfg: RuntimeFaultConfig, obs: TrackHandle, clock: Instant) -> Self {
         let mut pending = cfg.schedule.ps_outages.clone();
         pending.sort_unstable();
         FaultRuntime {
             store: CheckpointStore::new(cfg.checkpoint_interval),
             obs,
-            heartbeats: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             started: clock,
             global_iters: AtomicU64::new(0),
             pending_outages: Mutex::new(pending),
@@ -226,15 +216,6 @@ impl FaultRuntime {
             rejoins: AtomicU64::new(0),
             cfg,
         }
-    }
-
-    fn beat(&self, w: usize) {
-        let ms = self.started.elapsed().as_millis() as u64;
-        self.heartbeats[w].store(ms, Ordering::Relaxed);
-    }
-
-    fn finish(&self, w: usize) {
-        self.heartbeats[w].store(u64::MAX, Ordering::Relaxed);
     }
 
     /// Crash-restart: notionally lose the replica, wait out the supervisor
@@ -329,36 +310,11 @@ impl CloseHooks for Option<&FaultRuntime> {
     }
 }
 
-/// Watchdog loop: samples heartbeats until every worker finished, counting
-/// workers silent for longer than the timeout.
-fn watchdog(fr: &FaultRuntime) {
-    let timeout_ms = fr.cfg.heartbeat_timeout.as_millis() as u64;
-    let tick = (fr.cfg.heartbeat_timeout / 4).max(Duration::from_millis(1));
-    loop {
-        std::thread::sleep(tick);
-        let now_ms = fr.started.elapsed().as_millis() as u64;
-        let mut all_done = true;
-        for hb in &fr.heartbeats {
-            let last = hb.load(Ordering::Relaxed);
-            if last == u64::MAX {
-                continue;
-            }
-            all_done = false;
-            if now_ms.saturating_sub(last) > timeout_ms {
-                fr.missed_heartbeats.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        if all_done {
-            return;
-        }
-    }
-}
-
 /// The shared-memory [`ExecBackend`]: one instance per worker thread, a
 /// thin adapter that calls the run's [`Hub`] directly. What stays here is
 /// what only this path has: the pre-computed membership view, the fault
-/// hooks (PS outages, crash schedule, straggler stretch, checkpoints) and
-/// the bounded-retry wait on an AD-PSGD reply.
+/// hooks (PS outages, crash schedule, straggler stretch, checkpoints,
+/// heartbeats) and the bounded-retry wait on an AD-PSGD reply.
 struct ThreadedBackend<'a> {
     w: usize,
     workers: usize,
@@ -370,9 +326,11 @@ struct ThreadedBackend<'a> {
     slots: &'a [Sender<Answer>],
     answers: Receiver<Answer>,
     faults: Option<&'a FaultRuntime>,
-    elastic: Option<&'a MembershipView>,
+    elastic: Option<&'a ElasticRuntime>,
     obs: TrackHandle,
     wall: Instant,
+    /// Run time of this worker's last heartbeat.
+    last_beat: Duration,
     slowdown: f64,
     crash_iters: VecDeque<u64>,
     /// Token of the outstanding AD-PSGD exchange request.
@@ -434,13 +392,13 @@ impl ThreadedBackend<'_> {
         let seat = Seat {
             rank: self.w,
             round,
-            view: self.elastic,
+            view: self.elastic.map(|e| &*e.view),
             leaders,
             now: self.wall.elapsed(),
         };
         let patience = self
             .elastic
-            .and(self.faults.map(|fr| fr.cfg.barrier_deadline));
+            .map(|e| Duration::from_nanos(e.cfg.barrier_deadline.as_nanos()));
         match self.ask(patience, |hub| {
             hub.bsp_round(seat, deposit, lr, &self.faults)
         }) {
@@ -466,20 +424,20 @@ impl ExecBackend for ThreadedBackend<'_> {
     }
 
     fn death_round(&mut self, w: usize) -> Option<u64> {
-        self.elastic.and_then(|v| v.death_round(w))
+        self.elastic.and_then(|e| e.view.death_round(w))
     }
 
     fn rejoin_round(&mut self, w: usize) -> Option<u64> {
-        self.elastic.and_then(|v| v.rejoin_round(w))
+        self.elastic.and_then(|e| e.view.rejoin_round(w))
     }
 
     fn is_live(&mut self, w: usize, round: u64) -> bool {
-        self.elastic.is_none_or(|v| v.is_live(w, round))
+        self.elastic.is_none_or(|e| e.view.is_live(w, round))
     }
 
     fn live_at(&mut self, round: u64) -> Vec<usize> {
         match self.elastic {
-            Some(v) => v.live_at(round),
+            Some(e) => e.view.live_at(round),
             None => (0..self.workers).collect(),
         }
     }
@@ -580,10 +538,10 @@ impl ExecBackend for ThreadedBackend<'_> {
         let token = self.pending_reply.take()?;
         // Transport deadline (elastic only): bounded retry waits, then the
         // exchange is abandoned.
-        let (deadline, retries) = match self.faults.filter(|fr| fr.cfg.elastic.is_some()) {
-            Some(fr) => (
-                Some(fr.cfg.transfer_deadline),
-                fr.cfg.max_transfer_retries.max(1),
+        let (deadline, retries) = match self.elastic {
+            Some(e) => (
+                Some(Duration::from_nanos(e.cfg.transfer_deadline.as_nanos())),
+                e.cfg.max_retries.max(1),
             ),
             None => (None, 1),
         };
@@ -625,7 +583,7 @@ impl ExecBackend for ThreadedBackend<'_> {
     fn startup(&mut self, params: &ParamSet, opt: &SgdMomentum) {
         if let Some(fr) = self.faults {
             fr.store.save(self.w, 0, params, opt);
-            fr.beat(self.w);
+            self.last_beat = self.wall.elapsed();
         }
     }
 
@@ -665,19 +623,17 @@ impl ExecBackend for ThreadedBackend<'_> {
             if self.slowdown > 1.0 {
                 std::thread::sleep(elapsed.mul_f64(self.slowdown - 1.0));
             }
-            fr.beat(self.w);
+            let now = self.wall.elapsed();
+            if now - self.last_beat > fr.cfg.heartbeat_timeout {
+                fr.missed_heartbeats.fetch_add(1, Ordering::Relaxed);
+            }
+            self.last_beat = now;
             fr.global_iters.fetch_add(1, Ordering::Relaxed);
             if fr.store.due(local_iter) {
                 let (params, opt) = state();
                 fr.store.save(self.w, local_iter, &params, &opt);
                 markers::ckpt_save(&self.obs, self.ns(), local_iter);
             }
-        }
-    }
-
-    fn finish(&mut self) {
-        if let Some(fr) = self.faults {
-            fr.finish(self.w);
         }
     }
 }
@@ -725,11 +681,19 @@ where
     );
 
     let plan = cfg.plan();
-    let elastic = cfg.faults.as_ref().and_then(|fc| fc.elastic.as_deref());
+    let elastic = cfg.faults.as_ref().and_then(|fc| fc.elastic.as_ref());
+    if let Some(fc) = &cfg.faults {
+        assert!(
+            fc.elastic.is_none() || fc.schedule.crashes.is_empty(),
+            "an elastic run takes its crashes from the membership view; \
+             schedule.crashes must be empty, got {:?}",
+            fc.schedule.crashes
+        );
+    }
     let hub = Hub::new(
         factory().get_params(),
         &plan,
-        cfg.faults.as_ref().map(|fc| fc.barrier_deadline),
+        elastic.map(|e| Duration::from_nanos(e.cfg.barrier_deadline.as_nanos())),
     );
     let ps = Arc::clone(hub.ps());
     let hub = Mutex::new(hub);
@@ -740,7 +704,7 @@ where
     let faults: Option<FaultRuntime> = cfg
         .faults
         .clone()
-        .map(|fc| FaultRuntime::new(fc, cfg.workers, sink.track(Track::Runtime(0)), clock));
+        .map(|fc| FaultRuntime::new(fc, sink.track(Track::Runtime(0)), clock));
     let faults = faults.as_ref();
     if let Some(fr) = faults {
         // Baseline PS checkpoint so an outage before the first cadence tick
@@ -751,9 +715,6 @@ where
 
     let started = Instant::now();
     let finals: Vec<(ParamSet, Duration)> = std::thread::scope(|scope| {
-        if let Some(fr) = faults {
-            scope.spawn(move || watchdog(fr));
-        }
         let mut handles = Vec::with_capacity(cfg.workers);
         for (w, answers) in answers.into_iter().enumerate() {
             let (hub, ps, slots, plan, factory) = (&hub, &*ps, &slots[..], &plan, &factory);
@@ -780,6 +741,7 @@ where
                     faults,
                     obs: backend_obs,
                     wall: clock,
+                    last_beat: Duration::ZERO,
                     pending_reply: None,
                 };
                 let out = worker_body(&mut backend, factory(), &train, plan, &obs, clock);
@@ -801,7 +763,7 @@ where
         .enumerate()
         .map(|(w, (p, _))| (w, p))
         .collect();
-    let (mean, drift) = final_cohort(&replicas, elastic, &plan, train.len());
+    let (mean, drift) = final_cohort(&replicas, elastic.map(|e| &*e.view), &plan, train.len());
     let mut eval_net = factory();
     eval_net.set_params(&mean);
     let (x, y) = test.as_batch();

@@ -9,7 +9,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dtrain_data::{teacher_task, TeacherTaskConfig};
-use dtrain_faults::{Algo, MembershipView};
+use dtrain_faults::{Algo, ElasticConfig, ElasticRuntime, MembershipView, RuntimeFaultSchedule};
 use dtrain_models::default_mlp;
 use dtrain_runtime::{train_threaded, RuntimeFaultConfig, ThreadedConfig, ThreadedReport};
 
@@ -43,6 +43,14 @@ fn data() -> (Arc<dtrain_data::Dataset>, dtrain_data::Dataset) {
 }
 
 fn elastic_run(strategy: Algo, view: MembershipView) -> ThreadedReport {
+    elastic_run_with(strategy, view, RuntimeFaultSchedule::default())
+}
+
+fn elastic_run_with(
+    strategy: Algo,
+    view: MembershipView,
+    schedule: RuntimeFaultSchedule,
+) -> ThreadedReport {
     let (train, test) = data();
     train_threaded(
         || default_mlp(10, 7),
@@ -53,7 +61,11 @@ fn elastic_run(strategy: Algo, view: MembershipView) -> ThreadedReport {
             epochs: EPOCHS,
             strategy,
             faults: Some(RuntimeFaultConfig {
-                elastic: Some(Arc::new(view)),
+                schedule,
+                elastic: Some(ElasticRuntime {
+                    view: Arc::new(view),
+                    cfg: ElasticConfig::default(),
+                }),
                 checkpoint_interval: 8,
                 ..Default::default()
             }),
@@ -137,4 +149,17 @@ fn elastic_bsp_makes_progress_under_watchdog() {
     // The barrier keeps the live cohort in lockstep even across the
     // membership changes.
     assert!(r.final_drift < 1e-5, "BSP drift {}", r.final_drift);
+}
+
+#[test]
+#[should_panic(expected = "schedule.crashes must be empty")]
+fn crash_schedule_beside_a_view_is_refused() {
+    // The view already says who dies when; an iteration-indexed crash list
+    // beside it would be silently dropped, so the run refuses it.
+    let view = MembershipView::from_events(WORKERS, &[(1, 5)], &[]);
+    let schedule = RuntimeFaultSchedule {
+        crashes: vec![(2, 8)],
+        ..Default::default()
+    };
+    elastic_run_with(Algo::Bsp, view, schedule);
 }

@@ -141,3 +141,31 @@ fn heartbeat_watchdog_flags_stalled_worker() {
         r.final_accuracy
     );
 }
+
+#[test]
+fn heartbeat_timeout_does_not_stretch_the_run() {
+    // The run ends when its last worker does: nothing outlives the workers
+    // to sample their heartbeats, so a 60 s timeout costs a sub-second run
+    // nothing, and `wall_time` measures the training alone.
+    let (train, test) = data();
+    let r = train_threaded(
+        || default_mlp(10, 7),
+        &train,
+        &test,
+        &ThreadedConfig {
+            workers: 2,
+            epochs: 1,
+            faults: Some(RuntimeFaultConfig {
+                heartbeat_timeout: Duration::from_secs(60),
+                ..Default::default()
+            }),
+            ..Default::default()
+        },
+    );
+    assert!(
+        r.wall_time < Duration::from_secs(5),
+        "a 1-epoch run reported {:?}",
+        r.wall_time
+    );
+    assert_eq!(r.missed_heartbeats, 0);
+}

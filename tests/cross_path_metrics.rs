@@ -137,7 +137,7 @@ fn sim_and_threaded_agree_on_bsp_logical_metrics() {
 fn sim_and_threaded_agree_on_elastic_bsp_schedule() {
     use dtrain_repro::desim::SimTime;
     use dtrain_repro::faults::{
-        ElasticConfig, FaultEvent, FaultKind, FaultSchedule, MembershipView,
+        ElasticConfig, ElasticRuntime, FaultEvent, FaultKind, FaultSchedule, MembershipView,
     };
     use dtrain_repro::runtime::{train_threaded, RuntimeFaultConfig};
 
@@ -146,7 +146,9 @@ fn sim_and_threaded_agree_on_elastic_bsp_schedule() {
 
     // One plan: worker 1 dies at round 1 and rejoins at round 11. The sim
     // derives the view from a timed crash (100 ms into 200 ms rounds, back
-    // 2 s later); the threaded path takes the view directly.
+    // 2 s later); the threaded path takes the view directly. One
+    // `ElasticConfig` feeds both paths.
+    let elastic = ElasticConfig::default();
     let schedule = FaultSchedule::new(vec![FaultEvent {
         at: SimTime::from_millis(100),
         kind: FaultKind::WorkerCrash {
@@ -154,7 +156,7 @@ fn sim_and_threaded_agree_on_elastic_bsp_schedule() {
             restart_after: Some(SimTime::from_secs(2)),
         },
     }]);
-    let view = MembershipView::from_schedule(&schedule, workers, &ElasticConfig::default());
+    let view = MembershipView::from_schedule(&schedule, workers, &elastic);
     assert_eq!(
         view,
         MembershipView::from_events(workers, &[(1, 1)], &[(1, 11)])
@@ -175,7 +177,7 @@ fn sim_and_threaded_agree_on_elastic_bsp_schedule() {
         faults: Some(FaultConfig {
             schedule,
             checkpoint_interval: 4,
-            elastic: Some(ElasticConfig::default()),
+            elastic: Some(elastic.clone()),
         }),
     });
 
@@ -200,7 +202,10 @@ fn sim_and_threaded_agree_on_elastic_bsp_schedule() {
             strategy: Algo::Bsp,
             seed: 5,
             faults: Some(RuntimeFaultConfig {
-                elastic: Some(Arc::new(view.clone())),
+                elastic: Some(ElasticRuntime {
+                    view: Arc::new(view.clone()),
+                    cfg: elastic,
+                }),
                 checkpoint_interval: 4,
                 ..Default::default()
             }),
