@@ -38,7 +38,6 @@ mod exec;
 mod runner;
 
 pub use adaptive::{run_adaptive, AdaptiveRunOutput};
-pub use centralized::{elastic_update, merge_grad};
 pub use config::{
     FaultConfig, OptimizationConfig, RealTraining, RunConfig, StopCondition, SyntheticTask,
 };

@@ -3,11 +3,12 @@
 //! configurations.
 
 use dtrain_algos::{
-    elastic_update, merge_grad, run, shard_tensor_indices, slice_set, unslice_set, Algo, GradData,
-    OptimizationConfig, RunConfig, StopCondition,
+    run, shard_tensor_indices, slice_set, unslice_set, Algo, OptimizationConfig, RunConfig,
+    StopCondition,
 };
 use dtrain_cluster::{ClusterConfig, NetworkConfig, ShardPlan};
 use dtrain_models::uniform_profile;
+use dtrain_nn::rules::round_mean;
 use dtrain_nn::{LayerGroup, ParamLayout, ParamSet};
 use dtrain_tensor::Tensor;
 use proptest::prelude::*;
@@ -20,15 +21,15 @@ fn param_set(len: usize) -> impl Strategy<Value = ParamSet> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The elastic update conserves the pair sum: x̃' + x_w' = x̃ + x_w.
+    /// The elastic exchange conserves the pair sum: x̃' + x_w' = x̃ + x_w.
     #[test]
-    fn elastic_update_conserves_sum(
+    fn elastic_exchange_conserves_sum(
         c in param_set(6),
         w in param_set(6),
         alpha in 0.0f32..1.0,
     ) {
         let mut center = c.clone();
-        let updated = elastic_update(&mut center, &w, alpha);
+        let updated = center.elastic_exchange(&w, alpha);
         for i in 0..6 {
             let before = c.0[0].data()[i] + w.0[0].data()[i];
             let after = center.0[0].data()[i] + updated.0[0].data()[i];
@@ -36,17 +37,26 @@ proptest! {
         }
     }
 
-    /// merge_grad is plain addition over any sequence of dense payloads.
+    /// A synchronous round's mean is the weighted mean of its deposits, and
+    /// its bits do not depend on the order the deposits arrived in.
     #[test]
-    fn merge_grad_is_addition(sets in prop::collection::vec(param_set(4), 1..5)) {
-        let mut acc = None;
-        for s in &sets {
-            merge_grad(&mut acc, &GradData::Dense(s.clone()));
-        }
-        let acc = acc.expect("non-empty");
+    fn round_mean_does_not_depend_on_deposit_order(
+        sets in prop::collection::vec((param_set(4), 1usize..4), 1..5),
+        rotate in 0usize..4,
+    ) {
+        let keyed = |order: Vec<usize>| {
+            order.into_iter().map(|r| (r, sets[r].clone())).collect::<Vec<_>>()
+        };
+        let n = sets.len();
+        let ranked = round_mean(keyed((0..n).collect()));
+        let mut arrival: Vec<usize> = (0..n).rev().collect();
+        arrival.rotate_left(rotate % n);
+        let arrived = round_mean(keyed(arrival));
+        prop_assert_eq!(&ranked, &arrived);
+        let total: usize = sets.iter().map(|(_, w)| w).sum();
         for i in 0..4 {
-            let expect: f32 = sets.iter().map(|s| s.0[0].data()[i]).sum();
-            prop_assert!((acc.0[0].data()[i] - expect).abs() < 1e-4);
+            let sum: f32 = sets.iter().map(|(s, _)| s.0[0].data()[i]).sum();
+            prop_assert!((ranked.0[0].data()[i] - sum / total as f32).abs() < 1e-4);
         }
     }
 

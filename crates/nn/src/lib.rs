@@ -2,9 +2,10 @@
 //!
 //! Neural-network training substrate for the `dtrain` reproduction: layers
 //! with hand-written backprop, a sequential [`Network`], the paper's
-//! momentum-SGD optimizer and learning-rate schedule, and the
+//! momentum-SGD optimizer and learning-rate schedule, the
 //! [`ParamSet`]/[`ParamLayout`] abstractions that the seven distributed
-//! training algorithms communicate in terms of.
+//! training algorithms communicate in terms of, and the [`rules`] by which
+//! they aggregate — one copy for the simulator and both real paths.
 //!
 //! ```
 //! use dtrain_nn::{Dense, Network, Relu, SgdMomentum};
@@ -23,9 +24,7 @@
 //! for _ in 0..200 {
 //!     net.train_batch(x.clone(), &labels);
 //!     let g = net.grads();
-//!     let mut p = net.get_params();
-//!     opt.step(&mut p, &g, 0.1);
-//!     net.set_params(&p);
+//!     net.sgd_step(&mut opt, &g, 0.1);
 //! }
 //! let (_, acc) = net.eval_batch(x, &labels);
 //! assert_eq!(acc, 1.0);
@@ -37,6 +36,7 @@ mod network;
 mod optim;
 mod params;
 mod residual;
+pub mod rules;
 
 pub use batchnorm::BatchNorm2d;
 pub use layer::{Conv2d, Dense, Flatten, Layer, MaxPool2d, Relu};

@@ -5,6 +5,7 @@
 use dtrain_tensor::{accuracy, softmax_cross_entropy_scratch, Scratch, Tensor};
 
 use crate::layer::Layer;
+use crate::optim::SgdMomentum;
 use crate::params::{LayerGroup, ParamLayout, ParamSet};
 
 /// Sequential container. Owns the [`Scratch`] arena all its layers draw
@@ -103,6 +104,14 @@ impl Network {
             }
         }
         assert!(it.next().is_none(), "param set longer than network");
+    }
+
+    /// The local SGD step: one `opt` step of `grad` at `lr` on this
+    /// network's parameters.
+    pub fn sgd_step(&mut self, opt: &mut SgdMomentum, grad: &ParamSet, lr: f32) {
+        let mut p = self.get_params();
+        opt.step(&mut p, grad, lr);
+        self.set_params(&p);
     }
 
     /// Collect the gradients from the most recent backward pass.

@@ -17,45 +17,24 @@
 //! 3. **intra-machine broadcast** — each leader fans the fresh parameters
 //!    back to its members.
 //!
-//! Determinism: both backends execute the *identical* float summation
-//! tree (rank-ascending at both levels), so the threaded and process
-//! paths stay bit-identical under the same schedule — the same pin the
-//! flat barrier already holds. The tree differs from the flat
-//! `ParamSet::mean_of`, so a hierarchical run is *not* bitwise equal to a
-//! flat run; it is an equally valid mean of the same gradients.
+//! Determinism: both levels are the one synchronous-round rule of
+//! [`dtrain_nn::rules`] — the leader's [`rank_sum`] over its members, the
+//! closer's [`dtrain_nn::rules::round_mean`] over the leaders' partials —
+//! so the threaded and process paths run the identical float tree and stay
+//! bit-identical under the same schedule, the same pin the flat round
+//! holds. The two-level tree groups the ranks differently from a flat
+//! round's single rank-ascending sum, so a hierarchical run is *not*
+//! bitwise equal to a flat run; it is an equally valid mean of the same
+//! gradients.
 
 use std::time::Instant;
 
 use dtrain_cluster::hier_groups;
+use dtrain_nn::rules::rank_sum;
 use dtrain_nn::ParamSet;
 use dtrain_obs::{names, TrackHandle};
 
 use crate::backend::{BspOutcome, ExecBackend};
-
-/// Sum `parts` ascending by the `usize` key, in place on the first item.
-/// Shared by the leader (member gradients, keyed by rank) and the barrier
-/// closer (leader partials, keyed by leader rank) so every path runs the
-/// same float tree.
-pub fn sum_rank_ascending(mut parts: Vec<(usize, ParamSet)>) -> Option<ParamSet> {
-    parts.sort_by_key(|&(rank, _)| rank);
-    let mut it = parts.into_iter();
-    let (_, mut acc) = it.next()?;
-    for (_, p) in it {
-        acc.add_assign(&p);
-    }
-    Some(acc)
-}
-
-/// Closer-side reduction for the leaders' barrier: partials keyed by
-/// leader rank, each covering `weight` ranks → the mean gradient over all
-/// covered ranks.
-pub fn reduce_partials(parts: Vec<(usize, (ParamSet, usize))>) -> ParamSet {
-    let total: usize = parts.iter().map(|&(_, (_, w))| w).sum();
-    let mut sum = sum_rank_ascending(parts.into_iter().map(|(rank, (p, _))| (rank, p)).collect())
-        .expect("reduce_partials on an empty round");
-    sum.scale(1.0 / total.max(1) as f32);
-    sum
-}
 
 /// One hierarchical BSP round for the calling worker. `live` is the
 /// round's cohort (ascending); `grad` is this worker's raw gradient.
@@ -107,7 +86,7 @@ pub fn hier_bsp_exchange<B: ExecBackend>(
         }
     }
     let weight = parts.len();
-    let partial = sum_rank_ascending(parts).expect("leader always holds its own gradient");
+    let partial = rank_sum(parts).expect("leader always holds its own gradient");
     let t1 = wall.elapsed().as_nanos() as u64;
     obs.span(t0, t1 - t0, names::COLL_INTRA_REDUCE, round);
 

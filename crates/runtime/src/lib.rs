@@ -37,7 +37,7 @@ mod worker;
 
 pub use adaptive::{train_adaptive, AdaptiveThreadedReport};
 pub use backend::{BspOutcome, ExecBackend, PeerRequest, ReplyToken, RunPlan};
-pub use collective::{hier_bsp_exchange, reduce_partials, sum_rank_ascending};
+pub use collective::hier_bsp_exchange;
 /// The algorithm vocabulary under its former real-path name, kept only for
 /// `perf/`, which still spells it.
 pub use dtrain_faults::Algo as Strategy;

@@ -7,11 +7,11 @@ use std::cell::RefCell;
 use std::time::Duration;
 
 use dtrain_faults::MembershipView;
+use dtrain_nn::rules::round_mean;
 use dtrain_nn::ParamSet;
 use dtrain_runtime::hub::{Answer, CloseHooks, Hub, PeerItem, Reply, Seat};
 use dtrain_runtime::{BspOutcome, PsState, RunPlan};
 use dtrain_tensor::Tensor;
-use proptest::prelude::*;
 
 fn ps(v: &[f32]) -> ParamSet {
     ParamSet(vec![Tensor::from_vec(&[v.len()], v.to_vec())])
@@ -118,57 +118,43 @@ fn run_round(
     (hub.ps().snapshot(), closers[0])
 }
 
-/// Rank-ascending reference: what the parameters must be after one round.
+/// What the parameters must be after one round: the server's plain SGD
+/// step of the deposits' [`round_mean`] (pinned against the rank-ascending
+/// rule written out, for every arrival order, in `dtrain-nn`'s
+/// `tests/rules.rs`).
 fn reference(init: &ParamSet, deposits: &[(ParamSet, usize)]) -> ParamSet {
-    let mean = if deposits.iter().all(|(_, w)| *w == 1) {
-        // A flat round is the classic mean of the raw gradients.
-        ParamSet::mean_of(&deposits.iter().map(|(p, _)| p).collect::<Vec<_>>())
-    } else {
-        let mut sum = deposits[0].0.clone();
-        for (p, _) in &deposits[1..] {
-            sum.add_assign(p);
-        }
-        let total: usize = deposits.iter().map(|(_, w)| w).sum();
-        sum.scale(1.0 / total as f32);
-        sum
-    };
     let server = PsState::new(init.clone(), 0.0, 0.0, deposits.len());
-    server.push(&mean, 1.0);
+    server.push(&round_mean(deposits.iter().cloned().enumerate()), 1.0);
     server.snapshot()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Whatever order the deposits arrive in, the round applies the
-    /// rank-ascending aggregate, bit for bit — flat (every weight 1, equal
-    /// to `ParamSet::mean_of`) and partial (leader sums with weights).
-    #[test]
-    fn aggregate_is_bitwise_independent_of_arrival_order(
-        // Mantissa and decimal exponent: magnitudes spread over twelve
-        // decades, so a different summation order would change the bits.
-        values in prop::collection::vec(
-            prop::collection::vec((-1.0f32..1.0, 0u32..12), 3), 2..5),
-        weights in prop::collection::vec(1usize..4, 4),
-        order_keys in prop::collection::vec(0u32..1000, 4),
-        flat in (0u8..2).prop_map(|v| v == 1),
-    ) {
-        let n = values.len();
+/// In every arrival order the round closes on its last arrival, answers
+/// each member once, and applies the round mean — flat (every weight 1)
+/// and partial (leader sums with weights). The magnitudes span eleven
+/// decades, so a sum in arrival order would change the bits.
+#[test]
+fn a_round_closes_on_its_last_arrival_and_applies_the_round_mean() {
+    let init = ps(&[0.5, -2.0, 3.0]);
+    let values = [[1e-6, 3.0, -2.0], [5e4, -1e-3, 7.0], [-0.25, 1e4, 3e-5]];
+    for weights in [[1, 1, 1], [2, 1, 3]] {
         let deposits: Vec<(ParamSet, usize)> = values
             .iter()
-            .zip(&weights)
-            .map(|(v, &w)| {
-                let v: Vec<f32> = v.iter().map(|&(m, e)| m * 10f32.powi(e as i32 - 6)).collect();
-                (ps(&v), if flat { 1 } else { w })
-            })
+            .zip(weights)
+            .map(|(v, w)| (ps(v), w))
             .collect();
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by_key(|&r| order_keys[r]);
-        let init = ps(&[0.5, -2.0, 3.0]);
-
-        let (got, closer) = run_round(&init, &deposits, &order);
-        prop_assert_eq!(closer, order[n - 1], "the last arrival closes");
-        prop_assert_eq!(bits(&got), bits(&reference(&init, &deposits)));
+        let want = bits(&reference(&init, &deposits));
+        for order in [
+            [0, 1, 2],
+            [0, 2, 1],
+            [1, 0, 2],
+            [1, 2, 0],
+            [2, 0, 1],
+            [2, 1, 0],
+        ] {
+            let (got, closer) = run_round(&init, &deposits, &order);
+            assert_eq!(closer, order[2], "the last arrival closes");
+            assert_eq!(bits(&got), want, "arrival order {order:?}");
+        }
     }
 }
 

@@ -141,10 +141,7 @@ impl JobTrainer {
             let batches = &cache.as_ref().expect("epoch cache just filled").1;
             let (x, labels) = train.gather(&batches[idx]);
             net.train_batch(x, &labels);
-            let grads = net.grads();
-            let mut params = net.get_params();
-            opt.step(&mut params, &grads, LR);
-            net.set_params(&params);
+            net.sgd_step(opt, &net.grads(), LR);
         }
         self.iter += 1;
     }
