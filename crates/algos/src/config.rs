@@ -301,6 +301,18 @@ impl RunConfig {
                 if e.round_estimate == dtrain_desim::SimTime::ZERO {
                     return Err("elastic round_estimate must be > 0".into());
                 }
+                // The membership view holds one death per worker, so a
+                // later crash of the same worker would be dropped.
+                for w in 0..self.workers {
+                    let crashes = f.schedule.crashes_for(w).len();
+                    if crashes > 1 {
+                        return Err(format!(
+                            "elastic membership holds one death per worker, but \
+                             worker {w} crashes {crashes} times; drop its later \
+                             crashes or run without elastic"
+                        ));
+                    }
+                }
             }
         }
         if let Some(real) = &self.real {
@@ -430,6 +442,33 @@ mod tests {
         let mut c = elastic(Algo::Bsp, ElasticConfig::default());
         c.opts.local_aggregation = true;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn elastic_refuses_a_second_crash_of_one_worker() {
+        use dtrain_faults::{FaultEvent, FaultKind};
+        let crash = |secs, worker| FaultEvent {
+            at: dtrain_desim::SimTime::from_secs(secs),
+            kind: FaultKind::WorkerCrash {
+                worker,
+                restart_after: Some(dtrain_desim::SimTime::from_secs(1)),
+            },
+        };
+        let with = |events: Vec<FaultEvent>, elastic: bool| {
+            let mut c = base(Algo::Bsp);
+            c.faults = Some(FaultConfig {
+                schedule: FaultSchedule::new(events),
+                checkpoint_interval: 10,
+                elastic: elastic.then(ElasticConfig::default),
+            });
+            c.validate()
+        };
+        let err = with(vec![crash(1, 3), crash(5, 3)], true).unwrap_err();
+        assert!(err.contains("worker 3 crashes 2 times"), "{err}");
+        // One crash each of two workers is one death each.
+        assert!(with(vec![crash(1, 3), crash(5, 4)], true).is_ok());
+        // Classic recovery replays every crash, so it takes both.
+        assert!(with(vec![crash(1, 3), crash(5, 3)], false).is_ok());
     }
 
     #[test]

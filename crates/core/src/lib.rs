@@ -25,9 +25,9 @@
 //!          out.final_accuracy.unwrap(), out.end_time.as_secs_f64());
 //! ```
 //!
-//! The `dtrain-bench` crate's binaries regenerate every table and figure of
-//! the paper from the presets in [`presets`]; see `EXPERIMENTS.md` at the
-//! repository root for the paper-vs-measured record.
+//! The `dtrain-study` runner (crate `dtrain-bench`) regenerates every table
+//! and figure of the paper from the presets in [`presets`]; see
+//! `EXPERIMENTS.md` at the repository root for the paper-vs-measured record.
 
 pub mod chart;
 pub mod presets;

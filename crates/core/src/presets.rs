@@ -1,8 +1,9 @@
 //! Experiment presets mirroring the paper's evaluation section (§VI).
 //!
 //! Every table and figure of the paper corresponds to a function here that
-//! produces the exact [`RunConfig`]s to execute; the `dtrain-bench` harness
-//! binaries drive these and print the resulting rows.
+//! produces the exact [`RunConfig`]s to execute; the studies of the
+//! `dtrain-study` runner (crate `dtrain-bench`) drive these and print the
+//! resulting rows.
 
 use dtrain_algos::{
     Algo, OptimizationConfig, RealTraining, RunConfig, StopCondition, SyntheticTask,
@@ -182,8 +183,44 @@ pub fn scaled_dgc(iterations: u64) -> DgcConfig {
     }
 }
 
-/// Scalability run (Fig. 2): cost-only timing at full model scale with the
-/// paper's optimization set (sharding at 2 PS/machine + wait-free BP; local
+/// Cost-only run on the paper cluster, the start of Table I and the
+/// ablation, straggler and fault studies: `2 × machines` PS shards for the
+/// centralized algorithms and no optimization but the optional local
+/// aggregation.
+pub fn paper_cluster_run(
+    algo: Algo,
+    model: PaperModel,
+    workers: usize,
+    network: NetworkConfig,
+    iterations: u64,
+    local_aggregation: bool,
+    seed: u64,
+) -> RunConfig {
+    let cluster = ClusterConfig::paper_with_workers(network, workers);
+    RunConfig {
+        algo,
+        workers,
+        profile: model.profile(),
+        batch: model.batch(),
+        opts: OptimizationConfig {
+            ps_shards: if algo.is_centralized() {
+                2 * cluster.machines
+            } else {
+                1
+            },
+            local_aggregation,
+            ..Default::default()
+        },
+        cluster,
+        stop: StopCondition::Iterations(iterations),
+        faults: None,
+        real: None,
+        seed,
+    }
+}
+
+/// Scalability run (Fig. 2): [`paper_cluster_run`] with the paper's
+/// optimization set (sharding at 2 PS/machine + wait-free BP; local
 /// aggregation for BSP).
 pub fn scalability_run(
     algo: Algo,
@@ -192,27 +229,10 @@ pub fn scalability_run(
     network: NetworkConfig,
     iterations: u64,
 ) -> RunConfig {
-    let cluster = ClusterConfig::paper_with_workers(network, workers);
-    let opts = if algo.is_centralized() {
-        OptimizationConfig::paper_scalability(cluster.machines, algo)
-    } else {
-        OptimizationConfig {
-            wait_free_bp: algo.communicates_gradients(),
-            ..Default::default()
-        }
-    };
-    RunConfig {
-        algo,
-        cluster,
-        workers,
-        profile: model.profile(),
-        batch: model.batch(),
-        opts,
-        stop: StopCondition::Iterations(iterations),
-        faults: None,
-        real: None,
-        seed: 3,
-    }
+    let bsp = matches!(algo, Algo::Bsp);
+    let mut cfg = paper_cluster_run(algo, model, workers, network, iterations, bsp, 3);
+    cfg.opts.wait_free_bp = algo.communicates_gradients();
+    cfg
 }
 
 /// Time-breakdown run (Fig. 3): like the scalability run at 24 workers, but
@@ -245,41 +265,20 @@ pub fn optimization_run(
         algo.is_centralized(),
         "Fig. 4 covers centralized algorithms"
     );
-    let cluster = ClusterConfig::paper_with_workers(network, workers);
-    let opts = OptimizationConfig {
-        ps_shards: if level >= 1 {
-            2 * cluster.machines
-        } else {
-            cluster.machines
-        },
-        balanced_sharding: false,
-        wait_free_bp: level >= 2 && algo.communicates_gradients(),
-        dgc: if level >= 3 && algo.communicates_gradients() {
-            Some(DgcConfig::default())
-        } else {
-            None
-        },
-        local_aggregation: matches!(algo, Algo::Bsp),
-        disable_overlap: false,
-        collective: CollectiveSchedule::Flat,
-    };
-    RunConfig {
-        algo,
-        cluster,
-        workers,
-        profile: model.profile(),
-        batch: model.batch(),
-        opts,
-        stop: StopCondition::Iterations(iterations),
-        faults: None,
-        real: None,
-        seed: 4,
+    let bsp = matches!(algo, Algo::Bsp);
+    let mut cfg = paper_cluster_run(algo, model, workers, network, iterations, bsp, 4);
+    if level == 0 {
+        cfg.opts.ps_shards = cfg.cluster.machines;
     }
+    let grads = algo.communicates_gradients();
+    cfg.opts.wait_free_bp = level >= 2 && grads;
+    cfg.opts.dgc = (level >= 3 && grads).then(DgcConfig::default);
+    cfg
 }
 
-/// Fig 4 `--collective` crossover study: AR-SGD, cost-only, `machines`
-/// 4-GPU machines (the paper cluster shape), comparing the reduction
-/// schedules. Wait-free BP stays on so `Pipelined` measures chunked
+/// Fig. 4 collective crossover study (`fig4_collective`): AR-SGD,
+/// cost-only, `machines` 4-GPU machines (the paper cluster shape), comparing
+/// the reduction schedules. Wait-free BP stays on so `Pipelined` measures chunked
 /// overlap *beyond* per-layer granularity, not against a strawman.
 pub fn collective_run(
     model: PaperModel,
@@ -289,22 +288,10 @@ pub fn collective_run(
     iterations: u64,
 ) -> RunConfig {
     let workers = machines * 4;
-    RunConfig {
-        algo: Algo::ArSgd,
-        cluster: ClusterConfig::paper_with_workers(network, workers),
-        workers,
-        profile: model.profile(),
-        batch: model.batch(),
-        opts: OptimizationConfig {
-            wait_free_bp: true,
-            collective: schedule,
-            ..Default::default()
-        },
-        stop: StopCondition::Iterations(iterations),
-        faults: None,
-        real: None,
-        seed: 4,
-    }
+    let mut cfg = paper_cluster_run(Algo::ArSgd, model, workers, network, iterations, false, 4);
+    cfg.opts.wait_free_bp = true;
+    cfg.opts.collective = schedule;
+    cfg
 }
 
 #[cfg(test)]
