@@ -9,12 +9,13 @@
 //! ([`round_mean`]) and takes one optimizer step of that mean at the full
 //! learning rate, so weight decay is λ at every worker count. A round closed
 //! short of its cohort divides by the weight that arrived; a deposit for a
-//! round already closed is dropped. SSP is the one rule still written in two
-//! forms: the simulator's server adds the workers' applied deltas (Ho et
-//! al.'s table), the real paths' server steps its own optimizer over raw
-//! gradients.
+//! round already closed is dropped. SSP is Ho et al.'s SSPTable on every
+//! path: the worker takes its own optimizer step on its cache and pushes
+//! the applied delta ([`ssp_step`]), and the server adds it
+//! ([`ParamSet::add_assign`]); no optimizer steps on the server.
 
 use crate::network::Network;
+use crate::optim::SgdMomentum;
 use crate::params::ParamSet;
 
 /// Sum `parts` ascending by rank, in place on the lowest rank's set;
@@ -55,4 +56,14 @@ pub fn gossip_merge(alpha: &mut f32, share_alpha: f32, replica: Option<(&mut Net
         net.set_params(&x);
     }
     *alpha = merged;
+}
+
+/// SSP's worker half: one optimizer step of `grad` at `lr` on the cache;
+/// returns the applied delta `after − before`, which the server adds.
+pub fn ssp_step(net: &mut Network, opt: &mut SgdMomentum, grad: &ParamSet, lr: f32) -> ParamSet {
+    let before = net.get_params();
+    net.sgd_step(opt, grad, lr);
+    let mut delta = net.get_params();
+    delta.axpy(-1.0, &before);
+    delta
 }

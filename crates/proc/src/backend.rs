@@ -492,8 +492,8 @@ impl ExecBackend for ProcBackend {
         self.expect_params(|e: &mut Enc| scalar_and_set(e, t::ASP_PUSH_PULL, lr, grad))
     }
 
-    fn ps_push(&mut self, grad: &ParamSet, lr: f32) {
-        self.expect_ok(|e: &mut Enc| scalar_and_set(e, t::SSP_PUSH, lr, grad));
+    fn ps_push(&mut self, delta: &ParamSet, lr: f32) {
+        self.expect_ok(|e: &mut Enc| scalar_and_set(e, t::SSP_PUSH, lr, delta));
     }
 
     fn ps_elastic_exchange(&mut self, params: &ParamSet, alpha: f32) -> ParamSet {

@@ -344,8 +344,8 @@ impl Coord {
             Msg::AspPushPull { grad, lr } => Msg::Params {
                 params: ps.push_and_pull(&grad, lr),
             },
-            Msg::SspPush { grad, lr } => {
-                ps.push(&grad, lr);
+            Msg::SspPush { delta, .. } => {
+                ps.add_delta(&delta);
                 Msg::Ok
             }
             Msg::EasgdExchange { params, alpha } => Msg::Params {

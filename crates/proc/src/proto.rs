@@ -56,8 +56,9 @@ pub enum Msg {
     Params { params: ParamSet },
     /// ASP: apply `grad` at `lr`, reply `Params` with the fresh globals.
     AspPushPull { grad: ParamSet, lr: f32 },
-    /// SSP: apply `grad` at `lr`; reply `Ok`.
-    SspPush { grad: ParamSet, lr: f32 },
+    /// SSP: add the worker's applied delta to the globals; reply `Ok`.
+    /// `lr` is the rate the delta was taken at; the coordinator ignores it.
+    SspPush { delta: ParamSet, lr: f32 },
     /// Bare acknowledgement.
     Ok,
     /// EASGD: symmetric elastic exchange; reply `Params`.
@@ -276,7 +277,7 @@ impl Msg {
                 t::PARAMS
             }
             Msg::AspPushPull { grad, lr } => scalar_and_set(e, t::ASP_PUSH_PULL, *lr, grad),
-            Msg::SspPush { grad, lr } => scalar_and_set(e, t::SSP_PUSH, *lr, grad),
+            Msg::SspPush { delta, lr } => scalar_and_set(e, t::SSP_PUSH, *lr, delta),
             Msg::Ok => t::OK,
             Msg::EasgdExchange { params, alpha } => {
                 scalar_and_set(e, t::EASGD_EXCHANGE, *alpha, params)
@@ -435,7 +436,7 @@ impl Msg {
             },
             t::SSP_PUSH => Msg::SspPush {
                 lr: d.f32()?,
-                grad: d.params()?,
+                delta: d.params()?,
             },
             t::OK => Msg::Ok,
             t::EASGD_EXCHANGE => Msg::EasgdExchange {

@@ -479,7 +479,7 @@ fn one_of_each() -> Vec<(&'static str, Msg)> {
         (
             "ssp_push",
             Msg::SspPush {
-                grad: p(),
+                delta: p(),
                 lr: 0.02,
             },
         ),

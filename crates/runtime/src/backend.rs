@@ -148,8 +148,10 @@ pub trait ExecBackend {
     fn ps_snapshot(&mut self) -> ParamSet;
     /// ASP: apply `grad` at `lr`, return fresh global parameters.
     fn ps_push_pull(&mut self, grad: &ParamSet, lr: f32) -> ParamSet;
-    /// SSP: apply `grad` at `lr` without pulling.
-    fn ps_push(&mut self, grad: &ParamSet, lr: f32);
+    /// SSP: add this worker's applied delta (`rules::ssp_step`) to the
+    /// globals. `lr` is the rate the delta was taken at; no server reads it,
+    /// and it stays because `perf/`'s `TimedBackend` implements this.
+    fn ps_push(&mut self, delta: &ParamSet, lr: f32);
     /// EASGD: symmetric elastic-averaging exchange with the center.
     fn ps_elastic_exchange(&mut self, params: &ParamSet, alpha: f32) -> ParamSet;
     /// Advance this worker's SSP clock.

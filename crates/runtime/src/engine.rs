@@ -466,8 +466,8 @@ impl ExecBackend for ThreadedBackend<'_> {
         self.ps.push_and_pull(grad, lr)
     }
 
-    fn ps_push(&mut self, grad: &ParamSet, lr: f32) {
-        self.ps.push(grad, lr);
+    fn ps_push(&mut self, delta: &ParamSet, _lr: f32) {
+        self.ps.add_delta(delta);
     }
 
     fn ps_elastic_exchange(&mut self, params: &ParamSet, alpha: f32) -> ParamSet {

@@ -13,7 +13,7 @@
 use std::sync::Arc;
 
 use dtrain_nn::{ParamSet, SgdMomentum};
-use parking_lot::{Mutex, MutexGuard};
+use parking_lot::Mutex;
 
 /// Centralized shared state: global parameters + optimizer + SSP clocks.
 pub struct PsState {
@@ -29,23 +29,25 @@ impl PsState {
         })
     }
 
-    /// One optimizer step on the global parameters; the guard is handed
-    /// back so a caller can read the result under the same lock.
-    fn apply(&self, grad: &ParamSet, lr: f32) -> MutexGuard<'_, (ParamSet, SgdMomentum)> {
-        let mut g = self.global.lock();
-        let (params, opt) = &mut *g;
-        opt.step(params, grad, lr);
-        g
-    }
-
-    /// Apply `grad` at `lr` without pulling (SSP push, BSP round close).
+    /// A BSP round's close, `Hub::close`'s only: one optimizer step of the
+    /// round's mean at `lr`.
     pub fn push(&self, grad: &ParamSet, lr: f32) {
-        drop(self.apply(grad, lr));
+        let (params, opt) = &mut *self.global.lock();
+        opt.step(params, grad, lr);
     }
 
-    /// ASP push: apply `grad` at `lr` and return fresh global params.
+    /// SSP's server half: add a worker's applied delta (Ho et al.'s
+    /// SSPTable); the worker's `rules::ssp_step` took the optimizer step.
+    pub fn add_delta(&self, delta: &ParamSet) {
+        self.global.lock().0.add_assign(delta);
+    }
+
+    /// ASP push: apply `grad` at `lr` and return the fresh global params,
+    /// read under the same lock.
     pub fn push_and_pull(&self, grad: &ParamSet, lr: f32) -> ParamSet {
-        self.apply(grad, lr).0.clone()
+        let (params, opt) = &mut *self.global.lock();
+        opt.step(params, grad, lr);
+        params.clone()
     }
 
     /// Read-only snapshot of the global parameters.

@@ -23,6 +23,13 @@ use dtrain_nn::ParamSet;
 use dtrain_runtime::{train_threaded, ThreadedConfig};
 use dtrain_tensor::simd::{supported_isas, with_isa};
 
+/// Every parameter's bit pattern, in order.
+fn bits(p: &ParamSet) -> Vec<u32> {
+    p.0.iter()
+        .flat_map(|t| t.data().iter().map(|v| v.to_bits()))
+        .collect()
+}
+
 /// FNV-1a-64 over the little-endian bit patterns of every parameter.
 fn fnv1a64(p: &ParamSet) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -87,9 +94,8 @@ fn sim_digest() -> String {
     out
 }
 
-/// The threaded lines: only cells whose final model does not depend on
-/// thread timing.
-fn threaded_digest() -> String {
+/// A threaded teacher run's final parameters.
+fn threaded_params(cfg: &ThreadedConfig) -> ParamSet {
     let task = TeacherTaskConfig {
         train_size: 512,
         test_size: 64,
@@ -97,8 +103,13 @@ fn threaded_digest() -> String {
         ..Default::default()
     };
     let (train, test) = teacher_task(&task);
-    let train = Arc::new(train);
     let factory = || mlp_classifier(task.input_dim, &[64, 32], task.num_classes, 7);
+    train_threaded(factory, &Arc::new(train), &test, cfg).final_params
+}
+
+/// The threaded lines: only cells whose final model does not depend on
+/// thread timing.
+fn threaded_digest() -> String {
     let cells = [
         ("bsp", Algo::Bsp, 4, CollectiveSchedule::Flat),
         ("arsgd", Algo::ArSgd, 4, CollectiveSchedule::Flat),
@@ -132,8 +143,7 @@ fn threaded_digest() -> String {
             gpus_per_machine: 2,
             ..Default::default()
         };
-        let report = train_threaded(factory, &train, &test, &cfg);
-        writeln!(out, "thr {name} {:016x}", fnv1a64(&report.final_params)).unwrap();
+        writeln!(out, "thr {name} {:016x}", fnv1a64(&threaded_params(&cfg))).unwrap();
     }
     out
 }
@@ -179,11 +189,6 @@ fn simulated_bsp_and_arsgd_end_with_identical_parameters() {
     let arsgd = accuracy_run(Algo::ArSgd, 4, &scale());
     for isa in supported_isas() {
         let (b, a) = with_isa(isa, || (sim_params(&bsp), sim_params(&arsgd)));
-        let bits = |p: &ParamSet| -> Vec<u32> {
-            p.0.iter()
-                .flat_map(|t| t.data().iter().map(|v| v.to_bits()))
-                .collect()
-        };
         assert!(
             bits(&b) == bits(&a),
             "BSP and AR-SGD differ at {}: max |Δ| = {:e}",
@@ -191,4 +196,47 @@ fn simulated_bsp_and_arsgd_end_with_identical_parameters() {
             b.max_abs_diff(&a)
         );
     }
+}
+
+/// SSP at staleness 0 with one worker refreshes its cache after every step
+/// and resets its momentum with it. Under the additive table, where the
+/// worker's own optimizer takes each step and the server only adds deltas,
+/// no velocity survives a step, so the momentum setting cannot change a
+/// bit. A server optimizer over raw gradients would carry it.
+const SSP_EVERY_STEP: Algo = Algo::Ssp { staleness: 0 };
+
+#[test]
+fn threaded_ssp_at_staleness_zero_carries_no_momentum() {
+    let at = |momentum| {
+        threaded_params(&ThreadedConfig {
+            workers: 1,
+            epochs: 2,
+            batch: 8,
+            strategy: SSP_EVERY_STEP,
+            momentum,
+            seed: 5,
+            ..Default::default()
+        })
+    };
+    let (heavy, none) = (at(0.9), at(0.0));
+    assert!(
+        bits(&heavy) == bits(&none),
+        "momentum 0.9 vs 0 differ: max |Δ| = {:e}",
+        heavy.max_abs_diff(&none)
+    );
+}
+
+#[test]
+fn simulated_ssp_at_staleness_zero_carries_no_momentum() {
+    let at = |momentum| {
+        let mut cfg = accuracy_run(SSP_EVERY_STEP, 1, &scale());
+        cfg.real.as_mut().unwrap().momentum = momentum;
+        sim_params(&cfg)
+    };
+    let (heavy, none) = (at(0.9), at(0.0));
+    assert!(
+        bits(&heavy) == bits(&none),
+        "momentum 0.9 vs 0 differ: max |Δ| = {:e}",
+        heavy.max_abs_diff(&none)
+    );
 }
