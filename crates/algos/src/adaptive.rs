@@ -55,9 +55,8 @@ fn sim_signals(out: &RunOutput) -> CtrlSignals {
     }
 }
 
-/// [`run_observed`](crate::runner::run_observed) under the adaptive
-/// degradation controller. Requires an epoch stop condition; the probe
-/// takes `ctrl.probe_epochs` of it.
+/// [`run_observed`] under the adaptive degradation controller. Requires an
+/// epoch stop condition; the probe takes `ctrl.probe_epochs` of it.
 pub fn run_adaptive(cfg: &RunConfig, ctrl: &CtrlPlan, sink: &ObsSink) -> AdaptiveRunOutput {
     let StopCondition::Epochs(epochs) = cfg.stop else {
         panic!("run_adaptive requires StopCondition::Epochs")

@@ -105,8 +105,9 @@ pub mod names {
     pub const K_KILL: &str = "k.kill";
     pub const K_SPAWN: &str = "k.spawn";
     /// Gang-scheduler control-plane markers (`dtrain-sched`). Instants on
-    /// [`Track::Sched`] carry the job id as their value; the per-job
-    /// segment span lives on [`Track::Job`].
+    /// [`Track::Sched`](crate::Track::Sched) carry the job id as their
+    /// value; the per-job segment span lives on
+    /// [`Track::Job`](crate::Track::Job).
     pub const SCHED_ADMIT: &str = "sched.admit";
     pub const SCHED_PREEMPT: &str = "sched.preempt";
     pub const SCHED_RESUME: &str = "sched.resume";

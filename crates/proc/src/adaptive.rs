@@ -36,8 +36,8 @@ impl SegmentReport for ProcReport {
     }
 }
 
-/// [`train_proc_observed`](crate::coordinator::train_proc_observed) under
-/// the adaptive degradation controller. `timeout` bounds each segment.
+/// [`train_proc_observed`] under the adaptive degradation controller.
+/// `timeout` bounds each segment.
 pub fn train_proc_adaptive(
     cfg: ProcConfig,
     ctrl: &CtrlPlan,

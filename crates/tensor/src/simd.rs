@@ -24,7 +24,7 @@
 //! 64-byte-aligned so the B loads stream whole cache lines. The C tile is
 //! addressed through a raw pointer with an arbitrary row stride; partial
 //! edge tiles are staged through an aligned scratch tile by the caller
-//! ([`run_tile`]), so the kernels themselves always see a full MR×NR tile.
+//! (`run_tile`), so the kernels themselves always see a full MR×NR tile.
 //!
 //! Beside them sits the convolution weight-gradient kernel (`dw_block`):
 //! the same contract with output channels on the lanes and patch elements

@@ -294,7 +294,7 @@ pub mod collection {
     use crate::strategy::Strategy;
     use crate::test_runner::TestRng;
 
-    /// Number of elements for [`vec`]: exact or a range.
+    /// Number of elements for [`vec()`]: exact or a range.
     #[derive(Clone, Debug)]
     pub struct SizeRange {
         lo: usize,
