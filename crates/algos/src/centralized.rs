@@ -2,7 +2,13 @@
 //!
 //! Each runs as worker processes plus one process per parameter-server
 //! shard. The PS process ([`ps_process`]) is shared across the four
-//! algorithms with a per-algorithm [`PsMode`]; its worker-side mirror is
+//! algorithms, dispatching on the [`Algo`]. It is a transport around the
+//! shard's [`Hub`], the server the real paths run too: the process charges
+//! apply and wire time, fans replies out (serially or over the tree
+//! broadcast), and owns outages, failover and checkpoints, as the proc
+//! coordinator does; the hub holds the shard's [`PsState`] and runs BSP's
+//! round — cohort, partial-barrier deadline, late pushes, the mean. SSP's
+//! clock gate is still the process's own. Its worker-side mirror is
 //! [`PsBody`], one [`Body`] for the family: the PS shards are who a worker
 //! tells when it leaves, pulls from when it rejoins and sends its `Stop`
 //! to, and what differs per algorithm (and BSP role) is the step —
@@ -16,15 +22,17 @@
 
 use std::collections::VecDeque;
 use std::sync::Arc;
+use std::time::Duration;
 
 use dtrain_cluster::{
     tree_broadcast_delays, CollectiveSchedule, NetModel, NodeId, Phase, ShardHomes, TrafficClass,
 };
 use dtrain_desim::{Ctx, SimTime};
-use dtrain_faults::{markers, CheckpointStore, ElasticConfig, MembershipView};
-use dtrain_nn::rules::{self, rank_sum, round_mean};
-use dtrain_nn::{ParamSet, SgdMomentum};
-use dtrain_obs::TrackHandle;
+use dtrain_faults::hub::Seat;
+use dtrain_faults::{markers, Algo, CheckpointStore, ElasticRuntime, Hub, MembershipView, PsState};
+use dtrain_nn::rules::{self, rank_sum};
+use dtrain_nn::ParamSet;
+use dtrain_obs::{names, TrackHandle};
 
 use crate::exec::{slice_set, Addr, Body, Charge, GradData, Msg, WorkerCore};
 
@@ -40,27 +48,6 @@ const PS_HANDLE_OVERHEAD: SimTime = SimTime::from_micros(50);
 /// Time for the PS to fold `bytes` into its state.
 fn ps_apply_time(bytes: u64) -> SimTime {
     PS_HANDLE_OVERHEAD + SimTime::from_secs_f64(bytes as f64 / PS_APPLY_BYTES_PER_SEC)
-}
-
-/// Real-math state of one PS shard.
-pub(crate) struct PsRealState {
-    /// This shard's slice of the global parameters.
-    pub params: ParamSet,
-    pub opt: SgdMomentum,
-}
-
-/// Per-algorithm PS behaviour.
-pub(crate) enum PsMode {
-    /// Round-synchronous: wait for `num_senders` pushes, apply their
-    /// [`round_mean`] once, reply to every sender.
-    Bsp { num_senders: usize },
-    /// Apply each push immediately; reply to its sender.
-    Asp,
-    /// Add each push's delta (SSPTable) plus clock bookkeeping (shard 0 is
-    /// the clock authority and gates pull requests on the staleness bound).
-    Ssp { num_workers: usize },
-    /// Elastic averaging: replies carry the *updated worker* parameters.
-    Easgd { alpha: f32 },
 }
 
 /// Owner-key offset for PS shards in the run's shared checkpoint store
@@ -82,19 +69,27 @@ pub(crate) struct PsCore {
     pub shard: usize,
     pub node: NodeId,
     pub net: NetModel,
-    pub real: Option<PsRealState>,
-    /// Wire bytes of a ShardParams reply (possibly DGC-compressed timing).
+    /// This shard's server: its slice of the global parameters (empty in a
+    /// cost-only run) and the BSP round.
+    pub hub: Hub,
+    /// Real math: replies carry parameters and checkpoints hold them.
+    pub real: bool,
+    /// Wire bytes of a ShardParams reply, and of every gradient push to
+    /// the shard (possibly DGC-compressed timing).
     pub reply_bytes: u64,
     /// Workers (by id) for addressing replies.
     pub workers: Vec<Addr>,
+    /// BSP under local aggregation: the machine leaders, a round's cohort.
+    pub leaders: Option<usize>,
     /// Number of Stop messages that end this PS.
     pub expected_stops: usize,
     pub faults: Option<PsFaultState>,
-    /// Elastic tunables; `Some` exactly in elastic runs. Switches
+    /// The run's membership view and elastic tunables; `Some` exactly in
+    /// elastic runs. Switches
     /// [`FaultKind::PsShardFail`](dtrain_faults::FaultKind) from
-    /// outage-and-resume to *machine loss with failover*, and arms the BSP
-    /// partial-barrier deadline.
-    pub elastic: Option<ElasticConfig>,
+    /// outage-and-resume to *machine loss with failover*, gives BSP rounds
+    /// the view's cohort and arms their partial-barrier deadline.
+    pub elastic: Option<ElasticRuntime>,
     /// Live shard→machine map shared with the workers (elastic runs).
     pub homes: Option<ShardHomes>,
     /// Machine count, for choosing a failover home.
@@ -111,7 +106,7 @@ pub(crate) struct PsCore {
 
 impl PsCore {
     fn reply_params(&self) -> Option<ParamSet> {
-        self.real.as_ref().map(|r| r.params.clone())
+        self.real.then(|| self.hub.ps().snapshot())
     }
 
     /// Consume any outage windows that have started. The shard loses its
@@ -137,13 +132,10 @@ impl PsCore {
             let (start, dur) = f.outages.pop_front().unwrap();
             let end = start + dur;
             markers::ps_outage(&self.obs, start.as_nanos(), self.shard);
-            if let Some(e) = self.elastic.clone() {
+            if let Some(recovery) = self.elastic.as_ref().map(|e| e.cfg.ps_recovery_delay) {
                 // Detection window: the cohort needs `dur` to declare the
                 // machine dead.
-                let now = ctx.now();
-                if end > now {
-                    ctx.advance(end - now);
-                }
+                ctx.advance_to(end);
                 let old_home = self.node;
                 let new_home = match &self.homes {
                     Some(h) => h.fail_over(self.shard, self.machines),
@@ -153,16 +145,12 @@ impl PsCore {
                 markers::shard_failover(&self.obs, ctx.now().as_nanos(), self.shard);
                 // Roll back to the newest snapshot not ahead of what the
                 // survivors have seen applied.
-                if let Some(real) = self.real.as_mut() {
-                    if let Some(cp) = f
-                        .store
-                        .restore_at_or_before(PS_OWNER_BASE + self.shard, f.applies)
-                    {
-                        real.params = cp.params;
-                        real.opt = cp.opt;
-                        f.applies = cp.iteration;
-                        markers::ckpt_restore(&self.obs, ctx.now().as_nanos(), cp.iteration);
-                    }
+                let owner = PS_OWNER_BASE + self.shard;
+                let cp = f.store.restore_at_or_before(owner, f.applies);
+                if let Some(cp) = cp.filter(|_| self.real) {
+                    *self.hub.ps().global.lock() = (cp.params, cp.opt);
+                    f.applies = cp.iteration;
+                    markers::ckpt_restore(&self.obs, ctx.now().as_nanos(), cp.iteration);
                 }
                 // The replacement pulls the checkpointed shard state over
                 // the wire from the checkpoint host (the lowest-numbered
@@ -179,19 +167,14 @@ impl PsCore {
                     self.state_bytes,
                     TrafficClass::Other,
                 );
-                ctx.advance(wire + e.ps_recovery_delay);
+                ctx.advance(wire + recovery);
             } else {
-                if let Some(real) = self.real.as_mut() {
-                    if let Some(cp) = f.store.restore(PS_OWNER_BASE + self.shard) {
-                        real.params = cp.params;
-                        real.opt = cp.opt;
-                        markers::ckpt_restore(&self.obs, ctx.now().as_nanos(), cp.iteration);
-                    }
+                let cp = f.store.restore(PS_OWNER_BASE + self.shard);
+                if let Some(cp) = cp.filter(|_| self.real) {
+                    *self.hub.ps().global.lock() = (cp.params, cp.opt);
+                    markers::ckpt_restore(&self.obs, ctx.now().as_nanos(), cp.iteration);
                 }
-                let now = ctx.now();
-                if end > now {
-                    ctx.advance(end - now);
-                }
+                ctx.advance_to(end);
             }
             markers::ps_recover(&self.obs, ctx.now().as_nanos(), self.shard);
         }
@@ -200,20 +183,14 @@ impl PsCore {
     /// Count one applied update and checkpoint this shard's state on the
     /// configured cadence.
     fn tick_checkpoint(&mut self, now: SimTime) {
-        let Some(f) = self.faults.as_mut() else {
-            return;
-        };
-        let Some(real) = self.real.as_ref() else {
+        let Some(f) = self.faults.as_mut().filter(|_| self.real) else {
             return;
         };
         f.applies += 1;
         if f.store.due(f.applies) {
-            f.store.save(
-                PS_OWNER_BASE + self.shard,
-                f.applies,
-                &real.params,
-                &real.opt,
-            );
+            let (params, opt) = &*self.hub.ps().global.lock();
+            f.store
+                .save(PS_OWNER_BASE + self.shard, f.applies, params, opt);
             markers::ckpt_save(&self.obs, now.as_nanos(), f.applies);
         }
     }
@@ -230,20 +207,24 @@ impl PsCore {
             tree_broadcast_delays(&self.net, ctx.now(), self.node, &dests, self.reply_bytes);
         self.obs.instant(
             ctx.now().as_nanos(),
-            dtrain_obs::names::COLL_TREE_FANOUT,
+            names::COLL_TREE_FANOUT,
             members.len() as i64,
         );
         for (&m, delay) in members.iter().zip(delays) {
             ctx.send(
                 self.workers[m].pid,
                 delay,
-                Msg::ShardParams {
-                    shard: self.shard,
-                    clock: 0,
-                    data: self.reply_params(),
-                    bytes: self.reply_bytes,
-                },
+                self.shard_params(0, self.reply_params()),
             );
+        }
+    }
+
+    fn shard_params(&self, clock: u64, data: Option<ParamSet>) -> Msg {
+        Msg::ShardParams {
+            shard: self.shard,
+            clock,
+            data,
+            bytes: self.reply_bytes,
         }
     }
 
@@ -256,31 +237,48 @@ impl PsCore {
             self.reply_bytes,
             TrafficClass::WorkerPs,
         );
-        ctx.send(
-            dst.pid,
-            delay,
-            Msg::ShardParams {
-                shard: self.shard,
-                clock,
-                data,
-                bytes: self.reply_bytes,
-            },
-        );
+        ctx.send(dst.pid, delay, self.shard_params(clock, data));
     }
 
     /// Serve one push outside any barrier: pay the apply time, let `fold`
-    /// work it into the shard's state, answer the sender with what `fold`
-    /// hands back, and count the update.
+    /// work it into the server, answer the sender with what `fold` hands
+    /// back (nothing in a cost-only run), and count the update.
     fn serve_push(
         &mut self,
         ctx: &Ctx<Msg>,
         sender: usize,
         bytes: u64,
-        fold: impl FnOnce(&mut PsRealState) -> Option<ParamSet>,
+        fold: impl FnOnce(&PsState) -> Option<ParamSet>,
     ) {
         ctx.advance(ps_apply_time(bytes));
-        let reply = self.real.as_mut().and_then(fold);
+        let reply = fold(self.hub.ps());
         self.send_params(ctx, sender, 0, reply);
+        self.tick_checkpoint(ctx.now());
+    }
+
+    /// Reply to the BSP members the last hub call answered, released ones
+    /// first, in arrival order (it orders the NIC reservations): a closed
+    /// round's depositors (`forced`: by its deadline, marked partial) or a
+    /// late push passing through. Pays their pushes' apply time, replies
+    /// over the tree broadcast if the schedule is not flat, counts one
+    /// update.
+    fn answer_round(&mut self, ctx: &Ctx<Msg>, answered: Option<usize>, forced: bool) {
+        let released = self.hub.drain().into_iter().map(|(rank, _)| rank);
+        let members: Vec<usize> = released.chain(answered).collect();
+        if members.is_empty() {
+            return;
+        }
+        if forced {
+            markers::partial_barrier(&self.obs, ctx.now().as_nanos(), members.len());
+        }
+        ctx.advance(ps_apply_time(members.len() as u64 * self.reply_bytes));
+        if !self.collective.is_flat() && members.len() > 1 {
+            self.send_params_tree(ctx, &members);
+        } else {
+            for m in members {
+                self.send_params(ctx, m, 0, self.reply_params());
+            }
+        }
         self.tick_checkpoint(ctx.now());
     }
 }
@@ -310,58 +308,46 @@ fn release_pulls(ps: &PsCore, ctx: &Ctx<Msg>, pending: &mut Vec<(usize, u64)>, m
     }
 }
 
+/// Elastic BSP: keep the shard's one `RoundDeadline` timer at the hub's
+/// earliest barrier deadline, which a round's first member to park with one
+/// sets (a rejoiner at its re-entry round parks without; classic runs have
+/// none).
+fn set_alarm(hub: &Hub, ctx: &Ctx<Msg>, alarm: &mut Option<Duration>) {
+    if let Some(due) = hub.next_deadline().filter(|&d| Some(d) != *alarm) {
+        let wait = due.saturating_sub(clock(ctx)).as_nanos() as u64;
+        ctx.send(ctx.pid(), SimTime::from_nanos(wait), Msg::RoundDeadline);
+        *alarm = Some(due);
+    }
+}
+
+/// The simulated clock as the hub reads it.
+fn clock(ctx: &Ctx<Msg>) -> Duration {
+    Duration::from_nanos(ctx.now().as_nanos())
+}
+
 /// The parameter-server process body.
-pub(crate) fn ps_process(mut ps: PsCore, mode: PsMode, ctx: Ctx<Msg>) {
+pub(crate) fn ps_process(mut ps: PsCore, algo: Algo, ctx: Ctx<Msg>) {
     // Baseline checkpoint so an outage before the first cadence tick still
     // has a state to roll back to.
-    if let (Some(f), Some(real)) = (ps.faults.as_ref(), ps.real.as_ref()) {
-        f.store
-            .save(PS_OWNER_BASE + ps.shard, 0, &real.params, &real.opt);
+    if let (Some(f), true) = (ps.faults.as_ref(), ps.real) {
+        let (params, opt) = &*ps.hub.ps().global.lock();
+        f.store.save(PS_OWNER_BASE + ps.shard, 0, params, opt);
     }
     let mut stops = 0usize;
-    // BSP round size: shrinks when a member is lost permanently. It must
-    // NOT shrink on a temporary crash — a paused worker resumes the same
-    // round, and changing the round size mid-stream desynchronizes the
-    // per-worker round counts and deadlocks the barrier.
-    let mut bsp_senders = match &mode {
-        PsMode::Bsp { num_senders } => *num_senders,
-        _ => 0,
-    };
-    // Elastic bookkeeping: who is evicted (permanent MemberDown) and who
-    // has finished (Stop) — the two reasons a member stops pushing. Their
-    // complement is who a partial barrier still owes an out-of-round reply.
-    let num_workers = ps.workers.len();
-    let mut evicted = vec![false; num_workers];
-    let mut stopped = vec![false; num_workers];
-    // Elastic BSP: monotone completed-round counter (stale-timer
-    // invalidation) and the members owed an out-of-round release after a
-    // partial close.
-    let mut round_seq = 0u64;
-    let mut late_from: Vec<usize> = Vec::new();
-    let mut force_close = false;
-    let barrier_deadline = ps.elastic.as_ref().map(|e| e.barrier_deadline);
-    // BSP round state: who pushed, and (real math) each push keyed by its
-    // sender with the weight it carries.
-    let mut round_members: Vec<usize> = Vec::new();
-    let mut deposits: Vec<(usize, (ParamSet, usize))> = Vec::new();
-    let mut round_bytes = 0u64;
-    let mut round_lr = 0.0f32;
     // SSP clock state
-    let mut clocks: Vec<u64> = match &mode {
-        PsMode::Ssp { num_workers } => vec![0; *num_workers],
-        _ => Vec::new(),
-    };
+    let ssp = matches!(algo, Algo::Ssp { .. });
+    let mut clocks: Vec<u64> = vec![0; if ssp { ps.workers.len() } else { 0 }];
     let mut live: Vec<bool> = vec![true; clocks.len()];
     let mut pending_pulls: Vec<(usize, u64)> = Vec::new(); // (worker, min_needed)
+
+    // Elastic BSP: the hub deadline the pending `RoundDeadline` is set for.
+    let mut alarm: Option<Duration> = None;
 
     loop {
         let msg = ctx.recv();
         ps.handle_outage(&ctx);
         match msg {
-            Msg::Stop { sender } => {
-                if sender < num_workers {
-                    stopped[sender] = true;
-                }
+            Msg::Stop => {
                 stops += 1;
                 if stops >= ps.expected_stops {
                     break;
@@ -375,50 +361,40 @@ pub(crate) fn ps_process(mut ps: PsCore, mode: PsMode, ctx: Ctx<Msg>) {
                 data,
                 bytes,
                 ..
-            } => match &mode {
-                PsMode::Bsp { .. } => {
-                    if let Some(i) = late_from.iter().position(|&w| w == sender) {
-                        // Late for a round force-closed without it: charged
-                        // and answered at once, but dropped, as the hub does.
-                        late_from.swap_remove(i);
-                        ps.serve_push(&ctx, sender, bytes, |real| Some(real.params.clone()));
-                    } else {
-                        // First arrival of a round arms the partial-
-                        // barrier deadline (elastic only).
-                        if round_members.is_empty() {
-                            if let Some(dl) = barrier_deadline {
-                                ctx.send(ctx.pid(), dl, Msg::RoundDeadline { round: round_seq });
-                            }
-                        }
-                        // Accumulate only; round completion is checked
-                        // below so a shrinking `bsp_senders` can also
-                        // complete a round.
-                        if let Some(d) = data {
-                            deposits.push((sender, (d.into_dense(), weight as usize)));
-                        }
-                        round_members.push(sender);
-                        round_bytes += bytes;
-                        round_lr = lr;
+            } => match algo {
+                // Round-synchronous through the hub.
+                Algo::Bsp => {
+                    // `None`: a late push, for a round force-closed
+                    // without it; the hub answers it at once and drops it.
+                    if let Some(held) = ps.hub.deposits(iter) {
                         // How full the barrier is — Fig. 3's "waiting
                         // on stragglers" shape, directly observable.
-                        ps.obs.counter(
-                            ctx.now().as_nanos(),
-                            dtrain_obs::names::BARRIER_OCCUPANCY,
-                            round_members.len() as i64,
-                        );
+                        let (now, full) = (ctx.now().as_nanos(), held as i64 + 1);
+                        ps.obs.counter(now, names::BARRIER_OCCUPANCY, full);
                     }
+                    let seat = Seat {
+                        rank: sender,
+                        round: iter,
+                        view: ps.elastic.as_ref().map(|e| &*e.view),
+                        leaders: ps.leaders,
+                        now: clock(&ctx),
+                    };
+                    let deposit = data.map_or_else(|| ParamSet(Vec::new()), GradData::into_dense);
+                    let answer = ps.hub.bsp_round(seat, (deposit, weight as usize), lr, &());
+                    set_alarm(&ps.hub, &ctx, &mut alarm);
+                    ps.answer_round(&ctx, answer.map(|_| sender), false);
                 }
-                PsMode::Asp => ps.serve_push(&ctx, sender, bytes, |real| {
-                    if let Some(d) = data {
-                        real.opt.step(&mut real.params, &d.into_dense(), lr);
-                    }
-                    Some(real.params.clone())
+                // Apply each push at once and reply to its sender.
+                Algo::Asp => ps.serve_push(&ctx, sender, bytes, |server| {
+                    data.map(|d| server.push_and_pull(&d.into_dense(), lr))
                 }),
-                PsMode::Ssp { .. } => {
+                // SSPTable: add each push's delta; shard 0 is the clock
+                // authority and gates pulls on the staleness bound.
+                Algo::Ssp { .. } => {
                     ctx.advance(ps_apply_time(bytes));
                     // SSP's server half: add the worker's applied delta.
-                    if let (Some(real), Some(d)) = (ps.real.as_mut(), data) {
-                        real.params.add_assign(&d.into_dense());
+                    if let Some(d) = data {
+                        ps.hub.ps().add_delta(&d.into_dense());
                     }
                     if ps.shard == 0 {
                         // monotonic: NIC FIFO delivers in order today,
@@ -429,9 +405,7 @@ pub(crate) fn ps_process(mut ps: PsCore, mode: PsMode, ctx: Ctx<Msg>) {
                     }
                     ps.tick_checkpoint(ctx.now());
                 }
-                PsMode::Easgd { .. } => {
-                    unreachable!("EASGD workers push parameters, not gradients")
-                }
+                _ => unreachable!("{} pushes no gradients to a PS", algo.name()),
             },
             Msg::PullReq { sender, .. } => {
                 // Non-gating shards answer pulls immediately (only SSP
@@ -444,11 +418,14 @@ pub(crate) fn ps_process(mut ps: PsCore, mode: PsMode, ctx: Ctx<Msg>) {
                 bytes,
                 ..
             } => {
-                let PsMode::Easgd { alpha } = mode else {
+                // Elastic averaging: the reply carries the *updated worker*
+                // parameters.
+                let Algo::Easgd { alpha, .. } = algo else {
                     unreachable!("ParamPush outside EASGD")
                 };
-                ps.serve_push(&ctx, sender, bytes, |real| {
-                    data.map(|worker| real.params.elastic_exchange(&worker, alpha))
+                let alpha = Algo::easgd_alpha(alpha, ps.workers.len());
+                ps.serve_push(&ctx, sender, bytes, |server| {
+                    data.map(|worker| server.elastic_exchange(&worker, alpha))
                 });
             }
             Msg::GatedPull { sender, min_needed } => {
@@ -466,15 +443,6 @@ pub(crate) fn ps_process(mut ps: PsCore, mode: PsMode, ctx: Ctx<Msg>) {
                 rejoining,
             } => {
                 if permanent {
-                    // The worker stops pushing (nor, for BSP, owes its
-                    // round contribution) until a MemberUp readmits it.
-                    if worker < num_workers {
-                        evicted[worker] = true;
-                    }
-                    late_from.retain(|&w| w != worker);
-                    if matches!(mode, PsMode::Bsp { .. }) {
-                        bsp_senders = bsp_senders.saturating_sub(1);
-                    }
                     // A rejoining member still owes its Stop at the end of
                     // the run; only a member gone for good is written off.
                     if !rejoining {
@@ -483,8 +451,13 @@ pub(crate) fn ps_process(mut ps: PsCore, mode: PsMode, ctx: Ctx<Msg>) {
                             break;
                         }
                     }
+                    // The worker stops pushing until it rejoins: a BSP
+                    // round it leaves complete closes. A temporary crash
+                    // evicts nothing — the paused worker resumes its round.
+                    ps.hub.evict(worker);
+                    ps.answer_round(&ctx, None, false);
                 }
-                if matches!(mode, PsMode::Ssp { .. }) && ps.shard == 0 {
+                if ssp && ps.shard == 0 {
                     // Drop-and-readmit: exclude the crashed worker from the
                     // staleness bound and re-evaluate gated pulls.
                     live[worker] = false;
@@ -493,15 +466,7 @@ pub(crate) fn ps_process(mut ps: PsCore, mode: PsMode, ctx: Ctx<Msg>) {
                 }
             }
             Msg::MemberUp { worker } => {
-                // Elastic readmission: an evicted member rejoins and pushes
-                // again (its Stop was never written off — see MemberDown).
-                if worker < num_workers && evicted[worker] {
-                    evicted[worker] = false;
-                    if matches!(mode, PsMode::Bsp { .. }) {
-                        bsp_senders += 1;
-                    }
-                }
-                if matches!(mode, PsMode::Ssp { .. }) && ps.shard == 0 {
+                if ssp && ps.shard == 0 {
                     // Re-admit at the current live min so the bound never
                     // regresses (the restored worker restarts from its
                     // checkpointed params anyway).
@@ -509,53 +474,16 @@ pub(crate) fn ps_process(mut ps: PsCore, mode: PsMode, ctx: Ctx<Msg>) {
                     live[worker] = true;
                 }
             }
-            Msg::RoundDeadline { round } => {
-                // Partial-barrier policy (elastic BSP): if the round the
-                // timer was armed for is still the open one and incomplete,
-                // close it with whoever arrived. Members that are neither
-                // evicted nor finished are owed an out-of-round release
-                // when their (late) push lands.
-                if matches!(mode, PsMode::Bsp { .. })
-                    && round == round_seq
-                    && !round_members.is_empty()
-                    && round_members.len() < bsp_senders
-                {
-                    markers::partial_barrier(&ps.obs, ctx.now().as_nanos(), round_members.len());
-                    for w in 0..num_workers {
-                        if !evicted[w] && !stopped[w] && !round_members.contains(&w) {
-                            late_from.push(w);
-                        }
-                    }
-                    force_close = true;
-                }
+            Msg::RoundDeadline => {
+                // Partial-barrier policy (elastic BSP): a round still short
+                // of its cohort a deadline after its first arrival closes
+                // with whoever arrived; members missing from it pass
+                // through when their late push lands.
+                ps.hub.tick(clock(&ctx), &());
+                ps.answer_round(&ctx, None, true);
+                set_alarm(&ps.hub, &ctx, &mut alarm);
             }
             other => unreachable!("PS got unexpected message {other:?}"),
-        }
-        // BSP round completion: reached by the last push of a round, by a
-        // permanent member loss shrinking the round size under the number
-        // already collected, or by the partial-barrier deadline firing.
-        if matches!(mode, PsMode::Bsp { .. })
-            && !round_members.is_empty()
-            && (round_members.len() >= bsp_senders || force_close)
-        {
-            ctx.advance(ps_apply_time(round_bytes));
-            let deposits = std::mem::take(&mut deposits);
-            if let (Some(real), false) = (ps.real.as_mut(), deposits.is_empty()) {
-                real.opt
-                    .step(&mut real.params, &round_mean(deposits), round_lr);
-            }
-            let members = std::mem::take(&mut round_members);
-            if !ps.collective.is_flat() && members.len() > 1 {
-                ps.send_params_tree(&ctx, &members);
-            } else {
-                for m in members {
-                    ps.send_params(&ctx, m, 0, ps.reply_params());
-                }
-            }
-            round_bytes = 0;
-            round_seq += 1;
-            force_close = false;
-            ps.tick_checkpoint(ctx.now());
         }
     }
 }
@@ -976,7 +904,7 @@ fn ssp_step(core: &mut WorkerCore, ctx: &Ctx<Msg>, iter: u64, staleness: u64, ca
     }
     core.metrics.worker_track(core.w).counter(
         ctx.now().as_nanos(),
-        dtrain_obs::names::STALENESS,
+        names::STALENESS,
         my_clock.saturating_sub(*cache_ts) as i64,
     );
 }

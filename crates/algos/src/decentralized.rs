@@ -598,7 +598,7 @@ impl AdPsgdPassive {
             // Seed a rejoiner with this replica, unaveraged — adoption
             // must not drag the rejoiner's stale state into the cohort.
             Msg::AdoptReq { sender } => (sender, core.replica()),
-            Msg::Stop { .. } => {
+            Msg::Stop => {
                 self.stops += 1;
                 return;
             }
@@ -653,7 +653,7 @@ impl Body for AdPsgdPassive {
         while let Some(m) = ctx.try_recv() {
             match m {
                 Msg::ExchangeReq { .. } => {}
-                m @ (Msg::Stop { .. } | Msg::AdoptReq { .. }) => self.answer(core, ctx, m),
+                m @ (Msg::Stop | Msg::AdoptReq { .. }) => self.answer(core, ctx, m),
                 other => unreachable!("dormant passive got {other:?}"),
             }
         }

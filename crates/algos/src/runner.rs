@@ -3,16 +3,16 @@
 //! curves).
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use dtrain_cluster::{Breakdown, LinkWindow, MetricsHub, NetModel, TrafficStats};
-use dtrain_compress::compressed_wire_bytes;
 use dtrain_data::Dataset;
 use dtrain_desim::{Pid, SimTime, Simulation, StopReason, TraceRecord};
-use dtrain_faults::{Algo, CheckpointStore};
-use dtrain_nn::{ParamSet, SgdMomentum};
+use dtrain_faults::{Algo, CheckpointStore, Hub};
+use dtrain_nn::ParamSet;
 use dtrain_obs::{names, ObsSink, Track};
 
-use crate::centralized::{ps_process, BspRole, PsBody, PsCore, PsFaultState, PsMode, PsRealState};
+use crate::centralized::{ps_process, BspRole, PsBody, PsCore, PsFaultState};
 use crate::collective::{collective_engine, ChunkLayout, EngineCore};
 use crate::config::RunConfig;
 use crate::decentralized::{
@@ -184,30 +184,26 @@ fn run_impl(cfg: &RunConfig, trace: bool, sink: &ObsSink) -> (RunOutput, Option<
     // ---- spawn PS shards (centralized algorithms) ----
     if cfg.algo.is_centralized() {
         let global_shards = build_global_shard_params(cfg);
-        let leaders = bsp_leaders(cfg);
+        // BSP under local aggregation: the machine leaders are the shards'
+        // senders (`bsp_leaders` is empty otherwise).
+        let leaders = Some(bsp_leaders(cfg).len()).filter(|&n| n > 0);
+        // Under DGC the pushed gradients already carry momentum (Lin et
+        // al.'s momentum correction replaces the optimizer's momentum); the
+        // server must not apply it twice.
+        let momentum = match (&cfg.real, &cfg.opts.dgc) {
+            (Some(r), None) => r.momentum,
+            _ => 0.0,
+        };
+        let weight_decay = cfg.real.as_ref().map_or(0.0, |r| r.weight_decay);
+        let elastic = cores.first().and_then(|c| c.elastic.clone());
+        let deadline = cfg
+            .elastic()
+            .map(|e| Duration::from_nanos(e.barrier_deadline.as_nanos()));
         for s in 0..num_shards {
-            let real = global_shards.as_ref().map(|slices| PsRealState {
-                params: slices[s].clone(),
-                // Under DGC the pushed gradients already carry momentum
-                // (Lin et al.'s momentum correction replaces the optimizer's
-                // momentum); the server must not apply it twice.
-                opt: SgdMomentum::new(
-                    if cfg.opts.dgc.is_some() {
-                        0.0
-                    } else {
-                        cfg.real.as_ref().map_or(0.9, |r| r.momentum)
-                    },
-                    cfg.real.as_ref().map_or(1e-4, |r| r.weight_decay),
-                ),
-            });
-            let reply_bytes = match cfg.opts.dgc.as_ref() {
-                Some(d) => compressed_wire_bytes(profile_plan.bytes_of_shard(s), d.final_sparsity),
-                None => profile_plan.bytes_of_shard(s),
-            };
-            let expected_stops = match (cfg.algo, cfg.opts.local_aggregation) {
-                (Algo::Bsp, true) => leaders.len(),
-                _ => cfg.workers,
-            };
+            let params = global_shards
+                .as_ref()
+                .map_or(ParamSet(Vec::new()), |p| p[s].clone());
+            let hub = Hub::new(params, cfg.workers, momentum, weight_decay, deadline);
             let faults = match (cfg.faults.as_ref(), store.as_ref()) {
                 (Some(f), Some(store)) => Some(PsFaultState {
                     outages: f.schedule.ps_failures_for(s).into(),
@@ -220,36 +216,24 @@ fn run_impl(cfg: &RunConfig, trace: bool, sink: &ObsSink) -> (RunOutput, Option<
                 shard: s,
                 node: ps_addrs[s].node,
                 net: net.clone(),
-                real,
-                reply_bytes,
+                hub,
+                real: cfg.real.is_some(),
+                // A reply is the size of the shard's pushes (DGC-compressed
+                // timing).
+                reply_bytes: cores[0].grad_bytes(s),
                 workers: worker_addrs.clone(),
-                expected_stops,
+                leaders,
+                expected_stops: leaders.unwrap_or(cfg.workers),
                 faults,
-                elastic: cfg.elastic().cloned(),
+                elastic: elastic.clone(),
                 homes: ps_homes.clone(),
                 machines: cfg.cluster.machines,
                 state_bytes: profile_plan.bytes_of_shard(s),
                 obs: sink.track(Track::Ps(s as u16)),
                 collective: cfg.opts.collective,
             };
-            let mode = match cfg.algo {
-                Algo::Bsp => PsMode::Bsp {
-                    num_senders: if cfg.opts.local_aggregation {
-                        leaders.len()
-                    } else {
-                        cfg.workers
-                    },
-                },
-                Algo::Asp => PsMode::Asp,
-                Algo::Ssp { .. } => PsMode::Ssp {
-                    num_workers: cfg.workers,
-                },
-                Algo::Easgd { alpha, .. } => PsMode::Easgd {
-                    alpha: Algo::easgd_alpha(alpha, cfg.workers),
-                },
-                _ => unreachable!(),
-            };
-            let pid = sim.spawn(format!("ps{s}"), move |ctx| ps_process(ps, mode, ctx));
+            let algo = cfg.algo;
+            let pid = sim.spawn(format!("ps{s}"), move |ctx| ps_process(ps, algo, ctx));
             assert_eq!(pid, ps_addrs[s].pid, "pid assignment contract");
         }
     }

@@ -1,13 +1,15 @@
 //! The exchange hub: the server side of every exchange, written once.
 //!
-//! [`crate::worker_body`] is the worker side of the seven algorithms; the
-//! [`Hub`] is what those workers talk *to*: the parameter server, the BSP
-//! round (deposit, close, aggregate, apply), the SSP staleness gate, the
-//! per-rank gossip / AD-PSGD / collective mailboxes, the exchange-token
-//! life cycle and eviction. The threaded backend calls it directly and the
-//! process coordinator calls it on behalf of a decoded frame, so a
-//! difference between a threaded and a proc run is transport, never
-//! aggregation.
+//! `dtrain_runtime::worker_body` is the worker side of the seven algorithms
+//! on the real paths; the [`Hub`] is what those workers talk *to*: the
+//! parameter server, the BSP round (deposit, close, aggregate, apply), the
+//! SSP staleness gate, the per-rank gossip / AD-PSGD / collective
+//! mailboxes, the exchange-token life cycle and eviction. It has three
+//! deployments: the threaded backend calls it directly, the process
+//! coordinator on behalf of a decoded frame, and each simulated PS shard
+//! (`dtrain-algos`) on behalf of a simulated message, charging the wire and
+//! apply time around it. So a difference between the paths' BSP rounds is
+//! transport, never aggregation.
 //!
 //! Nothing waits inside it. A request that cannot be answered yet — a
 //! round short of its cohort, a shut staleness gate, an empty mailbox, an
@@ -25,19 +27,18 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::Duration;
 
-use dtrain_faults::MembershipView;
 use dtrain_nn::rules::round_mean;
 use dtrain_nn::ParamSet;
 
-use crate::backend::RunPlan;
-use crate::strategy::PsState;
+use crate::ps::PsState;
+use crate::MembershipView;
 
 /// Who is arriving at which BSP round, what cohort it belongs to, and when.
 pub struct Seat<'a> {
     pub rank: usize,
     pub round: u64,
-    /// The elastic membership view in force (`None`: the classic fixed
-    /// cohort of every rank, no barrier deadline).
+    /// The elastic membership view in force (`None`: the classic cohort of
+    /// every rank not evicted, no barrier deadline).
     pub view: Option<&'a MembershipView>,
     /// `Some(n)`: a hierarchical round over `n` machine-group leaders;
     /// `None`: a flat round over the live ranks.
@@ -71,9 +72,10 @@ pub enum Reply {
 pub enum Answer {
     /// [`Hub::bsp_round`]: the round closed and was applied; the fresh
     /// parameters are the server's ([`Hub::ps`]). `arrived` is `Some(n)`
-    /// for the one member that closed it, with `n` deposits (`n <
-    /// expected`: a force-close short of the cohort); `expected` is the
-    /// cohort this member counted on.
+    /// for the one member that closed it, with `n` deposits, and then
+    /// `expected` is the round's cohort at the close (`n < expected`: a
+    /// force-close short of it); any other member gets `None` and the
+    /// cohort it counted on.
     Round {
         arrived: Option<usize>,
         expected: usize,
@@ -99,6 +101,17 @@ pub trait CloseHooks {
 }
 
 impl CloseHooks for () {}
+
+/// Hooks that may be absent: run them if present.
+impl<H: CloseHooks> CloseHooks for Option<&H> {
+    fn before_apply(&self, ps: &PsState) {
+        self.iter().for_each(|h| h.before_apply(ps))
+    }
+
+    fn after_apply(&self, ps: &PsState) {
+        self.iter().for_each(|h| h.after_apply(ps))
+    }
+}
 
 /// What a parked request waits for. It waits until a deadline, if it has
 /// one: a round member forces its round closed then, a collective read or
@@ -134,11 +147,13 @@ struct Mailbox {
     coll: VecDeque<(usize, ParamSet)>,
 }
 
-/// A round still open: its deposits ascending by rank,
-/// `(partial_sum, ranks_covered)`, and the learning rate they came with.
+/// A round still open: its deposits in arrival order, `(rank,
+/// (partial_sum, ranks_covered))`, the learning rate they came with, and
+/// the cohort its seats fixed (`None`: every rank not evicted).
 struct Open {
-    deposits: BTreeMap<usize, (ParamSet, usize)>,
+    deposits: Vec<(usize, (ParamSet, usize))>,
     lr: f32,
+    cohort: Option<usize>,
 }
 
 pub struct Hub {
@@ -159,12 +174,19 @@ pub struct Hub {
 }
 
 impl Hub {
-    /// `barrier_deadline`: how long an elastic BSP round may stay short of
-    /// its cohort before its longest-blocked member force-closes it.
-    pub fn new(params: ParamSet, plan: &RunPlan, barrier_deadline: Option<Duration>) -> Hub {
-        let workers = plan.workers;
+    /// A hub for `workers` ranks whose server starts at `params` with a
+    /// momentum-SGD optimizer. `barrier_deadline`: how long an elastic BSP
+    /// round may stay short of its cohort before its longest-blocked member
+    /// force-closes it.
+    pub fn new(
+        params: ParamSet,
+        workers: usize,
+        momentum: f32,
+        weight_decay: f32,
+        barrier_deadline: Option<Duration>,
+    ) -> Hub {
         Hub {
-            ps: PsState::new(params, plan.momentum, plan.weight_decay, workers),
+            ps: PsState::new(params, momentum, weight_decay, workers),
             workers,
             barrier_deadline,
             open: BTreeMap::new(),
@@ -242,7 +264,8 @@ impl Hub {
     /// the round is closed and applied; parks until then.
     ///
     /// Cohort rule: a flat round expects the ranks live at `seat.round`
-    /// (every rank without a view), a hierarchical one `seat.leaders`.
+    /// (without a view: every rank not evicted), a hierarchical one
+    /// `seat.leaders`.
     /// Under a view a parked member's deadline is `barrier_deadline` after
     /// its arrival, and [`Self::tick`] past it force-closes the round with
     /// whoever deposited — except that a rejoiner, which arrives at its
@@ -251,8 +274,9 @@ impl Hub {
     /// to the current parameters.
     ///
     /// The single closer applies the round's [`round_mean`] once at `lr`,
-    /// between `hooks`, as the simulator's PS does. Rounds are keyed, so a
-    /// fast member's next deposit cannot disturb a round still open.
+    /// between `hooks`; the other members' answers leave in the order they
+    /// arrived. Rounds are keyed, so a fast member's next deposit cannot
+    /// disturb a round still open.
     pub fn bsp_round(
         &mut self,
         seat: Seat<'_>,
@@ -263,10 +287,10 @@ impl Hub {
         let Seat {
             rank, round, now, ..
         } = seat;
-        let expected = seat
+        let cohort = seat
             .leaders
-            .unwrap_or_else(|| seat.view.map_or(self.workers, |v| v.live_at(round).len()))
-            .max(1);
+            .or_else(|| seat.view.map(|v| v.live_at(round).len()));
+        let expected = self.expected(cohort);
         let deadline = seat
             .view
             .filter(|v| v.rejoin_round(rank) != Some(round))
@@ -277,23 +301,48 @@ impl Hub {
             return pass;
         }
         let open = self.open.entry(round).or_insert_with(|| Open {
-            deposits: BTreeMap::new(),
+            deposits: Vec::new(),
             lr,
+            cohort,
         });
-        open.deposits.insert(rank, deposit);
+        open.deposits.retain(|&(r, _)| r != rank);
+        open.deposits.push((rank, deposit));
         open.lr = lr;
         if open.deposits.len() < expected {
             return None;
         }
         self.parked[rank] = None;
-        let arrived = Some(self.close(round, hooks));
+        let arrived = Some(self.close(round, false, hooks));
         Some(Answer::Round { arrived, expected })
     }
 
-    /// Close `round` with what it holds, apply once between the hooks, and
-    /// let every member of it or of an earlier round pass through. Returns
-    /// how many deposited.
-    fn close(&mut self, round: u64, hooks: &impl CloseHooks) -> usize {
+    /// How many deposits `round` holds; `None` once it closed, when a
+    /// deposit there passes straight through.
+    pub fn deposits(&self, round: u64) -> Option<usize> {
+        (round >= self.closed).then(|| self.open.get(&round).map_or(0, |o| o.deposits.len()))
+    }
+
+    /// The earliest deadline a parked request waits until: when the next
+    /// [`Self::tick`] can answer anything.
+    pub fn next_deadline(&self) -> Option<Duration> {
+        self.parked
+            .iter()
+            .filter_map(|p| p.and_then(|(_, until)| until))
+            .min()
+    }
+
+    /// The size of a round's cohort: the one its seats fixed, or every
+    /// rank not evicted.
+    fn expected(&self, cohort: Option<usize>) -> usize {
+        let live = || self.evicted.iter().filter(|&&e| !e).count();
+        cohort.unwrap_or_else(live).max(1)
+    }
+
+    /// Close `round` with what it holds and apply once between the hooks;
+    /// answer its parked members in arrival order — with `lead`, the first
+    /// as the member that closed it — then let every member of an earlier
+    /// round pass through. Returns how many deposited.
+    fn close(&mut self, round: u64, mut lead: bool, hooks: &impl CloseHooks) -> usize {
         // Keep only later rounds' (a rejoiner's early) deposits.
         let later = self.open.split_off(&(round + 1));
         let open = std::mem::replace(&mut self.open, later)
@@ -301,17 +350,32 @@ impl Hub {
             .expect("only an open round closes");
         self.closed = round + 1;
         let arrived = open.deposits.len();
+        let cohort = self.expected(open.cohort);
+        let order: Vec<usize> = open.deposits.iter().map(|&(rank, _)| rank).collect();
         hooks.before_apply(&self.ps);
         let mean = round_mean(open.deposits);
         self.ps.push(&mean, open.lr);
         hooks.after_apply(&self.ps);
+        for rank in order {
+            let Some(mut answer) = self.ready(rank) else {
+                continue;
+            };
+            if std::mem::take(&mut lead) {
+                answer = Answer::Round {
+                    arrived: Some(arrived),
+                    expected: cohort,
+                };
+            }
+            self.outbox.push((rank, answer));
+        }
         self.wake();
         arrived
     }
 
     /// The clock reads `now`: parked requests past their deadlines are
     /// answered, longest-blocked first. A round member force-closes its
-    /// round and is told it closed it; a collective read gets `None`; an
+    /// round, whose first arrival still parked (itself, unless a rejoiner
+    /// came first) is told it closed it; a collective read gets `None`; an
     /// exchange wait gets `TimedOut`, its token still valid.
     pub fn tick(&mut self, now: Duration, hooks: &impl CloseHooks) {
         let due = |(w, parked): (usize, &Option<(Park, Option<Duration>)>)| {
@@ -319,16 +383,16 @@ impl Hub {
             (until <= now).then_some((until, w))
         };
         while let Some((_, w)) = self.parked.iter().enumerate().filter_map(due).min() {
-            let (park, _) = self.parked[w].take().expect("a due request is parked");
-            let answer = match park {
-                Park::Round { round, expected } => {
-                    let arrived = Some(self.close(round, hooks));
-                    Answer::Round { arrived, expected }
+            let answer = match self.parked[w].expect("a due request is parked").0 {
+                Park::Round { round, .. } => {
+                    self.close(round, true, hooks);
+                    continue;
                 }
                 Park::Coll => Answer::Coll(None),
                 Park::Await(_) => Answer::Exchange(Reply::TimedOut),
                 Park::MinClock(_) | Park::Next => unreachable!("these wait without a deadline"),
             };
+            self.parked[w] = None;
             self.outbox.push((w, answer));
         }
     }
@@ -465,7 +529,8 @@ impl Hub {
     /// every exchange waiting on it and the collective items it will never
     /// consume, and — a dead active cannot announce completion —
     /// synthesize its `Done` so passives do not drain forever. Its deposit
-    /// in an open round stays.
+    /// in an open round stays. A view-less flat round no longer counts it,
+    /// so one it leaves complete closes, its first arrival the closer.
     pub fn evict(&mut self, rank: usize) {
         self.parked[rank] = None;
         if std::mem::replace(&mut self.evicted[rank], true) {
@@ -476,6 +541,11 @@ impl Hub {
         self.drop_waiting_on(rank);
         if rank.is_multiple_of(2) {
             self.push_done(rank);
+        }
+        let live = self.expected(None);
+        let complete = |o: &&Open| o.cohort.is_none() && o.deposits.len() >= live;
+        if let Some((&round, _)) = self.open.iter().find(|(_, o)| complete(o)) {
+            self.close(round, true, &());
         }
         self.wake();
     }
@@ -493,32 +563,4 @@ impl Hub {
 /// A mailbox read's answer: the item found, or nothing at shutdown.
 fn item<T>(found: Option<T>, down: bool) -> Option<Option<T>> {
     (found.is_some() || down).then_some(found)
-}
-
-/// The trained model of a finished run: the mean of the replicas of the
-/// ranks live at the run's last round (every replica handed in when there
-/// is no view or none of them was live), and the max elementwise distance
-/// of a cohort replica from that mean. An evicted rank's stale replica is
-/// not part of the trained model.
-pub fn final_cohort(
-    replicas: &[(usize, &ParamSet)],
-    view: Option<&MembershipView>,
-    plan: &RunPlan,
-    train_len: usize,
-) -> (ParamSet, f32) {
-    let rounds = plan.epochs * (train_len / plan.workers / plan.batch) as u64;
-    let live = view.map_or(Vec::new(), |v| v.live_at(rounds.saturating_sub(1)));
-    let mut cohort: Vec<&ParamSet> = replicas
-        .iter()
-        .filter(|(rank, _)| live.contains(rank))
-        .map(|&(_, p)| p)
-        .collect();
-    if cohort.is_empty() {
-        cohort = replicas.iter().map(|&(_, p)| p).collect();
-    }
-    let mean = ParamSet::mean_of(&cohort);
-    let drift = cohort
-        .iter()
-        .fold(0.0f32, |m, p| m.max(p.max_abs_diff(&mean)));
-    (mean, drift)
 }

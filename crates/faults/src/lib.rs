@@ -1,13 +1,17 @@
 //! # dtrain-faults
 //!
 //! Deterministic fault injection for distributed-training experiments, and
-//! the [`Algo`] vocabulary the simulator and both real paths share.
+//! what the simulator and both real paths share beneath it: the [`Algo`]
+//! vocabulary, the membership view, and the server side of every exchange,
+//! the [`Hub`] over one [`PsState`].
 
 mod algo;
 pub mod chaos;
 mod checkpoint;
+pub mod hub;
 pub mod markers;
 mod membership;
+mod ps;
 mod schedule;
 
 pub use algo::Algo;
@@ -17,5 +21,7 @@ pub use chaos::{
     SegmentReport,
 };
 pub use checkpoint::{CheckpointStore, WorkerCheckpoint, MAX_VERSIONS};
+pub use hub::Hub;
 pub use membership::{ElasticConfig, ElasticRuntime, MembershipView};
+pub use ps::PsState;
 pub use schedule::{FaultEvent, FaultKind, FaultPlan, FaultSchedule, RuntimeFaultSchedule};

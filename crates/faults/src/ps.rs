@@ -1,14 +1,16 @@
-//! The parameter-server state the two real execution paths share.
+//! The parameter-server state the three execution paths share.
 //!
 //! The centralized family (BSP, ASP, SSP, EASGD) and AR-SGD, whose one
 //! synchronous mean per round the real paths take through BSP's round, run
-//! against a `Mutex`-guarded parameter server; GoSGD and AD-PSGD use the
-//! [`crate::Hub`]'s mailboxes. [`PsState`] is owned by the hub; the
-//! threaded backend locks it directly and the process coordinator on
-//! behalf of a frame. Nothing waits here: an SSP rank whose staleness gate
-//! is shut parks in the hub, which answers it when a clock bump opens the
-//! gate. Unlike the simulator, execution here is *not* deterministic — it
-//! races like production training does.
+//! against one [`PsState`] per server: the simulator holds one per PS shard
+//! (over the shard's parameter slice, or an empty set in a cost-only run),
+//! the real paths one for the whole model. It is owned by a
+//! [`crate::hub::Hub`], which closes BSP rounds into it; ASP's push, SSP's
+//! delta add and the EASGD exchange are its own methods, called by the
+//! simulator's PS process, the threaded backend and the process
+//! coordinator. Nothing waits here: an SSP rank whose staleness gate is
+//! shut parks in the hub, which answers it when a clock bump opens the
+//! gate.
 
 use std::sync::Arc;
 
@@ -29,7 +31,7 @@ impl PsState {
         })
     }
 
-    /// A BSP round's close, `Hub::close`'s only: one optimizer step of the
+    /// A BSP round's close, the hub's only: one optimizer step of the
     /// round's mean at `lr`.
     pub fn push(&self, grad: &ParamSet, lr: f32) {
         let (params, opt) = &mut *self.global.lock();

@@ -6,11 +6,10 @@
 use std::cell::RefCell;
 use std::time::Duration;
 
-use dtrain_faults::MembershipView;
+use dtrain_faults::hub::{Answer, CloseHooks, Hub, PeerItem, Reply, Seat};
+use dtrain_faults::{MembershipView, PsState};
 use dtrain_nn::rules::round_mean;
 use dtrain_nn::ParamSet;
-use dtrain_runtime::hub::{Answer, CloseHooks, Hub, PeerItem, Reply, Seat};
-use dtrain_runtime::{BspOutcome, PsState, RunPlan};
 use dtrain_tensor::Tensor;
 
 fn ps(v: &[f32]) -> ParamSet {
@@ -25,14 +24,10 @@ fn ms(n: u64) -> Duration {
     Duration::from_millis(n)
 }
 
-/// Plain SGD (no momentum, no decay) so a round's effect is `−lr·mean`.
-fn plan(workers: usize) -> RunPlan {
-    RunPlan {
-        workers,
-        momentum: 0.0,
-        weight_decay: 0.0,
-        ..Default::default()
-    }
+/// A hub for `workers` ranks over plain SGD (no momentum, no decay), so a
+/// round's effect is `−lr·mean`.
+fn new_hub(params: ParamSet, workers: usize, barrier_deadline: Option<Duration>) -> Hub {
+    Hub::new(params, workers, 0.0, 0.0, barrier_deadline)
 }
 
 /// A seat arriving at time zero.
@@ -52,9 +47,15 @@ fn seat(
 }
 
 /// A round's answer as its member reads it: with the server's parameters.
-fn outcome(hub: &Hub, answer: Answer) -> BspOutcome {
+struct Outcome {
+    params: ParamSet,
+    arrived: Option<usize>,
+    expected: usize,
+}
+
+fn outcome(hub: &Hub, answer: Answer) -> Outcome {
     match answer {
-        Answer::Round { arrived, expected } => BspOutcome {
+        Answer::Round { arrived, expected } => Outcome {
             params: hub.ps().snapshot(),
             arrived,
             expected,
@@ -64,13 +65,13 @@ fn outcome(hub: &Hub, answer: Answer) -> BspOutcome {
 }
 
 /// One arrival; `None` while the member is parked.
-fn round(hub: &mut Hub, seat: Seat<'_>, deposit: (ParamSet, usize)) -> Option<BspOutcome> {
+fn round(hub: &mut Hub, seat: Seat<'_>, deposit: (ParamSet, usize)) -> Option<Outcome> {
     let answer = hub.bsp_round(seat, deposit, 1.0, &())?;
     Some(outcome(hub, answer))
 }
 
 /// The released answers, as round outcomes by rank.
-fn released_rounds(hub: &mut Hub) -> Vec<(usize, BspOutcome)> {
+fn released_rounds(hub: &mut Hub) -> Vec<(usize, Outcome)> {
     let answers = hub.drain().into_iter();
     answers.map(|(rank, a)| (rank, outcome(hub, a))).collect()
 }
@@ -83,7 +84,7 @@ fn run_round(
     order: &[usize],
 ) -> (ParamSet, usize) {
     let n = deposits.len();
-    let mut hub = Hub::new(init.clone(), &plan(n), None);
+    let mut hub = new_hub(init.clone(), n, None);
     let mut answers = Vec::new();
     for (i, &rank) in order.iter().enumerate() {
         let out = round(
@@ -161,7 +162,7 @@ fn a_round_closes_on_its_last_arrival_and_applies_the_round_mean() {
 #[test]
 fn forced_close_aggregates_what_is_there_and_a_late_deposit_passes_through() {
     let view = MembershipView::from_events(2, &[], &[]);
-    let mut hub = Hub::new(ps(&[10.0]), &plan(2), Some(ms(10)));
+    let mut hub = new_hub(ps(&[10.0]), 2, Some(ms(10)));
 
     // Rank 0 alone parks; before its deadline the round stays open.
     let at = |now| Seat {
@@ -208,7 +209,7 @@ fn a_rejoiner_waits_for_its_round_without_a_deadline() {
     // Rank 1 is evicted at round 1 and re-enters at round 3; it shows up
     // for round 3 while rank 0 is still at round 1.
     let view = MembershipView::from_events(2, &[(1, 1)], &[(1, 3)]);
-    let mut hub = Hub::new(ps(&[0.0]), &plan(2), Some(Duration::ZERO));
+    let mut hub = new_hub(ps(&[0.0]), 2, Some(Duration::ZERO));
     assert!(round(&mut hub, seat(1, 3, Some(&view), None), (ps(&[2.0]), 1)).is_none());
     // Rounds 1 and 2 have a cohort of one: rank 0 closes them alone, and
     // the early deposit for round 3 must survive both.
@@ -232,6 +233,72 @@ fn a_rejoiner_waits_for_its_round_without_a_deadline() {
     assert_eq!(hub.ps().snapshot().0[0].data(), &[-5.0]);
 }
 
+#[test]
+fn a_view_less_round_closes_when_an_eviction_completes_it() {
+    let init = ps(&[0.0]);
+    let mut hub = new_hub(init.clone(), 4, None);
+    // Ranks 2, 0 and 3 deposit; the classic cohort is all four ranks.
+    for (rank, g) in [(2, 3.0), (0, 6.0), (3, 9.0)] {
+        assert!(round(&mut hub, seat(rank, 0, None, None), (ps(&[g]), 1)).is_none());
+    }
+    assert!(hub.drain().is_empty(), "a round short of rank 1 waits");
+    // Rank 1 dies for good: the cohort is the three left, which deposited.
+    hub.evict(1);
+    let closed = released_rounds(&mut hub);
+    let seen: Vec<(usize, Option<usize>, usize)> = closed
+        .iter()
+        .map(|(rank, out)| (*rank, out.arrived, out.expected))
+        .collect();
+    assert_eq!(
+        seen,
+        [(2, Some(3), 3), (0, None, 4), (3, None, 4)],
+        "the first arrival closes a complete round"
+    );
+    assert_eq!(hub.ps().snapshot().0[0].data(), &[-6.0]);
+    // Later rounds expect the three survivors and close on the last.
+    for (i, rank) in [3, 0, 2].into_iter().enumerate() {
+        let out = round(&mut hub, seat(rank, 1, None, None), (ps(&[3.0]), 1));
+        assert_eq!(
+            out.map(|o| (o.arrived, o.expected)),
+            (i == 2).then_some((Some(3), 3))
+        );
+    }
+    assert_eq!(hub.drain().len(), 2);
+    // An eviction that leaves a round short closes nothing.
+    assert!(round(&mut hub, seat(0, 2, None, None), (ps(&[1.0]), 1)).is_none());
+    hub.evict(3);
+    assert!(hub.drain().is_empty(), "rank 2 still owes round 2");
+}
+
+#[test]
+fn a_close_answers_its_members_in_arrival_order() {
+    // The last arrival closes: the others leave in the order they came.
+    let mut hub = new_hub(ps(&[0.0]), 4, None);
+    for rank in [2, 0, 3] {
+        assert!(round(&mut hub, seat(rank, 0, None, None), (ps(&[1.0]), 1)).is_none());
+    }
+    assert!(round(&mut hub, seat(1, 0, None, None), (ps(&[1.0]), 1)).is_some());
+    let order: Vec<usize> = hub.drain().into_iter().map(|(rank, _)| rank).collect();
+    assert_eq!(order, [2, 0, 3]);
+
+    // A deadline close: the first arrival force-closes, in its place.
+    let view = MembershipView::from_events(4, &[], &[]);
+    let mut hub = new_hub(ps(&[0.0]), 4, Some(ms(10)));
+    for (rank, t) in [(3, 0), (1, 1), (2, 2)] {
+        let at = Seat {
+            now: ms(t),
+            ..seat(rank, 0, Some(&view), None)
+        };
+        assert!(round(&mut hub, at, (ps(&[1.0]), 1)).is_none());
+    }
+    assert_eq!(hub.next_deadline(), Some(ms(10)));
+    hub.tick(ms(10), &());
+    let closed = released_rounds(&mut hub);
+    let seen: Vec<(usize, Option<usize>)> = closed.iter().map(|(r, o)| (*r, o.arrived)).collect();
+    assert_eq!(seen, [(3, Some(3)), (1, None), (2, None)]);
+    assert_eq!(hub.next_deadline(), None, "nothing parks past a close");
+}
+
 /// Records the server state each hook sees.
 #[derive(Default)]
 struct Recorder(RefCell<Vec<(&'static str, f32)>>);
@@ -252,14 +319,14 @@ impl CloseHooks for Recorder {
 
 #[test]
 fn close_hooks_run_on_the_closer_around_the_apply() {
-    let mut hub = Hub::new(ps(&[1.0]), &plan(1), None);
+    let mut hub = new_hub(ps(&[1.0]), 1, None);
     let hooks = Recorder::default();
     hub.bsp_round(seat(0, 0, None, None), (ps(&[1.0]), 1), 0.5, &hooks);
     assert_eq!(*hooks.0.borrow(), [("before", 1.0), ("after", 0.5)]);
 
     // A round force-closed by the clock runs the hooks the tick was given.
     let view = MembershipView::from_events(2, &[], &[]);
-    let mut hub = Hub::new(ps(&[1.0]), &plan(2), Some(Duration::ZERO));
+    let mut hub = new_hub(ps(&[1.0]), 2, Some(Duration::ZERO));
     let hooks = Recorder::default();
     let arrival = hub.bsp_round(seat(0, 0, Some(&view), None), (ps(&[1.0]), 1), 0.5, &hooks);
     assert!(arrival.is_none());
@@ -270,7 +337,7 @@ fn close_hooks_run_on_the_closer_around_the_apply() {
 
 #[test]
 fn token_goes_waiting_ready_taken() {
-    let mut hub = Hub::new(ps(&[0.0]), &plan(4), None);
+    let mut hub = new_hub(ps(&[0.0]), 4, None);
     let token = hub.exchange_request(2, 1, ps(&[8.0]));
     assert!(hub.exchange_await(token, Some(ms(5))).is_none(), "parks");
     hub.tick(ms(4), &());
@@ -332,7 +399,7 @@ fn token_goes_waiting_ready_taken() {
 
 #[test]
 fn evict_resolves_waiting_tokens_and_synthesizes_done_once() {
-    let mut hub = Hub::new(ps(&[0.0]), &plan(4), None);
+    let mut hub = new_hub(ps(&[0.0]), 4, None);
     hub.bump_clock(1, 7);
     hub.bump_clock(2, 7);
     hub.bump_clock(3, 7);
@@ -430,7 +497,7 @@ fn evict_resolves_waiting_tokens_and_synthesizes_done_once() {
 
 #[test]
 fn retire_resolves_requests_a_finished_rank_will_never_serve() {
-    let mut hub = Hub::new(ps(&[0.0]), &plan(2), None);
+    let mut hub = new_hub(ps(&[0.0]), 2, None);
     let token = hub.exchange_request(0, 1, ps(&[1.0]));
     assert!(hub.exchange_await(token, None).is_none());
     hub.retire(1);
@@ -446,7 +513,7 @@ fn retire_resolves_requests_a_finished_rank_will_never_serve() {
 
 #[test]
 fn mailboxes_route_by_rank() {
-    let mut hub = Hub::new(ps(&[0.0]), &plan(2), None);
+    let mut hub = new_hub(ps(&[0.0]), 2, None);
     hub.gossip_send(1, ps(&[1.0]), 0.5);
     hub.gossip_send(1, ps(&[2.0]), 0.25);
     hub.gossip_send(7, ps(&[3.0]), 0.1); // outside the cohort: ignored
@@ -480,7 +547,7 @@ fn mailboxes_route_by_rank() {
 #[test]
 fn shutdown_releases_every_kind_of_waiter() {
     let view = MembershipView::from_events(5, &[], &[]);
-    let mut hub = Hub::new(ps(&[1.0]), &plan(5), None);
+    let mut hub = new_hub(ps(&[1.0]), 5, None);
     let token = hub.exchange_request(2, 3, ps(&[1.0]));
     // Each would wait forever: an empty mailbox, an empty collective
     // mailbox, an unanswered token, a round short of its cohort with no

@@ -22,7 +22,7 @@ use dtrain_faults::{markers, CheckpointStore};
 use dtrain_models::mlp_classifier;
 use dtrain_nn::{ParamSet, SgdMomentum};
 use dtrain_obs::{names, ObsSink, Track, TrackHandle};
-use dtrain_runtime::hub::{final_cohort, Answer, Hub, PeerItem, Reply, Seat};
+use dtrain_runtime::hub::{Answer, Hub, PeerItem, Reply, Seat};
 use dtrain_runtime::PsState;
 use parking_lot::{Condvar, Mutex};
 
@@ -146,7 +146,9 @@ impl Coord {
         if let Some(p) = &cfg.initial_params {
             init_net.set_params(p);
         }
-        let hub = Hub::new(init_net.get_params(), &cfg.plan, Some(cfg.barrier_deadline));
+        let hub = cfg
+            .plan
+            .hub(init_net.get_params(), Some(cfg.barrier_deadline));
         let workers = cfg.plan.workers;
         Coord {
             ps: Arc::clone(hub.ps()),
@@ -838,12 +840,10 @@ impl ProcRun {
         let cfg = &self.coord.cfg;
         let state = self.coord.state.lock();
         let core = &state.core;
-        let (mean, _drift) = final_cohort(
-            &core.replicas(),
-            Some(&core.view()),
-            &cfg.plan,
-            cfg.task.train_size,
-        );
+        let view = core.view();
+        let (mean, _drift) =
+            cfg.plan
+                .final_cohort(&core.replicas(), Some(&view), cfg.task.train_size);
         let mut eval_net = mlp_classifier(
             cfg.task.input_dim,
             &cfg.hidden,

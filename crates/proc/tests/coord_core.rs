@@ -46,7 +46,6 @@ use dtrain_obs::names;
 use dtrain_proc::coord_core::{CoordCore, Effect, Outcome, Phase};
 use dtrain_proc::{Inbound, ProcConfig, RejoinSpec, ResumeDecision};
 use dtrain_runtime::hub::{Answer, Hub, PeerItem, Reply, Seat};
-use dtrain_runtime::RunPlan;
 use rand::prelude::*;
 
 const WINDOW: Duration = Duration::from_millis(100);
@@ -197,14 +196,10 @@ impl World {
         let pause_at = rng
             .gen_bool(0.3)
             .then(|| (rng.gen_range(0..ranks), rng.gen_range(1..5)));
-        let plan = RunPlan {
-            workers: ranks,
-            ..RunPlan::default()
-        };
         World {
             rng,
             core: CoordCore::new(&config(ranks, rejoin, pause_at)),
-            hub: Hub::new(empty(), &plan, Some(BARRIER)),
+            hub: Hub::new(empty(), ranks, 0.0, 0.0, Some(BARRIER)),
             ranks,
             rejoin,
             procs: (0..ranks)

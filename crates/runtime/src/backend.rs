@@ -34,7 +34,7 @@ use std::time::Duration;
 
 use crossbeam_channel::Sender;
 use dtrain_cluster::CollectiveSchedule;
-use dtrain_faults::Algo;
+use dtrain_faults::{Algo, Hub, MembershipView};
 use dtrain_nn::{ParamSet, SgdMomentum};
 
 /// The path-agnostic slice of a run configuration: everything
@@ -75,6 +75,47 @@ impl Default for RunPlan {
             collective: CollectiveSchedule::Flat,
             gpus_per_machine: 2,
         }
+    }
+}
+
+impl RunPlan {
+    /// The hub a run of this plan starts from, its server at `params`.
+    pub fn hub(&self, params: ParamSet, barrier_deadline: Option<Duration>) -> Hub {
+        Hub::new(
+            params,
+            self.workers,
+            self.momentum,
+            self.weight_decay,
+            barrier_deadline,
+        )
+    }
+
+    /// The trained model of a finished run: the mean of the replicas of the
+    /// ranks live at the run's last round (every replica handed in when
+    /// there is no view or none of them was live), and the max elementwise
+    /// distance of a cohort replica from that mean. An evicted rank's stale
+    /// replica is not part of the trained model.
+    pub fn final_cohort(
+        &self,
+        replicas: &[(usize, &ParamSet)],
+        view: Option<&MembershipView>,
+        train_len: usize,
+    ) -> (ParamSet, f32) {
+        let rounds = self.epochs * (train_len / self.workers / self.batch) as u64;
+        let live = view.map_or(Vec::new(), |v| v.live_at(rounds.saturating_sub(1)));
+        let mut cohort: Vec<&ParamSet> = replicas
+            .iter()
+            .filter(|(rank, _)| live.contains(rank))
+            .map(|&(_, p)| p)
+            .collect();
+        if cohort.is_empty() {
+            cohort = replicas.iter().map(|&(_, p)| p).collect();
+        }
+        let mean = ParamSet::mean_of(&cohort);
+        let drift = cohort
+            .iter()
+            .fold(0.0f32, |m, p| m.max(p.max_abs_diff(&mean)));
+        (mean, drift)
     }
 }
 

@@ -27,9 +27,9 @@ use dtrain_obs::{ObsSink, Track, TrackHandle};
 use parking_lot::Mutex;
 
 use crate::backend::{BspOutcome, ExecBackend, PeerRequest, ReplyToken, RunPlan};
-use crate::hub::{final_cohort, Answer, CloseHooks, Hub, PeerItem, Reply, Seat};
-use crate::strategy::PsState;
+use crate::hub::{Answer, CloseHooks, Hub, PeerItem, Reply, Seat};
 use crate::worker::worker_body;
+use crate::PsState;
 
 /// Checkpoint-store owner key for the shared parameter server (workers use
 /// their own index; mirrors the simulator's `PS_OWNER_BASE` convention).
@@ -246,11 +246,18 @@ impl FaultRuntime {
         }
     }
 
+    fn now_ns(&self) -> u64 {
+        self.started.elapsed().as_nanos() as u64
+    }
+}
+
+/// The PS fault hooks run on whichever call closes a BSP round.
+impl CloseHooks for FaultRuntime {
     /// Consume any PS outage whose window start the global iteration
     /// counter has crossed: the server state rolls back to its last
     /// checkpoint and clients stall for the recovery backoff (scaled by
     /// the window length).
-    fn ps_gate(&self, ps: &PsState) {
+    fn before_apply(&self, ps: &PsState) {
         let k = self.global_iters.load(Ordering::Relaxed);
         let due = {
             let mut pending = self.pending_outages.lock();
@@ -281,31 +288,12 @@ impl FaultRuntime {
     }
 
     /// Count one PS apply; checkpoint the server state on the cadence.
-    fn ps_applied(&self, ps: &PsState) {
+    fn after_apply(&self, ps: &PsState) {
         let n = self.ps_applies.fetch_add(1, Ordering::Relaxed) + 1;
         if self.store.due(n) {
             let g = ps.global.lock();
             self.store.save(PS_OWNER, n, &g.0, &g.1);
             markers::ckpt_save(&self.obs, self.now_ns(), n);
-        }
-    }
-
-    fn now_ns(&self) -> u64 {
-        self.started.elapsed().as_nanos() as u64
-    }
-}
-
-/// The PS fault hooks run on whichever call closes a BSP round.
-impl CloseHooks for Option<&FaultRuntime> {
-    fn before_apply(&self, ps: &PsState) {
-        if let Some(fr) = self {
-            fr.ps_gate(ps)
-        }
-    }
-
-    fn after_apply(&self, ps: &PsState) {
-        if let Some(fr) = self {
-            fr.ps_applied(ps)
         }
     }
 }
@@ -690,11 +678,8 @@ where
             fc.schedule.crashes
         );
     }
-    let hub = Hub::new(
-        factory().get_params(),
-        &plan,
-        elastic.map(|e| Duration::from_nanos(e.cfg.barrier_deadline.as_nanos())),
-    );
+    let deadline = elastic.map(|e| Duration::from_nanos(e.cfg.barrier_deadline.as_nanos()));
+    let hub = plan.hub(factory().get_params(), deadline);
     let ps = Arc::clone(hub.ps());
     let hub = Mutex::new(hub);
     let (slots, answers): (Vec<_>, Vec<_>) = (0..cfg.workers)
@@ -763,7 +748,7 @@ where
         .enumerate()
         .map(|(w, (p, _))| (w, p))
         .collect();
-    let (mean, drift) = final_cohort(&replicas, elastic.map(|e| &*e.view), &plan, train.len());
+    let (mean, drift) = plan.final_cohort(&replicas, elastic.map(|e| &*e.view), train.len());
     let mut eval_net = factory();
     eval_net.set_params(&mean);
     let (x, y) = test.as_batch();

@@ -30,8 +30,6 @@ pub mod adaptive;
 pub mod backend;
 pub mod collective;
 mod engine;
-pub mod hub;
-mod strategy;
 pub mod sync;
 mod worker;
 
@@ -41,11 +39,11 @@ pub use collective::hier_bsp_exchange;
 /// The algorithm vocabulary under its former real-path name, kept only for
 /// `perf/`, which still spells it.
 pub use dtrain_faults::Algo as Strategy;
+/// The exchange hub, which `dtrain-faults` holds beneath all three paths.
+pub use dtrain_faults::{hub, Hub, PsState};
 pub use engine::{
     default_workers, train_threaded, train_threaded_observed, RuntimeFaultConfig, ThreadedConfig,
     ThreadedReport,
 };
-pub use hub::Hub;
-pub use strategy::PsState;
 pub use sync::ElasticBarrier;
 pub use worker::{worker_body, WorkerOutcome};
