@@ -264,11 +264,34 @@ fn elastic_markers_appear_in_canonical_traces() {
     use dtrain_desim::SimTime;
     use dtrain_faults::ElasticConfig;
 
-    // Loss + rejoin under BSP: eviction, the degraded round, re-entry.
+    // Loss + rejoin under BSP: eviction, re-entry.
     let trace = canonical_trace(&record(&elastic_bsp_cfg()));
-    for name in ["member.evict", "member.rejoin", "barrier.partial"] {
+    for name in ["member.evict", "member.rejoin"] {
         assert!(trace.contains(name), "BSP loss/rejoin trace lacks {name}");
     }
+
+    // A live member 16x slower than the rest under BSP: each round waits
+    // out its barrier deadline and closes degraded, without it.
+    let trace = {
+        let mut cfg = golden_cfg(Algo::Bsp);
+        cfg.opts.local_aggregation = false;
+        cfg.faults = Some(FaultConfig {
+            schedule: FaultSchedule::new(vec![FaultEvent {
+                at: SimTime::ZERO,
+                kind: FaultKind::Straggler {
+                    worker: 1,
+                    slowdown: 16.0,
+                },
+            }]),
+            checkpoint_interval: 4,
+            elastic: Some(ElasticConfig::default()),
+        });
+        canonical_trace(&record(&cfg))
+    };
+    assert!(
+        trace.contains("barrier.partial"),
+        "BSP straggler trace lacks barrier.partial"
+    );
 
     // PS-shard machine loss under ASP: the shard re-homes.
     let trace = {
