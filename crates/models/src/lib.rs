@@ -13,4 +13,4 @@ pub mod profile;
 pub mod trainable;
 
 pub use profile::{resnet50, uniform_profile, vgg16, LayerProfile, ModelProfile};
-pub use trainable::{default_mlp, mini_resnet, mlp_classifier, small_cnn};
+pub use trainable::{default_mlp, mini_resnet, mlp_classifier, small_cnn, zeroed_mlp};

@@ -19,18 +19,38 @@ use rand::SeedableRng;
 /// a real system).
 pub fn mlp_classifier(input_dim: usize, hidden: &[usize], classes: usize, seed: u64) -> Network {
     let mut rng = SmallRng::seed_from_u64(seed);
+    mlp(input_dim, hidden, classes, |name, i, o| {
+        Dense::new(name, i, o, &mut rng)
+    })
+}
+
+/// [`mlp_classifier`]'s network with every parameter zero: the same layers,
+/// names and layout, no weight drawn. For a replica whose parameters are
+/// set before it is used — a process-path worker adopting the
+/// coordinator's, an evaluator the cohort's mean — which would otherwise
+/// pay for a He-init it overwrites at once.
+pub fn zeroed_mlp(input_dim: usize, hidden: &[usize], classes: usize) -> Network {
+    mlp(input_dim, hidden, classes, Dense::zeroed)
+}
+
+/// The MLP's layer stack, each dense layer built by `dense(name, in, out)`.
+fn mlp(
+    input_dim: usize,
+    hidden: &[usize],
+    classes: usize,
+    mut dense: impl FnMut(String, usize, usize) -> Dense,
+) -> Network {
     let mut layers: Vec<Box<dyn dtrain_nn::Layer>> = Vec::new();
     let mut d = input_dim;
     for (i, &h) in hidden.iter().enumerate() {
-        layers.push(Box::new(Dense::new(format!("dense{i}"), d, h, &mut rng)));
+        layers.push(Box::new(dense(format!("dense{i}"), d, h)));
         layers.push(Box::new(Relu::new(format!("relu{i}"))));
         d = h;
     }
-    layers.push(Box::new(Dense::new(
+    layers.push(Box::new(dense(
         format!("dense{}", hidden.len()),
         d,
         classes,
-        &mut rng,
     )));
     Network::new(layers)
 }
@@ -158,6 +178,7 @@ pub fn mini_resnet(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dtrain_nn::ParamSet;
     use dtrain_tensor::Tensor;
 
     #[test]
@@ -176,6 +197,38 @@ mod tests {
         assert_eq!(y.shape(), &[2, 3]);
         assert_eq!(net.num_params(), 6 * 4 + 4 + 4 * 3 + 3);
         assert_eq!(net.layout().groups.len(), 2);
+    }
+
+    /// `zeroed_mlp` is `mlp_classifier` without the draw: the same
+    /// layout, and once both hold the same parameters a training step
+    /// computes the same loss and gradients, bit for bit.
+    #[test]
+    fn zeroed_mlp_trains_as_mlp_classifier_once_set() {
+        let bits = |p: &ParamSet| -> Vec<u32> {
+            p.0.iter()
+                .flat_map(|t| t.data().iter().map(|v| v.to_bits()))
+                .collect()
+        };
+        let (dims, hidden, classes) = (6, [5, 4], 3);
+        let mut drawn = mlp_classifier(dims, &hidden, classes, 11);
+        let mut zeroed = zeroed_mlp(dims, &hidden, classes);
+        assert_eq!(zeroed.layout(), drawn.layout());
+        assert!(
+            bits(&zeroed.get_params()).iter().all(|&b| b == 0),
+            "no draw"
+        );
+
+        let p = mlp_classifier(dims, &hidden, classes, 29).get_params();
+        drawn.set_params(&p);
+        zeroed.set_params(&p);
+        let mut rng = SmallRng::seed_from_u64(3);
+        let x = Tensor::randn(&[4, dims], 1.0, &mut rng);
+        let labels = [0, 2, 1, 2];
+        let (loss_a, acc_a) = drawn.train_batch(x.clone(), &labels);
+        let (loss_b, acc_b) = zeroed.train_batch(x, &labels);
+        assert_eq!(loss_a.to_bits(), loss_b.to_bits());
+        assert_eq!(acc_a.to_bits(), acc_b.to_bits());
+        assert_eq!(bits(&drawn.grads()), bits(&zeroed.grads()));
     }
 
     #[test]

@@ -73,9 +73,24 @@ pub struct Dense {
 
 impl Dense {
     pub fn new(name: impl Into<String>, in_dim: usize, out_dim: usize, rng: &mut impl Rng) -> Self {
+        Dense::with_weight(
+            name.into(),
+            Tensor::he_init(&[out_dim, in_dim], in_dim, rng),
+        )
+    }
+
+    /// The layer's shapes with every parameter zero, for a replica whose
+    /// parameters are overwritten before use: no weight is drawn.
+    pub fn zeroed(name: impl Into<String>, in_dim: usize, out_dim: usize) -> Self {
+        Dense::with_weight(name.into(), Tensor::zeros(&[out_dim, in_dim]))
+    }
+
+    /// A layer around `weight[out, in]`, its bias and gradients zero.
+    fn with_weight(name: String, weight: Tensor) -> Self {
+        let (out_dim, in_dim) = (weight.shape()[0], weight.shape()[1]);
         Dense {
-            name: name.into(),
-            weight: Tensor::he_init(&[out_dim, in_dim], in_dim, rng),
+            name,
+            weight,
             bias: Tensor::zeros(&[out_dim]),
             dweight: Tensor::zeros(&[out_dim, in_dim]),
             dbias: Tensor::zeros(&[out_dim]),

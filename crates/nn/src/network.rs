@@ -124,6 +124,23 @@ impl Network {
         )
     }
 
+    /// The gradients of the most recent backward pass, lent in
+    /// [`Self::grads`]'s order: for a caller that only reads them, such as
+    /// a transport encoding them onto the wire.
+    pub fn grad_refs(&self) -> Vec<&Tensor> {
+        self.layers.iter().flat_map(|l| l.grads()).collect()
+    }
+
+    /// Every trainable parameter tensor, writable, in [`Self::get_params`]'s
+    /// order: for a caller that fills them in place, such as a transport
+    /// decoding the wire's floats straight into them.
+    pub fn params_mut(&mut self) -> Vec<&mut Tensor> {
+        self.layers
+            .iter_mut()
+            .flat_map(|l| l.params_mut())
+            .collect()
+    }
+
     /// Per-layer structure of the parameter set (only layers with params).
     pub fn layout(&self) -> ParamLayout {
         let mut groups = Vec::new();

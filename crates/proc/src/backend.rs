@@ -35,12 +35,12 @@ use std::net::{Shutdown, TcpStream};
 use std::time::{Duration, Instant};
 
 use dtrain_faults::{ChaosAction, ChaosSpec};
-use dtrain_nn::{ParamSet, SgdMomentum};
+use dtrain_nn::{Network, ParamSet, SgdMomentum};
 use dtrain_runtime::{BspOutcome, ExecBackend, PeerRequest, ReplyToken};
 use rand::rngs::SmallRng;
 
-use crate::codec::{encode_frame, CodecError, Enc};
-use crate::proto::{scalar_and_set, t, Msg};
+use crate::codec::{encode_frame, read_frame_into, CodecError, Dec, Enc};
+use crate::proto::{self, scalar_and_set, t, Msg};
 
 /// Transport knobs for one worker's coordinator link.
 #[derive(Clone, Debug)]
@@ -239,6 +239,13 @@ impl ProcBackend {
     }
 
     fn rpc(&mut self, req: impl Request) -> Result<Msg, CodecError> {
+        let ty = self.call(req)?;
+        Msg::decode(ty, &self.payload)
+    }
+
+    /// Send `req` and take its reply's frame: returns the message type and
+    /// leaves the payload in `self.payload` for the caller to decode.
+    fn call(&mut self, req: impl Request) -> Result<u8, CodecError> {
         self.seq += 1;
         let seq = self.seq;
         let mut frame = std::mem::take(&mut self.frame);
@@ -246,7 +253,7 @@ impl ProcBackend {
         let sent = matches!(self.send_with_chaos(&frame), Ok(true));
         // A read error falls through to recovery.
         let reply = match sent.then(|| self.read_reply(seq)) {
-            Some(Ok(m)) => Ok(m),
+            Some(Ok(ty)) => Ok(ty),
             _ => self.recover(&frame, seq),
         };
         self.frame = frame;
@@ -256,11 +263,11 @@ impl ProcBackend {
     /// Read frames until the reply for `seq` arrives, discarding stale
     /// duplicated replies (chaos `Duplicate` makes the coordinator replay
     /// cached replies the worker already consumed).
-    fn read_reply(&mut self, seq: u32) -> Result<Msg, CodecError> {
+    fn read_reply(&mut self, seq: u32) -> Result<u8, CodecError> {
         loop {
-            let (rseq, msg) = Msg::read_from(&mut self.reader, &mut self.payload)?;
+            let (ty, rseq) = read_frame_into(&mut self.reader, &mut self.payload)?;
             if rseq == seq {
-                return Ok(msg);
+                return Ok(ty);
             }
         }
     }
@@ -313,9 +320,10 @@ impl ProcBackend {
     }
 
     /// Reconnect-with-resume: bounded exponential backoff inside the
-    /// reconnect window. Returns the awaited reply, or the error that ends
-    /// this process once the window expires.
-    fn recover(&mut self, frame: &[u8], seq: u32) -> Result<Msg, CodecError> {
+    /// reconnect window. Returns the awaited reply's type (its payload in
+    /// `self.payload`), or the error that ends this process once the
+    /// window expires.
+    fn recover(&mut self, frame: &[u8], seq: u32) -> Result<u8, CodecError> {
         // Tear the old socket down so the coordinator's handler observes
         // the disconnect now and starts its eviction window.
         let _ = self.stream.shutdown(Shutdown::Both);
@@ -325,8 +333,8 @@ impl ProcBackend {
         loop {
             attempt += 1;
             if !self.severed {
-                if let Ok(Some(msg)) = self.try_resume(frame, seq, attempt) {
-                    return Ok(msg);
+                if let Ok(Some(ty)) = self.try_resume(frame, seq, attempt) {
+                    return Ok(ty);
                 }
             }
             if Instant::now() + delay >= deadline {
@@ -350,7 +358,7 @@ impl ProcBackend {
         frame: &[u8],
         seq: u32,
         attempt: u32,
-    ) -> Result<Option<Msg>, CodecError> {
+    ) -> Result<Option<u8>, CodecError> {
         let stream = TcpStream::connect(&self.addr)?;
         stream.set_nodelay(true).ok();
         stream.set_read_timeout(Some(Duration::from_secs(120))).ok();
@@ -363,9 +371,9 @@ impl ProcBackend {
         }
         .write_to(&mut self.stream, seq)?;
         loop {
-            let (rseq, msg) = Msg::read_from(&mut self.reader, &mut self.payload)?;
-            match msg {
-                Msg::ResumeAck => {
+            let (ty, rseq) = read_frame_into(&mut self.reader, &mut self.payload)?;
+            match ty {
+                t::RESUME_ACK => {
                     // The request never arrived: resend it — back through
                     // the chaos interposer, a retransmit can be damaged
                     // too.
@@ -374,7 +382,7 @@ impl ProcBackend {
                         Ok(false) | Err(_) => return Ok(None),
                     }
                 }
-                m if rseq == seq => return Ok(Some(m)),
+                ty if rseq == seq => return Ok(Some(ty)),
                 _ => {} // stale duplicate
             }
         }
@@ -422,6 +430,16 @@ impl ProcBackend {
             }
             other => panic!("worker {}: expected BspResult, got {other:?}", self.w),
         }
+    }
+
+    /// Decode the `BspResult` in `self.payload`, its parameters straight
+    /// into `net`'s: `(leader, checkpoint, arrived, expected)`.
+    fn bsp_result_into(&self, net: &mut Network) -> Result<(bool, bool, u32, u32), CodecError> {
+        let mut d = Dec::new(&self.payload);
+        let head = (d.u8()? != 0, d.u8()? != 0, d.u32()?, d.u32()?);
+        d.params_into(&mut net.params_mut())?;
+        d.done()?;
+        Ok(head)
     }
 
     /// An explicit heartbeat announcing `round`; returns the checkpoint
@@ -517,6 +535,26 @@ impl ExecBackend for ProcBackend {
 
     fn bsp_exchange(&mut self, round: u64, grad: ParamSet, lr: f32) -> BspOutcome {
         self.bsp_deposit(round, Msg::BspExchange { round, lr, grad })
+    }
+
+    /// The push is written from `net`'s gradients and the answer's floats
+    /// decoded into its parameters: neither is copied into a set of its
+    /// own on the way.
+    fn bsp_round(&mut self, round: u64, net: &mut Network, lr: f32) -> (Option<usize>, usize) {
+        let push = |e: &mut Enc| proto::bsp_exchange(e, round, lr, net.grad_refs());
+        let w = self.w;
+        let ty = self
+            .call(push)
+            .unwrap_or_else(|e| panic!("worker {w}: coordinator RPC failed: {e}"));
+        if ty != t::BSP_RESULT {
+            let other = Msg::decode(ty, &self.payload);
+            panic!("worker {w}: expected BspResult, got {other:?}");
+        }
+        let (leader, checkpoint, arrived, expected) = self
+            .bsp_result_into(net)
+            .unwrap_or_else(|e| panic!("worker {w}: BspResult does not fit the model: {e}"));
+        self.carried = Some((round, checkpoint));
+        (leader.then_some(arrived as usize), expected as usize)
     }
 
     fn coll_send(&mut self, target: usize, params: ParamSet) {

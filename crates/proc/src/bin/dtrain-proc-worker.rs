@@ -3,11 +3,16 @@
 //!
 //! Spawned by the coordinator as
 //! `dtrain-proc-worker --addr <host:port> --worker <rank> --cfg <packed>`.
+//!
+//! The replica is built with its shapes alone, every parameter zero, and
+//! never He-initialised: the `HelloAck` hands it the coordinator's current
+//! globals, which overwrite every parameter before the first step. The
+//! coordinator draws the initial weights once, for the whole run.
 
 use std::time::{Duration, Instant};
 
 use dtrain_data::teacher_task;
-use dtrain_models::mlp_classifier;
+use dtrain_models::zeroed_mlp;
 use dtrain_obs::{ObsSink, Track};
 use dtrain_proc::config::decode_worker_cfg;
 use dtrain_proc::{LinkOpts, ProcBackend};
@@ -32,12 +37,7 @@ fn main() {
     let wc = decode_worker_cfg(&cfg_str).unwrap_or_else(|e| die(&format!("bad --cfg: {e}")));
 
     let (train, _test) = teacher_task(&wc.task);
-    let mut net = mlp_classifier(
-        wc.task.input_dim,
-        &wc.hidden,
-        wc.task.num_classes,
-        wc.model_seed,
-    );
+    let mut net = zeroed_mlp(wc.task.input_dim, &wc.hidden, wc.task.num_classes);
     let link = LinkOpts {
         reconnect_window: wc.reconnect_window,
         chaos: match wc.chaos_rank {
@@ -59,8 +59,8 @@ fn main() {
         link,
     )
     .unwrap_or_else(|e| die(&format!("worker {worker}: connect to {addr} failed: {e}")));
-    // Adopt the coordinator's current globals (bit-identical to the local
-    // init for a fresh run; the live state for a rejoin replacement).
+    // Adopt the coordinator's current globals (its initial draw for a fresh
+    // run; the live state for a rejoin replacement).
     net.set_params(backend.initial_params());
 
     // Worker-side events die with the process; the coordinator emits the

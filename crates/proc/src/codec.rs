@@ -102,7 +102,7 @@ impl From<io::Error> for CodecError {
 /// Frame bytes ahead of the payload: version, type, len, seq.
 const HEADER_LEN: usize = 10;
 /// Frame bytes after it: the CRC.
-const TRAILER_LEN: usize = 4;
+pub(crate) const TRAILER_LEN: usize = 4;
 
 /// Build one complete frame in `frame` — header, the payload `fill` writes
 /// (it returns the message type, and so does this), CRC trailer — so the
@@ -236,10 +236,22 @@ impl Enc {
     /// a frame trailer) is reserved once and each tensor's floats move as
     /// one block.
     pub fn params(&mut self, p: &ParamSet) -> &mut Self {
-        let bytes = params_wire_len(p.0.iter().map(|t| (t.shape().len(), t.data().len() as u64)));
-        self.buf.reserve(bytes as usize + TRAILER_LEN);
-        self.u32(p.0.len() as u32);
-        for t in &p.0 {
+        self.tensors(&p.0)
+    }
+
+    /// [`Self::params`] from tensors the caller lends — a network's own
+    /// gradients, say — with the same bytes and no set cloned to hold them.
+    pub(crate) fn tensors<'t, I>(&mut self, tensors: I) -> &mut Self
+    where
+        I: IntoIterator<Item = &'t Tensor>,
+        I::IntoIter: Clone,
+    {
+        let tensors = tensors.into_iter();
+        let sizes = tensors.clone().map(|t| (t.shape().len(), t.len() as u64));
+        self.buf
+            .reserve(params_wire_len(sizes) as usize + TRAILER_LEN);
+        self.u32(tensors.clone().count() as u32);
+        for t in tensors {
             let shape = t.shape();
             self.u8(shape.len() as u8);
             for &d in shape {
@@ -248,8 +260,9 @@ impl Enc {
             let data = t.data();
             let at = self.buf.len();
             self.buf.resize(at + 4 * data.len(), 0);
-            for (dst, v) in self.buf[at..].chunks_exact_mut(4).zip(data) {
-                dst.copy_from_slice(&v.to_le_bytes());
+            let (dst, _) = self.buf[at..].as_chunks_mut::<4>();
+            for (dst, v) in dst.iter_mut().zip(data) {
+                *dst = v.to_le_bytes();
             }
         }
         self
@@ -313,35 +326,73 @@ impl<'a> Dec<'a> {
     }
 
     pub fn params(&mut self) -> Result<ParamSet, CodecError> {
-        let ntensors = self.u32()? as usize;
-        // A tensor costs at least 1 byte of rank on the wire; reject counts
-        // the remaining payload cannot possibly hold.
-        if ntensors > self.buf.len().saturating_sub(self.pos) {
-            return Err(CodecError::Malformed("tensor count exceeds payload"));
-        }
+        let ntensors = self.tensor_count()?;
         let mut tensors = Vec::with_capacity(ntensors);
         for _ in 0..ntensors {
             let rank = self.u8()? as usize;
             let mut shape = Vec::with_capacity(rank);
-            let mut len = 1usize;
             for _ in 0..rank {
-                let d = self.u32()? as usize;
-                len = len
-                    .checked_mul(d)
-                    .ok_or(CodecError::Malformed("dim overflow"))?;
-                shape.push(d);
+                shape.push(self.u32()? as usize);
             }
-            let nbytes = len
-                .checked_mul(4)
-                .ok_or(CodecError::Malformed("dim overflow"))?;
-            // `take` is the one (exact) bounds check for the whole block.
             let data = self
-                .take(nbytes)?
-                .chunks_exact(4)
-                .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+                .floats(&shape)?
+                .iter()
+                .map(|&b| f32::from_le_bytes(b))
                 .collect();
             tensors.push(Tensor::from_vec(&shape, data));
         }
         Ok(ParamSet(tensors))
+    }
+
+    /// [`Self::params`] straight into `dst`, a set of tensors already
+    /// shaped as the payload must be — a network's own parameters, say —
+    /// with the same bits and no set allocated to hold them. A tensor
+    /// count, rank or dimension that differs from `dst`'s, or a payload
+    /// too short, is [`CodecError::Malformed`], found before any float of
+    /// `dst` is written.
+    pub fn params_into(&mut self, dst: &mut [&mut Tensor]) -> Result<(), CodecError> {
+        if self.tensor_count()? != dst.len() {
+            return Err(CodecError::Malformed("tensor count mismatch"));
+        }
+        let mut blocks = Vec::with_capacity(dst.len());
+        for t in dst.iter() {
+            let shape = t.shape();
+            if self.u8()? as usize != shape.len() {
+                return Err(CodecError::Malformed("tensor rank mismatch"));
+            }
+            for &d in shape {
+                if self.u32()? as usize != d {
+                    return Err(CodecError::Malformed("tensor dim mismatch"));
+                }
+            }
+            blocks.push(self.floats(shape)?);
+        }
+        for (t, block) in dst.iter_mut().zip(blocks) {
+            for (v, &b) in t.data_mut().iter_mut().zip(block) {
+                *v = f32::from_le_bytes(b);
+            }
+        }
+        Ok(())
+    }
+
+    /// A set's `u32 ntensors`, rejected when the remaining payload cannot
+    /// possibly hold that many: a tensor costs at least 1 byte of rank.
+    fn tensor_count(&mut self) -> Result<usize, CodecError> {
+        let ntensors = self.u32()? as usize;
+        if ntensors > self.buf.len().saturating_sub(self.pos) {
+            return Err(CodecError::Malformed("tensor count exceeds payload"));
+        }
+        Ok(ntensors)
+    }
+
+    /// The float block of a tensor shaped `shape`, as 4-byte chunks.
+    /// `take` is the one (exact) bounds check for the whole block.
+    fn floats(&mut self, shape: &[usize]) -> Result<&'a [[u8; 4]], CodecError> {
+        let nbytes = shape
+            .iter()
+            .try_fold(1usize, |n, &d| n.checked_mul(d))
+            .and_then(|n| n.checked_mul(4))
+            .ok_or(CodecError::Malformed("dim overflow"))?;
+        Ok(self.take(nbytes)?.as_chunks::<4>().0)
     }
 }

@@ -284,6 +284,14 @@ impl CoordCore {
         &mut self.ranks[w].session.cur_token
     }
 
+    /// The buffer of rank `w`'s reply its latest fresh request made
+    /// obsolete, for the answer to that request to be written into —
+    /// `None` if there is none, or if a writer still holds it.
+    pub(crate) fn take_spare(&mut self, w: usize) -> Option<Vec<u8>> {
+        let spare = self.ranks[w].session.take_spare()?;
+        Arc::try_unwrap(spare).ok()
+    }
+
     pub fn session(&self, w: usize) -> &Session<ReplyFrame> {
         &self.ranks[w].session
     }

@@ -19,18 +19,18 @@ use std::time::{Duration, Instant};
 
 use dtrain_data::teacher_task;
 use dtrain_faults::{markers, CheckpointStore};
-use dtrain_models::mlp_classifier;
+use dtrain_models::{mlp_classifier, zeroed_mlp};
 use dtrain_nn::{ParamSet, SgdMomentum};
 use dtrain_obs::{names, ObsSink, Track, TrackHandle};
 use dtrain_runtime::hub::{Answer, Hub, PeerItem, Reply, Seat};
 use dtrain_runtime::PsState;
 use parking_lot::{Condvar, Mutex};
 
-use crate::codec::{encode_frame, CodecError};
+use crate::codec::{encode_frame, CodecError, TRAILER_LEN};
 use crate::config::{encode_worker_cfg, ProcConfig};
 pub use crate::coord_core::WorkerStats;
 use crate::coord_core::{CoordCore, Effect, Outcome};
-use crate::proto::Msg;
+use crate::proto::{self, Msg};
 use crate::session::{Inbound, ResumeDecision};
 
 /// Why a process-path run failed to launch or finish.
@@ -137,15 +137,16 @@ struct Coord {
 
 impl Coord {
     fn new(cfg: ProcConfig, sink: &ObsSink, exe: std::path::PathBuf, addr: String) -> Coord {
-        let mut init_net = mlp_classifier(
-            cfg.task.input_dim,
-            &cfg.hidden,
-            cfg.task.num_classes,
-            cfg.model_seed,
-        );
-        if let Some(p) = &cfg.initial_params {
-            init_net.set_params(p);
-        }
+        let (dims, classes) = (cfg.task.input_dim, cfg.task.num_classes);
+        let init_net = match &cfg.initial_params {
+            // Every parameter is about to be overwritten: no draw.
+            Some(p) => {
+                let mut net = zeroed_mlp(dims, &cfg.hidden, classes);
+                net.set_params(p);
+                net
+            }
+            None => mlp_classifier(dims, &cfg.hidden, classes, cfg.model_seed),
+        };
         let hub = cfg
             .plan
             .hub(init_net.get_params(), Some(cfg.barrier_deadline));
@@ -206,7 +207,7 @@ impl Coord {
         drop(state);
         effects.into_iter().for_each(|effect| self.apply(effect));
         for (w, (generation, seq), answer, checkpoint) in answers {
-            self.deliver(w, generation, seq, self.reply_msg(answer, checkpoint));
+            self.deliver(w, generation, seq, self.reply(answer, checkpoint));
         }
         out
     }
@@ -284,9 +285,23 @@ impl Coord {
     /// encode the reply once into the frame the session caches and the
     /// socket takes, cache it, then write it to the connection the core
     /// names — none while the link is down (a resume replays the cache).
-    fn deliver(&self, w: usize, generation: u64, seq: u32, reply: Msg) {
-        let mut frame = Vec::new();
-        let rty = encode_frame(&mut frame, seq, |e| reply.encode_into(e));
+    /// The frame is the buffer of the reply that request made obsolete,
+    /// when no writer holds it any more.
+    fn deliver(&self, w: usize, generation: u64, seq: u32, reply: Out) {
+        let mut frame = self.state.lock().core.take_spare(w).unwrap_or_default();
+        let rty = encode_frame(&mut frame, seq, |e| match &reply {
+            Out::Msg(msg) => msg.encode_into(e),
+            // The server's globals, read as they are encoded: no copy.
+            &Out::Round {
+                leader,
+                checkpoint,
+                arrived,
+                expected,
+            } => {
+                let global = self.ps.global.lock();
+                proto::bsp_result(e, leader, checkpoint, arrived, expected, &global.0)
+            }
+        });
         let frame = Arc::new(frame);
         // Encoded, the reply's parameter set is dead weight: free it before
         // the write below blocks on a slow peer.
@@ -326,9 +341,9 @@ impl Coord {
     /// the matching hub call (or core / checkpoint bookkeeping) and encode
     /// the answer. `Ok(None)`: the request parked, and the call that
     /// releases it answers. `Err` for a message type a worker never sends.
-    fn dispatch(&self, w: usize, msg: Msg) -> Result<Option<Msg>, Violation> {
+    fn dispatch(&self, w: usize, msg: Msg) -> Result<Option<Out>, Violation> {
         let ps = &self.ps;
-        Ok(Some(match msg {
+        Ok(Some(Out::Msg(match msg {
             // Test pause gate: a frozen rank's ack is cached but held back,
             // and the worker, which blocks on it, with it.
             Msg::Heartbeat { round } => Msg::HeartbeatAck {
@@ -452,32 +467,33 @@ impl Coord {
                 Msg::Ok // the connection loop ends after this
             }
             _ => return Err(Violation),
-        }))
+        })))
     }
 
     /// Rank `w`'s hub request that can wait: its reply now, or `None` once
     /// parked.
-    fn ask(&self, w: usize, f: impl FnOnce(&mut State) -> Option<Answer>) -> Option<Msg> {
+    fn ask(&self, w: usize, f: impl FnOnce(&mut State) -> Option<Answer>) -> Option<Out> {
         let answer = self.with_state(|s| {
             let answer = f(s)?;
             count_partial(&mut s.core, &answer);
             Some((answer, s.core.checkpoint(w)))
         });
-        answer.map(|(answer, checkpoint)| self.reply_msg(answer, checkpoint))
+        answer.map(|(answer, checkpoint)| self.reply(answer, checkpoint))
     }
 
-    /// The frame that answers a hub request. A round's reply carries the
-    /// fresh parameters, read as it is encoded: one answer's copy at a time,
-    /// and the checkpoint directive of the heartbeat its deposit carried.
-    fn reply_msg(&self, answer: Answer, checkpoint: bool) -> Msg {
-        match answer {
-            Answer::Round { arrived, expected } => Msg::BspResult {
-                leader: arrived.is_some(),
-                checkpoint,
-                arrived: arrived.unwrap_or(0) as u32,
-                expected: expected as u32,
-                params: self.ps.snapshot(),
-            },
+    /// The reply to a hub request. A round's reply carries the fresh
+    /// parameters, read as its frame is encoded, and the checkpoint
+    /// directive of the heartbeat its deposit carried.
+    fn reply(&self, answer: Answer, checkpoint: bool) -> Out {
+        let msg = match answer {
+            Answer::Round { arrived, expected } => {
+                return Out::Round {
+                    leader: arrived.is_some(),
+                    checkpoint,
+                    arrived: arrived.unwrap_or(0) as u32,
+                    expected: expected as u32,
+                }
+            }
             Answer::MinClock(min) => Msg::MinClock { min },
             Answer::Coll(Some((sender, params))) => Msg::CollItem {
                 sender: sender as u32,
@@ -489,7 +505,8 @@ impl Coord {
             }
             Answer::Peer(Some(PeerItem::Done)) => Msg::PeerDone,
             Answer::Coll(None) | Answer::Exchange(_) | Answer::Peer(None) => Msg::Gone,
-        }
+        };
+        Out::Msg(msg)
     }
 
     /// One BSP barrier seat (flat, or hierarchical over `leaders`), with a
@@ -505,7 +522,7 @@ impl Coord {
         leaders: Option<u32>,
         (partial, weight): (ParamSet, u32),
         lr: f32,
-    ) -> Option<Msg> {
+    ) -> Option<Out> {
         let now = self.wall.elapsed();
         self.ask(w, |s| {
             s.core.heartbeat(w, round + 1);
@@ -524,6 +541,19 @@ impl Coord {
 
 /// A well-formed frame carrying a message type no worker sends.
 struct Violation;
+
+/// A reply, as [`Coord::deliver`] encodes it.
+enum Out {
+    Msg(Msg),
+    /// A round's answer: its facts, and the server's globals as they stand
+    /// when the frame is encoded, read under the server's lock.
+    Round {
+        leader: bool,
+        checkpoint: bool,
+        arrived: u32,
+        expected: u32,
+    },
+}
 
 /// The closer of a round that force-closed short of its cohort counts it.
 fn count_partial(core: &mut CoordCore, answer: &Answer) {
@@ -566,11 +596,12 @@ fn handshake(coord: &Arc<Coord>, stream: TcpStream) {
             let Some((start_round, generation)) = admitted else {
                 return;
             };
-            let ack = Msg::HelloAck {
-                start_round,
-                params: coord.ps.snapshot(),
-            };
-            (w, generation, ack.write_to(&mut *link.lock(), seq).is_ok())
+            // The globals, read under the server's lock as they are encoded.
+            let mut ack = Vec::new();
+            encode_frame(&mut ack, seq, |e| {
+                proto::hello_ack(e, start_round, &coord.ps.global.lock().0)
+            });
+            (w, generation, link.lock().write_all(&ack).is_ok())
         }
         Ok((
             seq,
@@ -666,9 +697,11 @@ fn serve_connection(
         // this buffer idle: keep the capacity the frame needed (the next
         // one is the same size), not the up-to-2x slack that growing it by
         // doubling left — per connection that is a model's worth of
-        // nothing. The floor keeps a heartbeat from shrinking it under the
-        // next gradient.
-        payload.shrink_to(64 << 10);
+        // nothing. The read takes the CRC trailer into the buffer too, so
+        // room for it stays, or the next same-size frame would double the
+        // buffer again. The floor keeps a heartbeat from shrinking it under
+        // the next gradient.
+        payload.shrink_to((64 << 10).max(payload.len() + TRAILER_LEN));
         let finished = matches!(msg, Msg::RunComplete { .. });
         match coord.dispatch(w, msg) {
             Ok(Some(reply)) => coord.deliver(w, generation, seq, reply),
@@ -844,12 +877,7 @@ impl ProcRun {
         let (mean, _drift) =
             cfg.plan
                 .final_cohort(&core.replicas(), Some(&view), cfg.task.train_size);
-        let mut eval_net = mlp_classifier(
-            cfg.task.input_dim,
-            &cfg.hidden,
-            cfg.task.num_classes,
-            cfg.model_seed,
-        );
+        let mut eval_net = zeroed_mlp(cfg.task.input_dim, &cfg.hidden, cfg.task.num_classes);
         eval_net.set_params(&mean);
         let (_, test) = teacher_task(&cfg.task);
         let (x, y) = test.as_batch();

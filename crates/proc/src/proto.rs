@@ -18,8 +18,9 @@
 //! the coordinator routes it back to the waiting requester.
 
 use dtrain_nn::ParamSet;
+use dtrain_tensor::Tensor;
 
-use crate::codec::{read_frame_into, write_frame, CodecError, Dec, Enc};
+use crate::codec::{encode_frame, read_frame_into, CodecError, Dec, Enc};
 
 /// Every frame that crosses a worker/coordinator connection.
 #[derive(Debug, Clone)]
@@ -230,6 +231,45 @@ pub(crate) fn scalar_and_set(e: &mut Enc, ty: u8, scalar: f32, set: &ParamSet) -
     ty
 }
 
+// The model-sized payloads of a BSP run, each a function of its own so its
+// set can be one the caller only lends: the worker's push is written from
+// its network's gradients, and the coordinator's `HelloAck` and round
+// answers from the server's globals, under its lock. `Msg::encode_into`
+// writes those variants through the same functions.
+
+/// Payload of [`Msg::HelloAck`] carrying `params`.
+pub fn hello_ack(e: &mut Enc, start_round: u64, params: &ParamSet) -> u8 {
+    e.u64(start_round).params(params);
+    t::HELLO_ACK
+}
+
+/// Payload of [`Msg::BspExchange`] carrying the tensors `grad` yields.
+pub fn bsp_exchange<'t, I>(e: &mut Enc, round: u64, lr: f32, grad: I) -> u8
+where
+    I: IntoIterator<Item = &'t Tensor>,
+    I::IntoIter: Clone,
+{
+    e.u64(round).f32(lr).tensors(grad);
+    t::BSP_EXCHANGE
+}
+
+/// Payload of [`Msg::BspResult`] carrying `params`.
+pub fn bsp_result(
+    e: &mut Enc,
+    leader: bool,
+    checkpoint: bool,
+    arrived: u32,
+    expected: u32,
+    params: &ParamSet,
+) -> u8 {
+    e.u8(leader as u8)
+        .u8(checkpoint as u8)
+        .u32(arrived)
+        .u32(expected)
+        .params(params);
+    t::BSP_RESULT
+}
+
 impl Msg {
     /// Serialize into `(type, payload)`.
     pub fn encode(&self) -> (u8, Vec<u8>) {
@@ -248,10 +288,7 @@ impl Msg {
             Msg::HelloAck {
                 start_round,
                 params,
-            } => {
-                e.u64(*start_round).params(params);
-                t::HELLO_ACK
-            }
+            } => hello_ack(e, *start_round, params),
             Msg::Heartbeat { round } => {
                 e.u64(*round);
                 t::HEARTBEAT
@@ -294,24 +331,14 @@ impl Msg {
                 e.u64(*min);
                 t::MIN_CLOCK
             }
-            Msg::BspExchange { round, lr, grad } => {
-                e.u64(*round).f32(*lr).params(grad);
-                t::BSP_EXCHANGE
-            }
+            Msg::BspExchange { round, lr, grad } => bsp_exchange(e, *round, *lr, &grad.0),
             Msg::BspResult {
                 leader,
                 checkpoint,
                 arrived,
                 expected,
                 params,
-            } => {
-                e.u8(*leader as u8)
-                    .u8(*checkpoint as u8)
-                    .u32(*arrived)
-                    .u32(*expected)
-                    .params(params);
-                t::BSP_RESULT
-            }
+            } => bsp_result(e, *leader, *checkpoint, *arrived, *expected, params),
             Msg::GossipSend {
                 target,
                 alpha,
@@ -536,11 +563,15 @@ impl Msg {
 
     /// Write this message as one frame carrying sequence number `seq`
     /// (requests: the worker's monotone counter; replies: the request's
-    /// seq, echoed). For handshakes and recovery; the per-round paths encode
-    /// straight into a frame buffer ([`crate::codec::encode_frame`]).
+    /// seq, echoed), built in one buffer and handed to `w` in one write.
+    /// For handshakes and recovery; the per-round paths encode into a frame
+    /// buffer they keep ([`crate::codec::encode_frame`]).
     pub fn write_to<W: std::io::Write>(&self, w: &mut W, seq: u32) -> Result<(), CodecError> {
-        let (ty, payload) = self.encode();
-        write_frame(w, ty, seq, &payload)
+        let mut frame = Vec::new();
+        encode_frame(&mut frame, seq, |e| self.encode_into(e));
+        w.write_all(&frame)?;
+        w.flush()?;
+        Ok(())
     }
 
     /// Read one message from the stream through `buf`, the connection's

@@ -31,6 +31,10 @@ pub struct Session<R = Vec<u8>> {
     /// Encoded reply `(type, bytes)` for `last_seq`; `None` while that
     /// request is still being dispatched.
     pub cached: Option<(u8, R)>,
+    /// The reply a fresh request made obsolete, kept for [`Self::take_spare`]
+    /// — the next reply's frame can be written into its buffer instead of
+    /// a new one.
+    spare: Option<R>,
     /// The rank's outstanding AD-PSGD exchange token. Session-scoped (not
     /// connection-scoped) so an `ExchangeAwait` issued after a reconnect
     /// still finds the token its `ExchangeRequest` registered.
@@ -86,17 +90,26 @@ impl<R: Clone> Session<R> {
     }
 
     /// Classify an inbound request frame. `Fresh` records `seq` and
-    /// clears the cache, so the caller *must* dispatch it.
+    /// clears the cache (its reply becomes the spare), so the caller
+    /// *must* dispatch it.
     pub fn classify(&mut self, seq: u32) -> Inbound<R> {
         if seq > self.last_seq {
             self.last_seq = seq;
-            self.cached = None;
+            if let Some((_, reply)) = self.cached.take() {
+                self.spare = Some(reply);
+            }
             Inbound::Fresh
         } else if seq == self.last_seq {
             Inbound::Duplicate(self.cached.clone())
         } else {
             Inbound::Stale
         }
+    }
+
+    /// The reply the latest fresh request made obsolete, if it is still
+    /// here: nothing replays it any more.
+    pub(crate) fn take_spare(&mut self) -> Option<R> {
+        self.spare.take()
     }
 
     /// Record the encoded reply for the request most recently accepted by

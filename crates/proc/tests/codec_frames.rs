@@ -6,16 +6,21 @@
 //! from the PR 13 encoder, and one of every message variant from the
 //! protocol v2 encoder. Protocol v3 refuses those frames by their version
 //! byte but kept every payload layout except `BspResult`'s, whose v3
-//! frame is pinned on its own.
+//! frame is pinned on its own. The model-sized payloads a BSP run writes
+//! from sets it only lends — the worker's push from its network's
+//! gradients, the coordinator's answers from the server's globals — and
+//! decodes straight into a network's parameters are held to the bytes and
+//! bits of the owned-message path.
 
 use std::io::{self, Cursor, Write};
 
+use dtrain_faults::PsState;
 use dtrain_nn::ParamSet;
 use dtrain_proc::codec::{
     crc32, encode_frame, read_frame, read_frame_into, write_frame, CodecError, Dec, Enc,
     MAX_PAYLOAD, PROTO_VERSION,
 };
-use dtrain_proc::proto::Msg;
+use dtrain_proc::proto::{self, Msg};
 use dtrain_tensor::Tensor;
 use proptest::prelude::*;
 
@@ -140,6 +145,30 @@ proptest! {
                 prop_assert_eq!(x.to_bits(), y.to_bits());
             }
         }
+    }
+
+    /// On sets of any shape and any float bits, the frames written from
+    /// lent sets are the owned messages' frames, byte for byte, and
+    /// decoding into a congruent set gives `Dec::params`'s bits.
+    #[test]
+    fn lent_sets_encode_and_decode_as_owned_ones(p in param_set()) {
+        let (push, answer, ack) = lent_frames(&p, 5);
+        prop_assert_eq!(push, owned_frame(&exchange_of(&p), 5), "BspExchange");
+        prop_assert_eq!(answer, owned_frame(&result_of(&p), 5), "BspResult");
+        prop_assert_eq!(ack, owned_frame(&ack_of(&p), 5), "HelloAck");
+
+        let mut e = Enc::new();
+        e.params(&p);
+        let bytes = e.into_bytes();
+        let mut d = Dec::new(&bytes);
+        let want = d.params().expect("decodes");
+        d.done().expect("fully consumed");
+        let mut got = ParamSet::zeros_like(&p);
+        let mut d = Dec::new(&bytes);
+        d.params_into(&mut got.0.iter_mut().collect::<Vec<_>>()).expect("fits");
+        d.done().expect("fully consumed");
+        prop_assert_eq!(bits(&got), bits(&want));
+        prop_assert_eq!(bits(&got), bits(&p));
     }
 
     /// Truncating a valid frame anywhere must produce an error, not a
@@ -324,6 +353,178 @@ fn special_f32_bit_patterns_survive_params() {
     d.done().expect("fully consumed");
     let got: Vec<u32> = back.0[0].data().iter().map(|v| v.to_bits()).collect();
     assert_eq!(got, bits);
+}
+
+/// Sets of 1–4 tensors of rank 0–3, dims 1–5, any float bits.
+fn param_set() -> impl Strategy<Value = ParamSet> {
+    let tensor = prop::collection::vec(1usize..6, 0..4).prop_flat_map(|shape| {
+        let n = shape.iter().product::<usize>();
+        prop::collection::vec(0u32..=u32::MAX, n).prop_map(move |words| {
+            Tensor::from_vec(&shape, words.into_iter().map(f32::from_bits).collect())
+        })
+    });
+    prop::collection::vec(tensor, 1..5).prop_map(ParamSet)
+}
+
+fn bits(p: &ParamSet) -> Vec<u32> {
+    let floats = p.0.iter().flat_map(|t| t.data());
+    floats.map(|v| v.to_bits()).collect()
+}
+
+fn exchange_of(p: &ParamSet) -> Msg {
+    Msg::BspExchange {
+        round: 4,
+        lr: 0.05,
+        grad: p.clone(),
+    }
+}
+
+fn result_of(p: &ParamSet) -> Msg {
+    Msg::BspResult {
+        leader: true,
+        checkpoint: true,
+        arrived: 3,
+        expected: 4,
+        params: p.clone(),
+    }
+}
+
+fn ack_of(p: &ParamSet) -> Msg {
+    Msg::HelloAck {
+        start_round: 12,
+        params: p.clone(),
+    }
+}
+
+fn owned_frame(msg: &Msg, seq: u32) -> Vec<u8> {
+    let mut frame = Vec::new();
+    encode_frame(&mut frame, seq, |e| msg.encode_into(e));
+    frame
+}
+
+/// The frames of [`exchange_of`], [`result_of`] and [`ack_of`] as the real
+/// paths write them from `p` lent: the push from a list of borrowed
+/// tensors, as a worker lends its network's gradients, the answers from a
+/// parameter server holding `p`, read under its lock.
+fn lent_frames(p: &ParamSet, seq: u32) -> (Vec<u8>, Vec<u8>, Vec<u8>) {
+    let grads: Vec<&Tensor> = p.0.iter().collect();
+    let ps = PsState::new(p.clone(), 0.9, 1e-4, 2);
+    let mut push = vec![0xEE; 3]; // stale contents must not leak
+    encode_frame(&mut push, seq, |e| proto::bsp_exchange(e, 4, 0.05, grads));
+    let mut answer = Vec::new();
+    encode_frame(&mut answer, seq, |e| {
+        proto::bsp_result(e, true, true, 3, 4, &ps.global.lock().0)
+    });
+    let mut ack = Vec::new();
+    encode_frame(&mut ack, seq, |e| {
+        proto::hello_ack(e, 12, &ps.global.lock().0)
+    });
+    (push, answer, ack)
+}
+
+/// On [`one_of_each`]'s set (a NaN with a payload, −0.0, a subnormal,
+/// +inf) and on one holding −inf and a signalling NaN, the lent frames are
+/// the owned messages' frames; for the `BspResult`, that is also the frame
+/// `fixtures/frames_v3.hex` recorded.
+#[test]
+fn lent_sets_give_the_owned_frames_on_special_floats() {
+    let owned = one_of_each();
+    let find = |name: &str| &owned.iter().find(|(n, _)| *n == name).expect("listed").1;
+    let Msg::BspExchange { grad: p, .. } = find("bsp_exchange") else {
+        panic!("bsp_exchange carries a set");
+    };
+    let mut q = p.clone();
+    q.0[1].data_mut()[0] = f32::NEG_INFINITY;
+    q.0[1].data_mut()[2] = f32::from_bits(0x7F80_0001);
+    for (seq, set) in [(16, p), (17, &q)] {
+        let (push, answer, ack) = lent_frames(set, seq);
+        assert_eq!(push, owned_frame(&exchange_of(set), seq), "BspExchange");
+        assert_eq!(answer, owned_frame(&result_of(set), seq), "BspResult");
+        assert_eq!(ack, owned_frame(&ack_of(set), seq), "HelloAck");
+    }
+    assert_eq!(
+        owned_frame(&exchange_of(p), 16),
+        owned_frame(find("bsp_exchange"), 16)
+    );
+    assert_eq!(
+        owned_frame(&result_of(p), 17),
+        owned_frame(find("bsp_result"), 17)
+    );
+    assert_eq!(
+        owned_frame(&ack_of(p), 2),
+        owned_frame(find("hello_ack"), 2)
+    );
+    let fixture = include_str!("fixtures/frames_v3.hex");
+    let (_, hex) = fixture.trim_end().split_once(' ').expect("`name hex`");
+    assert_eq!(lent_frames(p, 17).1, unhex(hex), "the recorded v3 frame");
+}
+
+/// Decoding into a set that does not fit — another tensor count, rank or
+/// dim — or from a payload cut anywhere short is `Malformed`, never a
+/// panic, and leaves every float of the destination as it was.
+#[test]
+fn params_into_refuses_what_does_not_fit_before_writing_a_float() {
+    let p = ParamSet(vec![
+        Tensor::from_vec(&[2, 3], (1..=6).map(|v| v as f32).collect()),
+        Tensor::from_vec(&[4], vec![-1.0; 4]),
+        Tensor::from_vec(&[], vec![9.5]),
+    ]);
+    let mut e = Enc::new();
+    e.params(&p);
+    let bytes = e.into_bytes();
+    let sentinel = |shapes: &[&[usize]]| -> ParamSet {
+        ParamSet(shapes.iter().map(|s| Tensor::full(s, 7.0)).collect())
+    };
+    let refuse = |bytes: &[u8], mut dst: ParamSet, case: &str| {
+        let before = bits(&dst);
+        let got = Dec::new(bytes).params_into(&mut dst.0.iter_mut().collect::<Vec<_>>());
+        assert!(
+            matches!(got, Err(CodecError::Malformed(_))),
+            "{case}: expected Malformed, got {got:?}"
+        );
+        assert_eq!(
+            bits(&dst),
+            before,
+            "{case}: a destination float was written"
+        );
+    };
+    refuse(&bytes, sentinel(&[&[2, 3], &[4]]), "one tensor fewer");
+    refuse(
+        &bytes,
+        sentinel(&[&[2, 3], &[4], &[], &[1]]),
+        "one tensor more",
+    );
+    refuse(
+        &bytes,
+        sentinel(&[&[2, 3], &[4], &[1]]),
+        "rank of the last tensor",
+    );
+    refuse(&bytes, sentinel(&[&[6], &[4], &[]]), "rank, same length");
+    refuse(
+        &bytes,
+        sentinel(&[&[2, 3], &[2, 2], &[]]),
+        "rank of a middle tensor",
+    );
+    refuse(&bytes, sentinel(&[&[3, 2], &[4], &[]]), "dim, same length");
+    refuse(
+        &bytes,
+        sentinel(&[&[2, 3], &[5], &[]]),
+        "dim of a middle tensor",
+    );
+    // The wire's `[2, 3]` read as a `[2]`: only the rank tells them apart.
+    let mut e = Enc::new();
+    e.params(&ParamSet(vec![p.0[0].clone()]));
+    refuse(&e.into_bytes(), sentinel(&[&[2]]), "rank, first dim equal");
+    for cut in 0..bytes.len() {
+        let dst = sentinel(&[&[2, 3], &[4], &[]]);
+        refuse(&bytes[..cut], dst, &format!("cut at {cut}"));
+    }
+
+    let mut dst = sentinel(&[&[2, 3], &[4], &[]]);
+    Dec::new(&bytes)
+        .params_into(&mut dst.0.iter_mut().collect::<Vec<_>>())
+        .expect("the congruent set fits");
+    assert_eq!(bits(&dst), bits(&p));
 }
 
 /// A frame is one buffer and one `write` — header, payload and trailer

@@ -35,7 +35,7 @@ use std::time::Duration;
 use crossbeam_channel::Sender;
 use dtrain_cluster::CollectiveSchedule;
 use dtrain_faults::{Algo, Hub, MembershipView};
-use dtrain_nn::{ParamSet, SgdMomentum};
+use dtrain_nn::{Network, ParamSet, SgdMomentum};
 
 /// The path-agnostic slice of a run configuration: everything
 /// [`crate::worker_body`] needs to execute its share of the training run.
@@ -210,6 +210,19 @@ pub trait ExecBackend {
     /// decides the expected cohort and the barrier deadline), and return
     /// the post-aggregation parameters.
     fn bsp_exchange(&mut self, round: u64, grad: ParamSet, lr: f32) -> BspOutcome;
+
+    /// One flat BSP round on `net` itself: deposit the gradients of its
+    /// last backward pass for `round`, wait for the round to close, and
+    /// overwrite its parameters with the post-aggregation ones. Returns
+    /// [`BspOutcome`]'s `(arrived, expected)`. The default is
+    /// [`Self::bsp_exchange`] on a clone of the gradients, its parameters
+    /// copied in after; a backend that can move the bytes between the
+    /// network's own tensors and its transport overrides it.
+    fn bsp_round(&mut self, round: u64, net: &mut Network, lr: f32) -> (Option<usize>, usize) {
+        let out = self.bsp_exchange(round, net.grads(), lr);
+        net.set_params(&out.params);
+        (out.arrived, out.expected)
+    }
 
     // --- BSP, hierarchical (intra-machine legs of `hier_bsp_exchange`) ---
 

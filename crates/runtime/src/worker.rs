@@ -184,29 +184,29 @@ pub fn worker_body<B: ExecBackend>(
                 // paths that is BSP's round through the hub, flat or
                 // hierarchical — only the simulator models a ring.
                 Algo::Bsp | Algo::ArSgd => {
-                    let grad = net.grads();
-                    count_logical(&mut logical, grad.num_bytes(), obs, &wall);
-                    let out = if plan.collective.is_flat() {
-                        backend.bsp_exchange(it_idx, grad, full_lr)
+                    count_logical(&mut logical, 4 * net.num_params() as u64, obs, &wall);
+                    let (arrived, expected) = if plan.collective.is_flat() {
+                        backend.bsp_round(it_idx, &mut net, full_lr)
                     } else {
                         let live = backend.live_at(it_idx);
-                        crate::collective::hier_bsp_exchange(
+                        let out = crate::collective::hier_bsp_exchange(
                             backend,
                             it_idx,
-                            grad,
+                            net.grads(),
                             full_lr,
                             &live,
                             plan.gpus_per_machine,
                             obs,
                             &wall,
-                        )
+                        );
+                        net.set_params(&out.params);
+                        (out.arrived, out.expected)
                     };
-                    if let Some(arrived) = out.arrived {
-                        if arrived < out.expected {
+                    if let Some(arrived) = arrived {
+                        if arrived < expected {
                             markers::partial_barrier(obs, ns(&wall), arrived);
                         }
                     }
-                    net.set_params(&out.params);
                 }
                 Algo::Asp => {
                     backend.ps_gate();
