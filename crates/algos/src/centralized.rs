@@ -7,8 +7,8 @@
 //! apply and wire time, fans replies out (serially or over the tree
 //! broadcast), and owns outages, failover and checkpoints, as the proc
 //! coordinator does; the hub holds the shard's [`PsState`] and runs BSP's
-//! round — cohort, partial-barrier deadline, late pushes, the mean. SSP's
-//! clock gate is still the process's own. Its worker-side mirror is
+//! round — cohort, partial-barrier deadline, late pushes, the mean — and,
+//! on shard 0, SSP's staleness gate. Its worker-side mirror is
 //! [`PsBody`], one [`Body`] for the family: the PS shards are who a worker
 //! tells when it leaves, pulls from when it rejoins and sends its `Stop`
 //! to, and what differs per algorithm (and BSP role) is the step —
@@ -28,7 +28,7 @@ use dtrain_cluster::{
     tree_broadcast_delays, CollectiveSchedule, NetModel, NodeId, Phase, ShardHomes, TrafficClass,
 };
 use dtrain_desim::{Ctx, SimTime};
-use dtrain_faults::hub::Seat;
+use dtrain_faults::hub::{Answer, Seat};
 use dtrain_faults::{markers, Algo, CheckpointStore, ElasticRuntime, Hub, MembershipView, PsState};
 use dtrain_nn::rules::{self, rank_sum};
 use dtrain_nn::ParamSet;
@@ -256,15 +256,19 @@ impl PsCore {
         self.tick_checkpoint(ctx.now());
     }
 
-    /// Reply to the BSP members the last hub call answered, released ones
-    /// first, in arrival order (it orders the NIC reservations): a closed
-    /// round's depositors (`forced`: by its deadline, marked partial) or a
-    /// late push passing through. Pays their pushes' apply time, replies
-    /// over the tree broadcast if the schedule is not flat, counts one
-    /// update.
-    fn answer_round(&mut self, ctx: &Ctx<Msg>, answered: Option<usize>, forced: bool) {
-        let released = self.hub.drain().into_iter().map(|(rank, _)| rank);
-        let members: Vec<usize> = released.chain(answered).collect();
+    /// Reply to what the last hub call answered, released requests first,
+    /// in the hub's order (it orders the NIC reservations), then the
+    /// caller's own: an SSP gated pull with the slowest clock; BSP members
+    /// (`forced`: by a deadline) for their pushes' apply time, over the
+    /// tree broadcast if the schedule is not flat, counting one update.
+    fn answer(&mut self, ctx: &Ctx<Msg>, answered: Option<(usize, Answer)>, forced: bool) {
+        let mut members = Vec::new();
+        for (rank, answer) in self.hub.drain().into_iter().chain(answered) {
+            match answer {
+                Answer::MinClock(clock) => self.send_params(ctx, rank, clock, self.reply_params()),
+                _ => members.push(rank),
+            }
+        }
         if members.is_empty() {
             return;
         }
@@ -280,31 +284,6 @@ impl PsCore {
             }
         }
         self.tick_checkpoint(ctx.now());
-    }
-}
-
-/// Min clock over live workers (a crashed worker must not hold the SSP
-/// staleness bound back — that is the DropAndReadmit recovery policy).
-fn live_min_clock(clocks: &[u64], live: &[bool]) -> u64 {
-    clocks
-        .iter()
-        .zip(live)
-        .filter(|&(_, &l)| l)
-        .map(|(&c, _)| c)
-        .min()
-        .unwrap_or(0)
-}
-
-/// Release every pending gated pull the new min clock satisfies.
-fn release_pulls(ps: &PsCore, ctx: &Ctx<Msg>, pending: &mut Vec<(usize, u64)>, min_clock: u64) {
-    let ready: Vec<usize> = pending
-        .iter()
-        .filter(|&&(_, need)| min_clock >= need)
-        .map(|&(w, _)| w)
-        .collect();
-    pending.retain(|&(_, need)| min_clock < need);
-    for w in ready {
-        ps.send_params(ctx, w, min_clock, ps.reply_params());
     }
 }
 
@@ -334,12 +313,8 @@ pub(crate) fn ps_process(mut ps: PsCore, algo: Algo, ctx: Ctx<Msg>) {
         f.store.save(PS_OWNER_BASE + ps.shard, 0, params, opt);
     }
     let mut stops = 0usize;
-    // SSP clock state
-    let ssp = matches!(algo, Algo::Ssp { .. });
-    let mut clocks: Vec<u64> = vec![0; if ssp { ps.workers.len() } else { 0 }];
-    let mut live: Vec<bool> = vec![true; clocks.len()];
-    let mut pending_pulls: Vec<(usize, u64)> = Vec::new(); // (worker, min_needed)
-
+    // SSP: shard 0 is the clock authority and runs the staleness gate.
+    let gate = matches!(algo, Algo::Ssp { .. }) && ps.shard == 0;
     // Elastic BSP: the hub deadline the pending `RoundDeadline` is set for.
     let mut alarm: Option<Duration> = None;
 
@@ -382,34 +357,35 @@ pub(crate) fn ps_process(mut ps: PsCore, algo: Algo, ctx: Ctx<Msg>) {
                     let deposit = data.map_or_else(|| ParamSet(Vec::new()), GradData::into_dense);
                     let answer = ps.hub.bsp_round(seat, (deposit, weight as usize), lr, &());
                     set_alarm(&ps.hub, &ctx, &mut alarm);
-                    ps.answer_round(&ctx, answer.map(|_| sender), false);
+                    ps.answer(&ctx, answer.map(|a| (sender, a)), false);
                 }
                 // Apply each push at once and reply to its sender.
                 Algo::Asp => ps.serve_push(&ctx, sender, bytes, |server| {
                     data.map(|d| server.push_and_pull(&d.into_dense(), lr))
                 }),
-                // SSPTable: add each push's delta; shard 0 is the clock
-                // authority and gates pulls on the staleness bound.
+                // SSPTable: add each push's delta; shard 0 advances the
+                // sender's clock, which may open gated pulls.
                 Algo::Ssp { .. } => {
                     ctx.advance(ps_apply_time(bytes));
                     // SSP's server half: add the worker's applied delta.
                     if let Some(d) = data {
                         ps.hub.ps().add_delta(&d.into_dense());
                     }
-                    if ps.shard == 0 {
+                    if gate {
                         // monotonic: NIC FIFO delivers in order today,
                         // but the clock must never regress regardless
-                        clocks[sender] = clocks[sender].max(iter + 1);
-                        let min_clock = live_min_clock(&clocks, &live);
-                        release_pulls(&ps, &ctx, &mut pending_pulls, min_clock);
+                        let clock = ps.hub.ps().clocks.lock()[sender].max(iter + 1);
+                        ps.hub.bump_clock(sender, clock);
+                        ps.answer(&ctx, None, false);
                     }
                     ps.tick_checkpoint(ctx.now());
                 }
                 _ => unreachable!("{} pushes no gradients to a PS", algo.name()),
             },
             Msg::PullReq { sender, .. } => {
-                // Non-gating shards answer pulls immediately (only SSP
-                // issues them; shard 0 gets GatedPull instead).
+                // An ungated pull is answered at once: an SSP refresh at
+                // the shards past 0, and every centralized algorithm's
+                // elastic rejoin, which pulls every shard.
                 ps.send_params(&ctx, sender, 0, ps.reply_params());
             }
             Msg::ParamPush {
@@ -429,13 +405,10 @@ pub(crate) fn ps_process(mut ps: PsCore, algo: Algo, ctx: Ctx<Msg>) {
                 });
             }
             Msg::GatedPull { sender, min_needed } => {
-                // SSP shard-0 gated pull: reply once min clock ≥ min_needed.
-                let min_clock = live_min_clock(&clocks, &live);
-                if min_clock >= min_needed {
-                    ps.send_params(&ctx, sender, min_clock, ps.reply_params());
-                } else {
-                    pending_pulls.push((sender, min_needed));
-                }
+                // SSP's staleness gate: reply once the slowest clock
+                // reaches `min_needed`.
+                let answer = ps.hub.wait_min_clock(sender, min_needed);
+                ps.answer(&ctx, answer.map(|a| (sender, a)), false);
             }
             Msg::MemberDown {
                 worker,
@@ -455,23 +428,22 @@ pub(crate) fn ps_process(mut ps: PsCore, algo: Algo, ctx: Ctx<Msg>) {
                     // round it leaves complete closes. A temporary crash
                     // evicts nothing — the paused worker resumes its round.
                     ps.hub.evict(worker);
-                    ps.answer_round(&ctx, None, false);
                 }
-                if ssp && ps.shard == 0 {
-                    // Drop-and-readmit: exclude the crashed worker from the
-                    // staleness bound and re-evaluate gated pulls.
-                    live[worker] = false;
-                    let min_clock = live_min_clock(&clocks, &live);
-                    release_pulls(&ps, &ctx, &mut pending_pulls, min_clock);
+                if gate {
+                    // Drop-and-readmit: park the clock so the staleness
+                    // bound excludes the crashed worker.
+                    ps.hub.bump_clock(worker, u64::MAX);
                 }
+                ps.answer(&ctx, None, false);
             }
             Msg::MemberUp { worker } => {
-                if ssp && ps.shard == 0 {
-                    // Re-admit at the current live min so the bound never
-                    // regresses (the restored worker restarts from its
-                    // checkpointed params anyway).
-                    clocks[worker] = live_min_clock(&clocks, &live);
-                    live[worker] = true;
+                if gate {
+                    // Re-admit at the others' minimum (its own clock is
+                    // still parked) so the bound never regresses, which
+                    // releases no pull; at 0 if no other clock is live.
+                    let min = ps.hub.ps().min_clock();
+                    let readmit = if min == u64::MAX { 0 } else { min };
+                    ps.hub.bump_clock(worker, readmit);
                 }
             }
             Msg::RoundDeadline => {
@@ -480,7 +452,7 @@ pub(crate) fn ps_process(mut ps: PsCore, algo: Algo, ctx: Ctx<Msg>) {
                 // with whoever arrived; members missing from it pass
                 // through when their late push lands.
                 ps.hub.tick(clock(&ctx), &());
-                ps.answer_round(&ctx, None, true);
+                ps.answer(&ctx, None, true);
                 set_alarm(&ps.hub, &ctx, &mut alarm);
             }
             other => unreachable!("PS got unexpected message {other:?}"),

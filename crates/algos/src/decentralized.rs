@@ -15,13 +15,14 @@
 //! seeded by a sponsor ([`sponsor_rejoiners`] / [`adopt_local_params`] for
 //! AR-SGD and GoSGD, [`adpsgd_adopt`] for AD-PSGD).
 
-use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::Duration;
 
 use dtrain_cluster::{CollectiveSchedule, Phase, TrafficClass};
 use dtrain_desim::{Ctx, SimTime};
-use dtrain_faults::MembershipView;
-use dtrain_nn::rules::{gossip_merge, round_mean};
+use dtrain_faults::hub::Seat;
+use dtrain_faults::{Hub, MembershipView};
+use dtrain_nn::rules::gossip_merge;
 use dtrain_nn::ParamSet;
 use parking_lot::Mutex;
 use rand::Rng;
@@ -90,51 +91,15 @@ fn adopt_local_params(core: &mut WorkerCore, ctx: &Ctx<Msg>, view: &MembershipVi
 // AR-SGD
 // ---------------------------------------------------------------------------
 
-/// Synchronization board for AR-SGD's real math: since the ring is a
-/// barrier, the round's mean can be computed exactly once everyone has
-/// deposited — by [`round_mean`], the rule BSP's PS and the hub close
-/// their rounds with. The ring messages carry only timing.
-#[derive(Clone, Default)]
-pub(crate) struct AllReduceBoard {
-    inner: Arc<Mutex<HashMap<u64, RoundSlot>>>,
-}
-
-#[derive(Default)]
-struct RoundSlot {
-    grads: Vec<(usize, (ParamSet, usize))>,
-    mean: Option<ParamSet>,
-    readers: usize,
-}
-
-impl AllReduceBoard {
-    /// Deposit worker `w`'s gradient for `iter`.
-    fn deposit(&self, iter: u64, w: usize, grad: ParamSet) {
-        let mut map = self.inner.lock();
-        map.entry(iter).or_default().grads.push((w, (grad, 1)));
+/// The parameters of AR-SGD's round `iter`, once every member's deposit
+/// closed it in the run's hub. The ring is a barrier, so it has; a round
+/// still open is a bug in the ring protocol, and panics.
+fn round_params(hub: &Mutex<Hub>, iter: u64) -> ParamSet {
+    let hub = hub.lock();
+    if let Some(held) = hub.deposits(iter) {
+        panic!("allreduce barrier violated: round {iter} still open with {held} deposits");
     }
-
-    /// The round mean of all `n` deposited gradients for `iter`, computed
-    /// by its first reader. Panics if called before the barrier completed
-    /// (a bug in the ring protocol).
-    fn mean(&self, iter: u64, n: usize) -> ParamSet {
-        let mut map = self.inner.lock();
-        let slot = map.get_mut(&iter).expect("allreduce read before deposit");
-        let grads = &mut slot.grads;
-        let mean = slot.mean.get_or_insert_with(|| {
-            let got = grads.len();
-            assert_eq!(
-                got, n,
-                "allreduce barrier violated: {got} of {n} gradients at iter {iter}"
-            );
-            round_mean(std::mem::take(grads))
-        });
-        let mean = mean.clone();
-        slot.readers += 1;
-        if slot.readers == n {
-            map.remove(&iter); // last reader cleans up
-        }
-        mean
-    }
+    hub.ps().snapshot()
 }
 
 /// AR-SGD worker (paper §IV-A). `buckets` > 1 pipelines the ring against
@@ -143,10 +108,11 @@ impl AllReduceBoard {
 /// collective schedule replaces the flat worker ring with the two-level
 /// schedule of DESIGN.md §6: `hier` is this worker's machine engine, which
 /// carries the intra-reduce / inter-ring / intra-broadcast flow, and the
-/// chunking both sides agree on.
+/// chunking both sides agree on. With real math the round itself is BSP's,
+/// in `hub`: the ring messages carry only timing.
 pub(crate) struct ArSgd {
     ring: Vec<Addr>,
-    board: Option<AllReduceBoard>,
+    hub: Option<Arc<Mutex<Hub>>>,
     buckets: usize,
     /// Wire bytes of one bucket (ring chunks are byte-level: the model
     /// splits evenly).
@@ -158,7 +124,7 @@ impl ArSgd {
     pub(crate) fn new(
         core: &WorkerCore,
         ring: Vec<Addr>,
-        board: Option<AllReduceBoard>,
+        hub: Option<Arc<Mutex<Hub>>>,
         buckets: usize,
         collective: CollectiveSchedule,
         engines: &[Addr],
@@ -166,7 +132,7 @@ impl ArSgd {
         let dense_bucket = core.model_bytes() / buckets as u64;
         Self {
             ring,
-            board,
+            hub,
             buckets,
             bucket_bytes: match core.dgc_sparsity {
                 Some(s) => dtrain_compress::compressed_wire_bytes(dense_bucket, s),
@@ -195,13 +161,22 @@ impl Body for ArSgd {
             }
             None => (self.ring.len(), self.ring[(core.w + 1) % self.ring.len()]),
         };
-        // Real math: deposit own gradient before any communication. The
-        // ring hops carry timing only, so the deposit is where this
-        // worker's gradient counts toward `logical.bytes`.
-        if let (Some(b), Some(real)) = (&self.board, core.real.as_mut()) {
-            let grad = real.compute_grad();
+        // Real math: deposit own gradient in the round before any
+        // communication. The ring hops carry timing only, so the deposit
+        // is where this worker's gradient counts toward `logical.bytes`.
+        if let (Some(hub), Some(real)) = (&self.hub, core.real.as_mut()) {
+            let (grad, lr) = (real.compute_grad(), real.lr());
             core.count_logical(ctx.now(), grad.num_bytes());
-            b.deposit(iter, core.w, grad);
+            let seat = Seat {
+                rank: core.w,
+                round: iter,
+                view: core.elastic.as_ref().map(|e| &*e.view),
+                leaders: None,
+                now: Duration::from_nanos(ctx.now().as_nanos()),
+            };
+            let mut hub = hub.lock();
+            hub.bsp_round(seat, (grad, 1), lr, &());
+            hub.drain(); // the ring, not the hub, releases the members
         }
 
         // Compute phase; bucket b's ring may start once its backward slice
@@ -225,11 +200,10 @@ impl Body for ArSgd {
             }
         }
 
-        // Barrier complete: everyone holds the round mean, applied at the
-        // full rate.
-        if let (Some(b), Some(real)) = (&self.board, core.real.as_mut()) {
-            let lr = real.lr();
-            real.net.sgd_step(&mut real.opt, &b.mean(iter, n), lr);
+        // Barrier complete: the round closed, its mean applied once at the
+        // full rate; everyone adopts the result.
+        if let (Some(hub), Some(real)) = (&self.hub, core.real.as_mut()) {
+            real.net.set_params(&round_params(hub, iter));
         }
     }
 
@@ -681,26 +655,18 @@ mod tests {
     }
 
     #[test]
-    fn board_mean_and_cleanup() {
-        let b = AllReduceBoard::default();
-        b.deposit(0, 1, ps(&[1.0, 2.0]));
-        b.deposit(0, 0, ps(&[3.0, 4.0]));
-        let m1 = b.mean(0, 2);
-        assert_eq!(m1.0[0].data(), &[2.0, 3.0]);
-        let m2 = b.mean(0, 2);
-        assert_eq!(m2.0[0].data(), &[2.0, 3.0]);
-        // slot removed after last reader; next iteration starts clean
-        b.deposit(1, 0, ps(&[0.0, 0.0]));
-        b.deposit(1, 1, ps(&[2.0, 2.0]));
-        assert_eq!(b.mean(1, 2).0[0].data(), &[1.0, 1.0]);
-    }
-
-    #[test]
     #[should_panic(expected = "barrier violated")]
-    fn board_detects_missing_deposit() {
-        let b = AllReduceBoard::default();
-        b.deposit(0, 0, ps(&[1.0]));
-        let _ = b.mean(0, 2);
+    fn round_params_detect_a_missing_deposit() {
+        let mut hub = Hub::new(ps(&[0.0]), 2, 0.0, 0.0, None);
+        let seat = Seat {
+            rank: 0,
+            round: 0,
+            view: None,
+            leaders: None,
+            now: Duration::ZERO,
+        };
+        hub.bsp_round(seat, (ps(&[1.0]), 1), 1.0, &());
+        let _ = round_params(&Mutex::new(hub), 0);
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //! [`WorkerCore::send`], which reserves NIC time and counts the message's
 //! real payload toward `logical.bytes` (zero for control and timing-only
 //! messages — AR-SGD's ring hops are timing-only, so `ArSgd` counts its
-//! gradient where it deposits it on the all-reduce board); the [`Charge`]
+//! gradient where it deposits it in the run's hub round); the [`Charge`]
 //! argument states the rest:
 //!
 //! | site | message | class | charge |
@@ -111,7 +111,8 @@ pub enum Msg {
         data: Option<ParamSet>,
         bytes: u64,
     },
-    /// Worker → PS shard (SSP): explicit request for fresh parameters.
+    /// Worker → PS shard: ungated request for fresh parameters (an SSP
+    /// refresh past shard 0, any centralized algorithm's elastic rejoin).
     PullReq { sender: usize, shard: usize },
     /// PS shard → worker: shard parameters (or elastic-updated locals).
     /// `clock` is the PS's view of the slowest worker's clock (SSP uses it

@@ -11,13 +11,12 @@ use dtrain_desim::{Pid, SimTime, Simulation, StopReason, TraceRecord};
 use dtrain_faults::{Algo, CheckpointStore, Hub};
 use dtrain_nn::ParamSet;
 use dtrain_obs::{names, ObsSink, Track};
+use parking_lot::Mutex;
 
 use crate::centralized::{ps_process, BspRole, PsBody, PsCore, PsFaultState};
 use crate::collective::{collective_engine, ChunkLayout, EngineCore};
 use crate::config::RunConfig;
-use crate::decentralized::{
-    adpsgd_is_active, AdPsgdActive, AdPsgdPassive, AllReduceBoard, ArSgd, GoSgd,
-};
+use crate::decentralized::{adpsgd_is_active, AdPsgdActive, AdPsgdPassive, ArSgd, GoSgd};
 use crate::exec::{
     build_worker_cores, real_shard_indices, run_worker, slice_set, Addr, Msg, Recorder, Snapshot,
 };
@@ -239,11 +238,17 @@ fn run_impl(cfg: &RunConfig, trace: bool, sink: &ObsSink) -> (RunOutput, Option<
     }
 
     // ---- spawn workers ----
-    let board = if matches!(cfg.algo, Algo::ArSgd) && cfg.real.is_some() {
-        Some(AllReduceBoard::default())
-    } else {
-        None
-    };
+    // Real-math AR-SGD: one hub over the whole model runs every round (the
+    // ring is its barrier, so it needs no deadline).
+    let replica = cores.first().and_then(|c| c.real.as_ref());
+    let real = replica.zip(cfg.real.as_ref());
+    let hub = real
+        .filter(|_| matches!(cfg.algo, Algo::ArSgd))
+        .map(|(w0, r)| {
+            let params = w0.net.get_params(); // where every replica starts
+            let hub = Hub::new(params, cfg.workers, r.momentum, r.weight_decay, None);
+            Arc::new(Mutex::new(hub))
+        });
     let buckets = if matches!(cfg.algo, Algo::ArSgd) && cfg.opts.wait_free_bp {
         8usize.min(cfg.profile.layers.len().max(1))
     } else {
@@ -275,7 +280,7 @@ fn run_impl(cfg: &RunConfig, trace: bool, sink: &ObsSink) -> (RunOutput, Option<
         let algo = cfg.algo;
         let local_agg = cfg.opts.local_aggregation;
         let leaders = leaders.clone();
-        let board = board.clone();
+        let hub = hub.clone();
         let collective = cfg.opts.collective;
         let engines = engine_addrs.clone();
         let overlap = !cfg.opts.disable_overlap;
@@ -315,7 +320,7 @@ fn run_impl(cfg: &RunConfig, trace: bool, sink: &ObsSink) -> (RunOutput, Option<
             }
             Algo::Easgd { tau, .. } => run_worker(core, PsBody::Easgd { tau }, ctx),
             Algo::ArSgd => {
-                let body = ArSgd::new(&core, peers, board, buckets, collective, &engines);
+                let body = ArSgd::new(&core, peers, hub, buckets, collective, &engines);
                 run_worker(core, body, ctx)
             }
             Algo::GoSgd { p } => run_worker(core, GoSgd::new(peers, p), ctx),

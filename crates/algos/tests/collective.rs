@@ -80,7 +80,7 @@ fn schedules_complete_and_are_deterministic() {
 
 #[test]
 fn schedule_changes_timing_but_not_the_math() {
-    // The schedule only reshapes *when* bytes move; the AllReduceBoard mean
+    // The schedule only reshapes *when* bytes move; the hub's round mean
     // is the same barrier either way, so the trained model must be
     // bit-identical across all three schedules.
     let flat = run(&real_cfg(CollectiveSchedule::Flat));

@@ -111,6 +111,24 @@ fn rejoin_reenters_at_the_current_round_all_seven() {
 }
 
 #[test]
+fn ssp_rejoin_into_an_empty_cohort() {
+    // Workers 1–3 are lost for good, then worker 0 dies and rejoins a
+    // cohort of no one: SSP's gate re-admits its clock at 0, since no
+    // other clock is live to set the bound.
+    let mut events: Vec<FaultEvent> = (1..WORKERS).map(|w| crash(100, w, None)).collect();
+    events.push(crash(300, 0, Some(SimTime::from_millis(400))));
+    let c = cfg(Algo::Ssp { staleness: 2 }, events);
+    let view = MembershipView::from_schedule(
+        &c.faults.as_ref().unwrap().schedule,
+        WORKERS,
+        &ElasticConfig::default(),
+    );
+    let out = run(&c);
+    assert_eq!(out.total_iterations, scheduled_iterations(&view, ITERS));
+    assert_eq!(out.total_iterations, 13);
+}
+
+#[test]
 fn adpsgd_absorbs_active_role_loss_and_rejoin() {
     // Worker 1 (the default victim elsewhere) is passive in AD-PSGD's
     // bipartite split; worker 2 is active. Cover the active role for both

@@ -17,11 +17,11 @@
 //! rank's one outstanding request. The later call that can answer it (the
 //! deposit that fills the round, a clock bump, a post, a reply, an
 //! eviction, [`Hub::tick`] past a deadline, [`Hub::shutdown`]) puts the
-//! [`Answer`] in an outbox, which that caller takes with [`Hub::drain`] and
-//! delivers: to a thread's slot, or to a worker's socket. The hub knows no
-//! sockets, processes, threads, obs sink or clock: `now` is an argument,
-//! and what only one path does at a round close (the threaded PS fault
-//! hooks) arrives as [`CloseHooks`].
+//! [`Answer`] in an outbox, in the order the requests parked, which that
+//! caller takes with [`Hub::drain`] and delivers: to a thread's slot, or to
+//! a worker's socket. The hub knows no sockets, processes, threads, obs
+//! sink or clock: `now` is an argument, and what only one path does at a
+//! round close (the threaded PS fault hooks) arrives as [`CloseHooks`].
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
@@ -130,6 +130,10 @@ enum Park {
     Next,
 }
 
+/// A parked request: what it waits for, until when, and its place in the
+/// order requests parked (the order one call releases them in).
+type Parked = (Park, Option<Duration>, u64);
+
 /// One outstanding exchange. A token that is not in the table is *gone*:
 /// answered and taken, abandoned, or its target evicted.
 struct Token {
@@ -168,8 +172,9 @@ pub struct Hub {
     next_token: u64,
     evicted: Vec<bool>,
     shutdown: bool,
-    /// Each rank's one outstanding request while it waits, and until when.
-    parked: Vec<Option<(Park, Option<Duration>)>>,
+    /// Each rank's one outstanding request while it waits.
+    parked: Vec<Option<Parked>>,
+    next_seq: u64,
     outbox: Vec<(usize, Answer)>,
 }
 
@@ -197,6 +202,7 @@ impl Hub {
             evicted: vec![false; workers],
             shutdown: false,
             parked: vec![None; workers],
+            next_seq: 0,
             outbox: Vec::new(),
         }
     }
@@ -208,7 +214,8 @@ impl Hub {
     }
 
     /// Take the answers to parked requests that calls since the last drain
-    /// released, oldest first, each with the rank it answers.
+    /// released, oldest first, each with the rank it answers. One call
+    /// releases its requests in the order they parked.
     pub fn drain(&mut self) -> Vec<(usize, Answer)> {
         std::mem::take(&mut self.outbox)
     }
@@ -216,7 +223,8 @@ impl Hub {
     /// Park `park` as `rank`'s request until `until`, unless it can be
     /// answered now.
     fn ask(&mut self, rank: usize, park: Park, until: Option<Duration>) -> Option<Answer> {
-        self.parked[rank] = Some((park, until));
+        self.parked[rank] = Some((park, until, self.next_seq));
+        self.next_seq += 1;
         self.ready(rank)
     }
 
@@ -248,9 +256,14 @@ impl Hub {
         Some(answer)
     }
 
-    /// Answer every parked request the last change made answerable.
+    /// Answer every parked request the last change made answerable, in the
+    /// order they parked.
     fn wake(&mut self) {
-        for rank in 0..self.workers {
+        let mut waiting: Vec<(u64, usize)> = (0..self.workers)
+            .filter_map(|r| Some((self.parked[r]?.2, r)))
+            .collect();
+        waiting.sort_unstable();
+        for (_, rank) in waiting {
             if let Some(answer) = self.ready(rank) {
                 self.outbox.push((rank, answer));
             }
@@ -327,7 +340,7 @@ impl Hub {
     pub fn next_deadline(&self) -> Option<Duration> {
         self.parked
             .iter()
-            .filter_map(|p| p.and_then(|(_, until)| until))
+            .filter_map(|p| p.and_then(|(_, until, _)| until))
             .min()
     }
 
@@ -378,8 +391,8 @@ impl Hub {
     /// came first) is told it closed it; a collective read gets `None`; an
     /// exchange wait gets `TimedOut`, its token still valid.
     pub fn tick(&mut self, now: Duration, hooks: &impl CloseHooks) {
-        let due = |(w, parked): (usize, &Option<(Park, Option<Duration>)>)| {
-            let until = parked.and_then(|(_, until)| until)?;
+        let due = |(w, parked): (usize, &Option<Parked>)| {
+            let until = parked.and_then(|(_, until, _)| until)?;
             (until <= now).then_some((until, w))
         };
         while let Some((_, w)) = self.parked.iter().enumerate().filter_map(due).min() {

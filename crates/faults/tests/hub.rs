@@ -299,6 +299,28 @@ fn a_close_answers_its_members_in_arrival_order() {
     assert_eq!(hub.next_deadline(), None, "nothing parks past a close");
 }
 
+#[test]
+fn one_call_releases_its_requests_in_the_order_they_parked() {
+    // Rank 3 is the slowest clock; the others park behind it, 2 first.
+    let mut hub = new_hub(ps(&[0.0]), 4, None);
+    for rank in 0..3 {
+        hub.bump_clock(rank, 1);
+    }
+    for rank in [2, 0, 1] {
+        assert!(hub.wait_min_clock(rank, 1).is_none());
+    }
+    hub.bump_clock(3, 1);
+    let released: Vec<(usize, u64)> = hub
+        .drain()
+        .into_iter()
+        .map(|(rank, answer)| match answer {
+            Answer::MinClock(clock) => (rank, clock),
+            _ => panic!("a staleness gate is answered with the slowest clock"),
+        })
+        .collect();
+    assert_eq!(released, [(2, 1), (0, 1), (1, 1)]);
+}
+
 /// Records the server state each hook sees.
 #[derive(Default)]
 struct Recorder(RefCell<Vec<(&'static str, f32)>>);

@@ -78,7 +78,8 @@ pub mod names {
     pub const NIC_RX_QUEUE: &str = "nic.rx_queue_ns";
     /// SSP staleness observed by a worker at iteration end.
     pub const STALENESS: &str = "staleness";
-    /// Number of workers currently parked at a barrier / board.
+    /// Number of workers currently parked at a BSP round (the simulated PS
+    /// shard's deposits, this one included).
     pub const BARRIER_OCCUPANCY: &str = "barrier.occupancy";
     /// Fault markers.
     pub const CRASH: &str = "fault.crash";

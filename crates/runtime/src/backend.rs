@@ -10,11 +10,11 @@
 //! |---|---|---|
 //! | threads | `ThreadedBackend` (in this crate) | a direct call |
 //! | processes | `ProcBackend` (`dtrain-proc`) | a frame over TCP, decoded by the coordinator into the same call |
-//! | simulator | `dtrain-algos` | — (own bodies; held to the same logical work by the three-way pin) |
+//! | simulator | `dtrain-algos` | a direct call from a PS shard process (BSP's round, SSP's gate) or from AR-SGD's worker (its round), in virtual time |
 //!
-//! The simulator keeps its own deterministic implementations (it must charge
-//! modeled time, not real time); all three paths take the same
-//! [`dtrain_faults::Algo`], and the three-way pin
+//! The simulator keeps its own worker bodies (it must charge modeled time,
+//! not real time) but no server logic of its own; all three paths take the
+//! same [`dtrain_faults::Algo`], and the three-way pin
 //! (`dtrain-proc/tests/cross_path_three_way.rs`) holds all seven algorithms
 //! to the same per-worker payload bytes and iteration counts on every path.
 //!
