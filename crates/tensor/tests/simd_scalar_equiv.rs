@@ -25,7 +25,7 @@ fn gemm_bits(isa: Isa, a: &Tensor, b: &Tensor) -> [Vec<u32>; 3] {
 /// ragged-edge, multi-panel, and reductions spanning multiple KC=512
 /// chunks (the chunk boundary stores C and reloads it — an f32 roundtrip
 /// that must stay exact on every tier).
-const SHAPES: [(usize, usize, usize); 8] = [
+const SHAPES: [(usize, usize, usize); 10] = [
     (1, 1, 1),
     (3, 5, 2),
     (8, 64, 32),   // exactly one AVX-512 tile
@@ -34,6 +34,8 @@ const SHAPES: [(usize, usize, usize); 8] = [
     (128, 128, 128),
     (5, 1061, 9),   // reduction spans three KC chunks
     (127, 600, 96), // many row blocks, each crossing one KC boundary
+    (9, 1024, 8),   // a one-row edge block read in place at a long row pitch
+    (33, 32, 10),   // edge rows and columns on every tier at once
 ];
 
 #[test]
