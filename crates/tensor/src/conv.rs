@@ -66,9 +66,9 @@
 //! `dpatches`, `gᵀ` and the `dWᵀ` accumulators live in the per-thread pack
 //! buffers, so steady-state training allocates nothing here.
 
-use crate::matmul::{pack_a_block, pack_b_panel, ASrc, BSrc, KC};
+use crate::matmul::{pack_b_panel, ASrc, BSrc, KC};
 use crate::scratch::{with_pack_bufs, AlignedVec, Scratch};
-use crate::simd::{self, Isa, PixelWalk, StageTile};
+use crate::simd::{self, ATile, Isa, PixelWalk, StageTile};
 use crate::tensor::Tensor;
 use rayon::prelude::*;
 use std::sync::Mutex;
@@ -273,27 +273,25 @@ fn packed_a_len(isa: Isa, m: usize, k: usize) -> usize {
 }
 
 /// Pack all of an `m×k` left operand for [`panel_gemm`]: reduction chunk by
-/// reduction chunk, row block by row block, each block `kc·mr` floats as the
-/// microkernel reads them.
-fn pack_a(isa: Isa, d: &[f32], stride: usize, src: ASrc, m: usize, k: usize, dst: &mut [f32]) {
+/// reduction chunk, row block by row block, each block `kc·mr` floats laid
+/// out `a(i0+ii, k0+p)` at `p·mr + ii`, rows past `m` as zeros — the
+/// microkernel reads a block in place with strides `(1, mr)`.
+fn pack_a(isa: Isa, d: &[f32], ld: usize, src: ASrc, m: usize, k: usize, dst: &mut [f32]) {
     let (mr, _) = isa.geometry();
-    let mut at = 0;
+    let mut blocks = dst.chunks_exact_mut(mr);
     for k0 in (0..k).step_by(KC) {
         let kc = (k - k0).min(KC);
         for i0 in (0..m).step_by(mr) {
-            let rows = (m - i0).min(mr);
-            pack_a_block(
-                d,
-                stride,
-                src,
-                i0,
-                rows,
-                mr,
-                k0,
-                kc,
-                &mut dst[at..at + kc * mr],
-            );
-            at += kc * mr;
+            let a = src.tile(d, ld, m, mr, i0, k0);
+            for (p, col) in (0..kc).zip(&mut blocks) {
+                for (ii, v) in col.iter_mut().enumerate() {
+                    *v = if ii < a.rows {
+                        a.a[ii * a.rs + p * a.cs]
+                    } else {
+                        0.0
+                    };
+                }
+            }
         }
     }
 }
@@ -327,13 +325,19 @@ fn panel_gemm(
         for j0 in (0..n).step_by(nr) {
             let cols = (n - j0).min(nr);
             fill_b(j0, cols, k0, kc, bp);
-            for (ap, i0) in a_chunk.chunks_exact(kc * mr).zip((0..m).step_by(mr)) {
+            for (a, i0) in a_chunk.chunks_exact(kc * mr).zip((0..m).step_by(mr)) {
                 let rows = (m - i0).min(mr);
                 // SAFETY: the tile's `rows×cols` region starts at
                 // `(i0, j0)` of the exclusively borrowed `m×n` buffer `c`
                 // (length asserted above) and `i0+rows ≤ m`, `j0+cols ≤ n`.
                 let tile = unsafe { c.as_mut_ptr().add(i0 * n + j0) };
-                simd::run_tile(isa, ap, bp, tile, n, kc, rows, cols, k0 == 0, &mut stage);
+                let a = ATile {
+                    a,
+                    rs: 1,
+                    cs: mr,
+                    rows,
+                };
+                simd::run_tile(isa, a, bp, tile, n, kc, cols, k0 == 0, &mut stage);
             }
         }
     }
@@ -645,7 +649,18 @@ pub fn conv2d_param_grads_scratch(
             for (ob, ablk) in acc.chunks_exact_mut(rows * lanes).enumerate() {
                 let oc0 = ob * lanes;
                 let live = (oc - oc0).min(lanes);
-                simd::pack_gt(isa, &gimg[oc0 * pixels..], pixels, live, lanes, gt);
+                pack_b_panel(
+                    isa,
+                    gimg,
+                    pixels,
+                    BSrc::Cols,
+                    oc0,
+                    live,
+                    lanes,
+                    0,
+                    pixels,
+                    gt,
+                );
                 for (r0, block) in (0..rows).step_by(mr).zip(ablk.chunks_exact_mut(mr * lanes)) {
                     for (slot, r) in src.iter_mut().zip(r0..(r0 + mr).min(ckk + 1)) {
                         *slot = off.get(r).map_or(ones, |&o| &image[o as usize..]);
@@ -695,7 +710,7 @@ fn input_grad(
     for_each_image(dx.data_mut(), g.c * in_h * in_w, |img, dst| {
         let gimg = &gd[img * oc * pixels..][..oc * pixels];
         let grads = |j0: usize, cols: usize, k0: usize, kc: usize, bp: &mut [f32]| {
-            pack_b_panel(gimg, pixels, BSrc::Rows, j0, cols, nr, k0, kc, bp)
+            pack_b_panel(isa, gimg, pixels, BSrc::Rows, j0, cols, nr, k0, kc, bp)
         };
         with_pack_bufs(|bufs| {
             let dpatches = bufs.a.ensure_len(ckk * pixels);

@@ -296,7 +296,7 @@ impl Drop for Scratch {
 
 /// A grow-only `f32` buffer whose storage is 64-byte (cache-line) aligned.
 ///
-/// The GEMM packing stage copies A/B panels into these so the SIMD
+/// The GEMM packing stage copies B panels into these so the SIMD
 /// microkernels stream whole aligned cache lines; `Vec<f32>` only
 /// guarantees 4-byte alignment. Capacity never shrinks — after the first
 /// training step at a given shape, [`AlignedVec::ensure_len`] is
@@ -392,10 +392,11 @@ impl Drop for AlignedVec {
     }
 }
 
-/// Aligned packing buffers for one GEMM invocation: the packed A blocks and
-/// the packed B panels of the current reduction chunk. The convolutions keep
-/// their one live B panel in `b` and use `a` for whichever per-image operand
-/// is not shared across the batch (packed gradient rows, patch gradients).
+/// Aligned packing buffers for one GEMM invocation: `b` holds the packed B
+/// panels of the current reduction chunk (A is read in place). The
+/// convolutions keep their one live B panel in `b` and use `a` for whichever
+/// per-image operand is not shared across the batch (packed gradient rows,
+/// patch gradients).
 #[derive(Default)]
 pub(crate) struct PackBufs {
     pub a: AlignedVec,
