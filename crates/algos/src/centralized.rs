@@ -857,7 +857,12 @@ fn ssp_step(core: &mut WorkerCore, ctx: &Ctx<Msg>, iter: u64, staleness: u64, ca
         core.metrics.record_at(core.w, Phase::GlobalAgg, t0, stall);
     }
     let my_clock = iter + 1;
-    if my_clock > *cache_ts + staleness {
+    // Checked in every build: a reply carrying the clock the hub parks a
+    // lost worker at (`u64::MAX`) must fail here, not wrap into a pass.
+    let fresh_until = cache_ts
+        .checked_add(staleness)
+        .expect("SSP cache clock is the parked clock u64::MAX");
+    if my_clock > fresh_until {
         // Cache too stale to proceed: refresh, gated on the slowest clock.
         let need = my_clock - staleness;
         request_params(core, ctx, Some(need));

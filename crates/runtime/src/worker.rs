@@ -225,7 +225,13 @@ pub fn worker_body<B: ExecBackend>(
                     backend.ps_applied();
                     clock += 1;
                     backend.bump_clock(clock);
-                    if clock > cache_ts + staleness {
+                    // Checked in every build: a reply carrying the clock
+                    // the hub parks a lost worker at (`u64::MAX`) must fail
+                    // here, not wrap into a pass.
+                    let fresh_until = cache_ts
+                        .checked_add(staleness)
+                        .expect("SSP cache clock is the parked clock u64::MAX");
+                    if clock > fresh_until {
                         let min = backend.wait_min_clock(clock - staleness);
                         let fresh = backend.ps_snapshot();
                         net.set_params(&fresh);
