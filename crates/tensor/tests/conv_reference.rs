@@ -161,7 +161,9 @@ fn shapes_that_cross_every_blocking_boundary() {
     // Then the `dW` kernel's blocks: 17 and 33 output channels (one past
     // two and four 8-lane blocks), `C·K·K` one
     // past each register-block height (4, 14, 28 rows; `db` is one more
-    // row), stride 2 with 9 channels, and a 1×1 output.
+    // row), stride 2 with 9 channels, and a 1×1 output. Then the direct
+    // kernels' blocks: 1, 9, 12 and 17 input channels, 1, 9 and 17 output
+    // channels, rows of 15, 17 and 33 pixels, stride 2 over odd widths.
     for (n, c, oc, h, w, k, stride, pad) in [
         (2, 2, 3, 24, 26, 3, 1, 1),
         (1, 58, 2, 4, 4, 3, 1, 1),
@@ -175,6 +177,14 @@ fn shapes_that_cross_every_blocking_boundary() {
         (2, 29, 17, 4, 5, 1, 1, 1),
         (3, 3, 9, 9, 11, 3, 2, 1),
         (2, 4, 10, 3, 3, 3, 1, 0),
+        (2, 1, 1, 5, 15, 3, 1, 1),
+        (2, 9, 9, 4, 17, 3, 1, 1),
+        (2, 12, 12, 6, 16, 3, 1, 1),
+        (1, 17, 17, 3, 33, 3, 1, 1),
+        (2, 12, 1, 4, 15, 3, 1, 1),
+        (1, 1, 17, 5, 17, 5, 1, 2),
+        (2, 9, 9, 7, 13, 3, 2, 1),
+        (1, 17, 9, 5, 33, 3, 2, 1),
     ] {
         check(n, c, oc, h, w, k, stride, pad, 0xC0FFEE).unwrap();
     }
