@@ -48,7 +48,7 @@ use crate::tensor::Tensor;
 /// Reduction-dimension chunk: one B panel column stays L2-resident while a
 /// tile pass streams it. Chunk `> 0` resumes from the partial sums already
 /// in `C`.
-pub(crate) const KC: usize = 512;
+const KC: usize = 512;
 
 /// GEMMs below this many flops (`2·m·n·k`) run sequentially: a parallel
 /// region costs ~2–10 µs of dispatch + join, which a sub-8-Mflop GEMM
