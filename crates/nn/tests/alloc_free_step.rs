@@ -51,9 +51,8 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// A model touching every layer kind: conv, batch-norm, ReLU, max-pool,
 /// flatten, a residual block, and dense. Two convs: `c0` is the network's
 /// first layer, whose input gradient is never computed, and `c1` sits
-/// behind it, so its backward runs the per-image patch-gradient GEMM and
-/// fold on the per-thread work buffers too; `c1` also carries a fused ReLU,
-/// whose mask comes from the arena.
+/// behind it, so its backward runs the input-gradient kernel too; `c1` also
+/// carries a fused ReLU, whose mask comes from the arena.
 fn build_net(seed: u64) -> Network {
     let mut rng = SmallRng::seed_from_u64(seed);
     let spec = |in_channels| Conv2dSpec {

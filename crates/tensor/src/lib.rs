@@ -3,8 +3,9 @@
 //! A deliberately small dense-tensor library: the numerical substrate for the
 //! `dtrain` reproduction of the IPDPS 2021 distributed-training study. It
 //! provides exactly what data-parallel SGD over MLPs/CNNs needs — row-major
-//! `f32` tensors, three cache-blocked GEMM variants, convolution as per-image
-//! GEMMs on the same microkernels, max-pooling, softmax cross-entropy —
+//! `f32` tensors, three cache-blocked GEMM variants, convolution as direct
+//! SIMD kernels over the zero-padded image, max-pooling, softmax
+//! cross-entropy —
 //! executed on a real persistent thread pool (behind the `rayon` facade) with
 //! **deterministic** parallelism: work splits over independent output blocks
 //! only, and every per-element reduction runs in a fixed sequential order, so
