@@ -857,14 +857,8 @@ fn ssp_step(core: &mut WorkerCore, ctx: &Ctx<Msg>, iter: u64, staleness: u64, ca
         core.metrics.record_at(core.w, Phase::GlobalAgg, t0, stall);
     }
     let my_clock = iter + 1;
-    // Checked in every build: a reply carrying the clock the hub parks a
-    // lost worker at (`u64::MAX`) must fail here, not wrap into a pass.
-    let fresh_until = cache_ts
-        .checked_add(staleness)
-        .expect("SSP cache clock is the parked clock u64::MAX");
-    if my_clock > fresh_until {
+    if let Some(need) = Algo::ssp_refresh_floor(my_clock, *cache_ts, staleness) {
         // Cache too stale to proceed: refresh, gated on the slowest clock.
-        let need = my_clock - staleness;
         request_params(core, ctx, Some(need));
         let seen_clock = pull_replies(core, ctx);
         // The refresh replaces the cache wholesale, so the local
@@ -888,7 +882,7 @@ fn ssp_step(core: &mut WorkerCore, ctx: &Ctx<Msg>, iter: u64, staleness: u64, ca
 
 fn easgd_step(core: &mut WorkerCore, ctx: &Ctx<Msg>, iter: u64, tau: u64) {
     core.local_sgd(ctx);
-    if !(iter + 1).is_multiple_of(tau) {
+    if !Algo::easgd_exchanges(iter, tau) {
         return;
     }
     // Push local params to every shard; the replies carry them back

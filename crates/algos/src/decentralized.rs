@@ -21,11 +21,10 @@ use std::time::Duration;
 use dtrain_cluster::{CollectiveSchedule, Phase, TrafficClass};
 use dtrain_desim::{Ctx, SimTime};
 use dtrain_faults::hub::Seat;
-use dtrain_faults::{Hub, MembershipView};
-use dtrain_nn::rules::gossip_merge;
+use dtrain_faults::{Algo, Hub, MembershipView};
+use dtrain_nn::rules::{adpsgd_midpoint, gossip_merge};
 use dtrain_nn::ParamSet;
 use parking_lot::Mutex;
-use rand::Rng;
 
 use crate::collective::{run_hier_allreduce, ChunkLayout};
 use crate::exec::{Addr, Body, Charge, Msg, WorkerCore};
@@ -280,7 +279,6 @@ impl GoSgd {
 
 impl Body for GoSgd {
     fn step(&mut self, core: &mut WorkerCore, ctx: &Ctx<Msg>, iter: u64) {
-        let n = self.peers.len();
         core.local_sgd(ctx);
         // merge everything that arrived (asymmetric: never block)
         while let Some(m) = ctx.try_recv() {
@@ -292,28 +290,12 @@ impl Body for GoSgd {
                 gossip_merge(&mut self.alpha, ar, replica);
             }
         }
-        // gossip with probability p (needs a peer to talk to)
-        if n < 2 || core.rng.gen::<f64>() >= self.p {
+        // Gossip with probability p; elastic targets come from the live
+        // cohort, so shares never chase an evicted replica.
+        let live = || core.elastic.as_ref().map(|el| el.view.live_at(iter));
+        let n = self.peers.len();
+        let Some(target) = Algo::gossip_target(self.p, core.w, n, &mut core.rng, live) else {
             return;
-        }
-        // Elastic targeting draws from the live cohort so shares never
-        // chase an evicted replica; the classic draw loop is kept
-        // verbatim so fault-free runs replay the same rng sequence.
-        let target = match core.elastic.as_ref() {
-            Some(el) => {
-                let mut live = el.view.live_at(iter);
-                live.retain(|&x| x != core.w);
-                if live.is_empty() {
-                    return;
-                }
-                live[core.rng.gen_range(0..live.len())]
-            }
-            None => loop {
-                let t = core.rng.gen_range(0..n);
-                if t != core.w {
-                    break t;
-                }
-            },
         };
         self.alpha *= 0.5;
         let bytes = core.model_bytes();
@@ -354,18 +336,6 @@ impl Body for GoSgd {
 // AD-PSGD
 // ---------------------------------------------------------------------------
 
-/// Bipartite role split (paper §IV-C): even ranks are active (they initiate
-/// exchanges), odd ranks are passive (they answer). Active workers only
-/// ever wait on passive ones, so the wait graph is acyclic — no deadlock.
-pub(crate) fn adpsgd_is_active(w: usize) -> bool {
-    w.is_multiple_of(2)
-}
-
-/// The ranks of one role among `n` workers, ascending.
-fn adpsgd_ranks(n: usize, active: bool) -> Vec<usize> {
-    (0..n).filter(|&w| adpsgd_is_active(w) == active).collect()
-}
-
 /// AD-PSGD active worker: kick off a symmetric exchange, overlap it with
 /// this iteration's computation, merge on completion.
 pub(crate) struct AdPsgdActive {
@@ -381,7 +351,7 @@ pub(crate) struct AdPsgdActive {
 impl AdPsgdActive {
     pub(crate) fn new(peers: Vec<Addr>, overlap: bool) -> Self {
         Self {
-            passives: adpsgd_ranks(peers.len(), false),
+            passives: Algo::adpsgd_ranks(peers.len(), false),
             down: vec![false; peers.len()],
             peers,
             overlap,
@@ -419,22 +389,12 @@ impl Body for AdPsgdActive {
         //    latency behind the gradient computation. Elastic draws only
         //    from passives both scheduled live and not flagged down; if
         //    none qualify this iteration is pure local SGD.
-        let target = match core.elastic.as_ref() {
-            Some(el) => {
-                let live: Vec<usize> = self
-                    .passives
-                    .iter()
-                    .copied()
-                    .filter(|&x| el.view.is_live(x, iter) && !self.down[x])
-                    .collect();
-                if live.is_empty() {
-                    None
-                } else {
-                    Some(live[core.rng.gen_range(0..live.len())])
-                }
-            }
-            None => Some(self.passives[core.rng.gen_range(0..self.passives.len())]),
-        };
+        let live = core.elastic.as_ref().map(|el| {
+            let mut live = el.view.live_at(iter);
+            live.retain(|&x| !self.down[x]);
+            live
+        });
+        let target = Algo::adpsgd_partner(&self.passives, &mut core.rng, live);
         if let (true, Some(t)) = (self.overlap, target) {
             self.initiate(core, ctx, t);
         }
@@ -523,7 +483,7 @@ fn adpsgd_adopt(
     let sponsor = view
         .live_at(j)
         .into_iter()
-        .find(|&w| !adpsgd_is_active(w) && w != core.w && view.rejoin_round(w) != Some(j));
+        .find(|&w| !Algo::adpsgd_is_active(w) && w != core.w && view.rejoin_round(w) != Some(j));
     let Some(sp) = sponsor else { return };
     let req = Msg::AdoptReq { sender: core.w };
     core.send(ctx, peers[sp], TrafficClass::Other, Charge::Wire, req);
@@ -547,7 +507,7 @@ pub(crate) struct AdPsgdPassive {
 impl AdPsgdPassive {
     pub(crate) fn new(peers: Vec<Addr>) -> Self {
         Self {
-            actives: adpsgd_ranks(peers.len(), true),
+            actives: Algo::adpsgd_ranks(peers.len(), true),
             peers,
             stops: 0,
         }
@@ -556,15 +516,8 @@ impl AdPsgdPassive {
     fn answer(&mut self, core: &mut WorkerCore, ctx: &Ctx<Msg>, m: Msg) {
         let (to, data) = match m {
             Msg::ExchangeReq { sender, data, .. } => {
-                // Atomic averaging: compute the midpoint, adopt it, and send
-                // the SAME midpoint back, so neither side's updates are lost.
                 let mid = match (core.real.as_mut(), data) {
-                    (Some(real), Some(xa)) => {
-                        let mut x = real.net.get_params();
-                        x.lerp(&xa, 0.5);
-                        real.net.set_params(&x);
-                        Some(x)
-                    }
+                    (Some(real), Some(xa)) => Some(adpsgd_midpoint(&mut real.net, &xa)),
                     _ => None,
                 };
                 (sender, mid)
@@ -667,11 +620,5 @@ mod tests {
         };
         hub.bsp_round(seat, (ps(&[1.0]), 1), 1.0, &());
         let _ = round_params(&Mutex::new(hub), 0);
-    }
-
-    #[test]
-    fn bipartite_split() {
-        assert_eq!(adpsgd_ranks(6, true), vec![0, 2, 4]);
-        assert_eq!(adpsgd_ranks(6, false), vec![1, 3, 5]);
     }
 }

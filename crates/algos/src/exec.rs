@@ -67,7 +67,6 @@ use dtrain_nn::{LrSchedule, Network, ParamLayout, ParamSet, SgdMomentum};
 use dtrain_obs::names;
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 use crate::config::{RealTraining, RunConfig, StopCondition};
 
@@ -351,7 +350,8 @@ pub struct RealWorkerState {
     /// Tensor indices per shard of the *real* model (arity = PS shards).
     pub shard_indices: Vec<Vec<usize>>,
     pub dgc: Option<DgcCompressor>,
-    pub shard_seed: u64,
+    /// The run seed; [`dtrain_data::Shard::epoch_batches`] mixes the rank in.
+    pub seed: u64,
 }
 
 impl RealWorkerState {
@@ -428,9 +428,7 @@ impl RealWorkerState {
             self.batch_in_epoch = 0;
             self.epoch += 1;
             // reshuffle for the new epoch
-            self.batches = self
-                .shard
-                .epoch_batches(self.batch, self.shard_seed, self.epoch);
+            self.batches = self.shard.epoch_batches(self.batch, self.seed, self.epoch);
             true
         } else {
             false
@@ -1056,9 +1054,7 @@ pub fn build_worker_cores(
                 profile: cfg.profile.clone(),
                 total_iters,
                 batch: cfg.batch,
-                rng: SmallRng::seed_from_u64(
-                    cfg.seed ^ (w as u64).wrapping_mul(0xD134_2543_DE82_EF95),
-                ),
+                rng: dtrain_faults::Algo::peer_rng(cfg.seed, w),
                 real,
                 faults,
                 elastic: elastic_rt.clone(),
@@ -1102,8 +1098,7 @@ fn build_real_state(
     }
     let shard_indices = real_shard_indices(cfg, &net.layout());
     let shard = train.shard(w, cfg.workers);
-    let shard_seed = cfg.seed ^ (w as u64).wrapping_mul(0xA076_1D64_78BD_642F);
-    let batches = shard.epoch_batches(rcfg.batch, shard_seed, 0);
+    let batches = shard.epoch_batches(rcfg.batch, cfg.seed, 0);
     let total_epochs = match cfg.stop {
         StopCondition::Epochs(e) => e as f32,
         StopCondition::Iterations(k) => (k as f32 / batches.len().max(1) as f32).max(1.0),
@@ -1130,7 +1125,7 @@ fn build_real_state(
             }
             DgcCompressor::new(d, cfg.workers)
         }),
-        shard_seed,
+        seed: cfg.seed,
     }
 }
 

@@ -16,7 +16,7 @@ use parking_lot::Mutex;
 use crate::centralized::{ps_process, BspRole, PsBody, PsCore, PsFaultState};
 use crate::collective::{collective_engine, ChunkLayout, EngineCore};
 use crate::config::RunConfig;
-use crate::decentralized::{adpsgd_is_active, AdPsgdActive, AdPsgdPassive, ArSgd, GoSgd};
+use crate::decentralized::{AdPsgdActive, AdPsgdPassive, ArSgd, GoSgd};
 use crate::exec::{
     build_worker_cores, real_shard_indices, run_worker, slice_set, Addr, Msg, Recorder, Snapshot,
 };
@@ -324,7 +324,7 @@ fn run_impl(cfg: &RunConfig, trace: bool, sink: &ObsSink) -> (RunOutput, Option<
                 run_worker(core, body, ctx)
             }
             Algo::GoSgd { p } => run_worker(core, GoSgd::new(peers, p), ctx),
-            Algo::AdPsgd if adpsgd_is_active(w) => {
+            Algo::AdPsgd if Algo::adpsgd_is_active(w) => {
                 run_worker(core, AdPsgdActive::new(peers, overlap), ctx)
             }
             Algo::AdPsgd => run_worker(core, AdPsgdPassive::new(peers), ctx),

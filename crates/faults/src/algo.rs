@@ -5,7 +5,11 @@
 //! It lives here, below all three, because the decisions a path would
 //! otherwise make alone belong to the algorithm: how the degradation
 //! controller's [`CtrlAction`] relaxes it, what EASGD's moving rate
-//! defaults to, and which hyperparameters cannot run at all.
+//! defaults to, which hyperparameters cannot run at all, and each worker's
+//! own choices (DESIGN.md §3b lists their callers on every path).
+
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 use crate::chaos::CtrlAction;
 
@@ -89,6 +93,84 @@ impl Algo {
         alpha.unwrap_or(0.9 / workers as f32)
     }
 
+    /// Rank `rank`'s stream of peer draws under run seed `seed`: GoSGD's
+    /// gate and targets, an AD-PSGD active's partners.
+    pub fn peer_rng(seed: u64, rank: usize) -> SmallRng {
+        SmallRng::seed_from_u64(seed ^ (rank as u64).wrapping_mul(0xD134_2543_DE82_EF95))
+    }
+
+    /// AD-PSGD's bipartite role split (paper §IV-C): even ranks are active
+    /// (they initiate exchanges), odd ranks passive (they answer). Actives
+    /// only ever wait on passives, so the wait graph is acyclic.
+    pub fn adpsgd_is_active(rank: usize) -> bool {
+        rank.is_multiple_of(2)
+    }
+
+    /// The ranks of one AD-PSGD role among `workers`, ascending.
+    pub fn adpsgd_ranks(workers: usize, active: bool) -> Vec<usize> {
+        (0..workers)
+            .filter(|&w| Algo::adpsgd_is_active(w) == active)
+            .collect()
+    }
+
+    /// The passive an AD-PSGD active exchanges with this iteration, drawn
+    /// from `rng` among `passives`. An elastic run passes the ranks it may
+    /// pair with now (`live`) and draws among the passives in it; `None`
+    /// when none is, a purely local iteration.
+    pub fn adpsgd_partner(
+        passives: &[usize],
+        rng: &mut SmallRng,
+        live: Option<Vec<usize>>,
+    ) -> Option<usize> {
+        let may_pair = |v: &usize| live.as_ref().is_none_or(|live| live.contains(v));
+        let among: Vec<usize> = passives.iter().copied().filter(may_pair).collect();
+        draw(rng, &among)
+    }
+
+    /// GoSGD's share (Blot et al.): with probability `p` rank `rank` of
+    /// `workers` sends its replica to a peer drawn from `rng`, and this is
+    /// that peer. The gate draws first, so `live` (the live ranks of an
+    /// elastic run, `None` in a classic one) is asked for only when the
+    /// rank shares; an elastic rank alone in its cohort shares with nobody.
+    pub fn gossip_target(
+        p: f64,
+        rank: usize,
+        workers: usize,
+        rng: &mut SmallRng,
+        live: impl FnOnce() -> Option<Vec<usize>>,
+    ) -> Option<usize> {
+        if workers < 2 || rng.gen::<f64>() >= p {
+            return None;
+        }
+        match live() {
+            Some(mut live) => {
+                live.retain(|&v| v != rank);
+                draw(rng, &live)
+            }
+            None => std::iter::repeat_with(|| rng.gen_range(0..workers)).find(|&t| t != rank),
+        }
+    }
+
+    /// SSP's read rule (Ho et al.): a worker at `clock` whose cache is fresh
+    /// as of `cache_ts` must refresh once it is more than `staleness` ahead,
+    /// and the refresh waits until the slowest live clock reaches the
+    /// returned floor, `clock − staleness`. `None` while the cache serves.
+    pub fn ssp_refresh_floor(clock: u64, cache_ts: u64, staleness: u64) -> Option<u64> {
+        // Checked in every build: a reply carrying the clock the hub parks a
+        // lost worker at (`u64::MAX`) must fail here, not wrap into a pass.
+        let fresh_until = cache_ts
+            .checked_add(staleness)
+            .expect("SSP cache clock is the parked clock u64::MAX");
+        (clock > fresh_until).then(|| clock - staleness)
+    }
+
+    /// Does EASGD exchange with the center at the end of round `round`?
+    /// Every `tau`-th round, counted in rounds of the run, so a rank that
+    /// sat rounds out keeps the cohort's cadence.
+    pub fn easgd_exchanges(round: u64, tau: u64) -> bool {
+        (round + 1).is_multiple_of(tau)
+    }
+
     /// Reject hyperparameters this algorithm cannot run with at `workers`
     /// workers — checked by every path before anything starts.
     pub fn validate(&self, workers: usize) -> Result<(), String> {
@@ -104,6 +186,11 @@ impl Algo {
             _ => Ok(()),
         }
     }
+}
+
+/// One of `among`, drawn from `rng`; `None` when there is none.
+fn draw(rng: &mut SmallRng, among: &[usize]) -> Option<usize> {
+    (!among.is_empty()).then(|| among[rng.gen_range(0..among.len())])
 }
 
 #[cfg(test)]

@@ -31,7 +31,7 @@ use dtrain_nn::rules::round_mean;
 use dtrain_nn::ParamSet;
 
 use crate::ps::PsState;
-use crate::MembershipView;
+use crate::{Algo, MembershipView};
 
 /// Who is arriving at which BSP round, what cohort it belongs to, and when.
 pub struct Seat<'a> {
@@ -510,14 +510,15 @@ impl Hub {
         }
     }
 
-    /// Active rank `from` is done: tell every passive (odd) rank.
+    /// Active rank `from` is done: tell every passive rank.
     pub fn announce_done(&mut self, from: usize) {
         self.push_done(from);
         self.wake();
     }
 
     fn push_done(&mut self, from: usize) {
-        for v in (1..self.workers).step_by(2).filter(|&v| v != from) {
+        let passives = Algo::adpsgd_ranks(self.workers, false);
+        for v in passives.into_iter().filter(|&v| v != from) {
             self.boxes[v].exchange.push_back(PeerItem::Done);
         }
     }
@@ -552,7 +553,7 @@ impl Hub {
         self.ps.bump_clock(rank, u64::MAX);
         self.boxes[rank].coll.clear();
         self.drop_waiting_on(rank);
-        if rank.is_multiple_of(2) {
+        if Algo::adpsgd_is_active(rank) {
             self.push_done(rank);
         }
         let live = self.expected(None);

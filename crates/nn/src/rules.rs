@@ -9,7 +9,9 @@
 //! ([`round_mean`]) and takes one optimizer step of that mean at the full
 //! learning rate, so weight decay is λ at every worker count. A round closed
 //! short of its cohort divides by the weight that arrived; a deposit for a
-//! round already closed is dropped. SSP is Ho et al.'s SSPTable on every
+//! round already closed is dropped. GoSGD merges a share by its weight
+//! ([`gossip_merge`]) and an AD-PSGD pair meets at its midpoint
+//! ([`adpsgd_midpoint`]). SSP is Ho et al.'s SSPTable on every
 //! path: the worker takes its own optimizer step on its cache and pushes
 //! the applied delta ([`ssp_step`]), and the server adds it
 //! ([`ParamSet::add_assign`]); no optimizer steps on the server.
@@ -56,6 +58,16 @@ pub fn gossip_merge(alpha: &mut f32, share_alpha: f32, replica: Option<(&mut Net
         net.set_params(&x);
     }
     *alpha = merged;
+}
+
+/// AD-PSGD's atomic averaging (Lian et al.): the passive moves its replica
+/// to the midpoint of its own and the active's `x_a`, and returns that same
+/// midpoint, which the active adopts, so neither side's updates are lost.
+pub fn adpsgd_midpoint(net: &mut Network, x_a: &ParamSet) -> ParamSet {
+    let mut mid = net.get_params();
+    mid.lerp(x_a, 0.5);
+    net.set_params(&mid);
+    mid
 }
 
 /// SSP's worker half: one optimizer step of `grad` at `lr` on the cache;

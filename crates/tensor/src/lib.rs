@@ -15,8 +15,8 @@
 //! at runtime (AVX-512 / AVX2 / portable scalar) over packed, cache-line
 //! aligned operand panels. All tiers perform per-product rounding (no FMA)
 //! in the same ascending reduction order, so outputs are additionally
-//! bit-identical across ISA tiers and machines — kernel speed is invisible
-//! to every numeric result.
+//! bit-identical across ISA tiers and machines, a NaN's payload excepted
+//! ([`simd`]) — kernel speed is invisible to every numeric result.
 //!
 //! The [`Scratch`] arena pools kernel temporaries (zero-padded conv inputs,
 //! GEMM outputs, activation/gradient buffers); the `_scratch` kernel

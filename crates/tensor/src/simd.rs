@@ -8,10 +8,13 @@
 //! starting from `+0.0` — exactly the sequence the naive three-loop GEMM
 //! performs. SIMD lanes only batch *independent* output columns, so the
 //! tiers are bit-identical to each other and to the scalar reference on
-//! every ISA, and results never depend on which tier ran. That is a
-//! stronger guarantee than the per-ISA determinism the cost model needs,
-//! and it is what lets the golden-trace and blocked-vs-naive suites pass
-//! unchanged regardless of host CPU.
+//! every ISA, and no finite or infinite result depends on which tier ran.
+//! A NaN's payload may: x86 returns the first operand's NaN and LLVM may
+//! commute an `fadd`, so which of two NaNs a sum carries is not part of the
+//! contract (DESIGN.md §2c; the bit pins hash every NaN as one pattern).
+//! That is a stronger guarantee than the per-ISA determinism the cost model
+//! needs, and it is what lets the golden-trace and blocked-vs-naive suites
+//! pass unchanged regardless of host CPU.
 //!
 //! The active tier is picked once per process from CPUID (overridable with
 //! `DTRAIN_SIMD=avx512|avx2|scalar`), and can be narrowed per-thread with
