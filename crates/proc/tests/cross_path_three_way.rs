@@ -14,6 +14,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dtrain_core::prelude::*;
+use dtrain_core::presets::{accuracy_run, AccuracyScale};
 use dtrain_data::{teacher_task, TeacherTaskConfig};
 use dtrain_models::mlp_classifier;
 use dtrain_nn::ParamSet;
@@ -209,6 +210,86 @@ fn sim_threaded_and_proc_agree_on_all_seven_algorithms() {
             bsp,
             "{name} on processes vs BSP on threads"
         );
+    }
+}
+
+/// BSP and AR-SGD end with one model on all three paths, at 1, 2 and 4
+/// workers: every rank trains on the same data order everywhere (the
+/// `Shard`'s), and every round is the hub's rank-ascending mean. The real
+/// paths report the mean of their replicas, which is exact for identical
+/// replicas at these counts, so the simulator's model must equal the
+/// threaded and the process model bit for bit.
+#[test]
+fn sim_threaded_and_proc_end_bsp_and_arsgd_with_one_model() {
+    let scale = AccuracyScale {
+        epochs: 2,
+        train_size: 512,
+        test_size: 64,
+        batch: 8,
+        base_lr: 0.008,
+        seed: 11,
+    };
+    let task = TeacherTaskConfig {
+        train_size: scale.train_size,
+        test_size: scale.test_size,
+        seed: scale.seed,
+        ..Default::default()
+    };
+    let (train, test) = teacher_task(&task);
+    let train = Arc::new(train);
+    for algo in [Algo::Bsp, Algo::ArSgd] {
+        for workers in [1, 2, 4] {
+            let cell = format!("{} at {workers} workers", algo.name());
+            let sim = run(&accuracy_run(algo, workers, &scale))
+                .final_params
+                .expect("a real-math run has a model");
+            let plan = RunPlan {
+                workers,
+                epochs: scale.epochs,
+                batch: scale.batch,
+                strategy: algo,
+                base_lr: scale.base_lr,
+                seed: scale.seed,
+                ..Default::default()
+            };
+            let thr = train_threaded_observed(
+                || mlp_classifier(task.input_dim, &[64, 32], task.num_classes, MODEL_SEED),
+                &train,
+                &test,
+                &ThreadedConfig {
+                    workers,
+                    epochs: plan.epochs,
+                    batch: plan.batch,
+                    strategy: algo,
+                    base_lr: plan.base_lr,
+                    seed: plan.seed,
+                    ..Default::default()
+                },
+                &ObsSink::disabled(),
+            );
+            let proc = train_proc_observed(
+                ProcConfig {
+                    plan,
+                    task: task.clone(),
+                    model_seed: MODEL_SEED,
+                    worker_exe: Some(PathBuf::from(env!("CARGO_BIN_EXE_dtrain-proc-worker"))),
+                    ..Default::default()
+                },
+                Duration::from_secs(120),
+                &ObsSink::disabled(),
+            )
+            .unwrap_or_else(|e| panic!("{cell}: process-path run failed: {e}"));
+            for (path, params) in [
+                ("threads", &thr.final_params),
+                ("processes", &proc.final_params),
+            ] {
+                assert!(
+                    param_bits(params) == param_bits(&sim),
+                    "{cell}: simulator vs {path}, max |Δ| = {:e}",
+                    sim.max_abs_diff(params)
+                );
+            }
+        }
     }
 }
 

@@ -227,6 +227,116 @@ fn sim_and_threaded_agree_on_elastic_bsp_schedule() {
     assert_eq!(view.live_at(rounds - 1), vec![0, 1, 2, 3]);
 }
 
+/// EASGD exchanges with the center every τ-th *round of the run* on both
+/// paths, so a rank that sat rounds out rejoins on the cohort's cadence
+/// rather than restarting its own count. EASGD τ = 4, 4 workers, 48 rounds;
+/// worker 1 dies at round 5 and rejoins at round 42. It exchanges at rounds
+/// 3, 43 and 47 (three pushes); every other worker at each of the twelve.
+#[test]
+fn sim_and_threaded_agree_on_an_easgd_rejoiners_exchanges() {
+    use dtrain_repro::desim::SimTime;
+    use dtrain_repro::faults::{
+        ElasticConfig, ElasticRuntime, FaultEvent, FaultKind, FaultSchedule, MembershipView,
+    };
+    use dtrain_repro::runtime::RuntimeFaultConfig;
+
+    let (workers, batch, epochs, tau) = (4usize, 8usize, 3u64, 4u64);
+    let algo = Algo::Easgd { tau, alpha: None };
+    let task = TeacherTaskConfig {
+        train_size: 512,
+        test_size: 64,
+        seed: 11,
+        ..Default::default()
+    };
+    let rounds = epochs * (task.train_size / workers / batch) as u64;
+    assert_eq!(rounds, 48);
+
+    // The simulator derives the view from a timed crash (1.0 s into 200 ms
+    // rounds, back 7.4 s later); the threaded path takes the view directly.
+    let elastic = ElasticConfig::default();
+    let schedule = FaultSchedule::new(vec![FaultEvent {
+        at: SimTime::from_secs(1),
+        kind: FaultKind::WorkerCrash {
+            worker: 1,
+            restart_after: Some(SimTime::from_millis(7_400)),
+        },
+    }]);
+    let view = MembershipView::from_schedule(&schedule, workers, &elastic);
+    assert_eq!(
+        view,
+        MembershipView::from_events(workers, &[(1, 5)], &[(1, 42)])
+    );
+
+    let sim_sink = ObsSink::enabled();
+    run_observed(
+        &RunConfig {
+            algo,
+            cluster: ClusterConfig::paper_with_workers(NetworkConfig::TEN_GBPS, workers),
+            workers,
+            profile: resnet50(),
+            batch: 64,
+            opts: OptimizationConfig::default(),
+            stop: StopCondition::Epochs(epochs),
+            real: Some(RealTraining {
+                task: dtrain_algos::SyntheticTask::Teacher(task.clone()),
+                batch,
+                model_seed: MODEL_SEED,
+                ..Default::default()
+            }),
+            seed: 11,
+            faults: Some(FaultConfig {
+                schedule,
+                checkpoint_interval: 4,
+                elastic: Some(elastic.clone()),
+            }),
+        },
+        &sim_sink,
+    );
+
+    let (train, test) = teacher_task(&task);
+    let thr_sink = ObsSink::enabled();
+    train_threaded_observed(
+        || mlp_classifier(task.input_dim, &[64, 32], task.num_classes, MODEL_SEED),
+        &Arc::new(train),
+        &test,
+        &ThreadedConfig {
+            workers,
+            epochs,
+            batch,
+            strategy: algo,
+            seed: 11,
+            faults: Some(RuntimeFaultConfig {
+                elastic: Some(ElasticRuntime {
+                    view: Arc::new(view),
+                    cfg: elastic,
+                }),
+                checkpoint_interval: 4,
+                ..Default::default()
+            }),
+            ..Default::default()
+        },
+        &thr_sink,
+    );
+
+    let model_bytes = mlp_classifier(task.input_dim, &[64, 32], task.num_classes, MODEL_SEED)
+        .get_params()
+        .num_bytes() as i64;
+    let (sim_events, thr_events) = (sim_sink.snapshot(), thr_sink.snapshot());
+    for w in 0..workers {
+        let track = Track::Worker(w as u16);
+        let bytes = [&sim_events, &thr_events].map(|ev| {
+            final_counter(ev, track, "logical.bytes")
+                .unwrap_or_else(|| panic!("worker {w} emitted no logical.bytes"))
+        });
+        let exchanges = if w == 1 { 3 } else { rounds / tau } as i64;
+        assert_eq!(
+            bytes,
+            [exchanges * model_bytes; 2],
+            "worker {w}: simulated / threaded logical bytes"
+        );
+    }
+}
+
 /// The per-worker `Breakdown` the runner reports and the phase spans on the
 /// worker's obs track are two projections of the same `record_at` calls:
 /// per phase, the span durations must sum to the Breakdown total exactly.
