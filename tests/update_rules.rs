@@ -5,7 +5,9 @@
 //!
 //! The cells are the simulator's real-math teacher runs of all seven
 //! algorithms at 4 workers, simulated BSP with local aggregation and with
-//! DGC, and the threaded runs whose arithmetic does not race: BSP, AR-SGD
+//! DGC, five simulated loss-and-rejoin runs (BSP, SSP and the three
+//! decentralized algorithms with worker 1 out for a window of rounds), and
+//! the threaded runs whose arithmetic does not race: BSP, AR-SGD
 //! and hierarchical BSP at 4 workers, ASP, SSP and EASGD at 1 worker. The
 //! simulator cells are checked on every supported ISA tier; the threaded
 //! cells run on the process-wide tier (`DTRAIN_SIMD`), since worker threads
@@ -91,7 +93,39 @@ fn sim_digest() -> String {
     writeln!(out, "sim bsp+local {:016x}", fnv1a64(&sim_params(&local))).unwrap();
     let dgc = accuracy_run_with_dgc(Algo::Bsp, 4, &scale());
     writeln!(out, "sim bsp+dgc {:016x}", fnv1a64(&sim_params(&dgc))).unwrap();
+    for (name, algo) in algorithms() {
+        if matches!(name, "bsp" | "ssp" | "arsgd" | "gosgd" | "adpsgd") {
+            let p = sim_params(&with_rejoin(accuracy_run(algo, 4, &scale())));
+            writeln!(out, "sim {name}+rejoin {:016x}", fnv1a64(&p)).unwrap();
+        }
+    }
     out
+}
+
+/// `cfg` under elastic membership with worker 1 out for rounds 5–19 of the
+/// 32: it dies 1 s into `ElasticConfig`'s 200 ms rounds and comes back 3 s
+/// later, so each rule's rejoin (server pull, SSP re-admission, checkpoint
+/// restore, the round's parameters) reaches the final model.
+fn with_rejoin(mut cfg: RunConfig) -> RunConfig {
+    use dtrain_desim::SimTime;
+    let elastic = ElasticConfig::default();
+    let schedule = FaultSchedule::new(vec![FaultEvent {
+        at: SimTime::from_secs(1),
+        kind: FaultKind::WorkerCrash {
+            worker: 1,
+            restart_after: Some(SimTime::from_secs(3)),
+        },
+    }]);
+    assert_eq!(
+        MembershipView::from_schedule(&schedule, cfg.workers, &elastic),
+        MembershipView::from_events(cfg.workers, &[(1, 5)], &[(1, 20)])
+    );
+    cfg.faults = Some(FaultConfig {
+        schedule,
+        checkpoint_interval: 4,
+        elastic: Some(elastic),
+    });
+    cfg
 }
 
 /// A threaded teacher run's final parameters.
