@@ -29,7 +29,7 @@ use dtrain_cluster::{
 };
 use dtrain_desim::{Ctx, SimTime};
 use dtrain_faults::hub::{Answer, Seat};
-use dtrain_faults::{markers, Algo, CheckpointStore, ElasticRuntime, Hub, MembershipView, PsState};
+use dtrain_faults::{markers, Algo, CheckpointStore, ElasticRuntime, Hub, PsState, PS_OWNER};
 use dtrain_nn::rules::{self, rank_sum};
 use dtrain_nn::ParamSet;
 use dtrain_obs::{names, TrackHandle};
@@ -49,10 +49,6 @@ const PS_HANDLE_OVERHEAD: SimTime = SimTime::from_micros(50);
 fn ps_apply_time(bytes: u64) -> SimTime {
     PS_HANDLE_OVERHEAD + SimTime::from_secs_f64(bytes as f64 / PS_APPLY_BYTES_PER_SEC)
 }
-
-/// Owner-key offset for PS shards in the run's shared checkpoint store
-/// (workers use their id directly; shards use `PS_OWNER_BASE + shard`).
-const PS_OWNER_BASE: usize = 1 << 20;
 
 /// Fault-injection state of one PS shard: its outage schedule plus the
 /// shared checkpoint store its parameter state rolls back to.
@@ -145,7 +141,7 @@ impl PsCore {
                 markers::shard_failover(&self.obs, ctx.now().as_nanos(), self.shard);
                 // Roll back to the newest snapshot not ahead of what the
                 // survivors have seen applied.
-                let owner = PS_OWNER_BASE + self.shard;
+                let owner = PS_OWNER + self.shard;
                 let cp = f.store.restore_at_or_before(owner, f.applies);
                 if let Some(cp) = cp.filter(|_| self.real) {
                     *self.hub.ps().global.lock() = (cp.params, cp.opt);
@@ -169,7 +165,7 @@ impl PsCore {
                 );
                 ctx.advance(wire + recovery);
             } else {
-                let cp = f.store.restore(PS_OWNER_BASE + self.shard);
+                let cp = f.store.restore(PS_OWNER + self.shard);
                 if let Some(cp) = cp.filter(|_| self.real) {
                     *self.hub.ps().global.lock() = (cp.params, cp.opt);
                     markers::ckpt_restore(&self.obs, ctx.now().as_nanos(), cp.iteration);
@@ -189,8 +185,7 @@ impl PsCore {
         f.applies += 1;
         if f.store.due(f.applies) {
             let (params, opt) = &*self.hub.ps().global.lock();
-            f.store
-                .save(PS_OWNER_BASE + self.shard, f.applies, params, opt);
+            f.store.save(PS_OWNER + self.shard, f.applies, params, opt);
             markers::ckpt_save(&self.obs, now.as_nanos(), f.applies);
         }
     }
@@ -310,7 +305,7 @@ pub(crate) fn ps_process(mut ps: PsCore, algo: Algo, ctx: Ctx<Msg>) {
     // has a state to roll back to.
     if let (Some(f), true) = (ps.faults.as_ref(), ps.real) {
         let (params, opt) = &*ps.hub.ps().global.lock();
-        f.store.save(PS_OWNER_BASE + ps.shard, 0, params, opt);
+        f.store.save(PS_OWNER + ps.shard, 0, params, opt);
     }
     let mut stops = 0usize;
     // SSP: shard 0 is the clock authority and runs the staleness gate.
@@ -372,10 +367,11 @@ pub(crate) fn ps_process(mut ps: PsCore, algo: Algo, ctx: Ctx<Msg>) {
                         ps.hub.ps().add_delta(&d.into_dense());
                     }
                     if gate {
-                        // monotonic: NIC FIFO delivers in order today,
-                        // but the clock must never regress regardless
-                        let clock = ps.hub.ps().clocks.lock()[sender].max(iter + 1);
-                        ps.hub.bump_clock(sender, clock);
+                        // A push its sender's departure overtook on the
+                        // wire must not re-admit the clock that parked.
+                        if ps.hub.ps().clocks.lock()[sender] < u64::MAX {
+                            ps.hub.bump_clock(sender, iter + 1);
+                        }
                         ps.answer(&ctx, None, false);
                     }
                     ps.tick_checkpoint(ctx.now());
@@ -438,12 +434,9 @@ pub(crate) fn ps_process(mut ps: PsCore, algo: Algo, ctx: Ctx<Msg>) {
             }
             Msg::MemberUp { worker } => {
                 if gate {
-                    // Re-admit at the others' minimum (its own clock is
-                    // still parked) so the bound never regresses, which
-                    // releases no pull; at 0 if no other clock is live.
-                    let min = ps.hub.ps().min_clock();
-                    let readmit = if min == u64::MAX { 0 } else { min };
-                    ps.hub.bump_clock(worker, readmit);
+                    // Its clock is parked: the hub re-admits it at the
+                    // live minimum, whatever the bump says.
+                    ps.hub.bump_clock(worker, 0);
                 }
             }
             Msg::RoundDeadline => {
@@ -535,7 +528,7 @@ impl Body for PsBody {
     /// Pull the current model from every shard (wire bytes charged), reset
     /// the optimizer, announce MemberUp — NIC FIFO guarantees it precedes
     /// the first new push at every shard.
-    fn rejoin(&mut self, core: &mut WorkerCore, ctx: &Ctx<Msg>, _view: &MembershipView, j: u64) {
+    fn rejoin(&mut self, core: &mut WorkerCore, ctx: &Ctx<Msg>, j: u64) {
         request_params(core, ctx, None);
         pull_replies(core, ctx);
         if let Some(real) = core.real.as_mut() {

@@ -11,9 +11,10 @@
 //! `exec::run_worker`: [`ArSgd`], [`GoSgd`], [`AdPsgdActive`],
 //! [`AdPsgdPassive`]. Under elastic membership nobody has to be told a
 //! member left — every member reads the same shared view — except AD-PSGD's
-//! actives, who may be blocked on the passive that died; a rejoiner is
-//! seeded by a sponsor ([`sponsor_rejoiners`] / [`adopt_local_params`] for
-//! AR-SGD and GoSGD, [`adpsgd_adopt`] for AD-PSGD).
+//! actives, who may be blocked on the passive that died. A rejoiner follows
+//! the real paths' rule ([`Algo::restores_from_checkpoint`]): GoSGD and
+//! AD-PSGD resume from their own checkpoint, which the membership gate
+//! restores, and real-math AR-SGD takes its round hub's parameters.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -21,70 +22,13 @@ use std::time::Duration;
 use dtrain_cluster::{CollectiveSchedule, Phase, TrafficClass};
 use dtrain_desim::{Ctx, SimTime};
 use dtrain_faults::hub::Seat;
-use dtrain_faults::{Algo, Hub, MembershipView};
+use dtrain_faults::{Algo, Hub};
 use dtrain_nn::rules::{adpsgd_midpoint, gossip_merge};
 use dtrain_nn::ParamSet;
 use parking_lot::Mutex;
 
 use crate::collective::{run_hier_allreduce, ChunkLayout};
 use crate::exec::{Addr, Body, Charge, Msg, WorkerCore};
-
-// ---------------------------------------------------------------------------
-// Elastic membership (shared by AR-SGD and GoSGD)
-// ---------------------------------------------------------------------------
-
-/// Send a full-parameter seed to every member rejoining at `iter`, if this
-/// worker is the designated sponsor: the lowest-id live member that is not
-/// itself rejoining this round. Every member evaluates the same rule on the
-/// same shared view, so exactly one sponsor emerges.
-fn sponsor_rejoiners(
-    core: &mut WorkerCore,
-    ctx: &Ctx<Msg>,
-    peers: &[Addr],
-    view: &MembershipView,
-    iter: u64,
-) {
-    let me = core.w;
-    let rejoiners: Vec<usize> = (0..peers.len())
-        .filter(|&w| w != me && view.rejoin_round(w) == Some(iter))
-        .collect();
-    if rejoiners.is_empty() {
-        return;
-    }
-    let sponsor = view
-        .live_at(iter)
-        .into_iter()
-        .find(|&w| view.rejoin_round(w) != Some(iter));
-    if sponsor != Some(me) {
-        return;
-    }
-    let bytes = core.model_bytes();
-    for w2 in rejoiners {
-        let seed = Msg::LocalParams {
-            data: core.replica(),
-            bytes,
-        };
-        core.send(ctx, peers[w2], TrafficClass::Peer, Charge::Wire, seed);
-    }
-}
-
-/// Adopt the sponsor's replica after dormancy: block for the `LocalParams`
-/// seed the sponsor sends at the top of round `j`. If no live member can
-/// sponsor, resume on the checkpointed state.
-fn adopt_local_params(core: &mut WorkerCore, ctx: &Ctx<Msg>, view: &MembershipView, j: u64) {
-    let has_sponsor = view
-        .live_at(j)
-        .into_iter()
-        .any(|w| view.rejoin_round(w) != Some(j));
-    if !has_sponsor {
-        return;
-    }
-    let m = ctx.recv_match(|m| matches!(m, Msg::LocalParams { .. }));
-    if let (Some(real), Msg::LocalParams { data: Some(p), .. }) = (core.real.as_mut(), m) {
-        real.net.set_params(&p);
-        real.opt.reset();
-    }
-}
 
 // ---------------------------------------------------------------------------
 // AR-SGD
@@ -190,12 +134,12 @@ impl Body for ArSgd {
             let slice = bwd_total / buckets as u64;
             for b in 0..buckets {
                 ctx.advance(slice);
-                self.ring_bucket(core, ctx, right, n, b as u32);
+                self.ring_bucket(core, ctx, right, n, iter, b as u32);
             }
         } else {
             core.compute(ctx);
             for b in 0..buckets {
-                self.ring_bucket(core, ctx, right, n, b as u32);
+                self.ring_bucket(core, ctx, right, n, iter, b as u32);
             }
         }
 
@@ -206,30 +150,28 @@ impl Body for ArSgd {
         }
     }
 
-    fn before_round(
-        &mut self,
-        core: &mut WorkerCore,
-        ctx: &Ctx<Msg>,
-        view: &MembershipView,
-        iter: u64,
-    ) {
-        sponsor_rejoiners(core, ctx, &self.ring, view, iter);
-    }
-
-    fn rejoin(&mut self, core: &mut WorkerCore, ctx: &Ctx<Msg>, view: &MembershipView, j: u64) {
-        adopt_local_params(core, ctx, view, j);
+    /// Re-enter with the server's parameters and a fresh optimizer, as the
+    /// real paths' rejoin pull does: the hub holds the last round it closed.
+    fn rejoin(&mut self, core: &mut WorkerCore, _ctx: &Ctx<Msg>, _j: u64) {
+        if let (Some(hub), Some(real)) = (&self.hub, core.real.as_mut()) {
+            real.net.set_params(&hub.lock().ps().snapshot());
+            real.opt.reset();
+        }
     }
 }
 
 impl ArSgd {
-    /// Execute the 2(N−1) hops of one ring bucket. Each hop: send the chunk
-    /// to the right neighbor, block for the matching chunk from the left.
+    /// Execute the 2(N−1) hops of one ring bucket of round `iter`. Each
+    /// hop: send the chunk to the right neighbor, block for the matching
+    /// chunk from the left — of this round: a rejoiner back early must not
+    /// feed a ring its neighbor is still closing.
     fn ring_bucket(
         &self,
         core: &mut WorkerCore,
         ctx: &Ctx<Msg>,
         right: Addr,
         n: usize,
+        iter: u64,
         bucket: u32,
     ) {
         if n == 1 {
@@ -241,15 +183,17 @@ impl ArSgd {
         for step in 0..2 * (n - 1) as u32 {
             own_wire += core.wire_time(right.node, chunk);
             let hop = Msg::RingChunk {
+                iter,
                 step,
                 bucket,
                 bytes: chunk,
             };
             core.send(ctx, right, TrafficClass::Peer, Charge::Hop, hop);
             // wait for the matching hop from the left neighbor
-            let _ = ctx.recv_match(
-                |m| matches!(m, Msg::RingChunk { step: s, bucket: b, .. } if *s == step && *b == bucket),
-            );
+            let _ = ctx.recv_match(|m| {
+                matches!(m, Msg::RingChunk { iter: i, step: s, bucket: b, .. }
+                    if (*i, *s, *b) == (iter, step, bucket))
+            });
         }
         let blocked = (ctx.now() - t0).saturating_sub(own_wire);
         core.metrics
@@ -314,18 +258,7 @@ impl Body for GoSgd {
         );
     }
 
-    fn before_round(
-        &mut self,
-        core: &mut WorkerCore,
-        ctx: &Ctx<Msg>,
-        view: &MembershipView,
-        iter: u64,
-    ) {
-        sponsor_rejoiners(core, ctx, &self.peers, view, iter);
-    }
-
-    fn rejoin(&mut self, core: &mut WorkerCore, ctx: &Ctx<Msg>, view: &MembershipView, j: u64) {
-        adopt_local_params(core, ctx, view, j);
+    fn rejoin(&mut self, _core: &mut WorkerCore, _ctx: &Ctx<Msg>, _j: u64) {
         // Fresh mixing mass, as at init — the dead replica's α mass left
         // the system with it.
         self.alpha = 1.0 / self.peers.len() as f32;
@@ -435,10 +368,6 @@ impl Body for AdPsgdActive {
         }
     }
 
-    fn rejoin(&mut self, core: &mut WorkerCore, ctx: &Ctx<Msg>, view: &MembershipView, j: u64) {
-        adpsgd_adopt(core, ctx, &self.peers, view, j);
-    }
-
     fn epilogue(&mut self, core: &mut WorkerCore, ctx: &Ctx<Msg>) {
         self.stop_passives(core, ctx);
     }
@@ -468,32 +397,6 @@ fn wait_exchange_rep(ctx: &Ctx<Msg>, target: usize, down: &mut [bool]) -> Option
     }
 }
 
-/// Rejoin (both AD-PSGD roles): ask the sponsor passive — lowest live
-/// passive at `j` that is not itself rejoining — for its replica via
-/// `AdoptReq`, answered with a plain `ExchangeRep` (no averaging, so the
-/// rejoiner's stale state never pollutes the cohort). With no live passive
-/// to seed from, resume on the checkpointed state.
-fn adpsgd_adopt(
-    core: &mut WorkerCore,
-    ctx: &Ctx<Msg>,
-    peers: &[Addr],
-    view: &MembershipView,
-    j: u64,
-) {
-    let sponsor = view
-        .live_at(j)
-        .into_iter()
-        .find(|&w| !Algo::adpsgd_is_active(w) && w != core.w && view.rejoin_round(w) != Some(j));
-    let Some(sp) = sponsor else { return };
-    let req = Msg::AdoptReq { sender: core.w };
-    core.send(ctx, peers[sp], TrafficClass::Other, Charge::Wire, req);
-    let m = ctx.recv_match(|m| matches!(m, Msg::ExchangeRep { sender, .. } if *sender == sp));
-    if let (Some(real), Msg::ExchangeRep { data: Some(p), .. }) = (core.real.as_mut(), m) {
-        real.net.set_params(&p);
-        real.opt.reset();
-    }
-}
-
 /// AD-PSGD passive worker: trains locally, answering exchange requests at
 /// iteration boundaries (the model of the paper's background communication
 /// thread), and keeps answering after finishing until every active stopped.
@@ -515,26 +418,21 @@ impl AdPsgdPassive {
 
     fn answer(&mut self, core: &mut WorkerCore, ctx: &Ctx<Msg>, m: Msg) {
         let (to, data) = match m {
-            Msg::ExchangeReq { sender, data, .. } => {
-                let mid = match (core.real.as_mut(), data) {
-                    (Some(real), Some(xa)) => Some(adpsgd_midpoint(&mut real.net, &xa)),
-                    _ => None,
-                };
-                (sender, mid)
-            }
-            // Seed a rejoiner with this replica, unaveraged — adoption
-            // must not drag the rejoiner's stale state into the cohort.
-            Msg::AdoptReq { sender } => (sender, core.replica()),
+            Msg::ExchangeReq { sender, data, .. } => (sender, data),
             Msg::Stop => {
                 self.stops += 1;
                 return;
             }
             other => unreachable!("passive got {other:?}"),
         };
+        let mid = match (core.real.as_mut(), data) {
+            (Some(real), Some(xa)) => Some(adpsgd_midpoint(&mut real.net, &xa)),
+            _ => None,
+        };
         let bytes = core.model_bytes();
         let rep = Msg::ExchangeRep {
             sender: core.w,
-            data,
+            data: mid,
             bytes,
         };
         core.send(ctx, self.peers[to], TrafficClass::Peer, Charge::Wire, rep);
@@ -572,19 +470,16 @@ impl Body for AdPsgdPassive {
         self.announce(core, ctx, down);
     }
 
-    fn rejoin(&mut self, core: &mut WorkerCore, ctx: &Ctx<Msg>, view: &MembershipView, j: u64) {
+    fn rejoin(&mut self, core: &mut WorkerCore, ctx: &Ctx<Msg>, _j: u64) {
         // Discard exchange requests that queued while dormant — their
         // initiators were woken by the MemberDown and abandoned the
         // exchange; answering now would strand unmatched replies. Stop
-        // and adopt accounting still applies.
+        // accounting still applies.
         while let Some(m) = ctx.try_recv() {
-            match m {
-                Msg::ExchangeReq { .. } => {}
-                m @ (Msg::Stop | Msg::AdoptReq { .. }) => self.answer(core, ctx, m),
-                other => unreachable!("dormant passive got {other:?}"),
+            if !matches!(m, Msg::ExchangeReq { .. }) {
+                self.answer(core, ctx, m);
             }
         }
-        adpsgd_adopt(core, ctx, &self.peers, view, j);
         self.announce(core, ctx, Msg::MemberUp { worker: core.w });
     }
 

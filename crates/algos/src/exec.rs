@@ -18,9 +18,11 @@
 //! [`Body::epilogue`]. The gate is written once too: classic runs consume
 //! due crashes; elastic runs ask the shared [`MembershipView`] whether this
 //! is the worker's death round and, if so, walk evict → [`Body::depart`] →
-//! dormancy → [`Body::rejoin`] → rejoin marker. A body is what is left: its
-//! step, whom it tells when it leaves, whom it adopts a replica from, and
-//! what it owes after its last iteration — `centralized::PsBody` and
+//! dormancy → checkpoint restore (where [`Algo::restores_from_checkpoint`])
+//! → [`Body::rejoin`] → rejoin marker. A body is what is left: its step,
+//! whom it tells when it leaves, what it takes and whom it tells when it
+//! returns, and what it owes after its last iteration —
+//! `centralized::PsBody` and
 //! `decentralized::{ArSgd, GoSgd, AdPsgdActive, AdPsgdPassive}`.
 //!
 //! ## Who charges what
@@ -40,13 +42,14 @@
 //! | membership → PS shards, AD-PSGD actives | `MemberDown`, `MemberUp` | Other | `Free` |
 //! | BSP follower ↔ leader | `LocalGrad`, `LocalParams` | LocalAgg | `Free` |
 //! | flat ring hop | `RingChunk` | Peer | `Hop` |
-//! | gossip, AD-PSGD exchange, rejoin seed | `Gossip`, `Exchange*`, `LocalParams` | Peer | `Wire` |
-//! | AD-PSGD adopt request | `AdoptReq` | Other | `Wire` |
+//! | gossip, AD-PSGD exchange | `Gossip`, `Exchange*` | Peer | `Wire` |
 //! | worker → collective engine | `CollChunk` | Collective | `Wire` |
 //!
 //! PS shards are always addressed at their *live* home
 //! ([`WorkerCore::ps_addr`]; only an elastic centralized run can move one).
-//! `Stop` is not a transfer (1 ns, uncharged: [`WorkerCore::send_stop`]).
+//! `Stop` is not a transfer (1 ns, uncharged: [`WorkerCore::send_stop`]). A
+//! decentralized rejoiner sends nothing to re-enter: it restores its own
+//! checkpoint (GoSGD, AD-PSGD) or reads its round hub (real-math AR-SGD).
 //! The server sides have one primitive each: `PsCore::send_params`
 //! (WorkerPs; the worker books the reply's wire time when it collects) and
 //! `EngineCore::send` (Collective).
@@ -61,7 +64,9 @@ use dtrain_cluster::{
 use dtrain_compress::{compressed_wire_bytes, DgcCompressor, SparseUpdate};
 use dtrain_data::Dataset;
 use dtrain_desim::{Ctx, Pid, SimTime};
-use dtrain_faults::{markers, CheckpointStore, ElasticConfig, ElasticRuntime, MembershipView};
+use dtrain_faults::{
+    markers, Algo, CheckpointStore, ElasticConfig, ElasticRuntime, MembershipView,
+};
 use dtrain_models::ModelProfile;
 use dtrain_nn::{LrSchedule, Network, ParamLayout, ParamSet, SgdMomentum};
 use dtrain_obs::names;
@@ -133,8 +138,14 @@ pub enum Msg {
     },
     /// Leader → co-located worker: fresh parameters after the global round.
     LocalParams { data: Option<ParamSet>, bytes: u64 },
-    /// Ring neighbor → neighbor (AR-SGD): one reduce-scatter/all-gather hop.
-    RingChunk { step: u32, bucket: u32, bytes: u64 },
+    /// Ring neighbor → neighbor (AR-SGD): one reduce-scatter/all-gather hop
+    /// of round `iter`.
+    RingChunk {
+        iter: u64,
+        step: u32,
+        bucket: u32,
+        bytes: u64,
+    },
     /// Gossip (GoSGD): asymmetric parameter share with mixing weight.
     Gossip {
         sender: usize,
@@ -162,10 +173,6 @@ pub enum Msg {
     /// deadline; the shard's hub then closes the round *partially*, over
     /// the members present, if it is still short of its cohort.
     RoundDeadline,
-    /// Rejoining member → peer (elastic AD-PSGD): request the peer's
-    /// current parameters without averaging (the rejoiner's state is stale
-    /// and must not pollute the peer). Answered with [`Msg::ExchangeRep`].
-    AdoptReq { sender: usize },
     /// Sender has finished all its iterations.
     Stop,
     /// Fault layer → PS shards / peers: `worker` crashed. `permanent` means
@@ -445,7 +452,7 @@ impl RealWorkerState {
 /// re-admit — see DESIGN.md "Fault model").
 pub const DEFAULT_RESTART: SimTime = SimTime::from_secs(5);
 
-/// Wire size of a control message (membership, pull and adopt requests).
+/// Wire size of a control message (membership and pull requests).
 const CTRL_BYTES: u64 = 64;
 
 /// Address of a simulated process: its pid plus the machine it runs on.
@@ -495,6 +502,7 @@ pub(crate) struct WorkerFaults {
 /// Bundle of models and handles each worker process owns.
 pub struct WorkerCore {
     pub w: usize,
+    pub algo: Algo,
     pub node: NodeId,
     pub cluster: ClusterConfig,
     pub num_workers: usize,
@@ -744,9 +752,9 @@ impl WorkerCore {
         }
     }
 
-    /// Roll this replica back to its last checkpoint (crash recovery). In
-    /// cost-only mode there is no parameter state to lose; only the restart
-    /// time matters.
+    /// Roll this replica back to its last checkpoint (a classic restart, an
+    /// elastic rejoin without a server). In cost-only mode there is no
+    /// parameter state to lose; only the restart time matters.
     fn restore_checkpoint(&mut self, now: SimTime) {
         let Some(f) = &self.faults else { return };
         let Some(real) = self.real.as_mut() else {
@@ -807,24 +815,15 @@ pub(crate) trait Body {
     /// Iteration `iter`, between `begin_iteration` and `finish_iteration`.
     fn step(&mut self, core: &mut WorkerCore, ctx: &Ctx<Msg>, iter: u64);
 
-    /// Alive at round `iter`: duties owed before the round opens.
-    fn before_round(
-        &mut self,
-        _core: &mut WorkerCore,
-        _ctx: &Ctx<Msg>,
-        _view: &MembershipView,
-        _iter: u64,
-    ) {
-    }
-
     /// This is the worker's death round: tell whoever tracks it.
     /// `rejoining` = the plan re-enters it later. Control messages sent
     /// here carry the death timestamp; the dormancy comes after.
     fn depart(&mut self, _core: &mut WorkerCore, _ctx: &Ctx<Msg>, _rejoining: bool) {}
 
-    /// The dormancy is over and the worker re-enters at round `j`: adopt a
-    /// current replica and announce the return.
-    fn rejoin(&mut self, core: &mut WorkerCore, ctx: &Ctx<Msg>, view: &MembershipView, j: u64);
+    /// The dormancy is over and the worker re-enters at round `j`, its
+    /// checkpoint already restored if the algorithm resumes from one: take
+    /// what else the algorithm re-enters with and announce the return.
+    fn rejoin(&mut self, _core: &mut WorkerCore, _ctx: &Ctx<Msg>, _j: u64) {}
 
     /// After the last iteration (not reached by a worker that left).
     fn epilogue(&mut self, _core: &mut WorkerCore, _ctx: &Ctx<Msg>) {}
@@ -879,7 +878,6 @@ fn membership_gate(core: &mut WorkerCore, body: &mut impl Body, ctx: &Ctx<Msg>, 
         };
     };
     if el.view.death_round(core.w) != Some(iter) {
-        body.before_round(core, ctx, &el.view, iter);
         return Gate::Live;
     }
     let now = ctx.now().as_nanos();
@@ -893,7 +891,10 @@ fn membership_gate(core: &mut WorkerCore, body: &mut impl Body, ctx: &Ctx<Msg>, 
     body.depart(core, ctx, rejoin.is_some());
     let Some(j) = rejoin else { return Gate::Exit };
     ctx.advance(el.cfg.round_estimate * j.saturating_sub(iter).max(1));
-    body.rejoin(core, ctx, &el.view, j);
+    if core.algo.restores_from_checkpoint() {
+        core.restore_checkpoint(ctx.now());
+    }
+    body.rejoin(core, ctx, j);
     markers::rejoin(
         core.metrics.worker_track(core.w),
         ctx.now().as_nanos(),
@@ -1040,6 +1041,7 @@ pub fn build_worker_cores(
             };
             WorkerCore {
                 w,
+                algo: cfg.algo,
                 node: cfg.cluster.machine_of_worker(w),
                 cluster: cfg.cluster.clone(),
                 num_workers: cfg.workers,
@@ -1054,7 +1056,7 @@ pub fn build_worker_cores(
                 profile: cfg.profile.clone(),
                 total_iters,
                 batch: cfg.batch,
-                rng: dtrain_faults::Algo::peer_rng(cfg.seed, w),
+                rng: Algo::peer_rng(cfg.seed, w),
                 real,
                 faults,
                 elastic: elastic_rt.clone(),
@@ -1116,7 +1118,7 @@ fn build_real_state(
         shard_indices,
         dgc: cfg.opts.dgc.as_ref().map(|d| {
             let mut d = d.clone();
-            if matches!(cfg.algo, dtrain_faults::Algo::Ssp { .. }) {
+            if matches!(cfg.algo, Algo::Ssp { .. }) {
                 // SSP pushes optimizer *deltas*, which already carry the
                 // worker's momentum; DGC's momentum correction would apply
                 // momentum a second time and destabilize large-staleness

@@ -5,7 +5,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use dtrain_cluster::{Breakdown, LinkWindow, MetricsHub, NetModel, TrafficStats};
+use dtrain_cluster::{hier_groups, Breakdown, LinkWindow, MetricsHub, NetModel, TrafficStats};
 use dtrain_data::Dataset;
 use dtrain_desim::{Pid, SimTime, Simulation, StopReason, TraceRecord};
 use dtrain_faults::{Algo, CheckpointStore, Hub};
@@ -180,12 +180,20 @@ fn run_impl(cfg: &RunConfig, trace: bool, sink: &ObsSink) -> (RunOutput, Option<
         core.ps_homes = ps_homes.clone();
     }
 
+    // BSP under local aggregation: one group per machine, led by its lowest
+    // rank, as the real paths' hierarchical round groups them.
+    let groups = if matches!(cfg.algo, Algo::Bsp) && cfg.opts.local_aggregation {
+        let ranks: Vec<usize> = (0..cfg.workers).collect();
+        hier_groups(&ranks, cfg.cluster.gpus_per_machine)
+    } else {
+        Vec::new()
+    };
+
     // ---- spawn PS shards (centralized algorithms) ----
     if cfg.algo.is_centralized() {
         let global_shards = build_global_shard_params(cfg);
-        // BSP under local aggregation: the machine leaders are the shards'
-        // senders (`bsp_leaders` is empty otherwise).
-        let leaders = Some(bsp_leaders(cfg).len()).filter(|&n| n > 0);
+        // The machine leaders, if any, are the shards' senders.
+        let leaders = Some(groups.len()).filter(|&n| n > 0);
         // Under DGC the pushed gradients already carry momentum (Lin et
         // al.'s momentum correction replaces the optimizer's momentum); the
         // server must not apply it twice.
@@ -254,7 +262,6 @@ fn run_impl(cfg: &RunConfig, trace: bool, sink: &ObsSink) -> (RunOutput, Option<
     } else {
         1
     };
-    let leaders = bsp_leaders(cfg);
 
     // Hierarchical/pipelined AR-SGD: one collective engine per machine,
     // spawned after the workers (pids `num_shards + workers + m`).
@@ -278,34 +285,22 @@ fn run_impl(cfg: &RunConfig, trace: bool, sink: &ObsSink) -> (RunOutput, Option<
     for (w, core) in cores.drain(..).enumerate() {
         let peers = worker_addrs.clone();
         let algo = cfg.algo;
-        let local_agg = cfg.opts.local_aggregation;
-        let leaders = leaders.clone();
+        let role = match groups.iter().find(|g| g.members.contains(&w)) {
+            None => BspRole::Solo,
+            Some(g) if g.leader == w => BspRole::Leader {
+                followers: g.followers().map(|f| peers[f]).collect(),
+            },
+            Some(g) => BspRole::Follower {
+                leader: peers[g.leader],
+            },
+        };
         let hub = hub.clone();
         let collective = cfg.opts.collective;
         let engines = engine_addrs.clone();
         let overlap = !cfg.opts.disable_overlap;
         let name = format!("worker{w}");
         let pid = sim.spawn(name, move |ctx| match algo {
-            Algo::Bsp => {
-                let role = if !local_agg {
-                    BspRole::Solo
-                } else if let Some(followers) = leaders.get(&w) {
-                    BspRole::Leader {
-                        followers: followers.iter().map(|&f| peers[f]).collect(),
-                    }
-                } else {
-                    // our machine's leader is the lowest co-located worker
-                    let leader_w = *leaders
-                        .iter()
-                        .find(|(_, fs)| fs.contains(&w))
-                        .map(|(l, _)| l)
-                        .expect("every follower has a leader");
-                    BspRole::Follower {
-                        leader: peers[leader_w],
-                    }
-                };
-                run_worker(core, PsBody::Bsp(role), ctx)
-            }
+            Algo::Bsp => run_worker(core, PsBody::Bsp(role), ctx),
             Algo::Asp => run_worker(core, PsBody::Asp, ctx),
             Algo::Ssp { staleness } => {
                 let cache_ts = 0;
@@ -386,24 +381,6 @@ fn run_impl(cfg: &RunConfig, trace: bool, sink: &ObsSink) -> (RunOutput, Option<
         final_params,
     };
     (out, stats.trace)
-}
-
-/// leader worker → its followers, for BSP local aggregation.
-fn bsp_leaders(cfg: &RunConfig) -> std::collections::BTreeMap<usize, Vec<usize>> {
-    let mut map = std::collections::BTreeMap::new();
-    if !(matches!(cfg.algo, Algo::Bsp) && cfg.opts.local_aggregation) {
-        return map;
-    }
-    for w in 0..cfg.workers {
-        let peers = cfg.cluster.machine_peers(w);
-        let leader = peers.start; // lowest co-located worker id
-        if w == leader {
-            map.insert(w, Vec::new());
-        } else if leader < cfg.workers {
-            map.entry(leader).or_insert_with(Vec::new).push(w);
-        }
-    }
-    map
 }
 
 /// Initial global parameters, sliced per PS shard (real mode only).

@@ -12,6 +12,11 @@ use dtrain_nn::{ParamSet, SgdMomentum};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 
+/// Owner key of the parameter server's snapshots in a store its workers
+/// share (a worker's key is its rank): the real paths' one server, and the
+/// simulator's PS shard `s` at `PS_OWNER + s`.
+pub const PS_OWNER: usize = 1 << 20;
+
 /// Snapshots retained per owner; older entries are evicted so the store
 /// stays bounded at `owners × MAX_VERSIONS` snapshots.
 pub const MAX_VERSIONS: usize = 4;

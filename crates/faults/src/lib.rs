@@ -20,7 +20,7 @@ pub use chaos::{
     ChaosAction, ChaosSpec, ChaosTraceCfg, CtrlAction, CtrlPlan, CtrlSignals, DegradePolicy,
     SegmentReport,
 };
-pub use checkpoint::{CheckpointStore, WorkerCheckpoint, MAX_VERSIONS};
+pub use checkpoint::{CheckpointStore, WorkerCheckpoint, MAX_VERSIONS, PS_OWNER};
 pub use hub::Hub;
 pub use membership::{ElasticConfig, ElasticRuntime, MembershipView};
 pub use ps::PsState;

@@ -339,6 +339,77 @@ impl CloseHooks for Recorder {
     }
 }
 
+/// Every rank's SSP clock.
+fn clocks(hub: &Hub) -> Vec<u64> {
+    hub.ps().clocks.lock().clone()
+}
+
+#[test]
+fn a_bumped_parked_clock_re_enters_at_the_live_minimum() {
+    // Parked by a bump of `u64::MAX` (threads, simulator) or by an
+    // eviction (processes): either way the rejoin bump's own value — here
+    // the rejoin round 9 — is not where the clock re-enters.
+    let mut hub = new_hub(ps(&[0.0]), 3, None);
+    for (rank, clock) in [(0, 5), (1, 3), (2, 4)] {
+        hub.bump_clock(rank, clock);
+    }
+    hub.bump_clock(1, u64::MAX);
+    assert_eq!(hub.ps().min_clock(), 4, "a parked clock holds no gate");
+    hub.bump_clock(1, 9);
+    assert_eq!(clocks(&hub), [5, 4, 4]);
+    hub.evict(0);
+    hub.bump_clock(0, 9);
+    assert_eq!(clocks(&hub), [4, 4, 4]);
+
+    // No other clock live: re-enter at 0.
+    let mut hub = new_hub(ps(&[0.0]), 2, None);
+    hub.bump_clock(0, 6);
+    hub.evict(0);
+    hub.evict(1);
+    hub.bump_clock(1, 9);
+    assert_eq!(clocks(&hub), [u64::MAX, 0]);
+}
+
+#[test]
+fn re_admission_releases_no_gated_pull() {
+    let mut hub = new_hub(ps(&[0.0]), 3, None);
+    for (rank, clock) in [(0, 2), (1, 5), (2, 6)] {
+        hub.bump_clock(rank, clock);
+    }
+    hub.evict(0);
+    // Rank 2's gate waits for rank 1 to reach 6.
+    assert!(hub.wait_min_clock(2, 6).is_none());
+    hub.bump_clock(0, 9);
+    assert!(hub.drain().is_empty(), "the rejoiner opened a gate");
+    // Now the rejoiner, re-admitted at 5, holds the gate with rank 1.
+    hub.bump_clock(1, 6);
+    assert!(hub.drain().is_empty(), "the rejoiner holds the gate");
+    hub.bump_clock(0, 6);
+    let released: Vec<(usize, u64)> = hub
+        .drain()
+        .into_iter()
+        .map(|(rank, answer)| match answer {
+            Answer::MinClock(clock) => (rank, clock),
+            _ => panic!("a staleness gate is answered with the slowest clock"),
+        })
+        .collect();
+    assert_eq!(released, [(2, 6)]);
+}
+
+#[test]
+fn a_live_clock_never_regresses() {
+    let mut hub = new_hub(ps(&[0.0]), 2, None);
+    hub.bump_clock(0, 4);
+    hub.bump_clock(0, 2); // a late bump
+    hub.bump_clock(1, 3);
+    assert_eq!(clocks(&hub), [4, 3]);
+    hub.bump_clock(1, 0);
+    assert!(matches!(
+        hub.wait_min_clock(0, 3),
+        Some(Answer::MinClock(3))
+    ));
+}
+
 #[test]
 fn close_hooks_run_on_the_closer_around_the_apply() {
     let mut hub = new_hub(ps(&[1.0]), 1, None);

@@ -293,6 +293,87 @@ fn sim_threaded_and_proc_end_bsp_and_arsgd_with_one_model() {
     }
 }
 
+/// One machine-group rule: the simulator's BSP with local aggregation and
+/// the real paths' hierarchical BSP group the ranks by
+/// `dtrain_cluster::hier_groups` (machine `r / 2`, its lowest rank the
+/// leader), sum each machine rank-ascending, and mean the leaders' partials
+/// in one round. At 4 workers on 2 machines of 2 all three paths end with
+/// one model, bit for bit (same task and run as the pin above).
+#[test]
+fn sim_local_aggregation_and_real_hier_bsp_end_with_one_model() {
+    let scale = AccuracyScale {
+        epochs: 2,
+        train_size: 512,
+        test_size: 64,
+        batch: 8,
+        base_lr: 0.008,
+        seed: 11,
+    };
+    let task = TeacherTaskConfig {
+        train_size: scale.train_size,
+        test_size: scale.test_size,
+        seed: scale.seed,
+        ..Default::default()
+    };
+    let (train, test) = teacher_task(&task);
+    let (workers, gpus_per_machine) = (4, 2);
+    let mut cfg = accuracy_run(Algo::Bsp, workers, &scale);
+    cfg.opts.local_aggregation = true;
+    cfg.cluster.gpus_per_machine = gpus_per_machine;
+    cfg.cluster.machines = workers / gpus_per_machine;
+    let sim = run(&cfg).final_params.expect("a real-math run has a model");
+    let plan = RunPlan {
+        workers,
+        epochs: scale.epochs,
+        batch: scale.batch,
+        strategy: Algo::Bsp,
+        base_lr: scale.base_lr,
+        seed: scale.seed,
+        collective: CollectiveSchedule::Hier,
+        gpus_per_machine,
+        ..Default::default()
+    };
+    let thr = train_threaded_observed(
+        || mlp_classifier(task.input_dim, &[64, 32], task.num_classes, MODEL_SEED),
+        &Arc::new(train),
+        &test,
+        &ThreadedConfig {
+            workers,
+            epochs: plan.epochs,
+            batch: plan.batch,
+            strategy: Algo::Bsp,
+            base_lr: plan.base_lr,
+            seed: plan.seed,
+            collective: plan.collective,
+            gpus_per_machine,
+            ..Default::default()
+        },
+        &ObsSink::disabled(),
+    );
+    let proc = train_proc_observed(
+        ProcConfig {
+            plan,
+            task: task.clone(),
+            model_seed: MODEL_SEED,
+            worker_exe: Some(PathBuf::from(env!("CARGO_BIN_EXE_dtrain-proc-worker"))),
+            ..Default::default()
+        },
+        Duration::from_secs(120),
+        &ObsSink::disabled(),
+    )
+    .expect("process-path run");
+    for (path, params) in [
+        ("threads", &thr.final_params),
+        ("processes", &proc.final_params),
+    ] {
+        assert!(
+            param_bits(params) == param_bits(&sim),
+            "simulator vs {path}, max |Δ| = {:e}",
+            sim.max_abs_diff(params)
+        );
+    }
+}
+
 /// BSP, 2 workers, 8 iterations, identical MLP on all three paths.
 #[test]
 fn sim_threaded_and_proc_agree_on_bsp_logical_metrics() {

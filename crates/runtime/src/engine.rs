@@ -21,7 +21,9 @@ use std::time::{Duration, Instant};
 use crossbeam_channel::{Receiver, Sender};
 use dtrain_cluster::CollectiveSchedule;
 use dtrain_data::Dataset;
-use dtrain_faults::{markers, Algo, CheckpointStore, ElasticRuntime, RuntimeFaultSchedule};
+use dtrain_faults::{
+    markers, Algo, CheckpointStore, ElasticRuntime, RuntimeFaultSchedule, PS_OWNER,
+};
 use dtrain_nn::{Network, ParamSet, SgdMomentum};
 use dtrain_obs::{ObsSink, Track, TrackHandle};
 use parking_lot::Mutex;
@@ -30,10 +32,6 @@ use crate::backend::{BspOutcome, ExecBackend, PeerRequest, ReplyToken, RunPlan};
 use crate::hub::{Answer, CloseHooks, Hub, PeerItem, Reply, Seat};
 use crate::worker::worker_body;
 use crate::PsState;
-
-/// Checkpoint-store owner key for the shared parameter server (workers use
-/// their own index; mirrors the simulator's `PS_OWNER_BASE` convention).
-const PS_OWNER: usize = 1 << 20;
 
 /// Fault injection for the threaded runtime: an iteration-indexed schedule
 /// plus the supervisor policy (checkpoint cadence, bounded restart retries
