@@ -21,7 +21,8 @@
 //!   round). The cohort drops it at once and topology repairs (ring
 //!   shrinks, peer graph re-knits, barriers re-size, PS slots drop).
 //! * **evicted → rejoined**: a restarted worker re-enters at the current
-//!   round and pulls fresh parameters from the PS / a peer sponsor.
+//!   round with the server's parameters, or, without a server (GoSGD,
+//!   AD-PSGD), its own last checkpoint ([`crate::Algo::restores_from_checkpoint`]).
 
 use std::sync::Arc;
 
