@@ -57,11 +57,6 @@ impl PsState {
         self.global.lock().0.clone()
     }
 
-    /// Advance `worker`'s clock to `clock`.
-    pub fn bump_clock(&self, worker: usize, clock: u64) {
-        self.clocks.lock()[worker] = clock;
-    }
-
     /// The slowest clock: what an SSP staleness gate compares against.
     pub fn min_clock(&self) -> u64 {
         self.clocks.lock().iter().copied().min().unwrap_or(0)
@@ -104,9 +99,9 @@ mod tests {
     #[test]
     fn min_clock_is_the_slowest_worker() {
         let state = PsState::new(ps(&[0.0]), 0.0, 0.0, 2);
-        state.bump_clock(0, 5);
+        state.clocks.lock()[0] = 5;
         assert_eq!(state.min_clock(), 0, "worker 1 has not moved");
-        state.bump_clock(1, 4);
+        state.clocks.lock()[1] = 4;
         assert_eq!(state.min_clock(), 4);
     }
 }
