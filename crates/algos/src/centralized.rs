@@ -144,7 +144,7 @@ impl PsCore {
                 let owner = PS_OWNER + self.shard;
                 let cp = f.store.restore_at_or_before(owner, f.applies);
                 if let Some(cp) = cp.filter(|_| self.real) {
-                    *self.hub.ps().global.lock() = (cp.params, cp.opt);
+                    *self.hub.ps().global.lock().unwrap() = (cp.params, cp.opt);
                     f.applies = cp.iteration;
                     markers::ckpt_restore(&self.obs, ctx.now().as_nanos(), cp.iteration);
                 }
@@ -167,7 +167,7 @@ impl PsCore {
             } else {
                 let cp = f.store.restore(PS_OWNER + self.shard);
                 if let Some(cp) = cp.filter(|_| self.real) {
-                    *self.hub.ps().global.lock() = (cp.params, cp.opt);
+                    *self.hub.ps().global.lock().unwrap() = (cp.params, cp.opt);
                     markers::ckpt_restore(&self.obs, ctx.now().as_nanos(), cp.iteration);
                 }
                 ctx.advance_to(end);
@@ -184,7 +184,7 @@ impl PsCore {
         };
         f.applies += 1;
         if f.store.due(f.applies) {
-            let (params, opt) = &*self.hub.ps().global.lock();
+            let (params, opt) = &*self.hub.ps().global.lock().unwrap();
             f.store.save(PS_OWNER + self.shard, f.applies, params, opt);
             markers::ckpt_save(&self.obs, now.as_nanos(), f.applies);
         }
@@ -304,7 +304,7 @@ pub(crate) fn ps_process(mut ps: PsCore, algo: Algo, ctx: Ctx<Msg>) {
     // Baseline checkpoint so an outage before the first cadence tick still
     // has a state to roll back to.
     if let (Some(f), true) = (ps.faults.as_ref(), ps.real) {
-        let (params, opt) = &*ps.hub.ps().global.lock();
+        let (params, opt) = &*ps.hub.ps().global.lock().unwrap();
         f.store.save(PS_OWNER + ps.shard, 0, params, opt);
     }
     let mut stops = 0usize;
@@ -368,10 +368,8 @@ pub(crate) fn ps_process(mut ps: PsCore, algo: Algo, ctx: Ctx<Msg>) {
                     }
                     if gate {
                         // A push its sender's departure overtook on the
-                        // wire must not re-admit the clock that parked.
-                        if ps.hub.ps().clocks.lock()[sender] < u64::MAX {
-                            ps.hub.bump_clock(sender, iter + 1);
-                        }
+                        // wire leaves the parked clock parked.
+                        ps.hub.bump_clock(sender, iter + 1);
                         ps.answer(&ctx, None, false);
                     }
                     ps.tick_checkpoint(ctx.now());
@@ -423,7 +421,7 @@ pub(crate) fn ps_process(mut ps: PsCore, algo: Algo, ctx: Ctx<Msg>) {
                     // The worker stops pushing until it rejoins: a BSP
                     // round it leaves complete closes. A temporary crash
                     // evicts nothing — the paused worker resumes its round.
-                    ps.hub.evict(worker);
+                    ps.hub.evict(worker, rejoining);
                 }
                 if gate {
                     // Drop-and-readmit: park the clock so the staleness
@@ -432,13 +430,7 @@ pub(crate) fn ps_process(mut ps: PsCore, algo: Algo, ctx: Ctx<Msg>) {
                 }
                 ps.answer(&ctx, None, false);
             }
-            Msg::MemberUp { worker } => {
-                if gate {
-                    // Its clock is parked: the hub re-admits it at the
-                    // live minimum, whatever the bump says.
-                    ps.hub.bump_clock(worker, 0);
-                }
-            }
+            Msg::MemberUp { worker } => ps.hub.rejoin(worker),
             Msg::RoundDeadline => {
                 // Partial-barrier policy (elastic BSP): a round still short
                 // of its cohort a deadline after its first arrival closes

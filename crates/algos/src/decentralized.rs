@@ -16,7 +16,7 @@
 //! AD-PSGD resume from their own checkpoint, which the membership gate
 //! restores, and real-math AR-SGD takes its round hub's parameters.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use dtrain_cluster::{CollectiveSchedule, Phase, TrafficClass};
@@ -25,7 +25,6 @@ use dtrain_faults::hub::Seat;
 use dtrain_faults::{Algo, Hub};
 use dtrain_nn::rules::{adpsgd_midpoint, gossip_merge};
 use dtrain_nn::ParamSet;
-use parking_lot::Mutex;
 
 use crate::collective::{run_hier_allreduce, ChunkLayout};
 use crate::exec::{Addr, Body, Charge, Msg, WorkerCore};
@@ -38,7 +37,7 @@ use crate::exec::{Addr, Body, Charge, Msg, WorkerCore};
 /// closed it in the run's hub. The ring is a barrier, so it has; a round
 /// still open is a bug in the ring protocol, and panics.
 fn round_params(hub: &Mutex<Hub>, iter: u64) -> ParamSet {
-    let hub = hub.lock();
+    let hub = hub.lock().unwrap();
     if let Some(held) = hub.deposits(iter) {
         panic!("allreduce barrier violated: round {iter} still open with {held} deposits");
     }
@@ -117,7 +116,7 @@ impl Body for ArSgd {
                 leaders: None,
                 now: Duration::from_nanos(ctx.now().as_nanos()),
             };
-            let mut hub = hub.lock();
+            let mut hub = hub.lock().unwrap();
             hub.bsp_round(seat, (grad, 1), lr, &());
             hub.drain(); // the ring, not the hub, releases the members
         }
@@ -154,7 +153,7 @@ impl Body for ArSgd {
     /// real paths' rejoin pull does: the hub holds the last round it closed.
     fn rejoin(&mut self, core: &mut WorkerCore, _ctx: &Ctx<Msg>, _j: u64) {
         if let (Some(hub), Some(real)) = (&self.hub, core.real.as_mut()) {
-            real.net.set_params(&hub.lock().ps().snapshot());
+            real.net.set_params(&hub.lock().unwrap().ps().snapshot());
             real.opt.reset();
         }
     }

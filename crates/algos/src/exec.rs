@@ -55,7 +55,7 @@
 //! `EngineCore::send` (Collective).
 
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use dtrain_cluster::{
     ClusterConfig, DeadlinePolicy, GpuModel, MetricsHub, NetModel, NodeId, Phase, ShardHomes,
@@ -70,7 +70,6 @@ use dtrain_faults::{
 use dtrain_models::ModelProfile;
 use dtrain_nn::{LrSchedule, Network, ParamLayout, ParamSet, SgdMomentum};
 use dtrain_obs::names;
-use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 
 use crate::config::{RealTraining, RunConfig, StopCondition};
@@ -284,11 +283,11 @@ impl Recorder {
     }
 
     pub fn record(&self, s: Snapshot) {
-        self.inner.lock().push(s);
+        self.inner.lock().unwrap().push(s);
     }
 
     pub fn snapshots(&self) -> Vec<Snapshot> {
-        self.inner.lock().clone()
+        self.inner.lock().unwrap().clone()
     }
 }
 

@@ -2,7 +2,7 @@
 //! simulation, and distill the outputs (throughput, breakdowns, accuracy
 //! curves).
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use dtrain_cluster::{hier_groups, Breakdown, LinkWindow, MetricsHub, NetModel, TrafficStats};
@@ -11,7 +11,6 @@ use dtrain_desim::{Pid, SimTime, Simulation, StopReason, TraceRecord};
 use dtrain_faults::{Algo, CheckpointStore, Hub};
 use dtrain_nn::ParamSet;
 use dtrain_obs::{names, ObsSink, Track};
-use parking_lot::Mutex;
 
 use crate::centralized::{ps_process, BspRole, PsBody, PsCore, PsFaultState};
 use crate::collective::{collective_engine, ChunkLayout, EngineCore};

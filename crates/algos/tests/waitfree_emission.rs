@@ -4,14 +4,13 @@
 //! for the shards whose layers finish first, and the *last* emission still
 //! happens no later than the compute end.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use dtrain_algos::{build_worker_cores, Msg, Recorder, RunConfig};
 use dtrain_algos::{Algo, OptimizationConfig, StopCondition};
 use dtrain_cluster::{ClusterConfig, MetricsHub, NetModel, NetworkConfig};
 use dtrain_desim::Simulation;
 use dtrain_models::uniform_profile;
-use parking_lot::Mutex;
 
 fn emission_times(wait_free: bool) -> (Vec<(usize, u64)>, u64) {
     let cfg = RunConfig {
@@ -43,13 +42,13 @@ fn emission_times(wait_free: bool) -> (Vec<(usize, u64)>, u64) {
     let mut sim: Simulation<Msg> = Simulation::new();
     sim.spawn("worker", move |ctx| {
         core.run_compute_phase(&ctx, |_core, ctx, shard| {
-            events2.lock().push((shard, ctx.now().as_nanos()));
+            events2.lock().unwrap().push((shard, ctx.now().as_nanos()));
         });
-        *end2.lock() = ctx.now().as_nanos();
+        *end2.lock().unwrap() = ctx.now().as_nanos();
     });
     sim.run();
-    let out = events.lock().clone();
-    let end_ns = *end.lock();
+    let out = events.lock().unwrap().clone();
+    let end_ns = *end.lock().unwrap();
     (out, end_ns)
 }
 

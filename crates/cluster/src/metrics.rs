@@ -10,11 +10,10 @@
 //! span onto that worker's obs track, so the same instrumentation feeds
 //! Fig.-3 totals and Perfetto/canonical-trace timelines.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use dtrain_desim::SimTime;
 use dtrain_obs::{names, ObsSink, Track, TrackHandle, NO_ITER};
-use parking_lot::Mutex;
 
 pub use dtrain_obs::Phase;
 
@@ -65,21 +64,6 @@ struct HubInner {
     per_worker: Vec<Breakdown>,
     iterations: Vec<u64>,
     finish_times: Vec<SimTime>,
-    end_time: SimTime,
-}
-
-/// A mutually consistent copy of everything the hub tracks, taken under a
-/// single lock acquisition. Use this (not a sequence of individual getter
-/// calls) when reading mid-run: getters taken one by one can interleave
-/// with writers, yielding e.g. an iteration count that doesn't match the
-/// end time it was paired with — time recorded between the two reads is
-/// silently missing from the pair.
-#[derive(Clone, Debug)]
-pub struct MetricsSnapshot {
-    pub per_worker: Vec<Breakdown>,
-    pub iterations: Vec<u64>,
-    pub finish_times: Vec<SimTime>,
-    pub end_time: SimTime,
 }
 
 /// Shared metrics sink for one simulated run.
@@ -102,7 +86,6 @@ impl MetricsHub {
                 per_worker: vec![Breakdown::default(); num_workers],
                 iterations: vec![0; num_workers],
                 finish_times: vec![SimTime::ZERO; num_workers],
-                end_time: SimTime::ZERO,
             })),
             tracks: Arc::new(
                 (0..num_workers)
@@ -118,16 +101,10 @@ impl MetricsHub {
         &self.tracks[worker]
     }
 
-    /// Record `dt` of `phase` for `worker`, total only. Prefer
-    /// [`Self::record_at`], which also places the span on the timeline.
-    pub fn record(&self, worker: usize, phase: Phase, dt: SimTime) {
-        self.inner.lock().per_worker[worker].add(phase, dt);
-    }
-
     /// Record a `phase` span `[start, start + dur]` for `worker`: adds to
     /// the Breakdown total and emits the span onto the worker's obs track.
     pub fn record_at(&self, worker: usize, phase: Phase, start: SimTime, dur: SimTime) {
-        self.inner.lock().per_worker[worker].add(phase, dur);
+        self.inner.lock().unwrap().per_worker[worker].add(phase, dur);
         self.tracks[worker].span(start.as_nanos(), dur.as_nanos(), phase.name(), NO_ITER);
     }
 
@@ -140,30 +117,16 @@ impl MetricsHub {
     /// Count one finished iteration for `worker` at virtual time `now`.
     pub fn finish_iteration(&self, worker: usize, now: SimTime) {
         {
-            let mut inner = self.inner.lock();
+            let mut inner = self.inner.lock().unwrap();
             inner.iterations[worker] += 1;
             inner.finish_times[worker] = inner.finish_times[worker].max(now);
-            inner.end_time = inner.end_time.max(now);
         }
         self.tracks[worker].exit(now.as_nanos(), names::ITER);
     }
 
-    /// Everything the hub tracks, read under one lock acquisition. Safe to
-    /// call mid-run: purely observational, drops nothing, and the returned
-    /// fields are mutually consistent.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let inner = self.inner.lock();
-        MetricsSnapshot {
-            per_worker: inner.per_worker.clone(),
-            iterations: inner.iterations.clone(),
-            finish_times: inner.finish_times.clone(),
-            end_time: inner.end_time,
-        }
-    }
-
     /// Per-worker breakdowns.
     pub fn breakdowns(&self) -> Vec<Breakdown> {
-        self.snapshot().per_worker
+        self.inner.lock().unwrap().per_worker.clone()
     }
 
     /// Mean breakdown across workers.
@@ -186,12 +149,7 @@ impl MetricsHub {
 
     /// Total iterations across workers.
     pub fn total_iterations(&self) -> u64 {
-        self.snapshot().iterations.iter().sum()
-    }
-
-    /// Latest iteration-finish timestamp seen.
-    pub fn end_time(&self) -> SimTime {
-        self.snapshot().end_time
+        self.inner.lock().unwrap().iterations.iter().sum()
     }
 
     /// Aggregate throughput in images/second of virtual time: the sum of
@@ -201,10 +159,11 @@ impl MetricsHub {
     /// correctly credits fast workers that keep iterating while a straggler
     /// lags, which is how the paper measures images/sec.
     pub fn throughput(&self, batch: usize) -> f64 {
-        let snap = self.snapshot();
-        snap.iterations
+        let inner = self.inner.lock().unwrap();
+        inner
+            .iterations
             .iter()
-            .zip(&snap.finish_times)
+            .zip(&inner.finish_times)
             .map(|(&iters, &t)| {
                 let secs = t.as_secs_f64();
                 if secs == 0.0 {
@@ -243,15 +202,15 @@ mod tests {
         // 10 iterations × 128 images over 5 s = 256 img/s
         assert!((hub.throughput(128) - 256.0).abs() < 1e-9);
         assert_eq!(hub.total_iterations(), 10);
-        assert_eq!(hub.end_time(), SimTime::from_secs(5));
     }
 
     #[test]
     fn mean_breakdown_averages_workers() {
         let hub = MetricsHub::new(2);
-        hub.record(0, Phase::Compute, SimTime::from_secs(2));
-        hub.record(1, Phase::Compute, SimTime::from_secs(4));
-        hub.record(1, Phase::GlobalAgg, SimTime::from_secs(2));
+        let t0 = SimTime::ZERO;
+        hub.record_at(0, Phase::Compute, t0, SimTime::from_secs(2));
+        hub.record_at(1, Phase::Compute, t0, SimTime::from_secs(4));
+        hub.record_at(1, Phase::GlobalAgg, t0, SimTime::from_secs(2));
         let m = hub.mean_breakdown();
         assert_eq!(m.compute, SimTime::from_secs(3));
         assert_eq!(m.global_agg, SimTime::from_secs(1));
@@ -299,57 +258,49 @@ mod tests {
         ));
     }
 
-    /// Regression: reading the hub mid-run must be purely observational.
-    /// The old interleaved-getter pattern could pair an iteration count
-    /// with an end time from a different instant, so time recorded between
-    /// the reads was silently absent from the pair; `snapshot()` reads
-    /// everything under one lock, and records made after a snapshot keep
-    /// accumulating into the totals.
+    /// Reading the hub mid-run is purely observational: records made after
+    /// a read keep accumulating into the totals, and the copy read stays
+    /// as it was.
     #[test]
-    fn mid_run_snapshot_is_consistent_and_drops_nothing() {
+    fn a_mid_run_read_drops_nothing() {
         let hub = MetricsHub::new(1);
-        hub.record(0, Phase::Compute, SimTime::from_secs(1));
+        hub.record_at(0, Phase::Compute, SimTime::ZERO, SimTime::from_secs(1));
         hub.finish_iteration(0, SimTime::from_secs(1));
 
-        let mid = hub.snapshot();
-        assert_eq!(mid.per_worker[0].compute, SimTime::from_secs(1));
-        assert_eq!(mid.iterations[0], 1);
-        assert_eq!(mid.end_time, SimTime::from_secs(1));
+        let mid = hub.breakdowns();
+        assert_eq!(mid[0].compute, SimTime::from_secs(1));
+        assert_eq!(hub.total_iterations(), 1);
 
         // Recording continues after the mid-run read...
-        hub.record(0, Phase::Compute, SimTime::from_secs(2));
+        let (t1, dt) = (SimTime::from_secs(1), SimTime::from_secs(2));
+        hub.record_at(0, Phase::Compute, t1, dt);
         hub.finish_iteration(0, SimTime::from_secs(3));
 
         // ...and the final totals include everything from both halves.
-        let fin = hub.snapshot();
-        assert_eq!(fin.per_worker[0].compute, SimTime::from_secs(3));
-        assert_eq!(fin.iterations[0], 2);
-        assert_eq!(fin.end_time, SimTime::from_secs(3));
-        // The mid-run copy is untouched by later writes.
-        assert_eq!(mid.per_worker[0].compute, SimTime::from_secs(1));
+        assert_eq!(hub.breakdowns()[0].compute, SimTime::from_secs(3));
+        assert_eq!(hub.total_iterations(), 2);
+        assert_eq!(mid[0].compute, SimTime::from_secs(1));
     }
 
-    /// Under a concurrent writer, a snapshot is internally consistent:
-    /// every (iterations, end_time) pair it returns must satisfy the
-    /// writer's invariant (end_time advances with the iteration count).
+    /// Under a concurrent writer, `throughput` pairs each iteration count
+    /// with its own finish time: after iteration `i` at `i` ns, every read
+    /// is one iteration per nanosecond.
     #[test]
-    fn concurrent_snapshots_never_tear() {
+    fn concurrent_throughput_reads_never_tear() {
         let hub = MetricsHub::new(1);
         let writer = {
             let hub = hub.clone();
             std::thread::spawn(move || {
                 for i in 1..=2000u64 {
-                    // Writer invariant: after iteration i, end_time == i ns.
                     hub.finish_iteration(0, SimTime::from_nanos(i));
                 }
             })
         };
         for _ in 0..200 {
-            let snap = hub.snapshot();
-            assert_eq!(
-                snap.end_time,
-                SimTime::from_nanos(snap.iterations[0]),
-                "snapshot paired an iteration count with a foreign end time"
+            let rate = hub.throughput(1);
+            assert!(
+                rate == 0.0 || (rate - 1e9).abs() < 1.0,
+                "throughput paired an iteration count with a foreign finish time: {rate}"
             );
         }
         writer.join().expect("writer panicked");

@@ -10,11 +10,10 @@
 //! Intra-machine transfers use the (much faster) PCIe-class fabric and do
 //! not touch the NICs.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use dtrain_desim::SimTime;
 use dtrain_obs::{names, ObsSink, Track, TrackHandle};
-use parking_lot::Mutex;
 
 use crate::config::{ClusterConfig, NodeId};
 
@@ -148,7 +147,7 @@ impl NetModel {
     /// Install time-varying link faults. Replaces any previous set; call
     /// before the simulation starts to keep runs deterministic.
     pub fn set_link_faults(&self, windows: Vec<LinkWindow>) {
-        self.inner.lock().link_faults = windows;
+        self.inner.lock().unwrap().link_faults = windows;
     }
 
     /// Mirror NIC-level activity onto per-machine obs tracks: every
@@ -156,7 +155,7 @@ impl NetModel {
     /// endpoint's NIC frees) at both endpoints and stamps the transfer's
     /// wire bytes on the sender. Call before the simulation starts.
     pub fn set_obs(&self, sink: &ObsSink) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap();
         inner.obs = (0..inner.nics.len())
             .map(|m| sink.track(Track::Machine(m as u16)))
             .collect();
@@ -180,7 +179,7 @@ impl NetModel {
         bytes: u64,
         class: TrafficClass,
     ) -> SimTime {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap();
         inner.stats.class_bytes[class as usize] += bytes;
         if src == dst {
             inner.stats.intra_messages += 1;
@@ -273,13 +272,13 @@ impl NetModel {
 
     /// Traffic counters so far.
     pub fn stats(&self) -> TrafficStats {
-        self.inner.lock().stats
+        self.inner.lock().unwrap().stats
     }
 
     /// Earliest instant `node`'s TX NIC is free — exposed for tests and for
     /// wait-free BP's overlap accounting.
     pub fn tx_free_at(&self, node: NodeId) -> SimTime {
-        self.inner.lock().nics[node.0].tx_free
+        self.inner.lock().unwrap().nics[node.0].tx_free
     }
 }
 

@@ -447,12 +447,12 @@ mod tests {
     #[test]
     fn fibers_ping_pong_and_finish_back_into_the_caller() {
         let main = Fiber::caller();
-        let log = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let log = Arc::new(std::sync::Mutex::new(Vec::new()));
         let fiber = {
             let (main, log) = (Arc::clone(&main), Arc::clone(&log));
             Fiber::spawn("f", move |me| {
                 for i in 0..3 {
-                    log.lock().push(i);
+                    log.lock().unwrap().push(i);
                     assert!(matches!(me.switch(&main, Go::Run), Go::Run));
                 }
                 Some(main)
@@ -462,7 +462,7 @@ mod tests {
         for _ in 0..4 {
             main.switch(&fiber, Go::Run);
         }
-        assert_eq!(*log.lock(), vec![0, 1, 2]);
+        assert_eq!(*log.lock().unwrap(), vec![0, 1, 2]);
         fiber.stop(&main);
         assert_eq!(live_stacks(), 0, "a finished fiber's stack is released");
     }
@@ -491,21 +491,21 @@ mod tests {
 
     #[test]
     fn stopping_an_unstarted_fiber_drops_its_entry_unrun() {
-        struct Flag(Arc<parking_lot::Mutex<&'static str>>);
+        struct Flag(Arc<std::sync::Mutex<&'static str>>);
         impl Drop for Flag {
             fn drop(&mut self) {
-                *self.0.lock() = "dropped";
+                *self.0.lock().unwrap() = "dropped";
             }
         }
         let main = Fiber::caller();
-        let state = Arc::new(parking_lot::Mutex::new("pending"));
+        let state = Arc::new(std::sync::Mutex::new("pending"));
         let flag = Flag(Arc::clone(&state));
         let fiber = Fiber::spawn("f", move |_me| {
-            *flag.0.lock() = "ran";
+            *flag.0.lock().unwrap() = "ran";
             None
         });
         fiber.stop(&main);
-        assert_eq!(*state.lock(), "dropped");
+        assert_eq!(*state.lock().unwrap(), "dropped");
         assert_eq!(live_stacks(), 0);
         fiber.stop(&main); // idempotent
     }

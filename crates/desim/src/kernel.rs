@@ -53,9 +53,7 @@
 use std::any::Any;
 use std::collections::{BinaryHeap, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::Arc;
-
-use parking_lot::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::fiber::Fiber;
 use crate::time::SimTime;
@@ -297,7 +295,7 @@ impl<M: Send + 'static> Ctx<M> {
     /// Current virtual time.
     #[inline]
     pub fn now(&self) -> SimTime {
-        self.shared.lock().now
+        self.shared.lock().unwrap().now
     }
 
     /// Park this process (the caller has recorded what it waits for) and
@@ -310,7 +308,7 @@ impl<M: Send + 'static> Ctx<M> {
         };
         drop(sh);
         match self.me.switch(&next, Go::Run) {
-            Go::Run => self.shared.lock(),
+            Go::Run => self.shared.lock().unwrap(),
             Go::Stop => panic::panic_any(ShutdownToken),
         }
     }
@@ -318,7 +316,7 @@ impl<M: Send + 'static> Ctx<M> {
     /// Advance this process's clock by `dt`, letting other processes run in
     /// the meantime. `advance(SimTime::ZERO)` is a deterministic yield point.
     pub fn advance(&self, dt: SimTime) {
-        let mut sh = self.shared.lock();
+        let mut sh = self.shared.lock().unwrap();
         // Saturating: SimTime::MAX is a documented "never" sentinel and
         // must not wrap into the past.
         let at = SimTime::from_nanos(sh.now.as_nanos().saturating_add(dt.as_nanos()));
@@ -345,7 +343,7 @@ impl<M: Send + 'static> Ctx<M> {
     /// bandwidth, NIC serialization) is the caller's job — the kernel only
     /// honors the delay it is given.
     pub fn send(&self, dst: Pid, delay: SimTime, msg: M) {
-        let mut sh = self.shared.lock();
+        let mut sh = self.shared.lock().unwrap();
         let at = SimTime::from_nanos(sh.now.as_nanos().saturating_add(delay.as_nanos()));
         sh.push_event(at, EventKind::Deliver(dst, msg));
     }
@@ -358,7 +356,7 @@ impl<M: Send + 'static> Ctx<M> {
 
     /// Non-blocking receive.
     pub fn try_recv(&self) -> Option<M> {
-        self.shared.lock().mailboxes[self.pid.index()].pop_front()
+        self.shared.lock().unwrap().mailboxes[self.pid.index()].pop_front()
     }
 
     /// Drain every message currently queued, in delivery order, without
@@ -366,14 +364,14 @@ impl<M: Send + 'static> Ctx<M> {
     /// scheduler job agents): act on all directives that have arrived, then
     /// get back to work.
     pub fn drain(&self) -> Vec<M> {
-        let mut sh = self.shared.lock();
+        let mut sh = self.shared.lock().unwrap();
         sh.mailboxes[self.pid.index()].drain(..).collect()
     }
 
     /// Receive the first mailbox message satisfying `pred`, blocking until
     /// one arrives. Non-matching messages stay queued in order.
     pub fn recv_match(&self, mut pred: impl FnMut(&M) -> bool) -> M {
-        let mut sh = self.shared.lock();
+        let mut sh = self.shared.lock().unwrap();
         loop {
             let mb = &mut sh.mailboxes[self.pid.index()];
             if let Some(i) = mb.iter().position(&mut pred) {
@@ -386,12 +384,12 @@ impl<M: Send + 'static> Ctx<M> {
 
     /// Number of messages currently queued for this process.
     pub fn mailbox_len(&self) -> usize {
-        self.shared.lock().mailboxes[self.pid.index()].len()
+        self.shared.lock().unwrap().mailboxes[self.pid.index()].len()
     }
 
     /// Whether `pid` is a live (spawned, not finished, not killed) process.
     pub fn is_live(&self, pid: Pid) -> bool {
-        let sh = self.shared.lock();
+        let sh = self.shared.lock().unwrap();
         pid.index() < sh.states.len() && !sh.is_finished(pid) && !sh.doomed.contains(&pid)
     }
 
@@ -403,7 +401,7 @@ impl<M: Send + 'static> Ctx<M> {
     /// return from the process body instead.
     pub fn kill(&self, victim: Pid) -> bool {
         assert_ne!(victim, self.pid, "a process cannot kill itself");
-        let mut sh = self.shared.lock();
+        let mut sh = self.shared.lock().unwrap();
         if victim.index() >= sh.states.len()
             || sh.is_finished(victim)
             || sh.doomed.contains(&victim)
@@ -437,7 +435,7 @@ where
     M: Send + 'static,
     F: FnOnce(Ctx<M>) + Send + 'static,
 {
-    let mut sh = shared.lock();
+    let mut sh = shared.lock().unwrap();
     let pid = Pid(sh.states.len());
     let shared = Arc::clone(shared);
     let fiber = Fiber::spawn(&name, move |me| {
@@ -452,7 +450,11 @@ where
             Err(p) if p.is::<ShutdownToken>() => return None,
             Err(p) => Some((pid, p)),
         };
-        let mut sh = shared.lock();
+        // A body that panicked holding the kernel lock (in a `recv_match`
+        // predicate) poisoned it. The state is whole, and `run` re-raises
+        // the panic, so the lock is taken and cleared, never unwrapped.
+        let mut sh = shared.lock().unwrap_or_else(PoisonError::into_inner);
+        shared.clear_poison();
         sh.states[pid.index()] = ProcState::Finished;
         sh.panic = panic;
         next_holder(&mut sh, None)
@@ -549,7 +551,7 @@ impl<M: Send + 'static> Simulation<M> {
     /// Record a (time, pid, kind) trace of every processed event; retrieve it
     /// from [`SimStats::trace`]. Intended for determinism tests.
     pub fn enable_tracing(&mut self) {
-        self.shared.lock().trace = Some(Vec::new());
+        self.shared.lock().unwrap().trace = Some(Vec::new());
     }
 
     /// Install a live observer called for every kernel scheduling event
@@ -559,7 +561,7 @@ impl<M: Send + 'static> Simulation<M> {
     /// the simulation; it exists so an external sink (e.g. `dtrain-obs`)
     /// can stream the event order without buffering the whole trace here.
     pub fn set_event_hook(&mut self, hook: impl FnMut(&TraceRecord) + Send + 'static) {
-        self.shared.lock().hook = Some(Box::new(hook));
+        self.shared.lock().unwrap().hook = Some(Box::new(hook));
     }
 
     /// Spawn a process. The body runs when `run` is called; it starts at
@@ -596,7 +598,7 @@ impl<M: Send + 'static> Simulation<M> {
     /// panic, and the end of the run.
     pub fn run_with_limits(self, limits: RunLimits) -> SimStats {
         let main = {
-            let mut sh = self.shared.lock();
+            let mut sh = self.shared.lock().unwrap();
             sh.limits = limits;
             Arc::clone(&sh.main)
         };
@@ -604,7 +606,7 @@ impl<M: Send + 'static> Simulation<M> {
             // Unwind killed processes before the next event, so a kill takes
             // effect at the current instant, deterministically.
             self.reap_doomed();
-            let mut sh = self.shared.lock();
+            let mut sh = self.shared.lock().unwrap();
             if let Some((pid, payload)) = sh.panic.take() {
                 let name = sh.names[pid.index()].clone();
                 drop(sh);
@@ -644,7 +646,7 @@ impl<M: Send + 'static> Simulation<M> {
     /// letters when popped.
     fn reap_doomed(&self) {
         loop {
-            let Some(victim) = self.shared.lock().doomed.pop_front() else {
+            let Some(victim) = self.shared.lock().unwrap().doomed.pop_front() else {
                 return;
             };
             self.stop_process(victim);
@@ -657,7 +659,7 @@ impl<M: Send + 'static> Simulation<M> {
     /// released first because the victim's destructors may use `Ctx`.
     fn stop_process(&self, pid: Pid) {
         let (fiber, main) = {
-            let mut sh = self.shared.lock();
+            let mut sh = self.shared.lock().unwrap_or_else(PoisonError::into_inner);
             sh.states[pid.index()] = ProcState::Finished;
             sh.mailboxes[pid.index()].clear();
             (Arc::clone(&sh.fibers[pid.index()]), Arc::clone(&sh.main))
@@ -665,9 +667,15 @@ impl<M: Send + 'static> Simulation<M> {
         fiber.stop(&main);
     }
 
-    /// Stop every process, in pid order.
+    /// Stop every process, in pid order. `Drop` runs this, maybe while a
+    /// panic unwinds, so a poisoned lock is taken as it stands.
     fn teardown(&self) {
-        let n = self.shared.lock().states.len();
+        let n = self
+            .shared
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .states
+            .len();
         for i in 0..n {
             self.stop_process(Pid(i));
         }
@@ -709,7 +717,7 @@ mod tests {
             // Spawn receiver first so its pid is known to the sender below.
             sim.spawn("rx", move |ctx| {
                 let m = ctx.recv();
-                *got2.lock() = (ctx.now(), m);
+                *got2.lock().unwrap() = (ctx.now(), m);
             })
         };
         sim.spawn("tx", move |ctx| {
@@ -718,7 +726,7 @@ mod tests {
         });
         let stats = sim.run();
         assert_eq!(stats.reason, StopReason::Completed);
-        let (t, v) = *got.lock();
+        let (t, v) = *got.lock().unwrap();
         assert_eq!(v, 42);
         assert_eq!(t, SimTime::from_millis(15));
     }
@@ -730,7 +738,7 @@ mod tests {
         let seen2 = Arc::clone(&seen);
         let rx = sim.spawn("rx", move |ctx| {
             for _ in 0..3 {
-                seen2.lock().push(ctx.recv());
+                seen2.lock().unwrap().push(ctx.recv());
             }
         });
         sim.spawn("tx", move |ctx| {
@@ -739,7 +747,7 @@ mod tests {
             }
         });
         sim.run();
-        assert_eq!(*seen.lock(), vec![0, 1, 2]);
+        assert_eq!(*seen.lock().unwrap(), vec![0, 1, 2]);
     }
 
     #[test]
@@ -762,7 +770,7 @@ mod tests {
             // Nothing delivered yet: drain is empty, not blocking.
             assert!(ctx.drain().is_empty());
             ctx.advance(SimTime::from_millis(10));
-            out2.lock().push(ctx.drain());
+            out2.lock().unwrap().push(ctx.drain());
             // Everything was taken; a second drain finds nothing.
             assert!(ctx.drain().is_empty());
         });
@@ -773,7 +781,7 @@ mod tests {
         });
         let stats = sim.run();
         assert_eq!(stats.reason, StopReason::Completed);
-        assert_eq!(*out.lock(), vec![vec![0, 1, 2, 3]]);
+        assert_eq!(*out.lock().unwrap(), vec![vec![0, 1, 2, 3]]);
     }
 
     #[test]
@@ -783,16 +791,16 @@ mod tests {
         let out2 = Arc::clone(&out);
         let rx = sim.spawn("rx", move |ctx| {
             let even = ctx.recv_match(|m| m % 2 == 0);
-            out2.lock().push(even);
+            out2.lock().unwrap().push(even);
             // the skipped odd message is still queued
-            out2.lock().push(ctx.recv());
+            out2.lock().unwrap().push(ctx.recv());
         });
         sim.spawn("tx", move |ctx| {
             ctx.send(rx, SimTime::from_millis(1), 7);
             ctx.send(rx, SimTime::from_millis(2), 8);
         });
         sim.run();
-        assert_eq!(*out.lock(), vec![8, 7]);
+        assert_eq!(*out.lock().unwrap(), vec![8, 7]);
     }
 
     #[test]
@@ -856,12 +864,12 @@ mod tests {
             sim.spawn(name, move |ctx| {
                 for _ in 0..3 {
                     ctx.advance(SimTime::from_millis(period_ms));
-                    log.lock().push((name, ctx.now().as_nanos()));
+                    log.lock().unwrap().push((name, ctx.now().as_nanos()));
                 }
             });
         }
         sim.run();
-        let got = log.lock().clone();
+        let got = log.lock().unwrap().clone();
         assert_eq!(
             got,
             vec![
@@ -890,14 +898,14 @@ mod tests {
             sim.spawn(name, move |ctx| {
                 for i in 0..3 {
                     ctx.yield_now();
-                    log.lock().push((name, i));
+                    log.lock().unwrap().push((name, i));
                 }
             });
         }
         let stats = sim.run();
         assert_eq!(stats.end_time, SimTime::ZERO);
         assert_eq!(
-            *log.lock(),
+            *log.lock().unwrap(),
             vec![("a", 0), ("b", 0), ("a", 1), ("b", 1), ("a", 2), ("b", 2)]
         );
         assert_eq!(
@@ -942,7 +950,7 @@ mod tests {
         struct NoteDrop(Arc<Mutex<Vec<&'static str>>>);
         impl Drop for NoteDrop {
             fn drop(&mut self) {
-                self.0.lock().push("victim unwound");
+                self.0.lock().unwrap().push("victim unwound");
             }
         }
         let mut sim: Simulation<()> = Simulation::new();
@@ -959,11 +967,14 @@ mod tests {
             // The next event is this process's own resume: the fast path
             // must still let `run` reap the victim first.
             ctx.yield_now();
-            log3.lock().push("killer resumed");
+            log3.lock().unwrap().push("killer resumed");
         });
         let stats = sim.run();
         assert_eq!(stats.reason, StopReason::Completed);
-        assert_eq!(*log.lock(), vec!["victim unwound", "killer resumed"]);
+        assert_eq!(
+            *log.lock().unwrap(),
+            vec!["victim unwound", "killer resumed"]
+        );
     }
 
     #[test]
@@ -972,7 +983,7 @@ mod tests {
         let out = Arc::new(Mutex::new(0u32));
         let out2 = Arc::clone(&out);
         let rx = sim.spawn("rx", move |ctx| {
-            *out2.lock() = ctx.recv();
+            *out2.lock().unwrap() = ctx.recv();
         });
         sim.spawn("tx", move |ctx| {
             ctx.send(rx, SimTime::ZERO, 9);
@@ -980,7 +991,7 @@ mod tests {
             assert_eq!(ctx.now(), SimTime::ZERO);
         });
         sim.run();
-        assert_eq!(*out.lock(), 9);
+        assert_eq!(*out.lock().unwrap(), 9);
     }
 
     #[test]
@@ -1038,9 +1049,9 @@ mod tests {
             ctx.advance(SimTime::from_millis(10));
             let log3 = Arc::clone(&log2);
             let child = ctx.spawn("child", move |cctx| {
-                log3.lock().push(("child-start", cctx.now()));
+                log3.lock().unwrap().push(("child-start", cctx.now()));
                 let m = cctx.recv();
-                log3.lock().push(("child-recv", cctx.now()));
+                log3.lock().unwrap().push(("child-recv", cctx.now()));
                 assert_eq!(m, 77);
             });
             assert_eq!(child, Pid(1));
@@ -1049,7 +1060,7 @@ mod tests {
         let stats = sim.run();
         assert_eq!(stats.reason, StopReason::Completed);
         assert_eq!(
-            *log.lock(),
+            *log.lock().unwrap(),
             vec![
                 ("child-start", SimTime::from_millis(10)),
                 ("child-recv", SimTime::from_millis(15)),
@@ -1066,7 +1077,7 @@ mod tests {
         let p2 = Arc::clone(&progress);
         let worker = sim.spawn("worker", move |ctx| loop {
             ctx.advance(SimTime::from_millis(10));
-            p2.lock().push(("w0", ctx.now()));
+            p2.lock().unwrap().push(("w0", ctx.now()));
         });
         let p3 = Arc::clone(&progress);
         sim.spawn("daemon", move |ctx| {
@@ -1077,7 +1088,7 @@ mod tests {
             ctx.spawn("worker-restarted", move |wctx| {
                 for _ in 0..2 {
                     wctx.advance(SimTime::from_millis(10));
-                    p4.lock().push(("w1", wctx.now()));
+                    p4.lock().unwrap().push(("w1", wctx.now()));
                 }
             });
         });
@@ -1085,7 +1096,7 @@ mod tests {
         assert_eq!(stats.reason, StopReason::Completed);
         assert_eq!(stats.kills, 1);
         assert_eq!(
-            *progress.lock(),
+            *progress.lock().unwrap(),
             vec![
                 ("w0", SimTime::from_millis(10)),
                 ("w0", SimTime::from_millis(20)),
@@ -1125,7 +1136,7 @@ mod tests {
         let streamed2 = StdArc::clone(&streamed);
         let mut sim: Simulation<u32> = Simulation::new();
         sim.enable_tracing();
-        sim.set_event_hook(move |rec| streamed2.lock().push(*rec));
+        sim.set_event_hook(move |rec| streamed2.lock().unwrap().push(*rec));
         let rx = sim.spawn("rx", |ctx| {
             let _ = ctx.recv();
             let _ = ctx.recv();
@@ -1140,7 +1151,7 @@ mod tests {
         });
         let stats = sim.run();
         let trace = stats.trace.expect("tracing enabled");
-        assert_eq!(*streamed.lock(), trace);
+        assert_eq!(*streamed.lock().unwrap(), trace);
         assert!(trace.iter().any(|r| r.kind == 3), "spawn event present");
     }
 }

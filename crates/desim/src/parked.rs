@@ -17,10 +17,8 @@
 //! thread and has then given the baton up, and the woken thread must take
 //! its flag to become the next holder.
 
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-
-use parking_lot::{Condvar, Mutex};
 
 use crate::kernel::Go;
 
@@ -60,22 +58,22 @@ impl Fiber {
                 }
             })
             .expect("failed to spawn simulation process thread");
-        *fiber.thread.lock() = Some(handle);
+        *fiber.thread.lock().unwrap() = Some(handle);
         fiber
     }
 
     fn wake(&self, go: Go) {
-        *self.go.lock() = Some(go);
+        *self.go.lock().unwrap() = Some(go);
         self.cv.notify_one();
     }
 
     fn wait(&self) -> Go {
-        let mut go = self.go.lock();
+        let mut go = self.go.lock().unwrap();
         loop {
             if let Some(go) = go.take() {
                 return go;
             }
-            self.cv.wait(&mut go);
+            go = self.cv.wait(go).unwrap();
         }
     }
 
@@ -92,7 +90,7 @@ impl Fiber {
     /// `_from`, the calling fiber, keeps running: nothing is handed over.
     pub(crate) fn stop(&self, _from: &Arc<Fiber>) {
         self.wake(Go::Stop);
-        if let Some(handle) = self.thread.lock().take() {
+        if let Some(handle) = self.thread.lock().unwrap().take() {
             let _ = handle.join();
         }
     }

@@ -2,10 +2,9 @@
 //! `advance_to`, `try_recv`, `mailbox_len`, dynamic fan-in patterns, and
 //! larger process populations.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use dtrain_desim::{Pid, SimTime, Simulation, StopReason};
-use parking_lot::Mutex;
 
 #[test]
 fn advance_to_is_absolute_and_idempotent() {
@@ -35,7 +34,7 @@ fn try_recv_and_mailbox_len_observe_queue() {
         ctx.advance(SimTime::from_millis(10)); // let both sends land
         assert_eq!(ctx.mailbox_len(), 2);
         while let Some(v) = ctx.try_recv() {
-            seen2.lock().push(v);
+            seen2.lock().unwrap().push(v);
         }
         assert_eq!(ctx.mailbox_len(), 0);
     });
@@ -45,7 +44,7 @@ fn try_recv_and_mailbox_len_observe_queue() {
     });
     let stats = sim.run();
     assert_eq!(stats.reason, StopReason::Completed);
-    assert_eq!(*seen.lock(), vec![1, 2]);
+    assert_eq!(*seen.lock().unwrap(), vec![1, 2]);
 }
 
 #[test]
@@ -59,7 +58,7 @@ fn fan_in_of_many_processes_completes_in_order() {
     let sink = sim.spawn("sink", move |ctx| {
         for _ in 0..(n * 5) {
             let _ = ctx.recv();
-            times2.lock().push(ctx.now().as_nanos());
+            times2.lock().unwrap().push(ctx.now().as_nanos());
         }
     });
     for i in 0..n {
@@ -72,7 +71,7 @@ fn fan_in_of_many_processes_completes_in_order() {
     }
     let stats = sim.run();
     assert_eq!(stats.reason, StopReason::Completed);
-    let ts = times.lock();
+    let ts = times.lock().unwrap();
     assert_eq!(ts.len(), n * 5);
     assert!(
         ts.windows(2).all(|w| w[0] <= w[1]),

@@ -6,10 +6,9 @@
 
 use std::panic;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use dtrain_desim::{Pid, SimTime, Simulation, StopReason};
-use parking_lot::Mutex;
 
 /// The contract behind `desim.unpinned_slowdown` ≈ 1: the whole run is one
 /// OS thread's work, and bodies see that thread's thread-locals.
@@ -86,7 +85,7 @@ struct Flag(Arc<Mutex<&'static str>>);
 
 impl Drop for Flag {
     fn drop(&mut self) {
-        *self.0.lock() = "dropped";
+        *self.0.lock().unwrap() = "dropped";
     }
 }
 
@@ -101,18 +100,22 @@ fn a_victim_killed_before_its_first_resume_never_runs() {
     sim.spawn("killer", move |ctx| {
         assert!(ctx.kill(Pid(1)));
         ctx.yield_now(); // the kill is reaped before this resume
-        *at_resume2.lock() = *state2.lock();
+        *at_resume2.lock().unwrap() = *state2.lock().unwrap();
     });
     let flag = Flag(Arc::clone(&state));
     let victim = sim.spawn("victim", move |_ctx| {
-        *flag.0.lock() = "ran";
+        *flag.0.lock().unwrap() = "ran";
     });
     assert_eq!(victim, Pid(1));
     let stats = sim.run();
     assert_eq!(stats.reason, StopReason::Completed);
     assert_eq!(stats.kills, 1);
-    assert_eq!(*at_resume.lock(), "dropped", "closure dropped at reap");
-    assert_eq!(*state.lock(), "dropped", "and never run");
+    assert_eq!(
+        *at_resume.lock().unwrap(),
+        "dropped",
+        "closure dropped at reap"
+    );
+    assert_eq!(*state.lock().unwrap(), "dropped", "and never run");
 }
 
 #[test]
@@ -122,7 +125,7 @@ fn a_simulation_can_run_inside_a_process_body() {
     let result2 = Arc::clone(&result);
     let sink = outer.spawn("sink", move |ctx| {
         let end = ctx.recv();
-        result2.lock().push((ctx.now(), end));
+        result2.lock().unwrap().push((ctx.now(), end));
     });
     outer.spawn("nests", move |ctx| {
         ctx.advance(SimTime::from_millis(2));
@@ -147,7 +150,10 @@ fn a_simulation_can_run_inside_a_process_body() {
     let stats = outer.run();
     assert_eq!(stats.reason, StopReason::Completed);
     assert_eq!(stats.end_time, SimTime::from_millis(7));
-    assert_eq!(*result.lock(), vec![(SimTime::from_millis(3), 12_000)]);
+    assert_eq!(
+        *result.lock().unwrap(),
+        vec![(SimTime::from_millis(3), 12_000)]
+    );
 }
 
 #[test]
@@ -157,7 +163,7 @@ fn a_body_panic_is_re_raised_after_the_parked_peers_unwound() {
     struct Note(Arc<Mutex<Vec<String>>>, &'static str);
     impl Drop for Note {
         fn drop(&mut self) {
-            self.0.lock().push(format!("{} unwound", self.1));
+            self.0.lock().unwrap().push(format!("{} unwound", self.1));
         }
     }
     for name in ["peer0", "peer1", "peer2"] {
@@ -180,7 +186,7 @@ fn a_body_panic_is_re_raised_after_the_parked_peers_unwound() {
         Some("deliberate test panic")
     );
     assert_eq!(
-        *log.lock(),
+        *log.lock().unwrap(),
         ["peer0 unwound", "peer1 unwound", "peer2 unwound"],
         "peers are torn down, in pid order, before the panic is re-raised"
     );

@@ -19,10 +19,9 @@
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use dtrain_desim::{Ctx, Pid, RunLimits, SimTime, Simulation};
-use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -33,7 +32,7 @@ type Log = Arc<Mutex<String>>;
 
 fn note(log: &Log, ctx: &Ctx<u64>, what: &str, value: u64) {
     writeln!(
-        log.lock(),
+        log.lock().unwrap(),
         "log {} p{} {what} {value}",
         ctx.now().as_nanos(),
         ctx.pid().index()
@@ -164,7 +163,7 @@ fn record() -> String {
         )
         .expect("write");
     }
-    out.push_str(&log.lock());
+    out.push_str(&log.lock().unwrap());
     writeln!(
         out,
         "end reason={:?} time={} events={} dead_letters={} kills={} blocked={:?}",

@@ -2,10 +2,9 @@
 //! and message conservation under randomized process topologies.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use dtrain_desim::{Pid, SimTime, Simulation, StopReason, TraceRecord};
-use parking_lot::Mutex;
 use proptest::prelude::*;
 
 /// A randomized "workload program": each worker repeatedly advances by a
@@ -71,13 +70,13 @@ fn run_workload(w: &Workload) -> (Vec<TraceRecord>, Vec<u64>, u64) {
             // Drain whatever already arrived, then exit; remaining messages
             // become dead letters, which we account for below.
             while let Some(v) = ctx.try_recv() {
-                counts.lock()[ctx.pid().index()] += v;
+                counts.lock().unwrap()[ctx.pid().index()] += v;
             }
         });
     }
     let stats = sim.run();
     assert_eq!(stats.reason, StopReason::Completed);
-    let received: u64 = counts.lock().iter().sum();
+    let received: u64 = counts.lock().unwrap().iter().sum();
     let accounted = received + stats.dead_letters;
     let total_sent = sent.load(Ordering::Relaxed);
     if stats.kills == 0 {
@@ -90,7 +89,7 @@ fn run_workload(w: &Workload) -> (Vec<TraceRecord>, Vec<u64>, u64) {
         // bucket, but none may be counted twice.
         assert!(accounted <= total_sent, "{accounted} > {total_sent}");
     }
-    let final_counts = counts.lock().clone();
+    let final_counts = counts.lock().unwrap().clone();
     (
         stats.trace.expect("tracing enabled"),
         final_counts,

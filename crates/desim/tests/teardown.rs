@@ -123,3 +123,28 @@ fn a_simulation_dropped_without_run_releases_every_body() {
         );
     }
 }
+
+/// A `recv_match` predicate runs under the kernel lock, so its panic
+/// unwinds through the lock's guard. `run` still re-raises the body's own
+/// panic, without an abort or a lock error in its place, and the same
+/// thread then runs a fresh simulation.
+#[test]
+fn a_panicking_recv_match_predicate_reraises_its_own_message() {
+    let mut sim: Simulation<u32> = Simulation::new();
+    let picky = sim.spawn("picky", |ctx| {
+        ctx.recv_match(|_| panic!("deliberate predicate panic"));
+    });
+    sim.spawn("sender", move |ctx| ctx.send(picky, SimTime::ZERO, 7));
+    let err = panic::catch_unwind(panic::AssertUnwindSafe(|| sim.run()))
+        .expect_err("the predicate's panic must reach run()'s caller");
+    assert_eq!(
+        err.downcast_ref::<&str>().copied(),
+        Some("deliberate predicate panic")
+    );
+
+    let mut sim: Simulation<u32> = Simulation::new();
+    sim.spawn("after", |ctx| ctx.advance(SimTime::from_millis(1)));
+    let stats = sim.run();
+    assert_eq!(stats.reason, StopReason::Completed);
+    assert_eq!(stats.end_time, SimTime::from_millis(1));
+}

@@ -9,8 +9,8 @@
 //! consistent iteration, which the latest snapshot can overshoot.
 
 use dtrain_nn::{ParamSet, SgdMomentum};
-use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::sync::Mutex;
 
 /// Owner key of the parameter server's snapshots in a store its workers
 /// share (a worker's key is its rank): the real paths' one server, and the
@@ -69,7 +69,7 @@ impl CheckpointStore {
             params: params.clone(),
             opt: opt.clone(),
         };
-        let mut slots = self.slots.lock();
+        let mut slots = self.slots.lock().unwrap();
         let versions = slots.entry(owner).or_default();
         match versions.binary_search_by_key(&iteration, |c| c.iteration) {
             Ok(i) => versions[i] = cp,
@@ -85,6 +85,7 @@ impl CheckpointStore {
     pub fn restore(&self, owner: usize) -> Option<WorkerCheckpoint> {
         self.slots
             .lock()
+            .unwrap()
             .get(&owner)
             .and_then(|v| v.last())
             .cloned()
@@ -96,23 +97,24 @@ impl CheckpointStore {
     pub fn restore_at_or_before(&self, owner: usize, iteration: u64) -> Option<WorkerCheckpoint> {
         self.slots
             .lock()
+            .unwrap()
             .get(&owner)
             .and_then(|v| v.iter().rev().find(|c| c.iteration <= iteration).cloned())
     }
 
     /// Number of owners with at least one snapshot.
     pub fn len(&self) -> usize {
-        self.slots.lock().len()
+        self.slots.lock().unwrap().len()
     }
 
     /// Total snapshots held across all owners (bounded by
     /// `len() × MAX_VERSIONS`).
     pub fn total_versions(&self) -> usize {
-        self.slots.lock().values().map(Vec::len).sum()
+        self.slots.lock().unwrap().values().map(Vec::len).sum()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.slots.lock().is_empty()
+        self.slots.lock().unwrap().is_empty()
     }
 }
 

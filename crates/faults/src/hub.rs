@@ -4,7 +4,7 @@
 //! on the real paths; the [`Hub`] is what those workers talk *to*: the
 //! parameter server, the BSP round (deposit, close, aggregate, apply), the
 //! SSP staleness gate, the per-rank gossip / AD-PSGD / collective
-//! mailboxes, the exchange-token life cycle and eviction. It has three
+//! mailboxes, the exchange-token life cycle, eviction and rejoin. It has three
 //! deployments: the threaded backend calls it directly, the process
 //! coordinator on behalf of a decoded frame, and each simulated PS shard
 //! (`dtrain-algos`) on behalf of a simulated message, charging the wire and
@@ -22,6 +22,13 @@
 //! a worker's socket. The hub knows no sockets, processes, threads, obs
 //! sink or clock: `now` is an argument, and what only one path does at a
 //! round close (the threaded PS fault hooks) arrives as [`CloseHooks`].
+//!
+//! Membership reaches it in two calls. [`Hub::evict`] takes a dead rank
+//! out: its SSP clock parks, nothing waits on it, and a dead AD-PSGD
+//! active's `Done` is synthesized once its death is final. [`Hub::rejoin`]
+//! brings a rank's replacement back: an exchange target again, its clock
+//! re-admitted at the slowest live one. Every path's rejoiner comes back
+//! through it; [`Hub::bump_clock`] only ever moves a clock forward.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
@@ -171,6 +178,8 @@ pub struct Hub {
     tokens: HashMap<u64, Token>,
     next_token: u64,
     evicted: Vec<bool>,
+    /// Active ranks whose `Done` the passives were told.
+    done: Vec<bool>,
     shutdown: bool,
     /// Each rank's one outstanding request while it waits.
     parked: Vec<Option<Parked>>,
@@ -200,6 +209,7 @@ impl Hub {
             tokens: HashMap::new(),
             next_token: 1,
             evicted: vec![false; workers],
+            done: vec![false; workers],
             shutdown: false,
             parked: vec![None; workers],
             next_seq: 0,
@@ -412,21 +422,12 @@ impl Hub {
 
     // --- SSP clocks ---
 
-    /// Advance `rank`'s SSP clock; a live clock never moves back.
-    /// `u64::MAX` parks it: a dead rank's clock no longer holds the
-    /// staleness gate shut. A bump of a parked clock re-admits it at the
-    /// slowest live clock, or at 0 when no other is live, whatever the bump
-    /// says — so the bound never regresses and no gated pull is released.
-    /// Every path's rejoiner re-enters here.
+    /// Advance `rank`'s SSP clock; a clock never moves back. `u64::MAX`
+    /// parks it: a dead rank's clock no longer holds the staleness gate
+    /// shut, and stays parked until [`Self::rejoin`].
     pub fn bump_clock(&mut self, rank: usize, clock: u64) {
-        let mut clocks = self.ps.clocks.lock();
-        clocks[rank] = match clocks[rank] {
-            u64::MAX if clock < u64::MAX => {
-                let live = clocks.iter().copied().filter(|&c| c < u64::MAX);
-                live.min().unwrap_or(0)
-            }
-            now => now.max(clock),
-        };
+        let mut clocks = self.ps.clocks.lock().unwrap();
+        clocks[rank] = clocks[rank].max(clock);
         drop(clocks);
         self.wake();
     }
@@ -529,7 +530,11 @@ impl Hub {
         self.wake();
     }
 
+    /// Put `from`'s `Done` in every passive's mailbox, once per rank.
     fn push_done(&mut self, from: usize) {
+        if std::mem::replace(&mut self.done[from], true) {
+            return;
+        }
         let passives = Algo::adpsgd_ranks(self.workers, false);
         for v in passives.into_iter().filter(|&v| v != from) {
             self.boxes[v].exchange.push_back(PeerItem::Done);
@@ -537,6 +542,20 @@ impl Hub {
     }
 
     // --- membership changes ---
+
+    /// `rank` re-enters the cohort: every path's rejoiner comes back here.
+    /// It is an exchange target again and counts in a view-less round, and
+    /// a parked SSP clock re-enters at the slowest live clock, or at 0 when
+    /// no other is live — so the bound never regresses and no gated pull is
+    /// released.
+    pub fn rejoin(&mut self, rank: usize) {
+        self.evicted[rank] = false;
+        let mut clocks = self.ps.clocks.lock().unwrap();
+        if clocks[rank] == u64::MAX {
+            let live = clocks.iter().copied().filter(|&c| c < u64::MAX);
+            clocks[rank] = live.min().unwrap_or(0);
+        }
+    }
 
     /// `rank` will serve no more exchanges (it finished): every request
     /// still waiting on it — queued or already taken — is gone.
@@ -554,19 +573,20 @@ impl Hub {
     /// `rank` died (idempotent): its own parked request needs no answer.
     /// Park its SSP clock so survivors' staleness gates exclude it, drop
     /// every exchange waiting on it and the collective items it will never
-    /// consume, and — a dead active cannot announce completion —
-    /// synthesize its `Done` so passives do not drain forever. Its deposit
-    /// in an open round stays. A view-less flat round no longer counts it,
-    /// so one it leaves complete closes, its first arrival the closer.
-    pub fn evict(&mut self, rank: usize) {
+    /// consume. A dead active cannot announce completion, so once its death
+    /// is final (not `rejoining`: no replacement comes, or this was the
+    /// replacement) its `Done` is synthesized, lest passives drain forever.
+    /// Its deposit in an open round stays. A view-less flat round no longer
+    /// counts it, so one it leaves complete closes, its first arrival the
+    /// closer.
+    pub fn evict(&mut self, rank: usize, rejoining: bool) {
         self.parked[rank] = None;
-        if std::mem::replace(&mut self.evicted[rank], true) {
-            return;
+        if !std::mem::replace(&mut self.evicted[rank], true) {
+            self.ps.clocks.lock().unwrap()[rank] = u64::MAX;
+            self.boxes[rank].coll.clear();
+            self.drop_waiting_on(rank);
         }
-        self.ps.clocks.lock()[rank] = u64::MAX;
-        self.boxes[rank].coll.clear();
-        self.drop_waiting_on(rank);
-        if Algo::adpsgd_is_active(rank) {
+        if !rejoining && Algo::adpsgd_is_active(rank) {
             self.push_done(rank);
         }
         let live = self.expected(None);

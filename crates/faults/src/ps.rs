@@ -12,10 +12,9 @@
 //! shut parks in the hub, which answers it when a clock bump opens the
 //! gate.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use dtrain_nn::{ParamSet, SgdMomentum};
-use parking_lot::Mutex;
 
 /// Centralized shared state: global parameters + optimizer + SSP clocks.
 pub struct PsState {
@@ -34,38 +33,48 @@ impl PsState {
     /// A BSP round's close, the hub's only: one optimizer step of the
     /// round's mean at `lr`.
     pub fn push(&self, grad: &ParamSet, lr: f32) {
-        let (params, opt) = &mut *self.global.lock();
+        let (params, opt) = &mut *self.global.lock().unwrap();
         opt.step(params, grad, lr);
     }
 
     /// SSP's server half: add a worker's applied delta (Ho et al.'s
     /// SSPTable); the worker's `rules::ssp_step` took the optimizer step.
     pub fn add_delta(&self, delta: &ParamSet) {
-        self.global.lock().0.add_assign(delta);
+        self.global.lock().unwrap().0.add_assign(delta);
     }
 
     /// ASP push: apply `grad` at `lr` and return the fresh global params,
     /// read under the same lock.
     pub fn push_and_pull(&self, grad: &ParamSet, lr: f32) -> ParamSet {
-        let (params, opt) = &mut *self.global.lock();
+        let (params, opt) = &mut *self.global.lock().unwrap();
         opt.step(params, grad, lr);
         params.clone()
     }
 
     /// Read-only snapshot of the global parameters.
     pub fn snapshot(&self) -> ParamSet {
-        self.global.lock().0.clone()
+        self.global.lock().unwrap().0.clone()
     }
 
     /// The slowest clock: what an SSP staleness gate compares against.
     pub fn min_clock(&self) -> u64 {
-        self.clocks.lock().iter().copied().min().unwrap_or(0)
+        self.clocks
+            .lock()
+            .unwrap()
+            .iter()
+            .copied()
+            .min()
+            .unwrap_or(0)
     }
 
     /// Elastic-averaging exchange (EASGD): center pulls toward the worker,
     /// the returned params pull the worker toward the center.
     pub fn elastic_exchange(&self, worker_params: &ParamSet, alpha: f32) -> ParamSet {
-        self.global.lock().0.elastic_exchange(worker_params, alpha)
+        self.global
+            .lock()
+            .unwrap()
+            .0
+            .elastic_exchange(worker_params, alpha)
     }
 }
 
@@ -99,9 +108,9 @@ mod tests {
     #[test]
     fn min_clock_is_the_slowest_worker() {
         let state = PsState::new(ps(&[0.0]), 0.0, 0.0, 2);
-        state.clocks.lock()[0] = 5;
+        state.clocks.lock().unwrap()[0] = 5;
         assert_eq!(state.min_clock(), 0, "worker 1 has not moved");
-        state.clocks.lock()[1] = 4;
+        state.clocks.lock().unwrap()[1] = 4;
         assert_eq!(state.min_clock(), 4);
     }
 }

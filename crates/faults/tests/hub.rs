@@ -243,7 +243,7 @@ fn a_view_less_round_closes_when_an_eviction_completes_it() {
     }
     assert!(hub.drain().is_empty(), "a round short of rank 1 waits");
     // Rank 1 dies for good: the cohort is the three left, which deposited.
-    hub.evict(1);
+    hub.evict(1, false);
     let closed = released_rounds(&mut hub);
     let seen: Vec<(usize, Option<usize>, usize)> = closed
         .iter()
@@ -266,7 +266,7 @@ fn a_view_less_round_closes_when_an_eviction_completes_it() {
     assert_eq!(hub.drain().len(), 2);
     // An eviction that leaves a round short closes nothing.
     assert!(round(&mut hub, seat(0, 2, None, None), (ps(&[1.0]), 1)).is_none());
-    hub.evict(3);
+    hub.evict(3, false);
     assert!(hub.drain().is_empty(), "rank 2 still owes round 2");
 }
 
@@ -341,33 +341,85 @@ impl CloseHooks for Recorder {
 
 /// Every rank's SSP clock.
 fn clocks(hub: &Hub) -> Vec<u64> {
-    hub.ps().clocks.lock().clone()
+    hub.ps().clocks.lock().unwrap().clone()
 }
 
 #[test]
-fn a_bumped_parked_clock_re_enters_at_the_live_minimum() {
+fn a_rejoining_parked_clock_re_enters_at_the_live_minimum() {
     // Parked by a bump of `u64::MAX` (threads, simulator) or by an
-    // eviction (processes): either way the rejoin bump's own value — here
-    // the rejoin round 9 — is not where the clock re-enters.
+    // eviction (processes): either way it re-enters at the slowest live
+    // clock, not at the rejoin round.
     let mut hub = new_hub(ps(&[0.0]), 3, None);
     for (rank, clock) in [(0, 5), (1, 3), (2, 4)] {
         hub.bump_clock(rank, clock);
     }
     hub.bump_clock(1, u64::MAX);
     assert_eq!(hub.ps().min_clock(), 4, "a parked clock holds no gate");
-    hub.bump_clock(1, 9);
+    hub.rejoin(1);
     assert_eq!(clocks(&hub), [5, 4, 4]);
-    hub.evict(0);
-    hub.bump_clock(0, 9);
+    hub.evict(0, true);
+    hub.rejoin(0);
     assert_eq!(clocks(&hub), [4, 4, 4]);
 
     // No other clock live: re-enter at 0.
     let mut hub = new_hub(ps(&[0.0]), 2, None);
     hub.bump_clock(0, 6);
-    hub.evict(0);
-    hub.evict(1);
-    hub.bump_clock(1, 9);
+    hub.evict(0, false);
+    hub.evict(1, true);
+    hub.rejoin(1);
     assert_eq!(clocks(&hub), [u64::MAX, 0]);
+}
+
+#[test]
+fn a_bump_leaves_a_parked_clock_parked() {
+    // A push its sender's departure overtook on the wire bumps a clock
+    // that is already parked; only a rejoin re-admits it.
+    let mut hub = new_hub(ps(&[0.0]), 3, None);
+    for (rank, clock) in [(0, 5), (1, 3), (2, 4)] {
+        hub.bump_clock(rank, clock);
+    }
+    hub.bump_clock(1, u64::MAX);
+    hub.bump_clock(1, 4);
+    hub.evict(0, false);
+    hub.bump_clock(0, 9);
+    assert_eq!(clocks(&hub), [u64::MAX, u64::MAX, 4]);
+    assert_eq!(hub.ps().min_clock(), 4);
+}
+
+#[test]
+fn a_rejoined_rank_is_an_exchange_target_again_and_its_second_eviction_parks_its_clock() {
+    let mut hub = new_hub(ps(&[0.0]), 3, None);
+    for (rank, clock) in [(0, 5), (1, 3), (2, 4)] {
+        hub.bump_clock(rank, clock);
+    }
+    hub.evict(1, true);
+    let token = hub.exchange_request(0, 1, ps(&[1.0]));
+    assert!(matches!(
+        hub.exchange_await(token, None),
+        Some(Answer::Exchange(Reply::Gone))
+    ));
+
+    hub.rejoin(1);
+    let token = hub.exchange_request(0, 1, ps(&[1.0]));
+    assert!(
+        hub.exchange_await(token, None).is_none(),
+        "an exchange at the rejoined rank waits for its answer"
+    );
+    assert!(matches!(
+        hub.exchange_next(1, false),
+        Some(Answer::Peer(Some(PeerItem::Exchange { .. })))
+    ));
+    hub.bump_clock(1, 6);
+    assert_eq!(clocks(&hub), [5, 6, 4]);
+
+    // The replacement dies too: its clock parks, and the exchange it took
+    // is gone.
+    hub.evict(1, false);
+    assert_eq!(clocks(&hub), [5, u64::MAX, 4]);
+    assert!(matches!(
+        hub.drain()[..],
+        [(0, Answer::Exchange(Reply::Gone))]
+    ));
 }
 
 #[test]
@@ -376,10 +428,10 @@ fn re_admission_releases_no_gated_pull() {
     for (rank, clock) in [(0, 2), (1, 5), (2, 6)] {
         hub.bump_clock(rank, clock);
     }
-    hub.evict(0);
+    hub.evict(0, true);
     // Rank 2's gate waits for rank 1 to reach 6.
     assert!(hub.wait_min_clock(2, 6).is_none());
-    hub.bump_clock(0, 9);
+    hub.rejoin(0);
     assert!(hub.drain().is_empty(), "the rejoiner opened a gate");
     // Now the rejoiner, re-admitted at 5, holds the gate with rank 1.
     hub.bump_clock(1, 6);
@@ -522,8 +574,8 @@ fn evict_resolves_waiting_tokens_and_synthesizes_done_once() {
     while let Some(Answer::Peer(Some(_))) = hub.exchange_next(0, false) {}
     assert!(hub.exchange_next(0, true).is_none());
 
-    hub.evict(0);
-    hub.evict(0); // idempotent
+    hub.evict(0, false);
+    hub.evict(0, false); // idempotent
 
     // Its SSP clock is parked: the survivors' minimum no longer waits on
     // it, and rank 3's gate opens. Nothing is released to rank 0.
@@ -581,7 +633,7 @@ fn evict_resolves_waiting_tokens_and_synthesizes_done_once() {
     ));
 
     // A passive's death synthesizes nothing.
-    hub.evict(1);
+    hub.evict(1, false);
     assert!(matches!(
         hub.exchange_next(3, false),
         Some(Answer::Peer(None))

@@ -24,9 +24,7 @@
 pub mod export;
 
 use std::collections::VecDeque;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// The phases of one training iteration, as broken down in Fig. 3 of the
 /// paper. Lives here (rather than `dtrain-cluster`, its original home) so
@@ -281,7 +279,7 @@ impl ObsSink {
     /// first use; handles for the same track share one ring.
     pub fn track(&self, track: Track) -> TrackHandle {
         let ring = self.inner.as_ref().map(|inner| {
-            let mut tracks = inner.tracks.lock();
+            let mut tracks = inner.tracks.lock().unwrap();
             match tracks.iter().find(|(t, _)| *t == track) {
                 Some((_, ring)) => Arc::clone(ring),
                 None => {
@@ -308,12 +306,13 @@ impl ObsSink {
         let rings: Vec<Arc<Mutex<Ring>>> = inner
             .tracks
             .lock()
+            .unwrap()
             .iter()
             .map(|(_, r)| Arc::clone(r))
             .collect();
         let mut out = Vec::new();
         for ring in rings {
-            out.extend(ring.lock().buf.iter().copied());
+            out.extend(ring.lock().unwrap().buf.iter().copied());
         }
         out.sort_by_key(|e| (e.ts, e.track, e.seq));
         out
@@ -327,10 +326,11 @@ impl ObsSink {
         let rings: Vec<Arc<Mutex<Ring>>> = inner
             .tracks
             .lock()
+            .unwrap()
             .iter()
             .map(|(_, r)| Arc::clone(r))
             .collect();
-        rings.iter().map(|r| r.lock().dropped).sum()
+        rings.iter().map(|r| r.lock().unwrap().dropped).sum()
     }
 }
 
@@ -359,7 +359,7 @@ impl TrackHandle {
     #[inline]
     fn push(&self, ts: u64, kind: EventKind) {
         if let Some(ring) = &self.ring {
-            ring.lock().push(ts, self.track, kind);
+            ring.lock().unwrap().push(ts, self.track, kind);
         }
     }
 

@@ -78,8 +78,11 @@ pub struct Tally {
 pub enum Effect {
     /// A `dtrain_faults::markers` instant `(name, value)`, to be stamped.
     Marker(&'static str, i64),
-    /// `Hub::evict(rank)`.
-    Evict(usize),
+    /// `Hub::evict(rank, rejoining)`: `rejoining` when a replacement is
+    /// coming.
+    Evict(usize, bool),
+    /// `Hub::rejoin(rank)`: the rank's replacement said `Hello`.
+    Rejoin(usize),
     /// `Hub::retire(rank)`.
     Retire(usize),
     /// Spawn the rank's rejoin replacement, numbered as [`CoordCore::exit`]
@@ -168,6 +171,7 @@ impl CoordCore {
             Phase::Rejoining(at) => {
                 self.tally.rejoins += 1;
                 self.fx.push(Effect::Marker(names::REJOIN, w as i64));
+                self.fx.push(Effect::Rejoin(w));
                 at
             }
             _ => return None,
@@ -382,10 +386,11 @@ impl CoordCore {
         let markers = [names::CRASH, names::EVICT, names::SHARD_FAILOVER];
         let markers = markers.map(|name| Effect::Marker(name, w as i64));
         self.fx.extend(markers);
-        self.fx.push(Effect::Evict(w));
+        let rejoin = self.rejoin.filter(|s| s.worker == w && r.life == 0);
+        self.fx.push(Effect::Evict(w, rejoin.is_some()));
         if r.life == 0 {
             self.evicts.push((w, r.last_hb));
-            if let Some(spec) = self.rejoin.filter(|s| s.worker == w) {
+            if let Some(spec) = rejoin {
                 self.rejoins.push((w, spec.at_round));
                 (r.phase, r.life) = (Phase::Rejoining(spec.at_round), 1);
                 self.fx.push(Effect::Spawn(w, r.life));

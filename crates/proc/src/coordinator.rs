@@ -14,7 +14,7 @@ use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use dtrain_data::teacher_task;
@@ -24,7 +24,6 @@ use dtrain_nn::{ParamSet, SgdMomentum};
 use dtrain_obs::{names, ObsSink, Track, TrackHandle};
 use dtrain_runtime::hub::{Answer, Hub, PeerItem, Reply, Seat};
 use dtrain_runtime::PsState;
-use parking_lot::{Condvar, Mutex};
 
 use crate::codec::{encode_frame, CodecError, TRAILER_LEN};
 use crate::config::{encode_worker_cfg, ProcConfig};
@@ -179,18 +178,21 @@ impl Coord {
     }
 
     /// Run `f` on the state, then settle what it moved. Under the lock the
-    /// core's `Evict`/`Retire` reach the hub, and every answer the hub
+    /// core's `Evict`/`Rejoin`/`Retire` reach the hub, and every answer the hub
     /// released is matched to the request in flight that it answers, so a
     /// dead process's answer can never be taken for its replacement's. The
     /// other effects and the answers' writes happen after the lock.
+    /// `ProcRun`'s `Drop` runs this, so a poisoned lock is taken as it
+    /// stands.
     fn with_state<T>(&self, f: impl FnOnce(&mut State) -> T) -> T {
-        let mut state = self.state.lock();
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         let out = f(&mut state);
         let State { core, hub, .. } = &mut *state;
         let mut effects = core.drain();
         for effect in &effects {
             match *effect {
-                Effect::Evict(w) => hub.evict(w),
+                Effect::Evict(w, rejoining) => hub.evict(w, rejoining),
+                Effect::Rejoin(w) => hub.rejoin(w),
                 Effect::Retire(w) => hub.retire(w),
                 _ => {}
             }
@@ -221,7 +223,8 @@ impl Coord {
                 }
             }
             Effect::Wake => self.cv.notify_all(),
-            Effect::Evict(_) | Effect::Retire(_) => {} // applied under the lock
+            // Applied under the lock.
+            Effect::Evict(..) | Effect::Rejoin(_) | Effect::Retire(_) => {}
         }
     }
 
@@ -234,15 +237,15 @@ impl Coord {
         mut ready: impl FnMut(&CoordCore) -> Option<T>,
     ) -> Option<T> {
         let deadline = timeout.map(|t| Instant::now() + t);
-        let mut state = self.state.lock();
+        let mut state = self.state.lock().unwrap();
         loop {
             if let Some(t) = ready(&state.core) {
                 return Some(t);
             }
             match deadline.map(|d| d.saturating_duration_since(Instant::now())) {
-                None => self.cv.wait(&mut state),
+                None => state = self.cv.wait(state).unwrap(),
                 Some(left) if left.is_zero() => return None,
-                Some(left) => _ = self.cv.wait_for(&mut state, left),
+                Some(left) => state = self.cv.wait_timeout(state, left).unwrap().0,
             }
         }
     }
@@ -258,7 +261,7 @@ impl Coord {
     /// unless cleanup has begun: `stop` is read under the lock cleanup
     /// takes to kill and reap, so no child outlives it.
     fn spawn_worker(&self, w: usize, life: u32) -> Result<(), ProcError> {
-        let mut children = self.children.lock();
+        let mut children = self.children.lock().unwrap();
         if self.stop.load(Ordering::Relaxed) {
             return Err(std::io::Error::other("the run is shutting down").into());
         }
@@ -288,7 +291,13 @@ impl Coord {
     /// The frame is the buffer of the reply that request made obsolete,
     /// when no writer holds it any more.
     fn deliver(&self, w: usize, generation: u64, seq: u32, reply: Out) {
-        let mut frame = self.state.lock().core.take_spare(w).unwrap_or_default();
+        let mut frame = self
+            .state
+            .lock()
+            .unwrap()
+            .core
+            .take_spare(w)
+            .unwrap_or_default();
         let rty = encode_frame(&mut frame, seq, |e| match &reply {
             Out::Msg(msg) => msg.encode_into(e),
             // The server's globals, read as they are encoded: no copy.
@@ -298,7 +307,7 @@ impl Coord {
                 arrived,
                 expected,
             } => {
-                let global = self.ps.global.lock();
+                let global = self.ps.global.lock().unwrap();
                 proto::bsp_result(e, leader, checkpoint, arrived, expected, &global.0)
             }
         });
@@ -319,7 +328,7 @@ impl Coord {
     /// if there is one; a failed write starts the reconnect window.
     fn write(&self, w: usize, link: Option<(u64, Link)>, frame: &[u8]) {
         if let Some((to, link)) = link {
-            if link.lock().write_all(frame).is_err() {
+            if link.lock().unwrap().write_all(frame).is_err() {
                 self.lost(w, to);
             }
         }
@@ -350,7 +359,7 @@ impl Coord {
                 checkpoint: self.with_state(|s| s.core.heartbeat(w, round)),
             },
             Msg::Membership { round } => {
-                let live = self.state.lock().core.view().live_at(round);
+                let live = self.state.lock().unwrap().core.view().live_at(round);
                 Msg::LiveSet {
                     live: live.into_iter().map(|v| v as u32).collect(),
                 }
@@ -599,9 +608,9 @@ fn handshake(coord: &Arc<Coord>, stream: TcpStream) {
             // The globals, read under the server's lock as they are encoded.
             let mut ack = Vec::new();
             encode_frame(&mut ack, seq, |e| {
-                proto::hello_ack(e, start_round, &coord.ps.global.lock().0)
+                proto::hello_ack(e, start_round, &coord.ps.global.lock().unwrap().0)
             });
-            (w, generation, link.lock().write_all(&ack).is_ok())
+            (w, generation, link.lock().unwrap().write_all(&ack).is_ok())
         }
         Ok((
             seq,
@@ -622,11 +631,13 @@ fn handshake(coord: &Arc<Coord>, stream: TcpStream) {
             };
             let served = match decision {
                 // Never saw `last_seq`: ask the worker to resend it.
-                ResumeDecision::RequestResend => {
-                    Msg::ResumeAck.write_to(&mut *link.lock(), seq).is_ok()
-                }
+                ResumeDecision::RequestResend => Msg::ResumeAck
+                    .write_to(&mut *link.lock().unwrap(), seq)
+                    .is_ok(),
                 // Saw it and finished it: replay the cached reply verbatim.
-                ResumeDecision::ResendCached(_, frame) => link.lock().write_all(&frame).is_ok(),
+                ResumeDecision::ResendCached(_, frame) => {
+                    link.lock().unwrap().write_all(&frame).is_ok()
+                }
                 // Saw it, and it is still parked: whichever call answers it
                 // writes the answer here.
                 ResumeDecision::AwaitInFlight => true,
@@ -669,7 +680,7 @@ fn serve_connection(
         // A read timeout is link trouble only while the rank owes nothing:
         // with a request parked or an answer held, its worker is silent
         // because it waits.
-        let waiting = coord.state.lock().core.awaiting(w);
+        let waiting = coord.state.lock().unwrap().core.awaiting(w);
         let (seq, msg) = match Msg::read_from(conn, &mut payload) {
             Ok(frame) => frame,
             Err(CodecError::Io(e))
@@ -686,7 +697,7 @@ fn serve_connection(
         match coord.with_state(|s| s.core.frame(w, generation, seq)) {
             Inbound::Fresh => {}
             Inbound::Duplicate(Some((_, frame))) => {
-                if link.lock().write_all(&frame).is_err() {
+                if link.lock().unwrap().write_all(&frame).is_err() {
                     return coord.lost(w, generation);
                 }
                 continue;
@@ -797,6 +808,7 @@ impl ProcRun {
                 let exited: Vec<(usize, u32)> = reap
                     .children
                     .lock()
+                    .unwrap()
                     .iter_mut()
                     .filter_map(|p| {
                         let newly = !p.exited && matches!(p.child.try_wait(), Ok(Some(_)));
@@ -828,7 +840,7 @@ impl ProcRun {
 
     /// PIDs of every child spawned so far, with their ranks.
     pub fn pids(&self) -> Vec<(usize, u32)> {
-        let children = self.coord.children.lock();
+        let children = self.coord.children.lock().unwrap();
         children.iter().map(|p| (p.rank, p.child.id())).collect()
     }
 
@@ -845,7 +857,7 @@ impl ProcRun {
     pub fn kill_paused(&self, timeout: Duration) -> Option<u32> {
         let (rank, pid) = self.wait_paused(timeout)?;
         {
-            let mut children = self.coord.children.lock();
+            let mut children = self.coord.children.lock().unwrap();
             let victim = children.iter_mut().find(|p| p.child.id() == pid)?;
             // Reaped before the gate opens, so the held answer reaches no
             // process: its write fails, or the recorded death drops it.
@@ -871,7 +883,7 @@ impl ProcRun {
             )));
         }
         let cfg = &self.coord.cfg;
-        let state = self.coord.state.lock();
+        let state = self.coord.state.lock().unwrap();
         let core = &state.core;
         let view = core.view();
         let (mean, _drift) =
@@ -909,7 +921,8 @@ impl ProcRun {
         self.coord.release_pause();
         self.coord.with_state(|s| s.hub.shutdown());
         // Kill (idempotent for already-exited children) and reap.
-        let mut children = std::mem::take(&mut *self.coord.children.lock());
+        let children = self.coord.children.lock();
+        let mut children = std::mem::take(&mut *children.unwrap_or_else(PoisonError::into_inner));
         for p in children.iter_mut() {
             let _ = p.child.kill();
         }

@@ -413,11 +413,11 @@ fn lent_frames(p: &ParamSet, seq: u32) -> (Vec<u8>, Vec<u8>, Vec<u8>) {
     encode_frame(&mut push, seq, |e| proto::bsp_exchange(e, 4, 0.05, grads));
     let mut answer = Vec::new();
     encode_frame(&mut answer, seq, |e| {
-        proto::bsp_result(e, true, true, 3, 4, &ps.global.lock().0)
+        proto::bsp_result(e, true, true, 3, 4, &ps.global.lock().unwrap().0)
     });
     let mut ack = Vec::new();
     encode_frame(&mut ack, seq, |e| {
-        proto::hello_ack(e, 12, &ps.global.lock().0)
+        proto::hello_ack(e, 12, &ps.global.lock().unwrap().0)
     });
     (push, answer, ack)
 }

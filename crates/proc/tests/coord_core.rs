@@ -262,7 +262,7 @@ impl World {
                 self.log.push(format!("{:>5?} core: {effect:?}", self.now));
             }
             match effect {
-                Effect::Evict(w) => {
+                Effect::Evict(w, rejoining) => {
                     let p = self.current(w);
                     let (life, down) = (self.procs[p].life, self.procs[p].down_since);
                     assert!(
@@ -281,15 +281,17 @@ impl World {
                     let rejoins = life == 0 && self.rejoin.is_some_and(|s| s.worker == w);
                     let spawned = effects[i..].contains(&Effect::Spawn(w, 1));
                     assert_eq!(
-                        spawned, rejoins,
+                        (spawned, rejoining),
+                        (rejoins, rejoins),
                         "rank {w}: a replacement iff a rejoin is due"
                     );
                     self.dead_final[w] = !rejoins;
                     // A dead process's parked request needs no answer.
                     self.parked.remove(&w);
-                    self.hub.evict(w);
+                    self.hub.evict(w, rejoining);
                     self.all_gone(w);
                 }
+                Effect::Rejoin(w) => self.hub.rejoin(w),
                 Effect::Retire(w) => {
                     self.finished[w] = true;
                     self.hub.retire(w);
@@ -903,10 +905,10 @@ fn connected(workers: usize, rejoin: Option<RejoinSpec>) -> CoordCore {
     core
 }
 
-fn death(w: usize) -> Vec<Effect> {
+fn death(w: usize, rejoining: bool) -> Vec<Effect> {
     let markers = [names::CRASH, names::EVICT, names::SHARD_FAILOVER];
     let mut effects = markers.map(|name| Effect::Marker(name, w as i64)).to_vec();
-    effects.push(Effect::Evict(w));
+    effects.push(Effect::Evict(w, rejoining));
     effects
 }
 
@@ -925,18 +927,21 @@ fn a_rejoin_replacements_death_is_recorded_once() {
         core.heartbeat(1, round); // rounds 0 and 1 executed, about to run 2
     }
     core.exit(1, 0);
-    let mut first = death(1);
+    let mut first = death(1, true);
     first.extend([Effect::Spawn(1, 1), Effect::Wake]);
     assert_eq!(core.drain(), first);
     assert_eq!(core.phase(1), Phase::Rejoining(4));
 
     assert_eq!(core.hello(1, 1), Some((4, 2)));
-    assert!(core.drain().contains(&Effect::Marker(names::REJOIN, 1)));
+    assert_eq!(
+        core.drain(),
+        [Effect::Marker(names::REJOIN, 1), Effect::Rejoin(1)]
+    );
     for round in 4..=7 {
         core.heartbeat(1, round); // rounds 4-6 executed
     }
     core.exit(1, 1);
-    let mut second = death(1);
+    let mut second = death(1, false);
     second.push(Effect::Wake);
     assert_eq!(
         core.drain(),
@@ -958,6 +963,129 @@ fn a_rejoin_replacements_death_is_recorded_once() {
     // The view holds the first death and the rejoin, nothing more.
     assert_eq!(core.view().live_at(3), vec![0]);
     assert_eq!(core.view().live_at(9), vec![0, 1]);
+}
+
+/// Play the shell's part for the hub: apply the membership effects the
+/// core queued, and return every effect.
+fn settle(core: &mut CoordCore, hub: &mut Hub) -> Vec<Effect> {
+    let effects = core.drain();
+    for &effect in &effects {
+        match effect {
+            Effect::Evict(w, rejoining) => hub.evict(w, rejoining),
+            Effect::Rejoin(w) => hub.rejoin(w),
+            Effect::Retire(w) => hub.retire(w),
+            Effect::Marker(..) | Effect::Spawn(..) | Effect::Wake => {}
+        }
+    }
+    effects
+}
+
+/// A core whose rank `w` rejoins at round 2, every rank connected, and a
+/// hub beside it.
+fn rejoining(workers: usize, w: usize) -> (CoordCore, Hub) {
+    let spec = RejoinSpec {
+        worker: w,
+        at_round: 2,
+    };
+    let core = connected(workers, Some(spec));
+    (core, Hub::new(empty(), workers, 0.0, 0.0, Some(BARRIER)))
+}
+
+/// AD-PSGD: once its replacement said `Hello`, a passive that died is an
+/// exchange target again.
+#[test]
+fn a_replacement_is_an_exchange_target_after_its_hello() {
+    let (mut core, mut hub) = rejoining(2, 1);
+    core.exit(1, 0);
+    settle(&mut core, &mut hub);
+    let token = hub.exchange_request(0, 1, empty());
+    assert!(matches!(
+        hub.exchange_await(token, None),
+        Some(Answer::Exchange(Reply::Gone))
+    ));
+
+    core.hello(1, 1).expect("the replacement shakes hands");
+    settle(&mut core, &mut hub);
+    let token = hub.exchange_request(0, 1, empty());
+    assert!(
+        hub.exchange_await(token, None).is_none(),
+        "an exchange at the rejoined rank 1 is gone"
+    );
+    assert!(matches!(
+        hub.exchange_next(1, false),
+        Some(Answer::Peer(Some(PeerItem::Exchange { .. })))
+    ));
+}
+
+/// SSP: the replacement re-enters at the slowest live clock, and its own
+/// death parks that clock again, so it holds no survivor's gate.
+#[test]
+fn a_replacements_death_parks_its_clock() {
+    let (mut core, mut hub) = rejoining(3, 1);
+    for (rank, clock) in [(0, 6), (1, 2), (2, 7)] {
+        hub.bump_clock(rank, clock);
+    }
+    core.exit(1, 0);
+    settle(&mut core, &mut hub);
+    assert_eq!(hub.ps().min_clock(), 6);
+    core.hello(1, 1).expect("the replacement shakes hands");
+    settle(&mut core, &mut hub);
+    hub.bump_clock(0, 8);
+    assert_eq!(hub.ps().min_clock(), 6, "the replacement re-entered at 6");
+    assert!(hub.wait_min_clock(2, 7).is_none());
+
+    core.exit(1, 1);
+    settle(&mut core, &mut hub);
+    assert_eq!(
+        hub.ps().min_clock(),
+        7,
+        "the dead replacement's clock still holds the gate"
+    );
+    assert!(matches!(hub.drain()[..], [(2, Answer::MinClock(7))]));
+}
+
+/// Take every item in `passive`'s exchange mailbox; count the `Done`s.
+fn dones(hub: &mut Hub, passive: usize) -> usize {
+    let mut dones = 0;
+    while let Some(Answer::Peer(Some(item))) = hub.exchange_next(passive, false) {
+        dones += usize::from(matches!(item, PeerItem::Done));
+    }
+    dones
+}
+
+/// AD-PSGD: an active that dies with a replacement coming owes its `Done`
+/// once, when the replacement is done. Each passive hears none at the death
+/// and exactly one in the end, whether the replacement finishes (and
+/// announces it), dies after its `Hello`, or dies before it.
+#[test]
+fn an_active_with_a_replacement_coming_leaves_one_done_per_passive() {
+    for fate in ["finishes", "dies after Hello", "dies before Hello"] {
+        let (mut core, mut hub) = rejoining(4, 2);
+        core.exit(2, 0);
+        settle(&mut core, &mut hub);
+        for passive in [1, 3] {
+            assert_eq!(
+                dones(&mut hub, passive),
+                0,
+                "passive {passive} at the death"
+            );
+        }
+        if fate != "dies before Hello" {
+            core.hello(2, 1).expect("the replacement shakes hands");
+            settle(&mut core, &mut hub);
+        }
+        if fate == "finishes" {
+            hub.announce_done(2);
+            core.complete(2, outcome());
+        } else {
+            core.exit(2, 1);
+        }
+        settle(&mut core, &mut hub);
+        for passive in [1, 3] {
+            let heard = dones(&mut hub, passive);
+            assert_eq!(heard, 1, "passive {passive} when the replacement {fate}");
+        }
+    }
 }
 
 /// A `Hello` is wire input: for a rank that finished, died with no rejoin
@@ -1013,7 +1141,7 @@ fn a_protocol_violation_is_a_death_at_once() {
     core.violation(0, 2); // no such connection
     assert_eq!(core.drain(), vec![]);
     core.violation(0, 1);
-    let mut effects = death(0);
+    let mut effects = death(0, false);
     effects.push(Effect::Wake);
     assert_eq!(core.drain(), effects);
     assert_eq!(core.phase(0), Phase::Dead);

@@ -30,9 +30,9 @@
 //! * **peer exchange** — mailbox primitives for GoSGD and AD-PSGD.
 //! * **fault hooks** — checkpoint cadence, crash restore, heartbeats.
 
+use std::sync::mpsc::Sender;
 use std::time::Duration;
 
-use crossbeam_channel::Sender;
 use dtrain_cluster::CollectiveSchedule;
 use dtrain_faults::{Algo, Hub, MembershipView};
 use dtrain_nn::{Network, ParamSet, SgdMomentum};
@@ -177,7 +177,10 @@ pub trait ExecBackend {
     fn live_at(&mut self, round: u64) -> Vec<usize>;
     /// Count one eviction (this worker's own death round was reached).
     fn note_eviction(&mut self);
-    /// Count one rejoin (this worker re-entered the cohort).
+    /// Count one rejoin (this worker re-entered the cohort). A backend that
+    /// calls its [`Hub`] directly re-admits the rank here
+    /// ([`Hub::rejoin`]); the process coordinator does so at the
+    /// replacement's `Hello`.
     fn note_rejoin(&mut self);
     /// Park this worker's SSP clock at `u64::MAX` so survivors' staleness
     /// gates exclude it.

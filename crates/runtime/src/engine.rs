@@ -15,10 +15,10 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crossbeam_channel::{Receiver, Sender};
 use dtrain_cluster::CollectiveSchedule;
 use dtrain_data::Dataset;
 use dtrain_faults::{
@@ -26,7 +26,6 @@ use dtrain_faults::{
 };
 use dtrain_nn::{Network, ParamSet, SgdMomentum};
 use dtrain_obs::{ObsSink, Track, TrackHandle};
-use parking_lot::Mutex;
 
 use crate::backend::{BspOutcome, ExecBackend, PeerRequest, ReplyToken, RunPlan};
 use crate::hub::{Answer, CloseHooks, Hub, PeerItem, Reply, Seat};
@@ -258,7 +257,7 @@ impl CloseHooks for FaultRuntime {
     fn before_apply(&self, ps: &PsState) {
         let k = self.global_iters.load(Ordering::Relaxed);
         let due = {
-            let mut pending = self.pending_outages.lock();
+            let mut pending = self.pending_outages.lock().unwrap();
             pending
                 .iter()
                 .position(|&(start, _)| start <= k)
@@ -267,7 +266,7 @@ impl CloseHooks for FaultRuntime {
         if let Some((_, len)) = due {
             markers::ps_outage(&self.obs, self.now_ns(), 0);
             if let Some(cp) = self.store.restore(PS_OWNER) {
-                let mut g = ps.global.lock();
+                let mut g = ps.global.lock().unwrap();
                 *g = (cp.params, cp.opt);
                 markers::ckpt_restore(&self.obs, self.now_ns(), cp.iteration);
             }
@@ -289,7 +288,7 @@ impl CloseHooks for FaultRuntime {
     fn after_apply(&self, ps: &PsState) {
         let n = self.ps_applies.fetch_add(1, Ordering::Relaxed) + 1;
         if self.store.due(n) {
-            let g = ps.global.lock();
+            let g = ps.global.lock().unwrap();
             self.store.save(PS_OWNER, n, &g.0, &g.1);
             markers::ckpt_save(&self.obs, self.now_ns(), n);
         }
@@ -331,7 +330,7 @@ impl ThreadedBackend<'_> {
     /// Run `f` on the hub, then put every answer it released in its rank's
     /// slot.
     fn with_hub<T>(&self, f: impl FnOnce(&mut Hub) -> T) -> T {
-        let mut hub = self.hub.lock();
+        let mut hub = self.hub.lock().unwrap();
         let out = f(&mut hub);
         let answers = hub.drain();
         drop(hub);
@@ -438,6 +437,7 @@ impl ExecBackend for ThreadedBackend<'_> {
         if let Some(fr) = self.faults {
             fr.rejoins.fetch_add(1, Ordering::Relaxed);
         }
+        self.with_hub(|hub| hub.rejoin(self.w));
     }
 
     fn park_clock(&mut self) {
@@ -680,9 +680,7 @@ where
     let hub = plan.hub(factory().get_params(), deadline);
     let ps = Arc::clone(hub.ps());
     let hub = Mutex::new(hub);
-    let (slots, answers): (Vec<_>, Vec<_>) = (0..cfg.workers)
-        .map(|_| crossbeam_channel::unbounded())
-        .unzip();
+    let (slots, answers): (Vec<_>, Vec<_>) = (0..cfg.workers).map(|_| mpsc::channel()).unzip();
     let clock = Instant::now();
     let faults: Option<FaultRuntime> = cfg
         .faults
@@ -692,7 +690,7 @@ where
     if let Some(fr) = faults {
         // Baseline PS checkpoint so an outage before the first cadence tick
         // still has a state to roll back to.
-        let g = ps.global.lock();
+        let g = ps.global.lock().unwrap();
         fr.store.save(PS_OWNER, 0, &g.0, &g.1);
     }
 

@@ -8,7 +8,7 @@
 use std::collections::HashMap;
 use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex};
 
 /// A round-keyed barrier whose cohort size may change between rounds —
 /// the elastic replacement for `std::sync::Barrier`'s fixed count.
@@ -51,7 +51,7 @@ impl ElasticBarrier {
     /// leader — partial if `arrived < expected`), `None` for everyone
     /// else, including stragglers arriving after the round closed.
     pub fn wait(&self, round: u64, expected: usize, deadline: Option<Duration>) -> Option<usize> {
-        let mut s = self.state.lock();
+        let mut s = self.state.lock().unwrap();
         if round < s.closed {
             return None;
         }
@@ -68,9 +68,13 @@ impl ElasticBarrier {
         }
         loop {
             let timed_out = match deadline {
-                Some(d) => self.cv.wait_for(&mut s, d).timed_out(),
+                Some(d) => {
+                    let (guard, res) = self.cv.wait_timeout(s, d).unwrap();
+                    s = guard;
+                    res.timed_out()
+                }
                 None => {
-                    self.cv.wait(&mut s);
+                    s = self.cv.wait(s).unwrap();
                     false
                 }
             };

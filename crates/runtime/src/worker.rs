@@ -146,7 +146,6 @@ pub fn worker_body<B: ExecBackend>(
                     }
                     if matches!(plan.strategy, Algo::Ssp { .. }) {
                         cache_ts = it_idx;
-                        backend.bump_clock(it_idx);
                     }
                     backend.note_rejoin();
                     markers::rejoin(obs, ns(&wall), w);

@@ -15,7 +15,7 @@
 //! checkpoint path, never through state that survived in memory. Elastic
 //! resizes take effect at round boundaries.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use crate::job::{JobId, JobSpec};
 use crate::outcome::{study_metrics, JobOutcome, StudyMetrics};
@@ -27,7 +27,6 @@ use dtrain_cluster::ClusterConfig;
 use dtrain_desim::{Ctx, Pid, SimTime, Simulation, StopReason};
 use dtrain_faults::CheckpointStore;
 use dtrain_obs::{names, ObsSink, Track, TrackHandle};
-use parking_lot::Mutex;
 
 /// Latency of a scheduler control message (directive or acknowledgement).
 pub const CTRL_DELAY: SimTime = SimTime::from_micros(1);
@@ -101,7 +100,7 @@ fn agent_body(
     stats: Arc<Mutex<Vec<RawStats>>>,
     obs: TrackHandle,
 ) {
-    let sched = sched.lock().expect("scheduler spawned before run");
+    let sched = sched.lock().unwrap().expect("scheduler spawned before run");
     let mut raw = RawStats::default();
     let mut segment: u64 = 0;
     'idle: loop {
@@ -172,7 +171,7 @@ fn agent_body(
         obs.exit(now, names::SCHED_SEGMENT);
         raw.completion_ns = now;
         raw.final_hash = tr.final_hash();
-        stats.lock()[spec.id] = raw;
+        stats.lock().unwrap()[spec.id] = raw;
         ctx.send(sched, CTRL_DELAY, SchedMsg::Completed { job: spec.id });
         return;
     }
@@ -186,7 +185,7 @@ fn scheduler_body(
 ) {
     loop {
         let msg = ctx.recv();
-        let mut core = core.lock();
+        let mut core = core.lock().unwrap();
         let directives = match msg {
             SchedMsg::Arrived(job) => core.on_arrival(job),
             SchedMsg::Yielded { job } => core.on_yielded(job),
@@ -274,7 +273,7 @@ pub fn run_scheduler(
             scheduler_body(ctx, core, agents, obs)
         })
     };
-    *sched_cell.lock() = Some(sched_pid);
+    *sched_cell.lock().unwrap() = Some(sched_pid);
     {
         let arrivals: Vec<(JobId, SimTime)> = jobs.iter().map(|j| (j.id, j.arrival)).collect();
         sim.spawn("arrivals", move |ctx| {
@@ -295,7 +294,8 @@ pub fn run_scheduler(
 
     let raw = Arc::try_unwrap(stats)
         .expect("all agents exited")
-        .into_inner();
+        .into_inner()
+        .unwrap();
     let outcomes: Vec<JobOutcome> = jobs
         .iter()
         .zip(raw)
@@ -326,6 +326,7 @@ pub fn run_scheduler(
     let audit = Arc::try_unwrap(core)
         .unwrap_or_else(|_| panic!("scheduler exited"))
         .into_inner()
+        .unwrap()
         .into_audit();
     SchedRun {
         outcomes,

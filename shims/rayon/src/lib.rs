@@ -2,8 +2,9 @@
 //! kernels use (`par_chunks_mut` / `par_chunks` / `into_par_iter`) on top of
 //! a **real persistent thread pool**.
 //!
-//! The pool is a single shared injector queue (`crossbeam-channel` MPMC)
-//! drained by long-lived worker threads. Each parallel region publishes a
+//! The pool is a single shared injector queue (a `std::sync::mpsc` channel
+//! whose one receiver the workers share behind a mutex) drained by
+//! long-lived worker threads. Each parallel region publishes a
 //! type-erased task closure plus an atomic task cursor; the calling thread
 //! *participates* in its own region, and every participant self-schedules
 //! task indices with `fetch_add` — dynamic load balancing with the same
@@ -20,17 +21,14 @@
 //! regions — ones not inside an explicit [`with_max_threads`] scope — are
 //! capped at [`host_parallelism`] so ordinary kernels never pay
 //! oversubscription contention; explicit scopes bypass the cap (the sweep
-//! asked for that width on purpose), and `DTRAIN_OVERSUBSCRIBE=1` removes
-//! the cap globally. `perf/` reports `host.parallelism` with every run, so
+//! asked for that width on purpose). `perf/` reports `host.parallelism` with every run, so
 //! a scaling number taken on too narrow a host can be told apart.
 
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
-
-use crossbeam_channel::{unbounded, Sender};
-use parking_lot::{Condvar, Mutex};
+use std::sync::mpsc::{self, Sender};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 /// One parallel region: a borrowed task closure with its lifetime erased.
 ///
@@ -66,7 +64,7 @@ impl Region {
                 self.panicked.store(true, Ordering::Release);
             }
             if self.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-                *self.done.lock() = true;
+                *self.done.lock().unwrap() = true;
                 self.cvar.notify_all();
             }
         }
@@ -90,15 +88,19 @@ thread_local! {
 fn pool() -> &'static Pool {
     POOL.get_or_init(|| {
         let threads = configured_threads();
-        let (tx, rx) = unbounded::<Arc<Region>>();
+        let (tx, rx) = mpsc::channel::<Arc<Region>>();
+        let rx = Arc::new(Mutex::new(rx));
         for n in 0..threads.saturating_sub(1) {
-            let rx = rx.clone();
+            let rx = Arc::clone(&rx);
             std::thread::Builder::new()
                 .name(format!("dtrain-pool-{n}"))
-                .spawn(move || {
-                    while let Ok(region) = rx.recv() {
-                        region.work();
-                    }
+                .spawn(move || loop {
+                    // One idle worker waits in `recv`; the lock is free
+                    // again before it works.
+                    let Ok(region) = rx.lock().unwrap().recv() else {
+                        return;
+                    };
+                    region.work();
                 })
                 .expect("spawn pool worker");
         }
@@ -145,20 +147,15 @@ pub fn pool_width() -> usize {
     pool().threads
 }
 
-fn oversubscribe_allowed() -> bool {
-    static ALLOW: OnceLock<bool> = OnceLock::new();
-    *ALLOW.get_or_init(|| std::env::var("DTRAIN_OVERSUBSCRIBE").is_ok_and(|v| v.trim() == "1"))
-}
-
 /// Number of threads a parallel region may use right now: pool width capped
 /// by any enclosing [`with_max_threads`] scope. Ambient regions (no scope)
-/// are additionally capped at [`host_parallelism`] unless
-/// `DTRAIN_OVERSUBSCRIBE=1` — an oversubscribed width only slows real work
-/// down, so it must be asked for explicitly (width sweeps do, via scopes).
+/// are additionally capped at [`host_parallelism`] — an oversubscribed width
+/// only slows real work down, so it must be asked for explicitly (width
+/// sweeps do, via scopes).
 pub fn current_num_threads() -> usize {
     let cap = MAX_THREADS.with(Cell::get);
     let width = pool().threads.min(cap);
-    if cap == usize::MAX && !oversubscribe_allowed() {
+    if cap == usize::MAX {
         width.min(host_parallelism()).max(1)
     } else {
         width.max(1)
@@ -219,9 +216,9 @@ pub fn parallel_for(tasks: usize, func: &(dyn Fn(usize) + Sync)) {
         }
     }
     region.work();
-    let mut done = region.done.lock();
+    let mut done = region.done.lock().unwrap();
     while !*done {
-        region.cvar.wait(&mut done);
+        done = region.cvar.wait(done).unwrap();
     }
     drop(done);
     if region.panicked.load(Ordering::Acquire) {
@@ -447,9 +444,6 @@ mod tests {
 
     #[test]
     fn ambient_width_never_oversubscribes_host() {
-        if super::oversubscribe_allowed() {
-            return; // the operator explicitly opted out of the cap
-        }
         assert!(super::current_num_threads() <= super::host_parallelism());
     }
 
